@@ -13,16 +13,19 @@ that converts per-call speed into system throughput:
   queues, explicit shed-with-retry-after backpressure, and the
   control plane: a dynamic worker set plus zero-downtime versioned
   deploys (``EngineWorkerPool.deploy``);
-- :mod:`repro.serve.procpool` — the ``backend="process"`` execution
-  tier: each replica's engine in a child process (weights + compiled
-  plans shipped once, arena in shared memory, per-batch traffic as
-  shared-memory descriptors), escaping the GIL the thread backend
-  serialises on;
-- :mod:`repro.serve.hostpool` — the ``backend="host"`` execution
-  tier: each replica's engine on a remote rank behind the
-  :mod:`repro.hpc.fabric` descriptor transport (socket wire or
-  deterministic sim fabric), with pipelined request/response framing
-  and heartbeat-based death detection;
+- :mod:`repro.serve.remote` — the one worker protocol of the
+  out-of-process tiers: spawn payload (weights + compiled plans,
+  shipped once), ``EngineService`` (the op table and the single serve
+  loop / error policy) and the ``RemoteWorker`` client base.  A tier
+  is this service plus a codec plus a liveness source:
+- :mod:`repro.serve.procpool` — ``backend="process"``: the shm codec
+  (arrays in shared-memory segments, descriptors on a pipe, arena in
+  shared memory) with process-sentinel liveness, escaping the GIL the
+  thread backend serialises on;
+- :mod:`repro.serve.hostpool` — ``backend="host"``: the frame codec
+  (one :mod:`repro.hpc.fabric` descriptor frame per message, socket
+  wire or deterministic sim fabric) with pipelined request/response
+  matching and heartbeat liveness;
 - :mod:`repro.serve.autoscale` — load-adaptive ``AutoScaler`` growing
   and shrinking the live worker count between bounds;
 - :mod:`repro.serve.server` — routes plain, gradient, ensemble, and

@@ -3,11 +3,11 @@
 :mod:`repro.serve.procpool` escapes the GIL on one host — descriptors
 through shared memory, a pipe for control.  The next hop is a replica
 on a *different* host, where there is no ``/dev/shm`` to share, only a
-wire.  This module adds that tier: a :class:`HostWorker` presents the
-same batch-executor surface as :class:`~repro.serve.procpool.ProcessWorker`
-(``forecast_batch`` / ``compile`` / ``plan_stats`` / ``on_death`` /
-``close``), but its engine lives behind a
-:mod:`repro.hpc.fabric` endpoint and every batch travels as one
+wire.  This module adds that tier.  The worker protocol — payload, op
+table, serve loop, client executor — is :mod:`repro.serve.remote`,
+shared with the process tier; what lives here is the host tier's
+**codec** and **liveness source**: the engine sits behind a
+:mod:`repro.hpc.fabric` endpoint and every message travels as one
 length-prefixed descriptor frame (the same ``(shape, dtype, offset)``
 triples the shm tier uses, packed contiguously so a batch is one
 ``sendall``, not a syscall per array).
@@ -47,24 +47,23 @@ exactly once.
 
 from __future__ import annotations
 
-import os
-import pickle
+import contextlib
 import threading
 import time
 from multiprocessing import get_context
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from ..hpc.fabric import (FabricError, FabricTimeout, FrameError,
-                          SocketEndpoint, accept_loopback, connect_loopback,
+                          accept_loopback, connect_loopback,
                           listen_loopback, pack_frame, sim_pair, unpack_frame)
-from ..workflow.engine import FieldWindow, ForecastResult
+from ..workflow.engine import FieldWindow
 from .procpool import ProcessWorkerDied, ProcessWorkerError
+from .remote import (ChannelClosed, RemoteWorker, batch_request,
+                     batch_results, serve_payload)
 
 __all__ = ["HostWorker", "HostWorkerError", "HostWorkerDied"]
-
-_VARS = ("u3", "v3", "w3", "zeta")
 
 
 class HostWorkerError(ProcessWorkerError):
@@ -81,148 +80,68 @@ class HostWorkerDied(ProcessWorkerDied):
 # ----------------------------------------------------------------------
 # remote side (thread for fabric="sim", child process for "socket")
 # ----------------------------------------------------------------------
-def _build_engine(payload: dict):
-    """Rebuild a ForecastEngine from an unpickled worker payload —
-    the exact weights plus every shipped (and reduced) plan."""
-    from ..workflow.engine import CompiledForward, ForecastEngine
+class _FrameChannel:
+    """Remote side of the host tier's transport: every message is one
+    RFB1 frame on the endpoint.
 
-    engine = ForecastEngine(
-        payload["model"], payload["normalizer"],
-        payload["boundary_width"],
-        optimize_plans=payload.get("optimize_plans", True),
-        bucket_partial=payload.get("bucket_partial", True),
-        serve_reduced=payload.get("serve_reduced", False))
-    for plan in payload["plans"].values():
-        key = plan.slots[plan.inputs[0]].shape
-        engine._plans[key] = CompiledForward(plan, engine._arena)
-    for plan in payload.get("reduced", {}).values():
-        key = plan.slots[plan.inputs[0]].shape
-        engine._reduced[key] = CompiledForward(plan, engine._arena)
-    return engine
-
-
-def _serve_endpoint(ep, engine, heartbeat_s: float) -> None:
-    """Serve descriptor frames on ``ep`` until stop/disconnect.
-
-    One request at a time, in arrival order — pipelining is the
-    *client's* overlap of marshalling and wire time with this loop's
-    compute.  A heartbeat thread keeps frames flowing between batches
-    so the client's deadline detector can tell "slow" from "dead".
-    Endpoint sends are atomic (the endpoint locks internally), so the
-    heartbeat never interleaves into a result frame.
+    A heartbeat thread keeps frames flowing between batches so the
+    client's deadline detector can tell "slow" from "dead".  Endpoint
+    sends are atomic (the endpoint locks internally), so the heartbeat
+    never interleaves into a result frame.
     """
-    stop_hb = threading.Event()
 
-    def _heartbeat() -> None:
-        interval = max(heartbeat_s / 3.0, 0.01)
-        while not stop_hb.wait(interval):
+    def __init__(self, ep, heartbeat_s: float):
+        self.ep = ep
+        self._stop_hb = threading.Event()
+        self._hb: Optional[threading.Thread] = None
+        if heartbeat_s > 0:
+            self._hb = threading.Thread(
+                target=self._heartbeat, args=(max(heartbeat_s / 3.0, 0.01),),
+                daemon=True, name="hostworker-heartbeat")
+            self._hb.start()
+
+    def _heartbeat(self, interval: float) -> None:
+        while not self._stop_hb.wait(interval):
             try:
-                ep.send_frame(pack_frame("hb", -1))
+                self.ep.send_frame(pack_frame("hb", -1))
             except FabricError:
                 return
 
-    hb = None
-    if heartbeat_s > 0:
-        hb = threading.Thread(target=_heartbeat, daemon=True,
-                              name="hostworker-heartbeat")
-        hb.start()
-    try:
-        ep.send_frame(pack_frame("ready", -1, {
-            "pid": os.getpid(),
-            "time_steps": engine.time_steps,
-            "compiled": sorted(engine.compiled_batches)}))
-        while True:
-            try:
-                raw = ep.recv_frame(timeout=None)
-            except FabricError:
-                break               # client gone: clean up and exit
-            try:
-                frame = unpack_frame(raw)
-            except FrameError as exc:
-                # framing is lost — report once and hang up
-                try:
-                    ep.send_frame(pack_frame(
-                        "err", -1, {"trace": f"frame rejected: {exc}"}))
-                except FabricError:
-                    pass
-                break
-            if frame.op == "stop":
-                break
-            try:
-                if frame.op == "batch":
-                    n = frame.meta["n"]
-                    refs = [FieldWindow(*frame.arrays[4 * i:4 * i + 4])
-                            for i in range(n)]
-                    t0 = time.perf_counter()
-                    results = engine.forecast_batch(refs)
-                    batch_seconds = time.perf_counter() - t0
-                    del refs        # release frame-buffer views
-                    out = [getattr(r.fields, var) for r in results
-                           for var in _VARS]
-                    ep.send_frame(pack_frame("result", frame.seq, {
-                        "n": len(results),
-                        "batch_seconds": batch_seconds,
-                        "secs": [r.inference_seconds for r in results],
-                        "compiled": [r.compiled for r in results],
-                        "plan_batches": [r.plan_batch for r in results],
-                        "reduced": [r.reduced for r in results],
-                    }, out))
-                elif frame.op == "compile":
-                    engine.compile(frame.meta["batch"])
-                    ep.send_frame(pack_frame(
-                        "ok", frame.seq,
-                        {"compiled": engine.compiled_batches}))
-                elif frame.op == "compile_buckets":
-                    engine.compile_buckets(
-                        frame.meta.get("max_batch"),
-                        histogram=frame.meta.get("histogram"))
-                    ep.send_frame(pack_frame(
-                        "ok", frame.seq,
-                        {"compiled": engine.compiled_batches}))
-                elif frame.op == "plan_stats":
-                    ep.send_frame(pack_frame(
-                        "ok", frame.seq, {"stats": engine.plan_stats()}))
-                else:
-                    ep.send_frame(pack_frame(
-                        "err", frame.seq,
-                        {"trace": f"unknown op {frame.op!r}"}))
-            except FabricError:
-                break
-            except Exception:  # noqa: BLE001 — report, keep serving
-                # Exception only: KeyboardInterrupt/SystemExit must
-                # propagate so the child can actually be stopped
-                import traceback
-                try:
-                    ep.send_frame(pack_frame(
-                        "err", frame.seq,
-                        {"trace": traceback.format_exc()}))
-                except FabricError:
-                    break
-    finally:
-        stop_hb.set()
-        if hb is not None:
-            hb.join(timeout=1.0)
-        ep.close()
+    def send(self, op: str, seq: int, meta: Optional[dict] = None,
+             arrays: Sequence[np.ndarray] = ()) -> None:
+        try:
+            self.ep.send_frame(pack_frame(op, seq, meta, arrays))
+        except FabricError as exc:
+            raise ChannelClosed(str(exc)) from exc
+
+    def recv(self):
+        """Next request, its arrays as views into the received frame;
+        ``None`` when the client is gone or framing is lost."""
+        try:
+            frame = unpack_frame(self.ep.recv_frame(timeout=None))
+        except FrameError as exc:
+            # framing is lost — report once and hang up
+            with contextlib.suppress(ChannelClosed):
+                self.send("err", -1, {"trace": f"frame rejected: {exc}"})
+            return None
+        except FabricError:
+            return None
+        return frame.op, frame.seq, frame.meta, frame.arrays
+
+    def close(self) -> None:
+        self._stop_hb.set()
+        if self._hb is not None:
+            self._hb.join(timeout=1.0)
+        self.ep.close()
 
 
-def _host_main(port: int, token: str, payload_bytes: bytes,
+def _host_main(port: int, token: str, payload: bytes,
                heartbeat_s: float) -> None:
     """Child-process entry point for ``fabric="socket"``: connect back
     to the parent's loopback listener, rebuild the engine from the
     payload, serve until stop or disconnect."""
-    ep = connect_loopback(port, token)
-    try:
-        engine = _build_engine(pickle.loads(payload_bytes))
-    except BaseException:  # noqa: BLE001 — surface the build failure
-        import traceback
-        try:
-            ep.send_frame(pack_frame("err", -1,
-                                     {"trace": traceback.format_exc()}))
-        except FabricError:
-            pass
-        ep.close()
-        return
-    _serve_endpoint(ep, engine, heartbeat_s)
+    serve_payload(
+        _FrameChannel(connect_loopback(port, token), heartbeat_s), payload)
 
 
 # ----------------------------------------------------------------------
@@ -232,15 +151,17 @@ class _Handle:
     """A pending request: resolved (or failed) by the reaper thread.
 
     ``result()`` blocks like a future; the batch stays attributable to
-    its sequence number however deep the pipeline runs.
+    its sequence number however deep the pipeline runs.  ``decode``
+    turns the reply's ``(meta, arrays)`` into the handle's value.
     """
 
-    __slots__ = ("seq", "op", "t0", "_event", "_value", "_error")
+    __slots__ = ("seq", "op", "t0", "decode", "_event", "_value", "_error")
 
-    def __init__(self, seq: int, op: str):
+    def __init__(self, seq: int, op: str, decode: Optional[Callable] = None):
         self.seq = seq
         self.op = op
         self.t0 = time.perf_counter()
+        self.decode = decode
         self._event = threading.Event()
         self._value = None
         self._error: Optional[BaseException] = None
@@ -266,15 +187,14 @@ class _Handle:
         self._event.set()
 
 
-class HostWorker:
+class HostWorker(RemoteWorker):
     """A batch executor whose engine runs behind a fabric endpoint.
 
-    Drop-in sibling of :class:`~repro.serve.procpool.ProcessWorker`:
-    the same executor protocol, so
-    :class:`~repro.serve.pool.EngineWorkerPool` runs ``backend="host"``
-    without touching the scheduler, router, or deploy machinery — and
-    additionally :meth:`submit_batch` for pipelined use (multiple
-    batches in flight over one connection).
+    Drop-in sibling of :class:`~repro.serve.procpool.ProcessWorker`
+    (the executor surface is
+    :class:`~repro.serve.remote.RemoteWorker`'s) — and additionally
+    :meth:`submit_batch` for pipelined use (multiple batches in flight
+    over one connection).
 
     Parameters
     ----------
@@ -292,8 +212,14 @@ class HostWorker:
     serve_reduced: route to installed reduced-precision plan variants
         on the remote engine (accuracy-gated, not bitwise).
     request_timeout: optional per-request ceiling for the synchronous
-        calls (``forecast_batch``/``compile``/``plan_stats``).
+        calls (``forecast_batch``/``compile``/``plan_stats``).  Replies
+        are matched by sequence number, so a late one is simply
+        dropped — the worker stays usable.
     """
+
+    backend = "host"
+    Error = HostWorkerError
+    Died = HostWorkerDied
 
     def __init__(self, engine, fabric: str = "socket",
                  warm_batches: Sequence[int] = (),
@@ -306,137 +232,67 @@ class HostWorker:
         if fabric not in ("socket", "sim"):
             raise ValueError(
                 f"unknown fabric {fabric!r}: expected 'socket' or 'sim'")
-        for attr in ("model", "normalizer", "boundary_width"):
-            if not hasattr(engine, attr):
-                raise TypeError(
-                    "backend='host' needs a ForecastEngine-like "
-                    f"executor with .{attr}; {type(engine).__name__} "
-                    "has none")
-        self.engine = engine
+        super().__init__(engine, warm_batches, serve_reduced, on_death,
+                         request_timeout)
         self.fabric = fabric
-        self.on_death = on_death
-        self.request_timeout = request_timeout
         self.heartbeat_s = float(heartbeat_s)
         self.death_timeout = float(death_timeout) if death_timeout \
             is not None else 4.0 * self.heartbeat_s
-
-        self._state_lock = threading.Lock()
         self._pending: Dict[int, _Handle] = {}
         self._seq = 0
-        self._closed = False
-        self._dead = False
-        self._death_notified = False
-        self._death_reason = ""
 
         # transport counters (read by scheduler/pool metrics)
-        self.batches = 0
         self.net_wait_s = 0.0
         self.frame_bytes = 0
         self.inflight_depth = 0
 
-        warm = sorted({int(b) for b in warm_batches}
-                      | set(getattr(engine, "compiled_batches", None) or []))
-        plans = {b: engine.compile(b).plan for b in warm}
-        self._compiled = set(warm)
-        reduced = {}
-        if hasattr(engine, "_reduced"):
-            with engine._plan_lock:
-                reduced = {k[0]: cf.plan
-                           for k, cf in engine._reduced.items()}
-        payload = pickle.dumps({
-            "model": engine.model,
-            "normalizer": engine.normalizer,
-            "boundary_width": engine.boundary_width,
-            "optimize_plans": getattr(engine, "optimize_plans", True),
-            "bucket_partial": getattr(engine, "bucket_partial", True),
-            "serve_reduced": bool(serve_reduced),
-            "plans": plans,
-            "reduced": reduced,
-        }, protocol=pickle.HIGHEST_PROTOCOL)
-        self.payload_bytes = len(payload)
-
-        t0 = time.perf_counter()
-        self._proc = None
         self._remote_ep = None
+        self._reaper: Optional[threading.Thread] = None
         if fabric == "sim":
             self._ep, self._remote_ep = sim_pair()
             self.comm = self._ep.comm
             # the remote rank rebuilds its engine from the *pickled*
             # payload, exactly as a real remote host would
-            remote_engine = _build_engine(pickle.loads(payload))
-            self._serve_thread = threading.Thread(
-                target=_serve_endpoint,
-                args=(self._remote_ep, remote_engine, self.heartbeat_s),
-                daemon=True, name="hostworker-sim-rank")
-            self._serve_thread.start()
+            threading.Thread(
+                target=serve_payload,
+                args=(_FrameChannel(self._remote_ep, self.heartbeat_s),
+                      self._payload),
+                daemon=True, name="hostworker-sim-rank").start()
         else:
             listener, port, token = listen_loopback()
-            ctx = get_context(mp_context)
-            self._proc = ctx.Process(
+            self._proc = get_context(mp_context).Process(
                 target=_host_main,
-                args=(port, token, payload, self.heartbeat_s),
+                args=(port, token, self._payload, self.heartbeat_s),
                 name="hostworker-child", daemon=True)
             self._proc.start()
             try:
                 self._ep = accept_loopback(listener, token,
                                            timeout=spawn_timeout)
             except BaseException:
-                listener.close()
-                self._kill_child()
+                self._proc.terminate()
                 raise
             finally:
                 listener.close()
 
         try:
-            info = self._handshake(spawn_timeout)
+            self._adopt(*self._handshake(spawn_timeout))
         except BaseException:
             self.close()
             raise
-        self.pid = info["pid"]
-        self._time_steps = info["time_steps"]
-        self._compiled.update(info["compiled"])
-        self.spawn_seconds = time.perf_counter() - t0
         self._last_seen = time.perf_counter()
-
         self._reaper = threading.Thread(target=self._reap, daemon=True,
                                         name="hostworker-reaper")
         self._reaper.start()
 
-    def _handshake(self, timeout: float) -> dict:
+    def _handshake(self, timeout: float):
         deadline = time.perf_counter() + timeout
         while True:
             remaining = max(deadline - time.perf_counter(), 0.01)
-            raw = self._ep.recv_frame(timeout=remaining)
-            frame = unpack_frame(raw)
-            if frame.op == "hb":
-                continue
-            if frame.op == "err":
-                raise HostWorkerError(
-                    f"remote engine failed to start:\n"
-                    f"{frame.meta.get('trace', '')}")
-            if frame.op != "ready":
-                raise HostWorkerError(f"bad handshake: {frame.op!r}")
-            return frame.meta
+            frame = unpack_frame(self._ep.recv_frame(timeout=remaining))
+            if frame.op != "hb":
+                return frame.op, frame.meta
 
     # -- executor protocol ---------------------------------------------
-    @property
-    def time_steps(self) -> int:
-        return self._time_steps
-
-    @property
-    def alive(self) -> bool:
-        if self._dead or self._closed:
-            return False
-        if self._proc is not None and not self._proc.is_alive():
-            return False
-        return True
-
-    @property
-    def compiled_batches(self) -> List[int]:
-        """Batch sizes the remote engine holds a compiled plan for."""
-        with self._state_lock:
-            return sorted(self._compiled)
-
     def submit_batch(self, references: Sequence[FieldWindow]) -> _Handle:
         """Send one micro-batch and return immediately with a handle.
 
@@ -451,113 +307,29 @@ class HostWorker:
             done = _Handle(-1, "batch")
             done._complete([])
             return done
-        arrays = [np.ascontiguousarray(getattr(r, var))
-                  for r in references for var in _VARS]
-        handle, data = self._register(
-            "batch", {"n": len(references)}, arrays)
-        self._send(data)
-        return handle
+        return self._submit("batch", *batch_request(references),
+                            decode=batch_results)
 
-    def forecast_batch(self, references: Sequence[FieldWindow]
-                       ) -> List[ForecastResult]:
-        """Marshal one micro-batch to the remote rank and wait.
-
-        Bitwise-identical to ``self.engine.forecast_batch`` — the
-        remote runs the same code on bit-equal (pickled) weights.
-        Raises :class:`HostWorkerDied` if the remote dies under the
-        batch, failing the caller instead of hanging it.
-        """
-        return self.submit_batch(references).result(
+    def _call(self, op: str, meta: dict, arrays: Sequence[np.ndarray]):
+        return self._submit(op, meta, arrays).result(
             timeout=self.request_timeout)
 
-    def compile(self, batch: int) -> None:
-        """Have the remote engine compile (or confirm) a plan for
-        ``batch`` episodes; plans shipped at spawn are installed."""
-        batch = int(batch)
-        with self._state_lock:
-            if batch in self._compiled:
-                return
-        handle, data = self._register("compile", {"batch": batch}, ())
-        self._send(data)
-        meta, _ = handle.result(timeout=self.request_timeout)
-        with self._state_lock:
-            self._compiled.update(meta["compiled"])
-
-    def compile_buckets(self, max_batch: Optional[int] = None,
-                        histogram=None) -> None:
-        """Have the remote engine compile a bucket set (canonical for
-        ``max_batch``, or histogram-tuned — see
-        :meth:`~repro.workflow.engine.ForecastEngine.compile_buckets`)."""
-        from ..tensor.plan_passes import plan_buckets
-        if histogram is None and max_batch is not None:
-            with self._state_lock:
-                if set(plan_buckets(int(max_batch))) <= self._compiled:
-                    return
-        meta_req = {"max_batch": None if max_batch is None
-                    else int(max_batch)}
-        if histogram is not None:
-            meta_req["histogram"] = dict(histogram) \
-                if isinstance(histogram, dict) else list(histogram)
-        handle, data = self._register("compile_buckets", meta_req, ())
-        self._send(data)
-        meta, _ = handle.result(timeout=self.request_timeout)
-        with self._state_lock:
-            self._compiled.update(meta["compiled"])
-
-    def plan_stats(self) -> Dict[str, object]:
-        """The remote engine's plan/arena counters plus this side's
-        transport counters; degrades to transport-only when dead."""
-        stats: Dict[str, object] = {}
-        if self.alive:
-            try:
-                handle, data = self._register("plan_stats", {}, ())
-                self._send(data)
-                meta, _ = handle.result(timeout=self.request_timeout)
-                stats = dict(meta["stats"])
-            except ProcessWorkerError:
-                stats = {}
-        stats["transport"] = self.transport_stats()
-        return stats
-
-    def transport_stats(self) -> Dict[str, object]:
-        """Wire counters (``net_wait_s``, ``frame_bytes``,
-        ``inflight_depth``, spawn cost) — the observable overhead of
-        the host tier."""
-        with self._state_lock:
-            return {
-                "backend": "host",
-                "fabric": self.fabric,
-                "pid": getattr(self, "pid", None),
-                "alive": self.alive,
-                "batches": self.batches,
+    def _transport_counters(self) -> Dict[str, object]:
+        return {"fabric": self.fabric,
                 "net_wait_s": self.net_wait_s,
                 "frame_bytes": self.frame_bytes,
-                "inflight_depth": self.inflight_depth,
-                "payload_bytes": self.payload_bytes,
-                "spawn_seconds": getattr(self, "spawn_seconds", None),
-            }
+                "inflight_depth": self.inflight_depth}
 
-    def segment_names(self) -> List[str]:
-        """The host tier holds no shared-memory segments (that is the
-        point); provided for pool bookkeeping uniformity."""
-        return []
-
-    # -- transport internals --------------------------------------------
-    def _ensure_alive(self) -> None:
-        if self._closed:
-            raise RuntimeError("host worker is closed")
-        if self._dead:
-            raise HostWorkerDied(
-                f"host worker pid {getattr(self, 'pid', '?')} is dead"
-                + (f": {self._death_reason}" if self._death_reason else ""))
-
-    def _register(self, op: str, meta: dict, arrays):
+    # -- transport --------------------------------------------------------
+    def _submit(self, op: str, meta: dict, arrays: Sequence[np.ndarray],
+                decode: Optional[Callable] = None) -> _Handle:
+        """Frame one request, register its handle, put it on the wire."""
         with self._state_lock:
             self._ensure_alive()
             seq = self._seq
             self._seq += 1
         data = pack_frame(op, seq, meta, arrays)
-        handle = _Handle(seq, op)
+        handle = _Handle(seq, op, decode)
         with self._state_lock:
             self._ensure_alive()
             self._pending[seq] = handle
@@ -566,16 +338,11 @@ class HostWorker:
             if depth > self.inflight_depth:
                 self.inflight_depth = depth
             self.frame_bytes += len(data)
-        return handle, data
-
-    def _send(self, data: bytes) -> None:
         try:
             self._ep.send_frame(data)
         except FabricError as exc:
-            self._mark_dead(f"send failed: {exc}")
-            raise HostWorkerDied(
-                f"host worker pid {getattr(self, 'pid', '?')} died "
-                f"({exc})") from exc
+            self._die(f"send failed: {exc}")
+        return handle
 
     def _reap(self) -> None:
         """Reaper thread: match response frames to pending handles,
@@ -586,25 +353,18 @@ class HostWorker:
         while True:
             try:
                 raw = self._ep.recv_frame(timeout=tick)
+                self._last_seen = time.perf_counter()
+                frame = unpack_frame(raw)
             except FabricTimeout:
-                if self._closed:
-                    return
-                if self._check_liveness():
+                if self._closed or self._check_liveness():
                     return
                 continue
             except FrameError as exc:
                 self._mark_dead(f"corrupt frame: {exc}")
                 return
             except FabricError:
-                if self._closed:
-                    return
-                self._mark_dead("connection closed")
-                return
-            self._last_seen = time.perf_counter()
-            try:
-                frame = unpack_frame(raw)
-            except FrameError as exc:
-                self._mark_dead(f"corrupt frame: {exc}")
+                if not self._closed:
+                    self._mark_dead("connection closed")
                 return
             if frame.op == "hb":
                 continue
@@ -633,60 +393,32 @@ class HostWorker:
         if handle is None:
             return                          # stale/unknown seq: drop
         if frame.op == "err":
-            handle._fail(HostWorkerError(
-                f"host worker pid {self.pid} failed {handle.op}:\n"
-                f"{frame.meta.get('trace', '')}"))
+            handle._fail(self._remote_error(handle.op, frame.meta))
             return
-        if handle.op == "batch":
-            meta = frame.meta
-            results = []
-            for i in range(meta["n"]):
-                fields = FieldWindow(*(a.copy() for a in
-                                       frame.arrays[4 * i:4 * i + 4]))
-                results.append(ForecastResult(
-                    fields, meta["secs"][i],
-                    compiled=meta["compiled"][i],
-                    plan_batch=meta["plan_batches"][i],
-                    reduced=meta["reduced"][i]))
-            elapsed = time.perf_counter() - handle.t0
-            with self._state_lock:
+        # the frame's arrays are views into the receive buffer
+        value = frame.meta, [a.copy() for a in frame.arrays]
+        if handle.decode is not None:
+            value = handle.decode(*value)
+        with self._state_lock:
+            self.frame_bytes += raw_len
+            if handle.op == "batch":
                 self.batches += 1
                 self.net_wait_s += max(
-                    elapsed - meta["batch_seconds"], 0.0)
-                self.frame_bytes += raw_len
-            handle._complete(results)
-        else:
-            with self._state_lock:
-                self.frame_bytes += raw_len
-            handle._complete((frame.meta,
-                              [a.copy() for a in frame.arrays]))
+                    time.perf_counter() - handle.t0
+                    - frame.meta["batch_seconds"], 0.0)
+        handle._complete(value)
 
-    def _mark_dead(self, reason: str) -> None:
+    def _fail_pending(self, exc: BaseException) -> None:
         with self._state_lock:
-            if self._dead:
-                return
-            self._dead = True
-            self._death_reason = reason
             pending = list(self._pending.values())
             self._pending.clear()
-        exc = HostWorkerDied(
-            f"host worker pid {getattr(self, 'pid', '?')} died: {reason}")
         for handle in pending:
             handle._fail(exc)
-        self._ep.close()
-        self._kill_child()
-        if self.on_death is not None and not self._death_notified:
-            self._death_notified = True
-            try:
-                self.on_death(self)
-            except Exception:  # noqa: BLE001 — observer must not break us
-                pass
 
-    def _kill_child(self) -> None:
-        if self._proc is None:
-            return
-        if self._proc.is_alive():
-            self._proc.terminate()
+    def _on_dead(self) -> None:
+        self._fail_pending(HostWorkerDied(
+            f"host worker pid {self.pid} died: {self._death_reason}"))
+        self._ep.close()
 
     def kill(self) -> None:
         """Kill the remote rank abruptly (test hook): ``SIGKILL`` to
@@ -694,55 +426,22 @@ class HostWorker:
         fault the reaper must then detect and surface."""
         if self._proc is not None:
             self._proc.kill()
-        elif self._remote_ep is not None:
+        else:
             self._remote_ep.close()
 
     # -- lifecycle ------------------------------------------------------
-    def close(self, timeout: float = 10.0) -> None:
-        """Stop the remote rank (graceful, then ``terminate``, then
-        ``kill`` for the socket child), close the endpoint and fail any
-        handle still outstanding.  Idempotent and safe after death."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-        if not self._dead:
-            try:
-                self._ep.send_frame(pack_frame("stop", -1))
-            except FabricError:
-                pass
-        if self._proc is not None:
-            self._proc.join(timeout)
-            if self._proc.is_alive():
-                self._proc.terminate()
-                self._proc.join(timeout)
-            if self._proc.is_alive():
-                self._proc.kill()
-                self._proc.join(timeout)
+    def _send_stop(self) -> None:
+        try:
+            self._ep.send_frame(pack_frame("stop", -1))
+        except FabricError:
+            pass
+
+    def _release(self, timeout: float) -> None:
         self._ep.close()
         if self._remote_ep is not None:
             self._remote_ep.close()
-        reaper = getattr(self, "_reaper", None)
-        if reaper is not None and reaper is not threading.current_thread():
-            reaper.join(timeout)
-        with self._state_lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        if pending:
-            exc = HostWorkerDied(
-                f"host worker pid {getattr(self, 'pid', '?')} closed "
-                "with requests in flight")
-            for handle in pending:
-                handle._fail(exc)
-        if self._proc is not None:
-            try:
-                self._proc.close()
-            except ValueError:
-                pass    # child stuck past every kill deadline: leak the
-                        # handle rather than raise out of close()
-
-    def __enter__(self) -> "HostWorker":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        if self._reaper is not None \
+                and self._reaper is not threading.current_thread():
+            self._reaper.join(timeout)
+        self._fail_pending(HostWorkerDied(
+            f"host worker pid {self.pid} closed with requests in flight"))

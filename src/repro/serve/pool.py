@@ -76,7 +76,8 @@ from ..tensor import plan_passes as _passes
 from ..workflow.engine import FieldWindow, ForecastResult
 from .hostpool import HostWorker
 from .procpool import ProcessWorker
-from .scheduler import MicroBatchScheduler, ServedFuture, ServeMetrics
+from .scheduler import (TRANSPORT_COUNTERS, MicroBatchScheduler, ServedFuture,
+                        ServeMetrics)
 
 __all__ = [
     "PoolSaturated",
@@ -90,6 +91,12 @@ __all__ = [
     "PoolMetrics",
     "EngineWorkerPool",
 ]
+
+
+#: the out-of-process executor of each backend (``"thread"`` drives the
+#: engine itself); one worker protocol, two codecs — see
+#: :mod:`repro.serve.remote`
+_REMOTE_WORKERS = {"process": ProcessWorker, "host": HostWorker}
 
 
 class DeploymentError(RuntimeError):
@@ -415,38 +422,20 @@ class PoolMetrics:
     def engine_seconds(self) -> float:
         return sum(b.seconds for m in self.per_worker for b in m.batches)
 
-    @property
-    def ipc_wait_s(self) -> float:
-        """Total IPC overhead across every process-backed replica ever
-        (batch round-trip minus child engine time); 0.0 for a pure
+    def __getattr__(self, name: str):
+        """The transport counters (``ipc_wait_s``, ``marshal_bytes``,
+        ``net_wait_s``, ``frame_bytes``, ``inflight_depth``) across
+        every replica ever, each combined the way
+        :data:`~repro.serve.scheduler.TRANSPORT_COUNTERS` says: waits
+        and bytes add up, ``inflight_depth`` is the deepest pipeline
+        any host replica reached (≥ 2 means the network hop was
+        genuinely overlapped with compute).  All stay 0 for a pure
         thread pool."""
-        return sum(m.ipc_wait_s for m in self.per_worker)
-
-    @property
-    def marshal_bytes(self) -> int:
-        """Total bytes moved through the shared-memory transport
-        (requests out + results back); 0 for a pure thread pool."""
-        return sum(m.marshal_bytes for m in self.per_worker)
-
-    @property
-    def net_wait_s(self) -> float:
-        """Total network-transport overhead across every host-backed
-        replica (batch round-trip minus remote engine time); 0.0 for
-        thread and process pools."""
-        return sum(m.net_wait_s for m in self.per_worker)
-
-    @property
-    def frame_bytes(self) -> int:
-        """Total bytes framed onto the fabric wire (request frames out
-        + result frames back); 0 off the host backend."""
-        return sum(m.frame_bytes for m in self.per_worker)
-
-    @property
-    def inflight_depth(self) -> int:
-        """Deepest request/response pipeline any host replica reached
-        (≥ 2 means the network hop was genuinely overlapped with
-        compute); 0 off the host backend."""
-        return max((m.inflight_depth for m in self.per_worker), default=0)
+        try:
+            combine = TRANSPORT_COUNTERS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return combine(getattr(m, name) for m in self.per_worker)
 
     @property
     def reduced_batches(self) -> int:
@@ -522,11 +511,7 @@ class PoolMetrics:
             "latency_p95_ms": 1e3 * self.latency_percentile(95),
             "queue_p50_ms": 1e3 * self.queue_percentile(50),
             "engine_seconds": self.engine_seconds,
-            "ipc_wait_s": self.ipc_wait_s,
-            "marshal_bytes": self.marshal_bytes,
-            "net_wait_s": self.net_wait_s,
-            "frame_bytes": self.frame_bytes,
-            "inflight_depth": self.inflight_depth,
+            **{name: getattr(self, name) for name in TRANSPORT_COUNTERS},
             "reduced_batches": self.reduced_batches,
             "grad_batches": self.grad_batches,
             "backward_seconds": self.backward_seconds,
@@ -639,17 +624,18 @@ class EngineWorkerPool:
         self._max_batch = int(max_batch)
         self._max_wait = float(max_wait)
         self._warm_plans = bool(warm_plans)
-        if backend not in ("thread", "process", "host"):
+        if backend != "thread" and backend not in _REMOTE_WORKERS:
             raise ValueError(
                 f"unknown backend {backend!r}; use 'thread', 'process' "
                 "or 'host'")
-        if fabric not in ("socket", "sim"):
-            raise ValueError(
-                f"unknown fabric {fabric!r}; use 'socket' or 'sim'")
         self.backend = backend
-        self._mp_context = mp_context
-        self._fabric = fabric
         self._serve_reduced = bool(serve_reduced)
+        # what every remote executor is built with; the fabric is the
+        # host worker's to validate
+        self._remote_kwargs = {"mp_context": mp_context,
+                               "serve_reduced": self._serve_reduced}
+        if backend == "host":
+            self._remote_kwargs["fabric"] = fabric
         self._spawn_log: List[float] = []
         distinct = []
         for e in engines:
@@ -916,8 +902,8 @@ class EngineWorkerPool:
     def _make_worker(self, engine, version: int) -> _Worker:
         """Construct one fully-warmed replica (not yet routable).
 
-        Process backend: the engine is wrapped in a
-        :class:`~repro.serve.procpool.ProcessWorker` whose child is
+        Process/host backends: the engine is wrapped in the backend's
+        :class:`~repro.serve.remote.RemoteWorker` whose remote is
         spawned, warmed (every plan already compiled on the engine
         ships with the payload, plus the whole ``max_batch`` bucket set
         when the pool warms plans — so partial batches hit compiled
@@ -927,22 +913,12 @@ class EngineWorkerPool:
         """
         warm = self._warm_plans and hasattr(engine, "compile")
         executor = engine
-        if self.backend == "process":
-            executor = ProcessWorker(
+        if self.backend in _REMOTE_WORKERS:
+            executor = _REMOTE_WORKERS[self.backend](
                 engine,
                 warm_batches=_passes.plan_buckets(self._max_batch)
                 if warm else (),
-                mp_context=self._mp_context,
-                serve_reduced=self._serve_reduced)
-            with self._route_lock:
-                self._spawn_log.append(executor.spawn_seconds)
-        elif self.backend == "host":
-            executor = HostWorker(
-                engine, fabric=self._fabric,
-                warm_batches=_passes.plan_buckets(self._max_batch)
-                if warm else (),
-                mp_context=self._mp_context,
-                serve_reduced=self._serve_reduced)
+                **self._remote_kwargs)
             with self._route_lock:
                 self._spawn_log.append(executor.spawn_seconds)
         elif self._serve_reduced and hasattr(engine, "serve_reduced"):
@@ -972,7 +948,7 @@ class EngineWorkerPool:
             worker.executor.close()
 
     def _on_executor_death(self, worker: _Worker) -> None:
-        """A process replica's child died.  Runs on whatever thread hit
+        """A remote replica's executor died.  Runs on whatever thread hit
         the dead transport — typically the worker's own scheduler
         thread, mid-``_run_batch`` — so it only flags the replica
         inadmissible (cheap, under the routing lock) and hands the
@@ -986,7 +962,8 @@ class EngineWorkerPool:
             self.events.append(PoolEvent(
                 "worker-death", time.time(), len(self.workers),
                 worker.version,
-                f"worker {worker.worker_id} child process died"))
+                f"worker {worker.worker_id} executor died: "
+                f"{worker.executor._death_reason}"))
         threading.Thread(
             target=self._retire_dead_worker, args=(worker,),
             name=f"retire-worker-{worker.worker_id}", daemon=True).start()
@@ -1004,7 +981,7 @@ class EngineWorkerPool:
                 self.events.append(PoolEvent(
                     "worker-retired", time.time(), len(self.workers),
                     worker.version,
-                    f"worker {worker.worker_id} retired after child "
+                    f"worker {worker.worker_id} retired after executor "
                     "death"))
 
     def add_worker(self, engine=None, version: Optional[int] = None,

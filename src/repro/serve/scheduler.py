@@ -53,7 +53,7 @@ from ..workflow.engine import FieldWindow, ForecastResult
 from ..workflow.sensitivity import GradientRequest
 
 __all__ = ["ServedFuture", "BatchRecord", "RequestRecord", "ServeMetrics",
-           "MicroBatchScheduler"]
+           "TRANSPORT_COUNTERS", "MicroBatchScheduler"]
 
 
 class ServedFuture:
@@ -185,6 +185,25 @@ class RequestRecord:
     batch_index: int
     queue_seconds: float         # enqueue → batch execution start
     latency_seconds: float       # enqueue → result available
+
+
+def _deepest(values) -> int:
+    return max(values, default=0)
+
+
+#: The transport counters of the out-of-process tiers, in one place:
+#: each is a :class:`ServeMetrics` field a remote executor reports
+#: (cumulatively) through ``transport_stats()``, mapped to how several
+#: replicas' values combine into the pool-level figure
+#: (:class:`~repro.serve.pool.PoolMetrics`).  A tier reports only its
+#: own; the others stay 0.
+TRANSPORT_COUNTERS = {
+    "ipc_wait_s": sum,
+    "marshal_bytes": sum,
+    "net_wait_s": sum,
+    "frame_bytes": sum,
+    "inflight_depth": _deepest,
+}
 
 
 @dataclass
@@ -322,11 +341,7 @@ class ServeMetrics:
             "latency_p95_ms": 1e3 * self.latency_percentile(95),
             "queue_p50_ms": 1e3 * self.queue_percentile(50),
             "engine_seconds": sum(b.seconds for b in self.batches),
-            "ipc_wait_s": self.ipc_wait_s,
-            "marshal_bytes": self.marshal_bytes,
-            "net_wait_s": self.net_wait_s,
-            "frame_bytes": self.frame_bytes,
-            "inflight_depth": self.inflight_depth,
+            **{name: getattr(self, name) for name in TRANSPORT_COUNTERS},
             "reduced_batches": self.reduced_batches,
             "grad_batches": self.grad_batches,
             "backward_seconds": self.backward_seconds,
@@ -621,19 +636,8 @@ class MicroBatchScheduler:
             # incremental) into the metrics log
             try:
                 stats = transport()
-                if "ipc_wait_s" in stats:
-                    self.metrics.ipc_wait_s = float(stats["ipc_wait_s"])
-                if "marshal_bytes" in stats:
-                    self.metrics.marshal_bytes = \
-                        int(stats["marshal_bytes"])
-                if "net_wait_s" in stats:
-                    self.metrics.net_wait_s = float(stats["net_wait_s"])
-                if "frame_bytes" in stats:
-                    self.metrics.frame_bytes = int(stats["frame_bytes"])
-                if "inflight_depth" in stats:
-                    self.metrics.inflight_depth = max(
-                        self.metrics.inflight_depth,
-                        int(stats["inflight_depth"]))
+                for name in TRANSPORT_COUNTERS.keys() & stats.keys():
+                    setattr(self.metrics, name, stats[name])
             except Exception:    # noqa: BLE001 — metrics must not fail a batch
                 pass
         with self._lock:

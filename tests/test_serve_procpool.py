@@ -21,6 +21,7 @@ from repro.serve import (
     EngineWorkerPool,
     ProcessWorker,
     ProcessWorkerDied,
+    ProcessWorkerError,
 )
 from repro.serve.autoscale import AutoScaler
 from repro.serve.scheduler import MicroBatchScheduler
@@ -156,6 +157,44 @@ class TestProcessWorker:
                 worker.forecast_batch(windows[:1])
         assert deaths == [worker]
         worker.close()
+
+    def test_request_timeout_never_returns_stale_fields(self, engine,
+                                                        windows):
+        """Regression: the child's late reply to a timed-out batch A
+        used to be taken for the answer to the next batch B (no
+        sequence numbers, one reused request segment) — silently wrong
+        fields.  After a timeout the worker must either be dead or
+        serve B bitwise; it must never return stale/mixed results."""
+        deaths = []
+        worker = ProcessWorker(engine, request_timeout=1e-5,
+                               on_death=deaths.append)
+        try:
+            with pytest.raises(ProcessWorkerError):
+                worker.forecast_batch(windows[:2])
+            if worker.alive:
+                worker.request_timeout = None
+                assert_results_equal(engine.forecast_batch(windows[2:4]),
+                                     worker.forecast_batch(windows[2:4]))
+            else:
+                assert deaths == [worker]
+                with pytest.raises(ProcessWorkerDied):
+                    worker.forecast_batch(windows[2:4])
+            names = worker.segment_names()
+        finally:
+            worker.close()
+        assert segments_alive(names) == []
+
+    def test_engine_rebuild_failure_reports_remote_traceback(
+            self, engine, monkeypatch):
+        """A child that cannot rebuild its engine answers the handshake
+        with an ``err`` carrying its traceback — the parent sees why,
+        not just an exit code."""
+        from repro.serve import remote
+
+        monkeypatch.setattr(remote, "engine_payload",
+                            lambda *a, **k: b"not a pickle")
+        with pytest.raises(ProcessWorkerError, match="UnpicklingError"):
+            ProcessWorker(engine)
 
 
 # ----------------------------------------------------------------------
