@@ -25,8 +25,10 @@ uncertainty quantification", §I):
   dispatch/allocation win honestly and does not arm the speed gate
   (same policy as ``bench_serving.py``).  Since the plan-IR passes
   (``repro.tensor.plan_passes``) the compiled column replays the
-  *fused* plan; an ``optimize_plans=False`` engine provides the
-  unfused column so the fusion win is its own number, and the pass
+  *fused* plan — the only kind the engine serves; the unfused column
+  replays a raw ``plan.trace()`` of the same forward, built here,
+  through a bare ``PlanExecutor`` (same staging and finalisation
+  around it) so the fusion win is its own number, and the pass
   statistics (steps folded/fused/eliminated, arena bytes) land in the
   JSON record as ``plan_pass_stats``.
 * **Bucketed partial batches**: a mixed-size request stream through an
@@ -66,6 +68,7 @@ except ModuleNotFoundError:
 from repro.data import Normalizer
 from repro.eval import compute_errors_many, format_table
 from repro.swin import CoastalSurrogate, SurrogateConfig
+from repro.tensor import PlanExecutor, trace
 from repro.workflow import (
     DualModelForecaster,
     EnsembleForecaster,
@@ -212,6 +215,28 @@ def _tracemalloc_peak(fn):
     return peak
 
 
+def _unfused_forecast(engine, n):
+    """``forecast_batch`` for ``n`` episodes with the forward swapped
+    for an *unoptimised* plan: the straight trace of the model, no
+    passes, replayed by a bare executor between the engine's own
+    staging and finalisation.  Informational — the engine itself only
+    ever holds optimised plans."""
+    s3d, s2d = engine._input_shapes(n)
+    engine.model.eval()
+    plan, _ = trace(lambda a, b: engine.model(a, b),
+                    (np.zeros(s3d, np.float32), np.zeros(s2d, np.float32)))
+    executor = PlanExecutor(plan)
+
+    def forecast_batch(windows):
+        x3d, x2d, _ = engine._prepare_inputs(windows)
+        p3, p2 = executor.run((x3d, x2d))
+        return engine._finalize(
+            windows, np.moveaxis(p3, -1, 2).astype(np.float64),
+            np.moveaxis(p2[:, 0], -1, 1).astype(np.float64), 0.0,
+            compiled=True, plan_batch=n)
+    return forecast_batch
+
+
 def run_compiled_sweep(batches=(1, 2, 4, 8), repeats=5, quick=False):
     """Eager vs compiled ``forecast_batch`` on the serving mesh.
 
@@ -225,18 +250,16 @@ def run_compiled_sweep(batches=(1, 2, 4, 8), repeats=5, quick=False):
     norm = Normalizer({v: 0.0 for v in ("u3", "v3", "w3", "zeta")},
                       {v: 1.0 for v in ("u3", "v3", "w3", "zeta")})
     eager = ForecastEngine(model, norm)      # never compiled
-    compiled = ForecastEngine(model, norm)   # fused plans (the default)
-    unfused = ForecastEngine(model, norm, optimize_plans=False)
+    compiled = ForecastEngine(model, norm)   # fused plans
     out = {"batches": {}, "bitwise_equal": True}
     for n in batches:
         windows = _serving_windows(n, seed=n)
         compiled.compile(n)
-        unfused.compile(n)
+        unfused = _unfused_forecast(eager, n)
         res_e = eager.forecast_batch(windows)
         res_c = compiled.forecast_batch(windows)
-        res_u = unfused.forecast_batch(windows)
-        assert res_c[0].compiled and res_u[0].compiled \
-            and not res_e[0].compiled
+        res_u = unfused(windows)
+        assert res_c[0].compiled and not res_e[0].compiled
         for a, b, c in zip(res_e, res_c, res_u):
             for var in ("u3", "v3", "w3", "zeta"):
                 if not (np.array_equal(getattr(a.fields, var),
@@ -246,7 +269,7 @@ def run_compiled_sweep(batches=(1, 2, 4, 8), repeats=5, quick=False):
                     out["bitwise_equal"] = False
         t_eager = _best_of(lambda: eager.forecast_batch(windows), repeats)
         t_comp = _best_of(lambda: compiled.forecast_batch(windows), repeats)
-        t_unf = _best_of(lambda: unfused.forecast_batch(windows), repeats)
+        t_unf = _best_of(lambda: unfused(windows), repeats)
         peak_eager = _tracemalloc_peak(
             lambda: eager.forecast_batch(windows))
         peak_comp = _tracemalloc_peak(

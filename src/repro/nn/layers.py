@@ -34,20 +34,15 @@ def gelu(x: Tensor) -> Tensor:
     """Exact GELU: ``x * Phi(x)`` using the error function.
 
     Outside of autograd the five-op chain is fused into in-place
-    updates of a single buffer — GELU runs over full-resolution decoder
-    activations, where every extra temporary is a pass over main
-    memory.
+    updates of a single buffer (the plan kernel, on a fresh buffer) —
+    GELU runs over full-resolution decoder activations, where every
+    extra temporary is a pass over main memory.
     """
     x = astensor(x)
     if _plan.tracing():
         return _plan.trace_apply("gelu", (x,))
     if not (is_grad_enabled() and x.requires_grad):
-        y = x.data * np.float32(1.0 / np.sqrt(2.0))
-        _sp_special.erf(y, out=y)
-        y += 1.0
-        y *= x.data
-        y *= 0.5
-        return Tensor(y)
+        return Tensor(_k_gelu(None, (x.data,), None))
     return x * ((x * (1.0 / np.sqrt(2.0))).erf() + 1.0) * 0.5
 
 
@@ -114,14 +109,9 @@ class LayerNorm(Module):
         if not (is_grad_enabled() and
                 (x.requires_grad or self.weight.requires_grad)):
             # fused inference path: one working buffer, in-place updates
-            y = x.data - x.data.mean(axis=-1, keepdims=True)
-            var = np.mean(np.square(y), axis=-1, keepdims=True)
-            var += self.eps
-            np.sqrt(var, out=var)
-            y /= var
-            y *= self.weight.data
-            y += self.bias.data
-            return Tensor(y)
+            return Tensor(_k_layernorm(
+                None, (x.data, self.weight.data, self.bias.data),
+                {"eps": self.eps}))
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
         norm = (x - mu) / (var + self.eps).sqrt()
@@ -173,14 +163,12 @@ class BatchNorm(Module):
                 scale = self.weight.data.reshape(bshape) * inv
                 shift = self.bias.data.reshape(bshape) \
                     - self.running_mean.reshape(bshape) * scale
+                consts = {"scale": scale, "shift": shift}
                 if _plan.tracing():
                     # running stats fold into per-channel scale/shift plan
                     # constants (recompile after loading new weights)
-                    return _plan.trace_apply(
-                        "bn_affine", (x,), {"scale": scale, "shift": shift})
-                y = x.data * scale
-                y += shift
-                return Tensor(y)
+                    return _plan.trace_apply("bn_affine", (x,), consts)
+                return Tensor(_k_bn_affine(None, (x.data,), consts))
             scale = self.weight.reshape(bshape) * Tensor(inv)
             shift = self.bias.reshape(bshape) \
                 - Tensor(self.running_mean.reshape(bshape)) * scale
@@ -230,8 +218,9 @@ class MLP(Module):
 
 
 # ----------------------------------------------------------------------
-# plan kernels — the fused inference fast paths above, replayed
-# verbatim (same in-place NumPy chains, arena buffer as the working
+# plan kernels — the one definition of the fused inference fast paths:
+# plans replay them into an arena buffer, the eager no-grad branches
+# above call them with ``out=None`` (NumPy allocates the working
 # buffer), so compiled forwards are bitwise identical to eager ones
 # ----------------------------------------------------------------------
 @_plan.register_kernel("gelu", "compute", rowwise=True)

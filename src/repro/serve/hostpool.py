@@ -209,8 +209,6 @@ class HostWorker(RemoteWorker):
         (and deadline-based death detection with them).
     death_timeout: seconds of radio silence before the worker is
         declared dead (default ``4 × heartbeat_s``).
-    serve_reduced: route to installed reduced-precision plan variants
-        on the remote engine (accuracy-gated, not bitwise).
     request_timeout: optional per-request ceiling for the synchronous
         calls (``forecast_batch``/``compile``/``plan_stats``).  Replies
         are matched by sequence number, so a late one is simply
@@ -227,13 +225,11 @@ class HostWorker(RemoteWorker):
                  on_death: Optional[Callable[["HostWorker"], None]] = None,
                  request_timeout: Optional[float] = None,
                  heartbeat_s: float = 2.0,
-                 death_timeout: Optional[float] = None,
-                 serve_reduced: bool = False):
+                 death_timeout: Optional[float] = None):
         if fabric not in ("socket", "sim"):
             raise ValueError(
                 f"unknown fabric {fabric!r}: expected 'socket' or 'sim'")
-        super().__init__(engine, warm_batches, serve_reduced, on_death,
-                         request_timeout)
+        super().__init__(engine, warm_batches, on_death, request_timeout)
         self.fabric = fabric
         self.heartbeat_s = float(heartbeat_s)
         self.death_timeout = float(death_timeout) if death_timeout \

@@ -69,8 +69,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..hpc.serving import ServingCapacityModel
 from ..tensor import plan_passes as _passes
 from ..workflow.engine import FieldWindow, ForecastResult
@@ -317,12 +315,18 @@ class _Worker:
 class PoolMetrics:
     """Pool-level view over the per-worker :class:`ServeMetrics`.
 
-    A live aggregation (not a snapshot): occupancy and counters are
-    recomputed from the workers' metric logs on every access, so the
-    same object stays valid for the pool's whole lifetime.  Pool
-    occupancy is total requests over total engine forwards — the
-    figure of merit batching must hold on to as the pool widens, since
-    sharding thins each replica's queue.
+    A live aggregation (not a snapshot): every read rebuilds one
+    :class:`ServeMetrics` over the workers' concatenated
+    ``batches``/``requests`` logs, with the transport counters combined
+    the way :data:`~repro.serve.scheduler.TRANSPORT_COUNTERS` says
+    (waits and bytes add up, ``inflight_depth`` is the deepest pipeline
+    any host replica reached), and every :class:`ServeMetrics` member
+    is answered by that merged object — the pool cannot disagree with
+    its replicas about what a metric means.  Pool occupancy is thus
+    total requests over total engine forwards — the figure of merit
+    batching must hold on to as the pool widens, since sharding thins
+    each replica's queue.  Only what a single replica cannot know is
+    declared here.
 
     The worker set is dynamic (deploys and autoscaling retire and spawn
     replicas); aggregation therefore runs over the *live and retired*
@@ -336,6 +340,19 @@ class PoolMetrics:
 
     def _all_workers(self) -> List[_Worker]:
         return self._pool._all_workers()
+
+    def _merged(self) -> ServeMetrics:
+        per = self.per_worker
+        return ServeMetrics(
+            batches=[b for m in per for b in m.batches],
+            requests=[r for m in per for r in m.requests],
+            **{name: combine(getattr(m, name) for m in per)
+               for name, combine in TRANSPORT_COUNTERS.items()})
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._merged(), name)
 
     @property
     def n_workers(self) -> int:
@@ -353,12 +370,6 @@ class PoolMetrics:
         return list(self._pool.events)
 
     @property
-    def batches(self) -> List:
-        """All replicas' :class:`~repro.serve.scheduler.BatchRecord`
-        logs flattened — the input to capacity-model fits."""
-        return [b for m in self.per_worker for b in m.batches]
-
-    @property
     def shed_requests(self) -> int:
         return self._pool.shed_requests
 
@@ -366,6 +377,7 @@ class PoolMetrics:
     def outstanding(self) -> int:
         return sum(w.outstanding for w in self._pool.workers)
 
+    # the autoscaler polls these every tick: O(workers), no log merge
     @property
     def n_requests(self) -> int:
         return sum(m.n_requests for m in self.per_worker)
@@ -373,99 +385,6 @@ class PoolMetrics:
     @property
     def n_batches(self) -> int:
         return sum(m.n_batches for m in self.per_worker)
-
-    @property
-    def n_failed_batches(self) -> int:
-        return sum(m.n_failed_batches for m in self.per_worker)
-
-    @property
-    def plan_batches(self) -> int:
-        """Micro-batches served by a compiled inference plan, across
-        every replica."""
-        return sum(m.plan_batches for m in self.per_worker)
-
-    @property
-    def padded_rows(self) -> int:
-        """Pad rows added by batch-shape bucketing across every
-        replica (partial batches replaying a larger plan)."""
-        return sum(m.padded_rows for m in self.per_worker)
-
-    @property
-    def bucket_pad_fraction(self) -> float:
-        """Padded rows / rows computed, pool-wide — the forward compute
-        wasted so partial batches can hit the plan cache."""
-        computed = sum(
-            b.plan_batch if b.plan_batch is not None else b.size
-            for m in self.per_worker for b in m.batches)
-        return self.padded_rows / computed if computed else 0.0
-
-    def bucket_hits(self) -> Dict[int, int]:
-        """Micro-batches served per plan bucket (plan batch size →
-        count), summed over every replica."""
-        out: Dict[int, int] = {}
-        for m in self.per_worker:
-            for size, n in m.bucket_hits().items():
-                out[size] = out.get(size, 0) + n
-        return dict(sorted(out.items()))
-
-    @property
-    def mean_occupancy(self) -> float:
-        if not self.n_batches:
-            return float("nan")
-        return self.n_requests / self.n_batches
-
-    @property
-    def max_occupancy(self) -> int:
-        return max((m.max_occupancy for m in self.per_worker), default=0)
-
-    @property
-    def engine_seconds(self) -> float:
-        return sum(b.seconds for m in self.per_worker for b in m.batches)
-
-    def __getattr__(self, name: str):
-        """The transport counters (``ipc_wait_s``, ``marshal_bytes``,
-        ``net_wait_s``, ``frame_bytes``, ``inflight_depth``) across
-        every replica ever, each combined the way
-        :data:`~repro.serve.scheduler.TRANSPORT_COUNTERS` says: waits
-        and bytes add up, ``inflight_depth`` is the deepest pipeline
-        any host replica reached (≥ 2 means the network hop was
-        genuinely overlapped with compute).  All stay 0 for a pure
-        thread pool."""
-        try:
-            combine = TRANSPORT_COUNTERS[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        return combine(getattr(m, name) for m in self.per_worker)
-
-    @property
-    def reduced_batches(self) -> int:
-        """Micro-batches served by an accuracy-gated reduced-precision
-        plan variant (``serve_reduced=True`` routing)."""
-        return sum(m.reduced_batches for m in self.per_worker)
-
-    @property
-    def grad_batches(self) -> int:
-        """Micro-batches that ran the adjoint path across all replicas
-        (thread backend only — other backends reject gradients)."""
-        return sum(m.grad_batches for m in self.per_worker)
-
-    @property
-    def backward_seconds(self) -> float:
-        """Cumulative wall-clock spent in gradient micro-batches across
-        all replicas (forward + backward)."""
-        return sum(m.backward_seconds for m in self.per_worker)
-
-    def _pooled_latencies(self) -> List[float]:
-        return [r.latency_seconds for m in self.per_worker
-                for r in m.requests]
-
-    def latency_percentile(self, q: float) -> float:
-        lat = self._pooled_latencies()
-        return float(np.percentile(lat, q)) if lat else float("nan")
-
-    def queue_percentile(self, q: float) -> float:
-        qs = [r.queue_seconds for m in self.per_worker for r in m.requests]
-        return float(np.percentile(qs, q)) if qs else float("nan")
 
     def requests_by_worker(self) -> Dict[int, int]:
         """Completed-request count per worker id — the sharding skew.
@@ -489,8 +408,9 @@ class PoolMetrics:
         return dict(sorted(out.items()))
 
     def summary(self) -> Dict[str, float]:
-        """Flat dict for logging/export; a superset of the keys of
-        :meth:`ServeMetrics.summary` plus pool-only counters."""
+        """Flat dict for logging/export: the keys of
+        :meth:`ServeMetrics.summary` (over the merged logs) plus the
+        pool-only counters."""
         events = self.events
         return {
             "workers": self.n_workers,
@@ -498,23 +418,9 @@ class PoolMetrics:
             "deploys": sum(e.kind == "deploy-done" for e in events),
             "scale_events": sum(e.kind in ("scale-up", "scale-down")
                                 for e in events),
-            "requests": self.n_requests,
-            "batches": self.n_batches,
-            "failed_batches": self.n_failed_batches,
-            "plan_batches": self.plan_batches,
-            "bucket_pad_fraction": self.bucket_pad_fraction,
+            **self._merged().summary(),
             "shed_requests": self.shed_requests,
             "outstanding": self.outstanding,
-            "mean_occupancy": self.mean_occupancy,
-            "max_occupancy": self.max_occupancy,
-            "latency_p50_ms": 1e3 * self.latency_percentile(50),
-            "latency_p95_ms": 1e3 * self.latency_percentile(95),
-            "queue_p50_ms": 1e3 * self.queue_percentile(50),
-            "engine_seconds": self.engine_seconds,
-            **{name: getattr(self, name) for name in TRANSPORT_COUNTERS},
-            "reduced_batches": self.reduced_batches,
-            "grad_batches": self.grad_batches,
-            "backward_seconds": self.backward_seconds,
             "spawn_seconds_mean": self._pool.mean_spawn_seconds,
         }
 
@@ -571,11 +477,6 @@ class EngineWorkerPool:
     fabric: host-backend transport — ``"socket"`` (real TCP loopback
         wire) or ``"sim"`` (deterministic in-process fabric with
         SimComm byte accounting).  Ignored by other backends.
-    serve_reduced: route batches to installed accuracy-gated
-        reduced-precision plan variants
-        (:meth:`~repro.workflow.engine.ForecastEngine.compile_reduced`)
-        instead of the exact plans.  Off by default — results stay
-        bitwise-identical unless this is explicitly turned on.
 
     Thread safety: :meth:`submit` and :meth:`forecast_batch` may be
     called from any number of client threads; routing state is guarded
@@ -592,7 +493,7 @@ class EngineWorkerPool:
                  router: Union[str, Router] = "least-outstanding",
                  autostart: bool = True, warm_plans: bool = False,
                  backend: str = "thread", mp_context: str = "spawn",
-                 fabric: str = "socket", serve_reduced: bool = False):
+                 fabric: str = "socket"):
         if hasattr(engines, "forecast_batch"):
             engines = [engines]
         engines = list(engines)
@@ -629,11 +530,9 @@ class EngineWorkerPool:
                 f"unknown backend {backend!r}; use 'thread', 'process' "
                 "or 'host'")
         self.backend = backend
-        self._serve_reduced = bool(serve_reduced)
         # what every remote executor is built with; the fabric is the
         # host worker's to validate
-        self._remote_kwargs = {"mp_context": mp_context,
-                               "serve_reduced": self._serve_reduced}
+        self._remote_kwargs = {"mp_context": mp_context}
         if backend == "host":
             self._remote_kwargs["fabric"] = fabric
         self._spawn_log: List[float] = []
@@ -921,9 +820,6 @@ class EngineWorkerPool:
                 **self._remote_kwargs)
             with self._route_lock:
                 self._spawn_log.append(executor.spawn_seconds)
-        elif self._serve_reduced and hasattr(engine, "serve_reduced"):
-            # thread backend: the engine itself routes
-            engine.serve_reduced = True
         scheduler = MicroBatchScheduler(
             executor, max_batch=self._max_batch, max_wait=self._max_wait,
             autostart=not self._manual, warm_plans=warm)
@@ -963,7 +859,7 @@ class EngineWorkerPool:
                 "worker-death", time.time(), len(self.workers),
                 worker.version,
                 f"worker {worker.worker_id} executor died: "
-                f"{worker.executor._death_reason}"))
+                f"{worker.executor.death_reason}"))
         threading.Thread(
             target=self._retire_dead_worker, args=(worker,),
             name=f"retire-worker-{worker.worker_id}", daemon=True).start()

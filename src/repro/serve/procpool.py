@@ -346,8 +346,6 @@ class ProcessWorker(RemoteWorker):
         a timeout, a dead one always is).  Expiry condemns the worker
         (:class:`ProcessWorkerDied`): the child may still be reading
         the one reused request segment, so no later request is safe.
-    serve_reduced: route to installed reduced-precision plan variants
-        in the child (accuracy-gated, not bitwise).
 
     Thread safety: requests serialise on one lock (the transport is a
     single request/response channel); the scheduler drives one batch
@@ -361,10 +359,8 @@ class ProcessWorker(RemoteWorker):
     def __init__(self, engine, warm_batches: Sequence[int] = (),
                  mp_context: str = "spawn", spawn_timeout: float = 120.0,
                  on_death: Optional[Callable[["ProcessWorker"], None]] = None,
-                 request_timeout: Optional[float] = None,
-                 serve_reduced: bool = False):
-        super().__init__(engine, warm_batches, serve_reduced, on_death,
-                         request_timeout)
+                 request_timeout: Optional[float] = None):
+        super().__init__(engine, warm_batches, on_death, request_timeout)
         self._token = f"repro-{secrets.token_hex(4)}"
         self._call_lock = threading.Lock()
         self._seq = 0

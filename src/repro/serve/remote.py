@@ -78,8 +78,7 @@ class ChannelClosed(Exception):
 # ----------------------------------------------------------------------
 # payload: the engine, shipped once
 # ----------------------------------------------------------------------
-def engine_payload(engine, warm_batches: Sequence[int] = (),
-                   serve_reduced: bool = False) -> bytes:
+def engine_payload(engine, warm_batches: Sequence[int] = ()) -> bytes:
     """Pickle everything a remote rank needs to rebuild ``engine``.
 
     Ships every plan the engine already holds (a ``deploy()`` warms the
@@ -89,29 +88,17 @@ def engine_payload(engine, warm_batches: Sequence[int] = (),
     """
     warm = sorted({int(b) for b in warm_batches}
                   | set(getattr(engine, "compiled_batches", None) or []))
-    reduced = {}
-    if hasattr(engine, "_reduced"):
-        with engine._plan_lock:
-            reduced = {k[0]: cf.plan for k, cf in engine._reduced.items()}
     return pickle.dumps({
         "model": engine.model,
         "normalizer": engine.normalizer,
         "boundary_width": engine.boundary_width,
-        # plan-handling knobs mirror the source engine so the remote
-        # buckets partial batches (and optimises any plan it traces
-        # itself) exactly the way the in-process tier would
-        "optimize_plans": getattr(engine, "optimize_plans", True),
-        "bucket_partial": getattr(engine, "bucket_partial", True),
-        # route to the (gated, shipped) reduced variants on request
-        "serve_reduced": bool(serve_reduced),
         "plans": {b: engine.compile(b).plan for b in warm},
-        "reduced": reduced,
     }, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def build_engine(payload: bytes, make_arena: Optional[Callable] = None):
     """Rebuild a ForecastEngine from :func:`engine_payload` bytes — the
-    exact weights plus every shipped (and reduced) plan.
+    exact weights plus every shipped plan.
 
     ``make_arena(nbytes)``, when given, supplies the engine's
     :class:`~repro.tensor.plan.BufferArena` (the process tier's
@@ -119,18 +106,13 @@ def build_engine(payload: bytes, make_arena: Optional[Callable] = None):
     """
     spec = pickle.loads(payload)
     engine = ForecastEngine(
-        spec["model"], spec["normalizer"], spec["boundary_width"],
-        optimize_plans=spec["optimize_plans"],
-        bucket_partial=spec["bucket_partial"],
-        serve_reduced=spec["serve_reduced"])
+        spec["model"], spec["normalizer"], spec["boundary_width"])
     if make_arena is not None:
         engine._arena = make_arena(max(
             (p.arena_total for p in spec["plans"].values()), default=0))
-    for cache, plans in ((engine._plans, spec["plans"]),
-                         (engine._reduced, spec["reduced"])):
-        for plan in plans.values():
-            key = plan.slots[plan.inputs[0]].shape
-            cache[key] = CompiledForward(plan, engine._arena)
+    for plan in spec["plans"].values():
+        key = plan.slots[plan.inputs[0]].shape
+        engine._plans[key] = CompiledForward(plan, engine._arena)
     return engine
 
 
@@ -179,8 +161,8 @@ class EngineService:
         results = self.engine.forecast_batch(refs)
         batch_seconds = time.perf_counter() - t0
         return ({"batch_seconds": batch_seconds,
-                 "results": [(r.inference_seconds, r.compiled, r.plan_batch,
-                              r.reduced) for r in results]},
+                 "results": [(r.inference_seconds, r.compiled, r.plan_batch)
+                             for r in results]},
                 [getattr(r.fields, var) for r in results for var in _VARS])
 
     def _compile(self, meta, arrays) -> _Reply:
@@ -260,10 +242,8 @@ def batch_request(references: Sequence[FieldWindow]) -> _Reply:
 def batch_results(meta: dict, arrays: Sequence[np.ndarray]
                   ) -> List[ForecastResult]:
     return [ForecastResult(FieldWindow(*arrays[4 * i:4 * i + 4]), secs,
-                           compiled=compiled, plan_batch=plan_batch,
-                           reduced=reduced)
-            for i, (secs, compiled, plan_batch, reduced)
-            in enumerate(meta["results"])]
+                           compiled=compiled, plan_batch=plan_batch)
+            for i, (secs, compiled, plan_batch) in enumerate(meta["results"])]
 
 
 class RemoteWorker:
@@ -299,7 +279,7 @@ class RemoteWorker:
     Died = RuntimeError
 
     def __init__(self, engine, warm_batches: Sequence[int],
-                 serve_reduced: bool, on_death: Optional[Callable],
+                 on_death: Optional[Callable],
                  request_timeout: Optional[float]):
         for attr in ("model", "normalizer", "boundary_width"):
             if not hasattr(engine, attr):
@@ -319,7 +299,7 @@ class RemoteWorker:
         self._closed = False
         self._dead = False
         self._death_reason = ""
-        self._payload = engine_payload(engine, warm_batches, serve_reduced)
+        self._payload = engine_payload(engine, warm_batches)
         self.payload_bytes = len(self._payload)
         self._spawn_t0 = time.perf_counter()
 
@@ -344,6 +324,11 @@ class RemoteWorker:
     def alive(self) -> bool:
         return not (self._dead or self._closed) \
             and (self._proc is None or self._proc.is_alive())
+
+    @property
+    def death_reason(self) -> str:
+        """Why the worker was condemned; ``""`` while it lives."""
+        return self._death_reason
 
     @property
     def compiled_batches(self) -> List[int]:

@@ -168,9 +168,6 @@ class BatchRecord:
     #: batch size of the plan bucket that served it (= ``size`` on an
     #: exact hit, larger when the batch padded up); ``None`` when eager
     plan_batch: Optional[int] = None
-    #: served by an accuracy-gated reduced-precision plan variant
-    #: (only possible with ``serve_reduced`` routing on)
-    reduced: bool = False
     #: "forecast" (engine.forecast_batch) or "gradient"
     #: (engine.sensitivity_batch) — gradient batches feed the
     #: ``grad_batches`` / ``backward_seconds`` counters
@@ -255,11 +252,9 @@ class ServeMetrics:
         return sum(b.compiled for b in self.batches)
 
     @property
-    def reduced_batches(self) -> int:
-        """Micro-batches served by an accuracy-gated reduced-precision
-        plan variant (``serve_reduced`` routing); 0 when the knob is
-        off — the default, bitwise-exact configuration."""
-        return sum(b.reduced for b in self.batches)
+    def engine_seconds(self) -> float:
+        """Cumulative wall-clock inside engine calls, all batches."""
+        return sum(b.seconds for b in self.batches)
 
     @property
     def grad_batches(self) -> int:
@@ -340,9 +335,8 @@ class ServeMetrics:
             "latency_p50_ms": 1e3 * self.latency_percentile(50),
             "latency_p95_ms": 1e3 * self.latency_percentile(95),
             "queue_p50_ms": 1e3 * self.queue_percentile(50),
-            "engine_seconds": sum(b.seconds for b in self.batches),
+            "engine_seconds": self.engine_seconds,
             **{name: getattr(self, name) for name in TRANSPORT_COUNTERS},
-            "reduced_batches": self.reduced_batches,
             "grad_batches": self.grad_batches,
             "backward_seconds": self.backward_seconds,
         }
@@ -376,9 +370,7 @@ class MicroBatchScheduler:
         back (bitwise-identical to the unpadded eager run, at the cost
         of up to just-under-2× padded rows — watch
         ``ServeMetrics.bucket_pad_fraction``).  Engines without
-        ``compile_buckets`` warm ``max_batch`` only, and engines with
-        ``bucket_partial=False`` restore the old behaviour of running
-        non-compiled sizes eagerly.
+        ``compile_buckets`` warm ``max_batch`` only.
     """
 
     def __init__(self, engine, max_batch: int = 8,
@@ -627,8 +619,6 @@ class MicroBatchScheduler:
             getattr(results[0], "compiled", False)
         plan_batch = getattr(results[0], "plan_batch", None) \
             if compiled else None
-        reduced = failure is None and bool(results) and \
-            getattr(results[0], "reduced", False)
         transport = getattr(self.engine, "transport_stats", None)
         if transport is not None:
             # process/host-backed executors keep cumulative counters;
@@ -648,7 +638,7 @@ class MicroBatchScheduler:
                 request_ids=tuple(r.future.request_id for r in batch),
                 seconds=seconds, trigger=trigger,
                 failed=failure is not None, compiled=compiled,
-                plan_batch=plan_batch, reduced=reduced, kind=kind))
+                plan_batch=plan_batch, kind=kind))
             for req in batch:
                 self.metrics.requests.append(RequestRecord(
                     request_id=req.future.request_id, batch_index=index,

@@ -103,10 +103,6 @@ class ForecastServer:
         selects ``"socket"`` wire or the deterministic ``"sim"``
         fabric).  See :class:`~repro.serve.pool.EngineWorkerPool` and
         ``docs/serving.md``.  Default stays ``"thread"``.
-    serve_reduced: route batches to installed accuracy-gated
-        reduced-precision plan variants (off by default — results stay
-        bitwise-identical unless explicitly opted in; see
-        :meth:`~repro.workflow.engine.ForecastEngine.compile_reduced`).
     autostart: ``False`` makes every replica scheduler manual — no
         worker threads; callers drive batching explicitly through
         :meth:`flush`.  The deterministic mode the scenario harness's
@@ -126,8 +122,7 @@ class ForecastServer:
                  max_queue: int = 32,
                  warm_plans: Optional[bool] = None,
                  backend: str = "thread", mp_context: str = "spawn",
-                 fabric: str = "socket", serve_reduced: bool = False,
-                 autostart: bool = True):
+                 fabric: str = "socket", autostart: bool = True):
         if warm_plans is None:
             candidates = engine if isinstance(engine, (list, tuple)) \
                 else [engine]
@@ -137,9 +132,7 @@ class ForecastServer:
                                      max_queue=max_queue, router=router,
                                      warm_plans=warm_plans,
                                      backend=backend, mp_context=mp_context,
-                                     fabric=fabric,
-                                     serve_reduced=serve_reduced,
-                                     autostart=autostart)
+                                     fabric=fabric, autostart=autostart)
         self.cache = ForecastCache(cache_bytes) if cache_bytes > 0 else None
         self.ocean = ocean
         self.verifier = verifier
@@ -181,21 +174,27 @@ class ForecastServer:
         Raises :class:`~repro.serve.pool.PoolSaturated` (with a
         ``retry_after`` hint) when admission control sheds the request.
         """
+        return self._submit_keyed(
+            window_key, lambda key: self.pool.submit(reference, key=key),
+            reference, route_key)
+
+    def _submit_keyed(self, key_of, pool_submit, payload,
+                      route_key: Optional[str]) -> ServedFuture:
+        """Cache hit → in-flight dedup → pool submit → settle, shared by
+        :meth:`submit` and :meth:`submit_sensitivity`: ``key_of(payload)``
+        is the content digest, ``pool_submit(route key)`` the admission."""
         if self.cache is None:
             # content digests are not free: only computed when the
             # routing policy actually reads keys
-            key = route_key if route_key is not None else (
-                window_key(reference) if self.pool.router.uses_keys
-                else None)
-            return self.pool.submit(reference, key=key)
-        key = window_key(reference)
+            if route_key is None and self.pool.router.uses_keys:
+                route_key = key_of(payload)
+            return pool_submit(route_key)
+        key = key_of(payload)
         cached = self.cache.get(key)
         if cached is not None:
-            future = ServedFuture(request_id=-1)
-            future.cache_hit = True
+            future = self._hit_future()
             future.batch_size = 0
-            future.queue_seconds = 0.0
-            future.latency_seconds = 0.0
+            future.queue_seconds = future.latency_seconds = 0.0
             future.engine_version = cached.engine_version
             future._complete(cached)
             return future
@@ -205,17 +204,22 @@ class ForecastServer:
                 # identical request already queued: follow it instead
                 # of occupying another engine batch slot
                 self.deduped_requests += 1
-                follower = ServedFuture(request_id=-1)
-                follower.cache_hit = True
+                follower = self._hit_future()
                 leader.add_done_callback(
                     lambda fut: self._follow(follower, fut))
                 return follower
-            future = self.pool.submit(
-                reference, key=route_key if route_key is not None else key)
+            future = pool_submit(route_key if route_key is not None else key)
             self._inflight[key] = future
         # settle the cache the moment the micro-batch lands — a done
         # callback, so no pool thread sits blocked per miss
         future.add_done_callback(lambda fut: self._settle(key, fut))
+        return future
+
+    @staticmethod
+    def _hit_future() -> ServedFuture:
+        """A future answered without an engine batch slot of its own."""
+        future = ServedFuture(request_id=-1)
+        future.cache_hit = True
         return future
 
     @staticmethod
@@ -285,36 +289,10 @@ class ForecastServer:
             when admission control sheds the request, as for
             :meth:`submit`.
         """
-        if self.cache is None:
-            key = route_key if route_key is not None else (
-                gradient_key(request) if self.pool.router.uses_keys
-                else None)
-            return self.pool.submit_gradient(request, key=key)
-        key = gradient_key(request)
-        cached = self.cache.get(key)
-        if cached is not None:
-            future = ServedFuture(request_id=-1)
-            future.cache_hit = True
-            future.batch_size = 0
-            future.queue_seconds = 0.0
-            future.latency_seconds = 0.0
-            future.engine_version = cached.engine_version
-            future._complete(cached)
-            return future
-        with self._inflight_lock:
-            leader = self._inflight.get(key)
-            if leader is not None:
-                self.deduped_requests += 1
-                follower = ServedFuture(request_id=-1)
-                follower.cache_hit = True
-                leader.add_done_callback(
-                    lambda fut: self._follow(follower, fut))
-                return follower
-            future = self.pool.submit_gradient(
-                request, key=route_key if route_key is not None else key)
-            self._inflight[key] = future
-        future.add_done_callback(lambda fut: self._settle(key, fut))
-        return future
+        return self._submit_keyed(
+            gradient_key,
+            lambda key: self.pool.submit_gradient(request, key=key),
+            request, route_key)
 
     def sensitivity(self, request: GradientRequest) -> SensitivityResult:
         """Synchronous sensitivity query (see :meth:`submit_sensitivity`)."""

@@ -15,8 +15,7 @@ Public surface:
   :class:`PlanExecutor` replays it allocation-free on raw arrays.
 * :mod:`~repro.tensor.plan_passes` — plan-IR optimisation:
   :func:`optimize` (peephole fusion + folding + dead-step
-  elimination), :func:`plan_buckets` (batch-shape bucketing policy),
-  :func:`cast_plan` (tolerance-gated reduced-precision variants).
+  elimination), :func:`plan_buckets` (batch-shape bucketing policy).
 """
 
 from .plan import (
@@ -28,7 +27,6 @@ from .plan import (
     tracing,
 )
 from .plan_passes import (
-    cast_plan,
     optimize,
     plan_buckets,
     plan_buckets_from_histogram,
@@ -79,5 +77,4 @@ __all__ = [
     "plan_buckets",
     "plan_buckets_from_histogram",
     "optimize",
-    "cast_plan",
 ]

@@ -31,16 +31,7 @@ from ..tensor import plan as _plan
 from ..tensor import plan_passes as _passes
 
 __all__ = ["FieldWindow", "ForecastResult", "CompiledForward",
-           "ForecastEngine", "PlanAccuracyError"]
-
-
-class PlanAccuracyError(RuntimeError):
-    """A reduced-precision plan variant failed its accuracy gate.
-
-    Raised by :meth:`ForecastEngine.compile_reduced` when the variant's
-    forecast errors against the bitwise path exceed the tolerance; the
-    failing variant is **not** installed, so serving keeps running on
-    the exact plan."""
+           "ForecastEngine"]
 
 
 @dataclass
@@ -114,10 +105,6 @@ class ForecastResult:
     #: versioned pool (:class:`~repro.serve.pool.EngineWorkerPool`);
     #: ``None`` for direct engine calls
     engine_version: Optional[int] = None
-    #: whether a tolerance-gated reduced-precision plan variant served
-    #: this result (only possible with ``serve_reduced`` routing on;
-    #: such results are accuracy-gated, not bitwise)
-    reduced: bool = False
 
 
 class CompiledForward:
@@ -171,42 +158,28 @@ class ForecastEngine:
     boundary_width: rim width of the boundary-condition slots.
 
     Batches whose shape matches a plan prepared with :meth:`compile`
-    replay that plan instead of walking the dynamic eager path.  When
-    ``bucket_partial`` is on (the default), a batch *smaller* than any
-    compiled plan is zero-padded up to the nearest compiled batch size
-    (its "bucket"), replayed there, and the outputs sliced back — the
-    forward is row-independent, so the sliced result is still bitwise
-    identical to the unpadded eager run.  Only a batch larger than
-    every compiled plan falls back to eager.
+    replay that plan instead of walking the dynamic eager path.  A
+    batch *smaller* than any compiled plan is zero-padded up to the
+    nearest compiled batch size (its "bucket"), replayed there, and the
+    outputs sliced back — the forward is row-independent, so the sliced
+    result is still bitwise identical to the unpadded eager run.  Only
+    a batch larger than every compiled plan falls back to eager.
 
-    ``optimize_plans`` (default on) runs the
-    :mod:`~repro.tensor.plan_passes` structural passes — peephole
-    fusion, constant folding, dead-step elimination — on every plan at
-    compile time.  Fused kernels replay the exact eager ufunc
-    sequences, so the optimised plan keeps the bitwise guarantee; only
-    the reduced-precision variants built by :meth:`compile_reduced`
-    trade exactness for bandwidth, and those must pass an accuracy
-    gate before they are installed.
+    Every plan goes through the :mod:`~repro.tensor.plan_passes`
+    structural passes — peephole fusion, constant folding, dead-step
+    elimination — at compile time.  Fused kernels replay the exact
+    eager ufunc sequences, so every path a request can take (exact
+    plan, bucket, eager) yields the same bits.
     """
 
     def __init__(self, model: CoastalSurrogate, normalizer: Normalizer,
-                 boundary_width: int = 1, *,
-                 optimize_plans: bool = True,
-                 bucket_partial: bool = True,
-                 serve_reduced: bool = False):
+                 boundary_width: int = 1):
         self.model = model
         self.normalizer = normalizer
         self.boundary_width = boundary_width
-        self.optimize_plans = optimize_plans
-        self.bucket_partial = bucket_partial
-        # routing knob: prefer installed reduced-precision variants
-        # (every one passed its accuracy gate) over the exact plans;
-        # off by default — the bitwise guarantee stays the default
-        self.serve_reduced = serve_reduced
         cfg = model.config
         self.pad_hw = (cfg.mesh[0], cfg.mesh[1])
         self._plans: Dict[Tuple[int, ...], CompiledForward] = {}
-        self._reduced: Dict[Tuple[int, ...], CompiledForward] = {}
         self._pass_stats: Dict[int, Dict[str, object]] = {}
         self._plan_lock = threading.Lock()
         # serialises sensitivity_batch backward passes: the backward
@@ -224,7 +197,6 @@ class ForecastEngine:
         self.padded_rows = 0     # pad rows added by bucketing
         self.total_rows = 0      # episode rows actually computed
         self.bucket_hits: Dict[int, int] = {}  # plan batch -> hits
-        self.reduced_hits = 0    # forwards served by a reduced variant
 
     @property
     def time_steps(self) -> int:
@@ -242,10 +214,7 @@ class ForecastEngine:
         plans bake weights, so reusing the old engine's plans for new
         weights would be wrong.
         """
-        return ForecastEngine(model, self.normalizer, self.boundary_width,
-                              optimize_plans=self.optimize_plans,
-                              bucket_partial=self.bucket_partial,
-                              serve_reduced=self.serve_reduced)
+        return ForecastEngine(model, self.normalizer, self.boundary_width)
 
     # ------------------------------------------------------------------
     # compiled plans
@@ -288,14 +257,12 @@ class ForecastEngine:
         plan, _ = _plan.trace(
             lambda a, b: self.model(a, b),
             (np.zeros(s3d, np.float32), np.zeros(s2d, np.float32)))
-        pass_stats = None
-        if self.optimize_plans:
-            plan, pass_stats = _passes.optimize(plan)
+        plan, pass_stats = _passes.optimize(plan)
         compiled = CompiledForward(plan, self._arena)
         with self._plan_lock:
             # a concurrent compile of the same shape may have won
             winner = self._plans.setdefault(s3d, compiled)
-            if winner is compiled and pass_stats is not None:
+            if winner is compiled:
                 self._pass_stats[batch] = pass_stats
             return winner
 
@@ -328,97 +295,6 @@ class ForecastEngine:
             self.compile(b)
         return list(buckets)
 
-    def compile_reduced(self, batch: int, dtype=np.float32,
-                        references: Optional[Sequence[FieldWindow]] = None,
-                        tol_rmse: float = 1e-3) -> CompiledForward:
-        """Build, gate and install a reduced-precision plan variant.
-
-        Clones the (optimised) exact plan for ``batch`` episodes with
-        floating storage narrowed to ``dtype`` via
-        :func:`~repro.tensor.plan_passes.cast_plan` — float64
-        accumulation the trace demanded is preserved — then gates it:
-        the ``references`` windows (synthetic tidal-like windows when
-        not given) run through both the bitwise path and the variant,
-        and every variable's RMSE between the two (computed with
-        :func:`repro.eval.metrics.compute_errors_many`, the repo's
-        forecast-accuracy yardstick) must stay within ``tol_rmse``.
-
-        On success the variant is installed (see :meth:`plan_stats`'s
-        ``reduced_batches``) and returned; on failure it is retired and
-        :class:`PlanAccuracyError` is raised — a variant that fails its
-        gate is never served.
-        """
-        # lazy import: eval.metrics -> workflow.forecast -> this module
-        from ..eval.metrics import compute_errors_many
-
-        batch = int(batch)
-        base = self.compile(batch)
-        if references is None:
-            references = self._gate_windows(batch)
-        references = list(references)
-        if len(references) != batch:
-            raise ValueError(
-                f"compile_reduced() gate needs exactly {batch} reference "
-                f"windows, got {len(references)}")
-
-        # the gate baseline must be the bitwise path even if an earlier
-        # variant for this shape is installed and routing is on
-        prior_route = self.serve_reduced
-        self.serve_reduced = False
-        try:
-            exact = self.forecast_batch(references)
-        finally:
-            self.serve_reduced = prior_route
-        variant_plan = _passes.cast_plan(base.plan, dtype)
-        candidate = CompiledForward(variant_plan, self._arena)
-
-        x3d, x2d, crop = self._prepare_inputs(references)
-        target = np.dtype(dtype)
-        executor = candidate.acquire()
-        try:
-            p3, p2 = executor.run((x3d.astype(target), x2d.astype(target)))
-            vol = np.moveaxis(p3, -1, 2).astype(np.float64)
-            zet = np.moveaxis(p2[:, 0], -1, 1).astype(np.float64)
-        finally:
-            candidate.release(executor)
-        approx = self._finalize(references, vol, zet, 0.0,
-                                compiled=True, plan_batch=batch,
-                                reduced=True)
-
-        errors = compute_errors_many([r.fields for r in approx],
-                                     [r.fields for r in exact])
-        worst = max(errors.rmse.values())
-        if not np.isfinite(worst) or worst > tol_rmse:
-            candidate.retire()
-            raise PlanAccuracyError(
-                f"reduced-precision plan (batch={batch}, dtype={target}) "
-                f"failed its accuracy gate: worst RMSE vs the exact path "
-                f"{worst:.3e} > tolerance {tol_rmse:.3e}; per-variable "
-                f"rmse={ {k: float(v) for k, v in errors.rmse.items()} }")
-        s3d, _ = self._input_shapes(batch)
-        with self._plan_lock:
-            installed = self._reduced.setdefault(s3d, candidate)
-        if installed is not candidate:
-            candidate.retire()
-        return installed
-
-    def _gate_windows(self, batch: int) -> List[FieldWindow]:
-        """Deterministic synthetic windows spanning the padded mesh,
-        used to gate reduced-precision variants when the caller has no
-        held-out data at hand."""
-        ph, pw = self.pad_hw
-        D = self.model.config.mesh[2]
-        T = self.time_steps
-        rng = np.random.default_rng(20260807)
-        out = []
-        for _ in range(batch):
-            out.append(FieldWindow(
-                rng.normal(size=(T, ph, pw, D)).astype(np.float32),
-                rng.normal(size=(T, ph, pw, D)).astype(np.float32),
-                rng.normal(size=(T, ph, pw, D)).astype(np.float32),
-                rng.normal(size=(T, ph, pw)).astype(np.float32)))
-        return out
-
     def clear_plans(self) -> None:
         """Drop every cached plan (required after retraining: folded
         BatchNorm statistics are baked into plans as constants).  The
@@ -427,9 +303,8 @@ class ForecastEngine:
         reuse them instead of allocating fresh."""
         with self._plan_lock:
             plans, self._plans = dict(self._plans), {}
-            reduced, self._reduced = dict(self._reduced), {}
             self._pass_stats = {}
-        for compiled in list(plans.values()) + list(reduced.values()):
+        for compiled in plans.values():
             compiled.retire()
 
     @property
@@ -450,8 +325,6 @@ class ForecastEngine:
             padded, total = self.padded_rows, self.total_rows
             bucket_hits = dict(self.bucket_hits)
             pass_stats = dict(self._pass_stats)
-            reduced = sorted(k[0] for k in self._reduced)
-            reduced_hits = self.reduced_hits
         return {
             "plans": len(plans),
             "batches": sorted(k[0] for k in plans),
@@ -462,9 +335,6 @@ class ForecastEngine:
             "bucket_pad_fraction": padded / total if total else 0.0,
             "bucket_hits": bucket_hits,
             "pass_stats": pass_stats,
-            "reduced_batches": reduced,
-            "reduced_hits": reduced_hits,
-            "serve_reduced": self.serve_reduced,
             "arena": self._arena.stats(),
             "executors": sum(p.executors_created for p in plans.values()),
             "arena_bytes": {k[0]: p.plan.arena_bytes()
@@ -518,64 +388,37 @@ class ForecastEngine:
         return x3d, x2d, (H, W)
 
     def _lookup_plan(self, shape: Tuple[int, ...]
-                     ) -> Tuple[Optional[CompiledForward], Optional[int],
-                                bool]:
+                     ) -> Tuple[Optional[CompiledForward], Optional[int]]:
         """One-critical-section plan lookup **and** outcome recording.
 
-        Exact-shape plans win; otherwise, with ``bucket_partial`` on,
-        the smallest compiled plan whose batch exceeds the request's
-        serves as its bucket (the batch pads up, outputs slice back).
-        With ``serve_reduced`` on, installed reduced-precision variants
-        (every one passed its :meth:`compile_reduced` accuracy gate)
-        take priority over the exact plans, same exact-then-bucket
-        order; the third returned element flags that choice.  The
-        hit/miss, per-bucket and padding counters are all updated
-        here, inside the same ``_plan_lock`` section as the lookup —
-        the counters describe the decision actually taken even if a
-        concurrent :meth:`clear_plans`/:meth:`compile` lands while the
-        forward itself runs outside the lock.
+        Exact-shape plans win; otherwise the smallest compiled plan
+        whose batch exceeds the request's serves as its bucket (the
+        batch pads up, outputs slice back).  The hit/miss, per-bucket
+        and padding counters are all updated here, inside the same
+        ``_plan_lock`` section as the lookup — the counters describe
+        the decision actually taken even if a concurrent
+        :meth:`clear_plans`/:meth:`compile` lands while the forward
+        itself runs outside the lock.
         """
-        n = shape[0]
-
-        def find(table):
-            fwd = table.get(shape)
-            pb: Optional[int] = n if fwd is not None else None
-            if fwd is None and self.bucket_partial:
-                tail = shape[1:]
-                best = None
-                for key in table:
-                    if key[1:] == tail and key[0] > n and \
-                            (best is None or key[0] < best):
-                        best = key[0]
-                if best is not None:
-                    fwd = table[(best,) + tail]
-                    pb = best
-            return fwd, pb
-
+        n, tail = shape[0], shape[1:]
         with self._plan_lock:
-            compiled_fwd, plan_batch, reduced = None, None, False
-            if self.serve_reduced:
-                compiled_fwd, plan_batch = find(self._reduced)
-                reduced = compiled_fwd is not None
-            if compiled_fwd is None:
-                compiled_fwd, plan_batch = find(self._plans)
-            if compiled_fwd is not None:
-                self.plan_hits += 1
-                if reduced:
-                    self.reduced_hits += 1
-                self.bucket_hits[plan_batch] = \
-                    self.bucket_hits.get(plan_batch, 0) + 1
-                self.padded_rows += plan_batch - n
-                self.total_rows += plan_batch
-            else:
+            plan_batch = n if shape in self._plans else min(
+                (key[0] for key in self._plans
+                 if key[1:] == tail and key[0] > n), default=None)
+            if plan_batch is None:
                 self.plan_misses += 1
                 self.total_rows += n
-        return compiled_fwd, plan_batch, reduced
+                return None, None
+            self.plan_hits += 1
+            self.bucket_hits[plan_batch] = \
+                self.bucket_hits.get(plan_batch, 0) + 1
+            self.padded_rows += plan_batch - n
+            self.total_rows += plan_batch
+            return self._plans[(plan_batch,) + tail], plan_batch
 
     def _finalize(self, references: Sequence[FieldWindow],
                   vol: np.ndarray, zet: np.ndarray, seconds: float, *,
-                  compiled: bool, plan_batch: Optional[int],
-                  reduced: bool = False
+                  compiled: bool, plan_batch: Optional[int]
                   ) -> List[ForecastResult]:
         """Denormalise, crop to the request mesh, restore the exact
         initial condition and wrap per-episode results."""
@@ -597,8 +440,7 @@ class ForecastEngine:
             fields.zeta[0] = r.zeta[0]
             results.append(ForecastResult(fields, per_episode,
                                           compiled=compiled,
-                                          plan_batch=plan_batch,
-                                          reduced=reduced))
+                                          plan_batch=plan_batch))
         return results
 
     def forecast_batch(self, references: Sequence[FieldWindow]
@@ -620,10 +462,10 @@ class ForecastEngine:
         through the serial one-episode path.
 
         A batch with no exact-shape plan pads into the nearest larger
-        compiled bucket (zero rows appended, outputs sliced back) when
-        ``bucket_partial`` is on; the forward is row-independent, so
-        the sliced result stays bitwise-identical to the unpadded eager
-        run.  ``ForecastResult.plan_batch`` records the bucket used.
+        compiled bucket (zero rows appended, outputs sliced back); the
+        forward is row-independent, so the sliced result stays
+        bitwise-identical to the unpadded eager run.
+        ``ForecastResult.plan_batch`` records the bucket used.
 
         Thread safety: this method never writes model or normalizer
         state (``eval()`` is an idempotent flag write and the autograd
@@ -642,7 +484,7 @@ class ForecastEngine:
             return []
         n = len(references)
         x3d, x2d, _ = self._prepare_inputs(references)
-        compiled_fwd, plan_batch, reduced = self._lookup_plan(x3d.shape)
+        compiled_fwd, plan_batch = self._lookup_plan(x3d.shape)
 
         self.model.eval()
         # (N, 3, H', W', D, T) → (N, 3, T, H', W', D); ζ → (N, T, H', W')
@@ -655,12 +497,6 @@ class ForecastEngine:
                     [x3d, np.zeros((pad,) + x3d.shape[1:], x3d.dtype)])
                 x2d = np.concatenate(
                     [x2d, np.zeros((pad,) + x2d.shape[1:], x2d.dtype)])
-            if reduced:
-                # cast_plan narrowed the input slots with the storage
-                plan = compiled_fwd.plan
-                in3, in2 = plan.inputs[0], plan.inputs[1]
-                x3d = x3d.astype(plan.slots[in3].dtype, copy=False)
-                x2d = x2d.astype(plan.slots[in2].dtype, copy=False)
             executor = compiled_fwd.acquire()
             try:
                 t0 = time.perf_counter()
@@ -683,7 +519,7 @@ class ForecastEngine:
 
         return self._finalize(references, vol, zet, seconds,
                               compiled=compiled_fwd is not None,
-                              plan_batch=plan_batch, reduced=reduced)
+                              plan_batch=plan_batch)
 
     # ------------------------------------------------------------------
     # adjoint / sensitivity path

@@ -301,17 +301,6 @@ class TestEngineCompiled:
         assert stats["hits"] == 0 and stats["misses"] == 1
         assert stats["padded_rows"] == 0 and stats["total_rows"] == 5
 
-    def test_bucket_partial_off_restores_eager_fallback(self,
-                                                        tiny_surrogate,
-                                                        windows):
-        norm = Normalizer({v: 0.0 for v in VARS}, {v: 1.0 for v in VARS})
-        engine = ForecastEngine(tiny_surrogate, norm, bucket_partial=False)
-        engine.compile(4)
-        res = engine.forecast_batch(windows[:3])
-        assert not any(r.compiled for r in res)
-        stats = engine.plan_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 1
-
     def test_compile_idempotent_and_clear(self, engine, windows):
         cf1 = engine.compile(2)
         cf2 = engine.compile(2)

@@ -1,15 +1,10 @@
-"""Plan-IR optimisation passes: fusion, folding, DCE, batch-shape
-bucketing, and tolerance-gated reduced-precision variants.
+"""Plan-IR optimisation passes: fusion, folding, DCE and batch-shape
+bucketing.
 
-Two invariants split the file:
-
-* the **structural** passes (fusion / folding / dead-step elimination)
-  and the **bucketing** policy replay the exact NumPy expressions of
-  the eager path — every result must be bitwise equal to eager, on the
-  thread and the process serving backends alike;
-* :func:`cast_plan` variants are *not* bitwise and must clear the
-  ``compile_reduced`` accuracy gate before the engine serves them — a
-  variant that fails the gate is refused and never installed.
+One invariant: the **structural** passes (fusion / folding / dead-step
+elimination) and the **bucketing** policy replay the exact NumPy
+expressions of the eager path — every result must be bitwise equal to
+eager, on the thread and the process serving backends alike.
 """
 
 import pickle
@@ -24,7 +19,6 @@ from repro.serve import EngineWorkerPool, MicroBatchScheduler
 from repro.tensor import PlanExecutor, Tensor, no_grad, trace
 from repro.tensor.plan import repack
 from repro.tensor.plan_passes import (
-    cast_plan,
     eliminate_dead_steps,
     fold_constants,
     fuse_elementwise,
@@ -33,7 +27,6 @@ from repro.tensor.plan_passes import (
     plan_buckets_from_histogram,
 )
 from repro.workflow import ForecastEngine
-from repro.workflow.engine import PlanAccuracyError
 
 
 def assert_windows_bitwise(a, b, msg=""):
@@ -348,79 +341,3 @@ class TestBucketedServing:
             assert "bucket_pad_fraction" in m.summary()
         finally:
             pool.close()
-
-
-class TestReducedPrecision:
-    def test_cast_plan_float64_toy_meets_float32_tolerance(self):
-        """A float64-traced program casts to genuine float32 storage;
-        results drift but stay within single-precision tolerance."""
-        w = np.random.default_rng(2).normal(size=(6, 6))
-
-        def fn(x):
-            return (gelu(x.matmul(Tensor(w))) * 0.5).softmax(axis=-1)
-
-        x = np.random.default_rng(3).normal(size=(4, 6))
-        plan, _ = trace(fn, (x,))
-        with no_grad():
-            want = fn(Tensor(x)).data
-        variant = cast_plan(plan, np.float32)
-        assert all(plan.slots[s].dtype == np.float64
-                   for s in plan.outputs)
-        assert all(variant.slots[s].dtype == np.float32
-                   for s in variant.outputs)
-        (got,) = PlanExecutor(variant).run(
-            (x.astype(np.float32),))
-        assert got.dtype == np.float32
-        assert not np.array_equal(got.astype(np.float64), want)
-        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
-
-    def test_cast_plan_preserves_demanded_float64_accumulation(self):
-        def fn(x):
-            acc = x.astype(np.float64)
-            return ((acc * acc).sum(axis=-1) / 3.0).astype(np.float32)
-
-        x = np.random.default_rng(4).normal(size=(4, 8)) \
-            .astype(np.float32)
-        plan, _ = trace(fn, (x,))
-        variant = cast_plan(plan, np.float32)
-        # the slot the trace explicitly widened to float64 keeps its
-        # width in the variant — only undemanded storage narrows
-        kept = [variant.slots[s.out].dtype for s in variant.steps
-                if s.name == "astype"
-                and np.dtype(s.consts["dtype"]) == np.float64]
-        assert kept and all(dt == np.float64 for dt in kept)
-        with no_grad():
-            want = fn(Tensor(x)).data
-        (got,) = PlanExecutor(variant).run((x,))
-        assert got.dtype == want.dtype == np.float32
-        np.testing.assert_allclose(got, want, rtol=1e-5)
-
-    def test_cast_plan_rejects_non_float_target(self):
-        plan, _ = trace(lambda x: x * 2.0,
-                        (np.ones((2, 2), np.float32),))
-        with pytest.raises(ValueError, match="float"):
-            cast_plan(plan, np.int32)
-
-    def test_engine_float32_variant_passes_gate(self, tiny_surrogate,
-                                                norm):
-        engine = ForecastEngine(tiny_surrogate, norm)
-        compiled = engine.compile_reduced(2, np.float32)
-        assert compiled is not None
-        stats = engine.plan_stats()
-        assert stats["reduced_batches"] == [2]
-
-    def test_engine_refuses_variant_failing_gate(self, tiny_surrogate,
-                                                 norm):
-        """float16 storage cannot meet an absurdly tight RMSE bound:
-        the gate must refuse it and leave nothing installed."""
-        engine = ForecastEngine(tiny_surrogate, norm)
-        with pytest.raises(PlanAccuracyError):
-            engine.compile_reduced(2, np.float16, tol_rmse=1e-12)
-        assert engine.plan_stats()["reduced_batches"] == []
-
-    def test_engine_float16_variant_with_loose_tolerance(self,
-                                                         tiny_surrogate,
-                                                         norm):
-        engine = ForecastEngine(tiny_surrogate, norm)
-        engine.compile_reduced(2, np.float16, tol_rmse=0.5)
-        assert engine.plan_stats()["reduced_batches"] == [2]

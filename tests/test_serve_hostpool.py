@@ -13,7 +13,6 @@ than hanging the reaper.
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.serve import (
@@ -218,44 +217,6 @@ class TestHostWorker:
             assert "no heartbeat" in worker._death_reason
         finally:
             worker.close()
-
-
-# ----------------------------------------------------------------------
-# reduced-precision routing (satellite: serve_reduced knob)
-# ----------------------------------------------------------------------
-class TestServeReduced:
-    def test_off_by_default_and_bitwise(self, engine_factory, windows):
-        local = engine_factory()
-        local.compile_reduced(2, np.float32)
-        with HostWorker(local, fabric="sim") as worker:
-            served = worker.forecast_batch(windows[:2])
-            assert not served[0].reduced
-            local.serve_reduced = False
-            assert_results_equal(local.forecast_batch(windows[:2]),
-                                 served)
-
-    def test_opt_in_routes_to_reduced_variant(self, engine_factory,
-                                              windows):
-        local = engine_factory()
-        local.compile_reduced(2, np.float32)
-        with HostWorker(local, fabric="sim",
-                        serve_reduced=True) as worker:
-            served = worker.forecast_batch(windows[:2])
-            assert served[0].reduced and served[0].compiled
-            stats = worker.plan_stats()
-            assert stats["reduced_hits"] >= 1
-            assert stats["serve_reduced"] is True
-
-    def test_thread_pool_reduced_metric(self, engine_factory, windows):
-        local = engine_factory()
-        local.compile_reduced(2, np.float32)
-        with EngineWorkerPool(local, replicas=1, max_batch=2,
-                              max_wait=10.0, autostart=False,
-                              serve_reduced=True) as pool:
-            futs = [pool.submit(w) for w in windows[:4]]
-            pool.flush()
-            assert all(f.result(timeout=30) for f in futs)
-            assert pool.metrics.summary()["reduced_batches"] >= 1
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ exactly at the configured bound with a usable retry hint; and the
 pool-level metrics are the sums of the per-worker logs.
 """
 
+import inspect
 import threading
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.serve import (
     window_key,
 )
 from repro.serve.pool import stable_key_hash
+from repro.serve.scheduler import ServeMetrics
 from repro.workflow import EnsembleForecaster
 
 POLICIES = ("round-robin", "least-outstanding", "key-affinity")
@@ -320,6 +322,61 @@ class TestMetricsAggregation:
             outcomes[1].result(timeout=1)
             # the failure released its admission slot
             assert pool.metrics.outstanding == 0
+
+
+def serve_metrics_members():
+    """The read surface of ``ServeMetrics`` as the class declares it:
+    every public property and zero-argument method."""
+    return sorted(
+        name for name, member in vars(ServeMetrics).items()
+        if not name.startswith("_") and (
+            isinstance(member, property)
+            or inspect.isfunction(member)
+            and len(inspect.signature(member).parameters) == 1))
+
+
+class TestPoolMetricsMirrorServeMetrics:
+    """``PoolMetrics`` answers every ``ServeMetrics`` member from one
+    ``ServeMetrics`` over the live + retired workers' merged logs."""
+
+    @pytest.fixture(scope="class")
+    def pool_and_merged(self, engine, windows):
+        with manual_pool(engine, router="round-robin") as pool:
+            for w in windows[:7]:
+                pool.submit(w)
+            pool.flush()
+            pool.remove_worker(pool.workers[0].worker_id)
+            pool.submit(windows[7])     # a lone partial batch
+            pool.flush()
+            per = pool.metrics.per_worker
+            assert len(per) == 3 and pool.n_workers == 2
+            assert sum(m.n_requests for m in per) == 8
+            for i, m in enumerate(per, start=1):
+                # a thread pool reports no transport: fake some
+                m.ipc_wait_s, m.marshal_bytes = 0.5 * i, 100 * i
+                m.net_wait_s, m.frame_bytes = 0.25 * i, 10 * i
+                m.inflight_depth = i
+            yield pool, ServeMetrics(
+                batches=[b for m in per for b in m.batches],
+                requests=[r for m in per for r in m.requests],
+                ipc_wait_s=3.0, marshal_bytes=600, net_wait_s=1.5,
+                frame_bytes=60, inflight_depth=3)
+
+    def test_discovery_sees_the_surface(self):
+        assert {"n_requests", "plan_batches", "occupancy_histogram",
+                "summary"} <= set(serve_metrics_members())
+
+    @pytest.mark.parametrize("member", serve_metrics_members())
+    def test_member_equals_serve_metrics_over_merged_logs(
+            self, pool_and_merged, member):
+        pool, merged = pool_and_merged
+        got, want = getattr(pool.metrics, member), getattr(merged, member)
+        if callable(want):
+            got, want = got(), want()
+        if member == "summary":
+            # the pool's summary adds its own keys around the replica's
+            got = {k: got[k] for k in want}
+        assert got == want
 
 
 class TestServerWithPool:

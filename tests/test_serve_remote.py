@@ -9,6 +9,7 @@ engine, because bit-equality of the rebuilt weights and plans is the
 point.
 """
 
+import pickle
 from collections import deque
 
 import numpy as np
@@ -98,7 +99,7 @@ class TestHandle:
         op, _, request_meta, request_arrays = batch_request(0, windows)
         meta, arrays = service.handle(op, request_meta, request_arrays)
         assert meta["batch_seconds"] >= 0
-        assert meta["results"] == [(0.25, True, 2, False)] * 2
+        assert meta["results"] == [(0.25, True, 2)] * 2
         assert len(arrays) == 8
         np.testing.assert_array_equal(arrays[0], windows[0].u3 + 1)
         np.testing.assert_array_equal(arrays[7], windows[1].zeta + 4)
@@ -205,13 +206,26 @@ def test_rebuild_failure_is_an_err_handshake():
 def test_payload_round_trip_is_bitwise(engine_factory, windows):
     engine = engine_factory()       # private: the test compiles plans
     engine.compile(2)
-    rebuilt = build_engine(engine_payload(engine, warm_batches=(3,)))
+    payload = engine_payload(engine, warm_batches=(3,))
+    # weights, staging config and plans: the engine has no other state
+    assert set(pickle.loads(payload)) == {
+        "model", "normalizer", "boundary_width", "plans"}
+    rebuilt = build_engine(payload)
     assert {2, 3} <= set(rebuilt.compiled_batches)
     for n in (2, 3, 5):                 # two plan hits and an eager batch
-        for direct, remote in zip(engine.forecast_batch(windows[:n]),
+        for direct, served in zip(engine.forecast_batch(windows[:n]),
                                   rebuilt.forecast_batch(windows[:n])):
-            assert direct.compiled == remote.compiled
-            assert_windows_equal(direct.fields, remote.fields)
+            assert direct.compiled == served.compiled
+            assert_windows_equal(direct.fields, served.fields)
+    # the wire entry per result: (seconds, compiled, plan_batch)
+    op, _, meta, arrays = batch_request(0, windows[:2])
+    reply_meta, reply_arrays = EngineService(rebuilt).handle(op, meta, arrays)
+    assert [(len(entry), *entry[1:]) for entry in reply_meta["results"]] \
+        == [(3, True, 2)] * 2
+    for direct, served in zip(engine.forecast_batch(windows[:2]),
+                              remote.batch_results(reply_meta, reply_arrays)):
+        assert (served.compiled, served.plan_batch) == (True, 2)
+        assert_windows_equal(direct.fields, served.fields)
 
 
 def test_build_engine_sizes_the_supplied_arena(engine_factory):
