@@ -197,6 +197,7 @@ class _SubdomainSolver(ShallowWaterSolver):
         else:
             self.west_outflow = np.zeros(self.grid.ny, dtype=bool)
             self.sponge[:] = parent.sponge[rows, cols]  # interior sponge ≡ 0
+        self._build_step_constants()
 
 
 class DecomposedShallowWater:

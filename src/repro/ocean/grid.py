@@ -167,14 +167,16 @@ class CurvilinearGrid:
         return 0.5 * (v[..., :-1, :] + v[..., 1:, :])
 
     def ddx_at_u(self, c: np.ndarray) -> np.ndarray:
-        """∂c/∂x evaluated on interior u faces (edges zero)."""
-        out = np.zeros((self.ny, self.nx + 1), dtype=c.dtype)
-        out[:, 1:-1] = (c[:, 1:] - c[:, :-1]) / self.dxu[:, 1:-1]
+        """∂c/∂x evaluated on interior u faces (edges zero); leading
+        axes carry through like :meth:`center_to_u`."""
+        out = np.zeros(c.shape[:-1] + (self.nx + 1,), dtype=c.dtype)
+        out[..., 1:-1] = (c[..., 1:] - c[..., :-1]) / self.dxu[:, 1:-1]
         return out
 
     def ddy_at_v(self, c: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.ny + 1, self.nx), dtype=c.dtype)
-        out[1:-1, :] = (c[1:, :] - c[:-1, :]) / self.dyv[1:-1, :]
+        out = np.zeros(c.shape[:-2] + (self.ny + 1, self.nx), dtype=c.dtype)
+        out[..., 1:-1, :] = (c[..., 1:, :] - c[..., :-1, :]) \
+            / self.dyv[1:-1, :]
         return out
 
     def flux_divergence(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ other part of the library consumes:
   (u, v, w, ζ) every ``snapshot_interval`` seconds, exactly like the
   decade-long half-hourly ROMS archive the paper trains on;
 * ``forecast`` — the fallback path of the hybrid workflow: advance a
-  given initial condition by one episode and return its snapshots;
+  given initial condition (or a stack of them, along the solver's
+  ensemble axis) by one episode and return its snapshots;
 * boundary-extraction helpers used to assemble surrogate inputs.
 
 Snapshot field layout matches the surrogate convention:
@@ -19,7 +20,7 @@ and ``zeta`` is ``(T, H, W)``, with H = ny (north) and W = nx (east).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,13 +55,17 @@ class OceanConfig:
 
 @dataclass
 class Snapshot:
-    """One output snapshot of the four learned variables."""
+    """One output snapshot of the four learned variables.
 
-    t: float
-    u3: np.ndarray      # (H, W, D)
-    v3: np.ndarray      # (H, W, D)
-    w3: np.ndarray      # (H, W, D)
-    zeta: np.ndarray    # (H, W)
+    The snapshot of a stacked state carries the same leading ensemble
+    axis: ``t`` is ``(B,)`` and every field ``(B, …)``.
+    """
+
+    t: Union[float, np.ndarray]
+    u3: np.ndarray      # (…, H, W, D)
+    v3: np.ndarray      # (…, H, W, D)
+    w3: np.ndarray      # (…, H, W, D)
+    zeta: np.ndarray    # (…, H, W)
 
 
 class RomsLikeModel:
@@ -84,6 +89,13 @@ class RomsLikeModel:
     # ------------------------------------------------------------------
     def diagnose(self, state: ShallowWaterState) -> Snapshot:
         """Build the (u, v, w, ζ) snapshot from a barotropic state."""
+        if state.stacked:
+            # member by member: diagnosis runs once per snapshot, not
+            # once per step, so it is not worth a second vectorisation
+            members = [self.diagnose(m) for m in state.unstack()]
+            return Snapshot(state.t, *(
+                np.stack([getattr(m, name) for m in members])
+                for name in ("u3", "v3", "w3", "zeta")))
         H = self.solver.total_depth(state.zeta)
         uc = self.grid.u_to_center(state.u)
         vc = self.grid.v_to_center(state.v)
@@ -142,7 +154,12 @@ class RomsLikeModel:
 
     def forecast(self, initial: ShallowWaterState, n_snapshots: int,
                  snapshot_interval: Optional[float] = None) -> List[Snapshot]:
-        """ROMS-style episode forecast (the hybrid workflow's fallback)."""
+        """ROMS-style episode forecast (the hybrid workflow's fallback).
+
+        A stacked ``initial`` (:meth:`ShallowWaterState.stack`) advances
+        all its members in one integration and returns stacked
+        snapshots, each member bit-identical to forecasting it alone.
+        """
         snaps, _ = self.simulate(initial.copy(), n_snapshots,
                                  snapshot_interval)
         return snaps

@@ -21,12 +21,22 @@ Discretisation
 The stepper conserves water volume exactly (up to float64 round-off)
 in a closed basin — the invariant the paper's verification module
 checks on the AI side, and one of our property tests.
+
+Ensemble axis
+-------------
+The prognostic state may carry one leading ensemble axis
+(:meth:`ShallowWaterState.stack`): ``zeta/u/v`` are ``(…, ny, nx[+1])``
+and ``t`` a scalar or ``(B,)``.  There is one ``step``; every stencil
+indexes with ``...`` and every mask is applied by broadcasting, so a
+stacked integration is bit-identical, member by member, to stepping
+the members one at a time — at a fraction of the interpreter cost on
+small meshes, where a step is dispatch-bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,16 +70,45 @@ class SWEConfig:
 
 @dataclass
 class ShallowWaterState:
-    """Prognostic fields at one instant."""
+    """Prognostic fields at one instant.
 
-    t: float
-    zeta: np.ndarray          # (ny, nx) free surface [m]
-    u: np.ndarray             # (ny, nx+1) east velocity at u faces [m/s]
-    v: np.ndarray             # (ny+1, nx) north velocity at v faces [m/s]
+    Unstacked, the fields are 2-D and ``t`` a float.  A *stacked* state
+    (:meth:`stack`) holds B independent members along one leading axis,
+    each at its own time: the fields are ``(B, …)`` and ``t`` is
+    ``(B,)``.  The solver steps either kind with the same code.
+    """
+
+    t: Union[float, np.ndarray]
+    zeta: np.ndarray          # (…, ny, nx) free surface [m]
+    u: np.ndarray             # (…, ny, nx+1) east velocity at u faces [m/s]
+    v: np.ndarray             # (…, ny+1, nx) north velocity at v faces [m/s]
+
+    @property
+    def stacked(self) -> bool:
+        return self.zeta.ndim > 2
 
     def copy(self) -> "ShallowWaterState":
-        return ShallowWaterState(self.t, self.zeta.copy(),
+        return ShallowWaterState(np.copy(self.t) if self.stacked else self.t,
+                                 self.zeta.copy(),
                                  self.u.copy(), self.v.copy())
+
+    @classmethod
+    def stack(cls, states: Sequence["ShallowWaterState"]
+              ) -> "ShallowWaterState":
+        """Stack unstacked states along a new leading ensemble axis."""
+        if not states or any(s.stacked for s in states):
+            raise ValueError("stack needs one or more unstacked states")
+        return cls(np.array([s.t for s in states], dtype=np.float64),
+                   np.stack([s.zeta for s in states]),
+                   np.stack([s.u for s in states]),
+                   np.stack([s.v for s in states]))
+
+    def unstack(self) -> List["ShallowWaterState"]:
+        """The members of a stacked state, as independent copies."""
+        if not self.stacked:
+            raise ValueError("state has no ensemble axis to unstack")
+        return [ShallowWaterState(float(t), z.copy(), u.copy(), v.copy())
+                for t, z, u, v in zip(self.t, self.zeta, self.u, self.v)]
 
 
 class ShallowWaterSolver:
@@ -98,10 +137,37 @@ class ShallowWaterSolver:
         self._build_face_masks()
         self._build_sponge()
         self.dt = self.stable_dt()
+        self._build_step_constants()
 
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
+    def _build_step_constants(self) -> None:
+        """Everything :meth:`step` would otherwise recompute per call.
+
+        Derived from the masks, spacings, river share and ``dt``; a
+        subclass that overrides any of those re-runs this afterwards.
+        Values are exactly what the in-step expressions produced.
+        """
+        grid = self.grid
+        ny, nx = grid.ny, grid.nx
+        self._f = self.cfg.coriolis_f
+        self._dry = ~self.wet
+        self._u_closed = ~self.u_open
+        self._v_closed = ~self.v_open
+        # cell spacing across the stencil direction, at u and v faces
+        self._dyc_u = np.broadcast_to(
+            grid.y_axis.spacing[:, None], (ny, nx + 1))
+        self._dxc_v = np.broadcast_to(
+            grid.x_axis.spacing[None, :], (ny + 1, nx))
+        self._lap_u_dx2 = grid.dxu[:, 1:-1] ** 2
+        self._lap_u_dy2 = self._dyc_u[1:-1, :] ** 2
+        self._lap_v_dx2 = self._dxc_v[:, 1:-1] ** 2
+        self._lap_v_dy2 = grid.dyv[1:-1, :] ** 2
+        # surface rise per step in each river cell
+        self._river_rise = (self.dt * self.river_cell_discharge
+                            / grid.area[self.river_mask])
+
     def _build_face_masks(self) -> None:
         ny, nx = self.grid.ny, self.grid.nx
         wet = self.wet
@@ -152,7 +218,7 @@ class ShallowWaterSolver:
             t0, zeta, np.zeros((ny, nx + 1)), np.zeros((ny + 1, nx)))
 
     # ------------------------------------------------------------------
-    # dynamics
+    # dynamics (every method takes fields with optional leading axes)
     # ------------------------------------------------------------------
     def total_depth(self, zeta: np.ndarray) -> np.ndarray:
         H = self.depth + zeta
@@ -170,17 +236,22 @@ class ShallowWaterSolver:
         Hu, Hv = self._face_depths(state.zeta)
         fx = Hu * state.u
         fy = Hv * state.v
-        fx[~self.u_open] = 0.0
-        fy[~self.v_open] = 0.0
+        np.copyto(fx, 0.0, where=self._u_closed)
+        np.copyto(fy, 0.0, where=self._v_closed)
         return fx, fy
 
     def step(self, state: ShallowWaterState) -> ShallowWaterState:
-        """Advance one barotropic time step (forward-backward)."""
+        """Advance one barotropic time step (forward-backward).
+
+        A stacked state advances all its members at once; each member's
+        result is bit-identical to stepping it alone.
+        """
         g = GRAVITY
-        f = self.cfg.coriolis_f
+        f = self._f
         dt = self.dt
         grid = self.grid
         cfg = self.cfg
+        t_new = state.t + dt
 
         # ---- continuity: ζⁿ⁺¹ = ζⁿ − Δt ∇·(H u) -------------------------
         fx, fy = self.volume_fluxes(state)
@@ -188,14 +259,15 @@ class ShallowWaterSolver:
         zeta_new = state.zeta - dt * div
         # river discharge enters through the northern edge
         if self.river_cell_discharge > 0.0:
-            zeta_new[self.river_mask] += (
-                dt * self.river_cell_discharge / grid.area[self.river_mask])
-        zeta_new[~self.wet] = 0.0
+            zeta_new[..., self.river_mask] += self._river_rise
+        np.copyto(zeta_new, 0.0, where=self._dry)
 
         # ---- open-boundary nudging to the tide --------------------------
         if self.forcing is not None:
+            # (ny, 1), or (B, ny, 1) with one tidal phase per member
             tide = self.forcing.elevation(
-                state.t + dt, self.grid.y_axis.centers)[:, None]
+                np.asarray(t_new)[..., None],
+                self.grid.y_axis.centers)[..., None]
             zeta_new = zeta_new + self.sponge * (tide - zeta_new)
 
         # ---- momentum (uses ζⁿ⁺¹: the "backward" part) -------------------
@@ -222,86 +294,83 @@ class ShallowWaterSolver:
 
         u_new = state.u + dt * du
         v_new = state.v + dt * dv
-        u_new[~self.u_open] = 0.0
-        v_new[~self.v_open] = 0.0
+        np.copyto(u_new, 0.0, where=self._u_closed)
+        np.copyto(v_new, 0.0, where=self._v_closed)
         # zero-gradient outflow at the open west faces keeps the boundary
         # transparent to the nudged surface signal
-        u_new[:, 0] = np.where(self.west_outflow, u_new[:, 1], u_new[:, 0])
+        u_new[..., 0] = np.where(self.west_outflow,
+                                 u_new[..., 1], u_new[..., 0])
 
-        return ShallowWaterState(state.t + dt, zeta_new, u_new, v_new)
+        return ShallowWaterState(t_new, zeta_new, u_new, v_new)
 
     # ------------------------------------------------------------------
     # stencil helpers
     # ------------------------------------------------------------------
     def _v_at_u(self, v: np.ndarray) -> np.ndarray:
-        ny, nx = self.grid.ny, self.grid.nx
-        vc = 0.5 * (v[:-1, :] + v[1:, :])                  # v at centres
-        out = np.zeros((ny, nx + 1))
-        out[:, 1:-1] = 0.5 * (vc[:, :-1] + vc[:, 1:])
-        out[:, 0] = vc[:, 0]
-        out[:, -1] = vc[:, -1]
+        vc = 0.5 * (v[..., :-1, :] + v[..., 1:, :])         # v at centres
+        out = np.empty(vc.shape[:-1] + (self.grid.nx + 1,))
+        out[..., 1:-1] = 0.5 * (vc[..., :-1] + vc[..., 1:])
+        out[..., 0] = vc[..., 0]
+        out[..., -1] = vc[..., -1]
         return out
 
     def _u_at_v(self, u: np.ndarray) -> np.ndarray:
-        ny, nx = self.grid.ny, self.grid.nx
-        uc = 0.5 * (u[:, :-1] + u[:, 1:])                  # u at centres
-        out = np.zeros((ny + 1, nx))
-        out[1:-1, :] = 0.5 * (uc[:-1, :] + uc[1:, :])
-        out[0, :] = uc[0, :]
-        out[-1, :] = uc[-1, :]
+        uc = 0.5 * (u[..., :-1] + u[..., 1:])               # u at centres
+        out = np.empty(uc.shape[:-2] + (self.grid.ny + 1, self.grid.nx))
+        out[..., 1:-1, :] = 0.5 * (uc[..., :-1, :] + uc[..., 1:, :])
+        out[..., 0, :] = uc[..., 0, :]
+        out[..., -1, :] = uc[..., -1, :]
         return out
 
     def _laplacian_u(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
-        dx = self.grid.dxu
-        out[:, 1:-1] += (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / dx[:, 1:-1] ** 2
-        dyc = np.broadcast_to(self.grid.y_axis.spacing[:, None], u.shape)
-        out[1:-1, :] += (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / dyc[1:-1, :] ** 2
-        out[~self.u_open] = 0.0
+        out[..., 1:-1] += (u[..., 2:] - 2 * u[..., 1:-1]
+                           + u[..., :-2]) / self._lap_u_dx2
+        out[..., 1:-1, :] += (u[..., 2:, :] - 2 * u[..., 1:-1, :]
+                              + u[..., :-2, :]) / self._lap_u_dy2
+        np.copyto(out, 0.0, where=self._u_closed)
         return out
 
     def _laplacian_v(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        dxc = np.broadcast_to(self.grid.x_axis.spacing[None, :], v.shape)
-        out[:, 1:-1] += (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / dxc[:, 1:-1] ** 2
-        out[1:-1, :] += (v[2:, :] - 2 * v[1:-1, :] + v[:-2, :]) / \
-            self.grid.dyv[1:-1, :] ** 2
-        out[~self.v_open] = 0.0
+        out[..., 1:-1] += (v[..., 2:] - 2 * v[..., 1:-1]
+                           + v[..., :-2]) / self._lap_v_dx2
+        out[..., 1:-1, :] += (v[..., 2:, :] - 2 * v[..., 1:-1, :]
+                              + v[..., :-2, :]) / self._lap_v_dy2
+        np.copyto(out, 0.0, where=self._v_closed)
         return out
 
     def _upwind_advect_u(self, u: np.ndarray, v_at_u: np.ndarray) -> np.ndarray:
         """First-order upwind u·∇u at u faces."""
         adv = np.zeros_like(u)
-        dx = self.grid.dxu
         dudx_m = np.zeros_like(u)
         dudx_p = np.zeros_like(u)
-        dudx_m[:, 1:] = (u[:, 1:] - u[:, :-1]) / dx[:, 1:]
-        dudx_p[:, :-1] = (u[:, 1:] - u[:, :-1]) / dx[:, 1:]
+        dudx_m[..., 1:] = (u[..., 1:] - u[..., :-1]) / self.grid.dxu[:, 1:]
+        dudx_p[..., :-1] = dudx_m[..., 1:]
         adv += np.where(u > 0, u * dudx_m, u * dudx_p)
-        dyc = np.broadcast_to(self.grid.y_axis.spacing[:, None], u.shape)
         dudy_m = np.zeros_like(u)
         dudy_p = np.zeros_like(u)
-        dudy_m[1:, :] = (u[1:, :] - u[:-1, :]) / dyc[1:, :]
-        dudy_p[:-1, :] = (u[1:, :] - u[:-1, :]) / dyc[1:, :]
+        dudy_m[..., 1:, :] = (u[..., 1:, :] - u[..., :-1, :]) \
+            / self._dyc_u[1:, :]
+        dudy_p[..., :-1, :] = dudy_m[..., 1:, :]
         adv += np.where(v_at_u > 0, v_at_u * dudy_m, v_at_u * dudy_p)
-        adv[~self.u_open] = 0.0
+        np.copyto(adv, 0.0, where=self._u_closed)
         return adv
 
     def _upwind_advect_v(self, v: np.ndarray, u_at_v: np.ndarray) -> np.ndarray:
         adv = np.zeros_like(v)
-        dy = self.grid.dyv
         dvdy_m = np.zeros_like(v)
         dvdy_p = np.zeros_like(v)
-        dvdy_m[1:, :] = (v[1:, :] - v[:-1, :]) / dy[1:, :]
-        dvdy_p[:-1, :] = (v[1:, :] - v[:-1, :]) / dy[1:, :]
+        dvdy_m[..., 1:, :] = (v[..., 1:, :] - v[..., :-1, :]) \
+            / self.grid.dyv[1:, :]
+        dvdy_p[..., :-1, :] = dvdy_m[..., 1:, :]
         adv += np.where(v > 0, v * dvdy_m, v * dvdy_p)
-        dxc = np.broadcast_to(self.grid.x_axis.spacing[None, :], v.shape)
         dvdx_m = np.zeros_like(v)
         dvdx_p = np.zeros_like(v)
-        dvdx_m[:, 1:] = (v[:, 1:] - v[:, :-1]) / dxc[:, 1:]
-        dvdx_p[:, :-1] = (v[:, 1:] - v[:, :-1]) / dxc[:, 1:]
+        dvdx_m[..., 1:] = (v[..., 1:] - v[..., :-1]) / self._dxc_v[:, 1:]
+        dvdx_p[..., :-1] = dvdx_m[..., 1:]
         adv += np.where(u_at_v > 0, u_at_v * dvdx_m, u_at_v * dvdx_p)
-        adv[~self.v_open] = 0.0
+        np.copyto(adv, 0.0, where=self._v_closed)
         return adv
 
     # ------------------------------------------------------------------
@@ -315,7 +384,14 @@ class ShallowWaterSolver:
             state = self.step(state)
         return state
 
-    def total_volume(self, state: ShallowWaterState) -> float:
-        """Water volume above the bed over wet cells [m³]."""
+    def total_volume(self, state: ShallowWaterState
+                     ) -> Union[float, np.ndarray]:
+        """Water volume above the bed over wet cells [m³]; one value
+        per member, shape ``(B,)``, for a stacked state."""
         H = self.total_depth(state.zeta)
-        return float((H * self.grid.area)[self.wet].sum())
+        cells = (H * self.grid.area)[..., self.wet]
+        if state.stacked:
+            # row by row, so a member's volume has the summation order
+            # (hence the bits) of the same state unstacked
+            return np.array([row.sum() for row in cells])
+        return float(cells.sum())

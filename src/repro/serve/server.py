@@ -15,9 +15,9 @@
   instead of monopolising a forward);
 * **hybrid runs** — executed by the verifier-gated
   :class:`~repro.workflow.hybrid.HybridWorkflow` with the pool
-  injected as its engine, so surrogate passes coalesce while solver
-  fallbacks are dispatched out-of-band on a worker pool and never
-  block the batch loop.
+  injected as its engine, so surrogate passes coalesce while the run
+  itself — verification and any solver fallback — executes on a
+  worker pool and never blocks the batch loop.
 
 All three reuse the exact direct-call code paths — the pool is just
 another batch executor — so served numbers equal direct numbers.  The
@@ -87,8 +87,9 @@ class ForecastServer:
     cache_bytes: result-cache budget; 0 disables caching.
     ocean, verifier: hybrid-run dependencies; required only when
         :meth:`submit_hybrid` is used.
-    fallback_workers: thread-pool width for out-of-band work (hybrid
-        runs and their solver fallbacks).
+    fallback_workers: thread-pool width for out-of-band work (ensemble
+        and hybrid runs; a hybrid run's solver fallbacks execute
+        inline on the thread that runs it).
     warm_plans: compile each engine's inference plan for ``max_batch``
         at startup so saturated micro-batches replay a captured plan
         (bitwise-identical to eager, just faster and allocation-free).
@@ -136,15 +137,11 @@ class ForecastServer:
         self.cache = ForecastCache(cache_bytes) if cache_bytes > 0 else None
         self.ocean = ocean
         self.verifier = verifier
-        # two pools so a hybrid run blocking on its own fallbacks can
-        # never deadlock: runs (and cache fills) on one, solver
-        # fallbacks on the other
+        # ensemble and hybrid runs execute here, off the caller's thread
+        # and off every replica's batch loop
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, int(fallback_workers)),
             thread_name_prefix="serve-run")
-        self._solver_pool = ThreadPoolExecutor(
-            max_workers=max(1, int(fallback_workers)),
-            thread_name_prefix="serve-solver")
         # in-flight dedup: identical requests that arrive before the
         # first result lands follow one leader instead of each taking
         # an engine batch slot
@@ -330,15 +327,14 @@ class ForecastServer:
 
         The scenario's surrogate passes go through the replica pool
         (they coalesce with every other pending request); verification
-        and any solver fallbacks run on the worker pool, away from the
-        batch loop.
+        and any solver fallback run inline on the worker-pool thread
+        that executes the run, away from the batch loop.
         """
         if self.ocean is None or self.verifier is None:
             raise ValueError(
                 "hybrid serving needs the server constructed with "
                 "ocean= and verifier=")
-        workflow = HybridWorkflow(self.pool, self.ocean, self.verifier,
-                                  fallback_pool=self._solver_pool)
+        workflow = HybridWorkflow(self.pool, self.ocean, self.verifier)
         return self._pool.submit(workflow.run, reference, fallback_states,
                                  threshold)
 
@@ -435,7 +431,6 @@ class ForecastServer:
         if self._autoscaler is not None:
             self._autoscaler.close()
         self._pool.shutdown(wait=True)
-        self._solver_pool.shutdown(wait=True)
         self.pool.close()
 
     def __enter__(self) -> "ForecastServer":

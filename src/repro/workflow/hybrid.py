@@ -10,8 +10,10 @@ For every forecast episode the workflow:
 :meth:`HybridWorkflow.run_many` serves many scenarios at once: at each
 episode index the surrogate passes of all still-active scenarios run
 in ONE batched model forward and the verification gate is evaluated in
-one vectorised residual pass; only failed scenarios fall back to the
-(inherently serial) solver individually.  :meth:`HybridWorkflow.run`
+one vectorised residual pass; the scenarios that fail it are stacked
+along the solver's ensemble axis and re-run in ONE
+:meth:`~repro.ocean.model.RomsLikeModel.forecast` integration, each
+member bit-identical to falling back alone.  :meth:`HybridWorkflow.run`
 is the single-scenario special case.
 
 The report accounts both *measured* wall-clock on this machine and
@@ -44,6 +46,10 @@ class EpisodeReport:
     verification: VerificationResult
     used_fallback: bool
     surrogate_seconds: float
+    #: this episode's even share of the wall-clock of the stacked solver
+    #: integration it fell back in (like
+    #: ``ForecastResult.inference_seconds`` for a batched forward), so
+    #: summing over scenarios gives the time actually spent
     fallback_seconds: float
 
 
@@ -96,22 +102,13 @@ class HybridWorkflow:
         for the verification geometry.
     verifier: mass-conservation check; its threshold is the workflow's
         quality gate.
-    fallback_pool: optional executor with
-        ``submit(fn, *args) -> future`` (e.g.
-        :class:`concurrent.futures.ThreadPoolExecutor`).  When set,
-        solver fallbacks of an episode index are dispatched out-of-band
-        and run concurrently with each other instead of serially in the
-        episode loop; results are identical (the solver is
-        deterministic and each scenario's chain is preserved).
     """
 
     def __init__(self, forecaster: SurrogateForecaster,
-                 ocean: RomsLikeModel, verifier: Verifier,
-                 fallback_pool=None):
+                 ocean: RomsLikeModel, verifier: Verifier):
         self.forecaster = forecaster
         self.ocean = ocean
         self.verifier = verifier
-        self.fallback_pool = fallback_pool
 
     # ------------------------------------------------------------------
     def run(self, reference: FieldWindow,
@@ -144,9 +141,9 @@ class HybridWorkflow:
         Episodes within a scenario stay sequential (each initial
         condition chains from the previous episode's output), but at a
         given episode index the scenarios are independent — so their
-        surrogate passes share one batched forward and one vectorised
-        batch verification.  Scenarios whose episode fails the gate
-        fall back to the solver individually.
+        surrogate passes share one batched forward, one vectorised
+        batch verification and, for those that fail the gate, one
+        stacked solver integration.
 
         Parameters
         ----------
@@ -204,57 +201,39 @@ class HybridWorkflow:
                 [r.fields.u3 for r in results],
                 [r.fields.v3 for r in results], threshold)
 
-            # gate first, then dispatch every failed scenario's solver
-            # run; with a pool the fallbacks of this episode index run
-            # concurrently (out-of-band) instead of serially here
-            jobs = {}
-            if self.fallback_pool is not None:
-                for i, ver in zip(active, vers):
-                    if not ver.passed:
-                        jobs[i] = self.fallback_pool.submit(
-                            self._run_fallback, fallback_states[i][ep], T)
+            # gate first, then re-run every scenario that failed at this
+            # episode index in one stacked solver integration
+            failed = [k for k, ver in enumerate(vers) if not ver.passed]
+            solver_fields, fallback_seconds = {}, 0.0
+            if failed:
+                t0 = time.perf_counter()
+                snaps = self.ocean.forecast(ShallowWaterState.stack(
+                    [fallback_states[active[k]][ep] for k in failed]), T - 1)
+                fallback_seconds = (time.perf_counter() - t0) / len(failed)
+                solver_fields = {
+                    k: self._snaps_to_window(refs[k], snaps, member)
+                    for member, k in enumerate(failed)}
 
-            for i, ref, result, ver in zip(active, refs, results, vers):
-                fallback_seconds = 0.0
-                if ver.passed:
-                    fields = result.fields
-                    used_fallback = False
-                else:
-                    snaps, fallback_seconds = jobs[i].result() \
-                        if i in jobs \
-                        else self._run_fallback(fallback_states[i][ep], T)
-                    fields = self._snaps_to_window(ref, snaps)
-                    used_fallback = True
-
+            for k, (i, result, ver) in enumerate(zip(active, results, vers)):
+                fell_back = k in solver_fields
+                fields = solver_fields[k] if fell_back else result.fields
                 pieces[i].append(fields)
                 prev_fields[i] = fields
                 reports[i].episodes.append(EpisodeReport(
-                    index=ep, verification=ver, used_fallback=used_fallback,
+                    index=ep, verification=ver, used_fallback=fell_back,
                     surrogate_seconds=result.inference_seconds,
-                    fallback_seconds=fallback_seconds,
+                    fallback_seconds=fallback_seconds if fell_back else 0.0,
                 ))
 
         return [(FieldWindow.concat(p), r) for p, r in zip(pieces, reports)]
 
     # ------------------------------------------------------------------
-    def _run_fallback(self, state: ShallowWaterState, T: int
-                      ) -> Tuple[Sequence[Snapshot], float]:
-        """One solver fallback episode; wall-clock measured where it runs."""
-        t0 = time.perf_counter()
-        snaps = self.ocean.forecast(state, T - 1)
-        return snaps, time.perf_counter() - t0
-
-    # ------------------------------------------------------------------
     @staticmethod
-    def _snaps_to_window(ref: FieldWindow,
-                         snaps: Sequence[Snapshot]) -> FieldWindow:
-        """IC snapshot followed by the solver's T−1 forecast snapshots."""
-        u3 = np.concatenate(
-            [ref.u3[:1], np.stack([s.u3 for s in snaps])], axis=0)
-        v3 = np.concatenate(
-            [ref.v3[:1], np.stack([s.v3 for s in snaps])], axis=0)
-        w3 = np.concatenate(
-            [ref.w3[:1], np.stack([s.w3 for s in snaps])], axis=0)
-        zeta = np.concatenate(
-            [ref.zeta[:1], np.stack([s.zeta for s in snaps])], axis=0)
-        return FieldWindow(u3, v3, w3, zeta)
+    def _snaps_to_window(ref: FieldWindow, snaps: Sequence[Snapshot],
+                         member: int) -> FieldWindow:
+        """IC snapshot followed by one member's T−1 solver snapshots."""
+        return FieldWindow(*(
+            np.concatenate(
+                [getattr(ref, name)[:1],
+                 np.stack([getattr(s, name)[member] for s in snaps])])
+            for name in ("u3", "v3", "w3", "zeta")))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ocean import (
     SWEConfig,
     ShallowWaterSolver,
+    ShallowWaterState,
     TidalForcing,
     cfl_number,
     energy,
@@ -203,3 +204,103 @@ class TestBathymetry:
         g = make_charlotte_grid(20, 20, 2e4, 2e4)
         np.testing.assert_array_equal(synth_estuary_bathymetry(g),
                                       synth_estuary_bathymetry(g))
+
+
+class TestEnsembleAxis:
+    """One ``step`` serves unstacked and stacked states; a stacked
+    integration is bit-identical, member by member, to the serial one."""
+
+    # name → (forcing, config)
+    SETUPS = {
+        "forced_river": (TidalForcing(), SWEConfig()),
+        "closed": (None, SWEConfig(river_discharge=0.0, sponge_strength=0.0)),
+        "advection": (TidalForcing(), SWEConfig(advection=True)),
+    }
+
+    @staticmethod
+    def _members(solver, n, seed=7):
+        """n distinct states, each at its own time (so its own tide)."""
+        rng = np.random.default_rng(seed)
+        members = []
+        for k in range(n):
+            s = solver.initial_state(t0=1000.0 + 4321.0 * k)
+            s.zeta[solver.wet] += 0.05 * rng.normal(size=int(solver.wet.sum()))
+            members.append(solver.run(s, 40 * solver.dt))
+        return members
+
+    @staticmethod
+    def _assert_same_state(got, want):
+        assert got.t == want.t
+        np.testing.assert_array_equal(got.zeta, want.zeta)
+        np.testing.assert_array_equal(got.u, want.u)
+        np.testing.assert_array_equal(got.v, want.v)
+
+    @pytest.fixture(scope="class", params=sorted(SETUPS))
+    def solver(self, request):
+        g = make_charlotte_grid(14, 15, 14_000.0, 15_000.0)
+        forcing, config = self.SETUPS[request.param]
+        return ShallowWaterSolver(g, synth_estuary_bathymetry(g),
+                                  forcing, config)
+
+    @pytest.mark.parametrize("B", [1, 2, 8])
+    def test_stacked_equals_serial_bitwise(self, solver, B):
+        members = self._members(solver, B)
+        stacked = ShallowWaterState.stack(members)
+        for _ in range(200):
+            stacked = solver.step(stacked)
+            members = [solver.step(m) for m in members]
+        assert stacked.t.shape == (B,)
+        for got, want in zip(stacked.unstack(), members):
+            self._assert_same_state(got, want)
+
+    def test_stack_unstack_round_trip(self, forced_solver):
+        members = self._members(forced_solver, 3)
+        stacked = ShallowWaterState.stack(members)
+        assert stacked.stacked and not members[0].stacked
+        assert stacked.zeta.shape == (3,) + members[0].zeta.shape
+        back = stacked.unstack()
+        for got, want in zip(back, members):
+            assert isinstance(got.t, float)
+            self._assert_same_state(got, want)
+        # members are copies, and so is a stacked copy()
+        back[0].zeta += 1.0
+        twin = stacked.copy()
+        twin.t += 1.0
+        np.testing.assert_array_equal(stacked.zeta[0], members[0].zeta)
+        assert stacked.t[0] == members[0].t
+
+    def test_stack_rejects_empty_and_nested(self, forced_solver):
+        members = self._members(forced_solver, 2)
+        with pytest.raises(ValueError, match="unstacked"):
+            ShallowWaterState.stack([])
+        with pytest.raises(ValueError, match="unstacked"):
+            ShallowWaterState.stack([ShallowWaterState.stack(members)])
+        with pytest.raises(ValueError, match="no ensemble axis"):
+            members[0].unstack()
+
+    def test_per_member_volume_conserved_in_closed_basin(self, closed_solver,
+                                                         rng):
+        members = [_perturbed_state(closed_solver, rng, amp=a)
+                   for a in (0.02, 0.05, 0.08)]
+        stacked = ShallowWaterState.stack(members)
+        v0 = closed_solver.total_volume(stacked)
+        assert v0.shape == (3,)
+        # one value per member, each the unstacked number exactly
+        assert v0.tolist() == [closed_solver.total_volume(m)
+                               for m in members]
+        for _ in range(200):
+            stacked = closed_solver.step(stacked)
+        v1 = closed_solver.total_volume(stacked)
+        assert np.all(np.abs(v1 - v0) / v0 < 1e-12)
+
+    def test_fluxes_and_depth_carry_the_axis(self, forced_solver):
+        members = self._members(forced_solver, 3)
+        stacked = ShallowWaterState.stack(members)
+        fx, fy = forced_solver.volume_fluxes(stacked)
+        H = forced_solver.total_depth(stacked.zeta)
+        for k, m in enumerate(members):
+            fx_k, fy_k = forced_solver.volume_fluxes(m)
+            np.testing.assert_array_equal(fx[k], fx_k)
+            np.testing.assert_array_equal(fy[k], fy_k)
+            np.testing.assert_array_equal(
+                H[k], forced_solver.total_depth(m.zeta))

@@ -1,7 +1,7 @@
 """Forecasting workflow: episode forecasts, dual-model rollout, hybrid loop."""
 
+import inspect
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -264,27 +264,94 @@ class TestHybridRunManyMixed:
                 report.surrogate_seconds + report.fallback_seconds)
             assert report.fallback_seconds > 0
 
-    def test_out_of_band_pool_gives_identical_fields(
-            self, trained_forecaster, ocean, reference):
-        """Dispatching fallbacks to a thread pool must not change any
-        output field (the solver is deterministic, chaining preserved)."""
+
+
+class TestHybridStackedFallback:
+    """Scenarios that fail the gate at one episode index re-run in ONE
+    stacked solver integration, bit-identical to falling back alone."""
+
+    N_SCEN = 3
+
+    @staticmethod
+    def _scenarios(ocean, reference):
+        """Three scenarios over the same horizon, each with its own
+        fallback states (distinct ``t`` and fields per scenario)."""
         window, states = reference
+        shifted = [states]
+        for shift in (900.0, 2700.0):
+            shifted.append([ocean.solver.run(s, shift) for s in states])
+        return [window] * 3, shifted
 
-        def run(pool):
-            verifier = ScriptedVerifier(
-                Verifier(ocean.grid, ocean.depth, dt=1800.0), self.SCRIPT)
-            workflow = HybridWorkflow(trained_forecaster, ocean, verifier,
-                                      fallback_pool=pool)
-            return workflow.run_many([window, window], [states, states])
+    @staticmethod
+    def _workflow(forecaster, ocean, script):
+        verifier = ScriptedVerifier(
+            Verifier(ocean.grid, ocean.depth, dt=1800.0), script)
+        return HybridWorkflow(forecaster, ocean, verifier)
 
-        serial = run(None)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            pooled = run(pool)
-        for (fs, rs), (fp, rp) in zip(serial, pooled):
-            np.testing.assert_array_equal(fs.zeta, fp.zeta)
-            np.testing.assert_array_equal(fs.u3, fp.u3)
-            np.testing.assert_array_equal(fs.v3, fp.v3)
-            np.testing.assert_array_equal(fs.w3, fp.w3)
-            assert [e.used_fallback for e in rs.episodes] == \
-                [e.used_fallback for e in rp.episodes]
-            assert rs.pass_rate == rp.pass_rate
+    @staticmethod
+    def _record_forecasts(monkeypatch, ocean):
+        """Member count of every ``ocean.forecast`` call from here on."""
+        sizes = []
+        forecast = ocean.forecast
+
+        def recording(initial, *args, **kwargs):
+            sizes.append(initial.zeta.shape[0] if initial.stacked else None)
+            return forecast(initial, *args, **kwargs)
+
+        monkeypatch.setattr(ocean, "forecast", recording)
+        return sizes
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_run_many_equals_per_scenario_run(
+            self, trained_forecaster, ocean, reference, monkeypatch, k):
+        """k of 3 scenarios fail at episode index 1: fields equal the
+        per-scenario ``run`` bit for bit, from one ``ocean.forecast``
+        call per episode index that had a failure."""
+        windows, states = self._scenarios(ocean, reference)
+        fail_at_1 = tuple(i >= k for i in range(self.N_SCEN))
+        script = [(True,) * 3, fail_at_1, (True,) * 3, (True,) * 3]
+
+        sizes = self._record_forecasts(monkeypatch, ocean)
+        many = self._workflow(trained_forecaster, ocean, script).run_many(
+            windows, states)
+        assert sizes == ([k] if k else [])
+
+        for i, (fields, report) in enumerate(many):
+            alone = self._workflow(
+                trained_forecaster, ocean,
+                [(flags[i],) for flags in script])
+            want, want_report = alone.run(windows[i], states[i])
+            for name in ("u3", "v3", "w3", "zeta"):
+                np.testing.assert_array_equal(getattr(fields, name),
+                                              getattr(want, name))
+            assert [e.used_fallback for e in report.episodes] == \
+                [e.used_fallback for e in want_report.episodes] == \
+                [False, i < k, False, False]
+
+    def test_one_call_per_failed_episode_index(
+            self, trained_forecaster, ocean, reference, monkeypatch):
+        """Failures at two episode indices (2 scenarios, then 1) cost
+        two solver integrations, not three."""
+        windows, states = self._scenarios(ocean, reference)
+        script = [(False, True, False), (True,) * 3,
+                  (True, False, True), (True,) * 3]
+        sizes = self._record_forecasts(monkeypatch, ocean)
+        outs = self._workflow(trained_forecaster, ocean, script).run_many(
+            windows, states)
+        assert sizes == [2, 1]
+        assert [r.n_fallbacks for _, r in outs] == [1, 1, 1]
+
+    def test_fallback_seconds_split_evenly(self, trained_forecaster, ocean,
+                                           reference):
+        """Members of one stacked fallback report equal shares of its
+        wall clock, so the sum over scenarios is the time spent."""
+        windows, states = self._scenarios(ocean, reference)
+        script = [(False,) * 3] + [(True,) * 3] * 3
+        outs = self._workflow(trained_forecaster, ocean, script).run_many(
+            windows, states)
+        shares = [r.episodes[0].fallback_seconds for _, r in outs]
+        assert shares[0] > 0 and shares == [shares[0]] * 3
+
+    def test_signature_has_no_pool_knob(self):
+        assert list(inspect.signature(HybridWorkflow).parameters) == \
+            ["forecaster", "ocean", "verifier"]
