@@ -36,12 +36,6 @@ uncertainty quantification", §I):
   *every* batch (hit rate 1.0 — the eager-fallback bug this sweep
   pins down), stay bitwise-identical to eager, and report the padding
   overhead (``bucket_pad_fraction``).
-* **Histogram-tuned buckets**: the same skewed stream served twice —
-  canonical power-of-two buckets vs a set tuned to the observed
-  batch-size histogram (``compile_buckets(..., histogram=...)``,
-  backed by ``plan_buckets_from_histogram``).  The tuned set must
-  keep the 1.0 hit rate while padding strictly no more than the
-  canonical set; the before/after pad fractions land in the record.
 
 Run as a script (``python benchmarks/bench_batched_inference.py
 [--quick]``) this writes ``BENCH_inference.json`` — timestamped
@@ -340,88 +334,6 @@ def run_bucketed_sweep(max_batch=8, rounds=3, quick=False):
     }
 
 
-def run_histogram_sweep(max_batch=8, rounds=4, quick=False):
-    """Canonical vs histogram-tuned buckets on a skewed stream.
-
-    Arrivals concentrate on a few awkward sizes (3 and 6 dominate);
-    the canonical power-of-two set pads 3 → 4 and 6 → 8 on every such
-    batch, while the tuned set compiles the observed sizes themselves
-    (within the same plan-cache budget).  Both engines must keep the
-    1.0 hit rate; the win is the pad-fraction drop.
-    """
-    if quick:
-        rounds = 2
-    # the skewed arrival pattern, repeated per round: mostly 3s, some
-    # 6s, an occasional full flush
-    sizes_per_round = [3, 3, 3, 6, 3, 6, max_batch, 3]
-    observed = sizes_per_round * rounds
-
-    model = CoastalSurrogate(SERVING)
-    norm = Normalizer({v: 0.0 for v in ("u3", "v3", "w3", "zeta")},
-                      {v: 1.0 for v in ("u3", "v3", "w3", "zeta")})
-    canonical = ForecastEngine(model, norm)
-    tuned = ForecastEngine(model, norm)
-    canonical_buckets = canonical.compile_buckets(max_batch)
-    tuned_buckets = tuned.compile_buckets(max_batch, histogram=observed)
-
-    out = {}
-    for label, engine, buckets in (
-            ("canonical", canonical, canonical_buckets),
-            ("tuned", tuned, tuned_buckets)):
-        for r in range(rounds):
-            for i, n in enumerate(sizes_per_round):
-                engine.forecast_batch(
-                    _serving_windows(n, seed=1000 * r + i))
-        stats = engine.plan_stats()
-        served = rounds * len(sizes_per_round)
-        out[label] = {
-            "buckets": list(buckets),
-            "requests": served,
-            "hit_rate": stats["hits"] / served if served else 0.0,
-            "misses": stats["misses"],
-            "bucket_pad_fraction": stats["bucket_pad_fraction"],
-        }
-    out["pad_fraction_saving"] = (
-        out["canonical"]["bucket_pad_fraction"]
-        - out["tuned"]["bucket_pad_fraction"])
-    return out
-
-
-def _print_histogram_report(sweep):
-    c, t = sweep["canonical"], sweep["tuned"]
-    print(f"Histogram-tuned buckets: canonical {c['buckets']} pads "
-          f"{c['bucket_pad_fraction']:.3f} of served rows; tuned "
-          f"{t['buckets']} pads {t['bucket_pad_fraction']:.3f} "
-          f"(saving {sweep['pad_fraction_saving']:.3f}; hit rates "
-          f"{c['hit_rate']:.2f} / {t['hit_rate']:.2f})")
-
-
-def _check_histogram_sweep(sweep):
-    failures = []
-    for label in ("canonical", "tuned"):
-        s = sweep[label]
-        if s["hit_rate"] < 1.0 or s["misses"]:
-            failures.append(
-                f"{label} buckets: hit rate {s['hit_rate']:.2f} "
-                f"({s['misses']} misses) on the skewed stream")
-    if sweep["pad_fraction_saving"] < 0:
-        failures.append(
-            "histogram-tuned buckets pad MORE than the canonical set "
-            f"({sweep['tuned']['bucket_pad_fraction']:.3f} > "
-            f"{sweep['canonical']['bucket_pad_fraction']:.3f})")
-    return failures
-
-
-def test_histogram_tuned_buckets(capsys):
-    """Tuned buckets keep the 1.0 hit rate and pad no more than the
-    canonical power-of-two set on a skewed stream."""
-    sweep = run_histogram_sweep(quick=True)
-    with capsys.disabled():
-        print()
-        _print_histogram_report(sweep)
-    assert not _check_histogram_sweep(sweep)
-
-
 def _print_compiled_report(sweep):
     rows = []
     for n, m in sorted(sweep["batches"].items()):
@@ -540,10 +452,6 @@ def main(argv=None) -> int:
     _print_bucketed_report(bucketed)
     failures += _check_bucketed_sweep(bucketed)
 
-    histogram = run_histogram_sweep(quick=args.quick)
-    _print_histogram_report(histogram)
-    failures += _check_histogram_sweep(histogram)
-
     top = max(sweep["batches"])
     metrics = {"bitwise_equal": sweep["bitwise_equal"]}
     for n, m in sweep["batches"].items():
@@ -554,12 +462,6 @@ def main(argv=None) -> int:
     metrics[f"fused_eps_b{top}"] = metrics[f"compiled_eps_b{top}"]
     metrics["bucket_hit_rate"] = bucketed["hit_rate"]
     metrics["bucket_pad_fraction"] = bucketed["bucket_pad_fraction"]
-    metrics["hist_pad_fraction_canonical"] = \
-        histogram["canonical"]["bucket_pad_fraction"]
-    metrics["hist_pad_fraction_tuned"] = \
-        histogram["tuned"]["bucket_pad_fraction"]
-    metrics["hist_pad_fraction_saving"] = \
-        histogram["pad_fraction_saving"]
     record = {
         "benchmark": "inference",
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -572,7 +474,6 @@ def main(argv=None) -> int:
         "metrics": metrics,
         "plan_pass_stats": sweep["plan_pass_stats"],
         "bucketed": bucketed,
-        "histogram_buckets": histogram,
         # tools/bench_gate.py regresses these (higher = better); the
         # fused-plan throughput is gated the same way bench_serving
         # gates proc_pool_sat_qps

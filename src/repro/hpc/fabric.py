@@ -57,6 +57,7 @@ import select
 import socket
 import struct
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Sequence, Tuple
@@ -71,6 +72,8 @@ __all__ = [
     "FabricTimeout",
     "FabricClosed",
     "Frame",
+    "layout",
+    "view",
     "pack_frame",
     "unpack_frame",
     "SimEndpoint",
@@ -127,23 +130,63 @@ class Frame:
     nbytes: int = 0
 
 
+#: one array descriptor: (shape, dtype-str, byte offset into the body)
+Desc = Tuple[Tuple[int, ...], str, int]
+
+
+def layout(arrays: Sequence[np.ndarray]) -> Tuple[List[Desc], int]:
+    """Descriptors packing ``arrays`` back-to-back at 64-byte-aligned
+    offsets, and the bytes they span — the one descriptor layout both
+    the frame body and the shm tier's segments use."""
+    descs, offset = [], 0
+    for a in arrays:
+        descs.append((tuple(a.shape), a.dtype.str, offset))
+        offset += -(-a.nbytes // _ALIGN) * _ALIGN
+    return descs, offset
+
+
+def view(buffer, desc: Desc) -> np.ndarray:
+    """The array ``desc`` addresses inside ``buffer``, zero-copy.
+
+    Raises :class:`FrameError` when the descriptor does not fit — an
+    unknown, object or zero-itemsize dtype, a negative extent, or a
+    span that overruns the buffer — rather than yielding garbage."""
+    shape, dtype_str, off = desc
+    try:
+        dt = np.dtype(dtype_str)
+    except (TypeError, ValueError) as exc:
+        raise FrameError(
+            f"descriptor carries unknown dtype {dtype_str!r}") from exc
+    if dt.hasobject or dt.itemsize == 0:
+        raise FrameError(
+            f"descriptor carries non-wire dtype {dtype_str!r} "
+            "(object or zero-itemsize)")
+    count = 1
+    for s in shape:
+        s = int(s)
+        if s < 0:
+            raise FrameError(
+                f"descriptor shape {shape} has a negative extent")
+        count *= s
+    if off < 0 or off + count * dt.itemsize > len(buffer):
+        raise FrameError(
+            f"descriptor {shape}/{dtype_str}@{off} overruns "
+            f"{len(buffer)}-byte body")
+    return np.frombuffer(buffer, dtype=dt, count=count,
+                         offset=off).reshape(shape)
+
+
 def pack_frame(op: str, seq: int, meta: Optional[dict] = None,
                arrays: Sequence[np.ndarray] = ()) -> bytes:
     """Encode one message into a single contiguous buffer.
 
-    Arrays are copied once into the body at 64-byte-aligned offsets
-    and addressed by ``(shape, dtype-str, offset)`` descriptors in the
-    pickled header — the same descriptor triple the shm tier uses, so
-    the two transports speak one protocol.
+    Arrays are copied once into the body at the offsets :func:`layout`
+    assigns and addressed by its descriptors in the pickled header —
+    the same descriptor triple the shm tier uses, so the two
+    transports speak one protocol.
     """
-    descs: List[Tuple[Tuple[int, ...], str, int]] = []
-    offset = 0
-    contiguous = []
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        contiguous.append(a)
-        descs.append((tuple(a.shape), a.dtype.str, offset))
-        offset += -(-a.nbytes // _ALIGN) * _ALIGN
+    contiguous = [np.ascontiguousarray(a) for a in arrays]
+    descs, offset = layout(contiguous)
     header = pickle.dumps((op, int(seq), meta or {}, descs),
                           protocol=pickle.HIGHEST_PROTOCOL)
     buf = bytearray(_PREAMBLE.size + len(header) + offset)
@@ -183,34 +226,9 @@ def unpack_frame(data: bytes) -> Frame:
         raise FrameError(f"undecodable frame header: {exc}") from exc
     body = memoryview(data)[_PREAMBLE.size + header_len:total]
     try:
-        arrays = []
-        for shape, dtype_str, off in descs:
-            try:
-                dt = np.dtype(dtype_str)
-            except (TypeError, ValueError) as exc:
-                raise FrameError(
-                    f"descriptor carries unknown dtype "
-                    f"{dtype_str!r}") from exc
-            if dt.hasobject or dt.itemsize == 0:
-                raise FrameError(
-                    f"descriptor carries non-wire dtype {dtype_str!r} "
-                    "(object or zero-itemsize)")
-            count = 1
-            for s in shape:
-                s = int(s)
-                if s < 0:
-                    raise FrameError(
-                        f"descriptor shape {shape} has a negative extent")
-                count *= s
-            nbytes = count * dt.itemsize
-            if off < 0 or off + nbytes > len(body):
-                raise FrameError(
-                    f"descriptor {shape}/{dtype_str}@{off} overruns "
-                    f"{len(body)}-byte body")
-            arrays.append(np.frombuffer(body, dtype=dt, count=count,
-                                        offset=off).reshape(shape))
         return Frame(op=str(op), seq=int(seq), meta=dict(meta),
-                     arrays=arrays, nbytes=len(data))
+                     arrays=[view(body, d) for d in descs],
+                     nbytes=len(data))
     except FrameError:
         raise
     except Exception as exc:  # noqa: BLE001 — the header pickles fine
@@ -353,7 +371,6 @@ class SocketEndpoint:
             self.bytes_sent += len(data)
 
     def recv_frame(self, timeout: Optional[float] = None) -> bytes:
-        import time
         deadline = None if timeout is None else \
             time.perf_counter() + timeout
         while True:

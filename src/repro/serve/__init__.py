@@ -8,9 +8,9 @@ that converts per-call speed into system throughput:
   under a ``max_batch``/``max_wait`` policy, with occupancy/latency
   metrics;
 - :mod:`repro.serve.cache` — keyed LRU cache of completed forecasts;
-- :mod:`repro.serve.pool` — N engine replicas behind pluggable routing
-  (round-robin, least-outstanding, key-affinity sharding) with bounded
-  queues, explicit shed-with-retry-after backpressure, and the
+- :mod:`repro.serve.pool` — N engine replicas behind a named routing
+  policy (round-robin, least-outstanding, key-affinity sharding) with
+  bounded queues, explicit shed-with-retry-after backpressure, and the
   control plane: a dynamic worker set plus zero-downtime versioned
   deploys (``EngineWorkerPool.deploy``);
 - :mod:`repro.serve.remote` — the one worker protocol of the
@@ -37,74 +37,42 @@ Gradient requests (``ForecastServer.submit_sensitivity``) ride the
 same scheduler/pool/cache machinery as forecasts on the thread
 backend; see ``docs/differentiation.md``.
 
+The package namespace carries the names code outside ``serve/``
+imports from it; records and helper types (``ServedFuture``,
+``ServeMetrics``, ``PoolMetrics``, ``EngineVersion``, …) live in their
+modules.
+
 See ``docs/architecture.md`` for how the pieces compose and
 ``docs/serving.md`` for the tuning guide (including the Operations
 section).
 """
 
-from .autoscale import AutoScaler, LoadSample, ScaleEvent
-from .cache import ForecastCache, ForecastCacheStats, gradient_key, window_key
-from .pool import (
-    DeploymentError,
-    EngineVersion,
-    EngineWorkerPool,
-    KeyAffinityRouter,
-    LeastOutstandingRouter,
-    PoolEvent,
-    PoolMetrics,
-    PoolSaturated,
-    RoundRobinRouter,
-    Router,
-)
-from .hostpool import (
-    HostWorker,
-    HostWorkerDied,
-    HostWorkerError,
-)
-from .procpool import (
-    ProcessWorker,
-    ProcessWorkerDied,
-    ProcessWorkerError,
-    ShmArena,
-)
-from .scheduler import (
-    BatchRecord,
-    MicroBatchScheduler,
-    RequestRecord,
-    ServedFuture,
-    ServeMetrics,
-)
+from .autoscale import AutoScaler, LoadSample
+from .cache import ForecastCache, gradient_key, window_key
+from .hostpool import HostWorker, HostWorkerDied, HostWorkerError
+from .pool import (DeploymentError, EngineWorkerPool, KeyAffinityRouter,
+                   PoolSaturated, Router)
+from .procpool import ProcessWorker, ProcessWorkerDied, ProcessWorkerError
+from .scheduler import MicroBatchScheduler
 from .server import ForecastServer
 
 __all__ = [
     "MicroBatchScheduler",
-    "ServedFuture",
-    "ServeMetrics",
-    "BatchRecord",
-    "RequestRecord",
     "ForecastCache",
-    "ForecastCacheStats",
     "window_key",
     "gradient_key",
     "EngineWorkerPool",
     "Router",
-    "RoundRobinRouter",
-    "LeastOutstandingRouter",
     "KeyAffinityRouter",
-    "PoolMetrics",
     "PoolSaturated",
-    "PoolEvent",
-    "EngineVersion",
     "DeploymentError",
     "ProcessWorker",
     "ProcessWorkerError",
     "ProcessWorkerDied",
-    "ShmArena",
     "HostWorker",
     "HostWorkerError",
     "HostWorkerDied",
     "AutoScaler",
     "LoadSample",
-    "ScaleEvent",
     "ForecastServer",
 ]

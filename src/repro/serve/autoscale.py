@@ -116,19 +116,17 @@ class AutoScaler:
         scale-up jumps straight to the modelled width for the observed
         demand instead of stepping one replica per tick.
     interval: tick period of the threaded mode [s].
-    spawn_cost_s: wall-clock cost of bringing one replica back after a
-        scale-down.  Thread replicas are just objects (cost ~0), but a
-        process replica re-spawns an interpreter, re-ships weights and
-        plans, and re-maps its shared-memory arena — observed around a
-        second.  The scaler stretches its scale-down patience by the
-        number of ticks that cost spans
-        (``ceil(spawn_cost_s / interval)``), so an expensive-to-revive
-        replica needs a proportionally longer quiet spell before it is
-        drained — flapping one down and immediately needing it back
-        would stall traffic for the whole respawn.  Default (``None``)
-        reads the pool's measured
-        :attr:`~repro.serve.pool.EngineWorkerPool.mean_spawn_seconds`
-        at each tick (0.0 for thread pools: behaviour unchanged).
+
+    The scale-down patience is stretched by what a replica costs to
+    bring back: thread replicas are just objects (cost 0), but a
+    process replica re-spawns an interpreter, re-ships weights and
+    plans, and re-maps its shared-memory arena — observed around a
+    second.  Each tick reads the pool's measured
+    :attr:`~repro.serve.pool.EngineWorkerPool.mean_spawn_seconds` and
+    adds the ticks that cost spans (``ceil(cost / interval)``), so an
+    expensive-to-revive replica needs a proportionally longer quiet
+    spell before it is drained — flapping one down and immediately
+    needing it back would stall traffic for the whole respawn.
     """
 
     def __init__(self, pool: EngineWorkerPool,
@@ -137,8 +135,7 @@ class AutoScaler:
                  scale_down_patience: int = 3,
                  target_utilization: float = 0.7,
                  capacity_model: Optional[PoolCapacityModel] = None,
-                 interval: float = 0.25,
-                 spawn_cost_s: Optional[float] = None):
+                 interval: float = 0.25):
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
         if max_workers < min_workers:
@@ -158,8 +155,6 @@ class AutoScaler:
         self.target_utilization = float(target_utilization)
         self.capacity_model = capacity_model
         self.interval = float(interval)
-        self.spawn_cost_s = None if spawn_cost_s is None \
-            else float(spawn_cost_s)
         self.events: List[ScaleEvent] = []
         self._low_ticks = 0
         self._last_time = time.perf_counter()
@@ -238,11 +233,8 @@ class AutoScaler:
         """Scale-down hysteresis in ticks, stretched by replica spawn
         cost: the configured ``scale_down_patience`` plus however many
         ticks one respawn would span.  Pure function of the knobs and
-        the (configured or pool-measured) spawn cost, so tests can
-        assert it directly."""
-        cost = self.spawn_cost_s
-        if cost is None:
-            cost = getattr(self.pool, "mean_spawn_seconds", 0.0) or 0.0
+        the pool-measured spawn cost, so tests can assert it directly."""
+        cost = self.pool.mean_spawn_seconds
         if cost <= 0.0:
             return self.scale_down_patience
         return self.scale_down_patience \

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..data.cache import LruBytes
-from ..workflow.engine import FieldWindow, ForecastResult
+from ..workflow.engine import FieldWindow
 from ..workflow.sensitivity import GradientRequest
 
 __all__ = ["window_key", "gradient_key", "ForecastCacheStats",
@@ -90,14 +90,6 @@ class ForecastCacheStats:
         return self.hits / total if total else 0.0
 
 
-def _result_nbytes(result) -> int:
-    if isinstance(result, ForecastResult):
-        f = result.fields
-        return f.u3.nbytes + f.v3.nbytes + f.w3.nbytes + f.zeta.nbytes
-    # sensitivity results account for themselves
-    return int(result.nbytes())
-
-
 class ForecastCache:
     """Thread-safe LRU of completed forecasts, keyed by window digest.
 
@@ -107,7 +99,8 @@ class ForecastCache:
     """
 
     def __init__(self, capacity_bytes: int):
-        self._lru = LruBytes(capacity_bytes, size_of=_result_nbytes)
+        self._lru = LruBytes(capacity_bytes,
+                             size_of=lambda result: result.nbytes())
         self.stats = ForecastCacheStats()
         self._lock = threading.Lock()
 
@@ -121,7 +114,7 @@ class ForecastCache:
     def get(self, key: str):
         """Cached result for ``key`` (a private copy), or ``None``.
 
-        Holds :class:`ForecastResult` and
+        Holds :class:`~repro.workflow.engine.ForecastResult` and
         :class:`~repro.workflow.sensitivity.SensitivityResult` payloads
         alike (keyed by :func:`window_key` / :func:`gradient_key`, so
         the two namespaces never collide).
@@ -132,10 +125,6 @@ class ForecastCache:
                 self.stats.misses += 1
                 return None
             self.stats.hits += 1
-            if isinstance(cached, ForecastResult):
-                return ForecastResult(cached.fields.copy(), 0.0,
-                                      cached.episodes,
-                                      engine_version=cached.engine_version)
             return cached.copy()
 
     def put(self, key: str, result) -> None:
@@ -145,13 +134,7 @@ class ForecastCache:
         the weights that computed it (the server clears the cache on
         deploy, but entries read out mid-roll keep an honest label).
         """
-        if isinstance(result, ForecastResult):
-            stored = ForecastResult(result.fields.copy(),
-                                    result.inference_seconds,
-                                    result.episodes,
-                                    engine_version=result.engine_version)
-        else:
-            stored = result.copy()
+        stored = result.copy()
         with self._lock:
             self.stats.evictions += self._lru.put(key, stored)
 

@@ -26,14 +26,14 @@ Two interchangeable fabrics, selected per worker:
   serialization with measurable bytes-on-wire, standing in for a
   remote host.
 
-The perf substance over the shm tier is **pipelining**: the network
-hop adds latency shm never had, so :meth:`HostWorker.submit_batch`
-returns immediately with a handle and a reaper thread matches
-responses to requests by sequence number — batch N+1 is packed and on
-the wire while the remote computes batch N.  ``inflight_depth``
-records the deepest overlap actually achieved; ``net_wait_s`` and
-``frame_bytes`` make the hop's cost visible through
-``ServeMetrics``/``PoolMetrics``.
+The network hop adds latency shm never had, so the client can
+**pipeline**: :meth:`HostWorker.submit_batch` returns immediately with
+a handle and a reaper thread matches responses to requests by sequence
+number — batch N+1 is packed and on the wire while the remote computes
+batch N.  The scheduler does not use it yet (it drives
+``forecast_batch``, one batch at a time, so served traffic records
+``inflight_depth`` 1); ``net_wait_s`` and ``frame_bytes`` make the
+hop's cost visible through ``ServeMetrics``/``PoolMetrics``.
 
 Failure model: the remote sends heartbeat frames between batches; the
 reaper raises :class:`HostWorkerDied` (a
@@ -50,6 +50,8 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from multiprocessing import get_context
 from typing import Callable, Dict, Optional, Sequence
 
@@ -60,8 +62,9 @@ from ..hpc.fabric import (FabricError, FabricTimeout, FrameError,
                           listen_loopback, pack_frame, sim_pair, unpack_frame)
 from ..workflow.engine import FieldWindow
 from .procpool import ProcessWorkerDied, ProcessWorkerError
-from .remote import (ChannelClosed, RemoteWorker, batch_request,
-                     batch_results, serve_payload)
+from .remote import (SPAWN_METHOD, SPAWN_TIMEOUT_S, ChannelClosed,
+                     RemoteWorker, batch_request, batch_results,
+                     serve_payload)
 
 __all__ = ["HostWorker", "HostWorkerError", "HostWorkerDied"]
 
@@ -147,44 +150,29 @@ def _host_main(port: int, token: str, payload: bytes,
 # ----------------------------------------------------------------------
 # client side
 # ----------------------------------------------------------------------
-class _Handle:
+class _Handle(Future):
     """A pending request: resolved (or failed) by the reaper thread.
 
-    ``result()`` blocks like a future; the batch stays attributable to
-    its sequence number however deep the pipeline runs.  ``decode``
-    turns the reply's ``(meta, arrays)`` into the handle's value.
+    A plain :class:`concurrent.futures.Future` plus the request's
+    metadata; the batch stays attributable to its sequence number
+    however deep the pipeline runs.  ``decode`` turns the reply's
+    ``(meta, arrays)`` into the handle's value.
     """
 
-    __slots__ = ("seq", "op", "t0", "decode", "_event", "_value", "_error")
-
     def __init__(self, seq: int, op: str, decode: Optional[Callable] = None):
+        super().__init__()
         self.seq = seq
         self.op = op
         self.t0 = time.perf_counter()
         self.decode = decode
-        self._event = threading.Event()
-        self._value = None
-        self._error: Optional[BaseException] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
 
     def result(self, timeout: Optional[float] = None):
-        if not self._event.wait(timeout):
+        try:
+            return super().result(timeout)
+        except FutureTimeout:
             raise HostWorkerError(
                 f"no response to {self.op} (seq {self.seq}) within "
-                f"{timeout}s")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def _complete(self, value) -> None:
-        self._value = value
-        self._event.set()
-
-    def _fail(self, exc: BaseException) -> None:
-        self._error = exc
-        self._event.set()
+                f"{timeout}s") from None
 
 
 class HostWorker(RemoteWorker):
@@ -205,10 +193,9 @@ class HostWorker(RemoteWorker):
         or ``"sim"`` (in-process deterministic fabric).
     warm_batches: batch sizes whose compiled plans ship with the
         payload.
-    heartbeat_s: remote heartbeat period; ``0`` disables heartbeats
-        (and deadline-based death detection with them).
-    death_timeout: seconds of radio silence before the worker is
-        declared dead (default ``4 × heartbeat_s``).
+    heartbeat_s: remote heartbeat period; the worker is declared dead
+        after ``4 × heartbeat_s`` of radio silence.  ``0`` disables
+        heartbeats (and deadline-based death detection with them).
     request_timeout: optional per-request ceiling for the synchronous
         calls (``forecast_batch``/``compile``/``plan_stats``).  Replies
         are matched by sequence number, so a late one is simply
@@ -221,19 +208,16 @@ class HostWorker(RemoteWorker):
 
     def __init__(self, engine, fabric: str = "socket",
                  warm_batches: Sequence[int] = (),
-                 mp_context: str = "spawn", spawn_timeout: float = 120.0,
                  on_death: Optional[Callable[["HostWorker"], None]] = None,
                  request_timeout: Optional[float] = None,
-                 heartbeat_s: float = 2.0,
-                 death_timeout: Optional[float] = None):
+                 heartbeat_s: float = 2.0):
         if fabric not in ("socket", "sim"):
             raise ValueError(
                 f"unknown fabric {fabric!r}: expected 'socket' or 'sim'")
         super().__init__(engine, warm_batches, on_death, request_timeout)
         self.fabric = fabric
         self.heartbeat_s = float(heartbeat_s)
-        self.death_timeout = float(death_timeout) if death_timeout \
-            is not None else 4.0 * self.heartbeat_s
+        self._silence_limit = 4.0 * self.heartbeat_s
         self._pending: Dict[int, _Handle] = {}
         self._seq = 0
 
@@ -242,37 +226,38 @@ class HostWorker(RemoteWorker):
         self.frame_bytes = 0
         self.inflight_depth = 0
 
+        self._ep = None
         self._remote_ep = None
         self._reaper: Optional[threading.Thread] = None
-        if fabric == "sim":
-            self._ep, self._remote_ep = sim_pair()
-            self.comm = self._ep.comm
-            # the remote rank rebuilds its engine from the *pickled*
-            # payload, exactly as a real remote host would
-            threading.Thread(
-                target=serve_payload,
-                args=(_FrameChannel(self._remote_ep, self.heartbeat_s),
-                      self._payload),
-                daemon=True, name="hostworker-sim-rank").start()
-        else:
-            listener, port, token = listen_loopback()
-            self._proc = get_context(mp_context).Process(
-                target=_host_main,
-                args=(port, token, self._payload, self.heartbeat_s),
-                name="hostworker-child", daemon=True)
-            self._proc.start()
-            try:
-                self._ep = accept_loopback(listener, token,
-                                           timeout=spawn_timeout)
-            except BaseException:
-                self._proc.terminate()
-                raise
-            finally:
-                listener.close()
-
         try:
-            self._adopt(*self._handshake(spawn_timeout))
+            if fabric == "sim":
+                self._ep, self._remote_ep = sim_pair()
+                self.comm = self._ep.comm
+                # the remote rank rebuilds its engine from the *pickled*
+                # payload, exactly as a real remote host would
+                threading.Thread(
+                    target=serve_payload,
+                    args=(_FrameChannel(self._remote_ep, self.heartbeat_s),
+                          self._payload),
+                    daemon=True, name="hostworker-sim-rank").start()
+            else:
+                listener, port, token = listen_loopback()
+                try:
+                    proc = get_context(SPAWN_METHOD).Process(
+                        target=_host_main,
+                        args=(port, token, self._payload, self.heartbeat_s),
+                        name="hostworker-child", daemon=True)
+                    proc.start()
+                    self._proc = proc
+                    self._ep = accept_loopback(listener, token,
+                                               timeout=SPAWN_TIMEOUT_S)
+                finally:
+                    listener.close()
+            self._adopt(*self._handshake(SPAWN_TIMEOUT_S))
         except BaseException:
+            if self._ep is None and self._proc is not None:
+                # the child never connected: no one to send ``stop`` to
+                self._proc.terminate()
             self.close()
             raise
         self._last_seen = time.perf_counter()
@@ -301,7 +286,7 @@ class HostWorker(RemoteWorker):
         references = list(references)
         if not references:
             done = _Handle(-1, "batch")
-            done._complete([])
+            done.set_result([])
             return done
         return self._submit("batch", *batch_request(references),
                             decode=batch_results)
@@ -377,9 +362,9 @@ class HostWorker(RemoteWorker):
                 f"child exited (exitcode {self._proc.exitcode})")
             return True
         if self.heartbeat_s > 0 and \
-                time.perf_counter() - self._last_seen > self.death_timeout:
+                time.perf_counter() - self._last_seen > self._silence_limit:
             self._mark_dead(
-                f"no heartbeat within {self.death_timeout:.2f}s")
+                f"no heartbeat within {self._silence_limit:.2f}s")
             return True
         return False
 
@@ -389,7 +374,7 @@ class HostWorker(RemoteWorker):
         if handle is None:
             return                          # stale/unknown seq: drop
         if frame.op == "err":
-            handle._fail(self._remote_error(handle.op, frame.meta))
+            handle.set_exception(self._remote_error(handle.op, frame.meta))
             return
         # the frame's arrays are views into the receive buffer
         value = frame.meta, [a.copy() for a in frame.arrays]
@@ -402,14 +387,14 @@ class HostWorker(RemoteWorker):
                 self.net_wait_s += max(
                     time.perf_counter() - handle.t0
                     - frame.meta["batch_seconds"], 0.0)
-        handle._complete(value)
+        handle.set_result(value)
 
     def _fail_pending(self, exc: BaseException) -> None:
         with self._state_lock:
             pending = list(self._pending.values())
             self._pending.clear()
         for handle in pending:
-            handle._fail(exc)
+            handle.set_exception(exc)
 
     def _on_dead(self) -> None:
         self._fail_pending(HostWorkerDied(
@@ -427,15 +412,14 @@ class HostWorker(RemoteWorker):
 
     # -- lifecycle ------------------------------------------------------
     def _send_stop(self) -> None:
-        try:
-            self._ep.send_frame(pack_frame("stop", -1))
-        except FabricError:
-            pass
+        if self._ep is not None:
+            with contextlib.suppress(FabricError):
+                self._ep.send_frame(pack_frame("stop", -1))
 
     def _release(self, timeout: float) -> None:
-        self._ep.close()
-        if self._remote_ep is not None:
-            self._remote_ep.close()
+        for ep in (self._ep, self._remote_ep):
+            if ep is not None:
+                ep.close()
         if self._reaper is not None \
                 and self._reaper is not threading.current_thread():
             self._reaper.join(timeout)

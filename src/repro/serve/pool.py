@@ -67,7 +67,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hpc.serving import ServingCapacityModel
 from ..tensor import plan_passes as _passes
@@ -149,42 +149,20 @@ class Router:
     round-robin cursor) but must not block.
     """
 
-    #: registry name, also echoed in ``PoolMetrics.summary()``
-    name = "base"
-
     #: whether the policy reads the routing key — lets callers skip
     #: computing one (content digests are not free) when it is ignored
     uses_keys = False
 
-    _REGISTRY: Dict[str, type] = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # only classes that declare their own name register: a subclass
-        # tweaking behaviour must not silently replace its parent's
-        # registry entry, and an accidental name collision is an error
-        name = cls.__dict__.get("name")
-        if name is None:
-            return
-        if name in Router._REGISTRY:
-            raise ValueError(
-                f"router name {name!r} is already registered to "
-                f"{Router._REGISTRY[name].__qualname__}")
-        Router._REGISTRY[name] = cls
-
     @staticmethod
-    def make(spec: Union[str, "Router"]) -> "Router":
-        """Resolve a policy: an instance passes through, a name
-        (``"round-robin"`` | ``"least-outstanding"`` | ``"key-affinity"``)
-        constructs the registered class."""
-        if isinstance(spec, Router):
-            return spec
+    def make(name: str) -> "Router":
+        """A fresh policy instance by name (``"round-robin"`` |
+        ``"least-outstanding"`` | ``"key-affinity"``)."""
         try:
-            return Router._REGISTRY[spec]()
+            return _ROUTERS[name]()
         except KeyError:
             raise ValueError(
-                f"unknown router {spec!r}; registered: "
-                f"{sorted(Router._REGISTRY)}") from None
+                f"unknown router {name!r}; use one of "
+                f"{sorted(_ROUTERS)}") from None
 
     def candidates(self, key, n_workers: int,
                    outstanding: Sequence[int]) -> Sequence[int]:
@@ -208,8 +186,6 @@ class RoundRobinRouter(Router):
     round-robin only sheds when the whole pool is at bound.
     """
 
-    name = "round-robin"
-
     def __init__(self):
         self._cursor = 0
 
@@ -227,8 +203,6 @@ class LeastOutstandingRouter(Router):
     stuck on a slow batch naturally stops receiving traffic.  Like
     round-robin it sheds only when the whole pool is at bound.
     """
-
-    name = "least-outstanding"
 
     def candidates(self, key, n_workers, outstanding):
         return sorted(range(n_workers), key=lambda i: (outstanding[i], i))
@@ -248,7 +222,6 @@ class KeyAffinityRouter(Router):
     round-robin.
     """
 
-    name = "key-affinity"
     uses_keys = True
 
     def __init__(self):
@@ -258,6 +231,13 @@ class KeyAffinityRouter(Router):
         if key is None:
             return self._fallback.candidates(key, n_workers, outstanding)
         return [stable_key_hash(key) % n_workers]
+
+
+_ROUTERS = {
+    "round-robin": RoundRobinRouter,
+    "least-outstanding": LeastOutstandingRouter,
+    "key-affinity": KeyAffinityRouter,
+}
 
 
 @dataclass(frozen=True)
@@ -443,7 +423,8 @@ class EngineWorkerPool:
         but not completed).  The pool's total backlog can never exceed
         ``replicas × max_queue``; beyond it requests shed with
         :class:`PoolSaturated`.
-    router: a :class:`Router` instance or registered policy name.
+    router: routing policy name — ``"round-robin"`` |
+        ``"least-outstanding"`` | ``"key-affinity"``.
     autostart: start each replica's worker thread (threaded mode).
         ``False`` gives the deterministic manual mode — the caller
         drives the queues with :meth:`flush` (or per-worker
@@ -471,9 +452,6 @@ class EngineWorkerPool:
         backends require engines that expose
         ``model``/``normalizer``/``boundary_width`` (i.e. real
         :class:`~repro.workflow.engine.ForecastEngine` replicas).
-    mp_context: multiprocessing start method for the process/host
-        backends (default ``"spawn"``; see
-        :class:`~repro.serve.procpool.ProcessWorker`).
     fabric: host-backend transport — ``"socket"`` (real TCP loopback
         wire) or ``"sim"`` (deterministic in-process fabric with
         SimComm byte accounting).  Ignored by other backends.
@@ -490,10 +468,9 @@ class EngineWorkerPool:
     def __init__(self, engines, replicas: Optional[int] = None,
                  max_batch: int = 8, max_wait: float = 0.005,
                  max_queue: int = 32,
-                 router: Union[str, Router] = "least-outstanding",
+                 router: str = "least-outstanding",
                  autostart: bool = True, warm_plans: bool = False,
-                 backend: str = "thread", mp_context: str = "spawn",
-                 fabric: str = "socket"):
+                 backend: str = "thread", fabric: str = "socket"):
         if hasattr(engines, "forecast_batch"):
             engines = [engines]
         engines = list(engines)
@@ -530,11 +507,8 @@ class EngineWorkerPool:
                 f"unknown backend {backend!r}; use 'thread', 'process' "
                 "or 'host'")
         self.backend = backend
-        # what every remote executor is built with; the fabric is the
-        # host worker's to validate
-        self._remote_kwargs = {"mp_context": mp_context}
-        if backend == "host":
-            self._remote_kwargs["fabric"] = fabric
+        # the fabric is the host worker's to validate
+        self._remote_kwargs = {"fabric": fabric} if backend == "host" else {}
         self._spawn_log: List[float] = []
         distinct = []
         for e in engines:
@@ -677,23 +651,14 @@ class EngineWorkerPool:
         Raises
         ------
         NotImplementedError
-            on the process/host backends, with guidance (use a
-            thread-backend pool, or call
-            ``ForecastEngine.sensitivity_batch`` directly on the host
-            that owns the engine).
+            on the process/host backends — raised, with guidance, by
+            the chosen replica's scheduler
+            (:meth:`~repro.serve.scheduler.MicroBatchScheduler.submit_gradient`:
+            its executor has no ``sensitivity_batch``); the admission
+            is rolled back.
         PoolSaturated
             as for :meth:`submit`.
         """
-        if self.backend != "thread":
-            raise NotImplementedError(
-                f"gradient requests are not served on the "
-                f"{self.backend!r} backend: the backward pass needs the "
-                "autograd graph in the serving process, and the "
-                f"{self.backend!r} transport marshals arrays, not "
-                "autograd tapes; use EngineWorkerPool(..., "
-                "backend='thread') or call "
-                "ForecastEngine.sensitivity_batch directly on the host "
-                "that owns the engine")
         return self._route_submit(
             lambda worker: worker.scheduler.submit_gradient(request), key)
 
@@ -820,9 +785,17 @@ class EngineWorkerPool:
                 **self._remote_kwargs)
             with self._route_lock:
                 self._spawn_log.append(executor.spawn_seconds)
-        scheduler = MicroBatchScheduler(
-            executor, max_batch=self._max_batch, max_wait=self._max_wait,
-            autostart=not self._manual, warm_plans=warm)
+        try:
+            scheduler = MicroBatchScheduler(
+                executor, max_batch=self._max_batch,
+                max_wait=self._max_wait, autostart=not self._manual,
+                warm_plans=warm)
+        except BaseException:
+            # the remote is already spawned: without this its child and
+            # shm segments would outlive the failed construction
+            if executor is not engine:
+                executor.close()
+            raise
         with self._route_lock:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
@@ -860,13 +833,22 @@ class EngineWorkerPool:
                 worker.version,
                 f"worker {worker.worker_id} executor died: "
                 f"{worker.executor.death_reason}"))
+        # the executor is already dead, so the scheduler's close() fails
+        # any backlog fast instead of serving it — failed futures,
+        # never hangs
         threading.Thread(
-            target=self._retire_dead_worker, args=(worker,),
+            target=self._retire,
+            args=(worker, "worker-retired",
+                  f"worker {worker.worker_id} retired after executor death"),
             name=f"retire-worker-{worker.worker_id}", daemon=True).start()
 
-    def _retire_dead_worker(self, worker: _Worker) -> None:
-        # the executor is already dead, so close() fails any backlog
-        # fast instead of serving it — failed futures, never hangs
+    def _retire(self, worker: _Worker, kind: str, detail: str) -> None:
+        """The tail of every retirement, for a replica already flagged
+        ``draining``.  Runs outside the routing lock (completion
+        callbacks need it): scheduler first — drains or fails every
+        admitted request — executor second, so a child process and its
+        shm segments are reclaimed only once nothing can still reach
+        them; then the replica moves to the metrics history."""
         worker.scheduler.close()
         self._close_executor(worker)
         with self._route_lock:
@@ -875,10 +857,8 @@ class EngineWorkerPool:
                                      if w is not worker)
                 self._retired.append(worker)
                 self.events.append(PoolEvent(
-                    "worker-retired", time.time(), len(self.workers),
-                    worker.version,
-                    f"worker {worker.worker_id} retired after executor "
-                    "death"))
+                    kind, time.time(), len(self.workers), worker.version,
+                    detail))
 
     def add_worker(self, engine=None, version: Optional[int] = None,
                    kind: str = "scale-up", detail: str = "") -> _Worker:
@@ -935,24 +915,10 @@ class EngineWorkerPool:
                     raise ValueError(
                         "cannot remove the last admissible replica")
                 worker.draining = True
-            # outside the routing lock: completion callbacks need it.
-            # Scheduler first (drains or fails every admitted request),
-            # executor second — a process child and its shm segments
-            # are reclaimed only once nothing can still reach them
-            worker.scheduler.close()
-            self._close_executor(worker)
-            with self._route_lock:
-                self.workers = tuple(w for w in self.workers
-                                     if w is not worker)
-                self._retired.append(worker)
-                self.events.append(PoolEvent(
-                    kind, time.time(), len(self.workers), worker.version,
-                    detail))
+            self._retire(worker, kind, detail)
 
     # -- control plane: versioned deploys -------------------------------
-    def deploy(self, engine, source: str = "deploy",
-               warm: Optional[bool] = None,
-               clear_old_plans: bool = False) -> EngineVersion:
+    def deploy(self, engine, source: str = "deploy") -> EngineVersion:
         """Roll a new engine version through the pool, zero-downtime.
 
         Replica by replica: a warmed new-version replica is *surged*
@@ -962,22 +928,18 @@ class EngineWorkerPool:
         and retired.  Capacity therefore never drops below the
         pre-deploy width and nothing is shed on the deploy's account.
 
+        An engine that can ``compile`` is warmed *before* the pool is
+        touched: the sizes the outgoing engines had compiled plus the
+        whole ``max_batch`` bucket set, so partial batches keep hitting
+        compiled plans across the version roll.  A warmup failure
+        raises :class:`DeploymentError` with the pool untouched.
+
         Parameters
         ----------
         engine: the new version's batch executor; all rolled replicas
             share it (inference is read-only, like ``replicas=N``).
         source: human-readable provenance recorded on the
             :class:`EngineVersion` (e.g. a checkpoint path).
-        warm: pre-compile inference plans on the new engine *before*
-            touching the pool — the sizes the outgoing engines had
-            compiled, plus ``max_batch`` when the pool warms plans (or
-            ``warm=True`` is explicit).  Default: warm whenever the
-            engine supports ``compile``.  A warmup failure raises
-            :class:`DeploymentError` with the pool untouched.
-        clear_old_plans: after a successful roll, drop the retired
-            engines' plan caches (recovers their arena memory).  Off by
-            default because the pool does not own caller-constructed
-            engines.
 
         Raises
         ------
@@ -1003,21 +965,11 @@ class EngineWorkerPool:
                 old_version = self.current_version
             # 1. warm the new engine before touching the pool: a failed
             # warmup must leave serving exactly as it was
-            can_compile = hasattr(engine, "compile")
-            explicit_warm = warm is True
-            if warm is None:
-                warm = can_compile
-            if warm and not can_compile:
-                raise ValueError("warm=True needs an engine with compile()")
-            if warm:
-                sizes = set()
+            if hasattr(engine, "compile"):
+                sizes = set(_passes.plan_buckets(self._max_batch))
                 for w in old_workers:
                     sizes.update(
                         getattr(w.engine, "compiled_batches", None) or [])
-                if self._warm_plans or explicit_warm:
-                    # the whole bucket set, so partial batches keep
-                    # hitting compiled plans across the version roll
-                    sizes.update(_passes.plan_buckets(self._max_batch))
                 try:
                     for b in sorted(sizes):
                         engine.compile(b)
@@ -1073,14 +1025,6 @@ class EngineWorkerPool:
                 self.events.append(PoolEvent(
                     "deploy-done", time.time(), len(self.workers),
                     version, source))
-            if clear_old_plans:
-                live = {id(w.engine) for w in self.workers}
-                for old in drained:
-                    retired_engine = old.engine
-                    if id(retired_engine) not in live \
-                            and hasattr(retired_engine, "clear_plans"):
-                        retired_engine.clear_plans()
-                        live.add(id(retired_engine))
             return record
 
     # -- manual drive ---------------------------------------------------

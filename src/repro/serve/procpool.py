@@ -43,17 +43,18 @@ the parent can always find them).
 
 from __future__ import annotations
 
-import math
 import secrets
 import threading
 import time
 from multiprocessing import connection, get_context, shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..hpc.fabric import FrameError, layout, view
 from ..tensor.plan import BufferArena
-from .remote import ChannelClosed, RemoteWorker, serve_payload
+from .remote import (SPAWN_METHOD, SPAWN_TIMEOUT_S, ChannelClosed,
+                     RemoteWorker, serve_payload)
 
 __all__ = [
     "ProcessWorker",
@@ -154,27 +155,6 @@ class ShmArena(BufferArena):
 # ----------------------------------------------------------------------
 # shm codec: descriptors, segments, channel
 # ----------------------------------------------------------------------
-#: one array descriptor: (shape, dtype-str, byte offset into segment)
-_Desc = Tuple[Tuple[int, ...], str, int]
-
-
-def _layout(arrays: Sequence[np.ndarray]) -> Tuple[List[_Desc], int]:
-    """Descriptors packing ``arrays`` at 64-byte-aligned offsets, and
-    the bytes they span."""
-    descs, offset = [], 0
-    for a in arrays:
-        descs.append((tuple(a.shape), a.dtype.str, offset))
-        offset += -(-a.nbytes // _ALIGN) * _ALIGN
-    return descs, offset
-
-
-def _view(seg: shared_memory.SharedMemory, desc: _Desc) -> np.ndarray:
-    shape, dtype, offset = desc
-    return np.frombuffer(seg.buf, dtype=np.dtype(dtype),
-                         count=math.prod(shape),
-                         offset=offset).reshape(shape)
-
-
 class _Segment:
     """One grow-by-replacement shared-memory segment with
     deterministic generation names (``{token}-{tag}{gen}``).
@@ -276,11 +256,11 @@ class _ShmChannel:
              arrays: Sequence[np.ndarray] = ()) -> int:
         """Copy ``arrays`` into this side's segment and send the
         envelope; returns the segment bytes the message spans."""
-        descs, need = _layout(arrays)
+        descs, need = layout(arrays)
         if descs:
             seg = self.own.ensure(need)
             for a, d in zip(arrays, descs):
-                np.copyto(_view(seg, d), a)
+                np.copyto(view(seg.buf, d), a)
         try:
             self.conn.send((op, seq, meta or {}, self.own.gen, descs))
         except (BrokenPipeError, OSError) as exc:
@@ -289,13 +269,17 @@ class _ShmChannel:
 
     def recv(self):
         """Next message, its arrays as views into the peer's segment;
-        ``None`` when the peer is gone."""
+        ``None`` when the peer is gone or a descriptor does not fit
+        its segment (the channel cannot be trusted past that)."""
         try:
             op, seq, meta, gen, descs = self.conn.recv()
         except (EOFError, OSError):
             return None
         seg = self.peer.get(gen) if descs else None
-        return op, seq, meta, [_view(seg, d) for d in descs]
+        try:
+            return op, seq, meta, [view(seg.buf, d) for d in descs]
+        except FrameError:
+            return None
 
     def close(self) -> None:
         if self.arena is not None:
@@ -335,10 +319,6 @@ class ProcessWorker(RemoteWorker):
         payload — compiled on the parent engine first (replicas sharing
         one engine share the trace), so the child starts warm without
         ever tracing.
-    mp_context: multiprocessing start method (default ``"spawn"`` —
-        safe with the parent's scheduler threads; ``"fork"`` starts
-        faster but inherits the whole parent address space).
-    spawn_timeout: seconds to wait for the child's ready handshake.
     on_death: callback invoked exactly once, with this worker, when the
         child process is found dead.
     request_timeout: optional per-request ceiling [s]; ``None`` trusts
@@ -357,7 +337,6 @@ class ProcessWorker(RemoteWorker):
     Died = ProcessWorkerDied
 
     def __init__(self, engine, warm_batches: Sequence[int] = (),
-                 mp_context: str = "spawn", spawn_timeout: float = 120.0,
                  on_death: Optional[Callable[["ProcessWorker"], None]] = None,
                  request_timeout: Optional[float] = None):
         super().__init__(engine, warm_batches, on_death, request_timeout)
@@ -369,7 +348,7 @@ class ProcessWorker(RemoteWorker):
         self.ipc_wait_s = 0.0
         self.marshal_bytes = 0
 
-        ctx = get_context(mp_context)
+        ctx = get_context(SPAWN_METHOD)
         conn, child_conn = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(target=_child_main,
                                  args=(child_conn, self._token,
@@ -380,7 +359,7 @@ class ProcessWorker(RemoteWorker):
         child_conn.close()
         self._channel = _ShmChannel(conn, self._token, "q", "r")
         try:
-            op, _, meta, _ = self._await(-1, spawn_timeout)
+            op, _, meta, _ = self._await(-1, SPAWN_TIMEOUT_S)
             self._adopt(op, meta)
         except BaseException:
             self.close()

@@ -63,6 +63,8 @@ __all__ = [
     "engine_payload",
     "build_engine",
     "serve_payload",
+    "SPAWN_METHOD",
+    "SPAWN_TIMEOUT_S",
 ]
 
 _VARS = ("u3", "v3", "w3", "zeta")
@@ -170,8 +172,7 @@ class EngineService:
         return {"compiled": self.engine.compiled_batches}, ()
 
     def _compile_buckets(self, meta, arrays) -> _Reply:
-        self.engine.compile_buckets(meta.get("max_batch"),
-                                    histogram=meta.get("histogram"))
+        self.engine.compile_buckets(meta["max_batch"])
         return {"compiled": self.engine.compiled_batches}, ()
 
     def _plan_stats(self, meta, arrays) -> _Reply:
@@ -213,6 +214,13 @@ class EngineService:
             # then let the channel release what backs them
             self.engine.clear_plans()
             channel.close()
+
+
+#: how every tier starts its child: ``spawn`` is safe with the parent's
+#: scheduler threads (``fork`` would inherit them mid-lock)
+SPAWN_METHOD = "spawn"
+#: seconds a parent waits for its child's ``ready`` handshake
+SPAWN_TIMEOUT_S = 120.0
 
 
 def serve_payload(channel, payload: bytes,
@@ -358,22 +366,15 @@ class RemoteWorker:
             self._compiled_reply(
                 self._call("compile", {"batch": int(batch)}, ()))
 
-    def compile_buckets(self, max_batch: Optional[int] = None,
-                        histogram=None) -> None:
-        """Have the remote engine compile a bucket set — the canonical
+    def compile_buckets(self, max_batch: int) -> None:
+        """Have the remote engine compile the canonical
         :func:`~repro.tensor.plan_passes.plan_buckets` set for
-        ``max_batch``, or a histogram-tuned one (see
-        :meth:`~repro.workflow.engine.ForecastEngine.compile_buckets`)
-        — so its partial micro-batches pad into compiled buckets
-        instead of running eager."""
-        meta = {"max_batch": None if max_batch is None else int(max_batch)}
-        if histogram is not None:
-            meta["histogram"] = dict(histogram) \
-                if isinstance(histogram, dict) else list(histogram)
-        elif max_batch is not None and \
-                set(plan_buckets(int(max_batch))) <= set(self.compiled_batches):
-            return
-        self._compiled_reply(self._call("compile_buckets", meta, ()))
+        ``max_batch``, so its partial micro-batches pad into compiled
+        buckets instead of running eager."""
+        max_batch = int(max_batch)
+        if not set(plan_buckets(max_batch)) <= set(self.compiled_batches):
+            self._compiled_reply(self._call(
+                "compile_buckets", {"max_batch": max_batch}, ()))
 
     def _compiled_reply(self, reply: _Reply) -> None:
         with self._state_lock:

@@ -44,6 +44,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -56,21 +58,24 @@ __all__ = ["ServedFuture", "BatchRecord", "RequestRecord", "ServeMetrics",
            "TRANSPORT_COUNTERS", "MicroBatchScheduler"]
 
 
-class ServedFuture:
+class ServedFuture(Future):
     """Completion handle for one scheduled forecast request.
 
+    A :class:`concurrent.futures.Future` plus the request's metadata:
     ``result()`` blocks until the micro-batch containing the request
     has run, then returns its :class:`ForecastResult` (or re-raises the
-    engine's exception).  After completion the placement metadata
+    engine's exception); done-callbacks run on the completing thread
+    and exceptions they raise are swallowed.  The placement metadata
     (``batch_index``, ``batch_size``, ``queue_seconds``,
-    ``latency_seconds``) records where the request landed;
-    ``worker_id`` and ``engine_version`` additionally record which
-    replica admitted it — and which :class:`~repro.serve.pool.EngineVersion`
-    it is pinned to — when the request went through an
-    :class:`~repro.serve.pool.EngineWorkerPool`.
+    ``latency_seconds``) is set before completion and records where the
+    request landed; ``worker_id`` and ``engine_version`` additionally
+    record which replica admitted it — and which
+    :class:`~repro.serve.pool.EngineVersion` it is pinned to — when the
+    request went through an :class:`~repro.serve.pool.EngineWorkerPool`.
     """
 
     def __init__(self, request_id: int):
+        super().__init__()
         self.request_id = request_id
         self.worker_id: Optional[int] = None
         self.engine_version: Optional[int] = None
@@ -79,54 +84,29 @@ class ServedFuture:
         self.queue_seconds: Optional[float] = None
         self.latency_seconds: Optional[float] = None
         self.cache_hit = False
-        self._event = threading.Event()
-        self._result: Optional[ForecastResult] = None
-        self._exception: Optional[BaseException] = None
-        self._callbacks: List = []
-        self._cb_lock = threading.Lock()
 
-    def done(self) -> bool:
-        return self._event.is_set()
+    def cancel(self) -> bool:
+        """An admitted request cannot be withdrawn: the scheduler that
+        owns it will complete it, and must find it still pending."""
+        return False
+
+    def _invoke_callbacks(self) -> None:
+        # run once, then let go: a callback closing over whatever holds
+        # this future (a client's request record) would otherwise pin
+        # the result arrays in a reference cycle until a full GC pass
+        super()._invoke_callbacks()
+        self._done_callbacks = []
 
     def result(self, timeout: Optional[float] = None) -> ForecastResult:
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} not served within {timeout}s")
-        if self._exception is not None:
-            raise self._exception
-        return self._result
-
-    def add_done_callback(self, fn) -> None:
-        """Run ``fn(self)`` when the request completes (immediately if
-        it already has).  Callbacks run on the completing thread and
-        must be cheap; exceptions they raise are swallowed."""
-        with self._cb_lock:
-            if not self._event.is_set():
-                self._callbacks.append(fn)
-                return
-        self._invoke(fn)
-
-    def _invoke(self, fn) -> None:
         try:
-            fn(self)
-        except Exception:        # noqa: BLE001 — callbacks must not kill the worker
-            pass
-
-    # -- completion (scheduler-side) -----------------------------------
-    def _finish(self) -> None:
-        with self._cb_lock:
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            self._invoke(fn)
-
-    def _complete(self, result: ForecastResult) -> None:
-        self._result = result
-        self._finish()
-
-    def _fail(self, exc: BaseException) -> None:
-        self._exception = exc
-        self._finish()
+            return super().result(timeout)
+        except FutureTimeout:
+            if self.done():
+                raise               # the request's own failure
+            # the builtin, which concurrent.futures' only is from 3.11
+            raise TimeoutError(
+                f"request {self.request_id} not served within "
+                f"{timeout}s") from None
 
 
 @dataclass
@@ -646,7 +626,7 @@ class MicroBatchScheduler:
                     latency_seconds=done - req.enqueued_at))
         if failure is not None:
             for req in batch:
-                req.future._fail(failure)
+                req.future.set_exception(failure)
             return
         for req, res in zip(batch, results):
             fut = req.future
@@ -654,4 +634,4 @@ class MicroBatchScheduler:
             fut.batch_size = len(batch)
             fut.queue_seconds = start - req.enqueued_at
             fut.latency_seconds = done - req.enqueued_at
-            fut._complete(res)
+            fut.set_result(res)

@@ -19,7 +19,7 @@
   itself — verification and any solver fallback — executes on a
   worker pool and never blocks the batch loop.
 
-All three reuse the exact direct-call code paths — the pool is just
+All four reuse the exact direct-call code paths — the pool is just
 another batch executor — so served numbers equal direct numbers.  The
 single-engine deployment is not a separate code path either: it is the
 pool of 1 (``workers=1``, the default).
@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..ocean.model import RomsLikeModel
 from ..ocean.swe import ShallowWaterState
@@ -55,10 +55,14 @@ from ..workflow.hybrid import HybridWorkflow, WorkflowReport
 from ..workflow.sensitivity import GradientRequest, SensitivityResult
 from .autoscale import AutoScaler
 from .cache import ForecastCache, gradient_key, window_key
-from .pool import EngineVersion, EngineWorkerPool, Router
+from .pool import EngineVersion, EngineWorkerPool
 from .scheduler import MicroBatchScheduler, ServedFuture
 
 __all__ = ["ForecastServer"]
+
+#: width of the ``serve-run`` pool that ensemble and hybrid runs execute
+#: on (a hybrid run's solver fallbacks run inline on its thread)
+_RUN_WORKERS = 2
 
 
 class ForecastServer:
@@ -74,11 +78,11 @@ class ForecastServer:
         replica per given engine — a single engine reproduces the
         single-engine deployment exactly; a single engine with
         ``workers=N`` is shared by all N replicas.
-    router: pool routing policy — a :class:`~repro.serve.pool.Router`
-        or a name (``"round-robin"`` | ``"least-outstanding"`` |
-        ``"key-affinity"``).  With the result cache enabled the server
-        keys every request by its content digest, so
-        ``"key-affinity"`` keeps duplicate scenarios on one replica.
+    router: pool routing policy name (``"round-robin"`` |
+        ``"least-outstanding"`` | ``"key-affinity"``).  With the result
+        cache enabled the server keys every request by its content
+        digest, so ``"key-affinity"`` keeps duplicate scenarios on one
+        replica.
     max_batch, max_wait: per-replica scheduler flush policy
         (:class:`MicroBatchScheduler`).
     max_queue: per-replica outstanding-request bound; beyond it
@@ -87,16 +91,13 @@ class ForecastServer:
     cache_bytes: result-cache budget; 0 disables caching.
     ocean, verifier: hybrid-run dependencies; required only when
         :meth:`submit_hybrid` is used.
-    fallback_workers: thread-pool width for out-of-band work (ensemble
-        and hybrid runs; a hybrid run's solver fallbacks execute
-        inline on the thread that runs it).
     warm_plans: compile each engine's inference plan for ``max_batch``
         at startup so saturated micro-batches replay a captured plan
         (bitwise-identical to eager, just faster and allocation-free).
         The default (``None``) warms exactly when every engine supports
         ``compile`` — i.e. real
         :class:`~repro.workflow.engine.ForecastEngine` replicas.
-    backend, mp_context, fabric: replica execution tier —
+    backend, fabric: replica execution tier —
         ``backend="process"`` runs each replica's engine in a child
         process behind shared-memory transport, escaping the GIL;
         ``backend="host"`` runs it on a remote rank behind the
@@ -117,13 +118,12 @@ class ForecastServer:
                  cache_bytes: int = 0,
                  ocean: Optional[RomsLikeModel] = None,
                  verifier: Optional[Verifier] = None,
-                 fallback_workers: int = 2,
                  workers: Optional[int] = None,
-                 router: Union[str, Router] = "least-outstanding",
+                 router: str = "least-outstanding",
                  max_queue: int = 32,
                  warm_plans: Optional[bool] = None,
-                 backend: str = "thread", mp_context: str = "spawn",
-                 fabric: str = "socket", autostart: bool = True):
+                 backend: str = "thread", fabric: str = "socket",
+                 autostart: bool = True):
         if warm_plans is None:
             candidates = engine if isinstance(engine, (list, tuple)) \
                 else [engine]
@@ -132,16 +132,15 @@ class ForecastServer:
                                      max_batch=max_batch, max_wait=max_wait,
                                      max_queue=max_queue, router=router,
                                      warm_plans=warm_plans,
-                                     backend=backend, mp_context=mp_context,
-                                     fabric=fabric, autostart=autostart)
+                                     backend=backend, fabric=fabric,
+                                     autostart=autostart)
         self.cache = ForecastCache(cache_bytes) if cache_bytes > 0 else None
         self.ocean = ocean
         self.verifier = verifier
         # ensemble and hybrid runs execute here, off the caller's thread
         # and off every replica's batch loop
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, int(fallback_workers)),
-            thread_name_prefix="serve-run")
+            max_workers=_RUN_WORKERS, thread_name_prefix="serve-run")
         # in-flight dedup: identical requests that arrive before the
         # first result lands follow one leader instead of each taking
         # an engine batch slot
@@ -193,7 +192,7 @@ class ForecastServer:
             future.batch_size = 0
             future.queue_seconds = future.latency_seconds = 0.0
             future.engine_version = cached.engine_version
-            future._complete(cached)
+            future.set_result(cached)
             return future
         with self._inflight_lock:
             leader = self._inflight.get(key)
@@ -224,20 +223,15 @@ class ForecastServer:
         try:
             result = leader.result(timeout=0)
         except BaseException as exc:     # noqa: BLE001 — mirror the leader
-            follower._fail(exc)
+            follower.set_exception(exc)
             return
         # private copy: leader and follower consumers mutate freely;
         # the follower is pinned to the leader's engine version (its
         # result IS the leader's result)
         follower.engine_version = leader.engine_version
-        if isinstance(result, ForecastResult):
-            copy = ForecastResult(
-                result.fields.copy(), 0.0, result.episodes,
-                engine_version=leader.engine_version)
-        else:
-            copy = result.copy()
-            copy.engine_version = leader.engine_version
-        follower._complete(copy)
+        copy = result.copy()
+        copy.engine_version = leader.engine_version
+        follower.set_result(copy)
 
     def _settle(self, key: str, future: ServedFuture) -> None:
         try:
@@ -340,8 +334,7 @@ class ForecastServer:
 
     # -- operations -----------------------------------------------------
     def deploy(self, model_or_checkpoint,
-               source: Optional[str] = None,
-               keep_cache: bool = False) -> EngineVersion:
+               source: Optional[str] = None) -> EngineVersion:
         """Hot-swap a new model through the pool with zero downtime.
 
         Accepts, in order of preference:
@@ -362,7 +355,7 @@ class ForecastServer:
         version that admitted them, and a failed warmup (or a
         checkpoint that does not load) raises with serving untouched.
         On success the result cache is invalidated — its entries were
-        computed by the outgoing weights — unless ``keep_cache``.
+        computed by the outgoing weights.
         """
         if hasattr(model_or_checkpoint, "forecast_batch") \
                 and hasattr(model_or_checkpoint, "time_steps"):
@@ -385,7 +378,7 @@ class ForecastServer:
                 source = source or f"model:{type(model).__name__}"
             engine = template.with_model(model)
         version = self.pool.deploy(engine, source=source)
-        if self.cache is not None and not keep_cache:
+        if self.cache is not None:
             self.cache.clear()
         # new arrivals must not follow an old-version in-flight leader;
         # the leaders themselves finish normally (their own clients are

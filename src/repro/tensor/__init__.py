@@ -29,7 +29,6 @@ from .plan import (
 from .plan_passes import (
     optimize,
     plan_buckets,
-    plan_buckets_from_histogram,
 )
 from .tensor import (
     Tensor,
@@ -75,6 +74,5 @@ __all__ = [
     "trace",
     "tracing",
     "plan_buckets",
-    "plan_buckets_from_histogram",
     "optimize",
 ]

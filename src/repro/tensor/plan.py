@@ -731,15 +731,14 @@ class PlanExecutor:
     ``workflow.engine.CompiledForward``).  :meth:`run` outputs are
     views into those buffers, valid until the next :meth:`run`.
 
-    ``parallel=None`` (the default) chunks row-parallel steps across
-    the shared elementwise thread pool when the host has more than one
-    core; pass ``False`` to force serial replay (results are identical
-    either way — chunks are disjoint rows).
+    Row-parallel steps are chunked across the shared elementwise
+    thread pool when the host has more than one core (``os.cpu_count()``)
+    and replay serially otherwise; results are identical either way —
+    chunks are disjoint rows.
     """
 
     def __init__(self, plan: ExecutionPlan,
-                 arena: Optional[BufferArena] = None,
-                 parallel: Optional[bool] = None):
+                 arena: Optional[BufferArena] = None):
         self.plan = plan
         self._arena = arena
         if arena is None:
@@ -747,8 +746,7 @@ class PlanExecutor:
         else:
             self._blob = arena.take(plan.arena_total)
         self._env: List[Optional[np.ndarray]] = [None] * plan.n_slots
-        pool = _shared_pool() if parallel in (None, True) else None
-        self._pool = pool
+        pool = self._pool = _shared_pool()
 
         # precompile the program: resolve constants, bind output views
         # into the arena blob, precompute row-chunk bounds

@@ -47,7 +47,6 @@ from .plan import ExecutionPlan, KERNELS, Step, register_kernel, repack
 
 __all__ = [
     "plan_buckets",
-    "plan_buckets_from_histogram",
     "optimize",
     "fuse_elementwise",
     "fold_constants",
@@ -77,87 +76,6 @@ def plan_buckets(max_batch: int) -> Tuple[int, ...]:
         sizes.add(b)
         b *= 2
     return tuple(sorted(sizes))
-
-
-def plan_buckets_from_histogram(observed, max_batch: Optional[int] = None,
-                                max_plans: Optional[int] = None
-                                ) -> Tuple[int, ...]:
-    """Pick compile buckets from an observed batch-size histogram.
-
-    ``observed`` is either a ``{batch_size: count}`` mapping (e.g. the
-    scheduler's ``ServeMetrics.occupancy_histogram()``) or an iterable
-    of batch sizes, one entry per flushed batch.  The returned bucket
-    set minimises the total pad rows ``Σ count(s) · (bucket(s) − s)``
-    over the histogram — each observed size maps to the smallest
-    chosen bucket ≥ it — under a plan-cache budget of ``max_plans``
-    buckets (default: the size of the canonical power-of-two set, so
-    the cache cost matches :func:`plan_buckets`).  The largest
-    observed size is always a bucket (nothing may fall back to eager),
-    and ``max_batch``, when given, joins the candidate set so a
-    scheduler's full flushes stay exact hits even before one has been
-    observed.
-
-    Solved exactly by dynamic programming over the (few dozen at most)
-    distinct observed sizes — this is the classic 1-D k-median-style
-    partition, ``O(k² · budget)``.
-    """
-    if isinstance(observed, dict):
-        counts: Dict[int, int] = {}
-        for s, c in observed.items():
-            counts[int(s)] = counts.get(int(s), 0) + int(c)
-    else:
-        counts = {}
-        for s in observed:
-            s = int(s)
-            counts[s] = counts.get(s, 0) + 1
-    if max_batch is not None:
-        # candidate (count 0): full flushes must stay exact hits
-        counts.setdefault(int(max_batch), 0)
-    if not counts:
-        raise ValueError(
-            "plan_buckets_from_histogram() needs at least one "
-            "observed batch size")
-    if min(counts) < 1:
-        raise ValueError(
-            f"batch sizes must be >= 1, got {min(counts)}")
-
-    sizes = sorted(counts)                       # c_1 < ... < c_k
-    k = len(sizes)
-    budget = max_plans if max_plans is not None \
-        else len(plan_buckets(sizes[-1]))
-    budget = max(1, min(int(budget), k))
-    if budget >= k:
-        return tuple(sizes)
-
-    # cost(i, j): map sizes c_{i+1}..c_j onto bucket c_j
-    cost = [[0] * k for _ in range(k + 1)]
-    for i in range(k + 1):
-        for j in range(i, k):
-            cost[i][j] = sum(counts[sizes[m]] * (sizes[j] - sizes[m])
-                             for m in range(i, j + 1))
-    INF = float("inf")
-    # dp[m][j]: min pad rows covering c_1..c_j with m buckets, largest
-    # bucket = c_j; prev[m][j] reconstructs the chosen set
-    dp = [[INF] * k for _ in range(budget + 1)]
-    prev: List[List[Optional[int]]] = \
-        [[None] * k for _ in range(budget + 1)]
-    for j in range(k):
-        dp[1][j] = cost[0][j]
-    for m in range(2, budget + 1):
-        for j in range(m - 1, k):
-            for i in range(m - 2, j):
-                cand = dp[m - 1][i] + cost[i + 1][j]
-                if cand < dp[m][j]:
-                    dp[m][j] = cand
-                    prev[m][j] = i
-    best_m = min(range(1, budget + 1), key=lambda m: dp[m][k - 1])
-    chosen = []
-    m, j = best_m, k - 1
-    while j is not None and m >= 1:
-        chosen.append(sizes[j])
-        j = prev[m][j]
-        m -= 1
-    return tuple(sorted(chosen))
 
 
 # ----------------------------------------------------------------------

@@ -106,6 +106,19 @@ class ForecastResult:
     #: ``None`` for direct engine calls
     engine_version: Optional[int] = None
 
+    def copy(self) -> "ForecastResult":
+        """Private copy for a consumer that did not pay for the forward
+        (a cache hit, a dedup follower): the fields are deep-copied and
+        ``inference_seconds`` is 0.0, so sums over results stay the
+        time actually spent in the model."""
+        return ForecastResult(self.fields.copy(), 0.0, self.episodes,
+                              engine_version=self.engine_version)
+
+    def nbytes(self) -> int:
+        """Bytes held by the field arrays (cache accounting)."""
+        f = self.fields
+        return f.u3.nbytes + f.v3.nbytes + f.w3.nbytes + f.zeta.nbytes
+
 
 class CompiledForward:
     """A captured model forward for one input signature.
@@ -266,31 +279,16 @@ class ForecastEngine:
                 self._pass_stats[batch] = pass_stats
             return winner
 
-    def compile_buckets(self, max_batch: Optional[int] = None,
-                        histogram=None) -> List[int]:
-        """Compile a bucket set so partial batches pad into plans.
-
-        Without ``histogram``, compiles the canonical
+    def compile_buckets(self, max_batch: int) -> List[int]:
+        """Compile the canonical
         :func:`~repro.tensor.plan_passes.plan_buckets` set (powers of
-        two up to and including ``max_batch``).  Given a ``histogram``
-        — a ``{batch_size: count}`` mapping (e.g.
-        ``ServeMetrics.occupancy_histogram()``) or an iterable of
-        observed batch sizes — the buckets come from
-        :func:`~repro.tensor.plan_passes.plan_buckets_from_histogram`
-        instead, minimising expected pad rows for the observed
-        arrival pattern.  Either way :meth:`forecast_batch` hits the
-        plan cache at any observed size: a partial batch pads into the
-        nearest bucket instead of falling back to eager.  Returns the
-        bucket sizes, ascending.
+        two up to and including ``max_batch``), so
+        :meth:`forecast_batch` hits the plan cache at any batch size up
+        to ``max_batch``: a partial batch pads into the nearest bucket
+        instead of falling back to eager.  Returns the bucket sizes,
+        ascending.
         """
-        if histogram is not None:
-            buckets = _passes.plan_buckets_from_histogram(
-                histogram, max_batch=max_batch)
-        elif max_batch is not None:
-            buckets = _passes.plan_buckets(max_batch)
-        else:
-            raise ValueError(
-                "compile_buckets() needs max_batch or histogram")
+        buckets = _passes.plan_buckets(max_batch)
         for b in buckets:
             self.compile(b)
         return list(buckets)

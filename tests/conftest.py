@@ -7,6 +7,7 @@ path: two patch mergings, shifted windows, multi-episode stores.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -133,6 +134,11 @@ def make_window(seed, t=T, h=H, w=W, d=D):
 def assert_windows_equal(a, b):
     for var in VARS:
         np.testing.assert_array_equal(getattr(a, var), getattr(b, var))
+
+
+def segments_alive(names):
+    """Which of the shm segment names still exist on this host."""
+    return [n for n in names if os.path.exists(f"/dev/shm/{n}")]
 
 
 @pytest.fixture(scope="session")

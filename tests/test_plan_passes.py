@@ -24,7 +24,6 @@ from repro.tensor.plan_passes import (
     fuse_elementwise,
     optimize,
     plan_buckets,
-    plan_buckets_from_histogram,
 )
 from repro.workflow import ForecastEngine
 
@@ -59,58 +58,6 @@ class TestBucketPolicy:
     def test_invalid_max_batch(self):
         with pytest.raises(ValueError):
             plan_buckets(0)
-
-
-class TestHistogramBuckets:
-    def test_few_sizes_fit_budget_verbatim(self):
-        # budget (canonical set size for max 8 = 4) covers 2 sizes
-        assert plan_buckets_from_histogram({3: 10, 8: 1}) == (3, 8)
-
-    def test_minimises_pad_rows_under_budget(self):
-        # budget 2: {3, 8} pads 3·2=6 rows (the two 5s into 8);
-        # {5, 8} would pad 2·100=200 (every 3 into 5) — DP must pick
-        # the heavy size as its own bucket
-        hist = {3: 100, 5: 2, 8: 1}
-        assert plan_buckets_from_histogram(hist, max_plans=2) == (3, 8)
-
-    def test_largest_size_always_kept(self):
-        # nothing may fall back to eager: the top size is a bucket
-        # even when it was observed once
-        got = plan_buckets_from_histogram({2: 1000, 7: 1}, max_plans=1)
-        assert got == (7,)
-
-    def test_iterable_input_counts_occurrences(self):
-        stream = [3, 3, 3, 5, 8, 3]
-        assert plan_buckets_from_histogram(stream) == (3, 5, 8)
-
-    def test_max_batch_joins_candidates(self):
-        # a scheduler's full flush stays an exact hit even before one
-        # was observed
-        got = plan_buckets_from_histogram({3: 10}, max_batch=8)
-        assert 8 in got and 3 in got
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            plan_buckets_from_histogram({})
-        with pytest.raises(ValueError):
-            plan_buckets_from_histogram({0: 5})
-
-    def test_tuned_buckets_pad_less_than_canonical(self):
-        # a spiky arrival pattern concentrated on odd sizes: the tuned
-        # set beats powers-of-two on expected pad rows
-        hist = {3: 50, 6: 30, 12: 5}
-        tuned = plan_buckets_from_histogram(hist, max_batch=12,
-                                            max_plans=3)
-
-        def pad_rows(buckets):
-            total = 0
-            for size, count in hist.items():
-                bucket = min(b for b in buckets if b >= size)
-                total += count * (bucket - size)
-            return total
-
-        canonical = plan_buckets(12)
-        assert pad_rows(tuned) <= pad_rows(canonical)
 
 
 def _overlaps(a_lo, a_len, b_lo, b_len):

@@ -1,0 +1,59 @@
+"""The public parameter lists, pinned.
+
+A parameter stays on these constructors and methods only while two
+callers outside tests and examples pass different values for it, or it
+is a deployment setting or a fault-detection timeout; everything else
+is a constant or derived from what the code can observe.  Adding one
+back is a deliberate act: it shows up here.
+"""
+
+import inspect
+
+import pytest
+
+import repro.tensor
+from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
+                         HostWorker, ProcessWorker)
+from repro.tensor import PlanExecutor
+from repro.workflow import ForecastEngine
+
+SIGNATURES = [
+    (ForecastServer,
+     ["engine", "max_batch", "max_wait", "cache_bytes", "ocean", "verifier",
+      "workers", "router", "max_queue", "warm_plans", "backend", "fabric",
+      "autostart"]),
+    (ForecastServer.deploy, ["self", "model_or_checkpoint", "source"]),
+    (EngineWorkerPool,
+     ["engines", "replicas", "max_batch", "max_wait", "max_queue", "router",
+      "autostart", "warm_plans", "backend", "fabric"]),
+    (EngineWorkerPool.deploy, ["self", "engine", "source"]),
+    (ProcessWorker,
+     ["engine", "warm_batches", "on_death", "request_timeout"]),
+    (HostWorker,
+     ["engine", "fabric", "warm_batches", "on_death", "request_timeout",
+      "heartbeat_s"]),
+    (AutoScaler,
+     ["pool", "min_workers", "max_workers", "high_water", "low_water",
+      "scale_down_patience", "target_utilization", "capacity_model",
+      "interval"]),
+    (PlanExecutor, ["plan", "arena"]),
+    (ForecastEngine.compile_buckets, ["self", "max_batch"]),
+]
+
+
+@pytest.mark.parametrize("target, parameters", SIGNATURES,
+                         ids=[t.__qualname__ for t, _ in SIGNATURES])
+def test_parameter_list(target, parameters):
+    assert list(inspect.signature(target).parameters) == parameters
+
+
+def test_deploy_source_default():
+    assert inspect.signature(EngineWorkerPool.deploy) \
+        .parameters["source"].default == "deploy"
+
+
+def test_histogram_buckets_are_gone():
+    assert not hasattr(repro.tensor, "plan_buckets_from_histogram")
+    assert "plan_buckets_from_histogram" not in repro.tensor.__all__
+    assert not hasattr(repro.tensor.plan_passes,
+                       "plan_buckets_from_histogram")

@@ -374,23 +374,12 @@ def test_pool_metrics_count_gradients(engine, windows):
 
 def test_process_and_host_backends_reject_gradients(engine, windows):
     """The proxy executors transport arrays, not autograd tapes, so
-    gradient submission must fail fast with guidance — at the pool
-    guard and, defence-in-depth, at the scheduler."""
+    gradient submission must fail fast with guidance — at the one
+    guard, the scheduler's capability check — and a pool must roll the
+    admission back."""
     # the real proxy classes genuinely lack the adjoint entry point
     assert not hasattr(ProcessWorker, "sensitivity_batch")
     assert not hasattr(HostWorker, "sensitivity_batch")
-
-    req = GradientRequest(windows[0])
-    pool = EngineWorkerPool(engine, autostart=False, max_wait=0.0)
-    try:
-        for backend in ("process", "host"):
-            pool.backend = backend
-            with pytest.raises(NotImplementedError,
-                               match="backend='thread'"):
-                pool.submit_gradient(req)
-    finally:
-        pool.backend = "thread"
-        pool.close()
 
     class ForwardOnly:
         """What a ProcessWorker/HostWorker proxy looks like to its
@@ -399,6 +388,15 @@ def test_process_and_host_backends_reject_gradients(engine, windows):
 
         def forecast_batch(self, refs):
             raise AssertionError("must not be reached")
+
+    req = GradientRequest(windows[0])
+    with EngineWorkerPool(ForwardOnly(), autostart=False,
+                          max_wait=0.0) as pool:
+        with pytest.raises(NotImplementedError, match="backend='thread'"):
+            pool.submit_gradient(req)
+        worker = pool.workers[0]
+        assert (worker.outstanding, worker.submitted) == (0, 0)
+        assert worker.scheduler.pending == 0
 
     sched = MicroBatchScheduler(ForwardOnly(), autostart=False)
     with pytest.raises(NotImplementedError, match="sensitivity_batch"):

@@ -129,18 +129,6 @@ class TestHostWorker:
             assert 3 in stats["batches"]
             assert stats["transport"]["backend"] == "host"
 
-    def test_remote_compile_buckets_histogram(self, engine_factory,
-                                              windows):
-        """A histogram-tuned bucket set compiles remotely and observed
-        sizes become exact plan hits (padded_rows 0)."""
-        local = engine_factory()
-        with HostWorker(local, fabric="sim") as worker:
-            worker.compile_buckets(max_batch=8,
-                                   histogram={3: 10, 8: 1})
-            assert {3, 8} <= set(worker.compiled_batches)
-            served = worker.forecast_batch(windows[:3])
-            assert served[0].compiled and served[0].plan_batch == 3
-
     def test_needs_a_real_engine(self):
         class NotAnEngine:
             time_steps = 4

@@ -136,7 +136,7 @@ class TestHotSwap:
         with manual_pool(e1) as pool:
             before_ids = [w.worker_id for w in pool.workers]
             with pytest.raises(DeploymentError, match="warmup"):
-                pool.deploy(BrokenEngine(), warm=True)
+                pool.deploy(BrokenEngine())
             # nothing serving-visible changed
             assert [w.worker_id for w in pool.workers] == before_ids
             assert pool.current_version == 1
@@ -144,6 +144,45 @@ class TestHotSwap:
             res = pool.forecast(make_window(0))
             direct = e1.forecast_batch([make_window(0)])[0]
             assert_windows_equal(res.fields, direct.fields)
+
+    def test_deploy_always_warms_outgoing_sizes_plus_bucket_set(
+            self, engine_pair):
+        """No switch decides whether a deploy warms: any engine that
+        can ``compile`` gets the sizes the outgoing engines held plus
+        the whole ``max_batch`` bucket set, before it takes traffic —
+        on a pool that never asked for ``warm_plans`` too."""
+        e1, _ = engine_pair
+        e1.compile(3)
+
+        class Recording:
+            time_steps = e1.time_steps
+
+            def __init__(self):
+                self.compiled = []
+
+            def forecast_batch(self, refs):
+                return e1.forecast_batch(refs)
+
+            def compile(self, batch):
+                self.compiled.append(batch)
+
+        try:
+            with manual_pool(e1, max_batch=4, warm_plans=False) as pool:
+                new = Recording()
+                surged_cold = []
+                real_add = pool.add_worker
+
+                def add_worker(*args, **kwargs):
+                    surged_cold.append(not new.compiled)
+                    return real_add(*args, **kwargs)
+
+                pool.add_worker = add_worker
+                pool.deploy(new)
+                # plan_buckets(4) ∪ {3}, all before the first surge
+                assert new.compiled == [1, 2, 3, 4]
+                assert surged_cold == [False, False]
+        finally:
+            e1.clear_plans()
 
     def test_midroll_failure_rolls_back_to_old_version(self, engine_pair,
                                                        monkeypatch):

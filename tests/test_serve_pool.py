@@ -153,19 +153,7 @@ class TestRouting:
     def test_router_make_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown router"):
             Router.make("fastest-first")
-        router = KeyAffinityRouter()
-        assert Router.make(router) is router
-
-    def test_subclass_cannot_silently_clobber_registry(self):
-        from repro.serve.pool import RoundRobinRouter
-
-        class Tweaked(RoundRobinRouter):    # no `name`: not registered
-            pass
-
-        assert Router.make("round-robin").__class__ is RoundRobinRouter
-        with pytest.raises(ValueError, match="already registered"):
-            class Imposter(Router):
-                name = "round-robin"
+        assert isinstance(Router.make("key-affinity"), KeyAffinityRouter)
 
     def test_only_affinity_reads_keys(self):
         from repro.serve.pool import (

@@ -27,16 +27,11 @@ from repro.serve.autoscale import AutoScaler
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.tensor.plan import BufferArena, ExecutionPlan, PlanExecutor, trace
 
-from conftest import assert_windows_equal   # noqa: F401 — shared helper
+from conftest import assert_windows_equal, segments_alive
 
 # the satellite leak requirement: any resource_tracker or cleanup
 # UserWarning raised during these tests is a failure, not noise
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
-
-
-def segments_alive(names):
-    """Which of the shm segment names still exist on this host."""
-    return [n for n in names if os.path.exists(f"/dev/shm/{n}")]
 
 
 def assert_results_equal(a, b):
@@ -47,6 +42,38 @@ def assert_results_equal(a, b):
 def second_model(engine):
     """A same-shape model with different weights (fresh init seed)."""
     return type(engine.model)(replace(engine.model.config, seed=99))
+
+
+# ----------------------------------------------------------------------
+# shm codec
+# ----------------------------------------------------------------------
+def test_shm_channel_hangs_up_on_a_descriptor_that_overruns_its_segment():
+    """The shm codec reads descriptors through the frame codec's
+    ``view``: one that does not fit its segment ends the channel
+    instead of yielding a garbage array."""
+    import secrets
+    from multiprocessing import Pipe
+
+    from repro.serve.procpool import _ShmChannel
+
+    token = f"repro-test-{secrets.token_hex(4)}"
+    conn_a, conn_b = Pipe()
+    a = _ShmChannel(conn_a, token, "q", "r")
+    b = _ShmChannel(conn_b, token, "r", "q")
+    try:
+        x = np.arange(32, dtype=np.float32).reshape(4, 8)
+        a.send("batch", 1, {"n": 1}, [x])
+        op, seq, meta, (got,) = b.recv()
+        assert (op, seq, meta) == ("batch", 1, {"n": 1})
+        assert np.array_equal(got, x)
+        del got
+        conn_a.send(("batch", 2, {}, a.own.gen, [((1 << 20,), "<f4", 0)]))
+        assert b.recv() is None
+    finally:
+        names = [a.own.name]
+        a.close()
+        b.close()
+    assert segments_alive(names) == []
 
 
 # ----------------------------------------------------------------------
@@ -393,14 +420,14 @@ def test_pool_plan_stats_per_process_worker(engine, windows):
 def test_autoscaler_spawn_cost_stretches_patience(engine):
     with EngineWorkerPool(engine, replicas=1, max_batch=2,
                           max_wait=10.0, autostart=False) as pool:
-        scaler = AutoScaler(pool, scale_down_patience=2, interval=0.25,
-                            spawn_cost_s=1.0)
-        # a 1s respawn spans 4 ticks of 0.25s: patience 2 → 6
-        assert scaler.effective_patience() == 6
+        scaler = AutoScaler(pool, scale_down_patience=2, interval=0.25)
         # thread replicas are free to respawn: patience unchanged
-        free = AutoScaler(pool, scale_down_patience=2, interval=0.25)
         assert pool.mean_spawn_seconds == 0.0
-        assert free.effective_patience() == 2
-        # default reads the pool's measured spawn cost
-        pool._spawn_log.extend([0.4, 0.6])
-        assert free.effective_patience() == 2 + 2
+        assert scaler.effective_patience() == 2
+        # the pool's measured spawn cost stretches it: a 1s respawn
+        # spans 4 ticks of 0.25s, patience 2 → 6
+        pool._spawn_log.extend([0.8, 1.2])
+        assert pool.mean_spawn_seconds == 1.0
+        assert scaler.effective_patience() == 6
+        pool._spawn_log[:] = [0.4, 0.6]
+        assert scaler.effective_patience() == 2 + 2

@@ -55,8 +55,8 @@ class StubEngine:
     def compile(self, batch):
         self.compiled.add(int(batch))
 
-    def compile_buckets(self, max_batch=None, histogram=None):
-        self.compiled.update(histogram or [max_batch])
+    def compile_buckets(self, max_batch):
+        self.compiled.add(max_batch)
 
     def plan_stats(self):
         return {"batches": self.compiled_batches}
@@ -110,9 +110,6 @@ class TestHandle:
             ({"compiled": [2, 3]}, ())
         assert service.handle("compile_buckets", {"max_batch": 8}) == \
             ({"compiled": [2, 3, 8]}, ())
-        meta, _ = service.handle(
-            "compile_buckets", {"max_batch": None, "histogram": [5]})
-        assert meta == {"compiled": [2, 3, 5, 8]}
 
     def test_plan_stats_and_stop(self):
         service = EngineService(StubEngine())

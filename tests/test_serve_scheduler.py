@@ -9,8 +9,10 @@ surrogate on synthetic windows — inference is deterministic either way,
 and nothing here depends on forecast quality.
 """
 
+import gc
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from repro.serve import (
     MicroBatchScheduler,
     window_key,
 )
-from repro.serve.scheduler import BatchRecord
+from repro.serve.scheduler import BatchRecord, ServedFuture
 from repro.workflow import EnsembleForecaster, HybridWorkflow
 from repro.workflow.engine import FieldWindow
 
@@ -160,6 +162,65 @@ class TestOrderingProperties:
         assert all(1 <= b.size <= 3 for b in s.metrics.batches)
         assert_batches_bitwise(s, engine, by_id)
         assert s.metrics.n_requests == 12
+
+
+class TestServedFuture:
+    """``ServedFuture`` is a ``concurrent.futures.Future`` plus request
+    metadata; what the serving stack and its clients rely on beyond the
+    stdlib contract is pinned here."""
+
+    def test_timeout_is_the_builtin_and_names_the_request(self):
+        future = ServedFuture(request_id=7)
+        with pytest.raises(TimeoutError, match="request 7"):
+            future.result(timeout=0)
+
+    def test_a_stored_timeout_error_is_the_requests_own_failure(self):
+        future = ServedFuture(request_id=7)
+        future.set_exception(TimeoutError("engine gave up"))
+        with pytest.raises(TimeoutError, match="engine gave up"):
+            future.result(timeout=0)
+
+    def test_callbacks_see_metadata_and_may_raise(self):
+        future = ServedFuture(request_id=3)
+        seen = []
+
+        def boom(fut):
+            raise RuntimeError("callback bug")
+
+        future.add_done_callback(boom)
+        future.add_done_callback(
+            lambda fut: seen.append((fut.batch_size, fut.result(timeout=0),
+                                     threading.get_ident())))
+        future.batch_size = 2
+        future.set_result("fields")
+        assert seen == [(2, "fields", threading.get_ident())]
+        future.add_done_callback(lambda fut: seen.append("late"))
+        assert seen[-1] == "late"
+
+    def test_an_admitted_request_cannot_be_cancelled(self):
+        future = ServedFuture(request_id=0)
+        assert not future.cancel() and not future.cancelled()
+        future.set_result(1)
+        assert future.result(timeout=0) == 1
+
+    def test_completion_releases_the_callbacks(self):
+        """A client record that holds its future and is closed over by
+        the future's callback must not pin the result in a cycle (the
+        e2e harness does exactly this)."""
+        class Record:
+            pass
+
+        record = Record()
+        record.future = ServedFuture(request_id=0)
+        record.future.add_done_callback(lambda fut, r=record: None)
+        alive = weakref.ref(record)
+        gc.disable()
+        try:
+            record.future.set_result(np.zeros(8))
+            del record
+            assert alive() is None      # by refcount, no GC pass needed
+        finally:
+            gc.enable()
 
 
 class TestFlushPolicy:
