@@ -20,8 +20,8 @@ demo exercises what production traffic would:
 An ensemble request rides along, and mid-demo a new model version is
 **hot-swapped** through the pool (``server.deploy``) with zero
 downtime.  Prints the per-basin accounting next to the server's
-latency, occupancy, cache, and version metrics — the same numbers
-``benchmarks/bench_operations.py`` sweeps systematically.
+latency, occupancy, cache, and version metrics — the accounting
+``tests/test_scenario_traffic.py`` pins deterministically.
 """
 
 import numpy as np

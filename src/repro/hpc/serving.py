@@ -15,8 +15,7 @@ A replica pool (:class:`~repro.serve.pool.EngineWorkerPool`) adds the
 second axis: :class:`PoolCapacityModel` extends the per-replica law to
 pool-level saturation throughput vs replica count through a serial
 contention fraction (Amdahl form), fitted from observed
-(worker count, achieved QPS) sweeps such as the ones
-``benchmarks/bench_serving.py --workers N`` produces.
+(worker count, achieved QPS) pairs read off live pool metrics.
 """
 
 from __future__ import annotations

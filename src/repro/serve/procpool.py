@@ -2,8 +2,8 @@
 
 A threaded :class:`~repro.serve.pool.EngineWorkerPool` scales to
 exactly one core on the pure-NumPy backend: every numpy-Python
-dispatch between kernels holds the GIL, so two threaded replicas are
-*slower* than one (``BENCH_serving.json`` measured 0.93×).  The
+dispatch between kernels holds the GIL, so two threaded replicas buy
+nothing over one.  The
 compiled plans of :mod:`repro.tensor.plan` are the unlock — replay is
 a flat sequence of raw-``np.ndarray`` kernel steps over one
 offset-packed arena, exactly the shape of work that can move into a

@@ -14,8 +14,8 @@ Public surface:
   captures a forward as an :class:`ExecutionPlan`; a
   :class:`PlanExecutor` replays it allocation-free on raw arrays.
 * :mod:`~repro.tensor.plan_passes` — plan-IR optimisation:
-  :func:`optimize` (peephole fusion + folding + dead-step
-  elimination), :func:`plan_buckets` (batch-shape bucketing policy).
+  :func:`optimize` (peephole fusion), :func:`plan_buckets`
+  (batch-shape bucketing policy).
 """
 
 from .plan import (

@@ -48,9 +48,8 @@ kernels its optimisation passes substitute in) via
 
 A finalized plan is also an optimisation substrate:
 :mod:`repro.tensor.plan_passes` rewrites the step list (elementwise
-fusion, constant folding, dead-step elimination) and calls
-:func:`repack` to re-run the liveness analysis and arena assignment
-over the rewritten program.  Fused steps may own
+fusion) and calls :func:`repack` to re-run the liveness analysis and
+arena assignment over the rewritten program.  Fused steps may own
 *scratch* slots (``Step.scratch``): arena buffers written and read
 only inside that one step, placed by the packer with a lifetime of
 exactly that step.
@@ -418,8 +417,10 @@ def _ensure_kernels_registered() -> None:
                 "repro.tensor.plan_passes"):
         try:
             importlib.import_module(mod)
-        except ImportError:
-            pass
+        except ImportError as exc:
+            raise TraceError(
+                f"cannot deserialize plan: importing {mod}, which "
+                f"registers plan kernels, failed: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

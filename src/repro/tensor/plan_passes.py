@@ -2,27 +2,20 @@
 
 A finalized :class:`~repro.tensor.plan.ExecutionPlan` is a flat IR —
 numbered value slots, a step list of registered kernels, a liveness
-analysis.  This module optimises that IR the way an inference compiler
-would, in two independent layers:
-
-* **peephole fusion** (:func:`fuse_elementwise`) — adjacent
-  producer/consumer step pairs from a fixed pattern table collapse
-  into single registered kernels: the GEMM→bias ``iadd`` that follows
-  every ``Linear``, the bias/BN-affine→GELU chains of the MLP blocks,
-  and attention's scale→mask→softmax score pipeline.  Each fused
-  kernel replays the *exact* NumPy ufunc sequence of the pair it
-  replaces (same calls, same buffers disjointness, fewer Python
-  dispatches), so fusion preserves the plan's bitwise-vs-eager
-  guarantee.  Fused kernels that need the intermediate value keep it
-  in a *scratch* slot (``Step.scratch``) — an arena buffer scoped to
-  that one step, placed by :func:`~repro.tensor.plan.repack`.
-* **constant folding + dead-step elimination**
-  (:func:`fold_constants`, :func:`eliminate_dead_steps`) — steps whose
-  inputs are all constants evaluate at pass time and become constants
-  themselves; steps whose alias group is never read again (and is not
-  a plan output) are dropped.  Both are no-ops on a fresh model trace
-  (the tracer already folds constants and records no unused ops) but
-  keep rewritten plans clean.
+analysis.  This module optimises that IR with one structural pass,
+**peephole fusion** (:func:`fuse_elementwise`): adjacent
+producer/consumer step pairs from a fixed pattern table collapse into
+single registered kernels — the GEMM→bias ``iadd`` that follows every
+``Linear``, the bias/BN-affine→GELU chains of the MLP blocks, and
+attention's scale→mask→softmax score pipeline.  Each fused kernel
+replays the *exact* NumPy ufunc sequence of the pair it replaces (same
+calls, same buffers disjointness, fewer Python dispatches), so fusion
+preserves the plan's bitwise-vs-eager guarantee.  Fused kernels that
+need the intermediate value keep it in a *scratch* slot
+(``Step.scratch``) — an arena buffer scoped to that one step, placed
+by :func:`~repro.tensor.plan.repack`.  Fusion is the only pass a
+traced plan needs: the tracer folds constant subgraphs itself and
+records no unused op.
 
 Batch-shape **bucketing** (:func:`plan_buckets`) is the policy side of
 the same layer: compile plans at a few canonical batch sizes, pad
@@ -31,17 +24,16 @@ back (row-independence of the forward makes the sliced result
 bitwise-identical to the unpadded run), so the plan cache hits at any
 arrival pattern instead of falling back to eager.
 
-Every structural pass mutates the plan in place and finishes with
+:func:`optimize` mutates the plan in place and finishes with
 :func:`~repro.tensor.plan.repack`, so liveness, arena offsets and
 release lists always describe the rewritten program.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
-from scipy import special as _sp_special
 
 from .plan import ExecutionPlan, KERNELS, Step, register_kernel, repack
 
@@ -49,8 +41,6 @@ __all__ = [
     "plan_buckets",
     "optimize",
     "fuse_elementwise",
-    "fold_constants",
-    "eliminate_dead_steps",
     "FUSION_PATTERNS",
 ]
 
@@ -82,37 +72,13 @@ def plan_buckets(max_batch: int) -> Tuple[int, ...]:
 # fused kernels
 #
 # Every kernel reproduces the exact ufunc sequence of the step pair it
-# replaces (see repro.tensor.plan / repro.nn.layers /
-# repro.nn.attention for the originals), so replay stays bitwise
-# identical to the unfused plan — and therefore to the eager path.
+# replaces, so replay stays bitwise identical to the unfused plan — and
+# therefore to the eager path.  The multi-ufunc tails (GELU, softmax,
+# the SW-MSA mask add) are not restated: the fused kernel calls the
+# registered body the unfused step runs, looked up by name at call time
+# because repro.nn registers after this module is imported.
 # Kernels taking a scratch buffer receive it appended to ``ins``.
 # ----------------------------------------------------------------------
-def _gelu_from(a, out):
-    # the exact eager GELU sequence (repro.nn.layers._k_gelu)
-    y = np.multiply(a, np.float32(1.0 / np.sqrt(2.0)), out=out)
-    _sp_special.erf(y, out=y)
-    y += 1.0
-    y *= a
-    y *= 0.5
-    return y
-
-
-def _softmax_from(a, out, axis):
-    # the exact eager softmax sequence (repro.tensor.plan._k_softmax)
-    p = np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
-    np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
-    return p
-
-
-def _masked_add(t, consts):
-    # the exact SW-MSA mask add (repro.nn.attention._k_add_window_mask)
-    m, nW, heads = consts["mask"], consts["nW"], consts["heads"]
-    B, N = t.shape[0], t.shape[-1]
-    t.reshape(B // nW, nW, heads, N, N)[...] += m[None]
-    return t
-
-
 @register_kernel("matmul_bias", "compute")
 def _k_matmul_bias(out, ins, consts):
     # matmul ; iadd — the Linear layer's GEMM with its bias add
@@ -134,7 +100,7 @@ def _k_matmul_scale_mask(out, ins, consts):
     # matmul ; imul_scalar ; add_window_mask — shifted-window scores
     y = np.matmul(ins[0], ins[1], out=out)
     y *= consts["scale"]
-    return _masked_add(y, consts)
+    return KERNELS["add_window_mask"].fn(None, (y,), consts)
 
 
 @register_kernel("matmul_bias_gelu", "compute")
@@ -144,7 +110,7 @@ def _k_matmul_bias_gelu(out, ins, consts):
     a, b, bias, tmp = ins
     t = np.matmul(a, b, out=tmp)
     t += bias
-    return _gelu_from(t, out)
+    return KERNELS["gelu"].fn(out, (t,), None)
 
 
 @register_kernel("bn_affine_gelu", "compute", rowwise=True)
@@ -153,7 +119,7 @@ def _k_bn_affine_gelu(out, ins, consts):
     x, tmp = ins
     t = np.multiply(x, consts["scale"], out=tmp)
     t += consts["shift"]
-    return _gelu_from(t, out)
+    return KERNELS["gelu"].fn(out, (t,), None)
 
 
 @register_kernel("matmul_scale_softmax", "compute")
@@ -162,7 +128,7 @@ def _k_matmul_scale_softmax(out, ins, consts):
     a, b, tmp = ins
     t = np.matmul(a, b, out=tmp)
     t *= consts["scale"]
-    return _softmax_from(t, out, consts["axis"])
+    return KERNELS["softmax"].fn(out, (t,), consts)
 
 
 @register_kernel("matmul_scale_mask_softmax", "compute")
@@ -172,8 +138,8 @@ def _k_matmul_scale_mask_softmax(out, ins, consts):
     a, b, tmp = ins
     t = np.matmul(a, b, out=tmp)
     t *= consts["scale"]
-    _masked_add(t, consts)
-    return _softmax_from(t, out, consts["axis"])
+    KERNELS["add_window_mask"].fn(None, (t,), consts)
+    return KERNELS["softmax"].fn(out, (t,), consts)
 
 
 #: (first kernel, second kernel) -> (fused kernel, needs scratch slot).
@@ -298,99 +264,21 @@ def fuse_elementwise(plan: ExecutionPlan) -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# constant folding
-# ----------------------------------------------------------------------
-def fold_constants(plan: ExecutionPlan) -> int:
-    """Evaluate steps whose inputs are all constants, in place.
-
-    The tracer already folds anything constant at trace time, so this
-    is a no-op on fresh model plans — it exists for rewritten or
-    hand-built plans, where an earlier pass can leave a step with only
-    constant inputs.  The folded value becomes a frozen plan constant
-    and later references to the step's slot are redirected to it.
-    Returns the number of steps folded.
-    """
-    folded = 0
-    while True:
-        victim = None
-        for idx, st in enumerate(plan.steps):
-            if st.kind == "inplace" or st.scratch or not st.ins:
-                continue
-            if any(tag != "c" for tag, _ in st.ins):
-                continue
-            if st.out in plan.outputs:
-                continue
-            # an in-place step targeting this slot's group would need
-            # the constant to stay mutable; leave such steps alone
-            root = plan.slots[st.out].root
-            if any(other.kind == "inplace"
-                   and plan.slots[other.out].root == root
-                   for other in plan.steps):
-                continue
-            victim = (idx, st)
-            break
-        if victim is None:
-            return folded
-        idx, st = victim
-        args = tuple(plan.const_arrays[ref] for _, ref in st.ins)
-        value = np.ascontiguousarray(st.fn(None, args, st.consts)).copy()
-        value.flags.writeable = False
-        cid = len(plan.const_arrays)
-        plan.const_arrays.append(value)
-        del plan.steps[idx]
-        for other in plan.steps:
-            other.ins = tuple(("c", cid) if ref == ("s", st.out) else ref
-                              for ref in other.ins)
-        folded += 1
-
-
-# ----------------------------------------------------------------------
-# dead-step elimination
-# ----------------------------------------------------------------------
-def eliminate_dead_steps(plan: ExecutionPlan) -> int:
-    """Drop steps whose alias group is never read afterwards, in place.
-
-    Alias-group aware: an in-place step mutates a buffer other slots
-    of its group may read later, so a step survives while *any* slot
-    of its output's group feeds a later surviving step or a plan
-    output.  Returns the number of steps removed.
-    """
-    live = {plan.slots[s].root for s in plan.outputs}
-    kept: List[Step] = []
-    removed = 0
-    for st in reversed(plan.steps):
-        if plan.slots[st.out].root in live:
-            kept.append(st)
-            for tag, ref in st.ins:
-                if tag == "s":
-                    live.add(plan.slots[ref].root)
-            for sid in st.scratch:
-                live.add(plan.slots[sid].root)
-        else:
-            removed += 1
-    plan.steps[:] = reversed(kept)
-    return removed
-
-
-# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 def optimize(plan: ExecutionPlan
              ) -> Tuple[ExecutionPlan, Dict[str, Any]]:
-    """Run the structural passes and re-pack the arena.
+    """Fuse the step list and re-pack the arena.
 
     Mutates ``plan`` in place (it must not be executing) and returns it
-    with a stats dict recording what each pass did — surfaced through
-    ``engine.plan_stats()['pass_stats']`` and the inference bench's
-    ``plan_pass_stats`` record.
+    with a stats dict recording what fusion did — surfaced through
+    ``engine.plan_stats()['pass_stats']``.
     """
     stats: Dict[str, Any] = {
         "steps_before": plan.n_steps,
         "arena_bytes_before": plan.arena_total,
     }
-    stats["folded_steps"] = fold_constants(plan)
     stats["fused"] = fuse_elementwise(plan)
-    stats["dead_steps"] = eliminate_dead_steps(plan)
     repack(plan)
     stats["steps_after"] = plan.n_steps
     stats["arena_bytes_after"] = plan.arena_total

@@ -178,11 +178,10 @@ class ForecastEngine:
     result is still bitwise identical to the unpadded eager run.  Only
     a batch larger than every compiled plan falls back to eager.
 
-    Every plan goes through the :mod:`~repro.tensor.plan_passes`
-    structural passes — peephole fusion, constant folding, dead-step
-    elimination — at compile time.  Fused kernels replay the exact
-    eager ufunc sequences, so every path a request can take (exact
-    plan, bucket, eager) yields the same bits.
+    Every plan goes through :mod:`~repro.tensor.plan_passes` peephole
+    fusion at compile time.  Fused kernels replay the exact eager
+    ufunc sequences, so every path a request can take (exact plan,
+    bucket, eager) yields the same bits.
     """
 
     def __init__(self, model: CoastalSurrogate, normalizer: Normalizer,

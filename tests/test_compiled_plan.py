@@ -9,6 +9,7 @@ routing policy, serial or thread-chunked replay.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,25 @@ class TestEngineCompiled:
             for var in VARS:
                 assert np.array_equal(getattr(g.fields, var),
                                       getattr(w.fields, var))
+
+    def test_compiled_call_peaks_below_eager(self, engine, tiny_surrogate,
+                                             identity_norm, windows):
+        """Measured, not modelled: arena reuse must make one compiled
+        ``forecast_batch`` allocate a lower peak than the eager call
+        (allocation sizes are shape-determined, so this is exact)."""
+        def peak(fn):
+            fn()                               # warm: plans, arena, caches
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        eager = ForecastEngine(tiny_surrogate, identity_norm)
+        engine.compile(4)
+        assert peak(lambda: engine.forecast_batch(windows[:4])) \
+            < peak(lambda: eager.forecast_batch(windows[:4]))
 
     def test_partial_batch_buckets_into_larger_plan(self, engine, windows):
         """A batch-3 request no longer falls back to eager: it pads into

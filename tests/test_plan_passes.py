@@ -1,10 +1,8 @@
-"""Plan-IR optimisation passes: fusion, folding, DCE and batch-shape
-bucketing.
+"""Plan-IR optimisation: peephole fusion and batch-shape bucketing.
 
-One invariant: the **structural** passes (fusion / folding / dead-step
-elimination) and the **bucketing** policy replay the exact NumPy
-expressions of the eager path — every result must be bitwise equal to
-eager, on the thread and the process serving backends alike.
+One invariant: fusion and the **bucketing** policy replay the exact
+NumPy expressions of the eager path — every result must be bitwise
+equal to eager, on the thread and the process serving backends alike.
 """
 
 import pickle
@@ -17,10 +15,9 @@ from repro.data import Normalizer
 from repro.nn import Linear, gelu
 from repro.serve import EngineWorkerPool, MicroBatchScheduler
 from repro.tensor import PlanExecutor, Tensor, no_grad, trace
-from repro.tensor.plan import repack
+from repro.tensor.plan import KERNELS
 from repro.tensor.plan_passes import (
-    eliminate_dead_steps,
-    fold_constants,
+    FUSION_PATTERNS,
     fuse_elementwise,
     optimize,
     plan_buckets,
@@ -116,59 +113,6 @@ class TestStructuralPasses:
         assert np.array_equal(got, want)
         assert_arena_packing_sound(plan)
 
-    def test_fold_constants_after_input_freeze(self):
-        """The tracer folds const subgraphs at trace time, so the pass
-        matters for *rewritten* plans: freeze an input into a constant
-        (what a specialisation pass would do) and the step consuming it
-        must fold into a frozen plan constant."""
-        def fn(x, y):
-            return x + y * 2.0
-
-        rng = np.random.default_rng(2)
-        x0 = rng.normal(size=(4, 4)).astype(np.float32)
-        y0 = rng.normal(size=(4, 4)).astype(np.float32)
-        ref_plan, _ = trace(fn, (x0, y0))
-        plan, _ = trace(fn, (x0, y0))
-
-        y_slot = plan.inputs[1]
-        frozen = y0.copy()
-        frozen.flags.writeable = False
-        cid = len(plan.const_arrays)
-        plan.const_arrays.append(frozen)
-        for st in plan.steps:
-            st.ins = tuple(("c", cid) if ref == ("s", y_slot) else ref
-                           for ref in st.ins)
-
-        assert fold_constants(plan) == 1
-        assert eliminate_dead_steps(plan) == 0
-        repack(plan)
-        x2 = rng.normal(size=(4, 4)).astype(np.float32)
-        (want,) = PlanExecutor(ref_plan).run((x2, y0))
-        garbage = np.full_like(y0, np.nan)      # frozen: must be ignored
-        (got,) = PlanExecutor(plan).run((x2, garbage))
-        assert np.array_equal(got, want)
-
-    def test_dce_removes_unreachable_steps(self):
-        def fn(x):
-            (x * 3.0).sum(axis=0)            # traced but never used
-            return x + 1.0
-
-        x = np.random.default_rng(3).normal(size=(4, 4)) \
-            .astype(np.float32)
-        ref_plan, _ = trace(fn, (x,))
-        plan, _ = trace(fn, (x,))
-        removed = eliminate_dead_steps(plan)
-        assert removed >= 2
-        repack(plan)
-        assert plan.arena_total <= ref_plan.arena_total
-        (want,) = PlanExecutor(ref_plan).run((x,))
-        (got,) = PlanExecutor(plan).run((x,))
-        assert np.array_equal(got, want)
-
-    def test_dce_refuses_to_kill_live_steps(self):
-        plan, _, _ = self._toy_plan()
-        assert eliminate_dead_steps(plan) == 0
-
     def test_fusion_alone_is_a_fixpoint(self):
         plan, _, _ = self._toy_plan()
         fuse_elementwise(plan)
@@ -182,6 +126,58 @@ class TestStructuralPasses:
             want = fn(Tensor(x)).data
         (got,) = PlanExecutor(clone).run((x,))
         assert np.array_equal(got, want)
+
+
+def _fusion_operands():
+    """Operands and consts for every kernel named in FUSION_PATTERNS:
+    ``first`` maps a producer to its ``(ins, consts)``, ``second`` a
+    consumer to its ``(ins after the producer's output, consts)``.
+    Attention-score shapes: B=4 (two groups of nW=2), 2 heads, N=4."""
+    rng = np.random.default_rng(11)
+
+    def f32(*shape):
+        return rng.normal(size=shape).astype(np.float32)
+
+    a, b, bias = f32(4, 2, 4, 3), f32(4, 2, 3, 4), f32(4)
+    scale = {"scale": 0.37}
+    mask = {"mask": f32(2, 1, 4, 4), "nW": 2, "heads": 2}
+    first = {
+        "matmul": ((a, b), {}),
+        "matmul_scale": ((a, b), scale),
+        "matmul_scale_mask": ((a, b), {**scale, **mask}),
+        "matmul_bias": ((a, b, bias), {}),
+        "bn_affine": ((f32(4, 3, 5),),
+                      {"scale": f32(3, 1), "shift": f32(3, 1)}),
+    }
+    second = {
+        "iadd": ((bias,), {}),
+        "imul_scalar": ((), scale),
+        "add_window_mask": ((), mask),
+        "gelu": ((), {}),
+        "softmax": ((), {"axis": -1}),
+    }
+    return first, second
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("pair", sorted(FUSION_PATTERNS))
+    def test_fused_kernel_is_its_two_parts_back_to_back(self, pair):
+        fused, needs_scratch = FUSION_PATTERNS[pair]
+        first, second = _fusion_operands()
+        ins, c1 = first[pair[0]]
+        extra, c2 = second[pair[1]]
+        mid = KERNELS[pair[0]].fn(None, ins, c1)
+        want = KERNELS[pair[1]].fn(None, (mid,) + extra, c2)
+
+        out = np.empty_like(want)
+        scratch = (np.empty_like(mid),) if needs_scratch else ()
+        got = KERNELS[fused].fn(out, ins + extra + scratch, {**c1, **c2})
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+        if needs_scratch:
+            # the consumer only reads the intermediate, so the scratch
+            # buffer must hold exactly what the producer step left
+            assert scratch[0].tobytes() == mid.tobytes()
 
 
 class TestRealModelFusion:

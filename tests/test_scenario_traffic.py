@@ -25,6 +25,7 @@ from repro.scenario import (
     simulate_trace,
 )
 from repro.serve import EngineWorkerPool, ForecastServer
+from repro.serve.autoscale import AutoScaler
 from repro.workflow.engine import FieldWindow
 
 VARS = ("u3", "v3", "w3", "zeta")
@@ -319,6 +320,62 @@ class TestReplayAccounting:
         assert report.offered == trace.n_requests
         assert report.served + report.cached + report.shed \
             == report.offered
+
+    def test_storm_spike_autoscales_and_accounts_exactly(
+            self, factory, engine, monkeypatch):
+        """A storm spike through key-affinity + cache + an attached
+        AutoScaler on a virtual clock: one scaler tick and one drain per
+        quantum of *trace* time, so the backlog a tick samples is what
+        arrived in that quantum.  The pool must grow through the spike,
+        shrink back to ``min_workers`` in the quiet tail, and lose or
+        double-serve nothing on the way."""
+        duration, quantum = 8.0, 0.25
+        spikes = {name: StormSpike(center_s=duration / 2,
+                                   width_s=duration / 16, amplitude=24.0)
+                  for name in factory.basin_names}
+        model = TrafficModel.from_factory(
+            factory, base_rate=1.0, unique_fraction=0.5,
+            advance_every_s=duration / 8, spikes=spikes)
+        trace = simulate_trace(model, duration_s=duration, seed=4)
+        arrivals = iter([e.t for e in trace.events if e.kind != "advance"])
+        widths = []
+        with ForecastServer(engine, workers=1, max_batch=4, max_wait=10.0,
+                            max_queue=8, router="key-affinity",
+                            cache_bytes=1 << 23,
+                            autostart=False) as server:
+            scaler = AutoScaler(server.pool, min_workers=1, max_workers=3,
+                                high_water=0.5, low_water=0.1,
+                                scale_down_patience=2)
+            submit, next_tick = server.submit, quantum
+
+            def submit_on_clock(window, route_key=None):
+                # replay_trace submits once per request event, in order
+                nonlocal next_tick
+                t = next(arrivals)
+                while t >= next_tick:
+                    widths.append(scaler.tick())
+                    server.flush()
+                    next_tick += quantum
+                return submit(window, route_key=route_key)
+
+            monkeypatch.setattr(server, "submit", submit_on_clock)
+            report = replay_trace(trace, server, factory, mode="virtual",
+                                  flush_every=trace.n_requests + 1)
+            for _ in range(2 * scaler.scale_down_patience):
+                widths.append(scaler.tick())        # the quiet tail
+        report.check()
+        acc = report.accounting()
+        assert acc["offered"] == trace.n_requests
+        assert acc["offered"] == acc["served"] + acc["cached"] + acc["shed"]
+        assert acc["lost"] == 0 and acc["duplicates"] == 0
+        # the spike overloads one replica: all three terms are exercised
+        assert acc["cached"] > 0 and acc["shed"] > 0
+        assert max(widths) > 1, widths              # grew through the spike
+        assert widths[-1] == scaler.min_workers == 1, widths
+        ups = [e.workers_after for e in scaler.events if e.action == "up"]
+        downs = [e for e in scaler.events if e.action == "down"]
+        assert ups and max(ups) == max(widths)
+        assert len(downs) >= len(ups)
 
     def test_wall_mode_thread_backend_exact_accounting(self, factory,
                                                        engine):

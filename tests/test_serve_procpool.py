@@ -25,7 +25,14 @@ from repro.serve import (
 )
 from repro.serve.autoscale import AutoScaler
 from repro.serve.scheduler import MicroBatchScheduler
-from repro.tensor.plan import BufferArena, ExecutionPlan, PlanExecutor, trace
+from repro.tensor import plan as plan_mod
+from repro.tensor.plan import (
+    BufferArena,
+    ExecutionPlan,
+    PlanExecutor,
+    TraceError,
+    trace,
+)
 
 from conftest import assert_windows_equal, segments_alive
 
@@ -110,6 +117,25 @@ class TestPlanPickle:
         fresh = ExecutionPlan.__new__(ExecutionPlan)
         with pytest.raises(Exception, match="not registered"):
             fresh.__setstate__(state)
+
+    def test_failed_kernel_module_import_surfaces(self, monkeypatch):
+        """A child whose kernel-registering import fails must report
+        that error, not a misleading "kernel ... is not registered"."""
+        plan, _ = trace(lambda a: a + a, (np.ones((2, 2), np.float32),))
+        blob = plan.to_bytes()
+        boom = ImportError("libopenblas.so.0: cannot open shared object")
+        real = plan_mod.importlib.import_module
+
+        def failing(name, *args):
+            if name == "repro.nn.attention":
+                raise boom
+            return real(name, *args)
+
+        monkeypatch.setattr(plan_mod.importlib, "import_module", failing)
+        with pytest.raises(TraceError, match="libopenblas") as err:
+            ExecutionPlan.from_bytes(blob)
+        assert err.value.__cause__ is boom
+        assert "repro.nn.attention" in str(err.value)
 
 
 # ----------------------------------------------------------------------
