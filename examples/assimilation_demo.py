@@ -92,7 +92,7 @@ def main() -> None:
     iters, lr, b1, b2 = 40, 0.35, 0.9, 0.999
     m = {p: 0.0 for p in FREE}
     v = {p: 0.0 for p in FREE}
-    with ForecastServer(engine, max_wait=0.001) as server:
+    with ForecastServer(engine) as server:
         for it in range(iters):
             request = GradientRequest(
                 window, diagnostic="surge_mse", wrt=("storm",),

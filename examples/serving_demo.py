@@ -69,11 +69,10 @@ def main():
           f"{trace.n_requests} requests over {trace.duration_s:.0f}s "
           f"with a storm spike on boca-grande;\n"
           f"serving on 2 key-affinity replicas "
-          f"(max_batch=8, max_wait=15ms, 16 MiB result cache)…")
+          f"(max_batch=8, 16 MiB result cache)…")
 
     with ForecastServer(engine, workers=2, router="key-affinity",
-                        max_batch=8, max_wait=0.015,
-                        cache_bytes=16 << 20) as server:
+                        max_batch=8, cache_bytes=16 << 20) as server:
         # replay at 4x speed; the harness paces arrivals, routes each
         # request by its basin name, and accounts for every one
         report = replay_trace(trace, server, factory, mode="wall",

@@ -8,7 +8,8 @@ a :class:`~repro.scenario.traffic.TrafficTrace`, in two clock modes:
 
 * ``"wall"`` — open-loop pacing: sleep to each event's arrival time
   (scaled by ``time_scale``) and submit.  Real concurrency, real
-  ``max_wait`` coalescing, autoscalers tick — the benchmarking mode.
+  coalescing behind busy replicas, autoscalers tick — the benchmarking
+  mode.
   ``time_scale=0`` degenerates to submit-as-fast-as-possible (the old
   step-function load shape).
 * ``"virtual"`` — no sleeping: the target must be manual

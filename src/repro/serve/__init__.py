@@ -4,9 +4,10 @@ Turns independent incoming forecast requests into the batched
 forwards of :class:`~repro.workflow.engine.ForecastEngine` — the layer
 that converts per-call speed into system throughput:
 
-- :mod:`repro.serve.scheduler` — request queue + dynamic micro-batching
-  under a ``max_batch``/``max_wait`` policy, with occupancy/latency
-  metrics;
+- :mod:`repro.serve.scheduler` — request queue + work-conserving
+  dynamic micro-batching (a free executor runs up to ``max_batch`` of
+  what is queued; batches form while it is busy), with
+  occupancy/latency metrics;
 - :mod:`repro.serve.cache` — keyed LRU cache of completed forecasts;
 - :mod:`repro.serve.pool` — N engine replicas behind a named routing
   policy (round-robin, least-outstanding, key-affinity sharding) with

@@ -114,8 +114,8 @@ class PoolSaturated(RuntimeError):
     ----------
     retry_after: suggested client back-off [s] — the modelled time for
         the least-loaded admissible replica to drain one queue slot,
-        from the pool's fitted batch-cost law (falls back to the
-        scheduler ``max_wait`` before any batch has been observed).
+        from the pool's fitted batch-cost law (1 ms before any batch
+        has been observed).
     """
 
     def __init__(self, message: str, retry_after: float):
@@ -417,7 +417,7 @@ class EngineWorkerPool:
         All replicas must agree on ``time_steps``.
     replicas: pool width when ``engines`` is a single executor; must
         match ``len(engines)`` when a sequence is given.
-    max_batch, max_wait: per-replica scheduler flush policy
+    max_batch: per-replica micro-batch bound
         (:class:`~repro.serve.scheduler.MicroBatchScheduler`).
     max_queue: per-replica bound on *outstanding* requests (admitted
         but not completed).  The pool's total backlog can never exceed
@@ -466,8 +466,7 @@ class EngineWorkerPool:
     """
 
     def __init__(self, engines, replicas: Optional[int] = None,
-                 max_batch: int = 8, max_wait: float = 0.005,
-                 max_queue: int = 32,
+                 max_batch: int = 8, max_queue: int = 32,
                  router: str = "least-outstanding",
                  autostart: bool = True, warm_plans: bool = False,
                  backend: str = "thread", fabric: str = "socket"):
@@ -500,7 +499,6 @@ class EngineWorkerPool:
         self._manual = not autostart
         self._closed = False
         self._max_batch = int(max_batch)
-        self._max_wait = float(max_wait)
         self._warm_plans = bool(warm_plans)
         if backend != "thread" and backend not in _REMOTE_WORKERS:
             raise ValueError(
@@ -738,16 +736,13 @@ class EngineWorkerPool:
         """
         n_batches = sum(len(w.scheduler.metrics.batches)
                         for w in self.workers)
-        if n_batches == 0:
-            # nothing observed yet — one flush-policy quantum
-            return max(self._max_wait, 1e-3)
         if self._retry_fit is None or self._retry_fit[0] != n_batches:
             records = [
                 b for w in self.workers
                 for b in w.scheduler.metrics.batches[-self.RETRY_FIT_WINDOW:]
                 if not b.failed]
             if not records:
-                return max(self._max_wait, 1e-3)
+                return 1e-3     # nothing observed yet
             self._retry_fit = (n_batches,
                                ServingCapacityModel.from_batch_log(records))
         model = self._retry_fit[1]
@@ -788,8 +783,7 @@ class EngineWorkerPool:
         try:
             scheduler = MicroBatchScheduler(
                 executor, max_batch=self._max_batch,
-                max_wait=self._max_wait, autostart=not self._manual,
-                warm_plans=warm)
+                autostart=not self._manual, warm_plans=warm)
         except BaseException:
             # the remote is already spawned: without this its child and
             # shm segments would outlive the failed construction

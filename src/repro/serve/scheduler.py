@@ -4,12 +4,14 @@ PR 1 made the inference core batch-generic
 (:meth:`~repro.workflow.engine.ForecastEngine.forecast_batch`); this
 module turns *independent incoming requests* into those batches.  A
 :class:`MicroBatchScheduler` keeps a FIFO queue of pending forecast
-requests and flushes a micro-batch to the engine whenever
-
-* the queue reaches ``max_batch`` pending requests ("full"), or
-* ``max_wait`` seconds have elapsed since the oldest pending request
-  arrived ("timeout"), or
-* a client forces it ("flush" / "close").
+requests and is **work-conserving**: whenever its executor is free and
+the queue is not empty it runs up to ``max_batch`` of the queued
+requests at once — a whole ``max_batch`` ("full") or whatever is
+waiting ("idle").  Nothing holds a request back for company: batches
+form by requests accumulating *while the previous batch runs*, so
+occupancy follows load by itself (1 on an idle replica, ``max_batch``
+at saturation).  A client can also force the queue out ("flush" /
+"close").
 
 Batching changes *which requests share a forward*, never the numbers:
 a request's result is bitwise-identical to calling
@@ -20,8 +22,8 @@ is preserved no matter how arrivals interleave.
 Two drive modes:
 
 * **threaded** (``autostart=True``, the serving default): a daemon
-  worker owns the flush policy; clients just :meth:`submit` and wait
-  on the returned :class:`ServedFuture`.
+  worker is the executor's only caller; clients just :meth:`submit`
+  and wait on the returned :class:`ServedFuture`.
 * **manual** (``autostart=False``, for deterministic tests and traces):
   no worker runs; the caller advances the queue with :meth:`step` /
   :meth:`flush`.
@@ -142,7 +144,7 @@ class BatchRecord:
     size: int
     request_ids: Tuple[int, ...]
     seconds: float               # engine.forecast_batch wall-clock
-    trigger: str                 # "full" | "timeout" | "flush" | "close"
+    trigger: str                 # "full" | "idle" | "flush" | "close"
     failed: bool = False         # engine raised; its futures carry the error
     compiled: bool = False       # served by a compiled inference plan
     #: batch size of the plan bucket that served it (= ``size`` on an
@@ -330,10 +332,8 @@ class MicroBatchScheduler:
     engine: any batch executor with ``forecast_batch`` and
         ``time_steps`` (a :class:`~repro.workflow.engine.ForecastEngine`
         or :class:`~repro.workflow.forecast.SurrogateForecaster`).
-    max_batch: flush as soon as this many requests are pending.
-    max_wait: flush at most this many seconds after the oldest pending
-        request arrived — the tail-latency bound a lone request pays
-        for the chance of sharing its forward.
+    max_batch: most requests one engine call may serve; a free
+        executor runs ``min(pending, max_batch)`` of them at once.
     autostart: start the worker thread (threaded mode).  With
         ``False`` the caller drives the queue via :meth:`step` /
         :meth:`flush` (manual mode — deterministic, thread-free).
@@ -345,7 +345,7 @@ class MicroBatchScheduler:
         every power of two up to ``max_batch`` plus ``max_batch``
         itself, per :func:`~repro.tensor.plan_passes.plan_buckets`.
         After warmup **every** micro-batch replays a compiled plan: a
-        full batch hits its exact plan, a timeout/flush partial batch
+        full batch hits its exact plan, a partial batch
         zero-pads into the nearest larger bucket and its outputs slice
         back (bitwise-identical to the unpadded eager run, at the cost
         of up to just-under-2× padded rows — watch
@@ -353,16 +353,12 @@ class MicroBatchScheduler:
         ``compile_buckets`` warm ``max_batch`` only.
     """
 
-    def __init__(self, engine, max_batch: int = 8,
-                 max_wait: float = 0.005, autostart: bool = True,
+    def __init__(self, engine, max_batch: int = 8, autostart: bool = True,
                  warm_plans: bool = False):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         if warm_plans:
             if not hasattr(engine, "compile"):
                 raise ValueError(
@@ -403,11 +399,21 @@ class MicroBatchScheduler:
                        ) -> List[ForecastResult]:
         """Submit N windows and wait for all results (executor protocol).
 
-        In threaded mode the windows coalesce with any other pending
-        traffic; in manual mode the queue is flushed inline so the call
-        cannot deadlock.  Must not be called from the worker thread.
+        The N windows are validated and queued as one unit (all or
+        nothing, like a direct ``engine.forecast_batch``), so a burst
+        of at most ``max_batch`` reaching an idle scheduler is one
+        micro-batch; behind other pending traffic it coalesces with
+        it.  In manual mode the queue is flushed inline so the call
+        cannot deadlock.  Raises ``RuntimeError`` on the worker thread
+        (i.e. from a done-callback): it would wait on a batch only that
+        thread can run.
         """
-        futures = [self.submit(r) for r in references]
+        if threading.current_thread() is self._worker:
+            raise RuntimeError(
+                "forecast_batch() called from the scheduler's worker "
+                "thread (a done-callback?): it would block on a batch "
+                "only this thread can run — use submit()")
+        futures = self._enqueue(references)
         if self._worker is None:
             self.flush()
         return [f.result() for f in futures]
@@ -424,7 +430,7 @@ class MicroBatchScheduler:
         malformed request fails alone instead of poisoning the
         micro-batch it would have joined.
         """
-        return self._enqueue(reference, "forecast", None)
+        return self._enqueue([reference])[0]
 
     def submit_gradient(self, request: GradientRequest) -> ServedFuture:
         """Enqueue one sensitivity request; returns immediately.
@@ -449,34 +455,46 @@ class MicroBatchScheduler:
                 "from a thread-backend pool (EngineWorkerPool(..., "
                 "backend='thread')) or call "
                 "ForecastEngine.sensitivity_batch directly")
-        return self._enqueue(request.window, "gradient", request)
+        return self._enqueue([request.window], request)[0]
 
-    def _enqueue(self, reference: FieldWindow, kind: str,
-                 grad: Optional[GradientRequest]) -> ServedFuture:
+    def _enqueue(self, references: Sequence[FieldWindow],
+                 grad: Optional[GradientRequest] = None
+                 ) -> List[ServedFuture]:
+        """Validate N windows, then queue them under one lock hold with
+        one notify — all or nothing, and the worker can never pop a
+        burst half-queued."""
+        references = list(references)
         T = self.time_steps
-        if reference.T != T:
-            raise ValueError(
-                f"window length {reference.T} != model time_steps {T}")
-        shapes = {var: getattr(reference, var).shape
-                  for var in ("u3", "v3", "w3", "zeta")}
+        meshes = []
+        for reference in references:
+            if reference.T != T:
+                raise ValueError(
+                    f"window length {reference.T} != model time_steps {T}")
+            meshes.append({var: getattr(reference, var).shape
+                           for var in ("u3", "v3", "w3", "zeta")})
+        kind = "forecast" if grad is None else "gradient"
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
-            if self._mesh is None:
-                self._mesh = shapes
-            elif shapes != self._mesh:
-                bad = next(v for v in shapes
-                           if shapes[v] != self._mesh[v])
-                raise ValueError(
-                    "all requests of one scheduler must share one mesh; "
-                    f"got {bad} {shapes[bad]} != {self._mesh[bad]}")
-            future = ServedFuture(self._next_id)
-            self._next_id += 1
-            self._queue.append(_Request(reference, future,
-                                        time.perf_counter(),
-                                        kind=kind, grad=grad))
+            mesh = self._mesh
+            for shapes in meshes:
+                if mesh is None:
+                    mesh = shapes
+                elif shapes != mesh:
+                    bad = next(v for v in shapes if shapes[v] != mesh[v])
+                    raise ValueError(
+                        "all requests of one scheduler must share one "
+                        f"mesh; got {bad} {shapes[bad]} != {mesh[bad]}")
+            self._mesh = mesh
+            now = time.perf_counter()
+            futures = [ServedFuture(self._next_id + k)
+                       for k in range(len(references))]
+            self._next_id += len(futures)
+            self._queue.extend(
+                _Request(reference, future, now, kind=kind, grad=grad)
+                for reference, future in zip(references, futures))
             self._pending.notify_all()
-        return future
+        return futures
 
     # -- manual drive ---------------------------------------------------
     def step(self, trigger: str = "flush") -> int:
@@ -560,20 +578,12 @@ class MicroBatchScheduler:
                     self._pending.wait()
                 if not self._queue:
                     return          # closed and drained
-                # oldest pending request fixes the flush deadline
-                deadline = self._queue[0].enqueued_at + self.max_wait
-                trigger = "timeout"
-                while len(self._queue) < self.max_batch:
-                    if self._closed:
-                        trigger = "close"
-                        break
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._pending.wait(remaining)
-                else:
-                    trigger = "full"
+                # this thread is the executor, so being here means it is
+                # free: run what is queued now — the next batch forms
+                # while this one runs
                 batch = self._pop_batch_locked()
+                trigger = "full" if len(batch) == self.max_batch else \
+                    "close" if self._closed else "idle"
             self._run_batch(batch, trigger)
 
     def _run_batch(self, batch: List[_Request], trigger: str) -> None:
@@ -593,8 +603,9 @@ class MicroBatchScheduler:
                     [r.window for r in batch])
         except BaseException as exc:     # noqa: BLE001 — worker must survive
             failure = exc
-        seconds = time.perf_counter() - start
+        # one reading: latency − queue is exactly BatchRecord.seconds
         done = time.perf_counter()
+        seconds = done - start
         compiled = failure is None and bool(results) and \
             getattr(results[0], "compiled", False)
         plan_batch = getattr(results[0], "plan_batch", None) \

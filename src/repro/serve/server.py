@@ -83,8 +83,11 @@ class ForecastServer:
         cache enabled the server keys every request by its content
         digest, so ``"key-affinity"`` keeps duplicate scenarios on one
         replica.
-    max_batch, max_wait: per-replica scheduler flush policy
+    max_batch: per-replica micro-batch bound
         (:class:`MicroBatchScheduler`).
+    max_wait: unused — the scheduler is work-conserving and has no
+        flush timer.  Still accepted (and checked ``>= 0``) only
+        because ``benchmarks/e2e/workloads.py`` passes it.
     max_queue: per-replica outstanding-request bound; beyond it
         :meth:`submit` raises
         :class:`~repro.serve.pool.PoolSaturated`.
@@ -128,8 +131,10 @@ class ForecastServer:
             candidates = engine if isinstance(engine, (list, tuple)) \
                 else [engine]
             warm_plans = all(hasattr(e, "compile") for e in candidates)
+        if max_wait < 0:
+            raise ValueError("max_wait must be >= 0")
         self.pool = EngineWorkerPool(engine, replicas=workers,
-                                     max_batch=max_batch, max_wait=max_wait,
+                                     max_batch=max_batch,
                                      max_queue=max_queue, router=router,
                                      warm_plans=warm_plans,
                                      backend=backend, fabric=fabric,

@@ -510,7 +510,7 @@ class TestServedPlans:
         eager = ForecastEngine(tiny_surrogate, norm)
         engine = ForecastEngine(tiny_surrogate, norm)
         pool = EngineWorkerPool(engine, replicas=3, max_batch=2,
-                                max_wait=10.0, autostart=False,
+                                autostart=False,
                                 router=policy, warm_plans=True)
         futures = [(w, pool.submit(w, key=f"k{i % 4}"))
                    for i, w in enumerate(windows[:8])]
@@ -558,7 +558,7 @@ class TestServedPlans:
                 for n in range(1, 5):
                     engine.compile(n)
             with EngineWorkerPool(engine, replicas=2, max_batch=4,
-                                  max_wait=10.0, autostart=False,
+                                  autostart=False,
                                   router=policy,
                                   warm_plans=warm) as pool:
                 plain = pool.forecast_batch(windows[:3])
@@ -598,7 +598,7 @@ class TestServedPlans:
         direct_hyb = HybridWorkflow(eager, tiny_ocean, verifier).run(
             hybrid_window, [object()] * 2, threshold=1e30)
 
-        with ForecastServer(engine, workers=2, max_batch=4, max_wait=0.01,
+        with ForecastServer(engine, workers=2, max_batch=4,
                             ocean=tiny_ocean, verifier=verifier,
                             warm_plans=True) as server:
             assert engine.compiled_batches == [1, 2, 4]

@@ -13,7 +13,7 @@ import pytest
 
 import repro.tensor
 from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
-                         HostWorker, ProcessWorker)
+                         HostWorker, MicroBatchScheduler, ProcessWorker)
 from repro.tensor import PlanExecutor
 from repro.workflow import ForecastEngine
 
@@ -24,9 +24,11 @@ SIGNATURES = [
       "autostart"]),
     (ForecastServer.deploy, ["self", "model_or_checkpoint", "source"]),
     (EngineWorkerPool,
-     ["engines", "replicas", "max_batch", "max_wait", "max_queue", "router",
+     ["engines", "replicas", "max_batch", "max_queue", "router",
       "autostart", "warm_plans", "backend", "fabric"]),
     (EngineWorkerPool.deploy, ["self", "engine", "source"]),
+    (MicroBatchScheduler,
+     ["engine", "max_batch", "autostart", "warm_plans"]),
     (ProcessWorker,
      ["engine", "warm_batches", "on_death", "request_timeout"]),
     (HostWorker,
@@ -50,6 +52,18 @@ def test_parameter_list(target, parameters):
 def test_deploy_source_default():
     assert inspect.signature(EngineWorkerPool.deploy) \
         .parameters["source"].default == "deploy"
+
+
+def test_server_max_wait_is_accepted_and_unused(engine, windows):
+    """The scheduler has no flush timer; the keyword survives on the
+    server only for ``benchmarks/e2e/workloads.py``, which passes it."""
+    with ForecastServer(engine, max_wait=300.0) as server:
+        future = server.submit(windows[0])
+        future.result(timeout=60)
+    assert future.queue_seconds < 1.0       # nothing held it for company
+    assert server.scheduler.metrics.batches[0].trigger == "idle"
+    with pytest.raises(ValueError, match="max_wait"):
+        ForecastServer(engine, max_wait=-1.0)
 
 
 def test_histogram_buckets_are_gone():

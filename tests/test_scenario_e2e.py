@@ -37,7 +37,6 @@ def factory():
 def manual_server(engine, **kwargs):
     kwargs.setdefault("workers", WORKERS)
     kwargs.setdefault("max_batch", 4)
-    kwargs.setdefault("max_wait", 10.0)
     kwargs.setdefault("router", "key-affinity")
     kwargs.setdefault("cache_bytes", 1 << 24)
     return ForecastServer(engine, autostart=False, **kwargs)

@@ -255,7 +255,7 @@ class TestReplayAccounting:
     def test_virtual_mode_exact_accounting_with_cache(self, factory,
                                                       engine):
         trace = small_trace(factory)
-        with ForecastServer(engine, max_batch=4, max_wait=10.0, workers=3,
+        with ForecastServer(engine, max_batch=4, workers=3,
                             router="key-affinity", cache_bytes=1 << 23,
                             autostart=False) as server:
             report = replay_trace(trace, server, factory, mode="virtual",
@@ -272,7 +272,7 @@ class TestReplayAccounting:
         trace = small_trace(factory)
 
         def run():
-            with ForecastServer(engine, max_batch=4, max_wait=10.0,
+            with ForecastServer(engine, max_batch=4,
                                 workers=3, router="key-affinity",
                                 cache_bytes=1 << 23,
                                 autostart=False) as server:
@@ -294,7 +294,7 @@ class TestReplayAccounting:
         loaded = TrafficTrace.load(path)
 
         def run(t):
-            with ForecastServer(engine, max_batch=4, max_wait=10.0,
+            with ForecastServer(engine, max_batch=4,
                                 workers=2, cache_bytes=1 << 23,
                                 autostart=False) as server:
                 return replay_trace(t, server, factory,
@@ -307,8 +307,7 @@ class TestReplayAccounting:
         """Starve admission (tiny queues, rare flushes): requests shed,
         but none are lost or double-served."""
         trace = small_trace(factory, base_rate=8.0, unique_fraction=1.0)
-        pool = EngineWorkerPool(engine, replicas=2, max_batch=2,
-                                max_wait=10.0, max_queue=2,
+        pool = EngineWorkerPool(engine, replicas=2, max_batch=2, max_queue=2,
                                 autostart=False)
         try:
             report = replay_trace(trace, pool, factory, mode="virtual",
@@ -339,7 +338,7 @@ class TestReplayAccounting:
         trace = simulate_trace(model, duration_s=duration, seed=4)
         arrivals = iter([e.t for e in trace.events if e.kind != "advance"])
         widths = []
-        with ForecastServer(engine, workers=1, max_batch=4, max_wait=10.0,
+        with ForecastServer(engine, workers=1, max_batch=4,
                             max_queue=8, router="key-affinity",
                             cache_bytes=1 << 23,
                             autostart=False) as server:
@@ -380,7 +379,7 @@ class TestReplayAccounting:
     def test_wall_mode_thread_backend_exact_accounting(self, factory,
                                                        engine):
         trace = small_trace(factory, base_rate=4.0, duration=3.0)
-        with ForecastServer(engine, max_batch=4, max_wait=0.01, workers=2,
+        with ForecastServer(engine, max_batch=4, workers=2,
                             cache_bytes=1 << 23) as server:
             report = replay_trace(trace, server, factory, mode="wall",
                                   time_scale=0.02)
@@ -394,7 +393,7 @@ class TestReplayAccounting:
         trace = small_trace(factory, base_rate=2.0, duration=3.0,
                             unique_fraction=0.5, advance_every_s=0.0)
         pool = EngineWorkerPool(engine, replicas=2, max_batch=4,
-                                max_wait=0.01, backend="process")
+                                backend="process")
         try:
             # time_scale=0: the degenerate submit-as-fast-as-possible
             # (step-function) load shape

@@ -256,8 +256,7 @@ def test_served_gradient_bitwise_equals_direct(engine, windows):
     bitwise, because the scheduler literally calls sensitivity_batch
     on the micro-batch the requests coalesced into."""
     batch = windows[:3]
-    with ForecastServer(engine, autostart=False, max_wait=0.0,
-                        warm_plans=False) as srv:
+    with ForecastServer(engine, autostart=False, warm_plans=False) as srv:
         futures = [srv.submit_sensitivity(
             GradientRequest(w, diagnostic="mean_surge",
                             wrt=("fields", "storm"), storm=STORM))
@@ -281,7 +280,7 @@ def test_served_gradient_bitwise_equals_direct(engine, windows):
 def test_gradient_cache_and_dedup(engine, windows):
     req = GradientRequest(windows[0], diagnostic="mean_surge")
     with ForecastServer(engine, cache_bytes=1 << 22, autostart=False,
-                        max_wait=0.0, warm_plans=False) as srv:
+                        warm_plans=False) as srv:
         # two identical submissions before any flush: one leader, one
         # dedup follower, a single gradient micro-batch
         fa = srv.submit_sensitivity(req)
@@ -356,8 +355,7 @@ def test_mixed_traffic_never_shares_a_batch(engine, windows):
 
 
 def test_pool_metrics_count_gradients(engine, windows):
-    pool = EngineWorkerPool(engine, replicas=2, autostart=False,
-                            max_wait=0.0)
+    pool = EngineWorkerPool(engine, replicas=2, autostart=False)
     try:
         futs = [pool.submit_gradient(GradientRequest(w))
                 for w in windows[:4]]
@@ -390,8 +388,7 @@ def test_process_and_host_backends_reject_gradients(engine, windows):
             raise AssertionError("must not be reached")
 
     req = GradientRequest(windows[0])
-    with EngineWorkerPool(ForwardOnly(), autostart=False,
-                          max_wait=0.0) as pool:
+    with EngineWorkerPool(ForwardOnly(), autostart=False) as pool:
         with pytest.raises(NotImplementedError, match="backend='thread'"):
             pool.submit_gradient(req)
         worker = pool.workers[0]
@@ -407,8 +404,7 @@ def test_process_and_host_backends_reject_gradients(engine, windows):
 def test_served_gradient_threaded_mode(engine, windows):
     """Autostarted (threaded) server: the default deployment serves
     gradients concurrently with forecasts."""
-    with ForecastServer(engine, cache_bytes=1 << 22,
-                        max_wait=0.001, warm_plans=False) as srv:
+    with ForecastServer(engine, cache_bytes=1 << 22, warm_plans=False) as srv:
         gf = srv.submit_sensitivity(GradientRequest(windows[5]))
         ff = srv.submit(windows[6])
         grad = gf.result(timeout=30.0)

@@ -54,6 +54,10 @@ def wait_until(predicate, timeout=30.0):
 class TestHostWorker:
     @pytest.mark.parametrize("fabric", FABRICS)
     def test_bitwise_equal_and_lifecycle(self, engine, windows, fabric):
+        # the remote payload ships every plan on the engine, and the
+        # session engine may carry buckets warmed by an earlier module:
+        # the "no plan for batch 5" leg needs it bare
+        engine.clear_plans()
         direct_eager = engine.forecast_batch(windows[:5])
         with HostWorker(engine, fabric=fabric,
                         warm_batches=(2,)) as worker:
@@ -214,8 +218,7 @@ class TestHostWorker:
 @pytest.mark.parametrize("router", ["round-robin", "least-outstanding",
                                     "key-affinity"])
 def test_pool_host_backend_bitwise(engine, windows, router, fabric):
-    with EngineWorkerPool(engine, replicas=2, max_batch=2,
-                          max_wait=10.0, autostart=False,
+    with EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                           backend="host", fabric=fabric,
                           router=router) as pool:
         keys = [f"scenario-{i % 3}" for i in range(len(windows))]
@@ -232,8 +235,7 @@ def test_pool_host_backend_bitwise(engine, windows, router, fabric):
 @pytest.mark.parametrize("fabric", FABRICS)
 def test_pool_host_deploy_hot_swap_bitwise(engine, windows, fabric):
     engine_v2 = engine.with_model(second_model(engine))
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2,
-                            max_wait=10.0, autostart=False,
+    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                             backend="host", fabric=fabric,
                             router="round-robin")
     try:
@@ -256,8 +258,7 @@ def test_pool_host_deploy_rollback(engine, windows, fabric,
     """A surge that dies mid-deploy rolls back to the admitting
     version with the full replica set serving — on either fabric."""
     engine_v2 = engine.with_model(second_model(engine))
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2,
-                            max_wait=10.0, autostart=False,
+    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                             backend="host", fabric=fabric,
                             router="round-robin")
     try:
@@ -286,8 +287,7 @@ def test_pool_host_deploy_rollback(engine, windows, fabric,
 @pytest.mark.parametrize("fabric", FABRICS)
 def test_pool_host_death_fails_batch_and_retires_worker(
         engine, windows, fabric):
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2,
-                            max_wait=10.0, autostart=False,
+    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                             backend="host", fabric=fabric,
                             router="round-robin")
     try:
@@ -313,8 +313,7 @@ def test_pool_host_death_fails_batch_and_retires_worker(
 
 
 def test_pool_host_warm_plans_ship_at_spawn(engine, windows):
-    with EngineWorkerPool(engine, replicas=1, max_batch=4,
-                          max_wait=10.0, autostart=False,
+    with EngineWorkerPool(engine, replicas=1, max_batch=4, autostart=False,
                           backend="host", fabric="sim",
                           warm_plans=True) as pool:
         worker = pool.workers[0].executor

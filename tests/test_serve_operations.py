@@ -40,7 +40,6 @@ def engine_pair(engine_factory):
 def manual_pool(engine, **kwargs):
     kwargs.setdefault("replicas", 2)
     kwargs.setdefault("max_batch", 2)
-    kwargs.setdefault("max_wait", 10.0)
     return EngineWorkerPool(engine, autostart=False, **kwargs)
 
 
@@ -235,8 +234,7 @@ class TestServerDeploy:
         path = tmp_path / "next.npz"
         save_checkpoint(path, e2.model)
         window = make_window(1)
-        with ForecastServer(e1, max_batch=4, max_wait=0.005,
-                            cache_bytes=1 << 22) as server:
+        with ForecastServer(e1, max_batch=4, cache_bytes=1 << 22) as server:
             before = server.forecast(window)
             assert_windows_equal(before.fields,
                                  e1.forecast_batch([window])[0].fields)
@@ -257,7 +255,7 @@ class TestServerDeploy:
         e1, _ = engine_pair
         path = tmp_path / "corrupt.npz"
         np.savez_compressed(path, **{"model/garbage": np.zeros(3)})
-        with ForecastServer(e1, max_batch=4, max_wait=0.005) as server:
+        with ForecastServer(e1, max_batch=4) as server:
             with pytest.raises(KeyError):
                 server.deploy(path)
             assert server.pool.current_version == 1
@@ -275,8 +273,7 @@ class TestServerDeploy:
         from repro.serve import window_key
         window = make_window(5)
         key = window_key(window)
-        with ForecastServer(e1, max_batch=4, max_wait=0.005,
-                            cache_bytes=1 << 22) as server:
+        with ForecastServer(e1, max_batch=4, cache_bytes=1 << 22) as server:
             old_future = server.submit(window)    # admitted under v1
             old_future.result(timeout=30)
             server.deploy(e2)                     # invalidates the cache
@@ -308,8 +305,7 @@ class TestServerDeploy:
         e1, e2 = engine_pair
         path = tmp_path / "v2.npz"
         save_checkpoint(path, e2.model)
-        server = ForecastServer(e1, workers=2, max_batch=4,
-                                max_wait=0.002, max_queue=512)
+        server = ForecastServer(e1, workers=2, max_batch=4, max_queue=512)
         tagged, lock = [], threading.Lock()
         deploy_started = threading.Event()
 
@@ -485,8 +481,7 @@ class TestAutoScaler:
         """enable_autoscaling wires a background scaler that reacts to
         a real threaded load spike, then the server closes cleanly."""
         e1, _ = engine_pair
-        with ForecastServer(e1, workers=1, max_batch=4, max_wait=0.001,
-                            max_queue=4) as server:
+        with ForecastServer(e1, workers=1, max_batch=4, max_queue=4) as server:
             scaler = server.enable_autoscaling(
                 min_workers=1, max_workers=3, high_water=0.25,
                 low_water=0.05, scale_down_patience=1, interval=0.02)

@@ -37,7 +37,6 @@ POLICIES = ("round-robin", "least-outstanding", "key-affinity")
 def manual_pool(engine, **kwargs):
     kwargs.setdefault("replicas", 3)
     kwargs.setdefault("max_batch", 2)
-    kwargs.setdefault("max_wait", 10.0)
     return EngineWorkerPool(engine, autostart=False, **kwargs)
 
 
@@ -73,9 +72,28 @@ class TestPoolEquivalence:
         for s, d in zip(served, direct):
             assert_windows_equal(s.fields, d.fields)
 
+    @pytest.mark.parametrize("backend", ["thread", "process", "host"])
+    def test_latency_is_queue_plus_batch_seconds(self, engine, windows,
+                                                 backend):
+        """One clock read per batch: on every tier a request's latency
+        is exactly its queue wait plus its batch's engine call."""
+        with EngineWorkerPool(engine, max_batch=4, backend=backend,
+                              fabric="sim") as pool:
+            futures = [pool.submit(w) for w in windows[:6]]
+            for fut in futures:
+                fut.result(timeout=120)
+            metrics = pool.workers[0].scheduler.metrics
+        assert metrics.n_requests == 6
+        for fut, rec in zip(futures, metrics.requests):
+            batch = metrics.batches[rec.batch_index]
+            assert rec.queue_seconds >= 0
+            assert rec.latency_seconds == pytest.approx(
+                rec.queue_seconds + batch.seconds, abs=1e-6)
+            assert (fut.queue_seconds, fut.latency_seconds) \
+                == (rec.queue_seconds, rec.latency_seconds)
+
     def test_threaded_pool_serves_concurrent_clients(self, engine):
-        pool = EngineWorkerPool(engine, replicas=2, max_batch=3,
-                                max_wait=0.02, max_queue=64)
+        pool = EngineWorkerPool(engine, replicas=2, max_batch=3, max_queue=64)
         tagged, lock = [], threading.Lock()
 
         def client(cid):
@@ -237,7 +255,7 @@ class TestBackpressure:
         """The executor protocol retries shed members instead of
         dropping them — an ensemble cannot lose members."""
         with EngineWorkerPool(engine, replicas=2, max_batch=2,
-                              max_wait=0.005, max_queue=1) as pool:
+                              max_queue=1) as pool:
             served = pool.forecast_batch(windows[:6])
         direct = engine.forecast_batch(windows[:6])
         for s, d in zip(served, direct):
@@ -298,7 +316,7 @@ class TestMetricsAggregation:
                 return self.inner.forecast_batch(refs)
 
         with EngineWorkerPool([Flaky(engine), engine], max_batch=1,
-                              max_wait=10.0, autostart=False,
+                              autostart=False,
                               router="round-robin") as pool:
             futures = [pool.submit(w) for w in windows[:2]]
             pool.flush()
@@ -370,15 +388,14 @@ class TestPoolMetricsMirrorServeMetrics:
 class TestServerWithPool:
     def test_engine_sequence_infers_workers(self, engine, windows):
         """The documented sequence form needs no redundant workers=."""
-        with ForecastServer([engine, engine], max_batch=4,
-                            max_wait=0.01) as server:
+        with ForecastServer([engine, engine], max_batch=4) as server:
             res = server.forecast(windows[3])
             assert server.pool.n_workers == 2
         direct = engine.forecast_batch([windows[3]])[0]
         assert_windows_equal(res.fields, direct.fields)
 
     def test_pool_of_one_is_default(self, engine, windows):
-        with ForecastServer(engine, max_batch=4, max_wait=0.01) as server:
+        with ForecastServer(engine, max_batch=4) as server:
             res = server.forecast(windows[0])
             assert server.pool.n_workers == 1
             assert server.scheduler is server.pool.workers[0].scheduler
@@ -387,7 +404,7 @@ class TestServerWithPool:
 
     def test_sharded_server_caches_and_dedups(self, engine, windows):
         with ForecastServer(engine, workers=2, router="key-affinity",
-                            max_batch=4, max_wait=0.01,
+                            max_batch=4,
                             cache_bytes=1 << 24) as server:
             first = server.forecast(windows[0])
             followers = [server.submit(windows[0]) for _ in range(3)]
@@ -406,8 +423,7 @@ class TestServerWithPool:
     def test_sharded_ensemble_equals_direct(self, engine, windows):
         direct = EnsembleForecaster(engine, n_members=4,
                                     seed=3).forecast(windows[1])
-        with ForecastServer(engine, workers=2, max_batch=2,
-                            max_wait=0.005) as server:
+        with ForecastServer(engine, workers=2, max_batch=2) as server:
             served = server.submit_ensemble(windows[1], n_members=4,
                                             seed=3).result(timeout=120)
         assert_windows_equal(served.mean, direct.mean)

@@ -143,6 +143,10 @@ class TestPlanPickle:
 # ----------------------------------------------------------------------
 class TestProcessWorker:
     def test_bitwise_equal_and_lifecycle(self, engine, windows):
+        # the remote payload ships every plan on the engine, and the
+        # session engine may carry buckets warmed by an earlier module:
+        # the "no plan for batch 5" leg needs it bare
+        engine.clear_plans()
         direct_eager = engine.forecast_batch(windows[:5])
         direct_plan = engine.forecast_batch(windows[:2])
         with ProcessWorker(engine, warm_batches=(2,)) as worker:
@@ -322,8 +326,7 @@ def pool_owned_segments(pool):
 @pytest.mark.parametrize("router", ["round-robin", "least-outstanding",
                                     "key-affinity"])
 def test_pool_process_backend_bitwise(engine, windows, router):
-    with EngineWorkerPool(engine, replicas=2, max_batch=2,
-                          max_wait=10.0, autostart=False,
+    with EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                           backend="process", router=router) as pool:
         keys = [f"scenario-{i % 3}" for i in range(len(windows))]
         placed = map_submissions(pool, windows, keys)
@@ -338,8 +341,7 @@ def test_pool_process_backend_bitwise(engine, windows, router):
 
 def test_pool_process_deploy_hot_swap_bitwise(engine, windows):
     engine_v2 = engine.with_model(second_model(engine))
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2,
-                            max_wait=10.0, autostart=False,
+    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                             backend="process", router="round-robin")
     try:
         old_segments = [n for w in pool.workers
@@ -364,8 +366,7 @@ def test_pool_process_deploy_hot_swap_bitwise(engine, windows):
 def test_pool_deploy_rollback_unlinks_segments(engine, windows,
                                                monkeypatch):
     engine_v2 = engine.with_model(second_model(engine))
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2,
-                            max_wait=10.0, autostart=False,
+    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                             backend="process", router="round-robin")
     try:
         make_worker = pool._make_worker
@@ -396,8 +397,7 @@ def test_pool_deploy_rollback_unlinks_segments(engine, windows,
 
 
 def test_pool_child_death_fails_batch_and_retires_worker(engine, windows):
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2,
-                            max_wait=10.0, autostart=False,
+    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                             backend="process", router="round-robin")
     try:
         victim = pool.workers[0]
@@ -431,8 +431,7 @@ def test_pool_child_death_fails_batch_and_retires_worker(engine, windows):
 
 
 def test_pool_plan_stats_per_process_worker(engine, windows):
-    with EngineWorkerPool(engine, replicas=2, max_batch=2,
-                          max_wait=10.0, autostart=False,
+    with EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
                           backend="process") as pool:
         pool.forecast_batch(windows[:4])
         stats = pool.plan_stats()
@@ -445,7 +444,7 @@ def test_pool_plan_stats_per_process_worker(engine, windows):
 
 def test_autoscaler_spawn_cost_stretches_patience(engine):
     with EngineWorkerPool(engine, replicas=1, max_batch=2,
-                          max_wait=10.0, autostart=False) as pool:
+                          autostart=False) as pool:
         scaler = AutoScaler(pool, scale_down_patience=2, interval=0.25)
         # thread replicas are free to respawn: patience unchanged
         assert pool.mean_spawn_seconds == 0.0

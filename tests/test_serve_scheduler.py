@@ -3,8 +3,9 @@
 The scheduler must be a pure routing layer: every request's result is
 bitwise-identical to a direct ``ForecastEngine.forecast_batch`` call on
 the micro-batch it landed in, request→result pairing survives arbitrary
-arrival interleavings, and the ``max_batch``/``max_wait`` policy fixes
-exactly when the queue flushes.  These tests use an untrained tiny
+arrival interleavings, and the work-conserving policy (a free executor
+runs what is queued, up to ``max_batch``) fixes exactly which requests
+share a batch.  These tests use an untrained tiny
 surrogate on synthetic windows — inference is deterministic either way,
 and nothing here depends on forecast quality.
 """
@@ -35,6 +36,7 @@ from repro.serve import (
 from repro.serve.scheduler import BatchRecord, ServedFuture
 from repro.workflow import EnsembleForecaster, HybridWorkflow
 from repro.workflow.engine import FieldWindow
+from repro.workflow.sensitivity import GradientRequest
 
 
 def assert_batches_bitwise(scheduler, engine, by_id):
@@ -66,10 +68,45 @@ def resolve(tagged_windows, timeout=60.0):
     return by_id
 
 
+class Gate:
+    """Executor that holds its first ``forecast_batch`` at a gate, so a
+    test decides what queues up behind a busy replica — the threaded
+    policy made deterministic without a sleep."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def forecast_batch(self, references):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(60)
+        return self.inner.forecast_batch(references)
+
+
+def hold_first_batch(gate, scheduler, window):
+    """Submit ``window`` and return once the worker is inside the gate
+    with it — everything submitted from here on accumulates."""
+    tagged = submit_tagged(scheduler, window)
+    assert gate.entered.wait(60)
+    return tagged
+
+
+def wait_pending(scheduler, n, timeout=60.0):
+    """Block on the scheduler's own condition until ``n`` requests are
+    queued (for requests another thread submits)."""
+    with scheduler._pending:
+        assert scheduler._pending.wait_for(
+            lambda: len(scheduler._queue) >= n, timeout)
+
+
 class TestEquivalence:
     def test_manual_mode_bitwise_equal_direct(self, engine, windows):
-        s = MicroBatchScheduler(engine, max_batch=3, max_wait=10.0,
-                                autostart=False)
+        s = MicroBatchScheduler(engine, max_batch=3, autostart=False)
         futures = [s.submit(w) for w in windows[:5]]
         assert s.step() == 3 and s.step() == 2 and s.step() == 0
         direct = engine.forecast_batch(windows[:3]) \
@@ -84,23 +121,40 @@ class TestEquivalence:
         # forward-count tests need the eager path: the session engine
         # may arrive with plans compiled by earlier modules
         engine.clear_plans()
-        with MicroBatchScheduler(engine, max_batch=4, max_wait=30.0) as s:
+        gate = Gate(engine)
+        with MicroBatchScheduler(gate, max_batch=4) as s:
             with count_forwards(engine.model) as calls:
+                hold_first_batch(gate, s, windows[4])
                 futures = [s.submit(w) for w in windows[:4]]
+                gate.release.set()
                 results = [f.result(timeout=60) for f in futures]
-        assert calls["n"] == 1                      # one coalesced forward
+        assert calls["n"] == 2      # the held one + one coalesced forward
         direct = engine.forecast_batch(windows[:4])
         for r, d in zip(results, direct):
             assert_windows_equal(r.fields, d.fields)
-        assert s.metrics.batches[0].trigger == "full"
+        assert s.metrics.batches[1].trigger == "full"
 
     def test_executor_protocol_matches_direct(self, engine, windows):
-        """scheduler.forecast_batch is drop-in for engine.forecast_batch."""
-        with MicroBatchScheduler(engine, max_batch=5, max_wait=30.0) as s:
-            served = s.forecast_batch(windows[:5])
+        """scheduler.forecast_batch is drop-in for engine.forecast_batch:
+        the burst is queued as one unit, so an idle scheduler runs it as
+        one batch — every time."""
+        with MicroBatchScheduler(engine, max_batch=8) as s:
+            bursts = [s.forecast_batch(windows[:5]) for _ in range(50)]
         direct = engine.forecast_batch(windows[:5])
-        for r, d in zip(served, direct):
-            assert_windows_equal(r.fields, d.fields)
+        for served in (bursts[0], bursts[-1]):
+            for r, d in zip(served, direct):
+                assert_windows_equal(r.fields, d.fields)
+        assert [(b.size, b.trigger) for b in s.metrics.batches] \
+            == [(5, "idle")] * 50
+
+    def test_executor_protocol_is_all_or_nothing(self, engine, windows):
+        s = MicroBatchScheduler(engine, max_batch=8, autostart=False)
+        for bad, match in [(make_window(0, h=H - 1), "share one mesh"),
+                           (make_window(0, t=T + 1), "time_steps")]:
+            with pytest.raises(ValueError, match=match):
+                s.forecast_batch(windows[:2] + [bad] + windows[3:4])
+            assert s.pending == 0 and s.flush() == 0
+        s.close()
 
 
 class TestOrderingProperties:
@@ -110,8 +164,7 @@ class TestOrderingProperties:
         a direct engine call."""
         rng = np.random.default_rng(20260730)
         for trial in range(4):
-            s = MicroBatchScheduler(engine, max_batch=3, max_wait=10.0,
-                                    autostart=False)
+            s = MicroBatchScheduler(engine, max_batch=3, autostart=False)
             pending = list(rng.permutation(10))
             tagged = []
             while pending or any(not t.future.done() for t in tagged):
@@ -132,7 +185,7 @@ class TestOrderingProperties:
     def test_concurrent_clients_threaded(self, engine):
         """3 client threads × 4 requests with jittered arrivals: all are
         answered, each with its own forecast, in engine-pure batches."""
-        s = MicroBatchScheduler(engine, max_batch=3, max_wait=0.02)
+        s = MicroBatchScheduler(engine, max_batch=3)
         tagged, lock = [], threading.Lock()
         rng = np.random.default_rng(7)
         delays = rng.uniform(0.0, 0.01, size=(3, 4))
@@ -228,8 +281,7 @@ class TestFlushPolicy:
     def test_forward_count_is_ceil_n_over_max_batch(self, engine, n,
                                                     max_batch):
         engine.clear_plans()        # count forwards ⇒ force eager path
-        s = MicroBatchScheduler(engine, max_batch=max_batch, max_wait=10.0,
-                                autostart=False)
+        s = MicroBatchScheduler(engine, max_batch=max_batch, autostart=False)
         futures = [s.submit(make_window(k)) for k in range(n)]
         with count_forwards(engine.model) as calls:
             assert s.flush() == n
@@ -239,18 +291,48 @@ class TestFlushPolicy:
         assert all(f.done() for f in futures)
         s.close()
 
-    def test_lone_request_flushed_by_timeout(self, engine, windows):
-        with MicroBatchScheduler(engine, max_batch=8, max_wait=0.05) as s:
-            fut = s.submit(windows[0])
-            fut.result(timeout=60)
-        assert fut.batch_size == 1
-        assert s.metrics.batches[0].trigger == "timeout"
-        # it waited for company ≈ max_wait before giving up
-        assert fut.queue_seconds >= 0.04
+    def test_idle_scheduler_serves_a_lone_request_now(self, engine,
+                                                      windows):
+        with MicroBatchScheduler(engine, max_batch=8) as s:
+            futures = []
+            for w in windows[:5]:
+                futures.append(s.submit(w))
+                futures[-1].result(timeout=60)
+        assert [f.batch_size for f in futures] == [1] * 5
+        assert [b.trigger for b in s.metrics.batches] == ["idle"] * 5
+        # nothing waits for company: the queue stage is a thread wake-up
+        assert np.median([f.queue_seconds for f in futures]) < 1e-3
+
+    def test_batches_form_while_the_executor_is_busy(self, engine,
+                                                     windows):
+        gate = Gate(engine)
+        with MicroBatchScheduler(gate, max_batch=4) as s:
+            tagged = [hold_first_batch(gate, s, windows[0])]
+            tagged += [submit_tagged(s, w) for w in windows[1:7]]
+            gate.release.set()
+            by_id = resolve(tagged)
+        assert [(b.size, b.trigger) for b in s.metrics.batches] \
+            == [(1, "idle"), (4, "full"), (2, "idle")]
+        assert [b.request_ids for b in s.metrics.batches] \
+            == [(0,), (1, 2, 3, 4), (5, 6)]
+        assert_batches_bitwise(s, engine, by_id)
+
+    def test_signature_change_still_ends_a_batch(self, engine, windows):
+        gate = Gate(engine)
+        with MicroBatchScheduler(gate, max_batch=4) as s:
+            hold_first_batch(gate, s, windows[0])
+            futures = [s.submit(windows[1]), s.submit(windows[2]),
+                       s.submit_gradient(GradientRequest(windows[3])),
+                       s.submit(windows[4])]
+            gate.release.set()
+            for f in futures:
+                f.result(timeout=60)
+        assert [(b.kind, b.size) for b in s.metrics.batches] \
+            == [("forecast", 1), ("forecast", 2), ("gradient", 1),
+                ("forecast", 1)]
 
     def test_close_serves_backlog(self, engine, windows):
-        s = MicroBatchScheduler(engine, max_batch=4, max_wait=10.0,
-                                autostart=False)
+        s = MicroBatchScheduler(engine, max_batch=4, autostart=False)
         futures = [s.submit(w) for w in windows[:2]]
         s.close()
         assert all(f.done() for f in futures)
@@ -259,8 +341,7 @@ class TestFlushPolicy:
             s.submit(windows[0])
 
     def test_submit_validates_length_and_mesh(self, engine, windows):
-        s = MicroBatchScheduler(engine, max_batch=4, max_wait=10.0,
-                                autostart=False)
+        s = MicroBatchScheduler(engine, max_batch=4, autostart=False)
         with pytest.raises(ValueError, match="time_steps"):
             s.submit(make_window(0, t=T + 1))
         s.submit(windows[0])
@@ -290,8 +371,7 @@ class TestFlushPolicy:
                     raise RuntimeError("transient backend failure")
                 return self.inner.forecast_batch(refs)
 
-        with MicroBatchScheduler(Flaky(engine), max_batch=1,
-                                 max_wait=0.01) as s:
+        with MicroBatchScheduler(Flaky(engine), max_batch=1) as s:
             bad = s.submit(windows[0])
             with pytest.raises(RuntimeError, match="transient"):
                 bad.result(timeout=60)
@@ -306,6 +386,48 @@ class TestFlushPolicy:
         assert not s.metrics.batches[1].failed
         assert s.metrics.n_requests == 2
         assert s.metrics.summary()["failed_batches"] == 1
+
+
+class TestCallbacksOnTheWorkerThread:
+    """Done-callbacks of a threaded scheduler run on its worker thread —
+    the only thread that can run a batch."""
+
+    @staticmethod
+    def run_in_callback(engine, windows, action):
+        """Complete one request, run ``action(scheduler)`` in its
+        done-callback, return what it returned or raised."""
+        gate, outcome = Gate(engine), []
+
+        def callback(fut):
+            try:
+                outcome.append(action(s))
+            except Exception as exc:    # noqa: BLE001 — handed to the test
+                outcome.append(exc)
+
+        with MicroBatchScheduler(gate, max_batch=2) as s:
+            first = hold_first_batch(gate, s, windows[0]).future
+            first.add_done_callback(callback)   # still pending: runs there
+            gate.release.set()
+            first.result(timeout=60)
+            # the worker survived whatever the callback did
+            after = s.forecast(windows[1])
+        assert_windows_equal(
+            after.fields, engine.forecast_batch([windows[1]])[0].fields)
+        return outcome[0]
+
+    def test_blocking_on_the_scheduler_fails_fast(self, engine, windows):
+        for blocking in (lambda s: s.forecast(windows[2]),
+                         lambda s: s.forecast_batch(windows[2:4])):
+            raised = self.run_in_callback(engine, windows, blocking)
+            assert isinstance(raised, RuntimeError)
+            assert "worker thread" in str(raised)
+
+    def test_plain_submit_stays_legal(self, engine, windows):
+        chained = self.run_in_callback(
+            engine, windows, lambda s: s.submit(windows[2]))
+        assert_windows_equal(
+            chained.result(timeout=60).fields,
+            engine.forecast_batch([windows[2]])[0].fields)
 
 
 class TestForecastCache:
@@ -365,7 +487,7 @@ class TestForecastCache:
         assert cache.get(window_key(windows[2])) is not None
 
     def test_server_dedups_identical_requests(self, engine, windows):
-        with ForecastServer(engine, max_batch=4, max_wait=0.01,
+        with ForecastServer(engine, max_batch=4,
                             cache_bytes=1 << 24) as server:
             first = server.forecast(windows[0])
             # wait for the out-of-band cache fill to land
@@ -385,7 +507,7 @@ class TestForecastCache:
         """A burst of identical requests arriving before the first
         result lands follows one leader instead of each taking an
         engine batch slot."""
-        with ForecastServer(engine, max_batch=8, max_wait=0.05,
+        with ForecastServer(engine, max_batch=8,
                             cache_bytes=1 << 24) as server:
             futures = [server.submit(windows[1]) for _ in range(6)]
             results = [f.result(timeout=60) for f in futures]
@@ -396,7 +518,7 @@ class TestForecastCache:
         assert sum(b.size for b in server.scheduler.metrics.batches) <= 2
 
     def test_follower_results_are_private_copies(self, engine, windows):
-        with ForecastServer(engine, max_batch=8, max_wait=0.05,
+        with ForecastServer(engine, max_batch=8,
                             cache_bytes=1 << 24) as server:
             leader = server.submit(windows[2])
             follower = server.submit(windows[2])
@@ -411,16 +533,25 @@ class TestServerRouting:
     def test_served_ensemble_equals_direct(self, engine, windows):
         direct = EnsembleForecaster(engine, n_members=4,
                                     seed=3).forecast(windows[0])
-        with ForecastServer(engine, max_batch=4, max_wait=5.0) as server:
-            served = server.submit_ensemble(windows[0], n_members=4,
-                                            seed=3).result(timeout=120)
+        gate = Gate(engine)
+        with ForecastServer(gate, max_batch=4) as server:
+            # the members are routed one by one: queue all four behind a
+            # busy replica so they share the direct call's one forward
+            held = server.submit(windows[1])
+            assert gate.entered.wait(60)
+            run = server.submit_ensemble(windows[0], n_members=4, seed=3)
+            wait_pending(server.scheduler, 4)
+            gate.release.set()
+            served = run.result(timeout=120)
+            held.result(timeout=60)
         assert served.n_members == 4
         for sm, dm in zip(served.members, direct.members):
             assert_windows_equal(sm, dm)
         assert_windows_equal(served.mean, direct.mean)
         assert_windows_equal(served.spread, direct.spread)
-        # all 4 members shared micro-batches: occupancy above 1
-        assert server.scheduler.metrics.mean_occupancy > 1.0
+        assert [(b.size, b.trigger)
+                for b in server.scheduler.metrics.batches] \
+            == [(1, "idle"), (4, "full")]
 
     def test_served_hybrid_equals_direct(self, engine, tiny_ocean):
         from repro.physics import Verifier
@@ -429,16 +560,22 @@ class TestServerRouting:
         states = [object()] * 2     # never touched when every episode passes
         direct = HybridWorkflow(engine, tiny_ocean, verifier).run(
             window, states, threshold=1e30)
-        with ForecastServer(engine, max_batch=8, max_wait=0.01,
+        with ForecastServer(engine, max_batch=8,
                             ocean=tiny_ocean, verifier=verifier) as server:
             fields, report = server.submit_hybrid(
                 window, states, threshold=1e30).result(timeout=120)
         assert report.n_episodes == direct[1].n_episodes == 2
         assert report.pass_rate == 1.0
         assert_windows_equal(fields, direct[0])
+        # chained episodes reach an idle replica one at a time: each is
+        # served at once, none waits for company
+        metrics = server.scheduler.metrics
+        assert [(b.size, b.trigger) for b in metrics.batches] \
+            == [(1, "idle")] * 2
+        assert metrics.queue_percentile(50) < 1e-3
 
     def test_hybrid_without_deps_raises(self, engine, windows):
-        with ForecastServer(engine, max_batch=2, max_wait=0.01) as server:
+        with ForecastServer(engine, max_batch=2) as server:
             with pytest.raises(ValueError, match="ocean"):
                 server.submit_hybrid(windows[0], [object()])
 

@@ -63,7 +63,7 @@ def test_failed_scheduler_construction_leaks_no_child_and_no_segment(
 
     def build():
         return EngineWorkerPool(engine, replicas=1, max_batch=2,
-                                max_wait=10.0, autostart=False,
+                                autostart=False,
                                 backend=backend)
 
     # 1. pool construction
