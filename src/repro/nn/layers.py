@@ -7,6 +7,7 @@ transposed convolution, §III-C).
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 import numpy as np
@@ -31,12 +32,14 @@ __all__ = [
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: ``x * Phi(x)`` using the error function.
+    """GELU: ``x * Phi(x)``.
 
-    Outside of autograd the five-op chain is fused into in-place
-    updates of a single buffer (the plan kernel, on a fresh buffer) —
-    GELU runs over full-resolution decoder activations, where every
-    extra temporary is a pass over main memory.
+    Under autograd the exact composite ``x·(erf(x/√2) + 1)/2`` is
+    taped.  Outside of it the one plan kernel runs (on a fresh buffer):
+    for contiguous float32 a blocked SIMD-ufunc evaluation of ``Phi``
+    within 5·10⁻⁷ of the composite, otherwise the in-place ``erf``
+    chain — GELU runs over full-resolution decoder activations, where
+    ``erf``'s scalar loop was a third of a whole forward.
     """
     x = astensor(x)
     if _plan.tracing():
@@ -223,18 +226,73 @@ class MLP(Module):
 # above call them with ``out=None`` (NumPy allocates the working
 # buffer), so compiled forwards are bitwise identical to eager ones
 # ----------------------------------------------------------------------
-@_plan.register_kernel("gelu", "compute", rowwise=True)
+#: Abramowitz & Stegun 7.1.26, erfc(z) ≈ (a₁t + … + a₅t⁵)·e^{−z²} with
+#: t = 1/(1 + pz) and |ε| ≤ 1.5·10⁻⁷, rewritten for z = u/√2; the −½ of
+#: Q(u) = ½·erfc(u/√2) is folded into the coefficients (exact in binary)
+_PHI_P = np.float32(0.3275911 / np.sqrt(2.0))
+_PHI_A = tuple(np.float32(-0.5 * a) for a in (
+    0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
+#: |x| is clamped here before it is squared: 13² / 2 keeps e^{−u²/2} a
+#: normal float32, and u·Q(u) is already below 10⁻³⁷
+_PHI_CLAMP = np.float32(13.0)
+#: elements per sweep: the 21 passes below then run in L1/L2 instead
+#: of streaming a decoder activation twenty times (measured, ns/element
+#: on 2.36 M: 1 K 11.9, 8 K 3.9, 32 K 3.0, 64 K 3.1, 256 K 4.9,
+#: unblocked 6.1; the erf chain 17)
+_PHI_BLOCK = 1 << 15
+#: two block-sized work vectors per thread — replicas call the kernel
+#: concurrently, and a fresh 128 KiB ``np.empty`` per call sits exactly
+#: on glibc's mmap threshold
+_phi_scratch = threading.local()
+
+
+@_plan.register_kernel("gelu", "compute")
 def _k_gelu(out, ins, consts):
     a = ins[0]
-    y = np.multiply(a, np.float32(1.0 / np.sqrt(2.0)), out=out)
-    _sp_special.erf(y, out=y)
-    y += 1.0
-    y *= a
-    y *= 0.5
-    return y
+    if a.dtype != np.float32 or not a.flags.c_contiguous \
+            or not (out is None or out.flags.c_contiguous):
+        # float64 (gradcheck) and strided input: the exact-erf chain,
+        # which is also what the tests hold the fast path against
+        y = np.multiply(a, np.float32(1.0 / np.sqrt(2.0)), out=out)
+        _sp_special.erf(y, out=y)
+        y += 1.0
+        y *= a
+        y *= 0.5
+        return y
+    # GELU(x) = x·Φ(x) = max(x, 0) − u·Q(u), u = |x|: no cancellation in
+    # the negative tail, and only SIMD ufuncs (scipy's erf is a scalar
+    # libm loop, ≈ 15 ns/element against ≈ 0.4 for each pass here)
+    if out is None:
+        out = np.empty_like(a)
+    try:
+        us, ws = _phi_scratch.vectors
+    except AttributeError:
+        us, ws = _phi_scratch.vectors = np.empty((2, _PHI_BLOCK), np.float32)
+    xs, ys = a.reshape(-1), out.reshape(-1)
+    a1, a2, a3, a4, a5 = _PHI_A
+    for lo in range(0, xs.size, _PHI_BLOCK):
+        x, y = xs[lo:lo + _PHI_BLOCK], ys[lo:lo + _PHI_BLOCK]
+        u, w = us[:x.size], ws[:x.size]
+        np.abs(x, out=u)
+        np.minimum(u, _PHI_CLAMP, out=u)
+        np.multiply(u, _PHI_P, out=w)           # t = 1 / (1 + p·u/√2)
+        w += 1.0
+        np.reciprocal(w, out=w)
+        np.multiply(w, a5, out=y)               # −½·(a₁t + … + a₅t⁵)
+        for coef in (a4, a3, a2, a1):
+            y += coef
+            y *= w
+        np.multiply(u, u, out=w)                # e^{−u²/2}
+        w *= -0.5
+        np.exp(w, out=w)
+        y *= w
+        y *= u                                  # −u·Q(u)
+        np.maximum(x, 0.0, out=w)
+        y += w
+    return out
 
 
-@_plan.register_kernel("layernorm", "compute", rowwise=True)
+@_plan.register_kernel("layernorm", "compute")
 def _k_layernorm(out, ins, consts):
     a, w, b = ins
     y = np.subtract(a, a.mean(axis=-1, keepdims=True), out=out)
@@ -247,7 +305,7 @@ def _k_layernorm(out, ins, consts):
     return y
 
 
-@_plan.register_kernel("bn_affine", "compute", rowwise=True)
+@_plan.register_kernel("bn_affine", "compute")
 def _k_bn_affine(out, ins, consts):
     y = np.multiply(ins[0], consts["scale"], out=out)
     y += consts["shift"]

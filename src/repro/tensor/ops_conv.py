@@ -58,6 +58,18 @@ def conv_transpose_output_shape(spatial: Sequence[int], kernel: Sequence[int],
     )
 
 
+def _wide(a: np.ndarray) -> np.ndarray:
+    """``a`` with its (unit-stride) last axis folded into the element.
+
+    The patch interleaves below permute every axis but the last kernel
+    axis, which is a contiguous run in source and destination alike;
+    viewed as one opaque element of that many bytes, NumPy's copy loop
+    moves a whole run per inner step instead of one scalar — the same
+    bytes to the same places, for any dtype and kernel size.
+    """
+    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
+
+
 def _fwd_patch(x: np.ndarray, w: np.ndarray, out_sp: Tuple[int, ...],
                out: Optional[np.ndarray] = None) -> np.ndarray:
     """stride == kernel special case: non-overlapping patches.
@@ -83,6 +95,12 @@ def _fwd_patch(x: np.ndarray, w: np.ndarray, out_sp: Tuple[int, ...],
     o_axes = tuple(2 + 2 * i for i in range(nd))
     k_axes = tuple(3 + 2 * i for i in range(nd))
     xv = xv.transpose((0,) + o_axes + (1,) + k_axes)   # (N, o…, Ci, k…)
+    if kshape[-1] > 1 and xv.strides[-1] == xv.itemsize:
+        # gather the patches run by run; a pointwise kernel has none,
+        # and the reshape below is then a free view
+        packed = np.empty(xv.shape, xv.dtype)
+        np.copyto(_wide(packed), _wide(xv))
+        xv = packed
     xmat = xv.reshape(N, int(np.prod(out_sp)), Ci * int(np.prod(kshape)))
     gemm = xmat @ w.reshape(Co, -1).T           # (N, O, Co)
     if out is None:
@@ -134,10 +152,9 @@ def _grad_input_patch(gout: np.ndarray, w: np.ndarray,
     perm = (0, 1 + nd) + tuple(v for ok in zip(o_axes, k_axes) for v in ok)
     gx = gx.transpose(perm)                     # (N, Ci, o1, k1, …, od, kd)
     if out is None:
-        return np.ascontiguousarray(gx).reshape(
-            (N, Ci) + tuple(o * k for o, k in zip(out_sp, kshape)))
-    np.copyto(out.reshape((N, Ci) + tuple(
-        v for ok in zip(out_sp, kshape) for v in ok)), gx)
+        out = np.empty((N, Ci) + tuple(o * k for o, k
+                                       in zip(out_sp, kshape)), gx.dtype)
+    np.copyto(_wide(out.reshape(gx.shape)), _wide(gx))
     return out
 
 

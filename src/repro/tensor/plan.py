@@ -28,16 +28,15 @@ the dynamic machinery:
   physical buffers from a size-keyed :class:`BufferArena` once, then
   :meth:`PlanExecutor.run` replays the steps on raw ``np.ndarray``\\ s:
   no Tensor objects, no graph bookkeeping, outputs written in place
-  into the reused slots.  Steps marked row-parallel (heavy elementwise
-  kernels — GELU's ``erf`` above all) are chunked over the leading
-  axis onto a shared thread pool on multi-core hosts; chunks are
-  disjoint, so results stay identical to the serial replay.
+  into the reused slots.  Replay is single-threaded: :meth:`run` is
+  a bare loop of kernel calls, and :meth:`PlanExecutor.profile` is
+  the same loop with a clock around each call.
 
 Replay is **bitwise identical** to the eager path by construction:
 under trace the eager value is computed *by the same kernel function*
 that replay calls, and every kernel reproduces the exact NumPy
-expression of the eager inference fast path (GEMMs are never split or
-reordered — only elementwise work is chunked).
+expression of the eager inference fast path (no kernel is ever split
+or reordered).
 
 Kernels register here for the generic tensor ops and from the modules
 that own them (:mod:`repro.tensor.ops_conv` registers the conv-GEMM
@@ -63,10 +62,11 @@ grad-mode switches are bound at import time through
 from __future__ import annotations
 
 import importlib
-import os
+import itertools
 import pickle
+import statistics
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -125,7 +125,6 @@ KERNEL_KINDS = ("compute", "fresh", "view", "movement", "inplace")
 class Kernel:
     fn: Callable
     kind: str
-    rowwise: bool = False     # safe to chunk over the leading axis
     nonview: str = "fresh"    # movement kernels: kind when not a view
 
 
@@ -133,16 +132,13 @@ class Kernel:
 KERNELS: Dict[str, Kernel] = {}
 
 
-def register_kernel(name: str, kind: str, rowwise: bool = False,
-                    nonview: str = "fresh"):
+def register_kernel(name: str, kind: str, nonview: str = "fresh"):
     """Register ``fn(out, ins, consts) -> np.ndarray`` as a kernel.
 
     ``out`` is the preallocated output buffer for ``compute`` kernels
     (``None`` at trace time, when the kernel must allocate); ``ins`` is
     the tuple of input arrays; ``consts`` the static argument dict
-    captured at trace time.  ``rowwise`` marks elementwise/last-axis
-    kernels whose leading axis may be chunked across threads without
-    changing any output bit.
+    captured at trace time.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
@@ -150,7 +146,7 @@ def register_kernel(name: str, kind: str, rowwise: bool = False,
     def deco(fn):
         if name in KERNELS:
             raise ValueError(f"kernel {name!r} already registered")
-        KERNELS[name] = Kernel(fn, kind, rowwise, nonview)
+        KERNELS[name] = Kernel(fn, kind, nonview)
         return fn
     return deco
 
@@ -164,32 +160,6 @@ _state = threading.local()
 def tracing() -> bool:
     """Whether a plan is being recorded on this thread."""
     return getattr(_state, "builder", None) is not None
-
-
-# ----------------------------------------------------------------------
-# shared elementwise thread pool (multi-core replays only)
-# ----------------------------------------------------------------------
-#: a rowwise step is chunked only when its output is at least this big
-PARALLEL_MIN_BYTES = 1 << 17
-
-_pool_lock = threading.Lock()
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_workers = 0
-
-
-def _shared_pool() -> Optional[ThreadPoolExecutor]:
-    """Lazy process-wide worker pool; ``None`` on single-core hosts."""
-    global _pool, _pool_workers
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        return None
-    with _pool_lock:
-        if _pool is None:
-            _pool_workers = min(cores, 8)
-            _pool = ThreadPoolExecutor(
-                max_workers=_pool_workers,
-                thread_name_prefix="plan-elementwise")
-    return _pool
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +194,6 @@ class Step:
     #: inputs, each ("s", slot_id) or ("c", const_id)
     ins: Tuple[Tuple[str, int], ...]
     consts: Dict[str, Any] = field(default_factory=dict)
-    rowwise: bool = False
     #: arena slots used only inside this step (fused kernels' internal
     #: temporaries); placed by :func:`repack` with a lifetime of
     #: exactly this step and passed to the kernel appended to ``ins``
@@ -279,39 +248,6 @@ class ExecutionPlan:
     def const_bytes(self) -> int:
         return sum(a.nbytes for a in self.const_arrays)
 
-    # -- analytic peak-memory model ------------------------------------
-    def peak_buffer_bytes(self) -> int:
-        """Modelled peak intermediate-buffer bytes of one replay:
-        the (liveness-reused) arena plus the live fresh-slot
-        high-water."""
-        return self.arena_bytes() + self._live_peak(("fresh",))
-
-    def eager_peak_bytes(self) -> int:
-        """Modelled peak intermediate-buffer bytes of one eager call:
-        every storage-owning slot is a separate allocation freed when
-        its alias group dies (NumPy refcounting), with no reuse."""
-        return self._live_peak(("compute", "fresh"))
-
-    def _live_peak(self, kinds: Tuple[str, ...]) -> int:
-        """High-water of live bytes over slots of the given kinds,
-        each freed at its alias group's last use."""
-        last_use = self._last_uses()
-        peak = live = 0
-        owned = {s for s in range(self.n_slots)
-                 if self.slots[s].kind in kinds}
-        for i, step in enumerate(self.steps):
-            if step.out in owned:
-                live += self.slots[step.out].nbytes
-            # scratch slots are born and die inside this one step
-            scratch = sum(self.slots[s].nbytes for s in step.scratch
-                          if self.slots[s].kind in kinds)
-            peak = max(peak, live + scratch)
-            for s in list(owned):
-                if last_use[s] == i:
-                    live -= self.slots[s].nbytes
-                    owned.discard(s)
-        return max(peak, live)
-
     def _last_uses(self) -> List[int]:
         """Per-slot index of the last step whose alias group needs it."""
         end = len(self.steps)
@@ -358,8 +294,7 @@ class ExecutionPlan:
     def __getstate__(self) -> Dict[str, Any]:
         return {
             "slots": self.slots,
-            "steps": [(s.name, s.kind, s.out, s.ins, s.consts, s.rowwise,
-                       s.scratch)
+            "steps": [(s.name, s.kind, s.out, s.ins, s.consts, s.scratch)
                       for s in self.steps],
             "inputs": self.inputs,
             "outputs": self.outputs,
@@ -372,8 +307,11 @@ class ExecutionPlan:
         _ensure_kernels_registered()
         steps = []
         for rec in state["steps"]:
-            name, kind, out, ins, consts, rowwise = rec[:6]
-            scratch = tuple(rec[6]) if len(rec) > 6 else ()
+            if len(rec) != 6:
+                raise TraceError(
+                    f"cannot deserialize plan: a step record has "
+                    f"{len(rec)} fields, this version writes 6")
+            name, kind, out, ins, consts, scratch = rec
             kernel = KERNELS.get(name)
             if kernel is None:
                 raise TraceError(
@@ -381,7 +319,7 @@ class ExecutionPlan:
                     "registered in this process (import the module that "
                     "registers it before loading the plan)")
             steps.append(Step(name, kernel.fn, kind, out, ins, consts,
-                              rowwise, scratch))
+                              scratch))
         self.slots = state["slots"]
         self.steps = steps
         self.inputs = state["inputs"]
@@ -480,7 +418,7 @@ class PlanBuilder:
         else:
             out = self._new_slot(out_arr, kind)
         self.steps.append(Step(name, kernel.fn, kind, out, tuple(ins),
-                               dict(consts), kernel.rowwise))
+                               dict(consts)))
         return out
 
     # -- finalize: liveness → physical buffer assignment ----------------
@@ -731,11 +669,6 @@ class PlanExecutor:
     callers each use their own executor (see
     ``workflow.engine.CompiledForward``).  :meth:`run` outputs are
     views into those buffers, valid until the next :meth:`run`.
-
-    Row-parallel steps are chunked across the shared elementwise
-    thread pool when the host has more than one core (``os.cpu_count()``)
-    and replay serially otherwise; results are identical either way —
-    chunks are disjoint rows.
     """
 
     def __init__(self, plan: ExecutionPlan,
@@ -747,10 +680,9 @@ class PlanExecutor:
         else:
             self._blob = arena.take(plan.arena_total)
         self._env: List[Optional[np.ndarray]] = [None] * plan.n_slots
-        pool = self._pool = _shared_pool()
 
         # precompile the program: resolve constants, bind output views
-        # into the arena blob, precompute row-chunk bounds
+        # into the arena blob
         consts = plan.const_arrays
         prog = []
         for i, step in enumerate(plan.steps):
@@ -769,20 +701,8 @@ class PlanExecutor:
                                plan.slots[s].phys + plan.slots[s].nbytes]
                     .view(plan.slots[s].dtype).reshape(plan.slots[s].shape)
                     for s in step.scratch)
-            bounds = None
-            if pool is not None and step.rowwise \
-                    and spec.nbytes >= PARALLEL_MIN_BYTES \
-                    and len(spec.shape) >= 2 and spec.shape[0] >= 2:
-                axis = step.consts.get("axis", -1)
-                if isinstance(axis, int) and axis % len(spec.shape) != 0:
-                    n = min(_pool_workers, spec.shape[0])
-                    edges = np.linspace(0, spec.shape[0], n + 1, dtype=int)
-                    bounds = tuple((int(lo), int(hi)) for lo, hi
-                                   in zip(edges[:-1], edges[1:])
-                                   if hi > lo)
             prog.append((step.fn, step.out, ins_spec, step.consts,
-                         out_view, plan.step_releases[i], bounds,
-                         spec.shape))
+                         out_view, plan.step_releases[i]))
         self._prog = prog
 
     def release(self) -> None:
@@ -793,10 +713,8 @@ class PlanExecutor:
         self._prog = []
         self._env = []
 
-    def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Replay the plan; returns the output arrays (arena views)."""
+    def _bind(self, inputs: Sequence[np.ndarray]) -> None:
         plan = self.plan
-        env = self._env
         if len(inputs) != len(plan.inputs):
             raise ValueError(
                 f"plan expects {len(plan.inputs)} inputs, got {len(inputs)}")
@@ -808,41 +726,45 @@ class PlanExecutor:
                     f"input slot {sid} expects C-contiguous "
                     f"{spec.shape} {spec.dtype}, got {arr.shape} "
                     f"{arr.dtype} (contiguous={arr.flags.c_contiguous})")
-            env[sid] = arr
-        pool = self._pool
-        for fn, out_slot, ins_spec, consts, out, rel, bounds, shape \
-                in self._prog:
+            self._env[sid] = arr
+
+    def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Replay the plan; returns the output arrays (arena views)."""
+        self._bind(inputs)
+        env = self._env
+        for fn, out_slot, ins_spec, consts, out, rel in self._prog:
             ins = tuple(env[r] if type(r) is int else r for r in ins_spec)
-            if bounds is None:
-                env[out_slot] = fn(out, ins, consts)
-            else:
-                env[out_slot] = self._run_chunked(
-                    pool, fn, out, ins, consts, bounds, shape)
+            env[out_slot] = fn(out, ins, consts)
             for sid in rel:
                 env[sid] = None      # fresh/view buffers free like eager
-        return [env[s] for s in plan.outputs]
+        return [env[s] for s in self.plan.outputs]
 
-    @staticmethod
-    def _run_chunked(pool, fn, out, ins, consts, bounds, shape):
-        """Fan a rowwise step over disjoint leading-axis chunks.
+    def profile(self, inputs: Sequence[np.ndarray], repeats: int
+                ) -> List[Tuple[int, str, Tuple[int, ...], float]]:
+        """Per-step cost of a replay: ``(index, kernel name, output
+        shape, median seconds)`` over ``repeats`` replays.
 
-        Inputs spanning the output's leading axis (same rank, same
-        leading extent — trailing axes may still broadcast) are
-        chunked; everything else (biases, leading-broadcast operands,
-        lower-rank constants) passes through whole and broadcasts per
-        chunk.  Disjoint rows ⇒ bit-identical to the serial call.
+        :meth:`run`'s loop with a clock read around each kernel call —
+        a separate loop, so :meth:`run` itself carries no branch for it.
         """
-        ndim, rows = len(shape), shape[0]
-        futures = []
-        for lo, hi in bounds:
-            o = out[lo:hi] if out is not None else None
-            cins = tuple(
-                a[lo:hi] if a.ndim == ndim and a.shape[0] == rows else a
-                for a in ins)
-            futures.append(pool.submit(fn, o, cins, consts))
-        for f in futures:
-            f.result()
-        return out if out is not None else ins[0]
+        env = self._env
+        clock = time.perf_counter
+        samples: List[List[float]] = [[] for _ in self._prog]
+        for _ in range(repeats):
+            self._bind(inputs)       # a replay releases its input slots
+            for (fn, out_slot, ins_spec, consts, out, rel), seen \
+                    in zip(self._prog, samples):
+                ins = tuple(env[r] if type(r) is int else r
+                            for r in ins_spec)
+                t0 = clock()
+                env[out_slot] = fn(out, ins, consts)
+                seen.append(clock() - t0)
+                for sid in rel:
+                    env[sid] = None
+        steps, slots = self.plan.steps, self.plan.slots
+        return [(i, steps[i].name, slots[steps[i].out].shape,
+                 statistics.median(seen))
+                for i, seen in enumerate(samples)]
 
 
 # ----------------------------------------------------------------------
@@ -851,7 +773,7 @@ class PlanExecutor:
 # expression bit for bit)
 # ----------------------------------------------------------------------
 def _binary(name, ufunc):
-    @register_kernel(name, "compute", rowwise=True)
+    @register_kernel(name, "compute")
     def _k(out, ins, consts):
         return ufunc(ins[0], ins[1], out=out)
     return _k
@@ -865,7 +787,7 @@ _binary("maximum", np.maximum)
 
 
 def _unary(name, ufunc):
-    @register_kernel(name, "compute", rowwise=True)
+    @register_kernel(name, "compute")
     def _k(out, ins, consts):
         return ufunc(ins[0], out=out)
     return _k
@@ -881,24 +803,23 @@ _unary("tanh", np.tanh)
 _unary("abs", np.abs)
 
 
-@register_kernel("pow", "compute", rowwise=True)
+@register_kernel("pow", "compute")
 def _k_pow(out, ins, consts):
     return np.power(ins[0], consts["exponent"], out=out)
 
 
 @register_kernel("matmul", "compute")
 def _k_matmul(out, ins, consts):
-    # never chunked: BLAS blocking must stay identical to the eager call
     return np.matmul(ins[0], ins[1], out=out)
 
 
-@register_kernel("relu", "compute", rowwise=True)
+@register_kernel("relu", "compute")
 def _k_relu(out, ins, consts):
     # eager computes x * (x > 0); keep the exact same expression
     return np.multiply(ins[0], ins[0] > 0, out=out)
 
 
-@register_kernel("clip", "compute", rowwise=True)
+@register_kernel("clip", "compute")
 def _k_clip(out, ins, consts):
     return np.clip(ins[0], consts["lo"], consts["hi"], out=out)
 
@@ -921,7 +842,7 @@ def _k_max(out, ins, consts):
     return r.squeeze(axis=ax)
 
 
-@register_kernel("softmax", "compute", rowwise=True)
+@register_kernel("softmax", "compute")
 def _k_softmax(out, ins, consts):
     a = ins[0]
     p = np.subtract(a, a.max(axis=consts["axis"], keepdims=True), out=out)
@@ -977,7 +898,6 @@ def _k_roll(out, ins, consts):
             # out[s:] = x[:n-s]; out[:s] = x[n-s:]
             pairs[ax] = [(slice(s, None), slice(None, n - s)),
                          (slice(None, s), slice(n - s, None))]
-    import itertools
     for combo in itertools.product(*pairs):
         dst = tuple(c[0] for c in combo)
         src = tuple(c[1] for c in combo)
@@ -1005,14 +925,14 @@ def _k_astype(out, ins, consts):
     return ins[0].astype(consts["dtype"])
 
 
-@register_kernel("iadd", "inplace", rowwise=True)
+@register_kernel("iadd", "inplace")
 def _k_iadd(out, ins, consts):
     t = ins[0]
     t += ins[1]
     return t
 
 
-@register_kernel("imul_scalar", "inplace", rowwise=True)
+@register_kernel("imul_scalar", "inplace")
 def _k_imul_scalar(out, ins, consts):
     t = ins[0]
     t *= consts["scale"]

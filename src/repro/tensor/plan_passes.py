@@ -113,7 +113,7 @@ def _k_matmul_bias_gelu(out, ins, consts):
     return KERNELS["gelu"].fn(out, (t,), None)
 
 
-@register_kernel("bn_affine_gelu", "compute", rowwise=True)
+@register_kernel("bn_affine_gelu", "compute")
 def _k_bn_affine_gelu(out, ins, consts):
     # bn_affine ; gelu — folded BatchNorm into its activation
     x, tmp = ins
@@ -253,7 +253,7 @@ def fuse_elementwise(plan: ExecutionPlan) -> Dict[str, int]:
                 i += 1
                 continue
             plan.steps[i] = Step(fused_name, kernel.fn, "compute", out,
-                                 ins, consts, kernel.rowwise, scratch)
+                                 ins, consts, scratch)
             del plan.steps[i + 1]
             counts[fused_name] = counts.get(fused_name, 0) + 1
             changed = True

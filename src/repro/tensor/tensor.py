@@ -257,6 +257,18 @@ class Tensor:
             out._parents = tuple(parents)
         return out
 
+    def _operand(self, other: ArrayLike) -> "Tensor":
+        """Coerce the other side of a binary op.
+
+        A Python scalar next to a floating tensor is *weak*: it adopts
+        the tensor's dtype, so ``x * 0.5`` on float32 stays float32 on
+        every NumPy (``np.asarray(0.5)`` is a float64 array, which
+        NumPy 2 promotes with and NumPy 1 did not).  Arrays and Tensors
+        promote as NumPy promotes them.
+        """
+        weak = isinstance(other, (int, float)) and self.data.dtype.kind == "f"
+        return astensor(other, self.data.dtype if weak else None)
+
     def _accum(self, grad: np.ndarray) -> None:
         """Accumulate ``grad`` into ``self.grad`` (dense accumulation)."""
         if not self.requires_grad:
@@ -320,7 +332,7 @@ class Tensor:
     # arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = astensor(other)
+        other = self._operand(other)
         if _tracing():
             return _trace_apply("add", (self, other))
         out = self._make(self.data + other.data, (self, other))
@@ -344,7 +356,7 @@ class Tensor:
         return out
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = astensor(other)
+        other = self._operand(other)
         if _tracing():
             return _trace_apply("sub", (self, other))
         out = self._make(self.data - other.data, (self, other))
@@ -356,10 +368,10 @@ class Tensor:
         return out
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return astensor(other) - self
+        return self._operand(other) - self
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = astensor(other)
+        other = self._operand(other)
         if _tracing():
             return _trace_apply("mul", (self, other))
         out = self._make(self.data * other.data, (self, other))
@@ -374,7 +386,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = astensor(other)
+        other = self._operand(other)
         if _tracing():
             return _trace_apply("div", (self, other))
         out = self._make(self.data / other.data, (self, other))
@@ -387,7 +399,7 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return astensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -542,7 +554,7 @@ class Tensor:
 
     def maximum(self, other: ArrayLike) -> "Tensor":
         """Elementwise max; ties send the full gradient to ``self``."""
-        other = astensor(other)
+        other = self._operand(other)
         if _tracing():
             return _trace_apply("maximum", (self, other))
         out = self._make(np.maximum(self.data, other.data), (self, other))

@@ -5,9 +5,10 @@ The invariant under test everywhere is **bitwise equality**: a compiled
 plan replays the exact NumPy expressions of the eager inference path,
 so every field of every result must be ``np.array_equal`` to the eager
 one — for plain, ensemble, and hybrid requests, under every pool
-routing policy, serial or thread-chunked replay.
+routing policy.
 """
 
+import os
 import threading
 import tracemalloc
 
@@ -108,13 +109,6 @@ class TestTraceReplay:
         kinds = {s.name: plan.slots[s.out].kind for s in plan.steps}
         assert kinds["transpose"] == "view"
         assert kinds["reshape"] == "compute"
-
-    def test_plan_peak_never_exceeds_eager_model(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(16, 32)).astype(np.float32)
-        plan, _ = trace(_fn, (x, x.copy()))
-        assert plan.arena_bytes() > 0
-        assert plan.peak_buffer_bytes() <= plan.eager_peak_bytes()
 
     def test_liveness_no_live_ranges_overlap(self, tiny_surrogate):
         """Offset assignment: two arena slots may share bytes only if
@@ -403,66 +397,35 @@ class TestEngineCompiled:
         assert stats["hits"] == 8 and stats["plans"] == 1
 
 
-class TestParallelReplay:
-    def test_chunked_replay_bitwise_equal_serial(self, monkeypatch,
-                                                 tiny_surrogate, windows):
-        """Force the elementwise thread pool on and drop the size
-        threshold so chunking actually triggers at test scale; results
-        must not change by a bit."""
-        norm = Normalizer({v: 0.0 for v in VARS}, {v: 1.0 for v in VARS})
-        eager = ForecastEngine(tiny_surrogate, norm)
-        want = eager.forecast_batch(windows[:4])
+class TestSerialReplay:
+    def test_compiled_forecast_starts_no_thread(self, monkeypatch, engine,
+                                                windows):
+        """Replay is a bare loop on the caller's thread whatever the
+        host: no worker pool appears on a machine reporting cores."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        before = threading.active_count()
+        engine.compile(4)
+        got = engine.forecast_batch(windows[:4])
+        assert got[0].compiled
+        assert threading.active_count() == before
 
-        monkeypatch.setattr(plan_mod.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(plan_mod, "PARALLEL_MIN_BYTES", 1)
-        saved_pool, saved_workers = plan_mod._pool, plan_mod._pool_workers
-        monkeypatch.setattr(plan_mod, "_pool", None)
-        try:
-            engine = ForecastEngine(tiny_surrogate, norm)
-            engine.compile(4)
-            got = engine.forecast_batch(windows[:4])
-            assert got[0].compiled
-            # the pool really engaged (at least one step was chunked)
-            cf = engine.compile(4)
-            ex = cf.acquire()
-            try:
-                assert any(bounds is not None and len(bounds) > 1
-                           for *_, bounds, _ in ex._prog)
-            finally:
-                cf.release(ex)
-            for g, w in zip(got, want):
-                assert_windows_equal(g.fields, w.fields)
-        finally:
-            pool = plan_mod._pool
-            if pool is not None:
-                pool.shutdown(wait=True)
-            plan_mod._pool = saved_pool
-            plan_mod._pool_workers = saved_workers
-
-    def test_chunked_broadcast_broadcast_binary(self, monkeypatch):
-        """A rowwise binary op where *neither* operand matches the
-        output shape: the leading-broadcast operand must pass through
-        whole while the row-spanning one is sliced."""
-        monkeypatch.setattr(plan_mod.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(plan_mod, "PARALLEL_MIN_BYTES", 1)
-        saved_pool, saved_workers = plan_mod._pool, plan_mod._pool_workers
-        monkeypatch.setattr(plan_mod, "_pool", None)
-        try:
-            a = np.arange(8, dtype=np.float32).reshape(8, 1, 1) \
-                * np.ones((8, 1, 4), np.float32)        # (8, 1, 4)
-            b = np.arange(12, dtype=np.float32).reshape(1, 3, 4)
-            plan, _ = trace(lambda x, y: (x + y) * 1.0, (a, b))
-            ex = PlanExecutor(plan)
-            assert any(bounds is not None
-                       for *_, bounds, _ in ex._prog)
-            (got,) = ex.run((a, b))
-            assert np.array_equal(got, (a + b) * 1.0)
-        finally:
-            pool = plan_mod._pool
-            if pool is not None:
-                pool.shutdown(wait=True)
-            plan_mod._pool = saved_pool
-            plan_mod._pool_workers = saved_workers
+    def test_profile_times_every_step_of_the_same_replay(self, engine):
+        plan = engine.compile(2).plan
+        r = np.random.default_rng(3)
+        args = tuple(r.normal(size=s).astype(np.float32)
+                     for s in engine._input_shapes(2))
+        want = [o.copy() for o in PlanExecutor(plan).run(args)]
+        ex = PlanExecutor(plan)
+        rows = ex.profile(args, 3)
+        assert [(i, name) for i, name, _, _ in rows] \
+            == [(i, s.name) for i, s in enumerate(plan.steps)]
+        assert all(shape == plan.slots[plan.steps[i].out].shape
+                   and seconds >= 0.0 for i, _, shape, seconds in rows)
+        # the profiled loop ran the real kernels on the real buffers
+        for got, w in zip((ex._env[s] for s in plan.outputs), want):
+            np.testing.assert_array_equal(got, w)
+        for got, w in zip(ex.run(args), want):
+            np.testing.assert_array_equal(got, w)
 
 
 class TestServedPlans:

@@ -1,7 +1,11 @@
 """NN layers: modules, norms, activations, dropout, MLP, convolutions."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.special
 
 from repro.nn import (
     BatchNorm,
@@ -23,6 +27,7 @@ from repro.nn import (
     gelu,
 )
 from repro.nn import init
+from repro.nn import layers as layers_mod
 from repro.tensor import Tensor, gradcheck
 
 
@@ -170,6 +175,23 @@ class TestActivations:
     def test_gelu_gradcheck(self, rng):
         gradcheck(lambda x: gelu(x), [rng.normal(size=(10,))])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tape_gelu_and_layernorm_keep_input_dtype(self, rng, dtype):
+        x = Tensor(rng.normal(size=(6, 8)).astype(dtype), requires_grad=True)
+        assert gelu(x).dtype == dtype
+        ln = LayerNorm(8)
+        for p in ln.parameters():
+            p.data = p.data.astype(dtype)
+        assert ln(x).dtype == dtype
+
+    def test_tape_gelu_within_5e7_of_inference_kernel(self, rng):
+        """The tape keeps the exact-erf composite; the forward it
+        differentiates is the Φ kernel's to float32 rounding."""
+        data = (3.0 * rng.normal(size=4096)).astype(np.float32)
+        tape = gelu(Tensor(data, requires_grad=True)).data
+        fast = gelu(Tensor(data)).data
+        assert np.abs(tape - fast).max() <= 5e-7
+
     def test_gelu_module_equals_function(self, rng):
         x = Tensor(rng.normal(size=(5,)))
         np.testing.assert_array_equal(GELU()(x).data, gelu(x).data)
@@ -191,6 +213,125 @@ class TestActivations:
             Dropout(1.0)
         with pytest.raises(ValueError):
             Dropout(-0.1)
+
+
+def _erf_chain(a, out=None):
+    """The exact-erf GELU chain the float32 Φ kernel replaced — still
+    the kernel's own path for float64 / strided input, kept here as the
+    slow reference."""
+    y = np.multiply(a, np.float32(1.0 / np.sqrt(2.0)), out=out)
+    scipy.special.erf(y, out=y)
+    y += 1.0
+    y *= a
+    y *= 0.5
+    return y
+
+
+def _phi(x, out=None):
+    return layers_mod._k_gelu(out, (x,), None)
+
+
+class TestGeluPhiKernel:
+    """Contiguous float32 GELU: SIMD ufuncs only, no ``erf``."""
+
+    B = layers_mod._PHI_BLOCK
+
+    def test_matches_float64_oracle_no_worse_than_erf_chain(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            np.linspace(-14.0, 14.0, 2_000_001),
+            1.5 * rng.normal(size=1 << 20)]).astype(np.float32)
+        x64 = x.astype(np.float64)
+        oracle = x64 * 0.5 * (1.0 + scipy.special.erf(x64 / np.sqrt(2.0)))
+        err = np.abs(_phi(x) - oracle)
+        assert np.all(err <= 5e-7 * np.maximum(1.0, np.abs(x64)))
+        assert err.max() <= 1.1 * np.abs(_erf_chain(x) - oracle).max()
+
+    def test_limits_and_specials(self):
+        f = np.float32
+        assert np.all(_phi(np.array([0.0, -0.0], f)) == 0)
+        big = np.array([6.0, 7.5, 13.0, 14.0, 1e4, 3e38], f)
+        np.testing.assert_array_equal(_phi(big), big)
+        tail = _phi(np.array([-14.0, -20.0, -1e4, -3e38], f))
+        assert np.all((tail >= -1e-37) & (tail <= 0))
+        got = _phi(np.array([np.nan, np.inf], f))
+        assert np.isnan(got[0]) and got[1] == np.inf
+
+    def test_no_fp_exception_on_any_finite_input(self):
+        # every 4099th float32 bit pattern: all exponents, both signs,
+        # denormals, and the largest finite magnitudes
+        bits = np.arange(0, 1 << 32, 4099, dtype=np.uint64).astype(np.uint32)
+        x = bits.view(np.float32)
+        x = np.concatenate([x[np.isfinite(x)],
+                            np.array([3e38, -3e38], np.float32)])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y = _phi(x)
+        assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0),
+                                               (1, 1), (3, 7)])
+    def test_result_is_independent_of_position(self, blocks, extra):
+        """What bucket padding and served ≡ direct lean on: an element's
+        bits do not depend on where in which array it sits."""
+        n = blocks * self.B + extra
+        x = (2.0 * np.random.default_rng(n).normal(size=n)).astype(np.float32)
+        want = _phi(x)
+        halves = np.concatenate([_phi(x[:n // 2]), _phi(x[n // 2:])])
+        np.testing.assert_array_equal(halves, want)
+        arena = np.zeros(4 * n + 192, np.uint8)
+        out = arena[64:64 + 4 * n].view(np.float32)
+        assert _phi(x, out) is out
+        np.testing.assert_array_equal(out, want)
+
+    def test_float64_and_strided_input_keep_the_erf_chain_bits(self, rng):
+        x64 = rng.normal(size=(7, 33))
+        np.testing.assert_array_equal(_phi(x64), _erf_chain(x64))
+        strided = rng.normal(size=(33, 7)).astype(np.float32).T
+        assert not strided.flags.c_contiguous
+        np.testing.assert_array_equal(_phi(strided), _erf_chain(strided))
+        out = np.empty((7, 33), np.float32)
+        np.testing.assert_array_equal(_phi(strided, out), _erf_chain(strided))
+
+    def test_contiguous_float32_never_calls_erf(self, monkeypatch, rng):
+        def boom(*args, **kwargs):
+            raise AssertionError("scipy.special.erf called")
+        monkeypatch.setattr(scipy.special, "erf", boom)
+        x = rng.normal(size=(5, 40)).astype(np.float32)
+        assert gelu(Tensor(x)).dtype == np.float32
+        with pytest.raises(AssertionError, match="erf called"):
+            gelu(Tensor(x.astype(np.float64)))
+
+    def test_concurrent_threads_reproduce_serial_results(self):
+        """The work vectors are per thread: replicas inside the kernel
+        at once must not see each other's blocks."""
+        rng = np.random.default_rng(7)
+        xs = [rng.normal(size=2 * self.B + 11).astype(np.float32)
+              for _ in range(3)]             # more threads than CI cores
+        want = [_phi(x) for x in xs]
+        start = threading.Barrier(len(xs))
+        got = [[] for _ in xs]
+
+        def work(i):
+            start.wait(timeout=10)
+            for _ in range(15):
+                got[i].append(_phi(xs[i]))
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for ys, w in zip(got, want):
+            assert len(ys) == 15
+            for y in ys:
+                np.testing.assert_array_equal(y, w)
 
 
 class TestMLP:

@@ -39,6 +39,8 @@ SIGNATURES = [
       "scale_down_patience", "target_utilization", "capacity_model",
       "interval"]),
     (PlanExecutor, ["plan", "arena"]),
+    (PlanExecutor.profile, ["self", "inputs", "repeats"]),
+    (repro.tensor.plan.register_kernel, ["name", "kind", "nonview"]),
     (ForecastEngine.compile_buckets, ["self", "max_batch"]),
 ]
 

@@ -210,6 +210,24 @@ def test_storm_sensitivity_matches_fd(grad_engine, ref_window):
             f"{name}: fd={fd:.3e} analytic={ana:.3e} rel={rel:.3e}"
 
 
+def test_tape_forward_and_leaf_gradients_are_float32(grad_engine,
+                                                     ref_window):
+    """The grad-mode model forward sensitivity_batch runs stays in the
+    inputs' float32 (a float64 Python-scalar constant used to promote
+    every GELU / LayerNorm of the tape), and so do the leaf gradients."""
+    x3d, x2d, _ = grad_engine._prepare_inputs([ref_window])
+    assert x3d.dtype == x2d.dtype == np.float32
+    model = grad_engine.model
+    model.eval()
+    t3 = Tensor(x3d, requires_grad=True)
+    t2 = Tensor(x2d, requires_grad=True)
+    p3d, p2d = model(t3, t2)
+    assert p3d.dtype == p2d.dtype == np.float32
+    (p3d.sum() + p2d.sum()).backward()
+    assert t3.grad.dtype == t2.grad.dtype == np.float32
+    model.zero_grad()
+
+
 def test_sensitivity_leaves_inference_untouched(grad_engine, ref_window):
     """The backward must not perturb concurrent-style forward serving:
     parameter flags restored, results bitwise-stable."""

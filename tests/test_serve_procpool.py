@@ -118,6 +118,19 @@ class TestPlanPickle:
         with pytest.raises(Exception, match="not registered"):
             fresh.__setstate__(state)
 
+    def test_step_record_of_another_arity_rejected(self):
+        """Plans only travel parent → child at spawn, same code on both
+        ends: a record that is not this version's 6-tuple is refused by
+        name, not unpacked into the wrong fields."""
+        plan, _ = trace(lambda a: a + a, (np.ones((2, 2), np.float32),))
+        state = plan.__getstate__()
+        assert all(len(rec) == 6 for rec in state["steps"])
+        state["steps"] = [rec[:5] + (False,) + rec[5:]
+                          for rec in state["steps"]]
+        fresh = ExecutionPlan.__new__(ExecutionPlan)
+        with pytest.raises(TraceError, match="7 fields"):
+            fresh.__setstate__(state)
+
     def test_failed_kernel_module_import_surfaces(self, monkeypatch):
         """A child whose kernel-registering import fails must report
         that error, not a misleading "kernel ... is not registered"."""

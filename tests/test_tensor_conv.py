@@ -1,8 +1,10 @@
 """N-d convolution kernels: shapes, values, adjoints, transpose duality."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.tensor import ops_conv
 from repro.tensor import (
     Tensor,
     conv_nd,
@@ -160,3 +162,94 @@ class TestProperties:
         out = conv_transpose_nd(Tensor(x), Tensor(w), stride=2).data
         np.testing.assert_allclose(out[:, :, ::2, ::2], x, rtol=1e-10)
         assert np.all(out[:, :, 1::2, :] == 0)
+
+
+# ----------------------------------------------------------------------
+# stride == kernel patch paths: the wide-element interleave is a pure
+# byte move, held bitwise against the scalar-element copy it replaced
+# (kept here as the slow reference)
+# ----------------------------------------------------------------------
+def _ref_grad_input_patch(gout, w, out=None):
+    kshape, out_sp = w.shape[2:], gout.shape[2:]
+    N, Co = gout.shape[:2]
+    Ci, nd = w.shape[1], len(kshape)
+    gmat = np.moveaxis(gout, 1, -1).reshape(N, int(np.prod(out_sp)), Co)
+    gx = (gmat @ w.reshape(Co, -1)).reshape(
+        (N,) + tuple(out_sp) + (Ci,) + tuple(kshape))
+    perm = (0, 1 + nd) + tuple(
+        v for i in range(nd) for v in (1 + i, 2 + nd + i))
+    gx = gx.transpose(perm)
+    if out is None:
+        return np.ascontiguousarray(gx).reshape(
+            (N, Ci) + tuple(o * k for o, k in zip(out_sp, kshape)))
+    np.copyto(out.reshape(gx.shape), gx)
+    return out
+
+
+def _ref_fwd_patch(x, w, out_sp, out=None):
+    kshape = w.shape[2:]
+    N, Ci = x.shape[:2]
+    Co, nd = w.shape[0], len(kshape)
+    xv = x[(slice(None), slice(None))
+           + tuple(slice(0, o * k) for o, k in zip(out_sp, kshape))]
+    xv = xv.reshape((N, Ci) + tuple(
+        v for ok in zip(out_sp, kshape) for v in ok))
+    xv = xv.transpose((0,) + tuple(2 + 2 * i for i in range(nd)) + (1,)
+                      + tuple(3 + 2 * i for i in range(nd)))
+    xmat = xv.reshape(N, int(np.prod(out_sp)), Ci * int(np.prod(kshape)))
+    gemm = xmat @ w.reshape(Co, -1).T
+    if out is None:
+        return np.ascontiguousarray(np.moveaxis(gemm, -1, 1)).reshape(
+            (N, Co) + tuple(out_sp))
+    np.copyto(out.reshape(N, Co, -1), np.moveaxis(gemm, -1, 1))
+    return out
+
+
+def _arena_view(shape, dtype):
+    """A plan-style output buffer: a typed view into a byte blob."""
+    n = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.zeros(n + 64, np.uint8)[64:].view(dtype).reshape(shape)
+
+
+KERNELS = [(4, 4, 2), (2, 2, 2), (4, 4), (1, 1, 1), (3, 3)]
+
+
+@pytest.mark.parametrize("arena", [False, True], ids=["fresh", "arena"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kshape", KERNELS, ids=str)
+class TestPatchInterleaveBitwise:
+    def test_grad_input_patch_scatter(self, rng, kshape, dtype, arena):
+        out_sp = (3, 2, 5)[:len(kshape)]
+        gout = rng.normal(size=(2, 5) + out_sp).astype(dtype)
+        w = rng.normal(size=(5, 3) + kshape).astype(dtype)
+        full = (2, 3) + tuple(o * k for o, k in zip(out_sp, kshape))
+        want = _ref_grad_input_patch(gout, w)
+        got = ops_conv._grad_input_patch(
+            gout, w, full[2:], _arena_view(full, dtype) if arena else None)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+        if arena:
+            np.testing.assert_array_equal(
+                _ref_grad_input_patch(gout, w, _arena_view(full, dtype)),
+                want)
+
+    def test_fwd_patch_gather(self, rng, kshape, dtype, arena):
+        out_sp = (3, 2, 5)[:len(kshape)]
+        # one site wider than the patches cover: the crop is not a no-op
+        spatial = tuple(o * k + 1 for o, k in zip(out_sp, kshape))
+        x = rng.normal(size=(2, 3) + spatial).astype(dtype)
+        w = rng.normal(size=(4, 3) + kshape).astype(dtype)
+        want = _ref_fwd_patch(x, w, out_sp)
+        got = ops_conv._fwd_patch(
+            x, w, out_sp,
+            _arena_view((2, 4) + out_sp, dtype) if arena else None)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_fwd_patch_accepts_input_without_unit_stride_runs(rng):
+    """A transposed input has no contiguous last-axis run to widen."""
+    x = rng.normal(size=(2, 3, 4, 8)).astype(np.float32).transpose(0, 1, 3, 2)
+    w = rng.normal(size=(4, 3, 4, 2)).astype(np.float32)
+    np.testing.assert_array_equal(ops_conv._fwd_patch(x, w, (2, 2)),
+                                  _ref_fwd_patch(x, w, (2, 2)))

@@ -68,6 +68,47 @@ class TestArithmetic:
             Tensor(np.ones(3)) ** Tensor(np.ones(3))
 
 
+#: tape expressions with a Python scalar operand: each must return the
+#: tensor's own dtype on every NumPy (``np.asarray(0.5)`` is a float64
+#: array, which NumPy 2 promotes float32 with and NumPy 1 did not)
+SCALAR_EXPRESSIONS = {
+    "x * 0.5": lambda x: x * 0.5,
+    "2 * x": lambda x: 2 * x,
+    "x + 1.0": lambda x: x + 1.0,
+    "x - 1.0": lambda x: x - 1.0,
+    "x / 2.0": lambda x: x / 2.0,
+    "1.0 - x": lambda x: 1.0 - x,
+    "1.0 / x": lambda x: 1.0 / x,
+    "x ** 2.0": lambda x: x ** 2.0,
+    "x.maximum(0.0)": lambda x: x.maximum(0.0),
+    "x * np.sqrt(2.0)": lambda x: x * np.sqrt(2.0),   # a float subclass
+    "x.mean()": lambda x: x.mean(),
+    "x.var()": lambda x: x.var(axis=-1, ddof=1),
+}
+
+
+class TestWeakPythonScalars:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("expr", sorted(SCALAR_EXPRESSIONS))
+    def test_scalar_operand_adopts_tensor_dtype(self, rng, expr, dtype):
+        data = (np.abs(_arr(rng, 3, 4)) + 0.5).astype(dtype)
+        x = Tensor(data, requires_grad=True)
+        out = SCALAR_EXPRESSIONS[expr](x)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert x.grad.dtype == dtype
+        with no_grad():
+            assert SCALAR_EXPRESSIONS[expr](Tensor(data)).dtype == dtype
+
+    def test_arrays_and_tensors_promote_as_numpy_does(self, rng):
+        x = Tensor(_arr(rng, 3).astype(np.float32))
+        assert (x * np.ones(3)).dtype == np.float64
+        assert (x + Tensor(np.ones(3))).dtype == np.float64
+        assert (x * np.float32(0.5)).dtype == np.float32
+        ints = Tensor(np.arange(3))
+        assert (ints * 0.5).dtype == np.float64      # not a floating tensor
+
+
 # ----------------------------------------------------------------------
 # matmul
 # ----------------------------------------------------------------------
