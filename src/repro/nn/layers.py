@@ -7,6 +7,7 @@ transposed convolution, §III-C).
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Optional
 
@@ -34,19 +35,24 @@ __all__ = [
 def gelu(x: Tensor) -> Tensor:
     """GELU: ``x * Phi(x)``.
 
-    Under autograd the exact composite ``x·(erf(x/√2) + 1)/2`` is
-    taped.  Outside of it the one plan kernel runs (on a fresh buffer):
-    for contiguous float32 a blocked SIMD-ufunc evaluation of ``Phi``
-    within 5·10⁻⁷ of the composite, otherwise the in-place ``erf``
-    chain — GELU runs over full-resolution decoder activations, where
-    ``erf``'s scalar loop was a third of a whole forward.
+    The one plan kernel runs (on a fresh buffer) with the tape on or
+    off: for contiguous float32 a blocked SIMD-ufunc evaluation of
+    ``Phi`` within 5·10⁻⁷ of ``x·(erf(x/√2) + 1)/2``, otherwise the
+    in-place ``erf`` chain — GELU runs over full-resolution decoder
+    activations, where ``erf``'s scalar loop was a third of a whole
+    forward.  Under autograd the result is one tape node; its backward,
+    ``g·(Phi(x) + x·phi(x))``, makes the same choice between the blocked
+    sweep and the ``erf`` chain.
     """
     x = astensor(x)
     if _plan.tracing():
         return _plan.trace_apply("gelu", (x,))
-    if not (is_grad_enabled() and x.requires_grad):
-        return Tensor(_k_gelu(None, (x.data,), None))
-    return x * ((x * (1.0 / np.sqrt(2.0))).erf() + 1.0) * 0.5
+    out = x._make(_k_gelu(None, (x.data,), None), (x,))
+    if out.requires_grad:
+        def _bw(g):
+            x._accum(_gelu_grad(x.data, g))
+        out._backward = _bw
+    return out
 
 
 class GELU(Module):
@@ -109,16 +115,34 @@ class LayerNorm(Module):
             return _plan.trace_apply("layernorm",
                                      (x, self.weight, self.bias),
                                      {"eps": self.eps})
-        if not (is_grad_enabled() and
-                (x.requires_grad or self.weight.requires_grad)):
-            # fused inference path: one working buffer, in-place updates
-            return Tensor(_k_layernorm(
-                None, (x.data, self.weight.data, self.bias.data),
-                {"eps": self.eps}))
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
-        norm = (x - mu) / (var + self.eps).sqrt()
-        return norm * self.weight + self.bias
+        w, b, eps = self.weight, self.bias, self.eps
+        # one working buffer, in-place updates — and one tape node
+        out = x._make(_k_layernorm(None, (x.data, w.data, b.data),
+                                   {"eps": eps}), (x, w, b))
+        if out.requires_grad:
+            a = x.data
+            def _bw(g):
+                xhat = a - a.mean(axis=-1, keepdims=True)
+                sigma = np.mean(np.square(xhat), axis=-1, keepdims=True)
+                sigma += eps
+                np.sqrt(sigma, out=sigma)
+                xhat /= sigma
+                lead = tuple(range(g.ndim - 1))
+                if b.requires_grad:
+                    b._accum(g.sum(axis=lead))
+                if w.requires_grad:
+                    w._accum((g * xhat).sum(axis=lead))
+                if x.requires_grad:
+                    # dx = (ĝ − mean ĝ − x̂·mean(ĝ·x̂)) / σ,  ĝ = g·w
+                    gh = g * w.data
+                    dx = gh - gh.mean(axis=-1, keepdims=True)
+                    gh *= xhat
+                    xhat *= gh.mean(axis=-1, keepdims=True)
+                    dx -= xhat
+                    dx /= sigma
+                    x._accum(dx)
+            out._backward = _bw
+        return out
 
 
 class BatchNorm(Module):
@@ -240,30 +264,23 @@ _PHI_CLAMP = np.float32(13.0)
 #: on 2.36 M: 1 K 11.9, 8 K 3.9, 32 K 3.0, 64 K 3.1, 256 K 4.9,
 #: unblocked 6.1; the erf chain 17)
 _PHI_BLOCK = 1 << 15
+#: φ(0) = 1/√(2π) — a Python float, so it is weak next to either dtype
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: two block-sized work vectors per thread — replicas call the kernel
 #: concurrently, and a fresh 128 KiB ``np.empty`` per call sits exactly
 #: on glibc's mmap threshold
 _phi_scratch = threading.local()
 
 
-@_plan.register_kernel("gelu", "compute")
-def _k_gelu(out, ins, consts):
-    a = ins[0]
-    if a.dtype != np.float32 or not a.flags.c_contiguous \
-            or not (out is None or out.flags.c_contiguous):
-        # float64 (gradcheck) and strided input: the exact-erf chain,
-        # which is also what the tests hold the fast path against
-        y = np.multiply(a, np.float32(1.0 / np.sqrt(2.0)), out=out)
-        _sp_special.erf(y, out=y)
-        y += 1.0
-        y *= a
-        y *= 0.5
-        return y
-    # GELU(x) = x·Φ(x) = max(x, 0) − u·Q(u), u = |x|: no cancellation in
-    # the negative tail, and only SIMD ufuncs (scipy's erf is a scalar
-    # libm loop, ≈ 15 ns/element against ≈ 0.4 for each pass here)
-    if out is None:
-        out = np.empty_like(a)
+def _phi_blocks(a, out):
+    """Sweep contiguous float32 ``a`` / ``out`` in ``_PHI_BLOCK`` pieces.
+
+    Yields ``(x, y, u, w)`` per block — the input and output slices and
+    two work vectors — with the half GELU's value and its derivative
+    share already evaluated: ``u = min(|x|, 13)``, ``y = −½·(a₁t + … +
+    a₅t⁵)`` for ``t = 1/(1 + p·u/√2)``, and ``w = e^{−u²/2}``, so that
+    ``y·w = −Q(u)``.
+    """
     try:
         us, ws = _phi_scratch.vectors
     except AttributeError:
@@ -285,11 +302,70 @@ def _k_gelu(out, ins, consts):
         np.multiply(u, u, out=w)                # e^{−u²/2}
         w *= -0.5
         np.exp(w, out=w)
+        yield x, y, u, w
+
+
+def _phi_kernel_applies(a, out=None) -> bool:
+    """Contiguous float32 in and out: the blocked sweep's domain.
+    float64 (gradcheck) and strided input take the exact-erf chain,
+    which is also what the tests hold the sweep against."""
+    return a.dtype == np.float32 and a.flags.c_contiguous \
+        and (out is None or out.flags.c_contiguous)
+
+
+@_plan.register_kernel("gelu", "compute")
+def _k_gelu(out, ins, consts):
+    a = ins[0]
+    if not _phi_kernel_applies(a, out):
+        y = np.multiply(a, np.float32(1.0 / np.sqrt(2.0)), out=out)
+        _sp_special.erf(y, out=y)
+        y += 1.0
+        y *= a
+        y *= 0.5
+        return y
+    # GELU(x) = x·Φ(x) = max(x, 0) − u·Q(u), u = |x|: no cancellation in
+    # the negative tail, and only SIMD ufuncs (scipy's erf is a scalar
+    # libm loop, ≈ 15 ns/element against ≈ 0.4 for each pass here)
+    if out is None:
+        out = np.empty_like(a)
+    for x, y, u, w in _phi_blocks(a, out):
         y *= w
         y *= u                                  # −u·Q(u)
         np.maximum(x, 0.0, out=w)
         y += w
     return out
+
+
+def _gelu_grad(a, g):
+    """``g · dGELU/dx (a)`` with ``dGELU/dx = Φ(x) + x·φ(x)``."""
+    if not _phi_kernel_applies(a):
+        d = np.multiply(a, math.sqrt(0.5))
+        _sp_special.erf(d, out=d)
+        d += 1.0
+        d *= 0.5                                # Φ(x)
+        pdf = np.square(a)
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf *= a
+        pdf *= _INV_SQRT_2PI                    # x·φ(x)
+        d += pdf
+        d *= g
+        return d
+    # Φ(x) + x·φ(x) = H(x) + sgn(x)·(u·φ(u) − Q(u)) with H(0) = ½: the
+    # value sweep's polynomial and exponential, no cancellation in
+    # either tail, and u is clamped so x·e^{−u²/2} cannot overflow
+    d = np.empty_like(a)
+    for x, y, u, w in _phi_blocks(a, d):
+        y *= w                                  # −Q(u)
+        w *= u
+        w *= _INV_SQRT_2PI                      # u·φ(u)
+        y += w
+        np.sign(x, out=w)
+        y *= w
+        np.heaviside(x, 0.5, out=w)
+        y += w
+    d *= g
+    return d
 
 
 @_plan.register_kernel("layernorm", "compute")

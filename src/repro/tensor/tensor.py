@@ -136,10 +136,6 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         self.data: np.ndarray = np.asarray(data)
-        if self.data.dtype == np.float64:
-            # fp32 is the library-wide compute precision (paper trains in
-            # mixed fp16/fp32); callers opt in to fp64 explicitly.
-            pass
         self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -338,8 +334,10 @@ class Tensor:
         out = self._make(self.data + other.data, (self, other))
         if out.requires_grad:
             def _bw(g):
-                self._accum(g)
-                other._accum(g)
+                if self.requires_grad:
+                    self._accum(g)
+                if other.requires_grad:
+                    other._accum(g)
             out._backward = _bw
         return out
 
@@ -362,8 +360,10 @@ class Tensor:
         out = self._make(self.data - other.data, (self, other))
         if out.requires_grad:
             def _bw(g):
-                self._accum(g)
-                other._accum(-g)
+                if self.requires_grad:
+                    self._accum(g)
+                if other.requires_grad:
+                    other._accum(-g)
             out._backward = _bw
         return out
 
@@ -378,8 +378,10 @@ class Tensor:
         if out.requires_grad:
             a, b = self.data, other.data
             def _bw(g):
-                self._accum(g * b)
-                other._accum(g * a)
+                if self.requires_grad:
+                    self._accum(g * b)
+                if other.requires_grad:
+                    other._accum(g * a)
             out._backward = _bw
         return out
 
@@ -393,8 +395,10 @@ class Tensor:
         if out.requires_grad:
             a, b = self.data, other.data
             def _bw(g):
-                self._accum(g / b)
-                other._accum(-g * a / (b * b))
+                if self.requires_grad:
+                    self._accum(g / b)
+                if other.requires_grad:
+                    other._accum(-g * a / (b * b))
             out._backward = _bw
         return out
 
@@ -425,15 +429,24 @@ class Tensor:
         out = self._make(self.data @ other.data, (self, other))
         if out.requires_grad:
             a, b = self.data, other.data
+            vectors = a.ndim == 1 and b.ndim == 1
             def _bw(g):
-                if a.ndim == 1 and b.ndim == 1:
-                    self._accum(g * b)
-                    other._accum(g * a)
-                    return
-                ga = g @ np.swapaxes(b, -1, -2) if b.ndim > 1 else np.outer(g, b)
-                gb = np.swapaxes(a, -1, -2) @ g if a.ndim > 1 else np.outer(a, g)
-                self._accum(unbroadcast(ga, a.shape))
-                other._accum(unbroadcast(gb, b.shape))
+                if self.requires_grad:
+                    if vectors:
+                        ga = g * b
+                    elif b.ndim > 1:
+                        ga = g @ np.swapaxes(b, -1, -2)
+                    else:
+                        ga = np.outer(g, b)
+                    self._accum(unbroadcast(ga, a.shape))
+                if other.requires_grad:
+                    if vectors:
+                        gb = g * a
+                    elif a.ndim > 1:
+                        gb = np.swapaxes(a, -1, -2) @ g
+                    else:
+                        gb = np.outer(a, g)
+                    other._accum(unbroadcast(gb, b.shape))
             out._backward = _bw
         return out
 
@@ -561,8 +574,10 @@ class Tensor:
         if out.requires_grad:
             mask = self.data >= other.data
             def _bw(g):
-                self._accum(g * mask)
-                other._accum(g * ~mask)
+                if self.requires_grad:
+                    self._accum(g * mask)
+                if other.requires_grad:
+                    other._accum(g * ~mask)
             out._backward = _bw
         return out
 
@@ -680,9 +695,17 @@ class Tensor:
         if out.requires_grad:
             shape = self.data.shape
             dtype = self.data.dtype
+            # a basic index (ints, slices, None, Ellipsis) selects every
+            # element at most once, so its adjoint is a plain store;
+            # only a fancy index can repeat one and has to accumulate
+            basic = all(isinstance(i, (int, slice, type(None), type(...)))
+                        for i in (idx if isinstance(idx, tuple) else (idx,)))
             def _bw(g):
                 full = np.zeros(shape, dtype=dtype)
-                np.add.at(full, idx, g)
+                if basic:
+                    full[idx] = g
+                else:
+                    np.add.at(full, idx, g)
                 self._accum(full)
             out._backward = _bw
         return out
@@ -799,9 +822,10 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         def _bw(g):
             g = np.asarray(g)
             for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
+                if t.requires_grad:
+                    idx = [slice(None)] * g.ndim
+                    idx[axis] = slice(lo, hi)
+                    t._accum(g[tuple(idx)])
         out._backward = _bw
     return out
 
@@ -820,9 +844,10 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         def _bw(g):
             g = np.asarray(g)
             for i, t in enumerate(ts):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = i
-                t._accum(g[tuple(idx)])
+                if t.requires_grad:
+                    idx = [slice(None)] * g.ndim
+                    idx[axis] = i
+                    t._accum(g[tuple(idx)])
         out._backward = _bw
     return out
 
@@ -840,8 +865,10 @@ def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     if rg:
         out._parents = (a, b)
         def _bw(g):
-            a._accum(np.where(cond, g, 0.0))
-            b._accum(np.where(cond, 0.0, g))
+            if a.requires_grad:
+                a._accum(np.where(cond, g, 0.0))
+            if b.requires_grad:
+                b._accum(np.where(cond, 0.0, g))
         out._backward = _bw
     return out
 

@@ -339,17 +339,24 @@ class ForecastEngine:
         }
 
     # ------------------------------------------------------------------
-    def _normalize_batch(self, references: Sequence[FieldWindow]
-                         ) -> Dict[str, np.ndarray]:
-        """Stack, normalise and pad N windows: (N, T, H', W'[, D])."""
+    def _check_batch(self, references: Sequence[FieldWindow]) -> None:
+        """Every window is one model episode long, all on one mesh."""
+        T = self.time_steps
         base = references[0]
         for i, r in enumerate(references):
+            if r.T != T:
+                raise ValueError(
+                    f"window length {r.T} != model time_steps {T}")
             for var in ("u3", "v3", "w3", "zeta"):
                 got, want = getattr(r, var).shape, getattr(base, var).shape
                 if got != want:
                     raise ValueError(
                         "all windows of a batch must share one mesh; "
                         f"window {i} has {var} {got} != {want}")
+
+    def _normalize_batch(self, references: Sequence[FieldWindow]
+                         ) -> Dict[str, np.ndarray]:
+        """Stack, normalise and pad N windows: (N, T, H', W'[, D])."""
         ph, pw = self.pad_hw
         stacks = {
             "u3": np.stack([r.u3 for r in references]),
@@ -370,11 +377,7 @@ class ForecastEngine:
         """Validate, normalise and assemble N windows into the model's
         (x3d, x2d) inputs; returns them with the (H, W) crop of the
         request mesh."""
-        T = self.time_steps
-        for r in references:
-            if r.T != T:
-                raise ValueError(
-                    f"window length {r.T} != model time_steps {T}")
+        self._check_batch(references)
         norm = self._normalize_batch(references)
         x3d, x2d = assemble_episode_input_batch(
             norm["u3"], norm["v3"], norm["w3"], norm["zeta"],
@@ -521,6 +524,30 @@ class ForecastEngine:
     # ------------------------------------------------------------------
     # adjoint / sensitivity path
     # ------------------------------------------------------------------
+    def _assembly_adjoint(self, g3: np.ndarray, g2: np.ndarray,
+                          crop: Tuple[int, int]):
+        """Leaf gradients (N, 3, H', W', D, T) / (N, 1, H', W', T) back
+        to ∂J/∂(u3, v3, w3, ζ) in physical units on the request mesh:
+        the analytic adjoint of :meth:`_prepare_inputs`."""
+        H, W = crop
+        eps = Normalizer.EPS
+        g3 = np.asarray(g3, dtype=np.float64)
+        g2 = np.asarray(g2, dtype=np.float64)
+        ph, pw = self.pad_hw
+        mask = _rim_mask(ph, pw, self.boundary_width, np.float64)
+        gvol = np.moveaxis(g3, -1, 2)               # (N,3,T,H',W',D)
+        grad_vol = gvol * mask[:, :, None]
+        grad_vol[:, :, 0] = gvol[:, :, 0]           # IC slot: full fields
+        gz = np.moveaxis(g2, -1, 2)[:, 0]           # (N,T,H',W')
+        grad_zeta = gz * mask
+        grad_zeta[:, 0] = gz[:, 0]
+        # pad adjoint = crop; z-score adjoint = divide by (std + EPS)
+        std = self.normalizer.std
+        return (grad_vol[:, 0, :, :H, :W] / (std["u3"] + eps),
+                grad_vol[:, 1, :, :H, :W] / (std["v3"] + eps),
+                grad_vol[:, 2, :, :H, :W] / (std["w3"] + eps),
+                grad_zeta[:, :, :H, :W] / (std["zeta"] + eps))
+
     def sensitivity_batch(self, references: Sequence[FieldWindow], *,
                           wrt: Sequence[str] = ("fields",),
                           diagnostic: str = "peak_surge",
@@ -555,14 +582,18 @@ class ForecastEngine:
             hypotheses (or ``None`` entries).  Each overlay is applied
             to its reference window *before* the forward, so the storm
             parameters sit upstream of normalisation and the reported
-            ∂J/∂θ is the true end-to-end sensitivity.
+            ∂J/∂θ is the true end-to-end sensitivity.  All overlays of
+            a batch are evaluated in one broadcast expression, and all
+            their parameters pulled back with one backward.
 
         Returns
         -------
         One :class:`~repro.workflow.sensitivity.SensitivityResult` per
-        episode, in order.  ``backward_seconds`` is the batch's
-        forward+backward wall clock split evenly, mirroring
-        :class:`ForecastResult.inference_seconds`.
+        episode, in order.  ``backward_seconds`` is the wall clock of
+        the model's tape forward plus its backward, split evenly over
+        the batch (mirroring :class:`ForecastResult.inference_seconds`);
+        overlay apply, staging, the assembly adjoint and the overlay
+        VJP are outside it.
 
         Notes
         -----
@@ -575,8 +606,8 @@ class ForecastEngine:
         (:func:`repro.tensor.gradcheck.numerical_grad`) in
         ``tests/test_sensitivity.py``.
         """
-        from .sensitivity import (DIAGNOSTICS, STORM_PARAMS,
-                                  SensitivityResult)
+        from .sensitivity import (DIAGNOSTICS, SensitivityResult,
+                                  compose_batch, overlay_vjp)
         from ..tensor import astensor
 
         references = list(references)
@@ -606,12 +637,13 @@ class ForecastEngine:
             raise ValueError(
                 "wrt='storm' requires a StormOverlay per episode")
 
-        composed = [s.apply(r) if s is not None else r
-                    for r, s in zip(references, storms)]
-        x3d, x2d, (H, W) = self._prepare_inputs(composed)
+        # one mesh for the whole batch before the overlays broadcast
+        # over it (staging checks the composed windows again, for free)
+        self._check_batch(references)
+        x3d, x2d, (H, W) = self._prepare_inputs(
+            compose_batch(references, storms))
 
-        eps = Normalizer.EPS
-        std_z = self.normalizer.std["zeta"] + eps
+        std_z = self.normalizer.std["zeta"] + Normalizer.EPS
         mean_z = self.normalizer.mean["zeta"]
         obs_t = None
         if diagnostic == "surge_mse":
@@ -648,24 +680,11 @@ class ForecastEngine:
                     p.requires_grad = flag
         values = np.asarray(per.data, dtype=np.float64).reshape(n)
 
-        # ---- analytic adjoint of assemble_episode_input_batch --------
-        g3 = np.asarray(t3.grad, dtype=np.float64)  # (N,3,H',W',D,T)
-        g2 = np.asarray(t2.grad, dtype=np.float64)  # (N,1,H',W',T)
-        ph, pw = self.pad_hw
-        mask = _rim_mask(ph, pw, self.boundary_width, np.float64)
-        gvol = np.moveaxis(g3, -1, 2)               # (N,3,T,H',W',D)
-        grad_vol = gvol * mask[:, :, None]
-        grad_vol[:, :, 0] = gvol[:, :, 0]           # IC slot: full fields
-        gz = np.moveaxis(g2, -1, 2)[:, 0]           # (N,T,H',W')
-        grad_zeta = gz * mask
-        grad_zeta[:, 0] = gz[:, 0]
-        # pad adjoint = crop; z-score adjoint = divide by (std + EPS)
-        d_u3 = grad_vol[:, 0, :, :H, :W] / (self.normalizer.std["u3"] + eps)
-        d_v3 = grad_vol[:, 1, :, :H, :W] / (self.normalizer.std["v3"] + eps)
-        d_w3 = grad_vol[:, 2, :, :H, :W] / (self.normalizer.std["w3"] + eps)
-        d_zeta = grad_zeta[:, :, :H, :W] / std_z
-
-        per_episode = seconds / n
+        d_u3, d_v3, d_w3, d_zeta = self._assembly_adjoint(
+            t3.grad, t2.grad, (H, W))
+        d_storms = [None] * n
+        if "storm" in wrt:
+            d_storms = overlay_vjp(storms, d_u3, d_v3, d_zeta)
         results = []
         for i in range(n):
             d_fields = None
@@ -675,29 +694,8 @@ class ForecastEngine:
                     np.ascontiguousarray(d_v3[i]),
                     np.ascontiguousarray(d_w3[i]),
                     np.ascontiguousarray(d_zeta[i]))
-            d_storm = None
-            if "storm" in wrt:
-                # chain rule through the additive overlay: the composed
-                # window is reference + increments(θ), so ∂J/∂θ is the
-                # field adjoint contracted with ∂increments/∂θ — one
-                # small vector-Jacobian product per episode
-                storm = storms[i]
-                T = self.time_steps
-                D = references[i].u3.shape[-1]
-                with enable_grad():
-                    theta = storm.tensor_params(requires_grad=True)
-                    du3, dv3, dz = storm.increments(theta, T, (H, W), D)
-                    proxy = (du3 * astensor(d_u3[i])).sum() \
-                        + (dv3 * astensor(d_v3[i])).sum() \
-                        + (dz * astensor(d_zeta[i])).sum()
-                    proxy.backward()
-                d_storm = {
-                    name: float(theta[name].grad)
-                    if theta[name].grad is not None else 0.0
-                    for name in STORM_PARAMS
-                }
             results.append(SensitivityResult(
                 value=float(values[i]), diagnostic=diagnostic, wrt=wrt,
-                d_fields=d_fields, d_storm=d_storm,
-                backward_seconds=per_episode))
+                d_fields=d_fields, d_storm=d_storms[i],
+                backward_seconds=seconds / n))
         return results

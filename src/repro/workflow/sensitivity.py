@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor, astensor, stack
+from ..tensor import Tensor, astensor, enable_grad
 from .engine import FieldWindow
 
 __all__ = [
@@ -204,14 +204,22 @@ class StormOverlay:
         (typically ``requires_grad=True`` during a backward pass).
         Returns Tensors of shapes (T, H, W, D), (T, H, W, D) and
         (T, H, W): depth-decaying wind-driven current increments for u/v
-        and the inverse-barometer surge increment for ζ.
+        and the inverse-barometer surge increment for ζ.  On a
+        :func:`_stacked` batch of N overlays, whose parameters are
+        (N, 1, 1, 1), every result gains a leading storm axis.  One
+        broadcast expression over the slot axis either way: the graph
+        has the same few dozen nodes for any N and T, and each element
+        sees the arithmetic a single storm's single slot would.
         """
         h, w = mesh
         dy, dx = self.spacing
-        yg = astensor(np.arange(h, dtype=np.float64)[:, None] * dy)
-        xg = astensor(np.arange(w, dtype=np.float64)[None, :] * dx)
+        # slot times (T, 1, 1), rows (H, 1) and columns (W,) broadcast
+        # against each other — and against a batch's leading storm axis
+        t = np.arange(time_steps, dtype=np.float64)[:, None, None] * self.dt
+        yg = np.arange(h, dtype=np.float64)[:, None] * dy
+        xg = np.arange(w, dtype=np.float64) * dx
         # smooth radius floor at grid scale keeps r (and 1/r) C¹ at the eye
-        r_floor_sq = float(dx * dx + dy * dy)
+        r_floor_sq = dx * dx + dy * dy
 
         cosa = params["inflow_angle_rad"].cos()
         sina = params["inflow_angle_rad"].sin()
@@ -219,44 +227,36 @@ class StormOverlay:
         r_mw = params["radius_max_wind"]
         dp = params["central_pressure_drop"]
 
-        du_t, dv_t, dz_t = [], [], []
-        for k in range(time_steps):
-            t = k * self.dt
-            dxf = xg - (params["x0"] + self.vx * t)
-            dyf = yg - (params["y0"] + self.vy * t)
-            r = (dxf * dxf + dyf * dyf + r_floor_sq).sqrt()
-            ratio = r_mw / r
-            r_b = ratio ** self.HOLLAND_B
-            # V(r) = V_max · sqrt(ratio^B · exp(1 − ratio^B)), rearranged
-            # so nothing underflows under a sqrt (see class docstring)
-            speed = v_max * ratio ** (self.HOLLAND_B / 2.0) \
-                * ((1.0 - r_b) * 0.5).exp()
-            # unit direction of (cyclonic + inflow-rotated) wind without
-            # arctan2: cos(θ+π/2+α), sin(θ+π/2+α) expanded with
-            # cosθ = dx/r, sinθ = dy/r
-            wu = speed * (-(dyf * cosa + dxf * sina) / r)
-            wv = speed * ((dxf * cosa - dyf * sina) / r)
-            dz = dp * (1.0 - (-r_b).exp()) \
-                * (1.0 / (self.RHO_WATER * GRAVITY))
-            du_t.append(wu * self.wind_coupling)
-            dv_t.append(wv * self.wind_coupling)
-            dz_t.append(dz)
-
-        du2 = stack(du_t, axis=0)   # (T, H, W) surface current increment
-        dv2 = stack(dv_t, axis=0)
-        dzeta = stack(dz_t, axis=0)
-        decay = astensor(np.exp(-np.arange(depth, dtype=np.float64)
-                                / self.depth_efold))
-        du3 = du2.reshape((time_steps, h, w, 1)) * decay
-        dv3 = dv2.reshape((time_steps, h, w, 1)) * decay
+        dxf = xg - (params["x0"] + self.vx * t)
+        dyf = yg - (params["y0"] + self.vy * t)
+        r = (dxf * dxf + dyf * dyf + r_floor_sq).sqrt()
+        ratio = r_mw / r
+        r_b = ratio ** self.HOLLAND_B
+        # V(r) = V_max · sqrt(ratio^B · exp(1 − ratio^B)), rearranged
+        # so nothing underflows under a sqrt (see class docstring)
+        speed = v_max * ratio ** (self.HOLLAND_B / 2.0) \
+            * ((1.0 - r_b) * 0.5).exp()
+        # unit direction of (cyclonic + inflow-rotated) wind without
+        # arctan2: cos(θ+π/2+α), sin(θ+π/2+α) expanded with
+        # cosθ = dx/r, sinθ = dy/r
+        wu = speed * (-(dyf * cosa + dxf * sina) / r)
+        wv = speed * ((dxf * cosa - dyf * sina) / r)
+        dzeta = dp * (1.0 - (-r_b).exp()) \
+            * (1.0 / (self.RHO_WATER * GRAVITY))
+        du2 = wu * self.wind_coupling   # ([N,] T, H, W) surface current
+        dv2 = wv * self.wind_coupling
+        decay = np.exp(-np.arange(depth, dtype=np.float64)
+                       / np.asarray(self.depth_efold)[..., None])
+        du3 = du2.reshape(du2.shape + (1,)) * decay
+        dv3 = dv2.reshape(dv2.shape + (1,)) * decay
         return du3, dv3, dzeta
 
     def tensor_params(self, requires_grad: bool = False
                       ) -> Dict[str, Tensor]:
-        """The differentiable parameters as 0-d float64 Tensors."""
+        """The differentiable parameters as float64 Tensors: 0-d, or
+        (N, 1, 1, 1) on a :func:`_stacked` batch."""
         return {
-            name: Tensor(np.asarray(float(getattr(self, name)),
-                                    dtype=np.float64),
+            name: Tensor(np.asarray(getattr(self, name), dtype=np.float64),
                          requires_grad=requires_grad)
             for name in STORM_PARAMS
         }
@@ -270,12 +270,73 @@ class StormOverlay:
         """
         t, h, w, d = window.u3.shape
         du3, dv3, dzeta = self.increments(self.tensor_params(), t, (h, w), d)
-        return FieldWindow(
-            u3=window.u3 + du3.data,
-            v3=window.v3 + dv3.data,
-            w3=window.w3.copy(),
-            zeta=window.zeta + dzeta.data,
-        )
+        return _overlaid(window, du3.data, dv3.data, dzeta.data)
+
+
+def _overlaid(window: FieldWindow, du3: np.ndarray, dv3: np.ndarray,
+              dzeta: np.ndarray) -> FieldWindow:
+    """A new window with one storm's increments added (``w3`` copied)."""
+    return FieldWindow(u3=window.u3 + du3, v3=window.v3 + dv3,
+                       w3=window.w3.copy(), zeta=window.zeta + dzeta)
+
+
+def _stacked(storms: Sequence[StormOverlay]) -> StormOverlay:
+    """N overlays as one whose every field is an (N, 1, 1, 1) float64
+    column, so ``increments`` evaluates all N storms — each with its
+    own fixed geometry — in one broadcast expression with a leading
+    storm axis.  Only ``increments`` and ``tensor_params`` are
+    meaningful on it, which is why it stays private to its two callers
+    below."""
+    def column(values):
+        return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1, 1)
+    columns = {f.name: column([getattr(s, f.name) for s in storms])
+               for f in dataclasses.fields(StormOverlay)
+               if f.name != "spacing"}
+    return StormOverlay(spacing=(column([s.spacing[0] for s in storms]),
+                                 column([s.spacing[1] for s in storms])),
+                        **columns)
+
+
+def compose_batch(references: Sequence[FieldWindow],
+                  storms: Sequence[Optional[StormOverlay]]
+                  ) -> List[FieldWindow]:
+    """``storms[i].apply(references[i])`` for every overlaid episode
+    (``None`` leaves the window as it is), bitwise, with all overlays
+    of the batch evaluated in one graph-free expression.  The windows
+    share one mesh."""
+    overlaid = [i for i, s in enumerate(storms) if s is not None]
+    composed = list(references)
+    if overlaid:
+        batch = _stacked([storms[i] for i in overlaid])
+        t, h, w, d = references[0].u3.shape
+        du3, dv3, dzeta = batch.increments(batch.tensor_params(),
+                                           t, (h, w), d)
+        for row, i in enumerate(overlaid):
+            composed[i] = _overlaid(references[i], du3.data[row],
+                                    dv3.data[row], dzeta.data[row])
+    return composed
+
+
+def overlay_vjp(storms: Sequence[StormOverlay], d_u3: np.ndarray,
+                d_v3: np.ndarray, d_zeta: np.ndarray
+                ) -> List[Dict[str, float]]:
+    """∂J/∂θ per storm from the field adjoints of the composed windows.
+
+    A composed window is reference + increments(θ), so ∂J/∂θ is the
+    field adjoint — ``d_u3`` / ``d_v3`` (N, T, H, W, D) and ``d_zeta``
+    (N, T, H, W) — contracted with ∂increments/∂θ: one graph over the
+    stacked storms and one backward for all N × six parameters (the
+    increments add nothing to ``w3``).
+    """
+    batch = _stacked(storms)
+    with enable_grad():
+        theta = batch.tensor_params(requires_grad=True)
+        du3, dv3, dzeta = batch.increments(
+            theta, d_u3.shape[1], d_u3.shape[2:4], d_u3.shape[4])
+        ((du3 * d_u3).sum() + (dv3 * d_v3).sum()
+         + (dzeta * d_zeta).sum()).backward()
+    return [{name: float(theta[name].grad[i, 0, 0, 0])
+             for name in STORM_PARAMS} for i in range(len(storms))]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.special
 
+from conftest import tape_nodes
+
 from repro.nn import (
     BatchNorm,
     Conv2d,
@@ -28,7 +30,7 @@ from repro.nn import (
 )
 from repro.nn import init
 from repro.nn import layers as layers_mod
-from repro.tensor import Tensor, gradcheck
+from repro.tensor import Tensor, gradcheck, no_grad
 
 
 class TestModuleSystem:
@@ -184,13 +186,20 @@ class TestActivations:
             p.data = p.data.astype(dtype)
         assert ln(x).dtype == dtype
 
-    def test_tape_gelu_within_5e7_of_inference_kernel(self, rng):
-        """The tape keeps the exact-erf composite; the forward it
-        differentiates is the Φ kernel's to float32 rounding."""
-        data = (3.0 * rng.normal(size=4096)).astype(np.float32)
-        tape = gelu(Tensor(data, requires_grad=True)).data
-        fast = gelu(Tensor(data)).data
-        assert np.abs(tape - fast).max() <= 5e-7
+    def test_tape_forward_bitwise_equals_inference_kernel(self, rng):
+        """The forward a sensitivity differentiates is the served one:
+        GELU and LayerNorm run the same kernel with the tape on or off."""
+        data = (3.0 * rng.normal(size=(512, 8))).astype(np.float32)
+        np.testing.assert_array_equal(
+            gelu(Tensor(data, requires_grad=True)).data,
+            gelu(Tensor(data)).data)
+        ln = LayerNorm(8)
+        ln.weight.data[...] = rng.normal(size=8)
+        ln.bias.data[...] = rng.normal(size=8)
+        taped = ln(Tensor(data, requires_grad=True))
+        assert taped.requires_grad
+        with no_grad():
+            np.testing.assert_array_equal(taped.data, ln(Tensor(data)).data)
 
     def test_gelu_module_equals_function(self, rng):
         x = Tensor(rng.normal(size=(5,)))
@@ -213,6 +222,129 @@ class TestActivations:
             Dropout(1.0)
         with pytest.raises(ValueError):
             Dropout(-0.1)
+
+
+def _composite_layernorm(x, w, b, eps):
+    """LayerNorm as the tape used to record it, op by op — the slow
+    reference for the one-node version."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
+    return (x - mu) / (var + eps).sqrt() * w + b
+
+
+def _composite_gelu(x):
+    """The exact-erf composite GELU the tape used to record."""
+    return x * ((x * (1.0 / np.sqrt(2.0))).erf() + 1.0) * 0.5
+
+
+def _layernorm_of(x, w, b):
+    ln = LayerNorm(w.shape[0])
+    ln.weight, ln.bias = w, b       # plain Tensors: gradcheck's leaves
+    return ln(x)
+
+
+def _strided(a):
+    """The same values behind a non-contiguous view."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+    wide[..., ::2] = a
+    view = wide[..., ::2]
+    assert not view.flags.c_contiguous
+    return view
+
+
+class TestFusedTapeNodes:
+    """One tape node per LayerNorm / GELU: output and every gradient
+    against the composite expressions, and against finite differences."""
+
+    @pytest.mark.parametrize("width", [8, 12])
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
+                                            (np.float32, 2e-5)])
+    def test_layernorm_matches_composite(self, rng, width, strided,
+                                         dtype, tol):
+        data = rng.normal(1.0, 2.0, size=(3, 5, width)).astype(dtype)
+        data = _strided(data) if strided else data
+        proj = rng.normal(size=data.shape).astype(dtype)
+        affine = rng.normal(size=(2, width)).astype(dtype)
+        grads = []
+        for fn in (_layernorm_of,
+                   lambda x, w, b: _composite_layernorm(x, w, b, 1e-5)):
+            x = Tensor(data, requires_grad=True)
+            w = Tensor(affine[0], requires_grad=True)
+            b = Tensor(affine[1], requires_grad=True)
+            out = fn(x, w, b)
+            (out * proj).sum().backward()
+            grads.append((out.data, x.grad, w.grad, b.grad))
+        assert len(tape_nodes(_layernorm_of(x, w, b))) == 4   # + x, w, b
+        for got, want in zip(*grads):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol,
+                                       atol=tol * np.abs(want).max())
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_layernorm_gradcheck_trained_and_masked(self, rng, masked):
+        """float64 finite differences of x with the affine parameters
+        on the tape (training) and masked off it (a sensitivity)."""
+        ln = LayerNorm(6)
+        ln.weight.data[...] = rng.normal(size=6)
+        ln.bias.data[...] = rng.normal(size=6)
+        for p in ln.parameters():
+            p.requires_grad = not masked
+        proj = Tensor(rng.normal(size=(3, 6)))
+        assert gradcheck(lambda x: ln(x) * proj, [rng.normal(size=(3, 6))],
+                         atol=1e-5)
+        assert all((p.grad is None) == masked for p in ln.parameters())
+
+    def test_layernorm_gradcheck_over_weight_and_bias(self, rng):
+        proj = Tensor(rng.normal(size=(4, 8)))
+        assert gradcheck(lambda x, w, b: _layernorm_of(x, w, b) * proj,
+                         [rng.normal(size=(4, 8)), rng.normal(size=8),
+                          rng.normal(size=8)], atol=1e-5)
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-7),
+                                            (np.float32, 4e-6)])
+    def test_gelu_matches_composite(self, rng, strided, dtype, tol):
+        data = (2.0 * rng.normal(size=(7, 12))).astype(dtype)
+        data = _strided(data) if strided else data
+        proj = rng.normal(size=data.shape).astype(dtype)
+        grads = []
+        for fn in (gelu, _composite_gelu):
+            x = Tensor(data, requires_grad=True)
+            out = fn(x)
+            (out * proj).sum().backward()
+            grads.append((out.data, x.grad))
+        assert len(tape_nodes(gelu(x))) == 2            # + x
+        for got, want in zip(*grads):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_gelu_gradcheck_strided_float64(self, rng):
+        wide = rng.normal(size=(5, 8))
+        assert gradcheck(lambda x: gelu(x[:, ::2]), [wide], atol=1e-6)
+
+    def test_float32_gelu_derivative_within_1e6_of_float64(self):
+        """Φ(x) + x·φ(x) from the blocked sweep, over the whole clamp
+        range, at zero and next to the denormals."""
+        f = np.float32
+        x = np.concatenate([
+            np.linspace(-13.0, 13.0, 400_001),
+            [0.0, -0.0, 1e-45, -1e-45, 1e-38, -1e-38, 1.2e-38, 13.0,
+             -13.0]]).astype(f)
+        t = Tensor(x, requires_grad=True)
+        gelu(t).sum().backward()
+        x64 = x.astype(np.float64)
+        want = scipy.special.ndtr(x64) \
+            + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+        assert t.grad.dtype == f
+        assert np.abs(t.grad - want).max() <= 1e-6
+        assert np.all(t.grad[x == 0] == 0.5)
+        # beyond the clamp the derivative is 0 or 1 to 1e-36, never inf
+        far = Tensor(np.array([14.0, 1e4, 3e38, -14.0, -1e4, -3e38], f),
+                     requires_grad=True)
+        with np.errstate(over="raise", invalid="raise"):
+            gelu(far).sum().backward()
+        np.testing.assert_allclose(far.grad, [1, 1, 1, 0, 0, 0], atol=1e-35)
 
 
 def _erf_chain(a, out=None):
@@ -296,8 +428,12 @@ class TestGeluPhiKernel:
         def boom(*args, **kwargs):
             raise AssertionError("scipy.special.erf called")
         monkeypatch.setattr(scipy.special, "erf", boom)
+        monkeypatch.setattr(scipy.special, "ndtr", boom)
         x = rng.normal(size=(5, 40)).astype(np.float32)
         assert gelu(Tensor(x)).dtype == np.float32
+        taped = Tensor(x, requires_grad=True)       # value and derivative
+        gelu(taped).sum().backward()
+        assert taped.grad.dtype == np.float32
         with pytest.raises(AssertionError, match="erf called"):
             gelu(Tensor(x.astype(np.float64)))
 

@@ -17,7 +17,7 @@ Three layers of validation, mirroring ``docs/differentiation.md``:
 import numpy as np
 import pytest
 
-from conftest import VARS, make_window
+from conftest import VARS, make_window, tape_nodes
 
 from repro.data.preprocess import Normalizer
 from repro.serve import (
@@ -29,7 +29,7 @@ from repro.serve import (
     gradient_key,
     window_key,
 )
-from repro.tensor import Tensor, astensor
+from repro.tensor import Tensor, astensor, stack
 from repro.tensor.gradcheck import gradcheck, numerical_grad
 from repro.workflow import (
     STORM_PARAMS,
@@ -39,6 +39,7 @@ from repro.workflow import (
     StormOverlay,
     evaluate_diagnostic,
 )
+from repro.workflow.sensitivity import GRAVITY, _stacked, compose_batch
 
 T, H, W, D = 4, 15, 14, 6
 
@@ -109,6 +110,127 @@ def test_overlay_apply_matches_increments():
     np.testing.assert_array_equal(out.v3, win.v3 + dv3.data)
     np.testing.assert_array_equal(out.zeta, win.zeta + dz.data)
     np.testing.assert_array_equal(out.w3, win.w3)
+
+
+def _per_slot_increments(ov, params, time_steps, mesh, depth):
+    """The overlay graph as it was built before the slot axis was a
+    broadcast axis — one Python iteration and ~40 tape nodes per slot,
+    three stacks — kept as the slow single-storm reference."""
+    h, w = mesh
+    dy, dx = ov.spacing
+    yg = astensor(np.arange(h, dtype=np.float64)[:, None] * dy)
+    xg = astensor(np.arange(w, dtype=np.float64)[None, :] * dx)
+    r_floor_sq = float(dx * dx + dy * dy)
+    cosa = params["inflow_angle_rad"].cos()
+    sina = params["inflow_angle_rad"].sin()
+    v_max, r_mw = params["max_wind"], params["radius_max_wind"]
+    dp = params["central_pressure_drop"]
+    du_t, dv_t, dz_t = [], [], []
+    for k in range(time_steps):
+        t = k * ov.dt
+        dxf = xg - (params["x0"] + ov.vx * t)
+        dyf = yg - (params["y0"] + ov.vy * t)
+        r = (dxf * dxf + dyf * dyf + r_floor_sq).sqrt()
+        ratio = r_mw / r
+        r_b = ratio ** ov.HOLLAND_B
+        speed = v_max * ratio ** (ov.HOLLAND_B / 2.0) \
+            * ((1.0 - r_b) * 0.5).exp()
+        wu = speed * (-(dyf * cosa + dxf * sina) / r)
+        wv = speed * ((dxf * cosa - dyf * sina) / r)
+        dz = dp * (1.0 - (-r_b).exp()) * (1.0 / (ov.RHO_WATER * GRAVITY))
+        du_t.append(wu * ov.wind_coupling)
+        dv_t.append(wv * ov.wind_coupling)
+        dz_t.append(dz)
+    decay = astensor(np.exp(-np.arange(depth, dtype=np.float64)
+                            / ov.depth_efold))
+    du3 = stack(du_t, axis=0).reshape((time_steps, h, w, 1)) * decay
+    dv3 = stack(dv_t, axis=0).reshape((time_steps, h, w, 1)) * decay
+    return du3, dv3, stack(dz_t, axis=0)
+
+
+#: four storms that differ in every differentiable parameter *and* in
+#: every piece of fixed geometry
+DISTINCT_STORMS = [
+    STORM,
+    STORM.replace(x0=4000.0, y0=9000.0, vx=100.0, vy=-50.0, dt=5.0,
+                  spacing=(900.0, 1100.0), wind_coupling=0.05,
+                  depth_efold=3.0),
+    STORM.replace(max_wind=40.0, inflow_angle_rad=0.1, vx=-300.0, vy=10.0,
+                  dt=1.0, spacing=(1000.0, 800.0), wind_coupling=0.02,
+                  depth_efold=1.5),
+    STORM.replace(radius_max_wind=5000.0, central_pressure_drop=9000.0,
+                  vx=0.0, vy=700.0, dt=2.0, spacing=(1200.0, 1000.0),
+                  wind_coupling=0.04, depth_efold=4.0),
+]
+
+
+def test_batched_overlay_composes_bitwise_like_apply():
+    """One broadcast evaluation over the storm axis ≡ one ``apply`` per
+    storm, bit for bit, with ``None`` entries passed through."""
+    wins = [make_window(30 + i) for i in range(5)]
+    storms = DISTINCT_STORMS[:2] + [None] + DISTINCT_STORMS[2:]
+    composed = compose_batch(wins, storms)
+    assert composed[2] is wins[2]
+    for got, win, storm in zip(composed, wins, storms):
+        want = win if storm is None else storm.apply(win)
+        for var in VARS:
+            np.testing.assert_array_equal(getattr(got, var),
+                                          getattr(want, var))
+
+
+def test_batched_overlay_gradients_match_per_storm(grad_engine):
+    """Four distinct storms in one batch: value and field adjoint are
+    those of the pre-composed batch bitwise, and every ∂J/∂θ is the
+    per-episode contraction of that field adjoint with a single-storm,
+    slot-by-slot graph."""
+    wins = [make_window(40 + i) for i in range(4)]
+    batched = grad_engine.sensitivity_batch(
+        wins, diagnostic="mean_surge", wrt=("fields", "storm"),
+        storms=DISTINCT_STORMS)
+    composed = grad_engine.sensitivity_batch(
+        [s.apply(w) for s, w in zip(DISTINCT_STORMS, wins)],
+        diagnostic="mean_surge")
+    for got, want, storm in zip(batched, composed, DISTINCT_STORMS):
+        assert got.value == want.value
+        for var in VARS:
+            np.testing.assert_array_equal(getattr(got.d_fields, var),
+                                          getattr(want.d_fields, var))
+        theta = storm.tensor_params(requires_grad=True)
+        du3, dv3, dz = _per_slot_increments(storm, theta, T, (H, W), D)
+        ((du3 * want.d_fields.u3).sum() + (dv3 * want.d_fields.v3).sum()
+         + (dz * want.d_fields.zeta).sum()).backward()
+        for name in STORM_PARAMS:
+            assert got.d_storm[name] == pytest.approx(
+                float(theta[name].grad), rel=1e-12, abs=0.0), name
+
+
+def test_mixed_overlay_batch_under_fields_only(grad_engine):
+    """The scheduler batches by (diagnostic, wrt), so overlaid and
+    plain requests share a batch when only fields are asked for."""
+    wins = [make_window(50 + i) for i in range(3)]
+    storms = [DISTINCT_STORMS[1], None, DISTINCT_STORMS[3]]
+    mixed = grad_engine.sensitivity_batch(wins, diagnostic="mean_surge",
+                                          storms=storms)
+    composed = grad_engine.sensitivity_batch(
+        [w if s is None else s.apply(w) for s, w in zip(storms, wins)],
+        diagnostic="mean_surge")
+    for got, want in zip(mixed, composed):
+        assert got.value == want.value and got.d_storm is None
+        for var in VARS:
+            np.testing.assert_array_equal(getattr(got.d_fields, var),
+                                          getattr(want.d_fields, var))
+
+
+def test_overlay_graph_size_is_independent_of_storms_and_slots():
+    def nodes(storms, time_steps):
+        batch = _stacked(storms)
+        theta = batch.tensor_params(requires_grad=True)
+        du3, dv3, dz = batch.increments(theta, time_steps, (H, W), D)
+        assert du3.shape == (len(storms), time_steps, H, W, D)
+        assert dz.shape == (len(storms), time_steps, H, W)
+        return len(tape_nodes(du3.sum() + dv3.sum() + dz.sum()))
+
+    assert nodes(DISTINCT_STORMS[:1], 4) == nodes(DISTINCT_STORMS, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +348,43 @@ def test_tape_forward_and_leaf_gradients_are_float32(grad_engine,
     (p3d.sum() + p2d.sum()).backward()
     assert t3.grad.dtype == t2.grad.dtype == np.float32
     model.zero_grad()
+
+
+def test_dead_cotangent_is_never_formed(grad_engine, monkeypatch):
+    """A sensitivity masks every weight off the tape: no backward
+    closure may hand a gradient to a tensor that does not want one
+    (each such call used to follow a cotangent computed for nothing)."""
+    dead = []
+    accum = Tensor._accum
+
+    def recording(tensor, grad):
+        if not tensor.requires_grad:
+            dead.append(tensor.shape)
+        accum(tensor, grad)
+
+    monkeypatch.setattr(Tensor, "_accum", recording)
+    wins = [make_window(60), make_window(61)]
+    grad_engine.sensitivity_batch(wins, wrt=("fields", "storm"),
+                                  storms=[STORM] * 2)
+    assert dead == []
+
+
+def test_model_tape_stays_under_300_nodes(grad_engine, monkeypatch):
+    """One node per LayerNorm / GELU: the serving-size model's tape was
+    471 tensors when both were recorded op by op."""
+    graphs = []
+    backward = Tensor.backward
+
+    def counting(root, grad=None):
+        graphs.append(len(tape_nodes(root)))
+        backward(root, grad)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    grad_engine.sensitivity_batch([make_window(62)], wrt=("fields", "storm"),
+                                  diagnostic="mean_surge", storms=[STORM])
+    model_graph, overlay_graph = graphs
+    assert model_graph <= 300
+    assert overlay_graph <= 60
 
 
 def test_sensitivity_leaves_inference_untouched(grad_engine, ref_window):

@@ -246,6 +246,37 @@ class TestShapes:
         idx = np.array([0, 2, 2])
         gradcheck(lambda a: a[idx] * 2.0, [_arr(rng, 5)])
 
+    @pytest.mark.parametrize("idx", [
+        (slice(None, None, -1),), (slice(4, 0, -2), slice(1, 3)),
+        (None, slice(1, 4)), (Ellipsis, 2), (Ellipsis, None, slice(0, 2)),
+        (1, slice(None), slice(None, None, 2)), (-1,), 3,
+        slice(1, None), (slice(None), -2, None, 0)],
+        ids=repr)
+    def test_getitem_basic_index_adjoint_is_a_store(self, rng, idx):
+        """A basic index never repeats an element, so the plain store
+        the backward uses equals the scatter-add it replaced."""
+        a = Tensor(_arr(rng, 5, 4, 3), requires_grad=True)
+        out = a[idx]
+        g = _arr(rng, *out.shape)
+        out.backward(g)
+        want = np.zeros(a.shape)
+        np.add.at(want, idx, g)
+        np.testing.assert_array_equal(a.grad, want)
+
+    @pytest.mark.parametrize("idx", [
+        np.array([0, 2, 2, 2]), (np.array([1, 1]), slice(None)),
+        (np.array([0, 0, 3]), np.array([1, 1, 2])), [4, 4]],
+        ids=repr)
+    def test_getitem_fancy_index_with_duplicates_accumulates(self, rng, idx):
+        a = Tensor(_arr(rng, 5, 4), requires_grad=True)
+        out = a[idx]
+        g = _arr(rng, *out.shape)
+        out.backward(g)
+        want = np.zeros(a.shape)
+        np.add.at(want, idx, g)
+        np.testing.assert_array_equal(a.grad, want)
+        assert a.grad.sum() == pytest.approx(g.sum())
+
     def test_pad(self, rng):
         gradcheck(lambda a: a.pad([(1, 2), (0, 3)]) * 2.0, [_arr(rng, 3, 4)])
 
