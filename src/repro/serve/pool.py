@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hpc.serving import ServingCapacityModel
-from ..tensor import plan_passes as _passes
+from ..tensor import plan_buckets
 from ..workflow.engine import FieldWindow, ForecastResult
 from .hostpool import HostWorker
 from .procpool import ProcessWorker
@@ -775,7 +775,7 @@ class EngineWorkerPool:
         if self.backend in _REMOTE_WORKERS:
             executor = _REMOTE_WORKERS[self.backend](
                 engine,
-                warm_batches=_passes.plan_buckets(self._max_batch)
+                warm_batches=plan_buckets(self._max_batch)
                 if warm else (),
                 **self._remote_kwargs)
             with self._route_lock:
@@ -960,7 +960,7 @@ class EngineWorkerPool:
             # 1. warm the new engine before touching the pool: a failed
             # warmup must leave serving exactly as it was
             if hasattr(engine, "compile"):
-                sizes = set(_passes.plan_buckets(self._max_batch))
+                sizes = set(plan_buckets(self._max_batch))
                 for w in old_workers:
                     sizes.update(
                         getattr(w.engine, "compiled_batches", None) or [])

@@ -13,10 +13,6 @@ The worker protocol itself — payload, op table, serve loop, client
 executor — is :mod:`repro.serve.remote`, shared with the host tier.
 This module is the process tier's **codec** and **liveness source**:
 
-* the child's :class:`~repro.tensor.plan.BufferArena` blob lives
-  inside a ``multiprocessing.shared_memory`` segment
-  (:class:`ShmArena`), so plan replay writes its intermediates into
-  shared memory;
 * each message's arrays are written into the sender's shared-memory
   segment and addressed by ``(shape, dtype, offset)`` **descriptors**;
   the control pipe only ever carries the tiny
@@ -52,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..hpc.fabric import FrameError, layout, view
-from ..tensor.plan import BufferArena
 from .remote import (SPAWN_METHOD, SPAWN_TIMEOUT_S, ChannelClosed,
                      RemoteWorker, serve_payload)
 
@@ -60,10 +55,7 @@ __all__ = [
     "ProcessWorker",
     "ProcessWorkerError",
     "ProcessWorkerDied",
-    "ShmArena",
 ]
-
-_ALIGN = 64
 
 
 class ProcessWorkerError(RuntimeError):
@@ -93,63 +85,6 @@ def _unlink_close(shm: shared_memory.SharedMemory) -> None:
         shm.close()
     except BufferError:
         pass        # views still alive; process exit reclaims them
-
-
-# ----------------------------------------------------------------------
-# shared-memory arena
-# ----------------------------------------------------------------------
-class ShmArena(BufferArena):
-    """A :class:`~repro.tensor.plan.BufferArena` whose blobs live in
-    one ``multiprocessing.shared_memory`` segment.
-
-    The free-list reuse semantics are inherited unchanged; only fresh
-    allocation differs — blobs are carved from the segment by a bump
-    pointer (64-byte aligned).  Demand beyond the segment's capacity
-    falls back to ordinary heap arrays, honestly counted in
-    ``heap_allocations``, so an undersized segment degrades instead of
-    failing.
-
-    :meth:`destroy` unlinks the segment; creating and destroying are
-    this process's responsibility (the worker child), with the parent
-    unlinking by name only after abnormal death.
-    """
-
-    def __init__(self, nbytes: int, name: Optional[str] = None):
-        super().__init__()
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=max(int(nbytes), 1), name=name)
-        self.capacity = self.shm.size
-        self.heap_allocations = 0
-        self._offset = 0
-        self._bump_lock = threading.Lock()
-
-    def _alloc(self, nbytes: int) -> np.ndarray:
-        with self._bump_lock:
-            aligned = -(-nbytes // _ALIGN) * _ALIGN
-            if self._offset + aligned <= self.capacity:
-                off = self._offset
-                self._offset += aligned
-                return np.frombuffer(self.shm.buf, np.uint8,
-                                     count=nbytes, offset=off)
-            self.heap_allocations += 1
-        return np.empty(nbytes, np.uint8)
-
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        with self._bump_lock:
-            out.update({"shm_bytes": self.capacity,
-                        "shm_used": self._offset,
-                        "heap_allocations": self.heap_allocations})
-        return out
-
-    def destroy(self) -> str:
-        """Drop the free-list, unlink and close the segment; returns
-        the segment name."""
-        with self._lock:
-            self._free.clear()
-        name = self.shm.name
-        _unlink_close(self.shm)
-        return name
 
 
 # ----------------------------------------------------------------------
@@ -237,20 +172,13 @@ class _ShmChannel:
     shared-memory segment, the ``(op, seq, meta, generation,
     descriptors)`` envelope on the pipe.  Symmetric — the parent owns
     the request segment (tag ``q``) and attaches the child's response
-    segment (tag ``r``), the child the reverse — and the child's side
-    additionally owns its engine's :class:`ShmArena`.
+    segment (tag ``r``), the child the reverse.
     """
 
     def __init__(self, conn, token: str, own_tag: str, peer_tag: str):
         self.conn = conn
-        self.token = token
         self.own = _Segment(token, own_tag)
         self.peer = _Attached(token, peer_tag)
-        self.arena: Optional[ShmArena] = None
-
-    def make_arena(self, nbytes: int) -> ShmArena:
-        self.arena = ShmArena(nbytes, name=f"{self.token}-arena")
-        return self.arena
 
     def send(self, op: str, seq: int, meta: Optional[dict] = None,
              arrays: Sequence[np.ndarray] = ()) -> int:
@@ -282,8 +210,6 @@ class _ShmChannel:
             return None
 
     def close(self) -> None:
-        if self.arena is not None:
-            self.arena.destroy()
         self.own.destroy()
         self.peer.close()
         try:
@@ -294,11 +220,10 @@ class _ShmChannel:
 
 def _child_main(conn, token: str, payload: bytes) -> None:
     """Worker-process entry point: rebuild the engine ONCE from the
-    payload with its arena in shared memory, then serve
-    descriptor-marshalled requests until ``stop`` or parent EOF.  Every
-    segment this process created is unlinked on the way out."""
-    channel = _ShmChannel(conn, token, "r", "q")
-    serve_payload(channel, payload, channel.make_arena)
+    payload, then serve descriptor-marshalled requests until ``stop``
+    or parent EOF.  Every segment this process created is unlinked on
+    the way out."""
+    serve_payload(_ShmChannel(conn, token, "r", "q"), payload)
 
 
 # ----------------------------------------------------------------------
@@ -371,13 +296,12 @@ class ProcessWorker(RemoteWorker):
 
     def _child_segment_names(self, generations: int) -> List[str]:
         peer = self._channel.peer
-        return [f"{self._token}-arena"] \
-            + [f"{peer.prefix}{g}" for g in range(generations)]
+        return [f"{peer.prefix}{g}" for g in range(generations)]
 
     def segment_names(self) -> List[str]:
         """Names of every shared-memory segment this worker pair may
-        currently own (request, response, arena) — the set that must
-        be gone after :meth:`close`."""
+        currently own (request, response) — the set that must be gone
+        after :meth:`close`."""
         names = self._child_segment_names(self._channel.peer.gen + 1)
         if self._channel.own.name:
             names.append(self._channel.own.name)
@@ -437,8 +361,8 @@ class ProcessWorker(RemoteWorker):
 
     def _reclaim_child_segments(self) -> None:
         """Unlink segments the dead child can no longer unlink itself
-        (its names are deterministic: the arena plus every response
-        generation up to one past the last seen)."""
+        (its names are deterministic: every response generation up to
+        one past the last seen)."""
         self._channel.peer.close()
         for name in self._child_segment_names(self._channel.peer.gen + 2):
             _unlink_by_name(name)

@@ -52,7 +52,7 @@ from typing import (Callable, Dict, List, NoReturn, Optional, Sequence,
 
 import numpy as np
 
-from ..tensor.plan_passes import plan_buckets
+from ..tensor import plan_buckets
 from ..workflow.engine import (CompiledForward, FieldWindow, ForecastEngine,
                                ForecastResult)
 
@@ -98,23 +98,15 @@ def engine_payload(engine, warm_batches: Sequence[int] = ()) -> bytes:
     }, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def build_engine(payload: bytes, make_arena: Optional[Callable] = None):
+def build_engine(payload: bytes):
     """Rebuild a ForecastEngine from :func:`engine_payload` bytes — the
-    exact weights plus every shipped plan.
-
-    ``make_arena(nbytes)``, when given, supplies the engine's
-    :class:`~repro.tensor.plan.BufferArena` (the process tier's
-    shared-memory arena), sized for the largest shipped plan.
-    """
+    exact weights plus every shipped plan."""
     spec = pickle.loads(payload)
     engine = ForecastEngine(
         spec["model"], spec["normalizer"], spec["boundary_width"])
-    if make_arena is not None:
-        engine._arena = make_arena(max(
-            (p.arena_total for p in spec["plans"].values()), default=0))
     for plan in spec["plans"].values():
         key = plan.slots[plan.inputs[0]].shape
-        engine._plans[key] = CompiledForward(plan, engine._arena)
+        engine._plans[key] = CompiledForward(plan)
     return engine
 
 
@@ -210,9 +202,6 @@ class EngineService:
         except ChannelClosed:
             pass
         finally:
-            # retire executors first (their views go back to the arena),
-            # then let the channel release what backs them
-            self.engine.clear_plans()
             channel.close()
 
 
@@ -223,14 +212,13 @@ SPAWN_METHOD = "spawn"
 SPAWN_TIMEOUT_S = 120.0
 
 
-def serve_payload(channel, payload: bytes,
-                  make_arena: Optional[Callable] = None) -> None:
+def serve_payload(channel, payload: bytes) -> None:
     """Remote entry point of every tier: rebuild the engine from the
     payload and serve ``channel`` until stop.  A rebuild failure goes
     back as an ``err`` handshake carrying the traceback, so the client
     sees *why* instead of a bare exit code."""
     try:
-        service = EngineService(build_engine(payload, make_arena))
+        service = EngineService(build_engine(payload))
     except Exception:  # noqa: BLE001 — surface the build failure
         with contextlib.suppress(ChannelClosed):
             channel.send("err", -1, {"trace": traceback.format_exc()})
@@ -368,7 +356,7 @@ class RemoteWorker:
 
     def compile_buckets(self, max_batch: int) -> None:
         """Have the remote engine compile the canonical
-        :func:`~repro.tensor.plan_passes.plan_buckets` set for
+        :func:`~repro.tensor.plan.plan_buckets` set for
         ``max_batch``, so its partial micro-batches pad into compiled
         buckets instead of running eager."""
         max_batch = int(max_batch)
@@ -381,7 +369,7 @@ class RemoteWorker:
             self._compiled.update(reply[0]["compiled"])
 
     def plan_stats(self) -> Dict[str, object]:
-        """The remote engine's plan/arena counters plus this side's
+        """The remote engine's plan counters plus this side's
         transport counters; degrades to transport-only when dead."""
         stats: Dict[str, object] = {}
         if self.alive:

@@ -343,7 +343,7 @@ class MicroBatchScheduler:
         :class:`~repro.workflow.engine.ForecastEngine` or a
         :class:`~repro.serve.procpool.ProcessWorker` proxying one) —
         every power of two up to ``max_batch`` plus ``max_batch``
-        itself, per :func:`~repro.tensor.plan_passes.plan_buckets`.
+        itself, per :func:`~repro.tensor.plan.plan_buckets`.
         After warmup **every** micro-batch replays a compiled plan: a
         full batch hits its exact plan, a partial batch
         zero-pads into the nearest larger bucket and its outputs slice

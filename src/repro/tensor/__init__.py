@@ -11,24 +11,19 @@ Public surface:
 * :func:`gradcheck` / :func:`numerical_grad` — finite-difference
   verification (see ``docs/differentiation.md``).
 * :mod:`~repro.tensor.plan` — compiled inference plans: :func:`trace`
-  captures a forward as an :class:`ExecutionPlan`; a
-  :class:`PlanExecutor` replays it allocation-free on raw arrays.
-* :mod:`~repro.tensor.plan_passes` — plan-IR optimisation:
-  :func:`optimize` (peephole fusion), :func:`plan_buckets`
-  (batch-shape bucketing policy).
+  captures a forward as an :class:`ExecutionPlan` (one step per traced
+  op, liveness-packed into one arena blob); a :class:`PlanExecutor`
+  replays it allocation-free on raw arrays; :func:`plan_buckets` is
+  the batch-shape bucketing policy.
 """
 
 from .plan import (
-    BufferArena,
     ExecutionPlan,
     PlanExecutor,
     TraceError,
+    plan_buckets,
     trace,
     tracing,
-)
-from .plan_passes import (
-    optimize,
-    plan_buckets,
 )
 from .tensor import (
     Tensor,
@@ -67,12 +62,10 @@ __all__ = [
     "conv_transpose_output_shape",
     "gradcheck",
     "numerical_grad",
-    "BufferArena",
     "ExecutionPlan",
     "PlanExecutor",
     "TraceError",
     "trace",
     "tracing",
     "plan_buckets",
-    "optimize",
 ]

@@ -31,13 +31,26 @@ these rules with the full numpy serving path.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["numerical_grad", "gradcheck"]
+__all__ = ["numerical_grad", "gradcheck", "tape_nodes"]
+
+
+def tape_nodes(root: Tensor) -> List[Tensor]:
+    """Tensors a ``backward()`` from ``root`` visits, leaves included —
+    the size of a tape, for the tests that pin it and the profile that
+    prints it."""
+    seen, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(p for p in node._parents if p.requires_grad)
+    return list(seen.values())
 
 
 def numerical_grad(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray],

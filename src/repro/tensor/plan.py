@@ -21,11 +21,13 @@ the dynamic machinery:
   is captured and no step is recorded.
 * **plan** — :class:`ExecutionPlan` is the flat step list plus a
   liveness analysis: every slot's last use is known, so storage-owning
-  slots whose lifetimes do not overlap share one physical byte buffer
-  (best-fit by size; alias groups — views and in-place updates — are
-  tracked so reuse can never clobber a live input).
-* **arena + replay** — a :class:`PlanExecutor` binds the plan's
-  physical buffers from a size-keyed :class:`BufferArena` once, then
+  slots whose lifetimes do not overlap share bytes of one arena blob
+  (address-ordered first-fit over live byte ranges; alias groups —
+  views and in-place updates — are tracked so reuse can never clobber
+  a live input).  The plan is exactly what the tracer recorded: one
+  step per traced op, nothing rewritten afterwards.
+* **replay** — a :class:`PlanExecutor` allocates the plan's arena blob
+  once, binds every output view into it, then
   :meth:`PlanExecutor.run` replays the steps on raw ``np.ndarray``\\ s:
   no Tensor objects, no graph bookkeeping, outputs written in place
   into the reused slots.  Replay is single-threaded: :meth:`run` is
@@ -36,22 +38,21 @@ Replay is **bitwise identical** to the eager path by construction:
 under trace the eager value is computed *by the same kernel function*
 that replay calls, and every kernel reproduces the exact NumPy
 expression of the eager inference fast path (no kernel is ever split
-or reordered).
+or reordered).  A layer that wants several ufuncs in one dispatch
+fuses them *inside* its one registered kernel (``gelu``,
+``layernorm``, ``bn_affine``), which eager, tape and plan all call.
 
 Kernels register here for the generic tensor ops and from the modules
 that own them (:mod:`repro.tensor.ops_conv` registers the conv-GEMM
 kernels, :mod:`repro.nn.layers` / :mod:`repro.nn.attention` the fused
-inference kernels, :mod:`repro.tensor.plan_passes` the peephole-fused
-kernels its optimisation passes substitute in) via
-:func:`register_kernel`.
+inference kernels) via :func:`register_kernel`.
 
-A finalized plan is also an optimisation substrate:
-:mod:`repro.tensor.plan_passes` rewrites the step list (elementwise
-fusion) and calls :func:`repack` to re-run the liveness analysis and
-arena assignment over the rewritten program.  Fused steps may own
-*scratch* slots (``Step.scratch``): arena buffers written and read
-only inside that one step, placed by the packer with a lifetime of
-exactly that step.
+Batch-shape **bucketing** (:func:`plan_buckets`) is the policy side of
+the same layer: compile plans at a few canonical batch sizes, pad
+undersized micro-batches up to the nearest bucket and slice outputs
+back (row-independence of the forward makes the sliced result
+bitwise-identical to the unpadded run), so the plan cache hits at any
+arrival pattern instead of falling back to eager.
 
 This module deliberately imports nothing from
 :mod:`repro.tensor.tensor` (which imports it); the Tensor type and the
@@ -76,13 +77,12 @@ __all__ = [
     "ExecutionPlan",
     "PlanBuilder",
     "PlanExecutor",
-    "BufferArena",
     "TraceError",
     "trace",
     "tracing",
     "trace_apply",
     "register_kernel",
-    "repack",
+    "plan_buckets",
 ]
 
 
@@ -194,10 +194,6 @@ class Step:
     #: inputs, each ("s", slot_id) or ("c", const_id)
     ins: Tuple[Tuple[str, int], ...]
     consts: Dict[str, Any] = field(default_factory=dict)
-    #: arena slots used only inside this step (fused kernels' internal
-    #: temporaries); placed by :func:`repack` with a lifetime of
-    #: exactly this step and passed to the kernel appended to ``ins``
-    scratch: Tuple[int, ...] = ()
 
 
 class ExecutionPlan:
@@ -256,8 +252,6 @@ class ExecutionPlan:
             for tag, ref in step.ins:
                 if tag == "s":
                     group_last[self.slots[ref].root] = i
-            for sid in step.scratch:
-                group_last[self.slots[sid].root] = i
             group_last[self.slots[step.out].root] = i
         for out in self.outputs:
             group_last[self.slots[out].root] = end
@@ -294,7 +288,7 @@ class ExecutionPlan:
     def __getstate__(self) -> Dict[str, Any]:
         return {
             "slots": self.slots,
-            "steps": [(s.name, s.kind, s.out, s.ins, s.consts, s.scratch)
+            "steps": [(s.name, s.kind, s.out, s.ins, s.consts)
                       for s in self.steps],
             "inputs": self.inputs,
             "outputs": self.outputs,
@@ -307,19 +301,18 @@ class ExecutionPlan:
         _ensure_kernels_registered()
         steps = []
         for rec in state["steps"]:
-            if len(rec) != 6:
+            if len(rec) != 5:
                 raise TraceError(
                     f"cannot deserialize plan: a step record has "
-                    f"{len(rec)} fields, this version writes 6")
-            name, kind, out, ins, consts, scratch = rec
+                    f"{len(rec)} fields, this version writes 5")
+            name, kind, out, ins, consts = rec
             kernel = KERNELS.get(name)
             if kernel is None:
                 raise TraceError(
                     f"cannot deserialize plan: kernel {name!r} is not "
                     "registered in this process (import the module that "
                     "registers it before loading the plan)")
-            steps.append(Step(name, kernel.fn, kind, out, ins, consts,
-                              scratch))
+            steps.append(Step(name, kernel.fn, kind, out, ins, consts))
         self.slots = state["slots"]
         self.steps = steps
         self.inputs = state["inputs"]
@@ -351,8 +344,7 @@ def _ensure_kernels_registered() -> None:
     process only this module's generic kernels exist until the conv and
     fused-NN modules have been imported.
     """
-    for mod in ("repro.tensor", "repro.nn.layers", "repro.nn.attention",
-                "repro.tensor.plan_passes"):
+    for mod in ("repro.tensor", "repro.nn.layers", "repro.nn.attention"):
         try:
             importlib.import_module(mod)
         except ImportError as exc:
@@ -435,22 +427,14 @@ class PlanBuilder:
                         "would mutate caller data")
         plan = ExecutionPlan(self.slots, self.steps, self.inputs, outputs,
                              self.const_arrays)
-        repack(plan)
+        _pack(plan)
         return plan
 
 
-def repack(plan: ExecutionPlan) -> ExecutionPlan:
-    """(Re)run liveness analysis and physical buffer assignment.
-
-    Called by :meth:`PlanBuilder.finalize` on a fresh trace, and again
-    by the :mod:`repro.tensor.plan_passes` optimisation passes after
-    they rewrite the step list — fused steps change slot lifetimes and
-    introduce scratch slots, so the offsets must be re-derived.
-    Idempotent: running it twice on an unchanged plan yields the same
-    assignment.
-    """
-    for spec in plan.slots:
-        spec.phys = None
+def _pack(plan: ExecutionPlan) -> None:
+    """Liveness analysis and physical buffer assignment of a fresh
+    trace: sets every compute slot's ``phys``, ``plan.arena_total``
+    and the per-step release lists."""
     last_use = plan._last_uses()
 
     # group slots by alias root; a physical buffer frees only when
@@ -471,31 +455,25 @@ def repack(plan: ExecutionPlan) -> ExecutionPlan:
     active: List[Tuple[int, int, int]] = []   # (offset, size, end)
     total = 0
     for i, step in enumerate(plan.steps):
-        # scratch slots place first: they are read and written during
-        # this step, so their ranges (end == i) stay active while the
-        # output buffer is placed and can never overlap it
-        place = list(step.scratch)
-        if step.kind == "compute":
-            place.append(step.out)
-        for sid in place:
-            spec = plan.slots[sid]
-            need = -(-spec.nbytes // align) * align
-            # a range is reusable once its whole alias group is past
-            # its last read (end < i); ranges read *during* this step
-            # (end == i) must survive until the write completes
-            active = [a for a in active if a[2] >= i]
-            active.sort()
-            offset = 0
-            for o, s, _ in active:
-                if offset + need <= o:
-                    break
-                offset = max(offset, o + s)
-            active.append((offset, need, group_end[spec.root]))
-            spec.phys = offset
-            total = max(total, offset + need)
+        if step.kind != "compute":
+            continue
+        spec = plan.slots[step.out]
+        need = -(-spec.nbytes // align) * align
+        # a range is reusable once its whole alias group is past
+        # its last read (end < i); ranges read *during* this step
+        # (end == i) must survive until the write completes
+        active = [a for a in active if a[2] >= i]
+        active.sort()
+        offset = 0
+        for o, s, _ in active:
+            if offset + need <= o:
+                break
+            offset = max(offset, o + s)
+        active.append((offset, need, group_end[spec.root]))
+        spec.phys = offset
+        total = max(total, offset + need)
     plan.arena_total = total
     plan._build_releases()
-    return plan
 
 
 # ----------------------------------------------------------------------
@@ -611,74 +589,44 @@ def _flatten(x) -> List[Any]:
 
 
 # ----------------------------------------------------------------------
-# arena + executor
+# batch-shape bucketing policy
 # ----------------------------------------------------------------------
-class BufferArena:
-    """Size-keyed pool of preallocated scratch byte buffers.
+def plan_buckets(max_batch: int) -> Tuple[int, ...]:
+    """Canonical batch sizes to compile for a ``max_batch`` scheduler.
 
-    Executors draw their physical buffers here; releasing an executor
-    returns them for the next one, so steady-state serving allocates
-    nothing.  Buffers are raw byte blobs — a freed blob hosts any
-    later request that fits (best-fit), whatever shape the slots view
-    it as.  Thread safety: :meth:`take`/:meth:`give` are locked; the
-    arrays themselves are handed out exclusively.
+    Powers of two up to ``max_batch``, plus ``max_batch`` itself
+    (e.g. ``8 → (1, 2, 4, 8)``, ``6 → (1, 2, 4, 6)``).  An undersized
+    micro-batch pads to the nearest bucket above it, so the worst-case
+    padding overhead is bounded at just under 2× rows while the plan
+    cache stays small.
     """
-
-    def __init__(self):
-        self._free: List[np.ndarray] = []   # sorted by nbytes
-        self._lock = threading.Lock()
-        self.allocated_bytes = 0
-        self.allocations = 0     # arena growth events (unseen sizes/demand)
-        self.reuses = 0
-
-    def take(self, nbytes: int) -> np.ndarray:
-        with self._lock:
-            fit = next((i for i, b in enumerate(self._free)
-                        if b.nbytes >= nbytes), None)
-            if fit is not None:
-                self.reuses += 1
-                return self._free.pop(fit)
-            self.allocations += 1
-            self.allocated_bytes += nbytes
-        return self._alloc(nbytes)
-
-    def _alloc(self, nbytes: int) -> np.ndarray:
-        """Allocate one fresh blob; subclasses override to place blobs
-        in alternative storage (e.g. a shared-memory segment — see
-        :class:`repro.serve.procpool.ShmArena`)."""
-        return np.empty(nbytes, np.uint8)
-
-    def give(self, blob: np.ndarray) -> None:
-        with self._lock:
-            at = next((i for i, b in enumerate(self._free)
-                       if b.nbytes >= blob.nbytes), len(self._free))
-            self._free.insert(at, blob)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"allocated_bytes": self.allocated_bytes,
-                    "allocations": self.allocations,
-                    "reuses": self.reuses}
+    max_batch = int(max_batch)
+    if max_batch < 1:
+        raise ValueError("plan_buckets() needs max_batch >= 1")
+    sizes = {max_batch}
+    b = 1
+    while b < max_batch:
+        sizes.add(b)
+        b *= 2
+    return tuple(sorted(sizes))
 
 
+# ----------------------------------------------------------------------
+# executor
+# ----------------------------------------------------------------------
 class PlanExecutor:
     """Replays one :class:`ExecutionPlan` on raw arrays.
 
-    Owns one set of the plan's physical buffers (drawn from ``arena``
-    if given), so an executor is **not** thread-safe — concurrent
-    callers each use their own executor (see
-    ``workflow.engine.CompiledForward``).  :meth:`run` outputs are
-    views into those buffers, valid until the next :meth:`run`.
+    Owns one arena blob holding the plan's physical buffers, so an
+    executor is **not** thread-safe — concurrent callers each use
+    their own executor (see ``workflow.engine.CompiledForward``).
+    :meth:`run` outputs are views into that blob, valid until the next
+    :meth:`run`.
     """
 
-    def __init__(self, plan: ExecutionPlan,
-                 arena: Optional[BufferArena] = None):
+    def __init__(self, plan: ExecutionPlan):
         self.plan = plan
-        self._arena = arena
-        if arena is None:
-            self._blob = np.empty(plan.arena_total, np.uint8)
-        else:
-            self._blob = arena.take(plan.arena_total)
+        self._blob = np.empty(plan.arena_total, np.uint8)
         self._env: List[Optional[np.ndarray]] = [None] * plan.n_slots
 
         # precompile the program: resolve constants, bind output views
@@ -693,25 +641,9 @@ class PlanExecutor:
                     .view(spec.dtype).reshape(spec.shape)
             ins_spec = tuple(ref if tag == "s" else consts[ref]
                              for tag, ref in step.ins)
-            if step.scratch:
-                # scratch buffers are fixed arena views, appended to the
-                # kernel's inputs (fused kernels know their arity)
-                ins_spec += tuple(
-                    self._blob[plan.slots[s].phys:
-                               plan.slots[s].phys + plan.slots[s].nbytes]
-                    .view(plan.slots[s].dtype).reshape(plan.slots[s].shape)
-                    for s in step.scratch)
             prog.append((step.fn, step.out, ins_spec, step.consts,
                          out_view, plan.step_releases[i]))
         self._prog = prog
-
-    def release(self) -> None:
-        """Return the arena blob for the next executor."""
-        if self._arena is not None and self._blob is not None:
-            self._arena.give(self._blob)
-        self._blob = None
-        self._prog = []
-        self._env = []
 
     def _bind(self, inputs: Sequence[np.ndarray]) -> None:
         plan = self.plan

@@ -26,9 +26,8 @@ import numpy as np
 from ..data.dataset import _rim_mask, assemble_episode_input_batch
 from ..data.preprocess import Normalizer, pad_mesh
 from ..swin.model import CoastalSurrogate
-from ..tensor import BufferArena, PlanExecutor, Tensor, enable_grad, no_grad
+from ..tensor import PlanExecutor, Tensor, enable_grad, no_grad
 from ..tensor import plan as _plan
-from ..tensor import plan_passes as _passes
 
 __all__ = ["FieldWindow", "ForecastResult", "CompiledForward",
            "ForecastEngine"]
@@ -125,16 +124,15 @@ class CompiledForward:
 
     Holds the traced :class:`~repro.tensor.plan.ExecutionPlan` plus a
     free-list of :class:`~repro.tensor.plan.PlanExecutor` instances:
-    executors are single-threaded by design (they own arena buffers),
+    executors are single-threaded by design (each owns an arena blob),
     so concurrent engine calls each :meth:`acquire` their own and
     :meth:`release` it once the outputs have been consumed.  The
     free-list is bounded by the actual concurrency, and released
     executors are reused, so steady state allocates nothing.
     """
 
-    def __init__(self, plan, arena: BufferArena):
+    def __init__(self, plan):
         self.plan = plan
-        self._arena = arena
         self._free: List[PlanExecutor] = []
         self._lock = threading.Lock()
         self.executors_created = 0
@@ -143,21 +141,14 @@ class CompiledForward:
         with self._lock:
             if self._free:
                 return self._free.pop()
+        executor = PlanExecutor(self.plan)
+        with self._lock:
             self.executors_created += 1
-        return PlanExecutor(self.plan, self._arena)
+        return executor
 
     def release(self, executor: PlanExecutor) -> None:
         with self._lock:
             self._free.append(executor)
-
-    def retire(self) -> None:
-        """Return the free executors' arena blobs for reuse by future
-        plans (executors still in flight are simply dropped to GC when
-        their calls finish)."""
-        with self._lock:
-            executors, self._free = self._free, []
-        for ex in executors:
-            ex.release()
 
 
 class ForecastEngine:
@@ -178,10 +169,9 @@ class ForecastEngine:
     result is still bitwise identical to the unpadded eager run.  Only
     a batch larger than every compiled plan falls back to eager.
 
-    Every plan goes through :mod:`~repro.tensor.plan_passes` peephole
-    fusion at compile time.  Fused kernels replay the exact eager
-    ufunc sequences, so every path a request can take (exact plan,
-    bucket, eager) yields the same bits.
+    A compiled plan is the traced forward as recorded — the kernels
+    eager runs, in eager's order — so every path a request can take
+    (exact plan, bucket, eager) yields the same bits.
     """
 
     def __init__(self, model: CoastalSurrogate, normalizer: Normalizer,
@@ -192,14 +182,12 @@ class ForecastEngine:
         cfg = model.config
         self.pad_hw = (cfg.mesh[0], cfg.mesh[1])
         self._plans: Dict[Tuple[int, ...], CompiledForward] = {}
-        self._pass_stats: Dict[int, Dict[str, object]] = {}
         self._plan_lock = threading.Lock()
         # serialises sensitivity_batch backward passes: the backward
         # temporarily clears parameter requires_grad flags (a model-wide
         # write), which concurrent forecast_batch calls never read (they
         # run under no_grad) but concurrent backwards would race on
         self._grad_lock = threading.Lock()
-        self._arena = BufferArena()
         # counters below are written only under _plan_lock, at plan
         # lookup time, so hit/miss attribution is decided in the same
         # critical section as the lookup itself (no mid-forward race
@@ -269,40 +257,31 @@ class ForecastEngine:
         plan, _ = _plan.trace(
             lambda a, b: self.model(a, b),
             (np.zeros(s3d, np.float32), np.zeros(s2d, np.float32)))
-        plan, pass_stats = _passes.optimize(plan)
-        compiled = CompiledForward(plan, self._arena)
         with self._plan_lock:
             # a concurrent compile of the same shape may have won
-            winner = self._plans.setdefault(s3d, compiled)
-            if winner is compiled:
-                self._pass_stats[batch] = pass_stats
-            return winner
+            return self._plans.setdefault(s3d, CompiledForward(plan))
 
     def compile_buckets(self, max_batch: int) -> List[int]:
         """Compile the canonical
-        :func:`~repro.tensor.plan_passes.plan_buckets` set (powers of
+        :func:`~repro.tensor.plan.plan_buckets` set (powers of
         two up to and including ``max_batch``), so
         :meth:`forecast_batch` hits the plan cache at any batch size up
         to ``max_batch``: a partial batch pads into the nearest bucket
         instead of falling back to eager.  Returns the bucket sizes,
         ascending.
         """
-        buckets = _passes.plan_buckets(max_batch)
+        buckets = _plan.plan_buckets(max_batch)
         for b in buckets:
             self.compile(b)
         return list(buckets)
 
     def clear_plans(self) -> None:
         """Drop every cached plan (required after retraining: folded
-        BatchNorm statistics are baked into plans as constants).  The
-        retired executors' arena blobs go back to the engine's
-        :class:`~repro.tensor.plan.BufferArena`, so recompiled plans
-        reuse them instead of allocating fresh."""
+        BatchNorm statistics are baked into plans as constants).
+        Executors, and their arena blobs, go to the collector with the
+        plans — those still in flight when their calls finish."""
         with self._plan_lock:
-            plans, self._plans = dict(self._plans), {}
-            self._pass_stats = {}
-        for compiled in plans.values():
-            compiled.retire()
+            self._plans = {}
 
     @property
     def compiled_batches(self) -> List[int]:
@@ -311,7 +290,7 @@ class ForecastEngine:
             return sorted(k[0] for k in self._plans)
 
     def plan_stats(self) -> Dict[str, object]:
-        """Plan-cache, bucketing and arena counters (for serving
+        """Plan-cache and bucketing counters (for serving
         metrics), read as **one consistent snapshot**: every counter is
         captured inside a single ``_plan_lock`` critical section, so a
         concurrent forward can never show e.g. a hit without its bucket
@@ -321,7 +300,6 @@ class ForecastEngine:
             hits, misses = self.plan_hits, self.plan_misses
             padded, total = self.padded_rows, self.total_rows
             bucket_hits = dict(self.bucket_hits)
-            pass_stats = dict(self._pass_stats)
         return {
             "plans": len(plans),
             "batches": sorted(k[0] for k in plans),
@@ -331,8 +309,6 @@ class ForecastEngine:
             "total_rows": total,
             "bucket_pad_fraction": padded / total if total else 0.0,
             "bucket_hits": bucket_hits,
-            "pass_stats": pass_stats,
-            "arena": self._arena.stats(),
             "executors": sum(p.executors_created for p in plans.values()),
             "arena_bytes": {k[0]: p.plan.arena_bytes()
                             for k, p in plans.items()},
@@ -374,10 +350,15 @@ class ForecastEngine:
     def _prepare_inputs(self, references: Sequence[FieldWindow]
                         ) -> Tuple[np.ndarray, np.ndarray,
                                    Tuple[int, int]]:
-        """Validate, normalise and assemble N windows into the model's
+        """Validate N windows, then :meth:`_stage` them."""
+        self._check_batch(references)
+        return self._stage(references)
+
+    def _stage(self, references: Sequence[FieldWindow]
+               ) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
+        """Normalise and assemble N validated windows into the model's
         (x3d, x2d) inputs; returns them with the (H, W) crop of the
         request mesh."""
-        self._check_batch(references)
         norm = self._normalize_batch(references)
         x3d, x2d = assemble_episode_input_batch(
             norm["u3"], norm["v3"], norm["w3"], norm["zeta"],
@@ -487,9 +468,6 @@ class ForecastEngine:
         compiled_fwd, plan_batch = self._lookup_plan(x3d.shape)
 
         self.model.eval()
-        # (N, 3, H', W', D, T) → (N, 3, T, H', W', D); ζ → (N, T, H', W')
-        # denormalised in float64 so the exact initial condition can be
-        # restored losslessly below
         if compiled_fwd is not None:
             if plan_batch != n:
                 pad = plan_batch - n
@@ -504,7 +482,9 @@ class ForecastEngine:
                 seconds = time.perf_counter() - t0
                 # the outputs are arena views — consume them (and drop
                 # any pad rows) before the executor goes back on the
-                # free-list
+                # free-list.  (N, 3, H', W', D, T) → (N, 3, T, H', W', D);
+                # ζ → (N, T, H', W'), in float64 so _finalize can restore
+                # the exact initial condition losslessly
                 vol = np.moveaxis(p3_arr[:n], -1, 2).astype(np.float64)
                 zet = np.moveaxis(p2_arr[:n, 0], -1, 1).astype(np.float64)
             finally:
@@ -528,7 +508,7 @@ class ForecastEngine:
                           crop: Tuple[int, int]):
         """Leaf gradients (N, 3, H', W', D, T) / (N, 1, H', W', T) back
         to ∂J/∂(u3, v3, w3, ζ) in physical units on the request mesh:
-        the analytic adjoint of :meth:`_prepare_inputs`."""
+        the analytic adjoint of :meth:`_stage`."""
         H, W = crop
         eps = Normalizer.EPS
         g3 = np.asarray(g3, dtype=np.float64)
@@ -556,7 +536,7 @@ class ForecastEngine:
 
         The adjoint counterpart of :meth:`forecast_batch`: runs one
         grad-enabled batched forward through the same
-        :meth:`_prepare_inputs` staging (normalise → pad → rim-mask
+        :meth:`_stage` staging (normalise → pad → rim-mask
         assembly), reduces the predicted surge to a scalar diagnostic
         per episode, and pulls the gradient back through the model
         *and* the staging pipeline, so the returned sensitivities are
@@ -638,10 +618,9 @@ class ForecastEngine:
                 "wrt='storm' requires a StormOverlay per episode")
 
         # one mesh for the whole batch before the overlays broadcast
-        # over it (staging checks the composed windows again, for free)
+        # over it; composing keeps every window's shape
         self._check_batch(references)
-        x3d, x2d, (H, W) = self._prepare_inputs(
-            compose_batch(references, storms))
+        x3d, x2d, (H, W) = self._stage(compose_batch(references, storms))
 
         std_z = self.normalizer.std["zeta"] + Normalizer.EPS
         mean_z = self.normalizer.mean["zeta"]

@@ -111,17 +111,6 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def tape_nodes(root):
-    """Tensors a ``backward()`` from ``root`` visits, leaves included."""
-    seen, todo = {}, [root]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            todo.extend(p for p in node._parents if p.requires_grad)
-    return list(seen.values())
-
-
 # ----------------------------------------------------------------------
 # serving fixtures: the tiny-mesh window/engine factory every serve,
 # scenario, and operations test shares.  Session-scoped where bitwise-

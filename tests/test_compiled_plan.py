@@ -1,11 +1,13 @@
-"""Compiled inference plans: trace/replay equivalence, arena safety,
-and plan dispatch through engine, scheduler, pool, and server.
+"""Compiled inference plans: trace/replay equivalence, arena safety
+and tightness, batch-shape bucketing, and plan dispatch through engine,
+scheduler, pool, and server.
 
 The invariant under test everywhere is **bitwise equality**: a compiled
-plan replays the exact NumPy expressions of the eager inference path,
-so every field of every result must be ``np.array_equal`` to the eager
-one — for plain, ensemble, and hybrid requests, under every pool
-routing policy.
+plan — exact-shape or a padded bucket — replays the exact NumPy
+expressions of the eager inference path, so every field of every result
+must be ``np.array_equal`` to the eager one — for plain, ensemble, and
+hybrid requests, under every pool routing policy, on the thread and the
+process serving backends alike.
 """
 
 import os
@@ -22,14 +24,14 @@ from conftest import (  # noqa: F401 — shared serving fixtures
 
 from repro.data import Normalizer
 from repro.physics import Verifier
-from repro.serve import EngineWorkerPool, ForecastServer
+from repro.serve import EngineWorkerPool, ForecastServer, MicroBatchScheduler
 from repro.tensor import (
-    BufferArena,
     PlanExecutor,
     Tensor,
     TraceError,
     concatenate,
     no_grad,
+    plan_buckets,
     trace,
 )
 from repro.tensor import plan as plan_mod
@@ -42,11 +44,11 @@ from repro.workflow import (
 POLICIES = ("round-robin", "least-outstanding", "key-affinity")
 
 
-def assert_windows_bitwise(a, b):
+def assert_windows_bitwise(a, b, msg=""):
     """Exact equality on every field — the compiled-plan invariant."""
-    for var in ("u3", "v3", "w3", "zeta"):
+    for var in VARS:
         np.testing.assert_array_equal(getattr(a, var), getattr(b, var),
-                                      err_msg=var)
+                                      err_msg=f"{var} {msg}")
 
 
 @pytest.fixture()
@@ -142,6 +144,40 @@ class TestTraceReplay:
                     f"slots at bytes [{lo_a},{hi_a}) and [{lo_b},{hi_b}) "
                     f"are live together (steps {b_a}-{d_a} vs {b_b}-{d_b})")
 
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    def test_arena_is_the_live_set_peak(self, engine, batch):
+        """The packer is tight: the arena is exactly the most bytes
+        ever alive at one step.  The oracle reads step order and alias
+        roots only — no offsets, none of the plan's own liveness: a
+        compute buffer is born at the step that writes it and dies
+        after the last step that touches anything in its alias group."""
+        plan = engine.compile(batch).plan
+        root = [spec.root for spec in plan.slots]
+        dies = {}
+        for i, step in enumerate(plan.steps):
+            for tag, ref in step.ins:
+                if tag == "s":
+                    dies[root[ref]] = i
+            dies[root[step.out]] = i
+        for sid in plan.outputs:
+            dies[root[sid]] = plan.n_steps
+        peak = max(
+            sum(-(-plan.slots[s.out].nbytes // 64) * 64
+                for s in plan.steps[:i + 1]
+                if s.kind == "compute" and dies[root[s.out]] >= i)
+            for i in range(plan.n_steps))
+        assert plan.arena_total == peak
+
+    def test_compile_caches_what_the_tracer_recorded(self, engine):
+        """Nothing sits between trace and replay: the engine's plan has
+        the steps, in order, of a fresh trace of the same forward."""
+        shapes = engine._input_shapes(2)
+        fresh, _ = trace(lambda a, b: engine.model(a, b),
+                         [np.zeros(s, np.float32) for s in shapes])
+        plan = engine.compile(2).plan
+        assert [s.name for s in plan.steps] == [s.name for s in fresh.steps]
+        assert plan.arena_total == fresh.arena_total
+
     def test_roll_repeated_axis_matches_numpy(self):
         """np.roll accumulates shifts on a repeated axis; the arena
         replay kernel must reproduce that exactly."""
@@ -225,34 +261,6 @@ class TestTraceReplay:
             ex.run((np.zeros((2, 3), np.float64),))
 
 
-class TestBufferArena:
-    def test_growth_then_reuse(self):
-        arena = BufferArena()
-        a = arena.take(1000)
-        assert arena.stats() == {"allocated_bytes": 1000,
-                                 "allocations": 1, "reuses": 0}
-        arena.give(a)
-        b = arena.take(800)          # fits in the freed blob
-        assert b is a
-        assert arena.stats()["reuses"] == 1
-        c = arena.take(2000)         # no fit: the arena grows
-        assert c.nbytes == 2000
-        assert arena.stats()["allocations"] == 2
-        assert arena.stats()["allocated_bytes"] == 3000
-
-    def test_executor_release_returns_blob(self):
-        plan, _ = trace(lambda a: a * 2.0,
-                        (np.zeros((64, 64), np.float32),))
-        arena = BufferArena()
-        ex1 = PlanExecutor(plan, arena)
-        ex1.release()
-        ex2 = PlanExecutor(plan, arena)
-        stats = arena.stats()
-        assert stats["allocations"] == 1 and stats["reuses"] == 1
-        (out,) = ex2.run((np.ones((64, 64), np.float32),))
-        assert np.array_equal(out, np.full((64, 64), 2.0, np.float32))
-
-
 class TestEngineCompiled:
     def test_compiled_bitwise_equal_eager(self, engine, tiny_surrogate,
                                           windows):
@@ -267,6 +275,21 @@ class TestEngineCompiled:
             for var in VARS:
                 assert np.array_equal(getattr(g.fields, var),
                                       getattr(w.fields, var))
+
+    def test_model_plan_bitwise_all_batches(self, engine, tiny_surrogate,
+                                            identity_norm, windows):
+        """Every size 1…4 through the bucket set: plan ≡ eager and the
+        plan cache never misses."""
+        eager = ForecastEngine(tiny_surrogate, identity_norm)
+        engine.compile_buckets(4)
+        for n in range(1, 5):
+            got = engine.forecast_batch(windows[:n])
+            want = eager.forecast_batch(windows[:n])
+            assert all(r.compiled for r in got)
+            assert not any(r.compiled for r in want)
+            for g, w in zip(got, want):
+                assert_windows_bitwise(g.fields, w.fields, f"n={n}")
+        assert engine.plan_stats()["misses"] == 0
 
     def test_compiled_call_peaks_below_eager(self, engine, tiny_surrogate,
                                              identity_norm, windows):
@@ -324,20 +347,6 @@ class TestEngineCompiled:
         assert engine.compiled_batches == []
         res = engine.forecast_batch(windows[:2])
         assert not res[0].compiled
-
-    def test_clear_plans_recycles_arena_blobs(self, engine, windows):
-        """Retired executors hand their blobs back; the recompiled
-        plan's executor reuses them instead of growing the arena."""
-        engine.compile(2)
-        engine.forecast_batch(windows[:2])      # creates one executor
-        before = engine.plan_stats()["arena"]
-        assert before["allocations"] == 1
-        engine.clear_plans()
-        engine.compile(2)
-        engine.forecast_batch(windows[:2])
-        after = engine.plan_stats()["arena"]
-        assert after["reuses"] == before["reuses"] + 1
-        assert after["allocated_bytes"] == before["allocated_bytes"]
 
     def test_weight_reload_then_recompile_matches_eager(self, engine,
                                                         windows):
@@ -428,9 +437,88 @@ class TestSerialReplay:
             np.testing.assert_array_equal(got, w)
 
 
+class TestBucketPolicy:
+    def test_powers_of_two_capped_at_max(self):
+        assert plan_buckets(1) == (1,)
+        assert plan_buckets(2) == (1, 2)
+        assert plan_buckets(4) == (1, 2, 4)
+        assert plan_buckets(8) == (1, 2, 4, 8)
+
+    def test_non_power_max_batch_is_kept_as_top_bucket(self):
+        assert plan_buckets(6) == (1, 2, 4, 6)
+        assert plan_buckets(3) == (1, 2, 3)
+
+    def test_invalid_max_batch(self):
+        with pytest.raises(ValueError):
+            plan_buckets(0)
+
+
+class TestBucketedServing:
+    def test_scheduler_mixed_sizes_zero_misses(self, engine, tiny_surrogate,
+                                               identity_norm, windows):
+        eager = ForecastEngine(tiny_surrogate, identity_norm)
+        sched = MicroBatchScheduler(engine, max_batch=4, autostart=False,
+                                    warm_plans=True)
+        want = {}
+        sizes = (1, 3, 2, 4, 1, 2)
+        start = 0
+        futs = []
+        for n in sizes:
+            batch = windows[start:start + n]
+            start += n
+            want[n] = want.get(n, []) + [eager.forecast_batch(batch)]
+            for w in batch:
+                futs.append((n, sched.submit(w)))
+            sched.flush()
+        sched.close()
+        stats = engine.plan_stats()
+        assert stats["misses"] == 0
+        assert stats["hits"] == len(sizes)
+        assert set(stats["bucket_hits"]) <= set(plan_buckets(4))
+        m = sched.metrics
+        assert m.plan_batches == len(sizes)
+        assert all(b.compiled for b in m.batches)
+        got = iter(futs)
+        for n in sizes:
+            direct = want[n].pop(0)
+            for d in direct:
+                size, fut = next(got)
+                res = fut.result(timeout=1)
+                assert res.compiled and size == n
+                assert_windows_bitwise(res.fields, d.fields, f"n={n}")
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pool_bucketed_bitwise_both_backends(self, engine, tiny_surrogate,
+                                                 identity_norm, windows,
+                                                 backend):
+        eager = ForecastEngine(tiny_surrogate, identity_norm)
+        truth = {n: eager.forecast_batch(windows[:n])
+                 for n in range(1, 5)}
+        pool = EngineWorkerPool(
+            engine, replicas=1, backend=backend, max_batch=4,
+            warm_plans=True, autostart=False)
+        try:
+            for n in (1, 3, 2, 4):
+                res = pool.forecast_batch(windows[:n])
+                assert all(r.compiled for r in res), (backend, n)
+                assert all(r.plan_batch in plan_buckets(4) for r in res)
+                for g, w in zip(res, truth[n]):
+                    assert_windows_bitwise(g.fields, w.fields,
+                                           f"{backend} n={n}")
+            stats = next(iter(pool.plan_stats().values()))
+            assert stats["misses"] == 0
+            assert stats["bucket_pad_fraction"] > 0
+            m = pool.metrics
+            assert m.plan_batches == 4
+            assert m.bucket_hits()
+            assert 0 < m.bucket_pad_fraction < 1
+            assert "bucket_pad_fraction" in m.summary()
+        finally:
+            pool.close()
+
+
 class TestServedPlans:
     def test_scheduler_warm_plans_and_metrics(self, engine, windows):
-        from repro.serve import MicroBatchScheduler
         sched = MicroBatchScheduler(engine, max_batch=4, autostart=False,
                                     warm_plans=True)
         # warmup now compiles the whole bucket set, not just max_batch
@@ -454,8 +542,6 @@ class TestServedPlans:
         assert engine.plan_stats()["misses"] == 0
 
     def test_scheduler_warm_plans_needs_compile(self, windows):
-        from repro.serve import MicroBatchScheduler
-
         class Executorish:
             time_steps = 4
 

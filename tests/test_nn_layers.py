@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 import scipy.special
 
-from conftest import tape_nodes
-
 from repro.nn import (
     BatchNorm,
     Conv2d,
@@ -31,6 +29,7 @@ from repro.nn import (
 from repro.nn import init
 from repro.nn import layers as layers_mod
 from repro.tensor import Tensor, gradcheck, no_grad
+from repro.tensor.gradcheck import tape_nodes
 
 
 class TestModuleSystem:

@@ -14,6 +14,7 @@ import pytest
 import repro.tensor
 from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
                          HostWorker, MicroBatchScheduler, ProcessWorker)
+from repro.serve.remote import build_engine, serve_payload
 from repro.tensor import PlanExecutor
 from repro.workflow import ForecastEngine
 
@@ -38,7 +39,9 @@ SIGNATURES = [
      ["pool", "min_workers", "max_workers", "high_water", "low_water",
       "scale_down_patience", "target_utilization", "capacity_model",
       "interval"]),
-    (PlanExecutor, ["plan", "arena"]),
+    (PlanExecutor, ["plan"]),
+    (build_engine, ["payload"]),
+    (serve_payload, ["channel", "payload"]),
     (PlanExecutor.profile, ["self", "inputs", "repeats"]),
     (repro.tensor.plan.register_kernel, ["name", "kind", "nonview"]),
     (ForecastEngine.compile_buckets, ["self", "max_batch"]),
@@ -71,5 +74,12 @@ def test_server_max_wait_is_accepted_and_unused(engine, windows):
 def test_histogram_buckets_are_gone():
     assert not hasattr(repro.tensor, "plan_buckets_from_histogram")
     assert "plan_buckets_from_histogram" not in repro.tensor.__all__
-    assert not hasattr(repro.tensor.plan_passes,
-                       "plan_buckets_from_histogram")
+
+
+def test_post_trace_passes_and_arena_pools_are_gone():
+    """A compiled plan is what the tracer recorded, an executor owns
+    its blob: no rewrite stage, no pool to hand one back to."""
+    for name in ("optimize", "BufferArena", "plan_passes"):
+        assert not hasattr(repro.tensor, name), name
+        assert name not in repro.tensor.__all__
+    assert not hasattr(PlanExecutor, "release")

@@ -17,7 +17,7 @@ Three layers of validation, mirroring ``docs/differentiation.md``:
 import numpy as np
 import pytest
 
-from conftest import VARS, make_window, tape_nodes
+from conftest import VARS, make_window
 
 from repro.data.preprocess import Normalizer
 from repro.serve import (
@@ -30,7 +30,7 @@ from repro.serve import (
     window_key,
 )
 from repro.tensor import Tensor, astensor, stack
-from repro.tensor.gradcheck import gradcheck, numerical_grad
+from repro.tensor.gradcheck import gradcheck, numerical_grad, tape_nodes
 from repro.workflow import (
     STORM_PARAMS,
     ForecastEngine,

@@ -23,7 +23,7 @@ from repro.serve import (
     HostWorkerError,
     ProcessWorkerDied,
 )
-from repro.tensor.plan_passes import plan_buckets
+from repro.tensor import plan_buckets
 
 from conftest import assert_windows_equal     # noqa: F401 — shared helper
 from test_serve_procpool import (             # noqa: F401 — shared idiom

@@ -27,7 +27,6 @@ from repro.serve.autoscale import AutoScaler
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.tensor import plan as plan_mod
 from repro.tensor.plan import (
-    BufferArena,
     ExecutionPlan,
     PlanExecutor,
     TraceError,
@@ -44,6 +43,14 @@ pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 def assert_results_equal(a, b):
     for ra, rb in zip(a, b):
         assert_windows_equal(ra.fields, rb.fields)
+
+
+def leftover_segments(worker):
+    """Everything of this worker pair still in /dev/shm, by its token
+    prefix — so a segment the pair no longer names (the ``-arena`` one
+    a child used to create for its plan intermediates) is still seen."""
+    return [n for n in os.listdir("/dev/shm")
+            if n.startswith(worker._token)]
 
 
 def second_model(engine):
@@ -96,8 +103,8 @@ class TestPlanPickle:
         r = np.random.default_rng(7)
         args = tuple(r.normal(size=s).astype(np.float32)
                      for s in engine._input_shapes(2))
-        out_a = PlanExecutor(plan, BufferArena()).run(args)
-        out_b = PlanExecutor(clone, BufferArena()).run(args)
+        out_a = PlanExecutor(plan).run(args)
+        out_b = PlanExecutor(clone).run(args)
         for x, y in zip(out_a, out_b):
             np.testing.assert_array_equal(x, y)
 
@@ -120,15 +127,15 @@ class TestPlanPickle:
 
     def test_step_record_of_another_arity_rejected(self):
         """Plans only travel parent → child at spawn, same code on both
-        ends: a record that is not this version's 6-tuple is refused by
-        name, not unpacked into the wrong fields."""
+        ends: a record that is not this version's 5-tuple — here the
+        6-tuple that carried a scratch-slot field — is refused by name,
+        not unpacked into the wrong fields."""
         plan, _ = trace(lambda a: a + a, (np.ones((2, 2), np.float32),))
         state = plan.__getstate__()
-        assert all(len(rec) == 6 for rec in state["steps"])
-        state["steps"] = [rec[:5] + (False,) + rec[5:]
-                          for rec in state["steps"]]
+        assert all(len(rec) == 5 for rec in state["steps"])
+        state["steps"] = [rec + ((),) for rec in state["steps"]]
         fresh = ExecutionPlan.__new__(ExecutionPlan)
-        with pytest.raises(TraceError, match="7 fields"):
+        with pytest.raises(TraceError, match="6 fields.*writes 5"):
             fresh.__setstate__(state)
 
     def test_failed_kernel_module_import_surfaces(self, monkeypatch):
@@ -179,10 +186,14 @@ class TestProcessWorker:
             assert stats["marshal_bytes"] > 0
             assert stats["ipc_wait_s"] > 0
             assert stats["spawn_seconds"] > 0
+            # the pair's segments are the two that carry data: request
+            # and response generations, and segment_names() lists both
+            token = worker._token
             names = worker.segment_names()
-            assert segments_alive(names), "expected live segments"
+            assert sorted(names) == sorted(leftover_segments(worker)) \
+                == [f"{token}-q0", f"{token}-r0"]
         # graceful close unlinks every segment of the pair
-        assert segments_alive(names) == []
+        assert leftover_segments(worker) == []
 
     def test_child_compile_rpc(self, engine, windows):
         with ProcessWorker(engine) as worker:
@@ -196,6 +207,10 @@ class TestProcessWorker:
             stats = worker.plan_stats()
             assert 3 in stats["batches"]
             assert stats["transport"]["backend"] == "process"
+            # the child replays out of ordinary heap: its stats are an
+            # engine's (no arena block of shm_* / heap_allocations
+            # counters) plus this side's transport
+            assert set(stats) == set(engine.plan_stats()) | {"transport"}
 
     def test_needs_a_real_engine(self):
         class NotAnEngine:
@@ -206,17 +221,20 @@ class TestProcessWorker:
 
     def test_killed_child_raises_not_hangs(self, engine, windows):
         worker = ProcessWorker(engine)
+        worker.forecast_batch(windows[:2])      # both segments now exist
+        names = worker.segment_names()
+        assert len(segments_alive(names)) == 2
         os.kill(worker.pid, signal.SIGKILL)
         with pytest.raises(ProcessWorkerDied):
             worker.forecast_batch(windows[:2])
         assert not worker.alive
-        names = worker.segment_names()
         # every subsequent batch fails fast, no transport attempt
         with pytest.raises(ProcessWorkerDied):
             worker.forecast_batch(windows[:2])
         worker.close()
-        # the dead child could not unlink its arena; the parent did
-        assert segments_alive(names) == []
+        # the dead child could not unlink its response segment; the
+        # parent, which can enumerate its generations, did
+        assert leftover_segments(worker) == []
 
     def test_death_callback_fires_once(self, engine, windows):
         deaths = []

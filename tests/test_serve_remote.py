@@ -2,11 +2,11 @@
 
 ``EngineService`` is the one op table and the one serve loop behind
 both out-of-process tiers, so its contract — each op's reply shape, the
-report-and-keep-serving error policy, what stops the loop, what cleanup
-runs — is pinned here against a stub engine and an in-memory channel:
-no spawn, no shm, no sockets.  The payload round trip uses the real
-engine, because bit-equality of the rebuilt weights and plans is the
-point.
+report-and-keep-serving error policy, what stops the loop, that the
+channel is closed on every way out — is pinned here against a stub
+engine and an in-memory channel: no spawn, no shm, no sockets.  The
+payload round trip uses the real engine, because bit-equality of the
+rebuilt weights and plans is the point.
 """
 
 import pickle
@@ -35,7 +35,6 @@ class StubEngine:
 
     def __init__(self):
         self.compiled = {2}
-        self.cleared = False
         self.raises = None          # exception forecast_batch raises next
 
     @property
@@ -60,9 +59,6 @@ class StubEngine:
 
     def plan_stats(self):
         return {"batches": self.compiled_batches}
-
-    def clear_plans(self):
-        self.cleared = True
 
 
 class ScriptChannel:
@@ -138,7 +134,7 @@ class TestServe:
         assert compiled[:3] == ("ok", 7, {"compiled": [2, 3]})
         assert batch[:2] == ("ok", 8) and len(batch[3]) == 4
         # EOF ended the loop; cleanup ran
-        assert engine.cleared and channel.closed
+        assert channel.closed
 
     def test_unknown_op_is_an_err_reply(self):
         channel = ScriptChannel([("teleport", 3, {}, [])])
@@ -170,7 +166,7 @@ class TestServe:
             EngineService(engine).serve(channel)
         # nothing after the handshake was answered, but cleanup ran
         assert [m[0] for m in channel.sent] == ["ready"]
-        assert engine.cleared and channel.closed
+        assert channel.closed
 
     def test_stop_ends_the_loop_without_a_reply(self):
         engine = StubEngine()
@@ -179,7 +175,7 @@ class TestServe:
         EngineService(engine).serve(channel)
         assert [m[0] for m in channel.sent] == ["ready"]
         assert len(channel.requests) == 1       # never read past stop
-        assert engine.cleared and channel.closed
+        assert channel.closed
 
     def test_peer_gone_mid_reply_ends_the_loop_cleanly(self):
         engine = StubEngine()
@@ -188,7 +184,7 @@ class TestServe:
                                 fail_send_after=1)
         EngineService(engine).serve(channel)
         assert [m[0] for m in channel.sent] == ["ready"]
-        assert engine.cleared and channel.closed
+        assert channel.closed
 
 
 def test_rebuild_failure_is_an_err_handshake():
@@ -223,18 +219,3 @@ def test_payload_round_trip_is_bitwise(engine_factory, windows):
                               remote.batch_results(reply_meta, reply_arrays)):
         assert (served.compiled, served.plan_batch) == (True, 2)
         assert_windows_equal(direct.fields, served.fields)
-
-
-def test_build_engine_sizes_the_supplied_arena(engine_factory):
-    from repro.tensor.plan import BufferArena
-
-    asked = []
-
-    def make_arena(nbytes):
-        asked.append(nbytes)
-        return BufferArena()
-
-    payload = engine_payload(engine_factory(), warm_batches=(2,))
-    rebuilt = build_engine(payload, make_arena)
-    assert asked == [max(rebuilt.compile(b).plan.arena_total
-                         for b in rebuilt.compiled_batches)]

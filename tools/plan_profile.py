@@ -11,7 +11,10 @@ this tool only reads) at one batch size, replays it through
 * the 15 most expensive steps with their output shapes;
 * the cost of the bare replay loop: the same plan with every kernel
   replaced by a stub, i.e. what ``PlanExecutor.run`` itself spends on
-  gathering inputs, storing outputs and releasing slots.
+  gathering inputs, storing outputs and releasing slots;
+* the plan's arena next to its live-set peak — the most bytes of
+  arena-backed buffers alive at any one step, which no packing can go
+  below.
 
 ::
 
@@ -19,8 +22,9 @@ this tool only reads) at one batch size, replays it through
     python tools/plan_profile.py --config estuary --batch 8 --repeats 3
 
 Runs under the benchmark's allocator settings (``run.pin_allocator``).
-Exits 1 if the printed kernel shares do not sum to 100 ± 1 % (CI's
-test job runs it so the instrument cannot rot).  The numbers are one
+Exits 1 if the printed kernel shares do not sum to 100 ± 1 %, or if
+the arena exceeds the live-set peak by more than 5 % (CI's test job
+runs it so the instrument cannot rot).  The numbers are one
 host's; ``docs/architecture.md`` § "Where a replay's time goes" records
 them next to ``benchmarks/e2e/reference/host.json``.
 """
@@ -57,6 +61,21 @@ def bare_loop_seconds(plan, inputs) -> float:
                   for s in plan.steps]
     executor = PlanExecutor(bare)
     return statistics.median(harness.repeat(lambda: executor.run(inputs)))
+
+
+def live_set_peak(plan) -> int:
+    """Most 64-byte-rounded bytes of compute slots alive at one step."""
+    last = plan._last_uses()
+    ending = {}                     # step -> bytes whose last use it is
+    alive = peak = 0
+    for i, step in enumerate(plan.steps):
+        if step.kind == "compute":
+            need = -(-plan.slots[step.out].nbytes // 64) * 64
+            alive += need
+            ending[last[step.out]] = ending.get(last[step.out], 0) + need
+        peak = max(peak, alive)
+        alive -= ending.pop(i, 0)
+    return peak
 
 
 def main(argv=None) -> int:
@@ -102,8 +121,12 @@ def main(argv=None) -> int:
     bare = bare_loop_seconds(plan, inputs)
     print(f"\nbare loop (kernels stubbed): {1e6 * bare:.0f} us "
           f"= {100 * bare / total:.1f} % of the replay")
+    peak = live_set_peak(plan)
+    print(f"arena: {plan.arena_total / 1e6:.2f} MB")
+    print(f"live-set peak: {peak / 1e6:.2f} MB")
     print(f"kernel shares sum to {shares:.1f} %")
-    return 0 if abs(shares - 100.0) <= 1.0 else 1
+    return 0 if abs(shares - 100.0) <= 1.0 \
+        and plan.arena_total <= 1.05 * peak else 1
 
 
 if __name__ == "__main__":

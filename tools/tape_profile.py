@@ -45,23 +45,13 @@ import harness  # noqa: E402 — needs the two path entries above
 import run as benchmark  # noqa: E402
 import workloads  # noqa: E402
 from repro.tensor import Tensor  # noqa: E402
+from repro.tensor.gradcheck import tape_nodes  # noqa: E402
 from repro.workflow import ForecastEngine  # noqa: E402
 from repro.workflow import sensitivity  # noqa: E402
 
 PHASES = ("overlay apply", "staging", "tape forward", "backward",
           "assembly adjoint", "overlay VJP")
 REPEATS = 20      # probed calls; the table is the one with the median wall
-
-
-def reachable(root):
-    """Tensors the backward from ``root`` visits (leaves included)."""
-    seen, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(p for p in node._parents if p.requires_grad)
-    return list(seen.values())
 
 
 class Probe:
@@ -76,7 +66,7 @@ class Probe:
         self._undo = []
         self._wrap(sensitivity, "compose_batch", "overlay apply")
         self._wrap(sensitivity, "overlay_vjp", "overlay VJP")
-        self._wrap(engine, "_prepare_inputs", "staging")
+        self._wrap(engine, "_stage", "staging")
         self._wrap(engine, "_assembly_adjoint", "assembly adjoint")
         self._patch(Tensor, "backward", self._backward)
         self._patch(Tensor, "__init__", self._init)
@@ -106,9 +96,9 @@ class Probe:
     def _backward(self, original):
         def backward(root, grad=None):
             if len(self.graphs) < 2:         # model graph, overlay graph
-                self.graphs.append(len(reachable(root)))
+                self.graphs.append(len(tape_nodes(root)))
             if self.closures is not None:
-                for node in reachable(root):
+                for node in tape_nodes(root):
                     if node._backward is not None:
                         node._backward = self._timed_closure(node._backward)
             t0 = time.perf_counter()
