@@ -13,8 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, astensor, is_grad_enabled
+from ..tensor import Tensor, astensor
 from ..tensor import plan as _plan
+from ..tensor.tensor import apply
 from . import init
 from .layers import Dropout, Linear
 from .module import Module
@@ -69,41 +70,31 @@ class MultiHeadSelfAttention(Module):
         q, k, v = qkv[0], qkv[1], qkv[2]
 
         attn = q.matmul(k.swapaxes(-1, -2))  # (B, h, N, N)
-        tracing = _plan.tracing()
-        inference = not (is_grad_enabled() and attn.requires_grad)
-        if tracing:
-            # record the in-place scale against attn's buffer slot
-            attn = _plan.trace_apply("imul_scalar", (attn,),
-                                     {"scale": self.scale})
-        elif inference:
-            attn.data *= self.scale            # fresh buffer: scale in place
-        else:
+        # an untaped attn is a fresh buffer: scale and mask it in place
+        taped = attn.requires_grad
+        if taped:
             attn = attn * self.scale
+        else:
+            attn = apply("imul_scalar", (attn,), {"scale": self.scale})
         if mask is not None:
             m = np.asarray(mask, dtype=attn.dtype)
             if m.ndim == 4 and m.shape[0] != B and B % m.shape[0] == 0:
                 # (nW, 1, N, N) per-window mask broadcast over the batch
                 # groups (tokens are laid out batch-slowest)
                 nW = m.shape[0]
-                if tracing:
-                    # the mask is shape-dependent only: a plan constant
-                    attn = _plan.trace_apply(
-                        "add_window_mask", (attn,),
-                        {"mask": m, "nW": nW, "heads": self.num_heads})
-                elif inference:
-                    attn.data.reshape(B // nW, nW, self.num_heads, N, N)[
-                        ...] += m[None]
-                else:
+                if taped:
                     attn = (attn.reshape(B // nW, nW, self.num_heads, N, N)
                             + Tensor(m[None])).reshape(B, self.num_heads,
                                                        N, N)
-            else:
-                if tracing:
-                    attn = _plan.trace_apply("iadd", (attn, Tensor(m)))
-                elif inference:
-                    attn.data += m
                 else:
-                    attn = attn + Tensor(m)
+                    # the mask is shape-dependent only: a plan constant
+                    attn = apply("add_window_mask", (attn,),
+                                 {"mask": m, "nW": nW,
+                                  "heads": self.num_heads})
+            elif taped:
+                attn = attn + Tensor(m)
+            else:
+                attn = apply("iadd", (attn, Tensor(m)))
         attn = attn.softmax(axis=-1)
         attn = self.attn_drop(attn)
 

@@ -16,6 +16,7 @@ from scipy import special as _sp_special
 
 from ..tensor import Tensor, astensor, is_grad_enabled
 from ..tensor import plan as _plan
+from ..tensor.tensor import apply
 from . import init
 from .module import Module, Parameter
 
@@ -45,9 +46,7 @@ def gelu(x: Tensor) -> Tensor:
     sweep and the ``erf`` chain.
     """
     x = astensor(x)
-    if _plan.tracing():
-        return _plan.trace_apply("gelu", (x,))
-    out = x._make(_k_gelu(None, (x.data,), None), (x,))
+    out = apply("gelu", (x,))
     if out.requires_grad:
         def _bw(g):
             x._accum(_gelu_grad(x.data, g))
@@ -88,14 +87,11 @@ class Linear(Module):
         x = astensor(x)
         out = x.matmul(self.weight)
         if self.bias is not None:
-            if _plan.tracing():
-                # record the in-place bias add against out's buffer slot
-                out = _plan.trace_apply("iadd", (out, self.bias))
-            elif not (is_grad_enabled() and
-                      (x.requires_grad or self.weight.requires_grad)):
-                out.data += self.bias.data     # fresh buffer: add in place
-            else:
+            if out.requires_grad:
                 out = out + self.bias
+            else:
+                # untaped matmul result, a fresh buffer: add in place
+                out = apply("iadd", (out, self.bias))
         return out
 
 
@@ -111,14 +107,9 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = astensor(x)
-        if _plan.tracing():
-            return _plan.trace_apply("layernorm",
-                                     (x, self.weight, self.bias),
-                                     {"eps": self.eps})
         w, b, eps = self.weight, self.bias, self.eps
         # one working buffer, in-place updates — and one tape node
-        out = x._make(_k_layernorm(None, (x.data, w.data, b.data),
-                                   {"eps": eps}), (x, w, b))
+        out = apply("layernorm", (x, w, b), {"eps": eps})
         if out.requires_grad:
             a = x.data
             def _bw(g):
@@ -185,21 +176,18 @@ class BatchNorm(Module):
             # fold running stats into one scale + shift (two passes over
             # x instead of four; x is full-resolution in the decoder)
             inv = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(bshape)
-            if not (is_grad_enabled() and
-                    (x.requires_grad or self.weight.requires_grad)):
-                scale = self.weight.data.reshape(bshape) * inv
-                shift = self.bias.data.reshape(bshape) \
-                    - self.running_mean.reshape(bshape) * scale
-                consts = {"scale": scale, "shift": shift}
-                if _plan.tracing():
-                    # running stats fold into per-channel scale/shift plan
-                    # constants (recompile after loading new weights)
-                    return _plan.trace_apply("bn_affine", (x,), consts)
-                return Tensor(_k_bn_affine(None, (x.data,), consts))
-            scale = self.weight.reshape(bshape) * Tensor(inv)
-            shift = self.bias.reshape(bshape) \
-                - Tensor(self.running_mean.reshape(bshape)) * scale
-            return x * scale + shift
+            if is_grad_enabled() and (x.requires_grad or
+                                      self.weight.requires_grad):
+                scale = self.weight.reshape(bshape) * Tensor(inv)
+                shift = self.bias.reshape(bshape) \
+                    - Tensor(self.running_mean.reshape(bshape)) * scale
+                return x * scale + shift
+            # running stats fold into per-channel scale/shift: constants
+            # of a traced plan (recompile after loading new weights)
+            scale = self.weight.data.reshape(bshape) * inv
+            shift = self.bias.data.reshape(bshape) \
+                - self.running_mean.reshape(bshape) * scale
+            return apply("bn_affine", (x,), {"scale": scale, "shift": shift})
         norm = (x - mu) / (var + self.eps).sqrt()
         return norm * self.weight.reshape(bshape) + self.bias.reshape(bshape)
 
@@ -245,10 +233,9 @@ class MLP(Module):
 
 
 # ----------------------------------------------------------------------
-# plan kernels — the one definition of the fused inference fast paths:
-# plans replay them into an arena buffer, the eager no-grad branches
-# above call them with ``out=None`` (NumPy allocates the working
-# buffer), so compiled forwards are bitwise identical to eager ones
+# plan kernels — the one forward of ``gelu``, ``LayerNorm`` and eval
+# ``BatchNorm``: ``apply`` calls them with ``out=None`` (NumPy allocates
+# the working buffer), plans replay them into an arena buffer
 # ----------------------------------------------------------------------
 #: Abramowitz & Stegun 7.1.26, erfc(z) ≈ (a₁t + … + a₅t⁵)·e^{−z²} with
 #: t = 1/(1 + pz) and |ε| ≤ 1.5·10⁻⁷, rewritten for z = u/√2; the −½ of

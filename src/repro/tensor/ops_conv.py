@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import plan as _plan
-from .tensor import Tensor, astensor, is_grad_enabled
+from .tensor import Tensor, apply, astensor
 
 __all__ = ["conv_nd", "conv_transpose_nd", "conv_output_shape",
            "conv_transpose_output_shape"]
@@ -215,27 +215,15 @@ def conv_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     nd = x.data.ndim - 2
     stride = _as_tuple(stride, nd)
     padding = _as_tuple(padding, nd)
-    if _plan.tracing():
-        ins = (x, w) if b is None else (x, w, astensor(b))
-        return _plan.trace_apply("conv_nd", ins,
-                                 {"stride": stride, "padding": padding})
-    xd = x.data
-    if any(padding):
-        pw = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
-        xd = np.pad(xd, pw)
-    out_data = _fwd(xd, w.data, stride)
-    if b is not None:
-        b = astensor(b)
-        out_data = out_data + b.data.reshape((1, -1) + (1,) * nd)
-
-    parents = (x, w) if b is None else (x, w, b)
-    rg = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(out_data)
-    out.requires_grad = rg
-    if rg:
-        out._parents = parents
-        xd_saved, wd_saved = xd, w.data
-        kshape = w.data.shape[2:]
+    b = None if b is None else astensor(b)
+    out = apply("conv_nd", (x, w) if b is None else (x, w, b),
+                {"stride": stride, "padding": padding})
+    if out.requires_grad:
+        xd_saved, wd_saved = x.data, w.data
+        if any(padding):
+            pw = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
+            xd_saved = np.pad(xd_saved, pw)
+        kshape = wd_saved.shape[2:]
 
         def _bw(g):
             g = np.asarray(g)
@@ -272,32 +260,12 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     nd = x.data.ndim - 2
     stride = _as_tuple(stride, nd)
     output_padding = _as_tuple(output_padding, nd)
-    if _plan.tracing():
-        ins = (x, w) if b is None else (x, w, astensor(b))
-        return _plan.trace_apply(
-            "conv_transpose_nd", ins,
-            {"stride": stride, "output_padding": output_padding})
-    kshape = w.data.shape[2:]
-    out_sp = conv_transpose_output_shape(x.data.shape[2:], kshape, stride,
-                                         output_padding)
-    # Forward of transposed conv == input-gradient of the forward conv,
-    # with x playing the role of the output gradient.
-    core_sp = tuple(o - op for o, op in zip(out_sp, output_padding))
-    out_data = _grad_input(x.data, w.data, core_sp, stride)
-    if any(output_padding):
-        pw = ((0, 0), (0, 0)) + tuple((0, p) for p in output_padding)
-        out_data = np.pad(out_data, pw)
-    if b is not None:
-        b = astensor(b)
-        out_data = out_data + b.data.reshape((1, -1) + (1,) * nd)
-
-    parents = (x, w) if b is None else (x, w, b)
-    rg = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(out_data)
-    out.requires_grad = rg
-    if rg:
-        out._parents = parents
+    b = None if b is None else astensor(b)
+    out = apply("conv_transpose_nd", (x, w) if b is None else (x, w, b),
+                {"stride": stride, "output_padding": output_padding})
+    if out.requires_grad:
         xd_saved, wd_saved = x.data, w.data
+        kshape = wd_saved.shape[2:]
 
         def _bw(g):
             g = np.asarray(g)
@@ -322,11 +290,10 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
 
 # ----------------------------------------------------------------------
-# plan kernels — byte-for-byte the eager expressions above (the very
-# same functions run both paths), so traced replays of the conv-GEMM
-# fast paths are bitwise identical.  With a preallocated ``out`` the
-# final interleaving copy of the patch GEMM lands directly in the
-# arena buffer.
+# plan kernels — the forwards of the two public functions above.  With
+# ``out=None`` (eager, tape, trace) they allocate; with a preallocated
+# ``out`` (replay) the final interleaving copy of the patch GEMM lands
+# directly in the arena buffer — a copy of the same GEMM values either way.
 # ----------------------------------------------------------------------
 @_plan.register_kernel("conv_nd", "compute")
 def _k_conv_nd(out, ins, consts):
@@ -361,6 +328,8 @@ def _k_conv_transpose_nd(out, ins, consts):
     kshape = w.shape[2:]
     out_sp = conv_transpose_output_shape(x.shape[2:], kshape, stride,
                                          output_padding)
+    # Forward of transposed conv == input-gradient of the forward conv,
+    # with x playing the role of the output gradient.
     core_sp = tuple(o - op for o, op in zip(out_sp, output_padding))
     if out is None or any(output_padding):
         r = _grad_input(x, w, core_sp, stride)

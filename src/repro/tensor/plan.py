@@ -11,14 +11,16 @@ This module captures that sequence once and replays it with none of
 the dynamic machinery:
 
 * **trace** — :func:`trace` runs a function of Tensors with a
-  thread-local :class:`PlanBuilder` active.  Each primitive op (ufunc,
+  thread-local :class:`PlanBuilder` active.  Every primitive op (ufunc,
   matmul, conv-GEMM, reshape/transpose, reduction, fused inference
-  kernel) routes through :func:`trace_apply`, which executes the op's
-  kernel eagerly (so shapes and values propagate) *and* records it as
-  a step against numbered buffer slots.  Ops whose inputs are all
-  constants (parameters, window masks, positional tables, folded
-  BatchNorm scale/shift) are constant-folded: their trace-time value
-  is captured and no step is recorded.
+  kernel) already executes through the one dispatcher,
+  :func:`repro.tensor.tensor.apply`; while a builder is active it hands
+  the op's arrays and slots to :func:`trace_apply`, which runs the op's
+  kernel (so shapes and values propagate) *and* records it as a step
+  against numbered buffer slots.  Ops whose inputs are all constants
+  (parameters, window masks, positional tables, folded BatchNorm
+  scale/shift) are constant-folded: their trace-time value is captured
+  and no step is recorded.
 * **plan** — :class:`ExecutionPlan` is the flat step list plus a
   liveness analysis: every slot's last use is known, so storage-owning
   slots whose lifetimes do not overlap share bytes of one arena blob
@@ -34,13 +36,14 @@ the dynamic machinery:
   a bare loop of kernel calls, and :meth:`PlanExecutor.profile` is
   the same loop with a clock around each call.
 
-Replay is **bitwise identical** to the eager path by construction:
-under trace the eager value is computed *by the same kernel function*
-that replay calls, and every kernel reproduces the exact NumPy
-expression of the eager inference fast path (no kernel is ever split
-or reordered).  A layer that wants several ufuncs in one dispatch
-fuses them *inside* its one registered kernel (``gelu``,
-``layernorm``, ``bn_affine``), which eager, tape and plan all call.
+Replay is **bitwise identical** to the eager path: a primitive has one
+forward, its registered kernel, which ``apply`` calls with ``out=None``
+(eager, taped or under trace) and replay calls with an arena buffer —
+so what can differ is only a kernel's ``out=buffer`` branch and the
+tracer / packer / executor around it, and that is what the plan ≡ eager
+tests hold (no kernel is ever split or reordered).  A layer that wants
+several ufuncs in one dispatch fuses them *inside* its one registered
+kernel (``gelu``, ``layernorm``, ``bn_affine``).
 
 Kernels register here for the generic tensor ops and from the modules
 that own them (:mod:`repro.tensor.ops_conv` registers the conv-GEMM
@@ -54,10 +57,10 @@ back (row-independence of the forward makes the sliced result
 bitwise-identical to the unpadded run), so the plan cache hits at any
 arrival pattern instead of falling back to eager.
 
-This module deliberately imports nothing from
-:mod:`repro.tensor.tensor` (which imports it); the Tensor type and the
-grad-mode switches are bound at import time through
-:func:`bind_runtime`.
+This module imports nothing from :mod:`repro.tensor.tensor` at module
+scope (which imports it for the registry and the trace state):
+:func:`trace_apply` works on plain arrays, and :func:`trace` imports
+the Tensor type when it is called.
 """
 
 from __future__ import annotations
@@ -88,22 +91,6 @@ __all__ = [
 
 class TraceError(RuntimeError):
     """Raised when a forward cannot be captured as a static plan."""
-
-
-# ----------------------------------------------------------------------
-# runtime binding (set by repro.tensor.tensor to avoid a cycle)
-# ----------------------------------------------------------------------
-_tensor_type: Optional[type] = None
-_no_grad = None
-_is_grad_enabled = None
-
-
-def bind_runtime(tensor_type: type, no_grad, is_grad_enabled) -> None:
-    """Wire the Tensor type and grad-mode switches into this module."""
-    global _tensor_type, _no_grad, _is_grad_enabled
-    _tensor_type = tensor_type
-    _no_grad = no_grad
-    _is_grad_enabled = is_grad_enabled
 
 
 # ----------------------------------------------------------------------
@@ -154,12 +141,19 @@ def register_kernel(name: str, kind: str, nonview: str = "fresh"):
 # ----------------------------------------------------------------------
 # trace state
 # ----------------------------------------------------------------------
-_state = threading.local()
+class _TraceState(threading.local):
+    #: the class default makes "no trace on this thread" a plain
+    #: attribute read; ``getattr(local, name, None)`` on a thread that
+    #: never set it raises and catches AttributeError, 0.5 us per op
+    builder: Optional["PlanBuilder"] = None
+
+
+_state = _TraceState()
 
 
 def tracing() -> bool:
     """Whether a plan is being recorded on this thread."""
-    return getattr(_state, "builder", None) is not None
+    return _state.builder is not None
 
 
 # ----------------------------------------------------------------------
@@ -479,57 +473,43 @@ def _pack(plan: ExecutionPlan) -> None:
 # ----------------------------------------------------------------------
 # recording
 # ----------------------------------------------------------------------
-def trace_apply(name: str, inputs: Sequence[Any],
-                consts: Optional[Dict[str, Any]] = None) -> Any:
-    """Execute kernel ``name`` eagerly under trace and record it.
+def trace_apply(name: str, arrays: Sequence[np.ndarray],
+                slots: Sequence[Optional[int]], stable: Sequence[bool],
+                consts: Optional[Dict[str, Any]]
+                ) -> Tuple[np.ndarray, Optional[int]]:
+    """Execute kernel ``name`` on ``arrays`` under trace and record it.
 
-    ``inputs`` may be Tensors or plain arrays/scalars.  Inputs carrying
-    a trace slot keep the plan data-dependent; slotless inputs become
-    plan constants.  If *no* input has a slot the op is constant-folded
-    (executed, not recorded).  Returns the result wrapped as a Tensor.
+    ``slots[i]`` is the trace slot of ``arrays[i]`` or ``None``: an
+    input carrying a slot keeps the plan data-dependent, a slotless one
+    becomes a plan constant (captured by reference when ``stable[i]`` —
+    a model parameter — else by value).  If *no* input has a slot the
+    op is constant-folded (executed, not recorded).  Returns the
+    kernel's value and the slot recorded for it, ``None`` when folded.
     """
     b = _state.builder
     kernel = KERNELS[name]
     consts = consts or {}
-    arrays: List[np.ndarray] = []
-    refs: List[Optional[int]] = []
-    stable: List[bool] = []
-    for x in inputs:
-        if isinstance(x, _tensor_type):
-            arrays.append(x.data)
-            refs.append(getattr(x, "_slot", None))
-            stable.append(bool(getattr(x, "requires_grad", False)))
-        else:
-            arrays.append(np.asarray(x))
-            refs.append(None)
-            stable.append(False)
-
-    out_arr = kernel.fn(None, tuple(arrays), consts)
-    out = _tensor_type(out_arr)
-
-    if any(r is not None for r in refs):
-        kind = kernel.kind
-        if kind == "movement":
-            kind = "view" if np.shares_memory(out_arr, arrays[0]) \
-                else kernel.nonview
-        if kind == "view" and refs[0] is None:
-            # view of a constant: the whole result is constant
-            return out
-        if kind == "inplace" and refs[0] is None:
-            # in-place into a constant with a data-dependent operand
-            # cannot be captured: each replay would need to re-mutate
-            # the (shared, frozen) constant
-            raise TraceError(
-                f"in-place kernel {name!r} targets a constant while "
-                "another input depends on the traced inputs")
-        ins = []
-        for arr, ref, stb in zip(arrays, refs, stable):
-            if ref is not None:
-                ins.append(("s", ref))
-            else:
-                ins.append(("c", b.add_const(arr, stable=stb)))
-        out._slot = b.add_step(name, kernel, kind, ins, consts, out_arr)
-    return out
+    value = kernel.fn(None, tuple(arrays), consts)
+    if all(s is None for s in slots):
+        return value, None
+    kind = kernel.kind
+    if kind == "movement":
+        kind = "view" if np.shares_memory(value, arrays[0]) \
+            else kernel.nonview
+    if kind == "view" and slots[0] is None:
+        # view of a constant: the whole result is constant
+        return value, None
+    if kind == "inplace" and slots[0] is None:
+        # in-place into a constant with a data-dependent operand
+        # cannot be captured: each replay would need to re-mutate
+        # the (shared, frozen) constant
+        raise TraceError(
+            f"in-place kernel {name!r} targets a constant while "
+            "another input depends on the traced inputs")
+    ins = [("s", slot) if slot is not None
+           else ("c", b.add_const(arr, stable=stb))
+           for arr, slot, stb in zip(arrays, slots, stable)]
+    return value, b.add_step(name, kernel, kind, ins, consts, value)
 
 
 def trace(fn: Callable, example_inputs: Sequence[np.ndarray]
@@ -551,17 +531,16 @@ def trace(fn: Callable, example_inputs: Sequence[np.ndarray]
     ``(plan, outputs)`` — the finalized plan and the trace-time eager
     outputs (same structure ``fn`` returned).
     """
-    if _tensor_type is None:
-        raise TraceError("plan runtime not bound; import repro.tensor first")
+    from .tensor import Tensor, no_grad   # at call time: tensor imports us
     if tracing():
         raise TraceError("trace() is not reentrant")
     builder = PlanBuilder()
     _state.builder = builder
     try:
-        with _no_grad():
+        with no_grad():
             tensors = []
             for arr in example_inputs:
-                t = _tensor_type(np.ascontiguousarray(arr))
+                t = Tensor(np.ascontiguousarray(arr))
                 t._slot = builder.add_input(t.data)
                 tensors.append(t)
             result = fn(*tensors)
@@ -701,8 +680,8 @@ class PlanExecutor:
 
 # ----------------------------------------------------------------------
 # generic tensor kernels (conv / fused-NN kernels register from their
-# owning modules; every kernel reproduces the eager inference NumPy
-# expression bit for bit)
+# owning modules); a kernel is its primitive's only forward, so its
+# ``out=buffer`` branch must write the bits its ``out=None`` branch returns
 # ----------------------------------------------------------------------
 def _binary(name, ufunc):
     @register_kernel(name, "compute")
@@ -747,7 +726,6 @@ def _k_matmul(out, ins, consts):
 
 @register_kernel("relu", "compute")
 def _k_relu(out, ins, consts):
-    # eager computes x * (x > 0); keep the exact same expression
     return np.multiply(ins[0], ins[0] > 0, out=out)
 
 

@@ -11,29 +11,30 @@ Design notes
 ------------
 * Each :class:`Tensor` wraps an ``np.ndarray`` and records the operation
   that produced it as a backward closure plus parent references.
+* Every primitive's forward is its kernel in
+  :data:`repro.tensor.plan.KERNELS`, run through :func:`apply` — eager,
+  taped and traced alike; an op method adds only its backward closure.
 * ``backward()`` topologically sorts the graph and accumulates gradients.
 * Broadcasting is handled by :func:`unbroadcast`, which sums gradients
   over broadcast dimensions — the single most bug-prone part of any
   engine, so it is property-tested against numerical gradients.
-* A module-level ``autograd_enabled`` flag implements ``no_grad``.
+* A thread-local ``grad_enabled`` switch implements ``no_grad``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special as _sp_special
 
 from . import plan as _plan
 
-_tracing = _plan.tracing
-_trace_apply = _plan.trace_apply
-
 __all__ = [
     "Tensor",
+    "apply",
     "no_grad",
     "enable_grad",
     "is_grad_enabled",
@@ -44,12 +45,17 @@ __all__ = [
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_state = threading.local()
+
+class _GradState(threading.local):
+    grad_enabled = True    # class default: a thread starts with the tape on
+
+
+_state = _GradState()
 
 
 def is_grad_enabled() -> bool:
     """Return whether gradient recording is currently active."""
-    return getattr(_state, "grad_enabled", True)
+    return _state.grad_enabled
 
 
 def set_grad_enabled(mode: bool) -> None:
@@ -113,6 +119,59 @@ def astensor(value: ArrayLike, dtype=None) -> "Tensor":
     if isinstance(value, Tensor):
         return value
     return Tensor(np.asarray(value, dtype=dtype))
+
+
+# read by apply on every op: bound here to spare it two attribute hops
+_KERNELS = _plan.KERNELS
+_trace_state = _plan._state
+
+
+def apply(name: str, inputs: Sequence["Tensor"],
+          consts: Optional[Dict[str, Any]] = None) -> "Tensor":
+    """Run primitive ``name`` on ``inputs`` — the one way an op executes.
+
+    Under an active trace the call is recorded through
+    :func:`repro.tensor.plan.trace_apply` (which runs the same kernel).
+    Otherwise the registered kernel runs with ``out=None`` and its
+    result is wrapped without going through ``Tensor.__init__``; the
+    grad mode is read once, and the result is wired to ``inputs`` as
+    ``_parents`` when it is on and one of them requires grad.  The
+    caller attaches the backward closure under ``if out.requires_grad``.
+    An ``inplace`` kernel mutates ``inputs[0].data`` and the result
+    aliases it, so layers call one only on a fresh, untaped buffer.
+    """
+    if _trace_state.builder is not None:
+        value, slot = _plan.trace_apply(
+            name, [t.data for t in inputs],
+            [getattr(t, "_slot", None) for t in inputs],
+            [t.requires_grad for t in inputs], consts)
+        out = Tensor(value)
+        if slot is not None:
+            out._slot = slot
+        return out
+    # one and two inputs are nearly every call; spelling them out saves
+    # the comprehension's frame, a sixth of this function's own time
+    if len(inputs) == 1:
+        arrays = (inputs[0].data,)
+    elif len(inputs) == 2:
+        arrays = (inputs[0].data, inputs[1].data)
+    else:
+        arrays = tuple([t.data for t in inputs])
+    data = _KERNELS[name].fn(None, arrays, consts)
+    out = Tensor.__new__(Tensor)
+    # reductions and 0-d ufunc calls return NumPy scalars
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = out._backward = None
+    out.name = ""
+    out._parents = ()
+    out.requires_grad = False
+    if _state.grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(inputs)
+                break
+    return out
 
 
 class Tensor:
@@ -190,13 +249,13 @@ class Tensor:
         tensor in place — the engine denormalises into fresh float64
         buffers before patching fields.
 
-        Under an active trace, detach is the identity on values, so
-        the result keeps the source's buffer slot — a detached
-        intermediate must not silently constant-fold the rest of the
-        forward.
+        Under a trace it records no step: detach is the identity on
+        values, so the result keeps the source's buffer slot — a
+        detached intermediate must not silently constant-fold the rest
+        of the forward.
         """
         out = Tensor(self.data, requires_grad=False)
-        if _tracing():
+        if _plan.tracing():
             slot = getattr(self, "_slot", None)
             if slot is not None:
                 out._slot = slot
@@ -207,16 +266,13 @@ class Tensor:
 
         Unlike :meth:`detach` (which aliases) and :meth:`clone` (which
         copies but stays differentiable), the result is safe to mutate
-        freely.
+        freely.  Under a trace it records a ``"copy"`` step.
         """
-        if _tracing() and getattr(self, "_slot", None) is not None:
-            return _trace_apply("copy", (self,))
-        return Tensor(self.data.copy(), requires_grad=False)
+        return apply("copy", (self.detach(),))
 
     def clone(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("copy", (self,))
-        out = self._make(self.data.copy(), (self,))
+        """Differentiable copy; under a trace it records a ``"copy"`` step."""
+        out = apply("copy", (self,))
         if out.requires_grad:
             def _bw(g):
                 self._accum(g)
@@ -225,11 +281,9 @@ class Tensor:
 
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast (used for fp16 mixed-precision paths)."""
-        if _tracing():
-            return _trace_apply("astype", (self,), {"dtype": dtype})
-        src_dtype = self.data.dtype
-        out = self._make(self.data.astype(dtype), (self,))
+        out = apply("astype", (self,), {"dtype": dtype})
         if out.requires_grad:
+            src_dtype = self.data.dtype
             def _bw(g):
                 self._accum(g.astype(src_dtype))
             out._backward = _bw
@@ -244,15 +298,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # graph plumbing
     # ------------------------------------------------------------------
-    def _make(self, data: np.ndarray, parents: Tuple["Tensor", ...]) -> "Tensor":
-        """Create a result tensor wired to ``parents`` if grads are on."""
-        rg = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data)
-        out.requires_grad = rg
-        if rg:
-            out._parents = tuple(parents)
-        return out
-
     def _operand(self, other: ArrayLike) -> "Tensor":
         """Coerce the other side of a binary op.
 
@@ -329,9 +374,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._operand(other)
-        if _tracing():
-            return _trace_apply("add", (self, other))
-        out = self._make(self.data + other.data, (self, other))
+        out = apply("add", (self, other))
         if out.requires_grad:
             def _bw(g):
                 if self.requires_grad:
@@ -344,9 +387,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("neg", (self,))
-        out = self._make(-self.data, (self,))
+        out = apply("neg", (self,))
         if out.requires_grad:
             def _bw(g):
                 self._accum(-g)
@@ -355,9 +396,7 @@ class Tensor:
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = self._operand(other)
-        if _tracing():
-            return _trace_apply("sub", (self, other))
-        out = self._make(self.data - other.data, (self, other))
+        out = apply("sub", (self, other))
         if out.requires_grad:
             def _bw(g):
                 if self.requires_grad:
@@ -372,9 +411,7 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._operand(other)
-        if _tracing():
-            return _trace_apply("mul", (self, other))
-        out = self._make(self.data * other.data, (self, other))
+        out = apply("mul", (self, other))
         if out.requires_grad:
             a, b = self.data, other.data
             def _bw(g):
@@ -389,9 +426,7 @@ class Tensor:
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._operand(other)
-        if _tracing():
-            return _trace_apply("div", (self, other))
-        out = self._make(self.data / other.data, (self, other))
+        out = apply("div", (self, other))
         if out.requires_grad:
             a, b = self.data, other.data
             def _bw(g):
@@ -408,9 +443,7 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ supports scalar exponents only")
-        if _tracing():
-            return _trace_apply("pow", (self,), {"exponent": exponent})
-        out = self._make(self.data ** exponent, (self,))
+        out = apply("pow", (self,), {"exponent": exponent})
         if out.requires_grad:
             a = self.data
             def _bw(g):
@@ -424,9 +457,7 @@ class Tensor:
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Batched matrix product with full broadcasting on batch dims."""
         other = astensor(other)
-        if _tracing():
-            return _trace_apply("matmul", (self, other))
-        out = self._make(self.data @ other.data, (self, other))
+        out = apply("matmul", (self, other))
         if out.requires_grad:
             a, b = self.data, other.data
             vectors = a.ndim == 1 and b.ndim == 1
@@ -454,20 +485,16 @@ class Tensor:
     # elementwise transcendental
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("exp", (self,))
-        out_data = np.exp(self.data)
-        out = self._make(out_data, (self,))
+        out = apply("exp", (self,))
         if out.requires_grad:
+            out_data = out.data
             def _bw(g):
                 self._accum(g * out_data)
             out._backward = _bw
         return out
 
     def sin(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("sin", (self,))
-        out = self._make(np.sin(self.data), (self,))
+        out = apply("sin", (self,))
         if out.requires_grad:
             cos_a = np.cos(self.data)
             def _bw(g):
@@ -476,9 +503,7 @@ class Tensor:
         return out
 
     def cos(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("cos", (self,))
-        out = self._make(np.cos(self.data), (self,))
+        out = apply("cos", (self,))
         if out.requires_grad:
             neg_sin_a = -np.sin(self.data)
             def _bw(g):
@@ -487,9 +512,7 @@ class Tensor:
         return out
 
     def log(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("log", (self,))
-        out = self._make(np.log(self.data), (self,))
+        out = apply("log", (self,))
         if out.requires_grad:
             a = self.data
             def _bw(g):
@@ -498,33 +521,27 @@ class Tensor:
         return out
 
     def sqrt(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("sqrt", (self,))
-        out_data = np.sqrt(self.data)
-        out = self._make(out_data, (self,))
+        out = apply("sqrt", (self,))
         if out.requires_grad:
+            out_data = out.data
             def _bw(g):
                 self._accum(g * 0.5 / out_data)
             out._backward = _bw
         return out
 
     def tanh(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("tanh", (self,))
-        out_data = np.tanh(self.data)
-        out = self._make(out_data, (self,))
+        out = apply("tanh", (self,))
         if out.requires_grad:
+            out_data = out.data
             def _bw(g):
                 self._accum(g * (1.0 - out_data * out_data))
             out._backward = _bw
         return out
 
     def sigmoid(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("sigmoid", (self,))
-        out_data = _sp_special.expit(self.data)
-        out = self._make(out_data, (self,))
+        out = apply("sigmoid", (self,))
         if out.requires_grad:
+            out_data = out.data
             def _bw(g):
                 self._accum(g * out_data * (1.0 - out_data))
             out._backward = _bw
@@ -532,9 +549,7 @@ class Tensor:
 
     def erf(self) -> "Tensor":
         """Gauss error function — the exact GELU building block."""
-        if _tracing():
-            return _trace_apply("erf", (self,))
-        out = self._make(_sp_special.erf(self.data), (self,))
+        out = apply("erf", (self,))
         if out.requires_grad:
             a = self.data
             two_over_sqrt_pi = 2.0 / np.sqrt(np.pi)
@@ -544,9 +559,7 @@ class Tensor:
         return out
 
     def abs(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("abs", (self,))
-        out = self._make(np.abs(self.data), (self,))
+        out = apply("abs", (self,))
         if out.requires_grad:
             sign = np.sign(self.data)
             def _bw(g):
@@ -555,11 +568,9 @@ class Tensor:
         return out
 
     def relu(self) -> "Tensor":
-        if _tracing():
-            return _trace_apply("relu", (self,))
-        mask = self.data > 0
-        out = self._make(self.data * mask, (self,))
+        out = apply("relu", (self,))
         if out.requires_grad:
+            mask = self.data > 0
             def _bw(g):
                 self._accum(g * mask)
             out._backward = _bw
@@ -568,9 +579,7 @@ class Tensor:
     def maximum(self, other: ArrayLike) -> "Tensor":
         """Elementwise max; ties send the full gradient to ``self``."""
         other = self._operand(other)
-        if _tracing():
-            return _trace_apply("maximum", (self, other))
-        out = self._make(np.maximum(self.data, other.data), (self, other))
+        out = apply("maximum", (self, other))
         if out.requires_grad:
             mask = self.data >= other.data
             def _bw(g):
@@ -582,9 +591,7 @@ class Tensor:
         return out
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        if _tracing():
-            return _trace_apply("clip", (self,), {"lo": lo, "hi": hi})
-        out = self._make(np.clip(self.data, lo, hi), (self,))
+        out = apply("clip", (self,), {"lo": lo, "hi": hi})
         if out.requires_grad:
             mask = (self.data >= lo) & (self.data <= hi)
             def _bw(g):
@@ -596,19 +603,11 @@ class Tensor:
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if _tracing():
-            return _trace_apply("sum", (self,),
-                                {"axis": axis, "keepdims": keepdims})
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+        out = apply("sum", (self,), {"axis": axis, "keepdims": keepdims})
         if out.requires_grad:
             shape = self.data.shape
             def _bw(g):
-                gg = np.asarray(g)
-                if axis is not None and not keepdims:
-                    ax = axis if isinstance(axis, tuple) else (axis,)
-                    ax = tuple(a % len(shape) for a in ax)
-                    for a in sorted(ax):
-                        gg = np.expand_dims(gg, a)
+                gg = _restore_axes(g, axis, keepdims, len(shape))
                 self._accum(np.broadcast_to(gg, shape))
             out._backward = _bw
         return out
@@ -626,28 +625,13 @@ class Tensor:
         return sq.mean(axis=axis, keepdims=keepdims) * scale
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if _tracing():
-            return _trace_apply("max", (self,),
-                                {"axis": axis, "keepdims": keepdims})
-        out_data = self.data.max(axis=axis, keepdims=True)
-        if keepdims:
-            ret = out_data
-        elif axis is None:
-            ret = out_data.reshape(())
-        else:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            ret = out_data.squeeze(axis=ax)
-        out = self._make(ret, (self,))
+        out = apply("max", (self,), {"axis": axis, "keepdims": keepdims})
         if out.requires_grad:
-            mask = self.data == out_data
+            ndim = self.data.ndim
+            mask = self.data == _restore_axes(out.data, axis, keepdims, ndim)
             counts = mask.sum(axis=axis, keepdims=True)
             def _bw(g):
-                gg = np.asarray(g)
-                if axis is not None and not keepdims:
-                    ax = axis if isinstance(axis, tuple) else (axis,)
-                    ax = tuple(a % self.data.ndim for a in ax)
-                    for a in sorted(ax):
-                        gg = np.expand_dims(gg, a)
+                gg = _restore_axes(g, axis, keepdims, ndim)
                 self._accum(mask * gg / counts)
             out._backward = _bw
         return out
@@ -658,9 +642,7 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        if _tracing():
-            return _trace_apply("reshape", (self,), {"shape": shape})
-        out = self._make(self.data.reshape(shape), (self,))
+        out = apply("reshape", (self,), {"shape": shape})
         if out.requires_grad:
             orig = self.data.shape
             def _bw(g):
@@ -673,9 +655,7 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        if _tracing():
-            return _trace_apply("transpose", (self,), {"axes": axes})
-        out = self._make(self.data.transpose(axes), (self,))
+        out = apply("transpose", (self,), {"axes": axes})
         if out.requires_grad:
             inv = np.argsort(axes)
             def _bw(g):
@@ -689,9 +669,7 @@ class Tensor:
         return self.transpose(*axes)
 
     def __getitem__(self, idx) -> "Tensor":
-        if _tracing():
-            return _trace_apply("getitem", (self,), {"idx": idx})
-        out = self._make(self.data[idx], (self,))
+        out = apply("getitem", (self,), {"idx": idx})
         if out.requires_grad:
             shape = self.data.shape
             dtype = self.data.dtype
@@ -713,12 +691,7 @@ class Tensor:
     def pad(self, pad_width: Sequence[Tuple[int, int]], value: float = 0.0) -> "Tensor":
         """Constant-pad; ``pad_width`` follows ``np.pad`` convention."""
         pw = tuple(tuple(p) for p in pad_width)
-        if _tracing():
-            return _trace_apply("pad", (self,),
-                                {"pad_width": pw, "value": value})
-        out = self._make(
-            np.pad(self.data, pw, mode="constant", constant_values=value), (self,)
-        )
+        out = apply("pad", (self,), {"pad_width": pw, "value": value})
         if out.requires_grad:
             slices = tuple(
                 slice(lo, lo + s) for (lo, _), s in zip(pw, self.data.shape)
@@ -730,10 +703,7 @@ class Tensor:
 
     def roll(self, shift, axis) -> "Tensor":
         """Cyclic shift — the core of shifted-window attention (SW-MSA)."""
-        if _tracing():
-            return _trace_apply("roll", (self,),
-                                {"shift": shift, "axis": axis})
-        out = self._make(np.roll(self.data, shift, axis=axis), (self,))
+        out = apply("roll", (self,), {"shift": shift, "axis": axis})
         if out.requires_grad:
             if isinstance(shift, (tuple, list)):
                 inv_shift = tuple(-s for s in shift)
@@ -753,13 +723,9 @@ class Tensor:
         Computed with one temporary (shift, exp and normalise reuse the
         same buffer) — the backward only needs the final probabilities.
         """
-        if _tracing():
-            return _trace_apply("softmax", (self,), {"axis": axis})
-        p = self.data - self.data.max(axis=axis, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=axis, keepdims=True)
-        out = self._make(p, (self,))
+        out = apply("softmax", (self,), {"axis": axis})
         if out.requires_grad:
+            p = out.data
             def _bw(g):
                 gp = g * p
                 self._accum(gp - p * gp.sum(axis=axis, keepdims=True))
@@ -767,14 +733,9 @@ class Tensor:
         return out
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        if _tracing():
-            return _trace_apply("log_softmax", (self,), {"axis": axis})
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        ls = shifted - lse
-        out = self._make(ls, (self,))
+        out = apply("log_softmax", (self,), {"axis": axis})
         if out.requires_grad:
-            p = np.exp(ls)
+            p = np.exp(out.data)
             def _bw(g):
                 self._accum(g - p * g.sum(axis=axis, keepdims=True))
             out._backward = _bw
@@ -803,20 +764,25 @@ def _axis_size(shape: Tuple[int, ...], axis) -> int:
     return shape[axis % len(shape)]
 
 
+def _restore_axes(reduced, axis, keepdims: bool, ndim: int) -> np.ndarray:
+    """``reduced`` with the axes a reduction dropped put back as size 1,
+    so it broadcasts against the ``ndim``-d array that was reduced."""
+    reduced = np.asarray(reduced)
+    if axis is not None and not keepdims:
+        ax = axis if isinstance(axis, tuple) else (axis,)
+        for a in sorted(a % ndim for a in ax):
+            reduced = np.expand_dims(reduced, a)
+    return reduced
+
+
 # ----------------------------------------------------------------------
 # free functions
 # ----------------------------------------------------------------------
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     ts = [astensor(t) for t in tensors]
-    if _tracing():
-        return _trace_apply("concatenate", ts, {"axis": axis})
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    rg = is_grad_enabled() and any(t.requires_grad for t in ts)
-    out = Tensor(data)
-    out.requires_grad = rg
-    if rg:
-        out._parents = tuple(ts)
+    out = apply("concatenate", ts, {"axis": axis})
+    if out.requires_grad:
         sizes = [t.data.shape[axis] for t in ts]
         offsets = np.cumsum([0] + sizes)
         def _bw(g):
@@ -833,14 +799,8 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new ``axis``."""
     ts = [astensor(t) for t in tensors]
-    if _tracing():
-        return _trace_apply("stack", ts, {"axis": axis})
-    data = np.stack([t.data for t in ts], axis=axis)
-    rg = is_grad_enabled() and any(t.requires_grad for t in ts)
-    out = Tensor(data)
-    out.requires_grad = rg
-    if rg:
-        out._parents = tuple(ts)
+    out = apply("stack", ts, {"axis": axis})
+    if out.requires_grad:
         def _bw(g):
             g = np.asarray(g)
             for i, t in enumerate(ts):
@@ -856,14 +816,9 @@ def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Differentiable select: ``cond ? a : b`` (cond is a plain mask)."""
     a, b = astensor(a), astensor(b)
     cond = np.asarray(cond, dtype=bool)
-    if _tracing():
-        return _trace_apply("where", (Tensor(cond), a, b))
-    out_data = np.where(cond, a.data, b.data)
-    rg = is_grad_enabled() and (a.requires_grad or b.requires_grad)
-    out = Tensor(out_data)
-    out.requires_grad = rg
-    if rg:
-        out._parents = (a, b)
+    # the mask is the kernel's first input, never a gradient target
+    out = apply("where", (Tensor(cond), a, b))
+    if out.requires_grad:
         def _bw(g):
             if a.requires_grad:
                 a._accum(np.where(cond, g, 0.0))
@@ -874,8 +829,8 @@ def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# plan kernels owned by this module (scipy ufuncs and composite eager
-# expressions the generic registry in repro.tensor.plan cannot host)
+# plan kernels owned by this module (scipy ufuncs and composites the
+# generic registry in repro.tensor.plan cannot host)
 # ----------------------------------------------------------------------
 @_plan.register_kernel("sigmoid", "compute")
 def _k_sigmoid(out, ins, consts):
@@ -901,6 +856,3 @@ def _k_log_softmax(out, ins, consts):
     shifted = a - a.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     return shifted - lse
-
-
-_plan.bind_runtime(Tensor, no_grad, is_grad_enabled)

@@ -34,7 +34,7 @@ from repro.tensor import (
     plan_buckets,
     trace,
 )
-from repro.tensor import plan as plan_mod
+from repro.tensor.tensor import apply
 from repro.workflow import (
     EnsembleForecaster,
     ForecastEngine,
@@ -210,7 +210,7 @@ class TestTraceReplay:
         const = Tensor(np.zeros(4, np.float32))
 
         def fn(a):
-            return plan_mod.trace_apply("iadd", (const, a))
+            return apply("iadd", (const, a))
 
         with pytest.raises(TraceError, match="constant"):
             trace(fn, (np.ones(4, np.float32),))
@@ -223,8 +223,7 @@ class TestTraceReplay:
             # Linear's traced bias add is in-place on the matmul
             # output — fine; an in-place op targeting the *input*
             # buffer itself must be refused
-            return plan_mod.trace_apply("iadd", (a, Tensor(np.ones(4,
-                                        np.float32))))
+            return apply("iadd", (a, Tensor(np.ones(4, np.float32))))
 
         with pytest.raises(TraceError, match="mutate caller data"):
             trace(fn, (np.zeros((3, 4), np.float32),))

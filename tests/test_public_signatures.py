@@ -7,11 +7,13 @@ is a constant or derived from what the code can observe.  Adding one
 back is a deliberate act: it shows up here.
 """
 
+import ast
 import inspect
 
 import pytest
 
 import repro.tensor
+import repro.tensor.tensor
 from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
                          HostWorker, MicroBatchScheduler, ProcessWorker)
 from repro.serve.remote import build_engine, serve_payload
@@ -44,6 +46,9 @@ SIGNATURES = [
     (serve_payload, ["channel", "payload"]),
     (PlanExecutor.profile, ["self", "inputs", "repeats"]),
     (repro.tensor.plan.register_kernel, ["name", "kind", "nonview"]),
+    (repro.tensor.tensor.apply, ["name", "inputs", "consts"]),
+    (repro.tensor.plan.trace_apply,
+     ["name", "arrays", "slots", "stable", "consts"]),
     (ForecastEngine.compile_buckets, ["self", "max_batch"]),
 ]
 
@@ -83,3 +88,21 @@ def test_post_trace_passes_and_arena_pools_are_gone():
         assert not hasattr(repro.tensor, name), name
         assert name not in repro.tensor.__all__
     assert not hasattr(PlanExecutor, "release")
+
+
+def test_one_dispatcher_and_no_runtime_binding():
+    """Every primitive executes through ``tensor.apply``; the tracer
+    works on arrays, so ``plan`` needs no Tensor type handed to it and
+    imports ``repro.tensor.tensor`` only inside ``trace()``."""
+    plan = repro.tensor.plan
+    for name in ("bind_runtime", "_tensor_type", "_no_grad",
+                 "_is_grad_enabled"):
+        assert not hasattr(plan, name), name
+    assert not hasattr(repro.tensor.Tensor, "_make")
+    package_imports = [
+        ast.unparse(node) for node in ast.parse(inspect.getsource(plan)).body
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or "repro" in (node.module or ""))
+        or isinstance(node, ast.Import)
+        and any("repro" in alias.name for alias in node.names)]
+    assert package_imports == []

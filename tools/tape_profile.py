@@ -10,8 +10,10 @@ prints
   backward, assembly adjoint, overlay VJP — from clocks wrapped around
   the engine's own callables, next to the plan forward of the same
   batch;
-* ``Tensor`` constructions per call and the tape nodes reachable from
-  the loss, for the model graph and the overlay graph;
+* ``Tensor`` constructions per call — ``Tensor.__init__`` calls plus
+  ``apply`` calls, which build their result without ``__init__`` — and
+  the tape nodes reachable from the loss, for the model graph and the
+  overlay graph;
 * backward milliseconds by closure name: every reachable node's
   ``_backward`` is wrapped from outside, then the real
   ``Tensor.backward`` runs (it carries no clock of its own).
@@ -21,8 +23,10 @@ prints
     python tools/tape_profile.py --batch 4
 
 Runs under the benchmark's allocator settings (``run.pin_allocator``).
-Exits 1 if the six phases do not sum to 100 ± 5 % of the call's wall
-(CI's test job runs it so the instrument cannot rot).  The numbers are
+Exits 1 if the six phases do not sum to 100 ± 5 % of the call's wall,
+or if fewer Tensors were counted than the two tapes hold nodes — a
+construction path the counter does not see (CI's test job runs it so
+the instrument cannot rot).  The numbers are
 one host's; ``docs/differentiation.md`` § "Where a gradient's time
 goes" records them.
 """
@@ -45,6 +49,7 @@ import harness  # noqa: E402 — needs the two path entries above
 import run as benchmark  # noqa: E402
 import workloads  # noqa: E402
 from repro.tensor import Tensor  # noqa: E402
+from repro.tensor import tensor as tensor_mod  # noqa: E402
 from repro.tensor.gradcheck import tape_nodes  # noqa: E402
 from repro.workflow import ForecastEngine  # noqa: E402
 from repro.workflow import sensitivity  # noqa: E402
@@ -69,7 +74,14 @@ class Probe:
         self._wrap(engine, "_stage", "staging")
         self._wrap(engine, "_assembly_adjoint", "assembly adjoint")
         self._patch(Tensor, "backward", self._backward)
-        self._patch(Tensor, "__init__", self._init)
+        self._patch(Tensor, "__init__", self._counted)
+        # an op's result is built by apply, not __init__ (outside a
+        # trace); every module that imported the dispatcher by name
+        # holds its own binding of it
+        dispatcher = tensor_mod.apply
+        for module in list(sys.modules.values()):
+            if module.__dict__.get("apply") is dispatcher:
+                self._patch(module, "apply", self._counted)
 
     def _patch(self, owner, name, make):
         original = getattr(owner, name)
@@ -87,11 +99,11 @@ class Probe:
             return timed
         self._patch(owner, name, make)
 
-    def _init(self, original):
-        def init(tensor, *args, **kwargs):
+    def _counted(self, original):
+        def counted(*args, **kwargs):
             self.constructions += 1
-            original(tensor, *args, **kwargs)
-        return init
+            return original(*args, **kwargs)
+        return counted
 
     def _backward(self, original):
         def backward(root, grad=None):
@@ -207,6 +219,11 @@ def main(argv=None) -> int:
         closure_table(title, probe.closures[which],
                       sum(probe.backwards[which::2]))
     print(f"\nphases sum to {shares:.1f} % of the call")
+    if constructions < model_nodes + overlay_nodes:
+        print(f"{constructions} constructions counted for "
+              f"{model_nodes + overlay_nodes} tape nodes: Tensors are "
+              f"built somewhere this tool does not look")
+        return 1
     return 0 if abs(shares - 100.0) <= 5.0 else 1
 
 
