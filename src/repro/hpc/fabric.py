@@ -25,8 +25,8 @@ interchangeable transports behind one tiny endpoint interface:
   would see.
 
 * :class:`SocketEndpoint` — a real TCP-loopback fabric with actual
-  wire serialization (``TCP_NODELAY``, so pipelined frames do not sit
-  in Nagle buffers).  :func:`listen_loopback` / :func:`connect_loopback`
+  wire serialization (``TCP_NODELAY``, so small frames do not sit in
+  Nagle buffers).  :func:`listen_loopback` / :func:`connect_loopback`
   / :func:`accept_loopback` carry a shared-secret token handshake so a
   worker child only ever talks to the parent that spawned it.
 
@@ -234,7 +234,7 @@ def unpack_frame(data: bytes) -> Frame:
     except Exception as exc:  # noqa: BLE001 — the header pickles fine
         # but its contents are garbage (non-triple descriptors,
         # non-integral shapes, non-dict meta, ...): still a frame
-        # problem, never an uncaught error in the caller's reaper loop
+        # problem, never an uncaught error in the caller's receive loop
         raise FrameError(f"malformed frame header contents: {exc}") from exc
 
 
@@ -331,16 +331,18 @@ class SocketEndpoint:
 
     Receive is resumable: a :class:`FabricTimeout` mid-frame keeps the
     partial bytes in an internal buffer, so short-timeout polling (the
-    reaper loop's heartbeat check) never loses framing.  EOF at a
-    frame boundary is :class:`FabricClosed`; EOF with buffered partial
-    bytes is a :class:`FrameError` (the peer died mid-send).
+    client's heartbeat ticks, the watchdog's zero-wait poll) never
+    loses framing.  A non-positive timeout polls the socket once, so a
+    frame already received is returned, as on :class:`SimEndpoint`.
+    EOF at a frame boundary is :class:`FabricClosed`; EOF with buffered
+    partial bytes is a :class:`FrameError` (the peer died mid-send).
 
     Receive deadlines are implemented with :func:`select.select`, not
     ``settimeout`` — the socket itself stays fully blocking, so a
-    concurrent ``send_frame`` from another thread (pipelined multi-MB
-    batches while the peer is mid-compute and not draining) blocks
-    until the kernel buffer frees instead of inheriting a ~0.02–0.2 s
-    polling timeout and spuriously declaring the peer dead.
+    concurrent ``send_frame`` from another thread (a multi-MB frame
+    while the peer is mid-compute and not draining) blocks until the
+    kernel buffer frees instead of inheriting a ~0.02–0.2 s polling
+    timeout and spuriously declaring the peer dead.
     """
 
     def __init__(self, sock: socket.socket):
@@ -379,11 +381,10 @@ class SocketEndpoint:
                 return frame
             if self._closed:
                 raise FabricClosed("endpoint is closed")
+            # a spent (or non-positive) deadline still polls the socket
+            # once, so bytes already in the kernel buffer are read
             remaining = None if deadline is None else \
-                deadline - time.perf_counter()
-            if remaining is not None and remaining <= 0:
-                raise FabricTimeout(
-                    f"no complete frame within {timeout}s")
+                max(deadline - time.perf_counter(), 0.0)
             if remaining is not None:
                 try:
                     ready, _, _ = select.select(

@@ -17,16 +17,16 @@ that converts per-call speed into system throughput:
 - :mod:`repro.serve.remote` — the one worker protocol of the
   out-of-process tiers: spawn payload (weights + compiled plans,
   shipped once), ``EngineService`` (the op table and the single serve
-  loop / error policy) and the ``RemoteWorker`` client base.  A tier
-  is this service plus a codec plus a liveness source:
+  loop / error policy) and the ``RemoteWorker`` client base (the one
+  request/response exchange and the idle watchdog).  A tier is this
+  protocol plus a codec plus a liveness source:
 - :mod:`repro.serve.procpool` — ``backend="process"``: the shm codec
   (arrays in shared-memory segments, descriptors on a pipe, arena in
   shared memory) with process-sentinel liveness, escaping the GIL the
   thread backend serialises on;
 - :mod:`repro.serve.hostpool` — ``backend="host"``: the frame codec
   (one :mod:`repro.hpc.fabric` descriptor frame per message, socket
-  wire or deterministic sim fabric) with pipelined request/response
-  matching and heartbeat liveness;
+  wire or deterministic sim fabric) with heartbeat liveness;
 - :mod:`repro.serve.autoscale` — load-adaptive ``AutoScaler`` growing
   and shrinking the live worker count between bounds;
 - :mod:`repro.serve.server` — routes plain, gradient, ensemble, and

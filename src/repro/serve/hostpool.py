@@ -4,13 +4,13 @@
 through shared memory, a pipe for control.  The next hop is a replica
 on a *different* host, where there is no ``/dev/shm`` to share, only a
 wire.  This module adds that tier.  The worker protocol — payload, op
-table, serve loop, client executor — is :mod:`repro.serve.remote`,
-shared with the process tier; what lives here is the host tier's
-**codec** and **liveness source**: the engine sits behind a
-:mod:`repro.hpc.fabric` endpoint and every message travels as one
-length-prefixed descriptor frame (the same ``(shape, dtype, offset)``
-triples the shm tier uses, packed contiguously so a batch is one
-``sendall``, not a syscall per array).
+table, serve loop, and the client's one exchange and watchdog — is
+:mod:`repro.serve.remote`, shared with the process tier; what lives
+here is the host tier's **codec** and **liveness source**: the engine
+sits behind a :mod:`repro.hpc.fabric` endpoint and every message
+travels as one length-prefixed descriptor frame (the same
+``(shape, dtype, offset)`` triples the shm tier uses, packed
+contiguously so a batch is one ``sendall``, not a syscall per array).
 
 Two interchangeable fabrics, selected per worker:
 
@@ -26,23 +26,17 @@ Two interchangeable fabrics, selected per worker:
   serialization with measurable bytes-on-wire, standing in for a
   remote host.
 
-The network hop adds latency shm never had, so the client can
-**pipeline**: :meth:`HostWorker.submit_batch` returns immediately with
-a handle and a reaper thread matches responses to requests by sequence
-number — batch N+1 is packed and on the wire while the remote computes
-batch N.  The scheduler does not use it yet (it drives
-``forecast_batch``, one batch at a time, so served traffic records
-``inflight_depth`` 1); ``net_wait_s`` and ``frame_bytes`` make the
-hop's cost visible through ``ServeMetrics``/``PoolMetrics``.
+``net_wait_s`` and ``frame_bytes`` make the hop's cost visible through
+``ServeMetrics``/``PoolMetrics``.
 
-Failure model: the remote sends heartbeat frames between batches; the
-reaper raises :class:`HostWorkerDied` (a
-:class:`~repro.serve.procpool.ProcessWorkerDied` subclass, so the
-pool's retire path and every existing ``except`` clause work
-unchanged) when the connection drops, a frame fails to parse, the
-child process exits, or the heartbeat deadline lapses — failing every
-in-flight handle instead of hanging it, and firing ``on_death``
-exactly once.
+Failure model: the remote sends heartbeat frames between batches, and
+:meth:`HostWorker._poll` reads the endpoint in heartbeat ticks.  The
+connection dropping, a frame that fails to parse, the child process
+exiting or the heartbeat deadline lapsing raises
+:class:`HostWorkerDied` (a :class:`~repro.serve.procpool.ProcessWorkerDied`
+subclass, so the pool's retire path and every existing ``except``
+clause work unchanged) — on the request in flight, or through the
+watchdog while idle — and ``on_death`` fires exactly once.
 """
 
 from __future__ import annotations
@@ -50,8 +44,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeout
 from multiprocessing import get_context
 from typing import Callable, Dict, Optional, Sequence
 
@@ -60,11 +52,9 @@ import numpy as np
 from ..hpc.fabric import (FabricError, FabricTimeout, FrameError,
                           accept_loopback, connect_loopback,
                           listen_loopback, pack_frame, sim_pair, unpack_frame)
-from ..workflow.engine import FieldWindow
 from .procpool import ProcessWorkerDied, ProcessWorkerError
 from .remote import (SPAWN_METHOD, SPAWN_TIMEOUT_S, ChannelClosed,
-                     RemoteWorker, batch_request, batch_results,
-                     serve_payload)
+                     RemoteWorker, serve_payload)
 
 __all__ = ["HostWorker", "HostWorkerError", "HostWorkerDied"]
 
@@ -76,21 +66,24 @@ class HostWorkerError(ProcessWorkerError):
 
 class HostWorkerDied(ProcessWorkerDied):
     """The remote host (or the link to it) died: connection dropped,
-    frame corruption, child exit, or heartbeat deadline lapsed.
-    Raised on every in-flight handle and every request after it."""
+    frame corruption, child exit, heartbeat deadline lapsed, or no
+    reply within ``request_timeout``.  Raised on the request in flight
+    and every request after it."""
 
 
 # ----------------------------------------------------------------------
-# remote side (thread for fabric="sim", child process for "socket")
+# the frame channel (both ends; the remote is a thread for
+# fabric="sim", a child process for "socket")
 # ----------------------------------------------------------------------
 class _FrameChannel:
-    """Remote side of the host tier's transport: every message is one
-    RFB1 frame on the endpoint.
+    """One end of the host tier's transport: every message is one RFB1
+    frame on the endpoint.
 
-    A heartbeat thread keeps frames flowing between batches so the
-    client's deadline detector can tell "slow" from "dead".  Endpoint
-    sends are atomic (the endpoint locks internally), so the heartbeat
-    never interleaves into a result frame.
+    On the remote end a heartbeat thread keeps frames flowing between
+    batches so the client's deadline detector can tell "slow" from
+    "dead" (the client end passes ``heartbeat_s`` 0: it sends none).
+    Endpoint sends are atomic (the endpoint locks internally), so the
+    heartbeat never interleaves into a result frame.
     """
 
     def __init__(self, ep, heartbeat_s: float):
@@ -111,11 +104,13 @@ class _FrameChannel:
                 return
 
     def send(self, op: str, seq: int, meta: Optional[dict] = None,
-             arrays: Sequence[np.ndarray] = ()) -> None:
+             arrays: Sequence[np.ndarray] = ()) -> int:
+        data = pack_frame(op, seq, meta, arrays)
         try:
-            self.ep.send_frame(pack_frame(op, seq, meta, arrays))
+            self.ep.send_frame(data)
         except FabricError as exc:
             raise ChannelClosed(str(exc)) from exc
+        return len(data)
 
     def recv(self):
         """Next request, its arrays as views into the received frame;
@@ -150,39 +145,13 @@ def _host_main(port: int, token: str, payload: bytes,
 # ----------------------------------------------------------------------
 # client side
 # ----------------------------------------------------------------------
-class _Handle(Future):
-    """A pending request: resolved (or failed) by the reaper thread.
-
-    A plain :class:`concurrent.futures.Future` plus the request's
-    metadata; the batch stays attributable to its sequence number
-    however deep the pipeline runs.  ``decode`` turns the reply's
-    ``(meta, arrays)`` into the handle's value.
-    """
-
-    def __init__(self, seq: int, op: str, decode: Optional[Callable] = None):
-        super().__init__()
-        self.seq = seq
-        self.op = op
-        self.t0 = time.perf_counter()
-        self.decode = decode
-
-    def result(self, timeout: Optional[float] = None):
-        try:
-            return super().result(timeout)
-        except FutureTimeout:
-            raise HostWorkerError(
-                f"no response to {self.op} (seq {self.seq}) within "
-                f"{timeout}s") from None
-
-
 class HostWorker(RemoteWorker):
     """A batch executor whose engine runs behind a fabric endpoint.
 
-    Drop-in sibling of :class:`~repro.serve.procpool.ProcessWorker`
-    (the executor surface is
-    :class:`~repro.serve.remote.RemoteWorker`'s) — and additionally
-    :meth:`submit_batch` for pipelined use (multiple batches in flight
-    over one connection).
+    Drop-in sibling of :class:`~repro.serve.procpool.ProcessWorker`:
+    the executor surface and the exchange are
+    :class:`~repro.serve.remote.RemoteWorker`'s; this class adds the
+    spawn, the frame channel and heartbeat liveness.
 
     Parameters
     ----------
@@ -196,10 +165,9 @@ class HostWorker(RemoteWorker):
     heartbeat_s: remote heartbeat period; the worker is declared dead
         after ``4 × heartbeat_s`` of radio silence.  ``0`` disables
         heartbeats (and deadline-based death detection with them).
-    request_timeout: optional per-request ceiling for the synchronous
-        calls (``forecast_batch``/``compile``/``plan_stats``).  Replies
-        are matched by sequence number, so a late one is simply
-        dropped — the worker stays usable.
+    request_timeout: optional per-request ceiling [s] for
+        ``forecast_batch``/``compile``/``plan_stats``.  Expiry condemns
+        the worker (:class:`HostWorkerDied`), as on the process tier.
     """
 
     backend = "host"
@@ -218,21 +186,13 @@ class HostWorker(RemoteWorker):
         self.fabric = fabric
         self.heartbeat_s = float(heartbeat_s)
         self._silence_limit = 4.0 * self.heartbeat_s
-        self._pending: Dict[int, _Handle] = {}
-        self._seq = 0
-
-        # transport counters (read by scheduler/pool metrics)
-        self.net_wait_s = 0.0
-        self.frame_bytes = 0
-        self.inflight_depth = 0
-
-        self._ep = None
+        self._tick = max(min(self.heartbeat_s / 2.0, 0.2), 0.02) \
+            if self.heartbeat_s > 0 else 0.2
         self._remote_ep = None
-        self._reaper: Optional[threading.Thread] = None
         try:
             if fabric == "sim":
-                self._ep, self._remote_ep = sim_pair()
-                self.comm = self._ep.comm
+                ep, self._remote_ep = sim_pair()
+                self.comm = ep.comm
                 # the remote rank rebuilds its engine from the *pickled*
                 # payload, exactly as a real remote host would
                 threading.Thread(
@@ -249,179 +209,77 @@ class HostWorker(RemoteWorker):
                         name="hostworker-child", daemon=True)
                     proc.start()
                     self._proc = proc
-                    self._ep = accept_loopback(listener, token,
-                                               timeout=SPAWN_TIMEOUT_S)
+                    ep = accept_loopback(listener, token,
+                                         timeout=SPAWN_TIMEOUT_S)
                 finally:
                     listener.close()
-            self._adopt(*self._handshake(SPAWN_TIMEOUT_S))
+            self._channel = _FrameChannel(ep, 0)
+            self._last_seen = time.perf_counter()
+            self._adopt()
         except BaseException:
-            if self._ep is None and self._proc is not None:
+            if self._channel is None and self._proc is not None:
                 # the child never connected: no one to send ``stop`` to
                 self._proc.terminate()
             self.close()
             raise
-        self._last_seen = time.perf_counter()
-        self._reaper = threading.Thread(target=self._reap, daemon=True,
-                                        name="hostworker-reaper")
-        self._reaper.start()
-
-    def _handshake(self, timeout: float):
-        deadline = time.perf_counter() + timeout
-        while True:
-            remaining = max(deadline - time.perf_counter(), 0.01)
-            frame = unpack_frame(self._ep.recv_frame(timeout=remaining))
-            if frame.op != "hb":
-                return frame.op, frame.meta
-
-    # -- executor protocol ---------------------------------------------
-    def submit_batch(self, references: Sequence[FieldWindow]) -> _Handle:
-        """Send one micro-batch and return immediately with a handle.
-
-        This is the pipelined path: several submitted batches may be
-        in flight over the one connection, matched back to their
-        handles by sequence number.  ``handle.result()`` blocks for
-        that batch alone; a dead worker fails every outstanding handle
-        with :class:`HostWorkerDied` instead of hanging it.
-        """
-        references = list(references)
-        if not references:
-            done = _Handle(-1, "batch")
-            done.set_result([])
-            return done
-        return self._submit("batch", *batch_request(references),
-                            decode=batch_results)
-
-    def _call(self, op: str, meta: dict, arrays: Sequence[np.ndarray]):
-        return self._submit(op, meta, arrays).result(
-            timeout=self.request_timeout)
 
     def _transport_counters(self) -> Dict[str, object]:
         return {"fabric": self.fabric,
-                "net_wait_s": self.net_wait_s,
-                "frame_bytes": self.frame_bytes,
-                "inflight_depth": self.inflight_depth}
+                "net_wait_s": self.transport_wait_s,
+                "frame_bytes": self.transport_bytes,
+                # the client never has two requests in flight, so this is
+                # a constant; ROADMAP item 1(c)'s benchmark-only change
+                # deletes the key with its benchmark metric
+                "inflight_depth": min(self.batches, 1)}
 
     # -- transport --------------------------------------------------------
-    def _submit(self, op: str, meta: dict, arrays: Sequence[np.ndarray],
-                decode: Optional[Callable] = None) -> _Handle:
-        """Frame one request, register its handle, put it on the wire."""
-        with self._state_lock:
-            self._ensure_alive()
-            seq = self._seq
-            self._seq += 1
-        data = pack_frame(op, seq, meta, arrays)
-        handle = _Handle(seq, op, decode)
-        with self._state_lock:
-            self._ensure_alive()
-            self._pending[seq] = handle
-            depth = sum(1 for h in self._pending.values()
-                        if h.op == "batch")
-            if depth > self.inflight_depth:
-                self.inflight_depth = depth
-            self.frame_bytes += len(data)
-        try:
-            self._ep.send_frame(data)
-        except FabricError as exc:
-            self._die(f"send failed: {exc}")
-        return handle
-
-    def _reap(self) -> None:
-        """Reaper thread: match response frames to pending handles,
-        watch heartbeats and child liveness, fail everything on
-        death."""
-        tick = max(min(self.heartbeat_s / 2.0, 0.2), 0.02) \
-            if self.heartbeat_s > 0 else 0.2
+    def _poll(self, timeout: Optional[float]):
+        """The next non-heartbeat frame, read in heartbeat ticks.  A
+        heartbeat only refreshes the last-seen time; child exit,
+        silence past the deadline, a corrupt frame or a closed
+        connection condemns the worker."""
+        deadline = None if timeout is None else \
+            time.perf_counter() + timeout
         while True:
+            wait = self._tick if deadline is None else \
+                min(self._tick, max(deadline - time.perf_counter(), 0.0))
             try:
-                raw = self._ep.recv_frame(timeout=tick)
-                self._last_seen = time.perf_counter()
+                raw = self._channel.ep.recv_frame(timeout=wait)
                 frame = unpack_frame(raw)
             except FabricTimeout:
-                if self._closed or self._check_liveness():
-                    return
+                if self._proc is not None and not self._proc.is_alive():
+                    self._die(
+                        f"child exited (exitcode {self._proc.exitcode})")
+                if self.heartbeat_s > 0 and time.perf_counter() \
+                        - self._last_seen > self._silence_limit:
+                    self._die(
+                        f"no heartbeat within {self._silence_limit:.2f}s")
+                if deadline is not None \
+                        and time.perf_counter() >= deadline:
+                    return None
                 continue
             except FrameError as exc:
-                self._mark_dead(f"corrupt frame: {exc}")
-                return
+                self._die(f"corrupt frame: {exc}")
             except FabricError:
-                if not self._closed:
-                    self._mark_dead("connection closed")
-                return
-            if frame.op == "hb":
-                continue
-            if frame.op == "err" and frame.seq < 0:
-                self._mark_dead(
-                    f"remote fatal error:\n{frame.meta.get('trace', '')}")
-                return
-            self._resolve(frame, len(raw))
-
-    def _check_liveness(self) -> bool:
-        """True if the worker was just declared dead."""
-        if self._proc is not None and not self._proc.is_alive():
-            self._mark_dead(
-                f"child exited (exitcode {self._proc.exitcode})")
-            return True
-        if self.heartbeat_s > 0 and \
-                time.perf_counter() - self._last_seen > self._silence_limit:
-            self._mark_dead(
-                f"no heartbeat within {self._silence_limit:.2f}s")
-            return True
-        return False
-
-    def _resolve(self, frame, raw_len: int) -> None:
-        with self._state_lock:
-            handle = self._pending.pop(frame.seq, None)
-        if handle is None:
-            return                          # stale/unknown seq: drop
-        if frame.op == "err":
-            handle.set_exception(self._remote_error(handle.op, frame.meta))
-            return
-        # the frame's arrays are views into the receive buffer
-        value = frame.meta, [a.copy() for a in frame.arrays]
-        if handle.decode is not None:
-            value = handle.decode(*value)
-        with self._state_lock:
-            self.frame_bytes += raw_len
-            if handle.op == "batch":
-                self.batches += 1
-                self.net_wait_s += max(
-                    time.perf_counter() - handle.t0
-                    - frame.meta["batch_seconds"], 0.0)
-        handle.set_result(value)
-
-    def _fail_pending(self, exc: BaseException) -> None:
-        with self._state_lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for handle in pending:
-            handle.set_exception(exc)
+                self._die("connection closed")
+            self._last_seen = time.perf_counter()
+            if frame.op != "hb":
+                return (frame.op, frame.seq, frame.meta, frame.arrays,
+                        len(raw))
 
     def _on_dead(self) -> None:
-        self._fail_pending(HostWorkerDied(
-            f"host worker pid {self.pid} died: {self._death_reason}"))
-        self._ep.close()
+        # hang up, so the remote rank's serve loop ends too
+        self._channel.close()
+
+    def _release(self) -> None:
+        if self._remote_ep is not None:
+            self._remote_ep.close()
 
     def kill(self) -> None:
         """Kill the remote rank abruptly (test hook): ``SIGKILL`` to
         the socket child, endpoint teardown for the sim fabric — the
-        fault the reaper must then detect and surface."""
+        fault the client must then detect and surface."""
         if self._proc is not None:
             self._proc.kill()
         else:
             self._remote_ep.close()
-
-    # -- lifecycle ------------------------------------------------------
-    def _send_stop(self) -> None:
-        if self._ep is not None:
-            with contextlib.suppress(FabricError):
-                self._ep.send_frame(pack_frame("stop", -1))
-
-    def _release(self, timeout: float) -> None:
-        for ep in (self._ep, self._remote_ep):
-            if ep is not None:
-                ep.close()
-        if self._reaper is not None \
-                and self._reaper is not threading.current_thread():
-            self._reaper.join(timeout)
-        self._fail_pending(HostWorkerDied(
-            f"host worker pid {self.pid} closed with requests in flight"))

@@ -299,8 +299,8 @@ class PoolMetrics:
     :class:`ServeMetrics` over the workers' concatenated
     ``batches``/``requests`` logs, with the transport counters combined
     the way :data:`~repro.serve.scheduler.TRANSPORT_COUNTERS` says
-    (waits and bytes add up, ``inflight_depth`` is the deepest pipeline
-    any host replica reached), and every :class:`ServeMetrics` member
+    (waits and bytes add up, ``inflight_depth`` takes the maximum), and
+    every :class:`ServeMetrics` member
     is answered by that merged object — the pool cannot disagree with
     its replicas about what a metric means.  Pool occupancy is thus
     total requests over total engine forwards — the figure of merit
@@ -445,8 +445,8 @@ class EngineWorkerPool:
         :class:`~repro.serve.hostpool.HostWorker`: a remote "rank"
         reached over the :mod:`repro.hpc.fabric` descriptor transport
         (socket loopback by default, in-process sim fabric for
-        deterministic tests), with pipelined framing and heartbeat
-        death detection.  Results are bitwise-identical on all three;
+        deterministic tests), with heartbeat death detection.  Results
+        are bitwise-identical on all three;
         everything above the executor — routing, admission, versioned
         deploys, autoscaling — is backend-agnostic.  Process and host
         backends require engines that expose
@@ -811,9 +811,10 @@ class EngineWorkerPool:
             worker.executor.close()
 
     def _on_executor_death(self, worker: _Worker) -> None:
-        """A remote replica's executor died.  Runs on whatever thread hit
-        the dead transport — typically the worker's own scheduler
-        thread, mid-``_run_batch`` — so it only flags the replica
+        """A remote replica's executor died.  Runs on whatever thread
+        found the death — the worker's own scheduler thread, mid-
+        ``_run_batch``, or the executor's watchdog while it was idle —
+        so it only flags the replica
         inadmissible (cheap, under the routing lock) and hands the
         blocking retirement to a helper thread; closing the scheduler
         inline would self-join the thread we are standing on."""

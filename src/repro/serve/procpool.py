@@ -9,27 +9,29 @@ a flat sequence of raw-``np.ndarray`` kernel steps over one
 offset-packed arena, exactly the shape of work that can move into a
 worker *process*.
 
-The worker protocol itself — payload, op table, serve loop, client
-executor — is :mod:`repro.serve.remote`, shared with the host tier.
-This module is the process tier's **codec** and **liveness source**:
+The worker protocol itself — payload, op table, serve loop, and the
+client's one exchange and watchdog — is :mod:`repro.serve.remote`,
+shared with the host tier.  This module is the process tier's
+**codec** and **liveness source**:
 
 * each message's arrays are written into the sender's shared-memory
   segment and addressed by ``(shape, dtype, offset)`` **descriptors**;
   the control pipe only ever carries the tiny
   ``(op, seq, meta, generation, descriptors)`` envelope, never a
   pickled field array (one copy in, one copy out per side);
-* the parent-side :class:`ProcessWorker` watches the child through its
-  process **sentinel** — a worker that dies mid-flush surfaces as a
+* :meth:`ProcessWorker._poll` waits on the pipe and the child's process
+  **sentinel** together — a child that dies mid-flush surfaces as a
   :class:`ProcessWorkerDied` on the in-flight batch (failing its
-  futures, never hanging them) and an ``on_death`` notification the
-  pool uses to retire the worker.
+  futures, never hanging them), one that dies while idle is found by
+  the watchdog, and either way an ``on_death`` notification lets the
+  pool retire the worker.
 
 Each side reuses **one** segment for everything it sends, so a reply
 is only meaningful for the request it answers: replies carry their
 request's ``seq`` and anything else is dropped, and a request that
-outlives ``request_timeout`` condemns the worker — the child may still
-be reading the request segment, so the channel can never be trusted
-again.
+outlives ``request_timeout`` condemns the worker (on every tier) — the
+child may still be reading the request segment, so the channel can
+never be trusted again.
 
 Shared-memory lifecycle is strict: every segment is unlinked exactly
 once — by its creating side on graceful shutdown, by the parent on
@@ -39,17 +41,15 @@ the parent can always find them).
 
 from __future__ import annotations
 
+import pickle
 import secrets
-import threading
-import time
 from multiprocessing import connection, get_context, shared_memory
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..hpc.fabric import FrameError, layout, view
-from .remote import (SPAWN_METHOD, SPAWN_TIMEOUT_S, ChannelClosed,
-                     RemoteWorker, serve_payload)
+from .remote import SPAWN_METHOD, ChannelClosed, RemoteWorker, serve_payload
 
 __all__ = [
     "ProcessWorker",
@@ -189,8 +189,15 @@ class _ShmChannel:
             seg = self.own.ensure(need)
             for a, d in zip(arrays, descs):
                 np.copyto(view(seg.buf, d), a)
+        # pickled here, not by Connection.send, whose buffer is a view
+        # of a BytesIO: a failed send's traceback keeps that view, and
+        # once the exception sits in a reference cycle the collector
+        # finalizes the BytesIO with the view still exported (an
+        # unraisable BufferError)
+        envelope = pickle.dumps((op, seq, meta or {}, self.own.gen, descs),
+                                protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            self.conn.send((op, seq, meta or {}, self.own.gen, descs))
+            self.conn.send_bytes(envelope)
         except (BrokenPipeError, OSError) as exc:
             raise ChannelClosed(str(exc)) from exc
         return need
@@ -200,7 +207,7 @@ class _ShmChannel:
         ``None`` when the peer is gone or a descriptor does not fit
         its segment (the channel cannot be trusted past that)."""
         try:
-            op, seq, meta, gen, descs = self.conn.recv()
+            op, seq, meta, gen, descs = pickle.loads(self.conn.recv_bytes())
         except (EOFError, OSError):
             return None
         seg = self.peer.get(gen) if descs else None
@@ -232,8 +239,9 @@ def _child_main(conn, token: str, payload: bytes) -> None:
 class ProcessWorker(RemoteWorker):
     """A batch executor whose engine runs in a child process.
 
-    The executor surface is :class:`~repro.serve.remote.RemoteWorker`'s;
-    this class adds the spawn, the shm channel and sentinel liveness.
+    The executor surface and the exchange are
+    :class:`~repro.serve.remote.RemoteWorker`'s; this class adds the
+    spawn, the shm channel and sentinel liveness.
 
     Parameters
     ----------
@@ -245,16 +253,18 @@ class ProcessWorker(RemoteWorker):
         one engine share the trace), so the child starts warm without
         ever tracing.
     on_death: callback invoked exactly once, with this worker, when the
-        child process is found dead.
+        child process is found dead — by a request, or by the watchdog
+        while idle.  It runs with no lock held, so it may close the
+        worker.
     request_timeout: optional per-request ceiling [s]; ``None`` trusts
         the sentinel (a hung-but-alive child is not detectable without
         a timeout, a dead one always is).  Expiry condemns the worker
         (:class:`ProcessWorkerDied`): the child may still be reading
         the one reused request segment, so no later request is safe.
 
-    Thread safety: requests serialise on one lock (the transport is a
-    single request/response channel); the scheduler drives one batch
-    at a time anyway.
+    Thread safety: requests serialise on the one exchange's lock (the
+    transport is a single request/response channel); the scheduler
+    drives one batch at a time anyway.
     """
 
     backend = "process"
@@ -266,13 +276,6 @@ class ProcessWorker(RemoteWorker):
                  request_timeout: Optional[float] = None):
         super().__init__(engine, warm_batches, on_death, request_timeout)
         self._token = f"repro-{secrets.token_hex(4)}"
-        self._call_lock = threading.Lock()
-        self._seq = 0
-
-        # transport counters (read by scheduler/pool metrics)
-        self.ipc_wait_s = 0.0
-        self.marshal_bytes = 0
-
         ctx = get_context(SPAWN_METHOD)
         conn, child_conn = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(target=_child_main,
@@ -284,15 +287,14 @@ class ProcessWorker(RemoteWorker):
         child_conn.close()
         self._channel = _ShmChannel(conn, self._token, "q", "r")
         try:
-            op, _, meta, _ = self._await(-1, SPAWN_TIMEOUT_S)
-            self._adopt(op, meta)
+            self._adopt()
         except BaseException:
             self.close()
             raise
 
     def _transport_counters(self) -> Dict[str, object]:
-        return {"ipc_wait_s": self.ipc_wait_s,
-                "marshal_bytes": self.marshal_bytes}
+        return {"ipc_wait_s": self.transport_wait_s,
+                "marshal_bytes": self.transport_bytes}
 
     def _child_segment_names(self, generations: int) -> List[str]:
         peer = self._channel.peer
@@ -308,56 +310,19 @@ class ProcessWorker(RemoteWorker):
         return names
 
     # -- transport --------------------------------------------------------
-    def _call(self, op: str, meta: dict, arrays: Sequence[np.ndarray]):
-        with self._call_lock:
-            self._ensure_alive()
-            self._seq += 1
-            t0 = time.perf_counter()
-            try:
-                sent = self._channel.send(op, self._seq, meta, arrays)
-            except ChannelClosed:
-                self._die("pipe closed")
-            status, _, reply, views = self._await(self._seq,
-                                                  self.request_timeout)
-            # copy out under the lock: the next request's reply reuses
-            # the child's response segment
-            out = [a.copy() for a in views]
-            del views
-            elapsed = time.perf_counter() - t0
-            with self._state_lock:
-                self.marshal_bytes += sent + sum(a.nbytes for a in out)
-                if op == "batch" and status == "ok":
-                    self.batches += 1
-                    self.ipc_wait_s += max(
-                        elapsed - reply["batch_seconds"], 0.0)
-        if status == "err":
-            raise self._remote_error(op, reply)
-        return reply, out
-
-    def _await(self, seq: int, timeout: Optional[float]):
-        """The reply to request ``seq``, watching the child's sentinel.
-
-        Replies to anything else are dropped — they answer a request
-        this side no longer waits for.  Child death, EOF and timeout
-        all condemn the worker (see the module docstring for why a
-        timeout must)."""
+    def _poll(self, timeout: Optional[float]):
+        """The next message, watching the child's sentinel: child exit
+        or EOF condemns the worker."""
         conn, sentinel = self._channel.conn, self._proc.sentinel
-        deadline = None if timeout is None else \
-            time.perf_counter() + timeout
-        while True:
-            remaining = None if deadline is None else \
-                max(deadline - time.perf_counter(), 0.0)
-            ready = connection.wait([conn, sentinel], timeout=remaining)
-            if conn in ready:
-                msg = self._channel.recv()
-                if msg is None:
-                    self._die("EOF on control pipe")
-                if msg[1] == seq:
-                    return msg
-            elif ready:
-                self._die(f"exitcode {self._proc.exitcode}")
-            else:
-                self._die(f"no response within {timeout}s")
+        ready = connection.wait([conn, sentinel], timeout=timeout)
+        if conn in ready:
+            msg = self._channel.recv()
+            if msg is None:
+                self._die("EOF on control pipe")
+            return (*msg, sum(a.nbytes for a in msg[3]))
+        if ready:
+            self._die(f"exitcode {self._proc.exitcode}")
+        return None
 
     def _reclaim_child_segments(self) -> None:
         """Unlink segments the dead child can no longer unlink itself
@@ -368,20 +333,8 @@ class ProcessWorker(RemoteWorker):
             _unlink_by_name(name)
 
     _on_dead = _reclaim_child_segments
-
-    # -- lifecycle ------------------------------------------------------
-    def _send_stop(self) -> None:
-        with self._call_lock:       # never interleave into a request
-            try:
-                self._channel.send("stop", -1)
-            except ChannelClosed:
-                pass
-
-    def _release(self, timeout: float) -> None:
-        with self._call_lock:
-            self._channel.close()
-            # graceful children unlink their own segments; after an
-            # abnormal exit these names still exist and fall to us (a
-            # terminated child cannot run its resource_tracker
-            # unregistrations; these unlinks do the actual cleanup)
-            self._reclaim_child_segments()
+    # graceful children unlink their own segments; after an abnormal
+    # exit these names still exist and fall to us at close (a terminated
+    # child cannot run its resource_tracker unregistrations; these
+    # unlinks do the actual cleanup)
+    _release = _reclaim_child_segments

@@ -17,21 +17,27 @@ things on every tier, and this module owns each of them exactly once:
   reported to its caller and the loop keeps serving;
 * the **client** (:class:`RemoteWorker`): the batch-executor surface the
   scheduler drives (``forecast_batch`` / ``time_steps`` / ``compile`` /
-  ``compile_buckets`` / ``plan_stats``), death bookkeeping and child
-  shutdown, all in terms of one abstract ``_call(op, meta, arrays)``.
+  ``compile_buckets`` / ``plan_stats``) over the one exchange — send a
+  request, await the reply that echoes its ``seq``, copy it out — plus
+  the watchdog that condemns a remote dying while idle, death
+  bookkeeping and child shutdown.
 
 What is left to a tier is a **codec** — how the shared
 ``(op, seq, meta, arrays)`` envelope moves (shm descriptors + a pipe,
 or RFB1 frames on an endpoint) — and a **liveness source** (process
-sentinel, or heartbeats).  The remote side of a codec is a *channel*:
+sentinel, or heartbeats).  Either end of a codec is a *channel*:
 
 ``recv()``
     the next ``(op, seq, meta, arrays)`` request, or ``None`` once the
     peer is gone; arrays may be views into the transport's buffer.
-``send(op, seq, meta=None, arrays=())``
-    one reply; raises :class:`ChannelClosed` when the peer is gone.
+``send(op, seq, meta=None, arrays=()) -> int``
+    one message; returns the bytes it moved and raises
+    :class:`ChannelClosed` when the peer is gone.
 ``close()``
     release everything this side of the transport owns.
+
+The client reads its channel through the tier's ``_poll``, which folds
+the liveness source into the wait.
 
 Results stay **bitwise-identical** to the in-process engine on every
 tier: the remote runs the *same* ``ForecastEngine.forecast_batch`` on
@@ -210,6 +216,8 @@ class EngineService:
 SPAWN_METHOD = "spawn"
 #: seconds a parent waits for its child's ``ready`` handshake
 SPAWN_TIMEOUT_S = 120.0
+#: seconds between the watchdog's polls of an idle worker's channel
+WATCH_S = 0.1
 
 
 def serve_payload(channel, payload: bytes) -> None:
@@ -251,19 +259,31 @@ class RemoteWorker:
     :class:`~repro.serve.pool.EngineWorkerPool` run any backend without
     touching the scheduler, router, or deploy machinery.
 
-    A tier subclass sets :attr:`backend`, :attr:`Error` and
-    :attr:`Died`, spawns its remote and finishes construction with
-    :meth:`_adopt`, and implements:
+    Every request is one exchange, :meth:`_call`: under the call lock
+    it sends on the tier's channel, awaits the reply that echoes the
+    request's ``seq`` (anything else is dropped), and copies the
+    reply's arrays out of the transport's buffer.  Between exchanges a
+    watchdog thread takes the same lock without blocking and polls the
+    channel, so a remote that dies while idle is condemned too.  A
+    ``request_timeout`` expiry condemns the worker: the remote may
+    still be reading the request, so the channel is never trusted
+    again.  ``on_death`` runs once, with no lock held, so it may close
+    the worker.
 
-    ``_call(op, meta, arrays) -> (meta, arrays)``
-        one synchronous round trip; the returned arrays are the
-        caller's own (copied out of the transport's buffer); an ``err``
-        reply raises :meth:`_remote_error`.
+    A tier subclass sets :attr:`backend`, :attr:`Error` and
+    :attr:`Died`, spawns its remote, sets ``_channel`` and finishes
+    construction with :meth:`_adopt`, and implements:
+
+    ``_poll(timeout) -> (op, seq, meta, arrays, nbytes) | None``
+        the next message within ``timeout`` (``None``: no limit), with
+        the bytes it moved, or ``None`` when nothing came; a dead
+        remote raises through :meth:`_die`.
     ``_transport_counters()``
-        the tier's entries for :meth:`transport_stats`.
-    ``_on_dead()``, ``_send_stop()``, ``_release(timeout)``
-        liveness and teardown hooks (see :meth:`_mark_dead`,
-        :meth:`close`).
+        the tier's names for the two transport counters in
+        :meth:`transport_stats`.
+    ``_on_dead()``, ``_release()``
+        what to reclaim when the remote is condemned, and at
+        :meth:`close` once the channel is closed.
     """
 
     #: tier name, echoed in messages and ``transport_stats()``
@@ -289,18 +309,31 @@ class RemoteWorker:
         self.pid: Optional[int] = None
         self.spawn_seconds: Optional[float] = None
         self.batches = 0
+        # transport counters, named per tier by _transport_counters():
+        # batch round trip minus remote-reported engine time, and the
+        # bytes the channel moved in both directions
+        self.transport_wait_s = 0.0
+        self.transport_bytes = 0
         self._proc = None               # the child process, when there is one
+        self._channel = None            # the tier's client channel
+        self._call_lock = threading.Lock()      # one exchange at a time
+        self._seq = 0
+        self._watchdog: Optional[threading.Thread] = None
+        self._watch_stop = threading.Event()
         self._state_lock = threading.Lock()     # counters + flags below
         self._compiled: set = set()
         self._closed = False
         self._dead = False
+        self._notified = False
         self._death_reason = ""
         self._payload = engine_payload(engine, warm_batches)
         self.payload_bytes = len(self._payload)
         self._spawn_t0 = time.perf_counter()
 
-    def _adopt(self, op: str, meta: dict) -> None:
-        """Finish construction from the remote's handshake message."""
+    def _adopt(self) -> None:
+        """Finish construction: await the remote's handshake, adopt
+        what it reports, start the watchdog."""
+        op, _, meta, _, _ = self._await(-1, SPAWN_TIMEOUT_S)
         if op == "err":
             raise self.Error(
                 f"remote engine failed to start:\n{meta.get('trace', '')}")
@@ -310,6 +343,10 @@ class RemoteWorker:
         self._time_steps = meta["time_steps"]
         self._compiled = set(meta["compiled"])
         self.spawn_seconds = time.perf_counter() - self._spawn_t0
+        self._watchdog = threading.Thread(
+            target=self._watch, daemon=True,
+            name=f"{self.backend}worker-watchdog-{self.pid}")
+        self._watchdog.start()
 
     # -- executor protocol ---------------------------------------------
     @property
@@ -396,6 +433,86 @@ class RemoteWorker:
         none unless the tier's codec is shm."""
         return []
 
+    # -- the exchange -----------------------------------------------------
+    def _call(self, op: str, meta: dict, arrays: Sequence[np.ndarray]
+              ) -> _Reply:
+        """One round trip; the returned arrays are the caller's own.
+        An ``err`` reply raises :meth:`_remote_error`, a dead remote
+        :attr:`Died` — after ``on_death`` ran outside the lock."""
+        try:
+            with self._call_lock:
+                self._ensure_alive()
+                self._seq += 1
+                t0 = time.perf_counter()
+                try:
+                    sent = self._channel.send(op, self._seq, meta, arrays)
+                except ChannelClosed as exc:
+                    self._die(f"send failed: {exc}")
+                status, _, reply, views, received = self._await(
+                    self._seq, self.request_timeout)
+                # copy out under the lock: the next exchange reuses the
+                # transport's buffer
+                out = [a.copy() for a in views]
+                del views
+                elapsed = time.perf_counter() - t0
+                with self._state_lock:
+                    self.transport_bytes += sent + received
+                    if op == "batch" and status == "ok":
+                        self.batches += 1
+                        self.transport_wait_s += max(
+                            elapsed - reply["batch_seconds"], 0.0)
+        except self.Died:
+            self._notify_death()
+            raise
+        if status == "err":
+            raise self._remote_error(op, reply)
+        return reply, out
+
+    def _await(self, seq: int, timeout: Optional[float]):
+        """The message answering ``seq``; a message for any other
+        ``seq`` answers a request nobody waits for and is dropped.
+        Expiry of ``timeout`` condemns the worker."""
+        deadline = None if timeout is None else \
+            time.perf_counter() + timeout
+        while True:
+            remaining = None if deadline is None else \
+                max(deadline - time.perf_counter(), 0.0)
+            msg = self._poll(remaining)
+            if msg is None:
+                self._die(f"no response within {timeout}s")
+            if msg[1] == seq:
+                return msg
+            self._unsolicited(msg)
+
+    def _unsolicited(self, msg) -> None:
+        """A message no exchange waits for: a remote fatal ``err``
+        (``seq`` < 0) condemns the worker, a late reply is dropped."""
+        op, seq, meta = msg[:3]
+        if op == "err" and seq < 0:
+            self._die(f"remote fatal error:\n{meta.get('trace', '')}")
+
+    def _watch(self) -> None:
+        """Watchdog thread: between exchanges, drain the channel with a
+        zero wait, so a remote that dies while idle is condemned.  The
+        call lock is only ever tried, never waited for, and nothing
+        waits while it is held: an exchange in progress watches the
+        channel itself."""
+        while not self._watch_stop.wait(WATCH_S):
+            if not self._call_lock.acquire(blocking=False):
+                continue
+            try:
+                if self._closed or self._dead:
+                    return
+                while (msg := self._poll(0.0)) is not None:
+                    self._unsolicited(msg)
+            except self.Died:
+                pass
+            finally:
+                self._call_lock.release()
+            if self._dead:
+                self._notify_death()
+                return
+
     # -- death ------------------------------------------------------------
     def _ensure_alive(self) -> None:
         if self._closed:
@@ -409,29 +526,33 @@ class RemoteWorker:
         return self.Error(f"{self.backend} worker pid {self.pid} failed "
                           f"{op}:\n{meta.get('trace', '')}")
 
-    def _mark_dead(self, reason: str) -> None:
-        """Condemn the worker: every later request fails fast, the
-        tier's ``_on_dead`` fails what is in flight and reclaims what
-        the remote can no longer release, the child (if still running)
-        is terminated, and ``on_death`` fires — exactly once."""
-        with self._state_lock:
-            if self._dead:
-                return
-            self._dead = True
-            self._death_reason = reason
+    def _die(self, reason: str) -> NoReturn:
+        """Condemn the worker and raise :attr:`Died`: every later
+        request fails fast, the tier's ``_on_dead`` reclaims what the
+        remote can no longer release, the child (if still running) is
+        terminated.  Runs with the call lock held (or before the
+        watchdog exists), so it runs once; ``on_death`` is left to
+        :meth:`_notify_death`."""
+        self._death_reason = reason
+        self._dead = True
         self._on_dead()
         if self._proc is not None and self._proc.is_alive():
             self._proc.terminate()
+        raise self.Died(
+            f"{self.backend} worker pid {self.pid} died: {reason}")
+
+    def _notify_death(self) -> None:
+        """Fire ``on_death`` for the condemned worker, exactly once.
+        Called with no lock held: the callback may close the worker."""
+        with self._state_lock:
+            if self._notified:
+                return
+            self._notified = True
         if self.on_death is not None:
             try:
                 self.on_death(self)
             except Exception:  # noqa: BLE001 — observer must not break us
                 pass
-
-    def _die(self, reason: str) -> NoReturn:
-        self._mark_dead(reason)
-        raise self.Died(
-            f"{self.backend} worker pid {self.pid} died: {reason}")
 
     # -- lifecycle ------------------------------------------------------
     def close(self, timeout: float = 10.0) -> None:
@@ -442,8 +563,13 @@ class RemoteWorker:
             if self._closed:
                 return
             self._closed = True
-        if not self._dead:
-            self._send_stop()
+        self._watch_stop.set()
+        if self._watchdog is not None \
+                and self._watchdog is not threading.current_thread():
+            self._watchdog.join(timeout)
+        if not self._dead and self._channel is not None:
+            with self._call_lock, contextlib.suppress(ChannelClosed):
+                self._channel.send("stop", -1)
         proc = self._proc
         if proc is not None:
             proc.join(timeout)
@@ -453,7 +579,10 @@ class RemoteWorker:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout)
-        self._release(timeout)
+        with self._call_lock:
+            if self._channel is not None:
+                self._channel.close()
+            self._release()
         if proc is not None:
             try:
                 proc.close()

@@ -211,8 +211,9 @@ class ServeMetrics:
     #: cumulative bytes framed onto the fabric wire (request frames
     #: out + result frames back); 0 off the host backend.
     frame_bytes: int = 0
-    #: deepest request/response pipeline the host transport reached
-    #: (≥ 2 means the network hop genuinely overlapped with compute).
+    #: requests the host transport had in flight at once: 1 once a
+    #: batch has run, since a worker's one exchange carries one request
+    #: at a time (kept only for the benchmark key that reads it).
     inflight_depth: int = 0
 
     @property

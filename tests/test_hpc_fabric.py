@@ -4,11 +4,13 @@ The frame codec must be bitwise (arrays out == arrays in) and must
 reject corruption explicitly — truncation, bad magic, unknown dtype,
 descriptor overrun — rather than returning garbage views.  The two
 transports must agree on semantics: timeouts are recoverable (framing
-survives), a clean close is :class:`FabricClosed`, a mid-frame death
-is :class:`FrameError`.
+survives), a zero timeout still returns a frame already received, a
+clean close is :class:`FabricClosed`, a mid-frame death is
+:class:`FrameError`.
 """
 
 import pickle
+import select
 import struct
 import threading
 import time
@@ -209,6 +211,27 @@ class TestSocketFabric:
             for sent, got in zip(arrays, frame.arrays):
                 np.testing.assert_array_equal(got, sent)
             assert client.bytes_sent == server.bytes_received == len(data)
+        finally:
+            client.close()
+            server.close()
+
+    def test_zero_timeout_returns_a_received_frame(self):
+        """``recv_frame(timeout=0)`` polls once, as on the sim fabric:
+        a frame already sent and flushed is returned, not a
+        :class:`FabricTimeout`; with nothing pending it times out."""
+        a, b = sim_pair()
+        data = pack_frame("hb", -1)
+        a.send_frame(data)
+        assert b.recv_frame(timeout=0) == data
+        client, server = socket_pair()
+        try:
+            client.send_frame(data)
+            deadline = time.perf_counter() + 5.0
+            while not select.select([server._sock], [], [], 0.05)[0]:
+                assert time.perf_counter() < deadline
+            assert server.recv_frame(timeout=0) == data
+            with pytest.raises(FabricTimeout):
+                server.recv_frame(timeout=0)
         finally:
             client.close()
             server.close()

@@ -16,7 +16,8 @@ import repro.tensor
 import repro.tensor.tensor
 from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
                          HostWorker, MicroBatchScheduler, ProcessWorker)
-from repro.serve.remote import build_engine, serve_payload
+from repro.serve import hostpool
+from repro.serve.remote import RemoteWorker, build_engine, serve_payload
 from repro.tensor import PlanExecutor
 from repro.workflow import ForecastEngine
 
@@ -88,6 +89,19 @@ def test_post_trace_passes_and_arena_pools_are_gone():
         assert not hasattr(repro.tensor, name), name
         assert name not in repro.tensor.__all__
     assert not hasattr(PlanExecutor, "release")
+
+
+def test_one_client_exchange_for_both_remote_tiers():
+    """``RemoteWorker`` owns the exchange; a tier supplies a channel
+    and a liveness poll, and the host tier's pipelining is gone."""
+    assert not hasattr(HostWorker, "submit_batch")
+    assert not hasattr(hostpool, "_Handle")
+    for name in ("_call", "_await"):
+        assert name in RemoteWorker.__dict__, name
+        for tier in (ProcessWorker, HostWorker):
+            assert name not in tier.__dict__, (tier, name)
+    for tier in (ProcessWorker, HostWorker):
+        assert "_poll" in tier.__dict__, tier
 
 
 def test_one_dispatcher_and_no_runtime_binding():

@@ -1,16 +1,16 @@
-"""Host execution tier: equivalence, pipelining, failure model.
+"""Host execution tier: equivalence, wire accounting, failure model.
 
 The host backend must be invisible from above, exactly like the
 process tier: bitwise-equal results for every routing policy and
 across a live deploy, on BOTH fabrics (the deterministic sim fabric
-and the real TCP-loopback wire).  Its perf claim — pipelined framing —
-must be observable (``inflight_depth`` ≥ 2 with results still
-bitwise), and its failure model explicit: a killed remote fails every
-in-flight handle with a :class:`ProcessWorkerDied` subclass and the
-pool retires the replica; corrupt frames mark the worker dead rather
-than hanging the reaper.
+and the real TCP-loopback wire).  The wire is observable (frame bytes,
+SimComm totals), and the failure model explicit: a killed remote fails
+the request blocked on it with a :class:`ProcessWorkerDied` subclass
+and the pool retires the replica; corrupt frames and a lapsed
+heartbeat deadline mark the worker dead rather than hanging it.
 """
 
+import threading
 import time
 
 import pytest
@@ -49,7 +49,7 @@ def wait_until(predicate, timeout=30.0):
 
 
 # ----------------------------------------------------------------------
-# single worker: transport equivalence + pipelining
+# single worker: transport equivalence + failure model
 # ----------------------------------------------------------------------
 class TestHostWorker:
     @pytest.mark.parametrize("fabric", FABRICS)
@@ -97,30 +97,6 @@ class TestHostWorker:
             assert worker.comm.per_pair[(0, 1)] > 0
             assert worker.comm.per_pair[(1, 0)] > 0
 
-    @pytest.mark.parametrize("fabric", FABRICS)
-    def test_pipelined_submits_overlap_and_stay_bitwise(
-            self, engine, windows, fabric):
-        """The pipelining claim: several batches in flight on one
-        connection (depth ≥ 2 actually reached), every result still
-        bitwise and matched to the right request."""
-        with HostWorker(engine, fabric=fabric,
-                        warm_batches=(2,)) as worker:
-            batches = [windows[i:i + 2] for i in range(8)]
-            handles = [worker.submit_batch(b) for b in batches]
-            for batch, handle in zip(batches, handles):
-                assert_results_equal(engine.forecast_batch(batch),
-                                     handle.result(timeout=120))
-            stats = worker.transport_stats()
-            assert stats["inflight_depth"] >= 2, \
-                "pipelining never overlapped two batches"
-            assert stats["batches"] == len(batches)
-
-    def test_empty_batch_short_circuits(self, engine):
-        with HostWorker(engine, fabric="sim") as worker:
-            handle = worker.submit_batch([])
-            assert handle.done() and handle.result(timeout=0) == []
-            assert worker.transport_stats()["batches"] == 0
-
     def test_remote_compile_rpc(self, engine, windows):
         with HostWorker(engine, fabric="sim") as worker:
             worker.compile(3)
@@ -148,21 +124,31 @@ class TestHostWorker:
     def test_killed_remote_fails_inflight_not_hangs(self, engine,
                                                     windows, fabric):
         """The mirrored fault: SIGKILL to the socket child, endpoint
-        teardown for the sim rank — in-flight handles must fail with a
-        ProcessWorkerDied subclass, on_death fires exactly once, and
-        subsequent requests fail fast."""
+        teardown for the sim rank — a request blocked on the dead
+        remote must fail with a ProcessWorkerDied subclass, on_death
+        fires exactly once, and subsequent requests fail fast."""
         deaths = []
         worker = HostWorker(engine, fabric=fabric, heartbeat_s=0.3,
                             on_death=deaths.append)
+        failure = []
+
+        def serve_until_death():
+            try:
+                while True:     # back to back: the kill lands mid-call
+                    worker.forecast_batch(windows[:2])
+            except Exception as exc:  # noqa: BLE001 — checked below
+                failure.append(exc)
+
+        caller = threading.Thread(target=serve_until_death, daemon=True)
         try:
-            handles = [worker.submit_batch(windows[i:i + 2])
-                       for i in range(3)]
+            caller.start()
+            time.sleep(0.2)
             worker.kill()
-            for handle in handles:
-                with pytest.raises(ProcessWorkerDied):
-                    handle.result(timeout=30)
-            assert wait_until(lambda: not worker.alive)
-            # on_death fires after the handles fail; allow the beat
+            caller.join(30)
+            assert not caller.is_alive(), "the blocked call hung"
+            assert isinstance(failure[0], ProcessWorkerDied)
+            assert not worker.alive
+            # the watchdog may find the death first; allow the beat
             assert wait_until(lambda: bool(deaths))
             assert deaths == [worker]
             # every later request fails fast, no transport attempt

@@ -8,6 +8,7 @@ retirement, rollback, and abnormal death.  Children cost ~1s each to
 spawn on this host, so tests share engines and keep pools narrow.
 """
 
+import functools
 import os
 import signal
 import time
@@ -19,6 +20,7 @@ import pytest
 from repro.serve import (
     DeploymentError,
     EngineWorkerPool,
+    HostWorker,
     ProcessWorker,
     ProcessWorkerDied,
     ProcessWorkerError,
@@ -251,26 +253,42 @@ class TestProcessWorker:
         """Regression: the child's late reply to a timed-out batch A
         used to be taken for the answer to the next batch B (no
         sequence numbers, one reused request segment) — silently wrong
-        fields.  After a timeout the worker must either be dead or
-        serve B bitwise; it must never return stale/mixed results."""
-        deaths = []
-        worker = ProcessWorker(engine, request_timeout=1e-5,
-                               on_death=deaths.append)
-        try:
-            with pytest.raises(ProcessWorkerError):
-                worker.forecast_batch(windows[:2])
-            if worker.alive:
-                worker.request_timeout = None
-                assert_results_equal(engine.forecast_batch(windows[2:4]),
-                                     worker.forecast_batch(windows[2:4]))
-            else:
-                assert deaths == [worker]
+        fields.  On both remote tiers an expiry condemns the worker, so
+        batch B fails fast instead of returning stale/mixed results."""
+        for make in (ProcessWorker,
+                     functools.partial(HostWorker, fabric="sim")):
+            deaths = []
+            worker = make(engine, request_timeout=1e-5,
+                          on_death=deaths.append)
+            try:
+                with pytest.raises(ProcessWorkerDied, match="no response"):
+                    worker.forecast_batch(windows[:2])
+                assert deaths == [worker] and not worker.alive
                 with pytest.raises(ProcessWorkerDied):
                     worker.forecast_batch(windows[2:4])
-            names = worker.segment_names()
+                assert deaths == [worker]
+                names = worker.segment_names()
+            finally:
+                worker.close()
+            assert segments_alive(names) == []
+
+    def test_idle_child_death_is_found_without_a_request(self, engine):
+        """The watchdog polls an idle worker's sentinel: a child killed
+        between requests is condemned and reported within a few
+        seconds, before anything is sent to it."""
+        deaths = []
+        worker = ProcessWorker(engine, on_death=deaths.append)
+        try:
+            os.kill(worker.pid, signal.SIGKILL)
+            deadline = time.perf_counter() + 10
+            while not deaths and time.perf_counter() < deadline:
+                time.sleep(0.05)
+            assert deaths == [worker]
+            assert not worker.alive
+            assert "exitcode" in worker.death_reason \
+                or "EOF" in worker.death_reason
         finally:
             worker.close()
-        assert segments_alive(names) == []
 
     def test_engine_rebuild_failure_reports_remote_traceback(
             self, engine, monkeypatch):
@@ -456,6 +474,31 @@ def test_pool_child_death_fails_batch_and_retires_worker(engine, windows):
         # the survivor keeps serving, bitwise
         placed = map_submissions(pool, windows[4:8])
         pool.flush()
+        assert_pool_batches_bitwise(pool, placed, {1: engine})
+    finally:
+        pool.close()
+
+
+def test_pool_retires_a_child_that_dies_idle(engine, windows):
+    """A replica whose child dies between batches is retired before any
+    request reaches it: everything submitted afterwards is served,
+    bitwise, by the survivor, and no future fails."""
+    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
+                            backend="process", router="round-robin")
+    try:
+        victim = pool.workers[0]
+        victim_segments = victim.executor.segment_names()
+        os.kill(victim.executor.pid, signal.SIGKILL)
+        deadline = time.perf_counter() + 30
+        while len(pool.workers) > 1 and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert len(pool.workers) == 1 and pool.workers[0] is not victim
+        kinds = [e.kind for e in pool.events]
+        assert "worker-death" in kinds and "worker-retired" in kinds
+        assert segments_alive(victim_segments) == []
+        placed = map_submissions(pool, windows[:6])
+        pool.flush()
+        assert all(f.exception(timeout=30) is None for f, _ in placed)
         assert_pool_batches_bitwise(pool, placed, {1: engine})
     finally:
         pool.close()
