@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special as _sp_special
@@ -155,6 +155,15 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features, np.float32))
         self.register_buffer("running_var", np.ones(num_features, np.float32))
 
+    def folded(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Eval-mode ``(scale, shift)`` per channel: the running statistics
+        and the affine folded into ``y = x·scale + shift`` (one multiply
+        and one add over x instead of four passes; the decoder heads
+        apply the same pair inside their fused kernel)."""
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        scale = self.weight.data * inv
+        return scale, self.bias.data - self.running_mean * scale
+
     def forward(self, x: Tensor) -> Tensor:
         x = astensor(x)
         axes = (0,) + tuple(range(2, x.ndim))
@@ -173,21 +182,19 @@ class BatchNorm(Module):
             self.running_var *= 1.0 - self.momentum
             self.running_var += self.momentum * unbiased
         else:
-            # fold running stats into one scale + shift (two passes over
-            # x instead of four; x is full-resolution in the decoder)
-            inv = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(bshape)
             if is_grad_enabled() and (x.requires_grad or
                                       self.weight.requires_grad):
-                scale = self.weight.reshape(bshape) * Tensor(inv)
+                inv = 1.0 / np.sqrt(self.running_var + self.eps)
+                scale = self.weight.reshape(bshape) \
+                    * Tensor(inv.reshape(bshape))
                 shift = self.bias.reshape(bshape) \
                     - Tensor(self.running_mean.reshape(bshape)) * scale
                 return x * scale + shift
             # running stats fold into per-channel scale/shift: constants
             # of a traced plan (recompile after loading new weights)
-            scale = self.weight.data.reshape(bshape) * inv
-            shift = self.bias.data.reshape(bshape) \
-                - self.running_mean.reshape(bshape) * scale
-            return apply("bn_affine", (x,), {"scale": scale, "shift": shift})
+            scale, shift = self.folded()
+            return apply("bn_affine", (x,), {"scale": scale.reshape(bshape),
+                                             "shift": shift.reshape(bshape)})
         norm = (x - mu) / (var + self.eps).sqrt()
         return norm * self.weight.reshape(bshape) + self.bias.reshape(bshape)
 

@@ -9,16 +9,24 @@
   the temporal axis is untouched (paper Fig. 4).
 * :class:`PatchRecover3d` / :class:`PatchRecover2d` — decoder heads that
   upsample patches back to the original mesh via transposed convolutions
-  followed by 1×1 refinement convolutions.
+  followed by 1×1 refinement convolutions; for inference the four layers
+  of a head are one ``patch_recover`` kernel that never materialises the
+  ``C``-channel full-resolution activation.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor
+from ..tensor import Tensor, is_grad_enabled
+from ..tensor import plan as _plan
+from ..tensor.ops_conv import _wide
+from ..tensor.tensor import apply
+from ..nn.layers import _k_gelu
 from ..nn import (
     BatchNorm,
     Conv2d,
@@ -131,12 +139,39 @@ class PatchMerging4d(Module):
         return self.reduction(x)
 
 
-class PatchRecover3d(Module):
-    """Recover 3-D variables: latent patches → full-resolution (u, v, w).
+class _PatchRecover(Module):
+    """ConvTranspose (kernel = stride = patch) + BatchNorm + GELU, then a
+    1×1 convolution to the physical channel count (paper §III-C).
 
-    ConvTranspose3d (kernel = stride = patch) + BatchNorm + GELU, then a
-    1×1×1 convolution to the physical channel count (paper §III-C).
+    Eval-mode and untaped, the four layers run as one ``patch_recover``
+    kernel in token space (see :func:`_k_patch_recover`), so the
+    ``C``-channel full-resolution activation is never made; training
+    (BatchNorm batch statistics) and the tape (the adjoint's nodes) run
+    the four modules.  Both read the same parameters and ``state_dict``
+    keys, and give the same bits.
     """
+
+    def forward(self, x: Tensor) -> Tensor:
+        folded, B, T = _fold_time(x)
+        # training updates the running statistics, and the adjoint walks
+        # the four layers' tape nodes: both take the modules
+        if self.training or is_grad_enabled() and (
+                folded.requires_grad
+                or any(p.requires_grad for p in self.parameters())):
+            y = self.head(self.act(self.norm(self.up(folded))))
+        else:
+            # the folded BatchNorm is a plan constant, as bn_affine's is
+            scale, shift = self.norm.folded()
+            y = apply("patch_recover",
+                      (folded, self.up.weight, self.up.bias,
+                       self.head.weight, self.head.bias),
+                      {"scale": scale, "shift": shift})
+        return _unfold_time(y, B, T)
+
+
+class PatchRecover3d(_PatchRecover):
+    """Recover 3-D variables: ``(B, C, H', W', D', T)`` latent patches →
+    full-resolution ``(B, out, H'*PH, W'*PW, D'*PD, T)`` (u, v, w)."""
 
     def __init__(self, embed_dim: int, out_channels: int,
                  patch: Tuple[int, int, int],
@@ -149,15 +184,10 @@ class PatchRecover3d(Module):
         self.act = GELU()
         self.head = Conv3d(embed_dim, out_channels, 1, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """(B, C, H', W', D', T) → (B, out, H'*PH, W'*PW, D'*PD, T)."""
-        folded, B, T = _fold_time(x)
-        y = self.head(self.act(self.norm(self.up(folded))))
-        return _unfold_time(y, B, T)
 
-
-class PatchRecover2d(Module):
-    """Recover the 2-D free-surface variable ζ at full resolution."""
+class PatchRecover2d(_PatchRecover):
+    """Recover the 2-D free-surface variable ζ at full resolution:
+    ``(B, C, H', W', T)`` → ``(B, out, H'*PH, W'*PW, T)``."""
 
     def __init__(self, embed_dim: int, out_channels: int,
                  patch: Tuple[int, int],
@@ -170,8 +200,102 @@ class PatchRecover2d(Module):
         self.act = GELU()
         self.head = Conv2d(embed_dim, out_channels, 1, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """(B, C, H', W', T) → (B, out, H'*PH, W'*PW, T)."""
-        folded, B, T = _fold_time(x)
-        y = self.head(self.act(self.norm(self.up(folded))))
-        return _unfold_time(y, B, T)
+
+# ----------------------------------------------------------------------
+# the fused head kernel
+# ----------------------------------------------------------------------
+#: whole samples per sweep, as elements of the C·P-channel activation
+#: they make (a sample larger than this is swept alone): big enough that
+#: a sweep's dozen NumPy calls vanish on the serving mesh, and no bigger,
+#: since each thread holds its block buffers for life (measured on a
+#: two-core Xeon with 2 MiB L2 per core, ms for both heads per plan
+#: replay, serving b8 / estuary b8: 8 K 4.01 / –, 32 K 3.24 / 142,
+#: 64 K 3.01 / 145, 128 K 3.02 / 141, 256 K 3.02 / 146, 512 K 2.98 /
+#: 143, 1 M 3.01 / 146; the four-layer composite 3.08 / 183)
+_RECOVER_BLOCK = 1 << 16
+#: one block's two activation buffers and its out-channel result, per
+#: thread (replicas call the kernel concurrently), grown on first use
+_recover_scratch = threading.local()
+
+
+def _recover_buffers(nbytes: int) -> np.ndarray:
+    try:
+        buf = _recover_scratch.buf
+    except AttributeError:
+        buf = None
+    if buf is None or buf.size < nbytes:
+        buf = _recover_scratch.buf = np.empty(nbytes, np.uint8)
+    return buf
+
+
+@_plan.register_kernel("patch_recover", "compute")
+def _k_patch_recover(out, ins, consts):
+    """ConvTranspose → eval BatchNorm → GELU → 1×1 conv, in token space.
+
+    ``x`` is ``(N, C, *S)`` tokens, ``w_up`` the ``(C, C, *P)``
+    transposed-conv weight with kernel = stride = ``P``, ``w_head`` the
+    ``(out, C, 1, …)`` head.  Per block of whole samples:
+
+    1. GEMM1 maps each token from ``C`` to ``C·P`` channels (``(O', C)
+       @ (C, C·P)``) and adds the transposed-conv bias;
+    2. the folded BatchNorm ``scale`` / ``shift`` are applied in place;
+    3. GELU writes a second block buffer, and the patches are
+       interleaved back into channels-first full resolution;
+    4. GEMM2 maps ``C`` to ``out`` channels;
+    5. a strided copy writes the ``out``-channel result into the mesh,
+       and the head bias is added there.
+
+    Every GEMM is the four-layer composite's, sample by sample: the
+    same operand shapes, strides and weight views (a stacked matmul
+    runs one BLAS call per sample), so the result is bitwise the
+    composite's — a GEMM over several samples' rows would change the
+    shape BLAS sees, and with it the bits of an ``out = 1`` gemv.
+    """
+    x, w_up, b_up, w_head, b_head = ins
+    N, C = x.shape[:2]
+    Co = w_head.shape[0]
+    coarse, kshape = x.shape[2:], w_up.shape[2:]
+    nd = len(kshape)
+    O1, K = math.prod(coarse), math.prod(kshape)
+    O = O1 * K
+    dtype = np.result_type(x, w_up)
+    if out is None:
+        out = np.empty((N, Co) + tuple(o * k for o, k
+                                       in zip(coarse, kshape)), dtype)
+    w1 = w_up.reshape(C, -1)                    # (C, C·K)
+    w2 = w_head.reshape(Co, -1).T               # (C, Co)
+    # per-channel constants repeated over a token's K kernel offsets, so
+    # each affine pass is a contiguous row operation
+    bias, scale, shift = (np.repeat(v, K)
+                          for v in (b_up, consts["scale"], consts["shift"]))
+    per = max(1, min(N, _RECOVER_BLOCK // (O * C)))
+    act, res_bytes = (per * O * c * dtype.itemsize for c in (C, Co))
+    step = -(-act // 64) * 64                   # 64-byte aligned starts
+    buf = _recover_buffers(2 * step + res_bytes)
+    first, second = buf[:act].view(dtype), buf[step:step + act].view(dtype)
+    res = buf[2 * step:2 * step + res_bytes].view(dtype)
+    # (n, o1, …, od, C, k1, …, kd) → (n, C, o1, k1, …, od, kd)
+    perm = (0, 1 + nd) + tuple(v for i in range(nd)
+                               for v in (1 + i, 2 + nd + i))
+    mesh_split = (C,) + tuple(v for ok in zip(coarse, kshape) for v in ok)
+    for lo in range(0, N, per):
+        n = min(per, N - lo)
+        a = first[:n * O * C].reshape(n, O1, C * K)
+        np.matmul(np.moveaxis(x[lo:lo + n], 1, -1).reshape(n, O1, C), w1,
+                  out=a)
+        a += bias
+        a *= scale
+        a += shift
+        g = second[:n * O * C].reshape(a.shape)
+        _k_gelu(g, (a,), None)
+        mesh = first[:n * O * C].reshape((n,) + mesh_split)
+        tokens = g.reshape((n,) + coarse + (C,) + kshape).transpose(perm)
+        np.copyto(_wide(mesh), _wide(tokens))
+        y = res[:n * O * Co].reshape(n, O, Co)
+        np.matmul(mesh.reshape(n, C, O).transpose(0, 2, 1), w2, out=y)
+        result = out[lo:lo + n].reshape(n, Co, O)
+        np.copyto(result, y.transpose(0, 2, 1))
+        # added in the mesh layout, as the 1×1 conv adds it: one long
+        # row per channel instead of O rows of ``out`` elements
+        result += b_head[:, None]
+    return out

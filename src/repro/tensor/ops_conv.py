@@ -77,9 +77,11 @@ def _fwd_patch(x: np.ndarray, w: np.ndarray, out_sp: Tuple[int, ...],
     Every output site reads one disjoint input patch, so the whole
     correlation collapses to a single GEMM over flattened patches —
     one pass over the input instead of one strided pass per kernel
-    offset.  This is the hot path of patch embedding (and, through
-    :func:`_grad_input`, patch recovery), where batched inference
-    spends most of its time.  With ``out`` (the compiled plan's arena
+    offset.  This is the forward of patch embedding and of every 1×1
+    convolution, and the input adjoint of a patch-recovery transposed
+    convolution (whose own forward is :func:`_grad_input_patch`; an
+    inference head runs neither, but the fused ``patch_recover`` kernel
+    of :mod:`repro.swin.patch`).  With ``out`` (the compiled plan's arena
     buffer) the final interleaving copy lands there instead of a fresh
     allocation — a copy of the same GEMM values either way, so eager
     and replay stay bitwise identical.

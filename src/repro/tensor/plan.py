@@ -24,10 +24,11 @@ the dynamic machinery:
 * **plan** — :class:`ExecutionPlan` is the flat step list plus a
   liveness analysis: every slot's last use is known, so storage-owning
   slots whose lifetimes do not overlap share bytes of one arena blob
-  (address-ordered first-fit over live byte ranges; alias groups —
-  views and in-place updates — are tracked so reuse can never clobber
-  a live input).  The plan is exactly what the tracer recorded: one
-  step per traced op, nothing rewritten afterwards.
+  (largest slot first, each at the lowest offset clear of the slots it
+  is live with; alias groups — views and in-place updates — are
+  tracked so reuse can never clobber a live input).  The plan is
+  exactly what the tracer recorded: one step per traced op, nothing
+  rewritten afterwards.
 * **replay** — a :class:`PlanExecutor` allocates the plan's arena blob
   once, binds every output view into it, then
   :meth:`PlanExecutor.run` replays the steps on raw ``np.ndarray``\\ s:
@@ -43,12 +44,13 @@ so what can differ is only a kernel's ``out=buffer`` branch and the
 tracer / packer / executor around it, and that is what the plan ≡ eager
 tests hold (no kernel is ever split or reordered).  A layer that wants
 several ufuncs in one dispatch fuses them *inside* its one registered
-kernel (``gelu``, ``layernorm``, ``bn_affine``).
+kernel (``gelu``, ``layernorm``, ``bn_affine``, ``patch_recover``).
 
 Kernels register here for the generic tensor ops and from the modules
 that own them (:mod:`repro.tensor.ops_conv` registers the conv-GEMM
-kernels, :mod:`repro.nn.layers` / :mod:`repro.nn.attention` the fused
-inference kernels) via :func:`register_kernel`.
+kernels, :mod:`repro.nn.layers` / :mod:`repro.nn.attention` /
+:mod:`repro.swin.patch` the fused inference kernels) via
+:func:`register_kernel`.
 
 Batch-shape **bucketing** (:func:`plan_buckets`) is the policy side of
 the same layer: compile plans at a few canonical batch sizes, pad
@@ -335,10 +337,11 @@ def _ensure_kernels_registered() -> None:
     """Import every module that registers kernels (idempotent).
 
     Deserialising a plan needs the full registry; in a fresh worker
-    process only this module's generic kernels exist until the conv and
-    fused-NN modules have been imported.
+    process only this module's generic kernels exist until the conv,
+    fused-NN and patch-head modules have been imported.
     """
-    for mod in ("repro.tensor", "repro.nn.layers", "repro.nn.attention"):
+    for mod in ("repro.tensor", "repro.nn.layers", "repro.nn.attention",
+                "repro.swin.patch"):
         try:
             importlib.import_module(mod)
         except ImportError as exc:
@@ -439,31 +442,35 @@ def _pack(plan: ExecutionPlan) -> None:
         group_end[spec.root] = max(group_end.get(spec.root, -1),
                                    last_use[sid])
 
-    # offset assignment into one arena blob (address-ordered
-    # first-fit over live byte ranges, the classic static memory
-    # plan): slots with disjoint lifetimes share bytes whatever
-    # their shapes, so the arena high-water tracks the live peak
-    # instead of the allocation total — this is what makes peak
-    # memory drop below the eager path
+    # offset assignment into one arena blob: slots with disjoint
+    # lifetimes share bytes whatever their shapes, so the arena
+    # high-water tracks the live peak instead of the allocation total
+    # — this is what makes peak memory drop below the eager path.
+    # Placement is largest first (birth step breaking ties), each at
+    # the lowest offset clear of every placed slot it is live with:
+    # placing in step order instead leaves holes a later, larger
+    # buffer cannot use
     align = 64
-    active: List[Tuple[int, int, int]] = []   # (offset, size, end)
-    total = 0
+    lives = []                                 # (size, born, dies, spec)
     for i, step in enumerate(plan.steps):
-        if step.kind != "compute":
-            continue
-        spec = plan.slots[step.out]
-        need = -(-spec.nbytes // align) * align
-        # a range is reusable once its whole alias group is past
-        # its last read (end < i); ranges read *during* this step
-        # (end == i) must survive until the write completes
-        active = [a for a in active if a[2] >= i]
-        active.sort()
+        if step.kind == "compute":
+            spec = plan.slots[step.out]
+            lives.append((-(-spec.nbytes // align) * align, i,
+                          group_end[spec.root], spec))
+    lives.sort(key=lambda life: (-life[0], life[1]))
+    placed: List[Tuple[int, int, int, int]] = []   # (offset, size, born, dies)
+    total = 0
+    for need, born, dies, spec in lives:
+        # live together when the lifetimes share a step: a buffer read
+        # during the step that writes another must survive the write
+        busy = sorted((o, s) for o, s, b, d in placed
+                      if b <= dies and born <= d)
         offset = 0
-        for o, s, _ in active:
+        for o, s in busy:
             if offset + need <= o:
                 break
             offset = max(offset, o + s)
-        active.append((offset, need, group_end[spec.root]))
+        placed.append((offset, need, born, dies))
         spec.phys = offset
         total = max(total, offset + need)
     plan.arena_total = total

@@ -1,16 +1,23 @@
 """Patch embed / merge / recover: shape algebra and information flow."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.swin import (
+    CoastalSurrogate,
     PatchEmbed2d,
     PatchEmbed3d,
     PatchMerging4d,
     PatchRecover2d,
     PatchRecover3d,
 )
-from repro.tensor import Tensor
+from repro.swin import patch as patch_mod
+from repro.swin.patch import _fold_time, _unfold_time
+from repro.tensor import PlanExecutor, Tensor, no_grad, trace
+from repro.tensor.gradcheck import tape_nodes
 
 
 class TestPatchEmbed3d:
@@ -108,3 +115,170 @@ class TestPatchRecover:
         pr(x).sum().backward()
         assert x.grad is not None
         assert all(p.grad is not None for p in pr.parameters())
+
+
+# ----------------------------------------------------------------------
+# the fused head: one ``patch_recover`` kernel against the four modules
+# ----------------------------------------------------------------------
+def _seeded(head, seed=5):
+    rng = np.random.default_rng(seed)
+    for p in head.parameters():
+        p.data[...] = rng.normal(scale=0.5, size=p.shape)
+    C = head.norm.num_features
+    head.norm.running_mean[...] = rng.normal(size=C)
+    head.norm.running_var[...] = rng.uniform(0.5, 2.0, size=C)
+    return head.eval()
+
+
+def _composite(head, x):
+    """The four modules, untaped: ConvTranspose → BatchNorm → GELU → 1×1."""
+    folded, B, T = _fold_time(x)
+    with no_grad():
+        y = head.head(head.act(head.norm(head.up(folded))))
+    return _unfold_time(y, B, T).data
+
+
+def _case(shape, layout, seed=6):
+    """``(array, select)``: ``select(Tensor(array))`` is the head input
+    of ``shape``, contiguous or as ``CoastalSurrogate`` hands it over —
+    a slice (3-D head) or one index (ζ head) of a depth axis one longer."""
+    rng = np.random.default_rng(seed)
+    if layout == "contiguous":
+        return rng.normal(size=shape).astype(np.float32), lambda t: t
+    if len(shape) == 6:
+        deeper = shape[:4] + (shape[4] + 1,) + shape[5:]
+        depth = slice(0, shape[4])
+    else:
+        deeper, depth = shape[:4] + (4,) + shape[4:], 3
+    return (rng.normal(size=deeper).astype(np.float32),
+            lambda t: t[:, :, :, :, depth, :])
+
+
+#: (head, input shape) on the serving mesh (C 8) and the estuary mesh
+#: (C 12), patch 4×4×2 / 4×4 as in benchmarks/e2e/workloads.py
+_HEADS = {
+    "serving-3d": (lambda: PatchRecover3d(8, 3, (4, 4, 2)), (2, 8, 4, 4, 3, 4)),
+    "serving-2d": (lambda: PatchRecover2d(8, 1, (4, 4)), (2, 8, 4, 4, 4)),
+    "estuary-3d": (lambda: PatchRecover3d(12, 3, (4, 4, 2)),
+                   (1, 12, 16, 16, 3, 8)),
+    "estuary-2d": (lambda: PatchRecover2d(12, 1, (4, 4)), (1, 12, 16, 16, 8)),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+class TestFusedHead:
+    @pytest.mark.parametrize("layout", ["contiguous", "depth-slot"])
+    @pytest.mark.parametrize("name", sorted(_HEADS))
+    def test_kernel_is_the_composite_bitwise(self, name, layout):
+        """Eager and replayed, the one kernel writes the four modules'
+        bits — the model's own input layout included."""
+        make, shape = _HEADS[name]
+        head = _seeded(make())
+        array, select = _case(shape, layout)
+        want = _composite(head, select(Tensor(array)))
+        with no_grad():
+            assert _same_bits(head(select(Tensor(array))).data, want)
+        plan, _ = trace(lambda t: head(select(t)), [array])
+        assert plan.kernel_counts()["patch_recover"] == 1
+        assert not {"conv_transpose_nd", "bn_affine", "gelu",
+                    "conv_nd"} & set(plan.kernel_counts())
+        (replayed,) = PlanExecutor(plan).run([array])
+        assert _same_bits(replayed, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["serving-3d", "serving-2d"])
+    def test_a_ragged_last_block(self, name, dtype, monkeypatch):
+        """Eight samples in blocks of three: the last block holds two
+        (and float64 tokens take GELU's erf chain in both paths)."""
+        make, shape = _HEADS[name]
+        head = _seeded(make())
+        C, coarse = shape[1], shape[2:-1]
+        per_sample = C * int(np.prod(coarse)) * int(np.prod(head.patch))
+        monkeypatch.setattr(patch_mod, "_RECOVER_BLOCK", 3 * per_sample)
+        array, select = _case(shape, "depth-slot")
+        x = select(Tensor(array.astype(dtype)))
+        assert shape[0] * shape[-1] == 8
+        with no_grad():
+            got = head(x).data
+        assert got.dtype == dtype and _same_bits(got, _composite(head, x))
+
+    def test_concurrent_threads_reproduce_serial_results(self):
+        """The block buffers are per thread: replicas inside the kernel
+        at once, on different shapes, must not see each other's blocks."""
+        names = ("serving-3d", "serving-2d", "serving-3d")
+        heads = [_seeded(_HEADS[name][0]()) for name in names]
+        inputs = [Tensor(_case(_HEADS[name][1], "contiguous", seed)[0])
+                  for seed, name in enumerate(names)]
+        with no_grad():
+            want = [head(x).data for head, x in zip(heads, inputs)]
+        start = threading.Barrier(len(heads))    # more threads than CI cores
+        got = [[] for _ in heads]
+
+        def work(i):
+            start.wait()
+            with no_grad():
+                for _ in range(10):
+                    got[i].append(heads[i](inputs[i]).data)
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(heads))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for ys, w in zip(got, want):
+            assert len(ys) == 10
+            assert all(_same_bits(y, w) for y in ys)
+
+    def test_training_forward_moves_the_running_statistics(self):
+        make, shape = _HEADS["serving-3d"]
+        head = _seeded(make()).train()
+        array, _ = _case(shape, "contiguous")
+        before = head.norm.running_mean.copy(), head.norm.running_var.copy()
+        with no_grad():
+            head(Tensor(array))
+        assert not np.array_equal(head.norm.running_mean, before[0])
+        assert not np.array_equal(head.norm.running_var, before[1])
+
+    def test_taped_forward_builds_the_composite_nodes(self):
+        """With the tape on, the adjoint walks the four layers' nodes —
+        and their forward is the kernel's, bit for bit."""
+        make, shape = _HEADS["serving-2d"]
+        head = _seeded(make())
+        array, _ = _case(shape, "contiguous")
+        x = Tensor(array, requires_grad=True)
+        out = head(x)
+        closures = {n._backward.__qualname__.split(".")[0]
+                    for n in tape_nodes(out) if n._backward is not None}
+        assert {"conv_transpose_nd", "gelu", "conv_nd"} <= closures
+        with no_grad():
+            assert _same_bits(out.data, head(Tensor(array)).data)
+        out.sum().backward()
+        assert x.grad is not None
+        assert all(p.grad is not None for p in head.parameters())
+
+    def test_surrogate_plan_runs_one_kernel_per_head(
+            self, tiny_surrogate_config):
+        """No step of the compiled model writes a C-channel array at full
+        mesh resolution: what it writes there has the input's or the
+        output's few channels."""
+        cfg = tiny_surrogate_config
+        model = CoastalSurrogate(cfg).eval()
+        (H, W, D), T = cfg.mesh, cfg.time_steps
+        shapes = [(2, cfg.n_vars_3d, H, W, D, T), (2, cfg.n_vars_2d, H, W, T)]
+        plan, _ = trace(model, [np.zeros(s, np.float32) for s in shapes])
+        assert plan.kernel_counts()["patch_recover"] == 2
+        full = [plan.slots[step.out].shape for step in plan.steps
+                if step.kind == "compute"
+                and plan.slots[step.out].shape[2:] in ((H, W, D), (H, W))]
+        assert full and all(shape[1] < cfg.embed_dim for shape in full)

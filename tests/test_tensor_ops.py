@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.nn import (BatchNorm, LayerNorm, Linear, MultiHeadSelfAttention,
                       gelu)
+from repro.swin import PatchRecover3d
 from repro.tensor import (
     PlanExecutor,
     Tensor,
@@ -504,7 +505,18 @@ def _seeded_layers():
     return lin, ln, bn, msa
 
 
+def _seeded_recover():
+    rng = np.random.default_rng(13)
+    head = PatchRecover3d(4, 3, (2, 2, 2), rng=rng)
+    for p in head.parameters():
+        p.data[...] = rng.normal(scale=0.7, size=p.shape)
+    head.norm.running_mean[...] = rng.normal(size=4)
+    head.norm.running_var[...] = rng.uniform(0.5, 2.0, size=4)
+    return head.eval()
+
+
 _LIN, _LN, _BN, _MSA = _seeded_layers()
+_RECOVER = _seeded_recover()
 _MASK = np.random.default_rng(8).random((3, 4, 5)) < 0.5
 _WINDOW_MASK = np.where(np.random.default_rng(9).random((2, 1, 6, 6)) < 0.3,
                         np.float32(-100.0), np.float32(0.0))
@@ -654,6 +666,10 @@ OP_TABLE = {
     "conv_transpose_nd": Row(
         lambda x: conv_transpose_nd(x, _CONV_T_W, _CONV_B, stride=2),
         [(2, 3, 2, 3)], None),
+    # the tape runs the head's four-layer composite, so the eager ≡ tape
+    # column is the fused kernel against it; test_swin_patch's
+    # TestFusedHead holds it on the model's shapes and layouts
+    "patch_recover": Row(lambda x: _RECOVER(x), [(2, 4, 2, 3, 2, 3)], None),
 }
 
 
