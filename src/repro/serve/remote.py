@@ -92,27 +92,30 @@ def engine_payload(engine, warm_batches: Sequence[int] = ()) -> bytes:
     Ships every plan the engine already holds (a ``deploy()`` warms the
     new engine before surging replicas — those sizes must reach the
     remotes) plus ``warm_batches``, compiled on this engine first so
-    replicas sharing one engine share the trace.
+    replicas sharing one engine share the trace.  Each batch ships as
+    its shard plan and shard count: a b8 forward of two b4 shards must
+    come back as a b8 forward, not as a b4 one.
     """
     warm = sorted({int(b) for b in warm_batches}
                   | set(getattr(engine, "compiled_batches", None) or []))
+    compiled = {b: engine.compile(b) for b in warm}
     return pickle.dumps({
         "model": engine.model,
         "normalizer": engine.normalizer,
         "boundary_width": engine.boundary_width,
-        "plans": {b: engine.compile(b).plan for b in warm},
+        "plans": {b: (c.plan, c.shards) for b, c in compiled.items()},
     }, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def build_engine(payload: bytes):
     """Rebuild a ForecastEngine from :func:`engine_payload` bytes — the
-    exact weights plus every shipped plan."""
+    exact weights plus every shipped plan, keyed by its batch."""
     spec = pickle.loads(payload)
     engine = ForecastEngine(
         spec["model"], spec["normalizer"], spec["boundary_width"])
-    for plan in spec["plans"].values():
-        key = plan.slots[plan.inputs[0]].shape
-        engine._plans[key] = CompiledForward(plan)
+    for batch, (plan, shards) in spec["plans"].items():
+        key = engine._input_shapes(batch)[0]
+        engine._plans[key] = CompiledForward(plan, shards)
     return engine
 
 

@@ -34,8 +34,11 @@ the dynamic machinery:
   :meth:`PlanExecutor.run` replays the steps on raw ``np.ndarray``\\ s:
   no Tensor objects, no graph bookkeeping, outputs written in place
   into the reused slots.  Replay is single-threaded: :meth:`run` is
-  a bare loop of kernel calls, and :meth:`PlanExecutor.profile` is
-  the same loop with a clock around each call.
+  a bare loop of kernel calls with NumPy's OpenBLAS pinned to one
+  thread (:func:`single_thread_blas`), and
+  :meth:`PlanExecutor.profile` is the same loop with a clock around
+  each call.  Parallelism is the caller's: an executor per thread, each
+  replaying its own rows (``workflow.engine.CompiledForward``).
 
 Replay is **bitwise identical** to the eager path: a primitive has one
 forward, its registered kernel, which ``apply`` calls with ``out=None``
@@ -67,6 +70,8 @@ the Tensor type when it is called.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import importlib
 import itertools
 import pickle
@@ -88,6 +93,8 @@ __all__ = [
     "trace_apply",
     "register_kernel",
     "plan_buckets",
+    "single_thread_blas",
+    "blas_threads",
 ]
 
 
@@ -598,6 +605,79 @@ def plan_buckets(max_batch: int) -> Tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
+# BLAS threads during a replay
+# ----------------------------------------------------------------------
+def _numpy_blas_setter() -> Optional[Callable[[int], int]]:
+    """OpenBLAS's ``openblas_set_num_threads_local`` as NumPy links it,
+    or ``None`` (another BLAS, or an OpenBLAS without the symbol).
+
+    Looked up through NumPy's own extension module, whose dependencies
+    ``dlsym`` searches: ``scipy.special`` maps a second OpenBLAS of its
+    own, and setting that one changes nothing NumPy calls.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:                               # NumPy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        fn = ctypes.CDLL(_multiarray_umath.__file__) \
+            .openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+    return fn
+
+
+_blas_set = _numpy_blas_setter()
+_blas_lock = threading.Lock()
+_blas_depth = 0          # replays inside single_thread_blas() right now
+_blas_saved = 0          # the thread count the first of them found
+
+
+@contextlib.contextmanager
+def single_thread_blas():
+    """Run the body with NumPy's OpenBLAS on one thread, then restore.
+
+    A replay's GEMMs are per-sample: on a two-core host OpenBLAS's
+    helper thread saves them no wall time and burns CPU the other core
+    could spend (an estuary-mesh b8 replay: 407 ms wall, 664 ms CPU
+    on two threads; 420 / 419 ms on one).  The setter is named
+    ``_local``, but on a pthreads
+    OpenBLAS it writes the process-wide count (a thread that set 1 made
+    another thread's GEMM single-threaded), so the scope is counted
+    across threads: the first replay in pins one thread, the last one
+    out restores what the first found.  Without the setter BLAS is left
+    as it is.
+    """
+    global _blas_depth, _blas_saved
+    if _blas_set is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = _blas_set(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                _blas_set(_blas_saved)
+
+
+def blas_threads() -> Optional[int]:
+    """NumPy's OpenBLAS thread count now, ``None`` without the setter
+    (read through the setter, under the scope's lock)."""
+    if _blas_set is None:
+        return None
+    with _blas_lock:
+        n = _blas_set(1)
+        _blas_set(n)
+        return n
+
+
+# ----------------------------------------------------------------------
 # executor
 # ----------------------------------------------------------------------
 class PlanExecutor:
@@ -647,14 +727,17 @@ class PlanExecutor:
             self._env[sid] = arr
 
     def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Replay the plan; returns the output arrays (arena views)."""
+        """Replay the plan under :func:`single_thread_blas`; returns the
+        output arrays (arena views)."""
         self._bind(inputs)
         env = self._env
-        for fn, out_slot, ins_spec, consts, out, rel in self._prog:
-            ins = tuple(env[r] if type(r) is int else r for r in ins_spec)
-            env[out_slot] = fn(out, ins, consts)
-            for sid in rel:
-                env[sid] = None      # fresh/view buffers free like eager
+        with single_thread_blas():
+            for fn, out_slot, ins_spec, consts, out, rel in self._prog:
+                ins = tuple(env[r] if type(r) is int else r
+                            for r in ins_spec)
+                env[out_slot] = fn(out, ins, consts)
+                for sid in rel:
+                    env[sid] = None  # fresh/view buffers free like eager
         return [env[s] for s in self.plan.outputs]
 
     def profile(self, inputs: Sequence[np.ndarray], repeats: int
@@ -663,22 +746,24 @@ class PlanExecutor:
         shape, median seconds)`` over ``repeats`` replays.
 
         :meth:`run`'s loop with a clock read around each kernel call —
-        a separate loop, so :meth:`run` itself carries no branch for it.
+        a separate loop, so :meth:`run` itself carries no branch for it
+        — under the same :func:`single_thread_blas`.
         """
         env = self._env
         clock = time.perf_counter
         samples: List[List[float]] = [[] for _ in self._prog]
-        for _ in range(repeats):
-            self._bind(inputs)       # a replay releases its input slots
-            for (fn, out_slot, ins_spec, consts, out, rel), seen \
-                    in zip(self._prog, samples):
-                ins = tuple(env[r] if type(r) is int else r
-                            for r in ins_spec)
-                t0 = clock()
-                env[out_slot] = fn(out, ins, consts)
-                seen.append(clock() - t0)
-                for sid in rel:
-                    env[sid] = None
+        with single_thread_blas():
+            for _ in range(repeats):
+                self._bind(inputs)   # a replay releases its input slots
+                for (fn, out_slot, ins_spec, consts, out, rel), seen \
+                        in zip(self._prog, samples):
+                    ins = tuple(env[r] if type(r) is int else r
+                                for r in ins_spec)
+                    t0 = clock()
+                    env[out_slot] = fn(out, ins, consts)
+                    seen.append(clock() - t0)
+                    for sid in rel:
+                        env[sid] = None
         steps, slots = self.plan.steps, self.plan.slots
         return [(i, steps[i].name, slots[steps[i].out].shape,
                  statistics.median(seen))

@@ -16,8 +16,10 @@ one-episode API as the batch-1 special case of this engine.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -119,20 +121,69 @@ class ForecastResult:
         return f.u3.nbytes + f.v3.nbytes + f.w3.nbytes + f.zeta.nbytes
 
 
-class CompiledForward:
-    """A captured model forward for one input signature.
+#: Staged input bytes per batch row (x3d + x2d, float32) from which a
+#: compiled batch replays as row shards, one per CPU, in parallel.
+#: One b8 ``forecast_batch`` per cell, median ms of 60 (serving) / 6
+#: (estuary) alternating calls, BLAS pinned on both sides, on the
+#: two-core Xeon of ``benchmarks/e2e/reference/host.json``, outputs
+#: bitwise equal:
+#:
+#:   mesh, T            bytes/row   1 × b8   2 × b4 shards
+#:   serving 16×16×6, 4   77.8 KB     10.6       12.4   (slower)
+#:   estuary 64×64×6, 8   2.49 MB      460        294   (faster)
+#:
+#: A small row's kernels are too short to pay the hand-off to a pool
+#: thread; a large row's are long, bandwidth-bound, and get a core each.
+SHARD_ROW_BYTES = 1 << 20
 
-    Holds the traced :class:`~repro.tensor.plan.ExecutionPlan` plus a
-    free-list of :class:`~repro.tensor.plan.PlanExecutor` instances:
-    executors are single-threaded by design (each owns an arena blob),
-    so concurrent engine calls each :meth:`acquire` their own and
-    :meth:`release` it once the outputs have been consumed.  The
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: the shard count of a large batch."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                    # not Linux
+        return os.cpu_count() or 1
+
+
+def _shard_pool() -> ThreadPoolExecutor:
+    """The persistent pool of ``_cpus() - 1`` threads that replays every
+    shard but a call's first (the caller replays that one itself)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cpus() - 1),
+                                       thread_name_prefix="repro-shard")
+        return _pool
+
+
+class CompiledForward:
+    """A captured model forward for one batch size.
+
+    ``plan`` is the traced :class:`~repro.tensor.plan.ExecutionPlan` of
+    one **shard**: ``rows`` batch rows, and a batch replays as
+    ``shards`` contiguous row shards of it (``shards == 1`` unless the
+    engine's rows are large, see :data:`SHARD_ROW_BYTES`).  :meth:`run`
+    replays the first shard on the calling thread and the others on the
+    shard pool, each on its own executor, all writing into one float64
+    output.  The forward is row-independent, so the bits are the
+    unsharded replay's.
+
+    Executors come from a free-list of
+    :class:`~repro.tensor.plan.PlanExecutor` instances: executors are
+    single-threaded by design (each owns an arena blob), so every shard
+    of every concurrent call :meth:`acquire`\\ s its own and
+    :meth:`release`\\ s it once its outputs have been copied out.  The
     free-list is bounded by the actual concurrency, and released
     executors are reused, so steady state allocates nothing.
     """
 
-    def __init__(self, plan):
+    def __init__(self, plan, shards: int):
         self.plan = plan
+        self.shards = shards
+        self.rows = plan.slots[plan.inputs[0]].shape[0]
         self._free: List[PlanExecutor] = []
         self._lock = threading.Lock()
         self.executors_created = 0
@@ -149,6 +200,49 @@ class CompiledForward:
     def release(self, executor: PlanExecutor) -> None:
         with self._lock:
             self._free.append(executor)
+
+    def run(self, x3d: np.ndarray, x2d: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+        """Replay ``n <= rows * shards`` staged rows; returns the model
+        outputs as float64 ``(n, 3, T, H', W', D)`` / ``(n, T, H', W')``.
+
+        Only shards holding a real row run; the last of them pads with
+        zero rows up to ``rows`` (the pad rows' outputs are dropped).
+        """
+        n, _, ph, pw, D, T = x3d.shape
+        vol = np.empty((n, 3, T, ph, pw, D))
+        zet = np.empty((n, T, ph, pw))
+        spans = [(lo, min(lo + self.rows, n))
+                 for lo in range(0, n, self.rows)]
+        pool = _shard_pool() if len(spans) > 1 else None
+        others = [pool.submit(self._run_shard, x3d, x2d, vol, zet, *span)
+                  for span in spans[1:]]
+        try:
+            self._run_shard(x3d, x2d, vol, zet, *spans[0])
+        finally:
+            for future in others:    # the outputs are written in place:
+                future.result()      # no return before every shard ends
+        return vol, zet
+
+    def _run_shard(self, x3d, x2d, vol, zet, lo: int, hi: int) -> None:
+        a3, a2 = x3d[lo:hi], x2d[lo:hi]
+        pad = self.rows - (hi - lo)
+        if pad:
+            a3 = np.concatenate([a3, np.zeros((pad,) + a3.shape[1:],
+                                              a3.dtype)])
+            a2 = np.concatenate([a2, np.zeros((pad,) + a2.shape[1:],
+                                              a2.dtype)])
+        executor = self.acquire()
+        try:
+            p3, p2 = executor.run((a3, a2))
+            # arena views: copy out (dropping pad rows) before the
+            # executor goes back on the free-list.  (m, 3, H', W', D, T)
+            # → (m, 3, T, H', W', D); ζ → (m, T, H', W'), in float64 so
+            # _finalize can restore the exact initial condition
+            vol[lo:hi] = np.moveaxis(p3[:hi - lo], -1, 2)
+            zet[lo:hi] = np.moveaxis(p2[:hi - lo, 0], -1, 1)
+        finally:
+            self.release(executor)
 
 
 class ForecastEngine:
@@ -169,9 +263,15 @@ class ForecastEngine:
     result is still bitwise identical to the unpadded eager run.  Only
     a batch larger than every compiled plan falls back to eager.
 
+    When a staged row is large (:data:`SHARD_ROW_BYTES`: the estuary
+    mesh, not the serving mesh), a compiled batch replays as row shards,
+    one per CPU, on the caller and a persistent pool of threads; eager
+    never shards.  Every replay pins NumPy's OpenBLAS to one thread
+    (:func:`~repro.tensor.plan.single_thread_blas`).
+
     A compiled plan is the traced forward as recorded — the kernels
     eager runs, in eager's order — so every path a request can take
-    (exact plan, bucket, eager) yields the same bits.
+    (exact plan, bucket, shards, eager) yields the same bits.
     """
 
     def __init__(self, model: CoastalSurrogate, normalizer: Normalizer,
@@ -229,14 +329,23 @@ class ForecastEngine:
         T = self.time_steps
         return (batch, 3, ph, pw, D, T), (batch, 1, ph, pw, T)
 
+    def _shard_rows(self, batch: int) -> int:
+        """Rows per shard of a compiled ``batch``: ``⌈batch / k⌉`` with
+        k the CPU count when a staged row holds at least
+        :data:`SHARD_ROW_BYTES`, else ``batch`` (one shard)."""
+        row = sum(int(np.prod(s[1:])) for s in self._input_shapes(1))
+        k = _cpus() if 4 * row >= SHARD_ROW_BYTES else 1
+        return -(-batch // k)
+
     def compile(self, batch: int) -> CompiledForward:
         """Capture the model forward for ``batch`` episodes.
 
         Traces one forward on zero inputs (the captured program is
-        shape-dependent only), finalizes it into a liveness-packed
-        :class:`~repro.tensor.plan.ExecutionPlan` and caches it;
-        subsequent :meth:`forecast_batch` calls with ``batch`` episodes
-        replay the plan.  Idempotent and thread-safe.
+        shape-dependent only) at :meth:`_shard_rows` rows, finalizes it
+        into a liveness-packed :class:`~repro.tensor.plan.ExecutionPlan`
+        and caches it; subsequent :meth:`forecast_batch` calls with
+        ``batch`` episodes replay the plan, once per row shard.
+        Idempotent and thread-safe.
 
         Plans bake the weights they were traced with (BatchNorm
         statistics fold into per-channel scale/shift constants, the
@@ -248,18 +357,20 @@ class ForecastEngine:
         batch = int(batch)
         if batch < 1:
             raise ValueError("compile() needs batch >= 1")
-        s3d, s2d = self._input_shapes(batch)
+        key = self._input_shapes(batch)[0]
         with self._plan_lock:
-            cached = self._plans.get(s3d)
+            cached = self._plans.get(key)
         if cached is not None:
             return cached
+        rows = self._shard_rows(batch)
         self.model.eval()
         plan, _ = _plan.trace(
             lambda a, b: self.model(a, b),
-            (np.zeros(s3d, np.float32), np.zeros(s2d, np.float32)))
+            [np.zeros(s, np.float32) for s in self._input_shapes(rows)])
         with self._plan_lock:
             # a concurrent compile of the same shape may have won
-            return self._plans.setdefault(s3d, CompiledForward(plan))
+            return self._plans.setdefault(
+                key, CompiledForward(plan, -(-batch // rows)))
 
     def compile_buckets(self, max_batch: int) -> List[int]:
         """Compile the canonical
@@ -310,7 +421,9 @@ class ForecastEngine:
             "bucket_pad_fraction": padded / total if total else 0.0,
             "bucket_hits": bucket_hits,
             "executors": sum(p.executors_created for p in plans.values()),
-            "arena_bytes": {k[0]: p.plan.arena_bytes()
+            "shards": {k[0]: p.shards for k, p in plans.items()},
+            # what one full-batch call holds: an arena per shard
+            "arena_bytes": {k[0]: p.shards * p.plan.arena_bytes()
                             for k, p in plans.items()},
         }
 
@@ -455,9 +568,9 @@ class ForecastEngine:
         sharing one model (an
         :class:`~repro.serve.pool.EngineWorkerPool` of replicas), are
         safe without locking.  The compiled path keeps the guarantee:
-        plan *executors* own mutable arena buffers, so every call
-        acquires a private executor from the plan's free-list
-        (:class:`CompiledForward`) and returns it only after the
+        plan *executors* own mutable arena buffers, so every shard of
+        every call acquires a private executor from the plan's free-list
+        (:class:`CompiledForward`) and returns it only after its
         outputs have been copied out.
         """
         references = list(references)
@@ -469,26 +582,9 @@ class ForecastEngine:
 
         self.model.eval()
         if compiled_fwd is not None:
-            if plan_batch != n:
-                pad = plan_batch - n
-                x3d = np.concatenate(
-                    [x3d, np.zeros((pad,) + x3d.shape[1:], x3d.dtype)])
-                x2d = np.concatenate(
-                    [x2d, np.zeros((pad,) + x2d.shape[1:], x2d.dtype)])
-            executor = compiled_fwd.acquire()
-            try:
-                t0 = time.perf_counter()
-                p3_arr, p2_arr = executor.run((x3d, x2d))
-                seconds = time.perf_counter() - t0
-                # the outputs are arena views — consume them (and drop
-                # any pad rows) before the executor goes back on the
-                # free-list.  (N, 3, H', W', D, T) → (N, 3, T, H', W', D);
-                # ζ → (N, T, H', W'), in float64 so _finalize can restore
-                # the exact initial condition losslessly
-                vol = np.moveaxis(p3_arr[:n], -1, 2).astype(np.float64)
-                zet = np.moveaxis(p2_arr[:n, 0], -1, 1).astype(np.float64)
-            finally:
-                compiled_fwd.release(executor)
+            t0 = time.perf_counter()
+            vol, zet = compiled_fwd.run(x3d, x2d)
+            seconds = time.perf_counter() - t0
         else:
             t0 = time.perf_counter()
             with no_grad():

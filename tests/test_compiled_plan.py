@@ -10,9 +10,12 @@ hybrid requests, under every pool routing policy, on the thread and the
 process serving backends alike.
 """
 
+import ctypes
+import dataclasses
 import os
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +37,9 @@ from repro.tensor import (
     plan_buckets,
     trace,
 )
+from repro.tensor import plan as plan_mod
 from repro.tensor.tensor import apply
+from repro.workflow import engine as engine_mod
 from repro.workflow import (
     EnsembleForecaster,
     ForecastEngine,
@@ -434,6 +439,194 @@ class TestSerialReplay:
             np.testing.assert_array_equal(got, w)
         for got, w in zip(ex.run(args), want):
             np.testing.assert_array_equal(got, w)
+
+
+@pytest.fixture()
+def shard_over(monkeypatch):
+    """Make every tiny row 'large' and the host report ``k`` CPUs."""
+    def setup(k):
+        monkeypatch.setattr(engine_mod, "SHARD_ROW_BYTES", 0)
+        monkeypatch.setattr(engine_mod, "_cpus", lambda: k)
+    return setup
+
+
+def count_replays(monkeypatch):
+    """Count ``PlanExecutor.run`` calls, on any thread."""
+    calls = []
+    run = PlanExecutor.run
+
+    def counted(self, inputs):
+        calls.append(self.plan.slots[self.plan.inputs[0]].shape[0])
+        return run(self, inputs)
+
+    monkeypatch.setattr(PlanExecutor, "run", counted)
+    return calls
+
+
+class TestRowShards:
+    @pytest.mark.parametrize("k, rows, shards", [(2, 4, 2), (3, 3, 3)])
+    def test_sharded_equals_unsharded_equals_eager(
+            self, shard_over, monkeypatch, tiny_surrogate, identity_norm,
+            windows, k, rows, shards):
+        """n = b: each shard replays its rows of the batch on its own
+        executor (3 CPUs: 3 + 3 + 2 rows, the last shard padded), and
+        the result is the one-plan replay's and eager's, bitwise."""
+        whole = ForecastEngine(tiny_surrogate, identity_norm)
+        whole.compile(8)
+        eager = ForecastEngine(tiny_surrogate, identity_norm)
+        shard_over(k)
+        sharded = ForecastEngine(tiny_surrogate, identity_norm)
+        cf = sharded.compile(8)
+        assert (cf.rows, cf.shards) == (rows, shards)
+        assert whole.compile(8).shards == 1       # compiled before the patch
+        replays = count_replays(monkeypatch)
+        got = sharded.forecast_batch(windows[:8])
+        assert replays == [rows] * shards
+        for g, w, e in zip(got, whole.forecast_batch(windows[:8]),
+                           eager.forecast_batch(windows[:8])):
+            assert g.compiled and g.plan_batch == 8 and not e.compiled
+            assert_windows_bitwise(g.fields, w.fields, "sharded vs one plan")
+            assert_windows_bitwise(g.fields, e.fields, "sharded vs eager")
+        stats = sharded.plan_stats()
+        assert stats["shards"] == {8: shards}
+        assert stats["arena_bytes"] == {8: shards * cf.plan.arena_bytes()}
+
+    @pytest.mark.parametrize("n, runs", [(5, [4, 4]), (3, [4])])
+    def test_partial_batch_pads_into_its_last_shard(
+            self, shard_over, monkeypatch, tiny_surrogate, identity_norm,
+            windows, n, runs):
+        """5 rows into a b8 bucket of two b4 shards: the second shard
+        holds one row and three pad rows.  3 rows: the second shard
+        would be pad rows only, and is not run."""
+        eager = ForecastEngine(tiny_surrogate, identity_norm)
+        shard_over(2)
+        engine = ForecastEngine(tiny_surrogate, identity_norm)
+        engine.compile(8)
+        replays = count_replays(monkeypatch)
+        got = engine.forecast_batch(windows[:n])
+        assert replays == runs
+        assert all(r.compiled and r.plan_batch == 8 for r in got)
+        for g, e in zip(got, eager.forecast_batch(windows[:n])):
+            assert_windows_bitwise(g.fields, e.fields, f"n={n}")
+        assert engine.plan_stats()["padded_rows"] == 8 - n
+
+    def test_concurrent_callers_on_one_sharded_engine(
+            self, shard_over, tiny_surrogate, identity_norm, windows):
+        shard_over(2)
+        engine = ForecastEngine(tiny_surrogate, identity_norm)
+        cf = engine.compile(4)
+        batches = [windows[0:4], windows[4:8]]
+        serial = [engine.forecast_batch(b) for b in batches]
+        results, errors = [None, None], []
+        barrier = threading.Barrier(2)
+
+        def caller(i):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(3):
+                    results[i] = engine.forecast_batch(batches[i])
+            except Exception as exc:    # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        for ser, par in zip(serial, results):
+            for s, p in zip(ser, par):
+                assert_windows_bitwise(s.fields, p.fields)
+        # two shards of each of two callers, never more executors than
+        # replays in flight at once
+        assert 2 <= cf.executors_created <= 4
+
+    def test_threshold_splits_the_two_benchmark_meshes(self, monkeypatch,
+                                                       engine,
+                                                       tiny_surrogate_config):
+        """At the real threshold the serving mesh (this config: 77.8 KB
+        a row) never shards, whatever the CPU count; the estuary mesh
+        (2.49 MB a row) shards one per CPU.  Only the config is needed
+        to decide, so no estuary model is built."""
+        monkeypatch.setattr(engine_mod, "_cpus", lambda: 8)
+        assert engine.compile(8).shards == 1
+        estuary = dataclasses.replace(tiny_surrogate_config, mesh=(64, 64, 6),
+                          time_steps=8)
+        stub = ForecastEngine(SimpleNamespace(config=estuary), None)
+        monkeypatch.setattr(engine_mod, "_cpus", lambda: 2)
+        assert stub._shard_rows(8) == 4 and stub._shard_rows(1) == 1
+
+
+needs_numpy_openblas = pytest.mark.skipif(
+    plan_mod.blas_threads() is None,
+    reason="NumPy is not linked against an OpenBLAS with "
+           "openblas_set_num_threads_local")
+
+
+@needs_numpy_openblas
+class TestSingleThreadBlas:
+    def test_pins_one_thread_inside_and_restores_after(self):
+        saved = plan_mod._blas_set(2)      # a count the pin must change
+        try:
+            before = plan_mod.blas_threads()
+            with plan_mod.single_thread_blas():
+                assert plan_mod.blas_threads() == 1
+
+                def other():
+                    with plan_mod.single_thread_blas():
+                        pass
+
+                # the count is process-wide: another thread's scope
+                # nests in this one, and its exit leaves the pin alone
+                thread = threading.Thread(target=other)
+                thread.start()
+                thread.join()
+                assert plan_mod.blas_threads() == 1
+            assert plan_mod.blas_threads() == before
+        finally:
+            plan_mod._blas_set(saved)
+
+    def test_run_and_profile_replay_on_one_blas_thread(self):
+        seen = []
+        plan, _ = trace(lambda a: a @ a, (np.ones((4, 4), np.float32),))
+        matmul = plan.steps[0].fn
+
+        def spy(out, ins, consts):
+            seen.append(plan_mod.blas_threads())
+            return matmul(out, ins, consts)
+
+        plan.steps[0] = dataclasses.replace(plan.steps[0], fn=spy)
+        before = plan_mod.blas_threads()
+        ex = PlanExecutor(plan)
+        ex.run((np.ones((4, 4), np.float32),))
+        ex.profile((np.ones((4, 4), np.float32),), 2)
+        assert seen == [1, 1, 1]
+        assert plan_mod.blas_threads() == before
+
+    def test_setter_is_numpys_openblas_not_scipys(self):
+        """``scipy.special`` maps its own OpenBLAS; pinning that one
+        would change nothing NumPy calls."""
+        import scipy
+        import scipy.special  # noqa: F401 — maps SciPy's OpenBLAS too
+
+        class DlInfo(ctypes.Structure):
+            _fields_ = [("fname", ctypes.c_char_p),
+                        ("fbase", ctypes.c_void_p),
+                        ("sname", ctypes.c_char_p),
+                        ("saddr", ctypes.c_void_p)]
+
+        info = DlInfo()
+        address = ctypes.cast(plan_mod._blas_set, ctypes.c_void_p)
+        assert ctypes.CDLL(None).dladdr(address, ctypes.byref(info))
+        found = os.path.realpath(info.fname.decode())
+        scipy_home = os.path.dirname(os.path.dirname(scipy.__file__))
+        assert "openblas" in os.path.basename(found)
+        assert not found.startswith(os.path.join(scipy_home, "scipy"))
+        numpy_libs = os.path.join(os.path.dirname(os.path.dirname(
+            np.__file__)), "numpy.libs")
+        if os.path.isdir(numpy_libs):         # a wheel: NumPy's own copy
+            assert found.startswith(os.path.realpath(numpy_libs))
 
 
 class TestBucketPolicy:

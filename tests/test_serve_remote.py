@@ -23,6 +23,7 @@ from repro.serve.remote import (
     engine_payload,
     serve_payload,
 )
+from repro.workflow import engine as engine_mod
 from repro.workflow.engine import FieldWindow, ForecastResult
 
 from conftest import assert_windows_equal, make_window
@@ -219,3 +220,23 @@ def test_payload_round_trip_is_bitwise(engine_factory, windows):
                               remote.batch_results(reply_meta, reply_arrays)):
         assert (served.compiled, served.plan_batch) == (True, 2)
         assert_windows_equal(direct.fields, served.fields)
+
+
+def test_payload_keeps_a_sharded_forward(monkeypatch, engine_factory,
+                                         windows):
+    """A b8 forward of two b4 shards ships as its shard plan plus its
+    shard count and comes back a b8 forward: a b8 batch replays sharded
+    on the rebuilt engine, bitwise, instead of falling back to eager."""
+    monkeypatch.setattr(engine_mod, "SHARD_ROW_BYTES", 0)
+    monkeypatch.setattr(engine_mod, "_cpus", lambda: 2)
+    engine = engine_factory()
+    rebuilt = build_engine(engine_payload(engine, [8]))
+    assert rebuilt.compiled_batches == [8]
+    assert rebuilt.plan_stats()["shards"] == {8: 2}
+    assert rebuilt.compile(8).rows == 4
+    eager = engine_factory()
+    for served, want in zip(rebuilt.forecast_batch(windows[:8]),
+                            eager.forecast_batch(windows[:8])):
+        assert (served.compiled, served.plan_batch) == (True, 8)
+        assert_windows_equal(served.fields, want.fields)
+    assert rebuilt.plan_stats()["misses"] == 0

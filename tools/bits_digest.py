@@ -10,7 +10,8 @@ parent and against the change gives two texts to ``diff``:
 * replay and eager model forward, and ``forecast_batch``, on
   ``SERVING_CFG`` b1 / b8 and ``ESTUARY_CFG`` b1, with the compiled
   plan's step list (names, kinds, slots, const keys), arena bytes and
-  constant count;
+  constant count, plus ``forecast_batch`` alone on ``ESTUARY_CFG`` b8
+  (the batch that replays as row shards);
 * ``sensitivity_batch`` values, storm and field gradients for every
   diagnostic (``wrt=("fields", "storm")``, b4);
 * the losses and every parameter / buffer after three Adam steps in
@@ -63,10 +64,18 @@ def forward_lines():
                    f"{hashlib.sha256(repr(steps).encode()).hexdigest()[:16]} "
                    f"steps {len(steps)} arena {plan.arena_total} "
                    f"consts {len(plan.const_arrays)}")
-            windows = wl.make_windows(np.random.default_rng([b, 9]), b, window)
-            fields = [getattr(r.fields, v)
-                      for r in engine.forecast_batch(windows) for v in wl.VARS]
-            yield f"{tag} b{b} forecast_batch {sha(fields)}"
+            yield forecast_line(engine, tag, b, window)
+    # the estuary b8 batch replays as row shards where the host has
+    # several CPUs: only what forecast_batch returns is comparable
+    engine.compile(8)
+    yield forecast_line(engine, "estuary", 8, wl.ESTUARY_WINDOW)
+
+
+def forecast_line(engine, tag, b, window):
+    windows = wl.make_windows(np.random.default_rng([b, 9]), b, window)
+    fields = [getattr(r.fields, v)
+              for r in engine.forecast_batch(windows) for v in wl.VARS]
+    return f"{tag} b{b} forecast_batch {sha(fields)}"
 
 
 def adjoint_lines():

@@ -4,7 +4,11 @@
 Compiles the surrogate forward of one benchmark configuration (the
 model configs are imported from ``benchmarks/e2e/workloads.py``, which
 this tool only reads) at one batch size, replays it through
-:meth:`repro.tensor.PlanExecutor.profile` and prints
+:meth:`repro.tensor.PlanExecutor.profile` (NumPy's OpenBLAS on one
+thread, as every replay) and prints
+
+* the split, when the batch replays as row shards (estuary b8 = 2 × b4
+  on a two-CPU host): everything below is then one shard's plan;
 
 * the per-kernel table — calls, milliseconds, share of the replay,
   microseconds per call;
@@ -47,6 +51,7 @@ import harness  # noqa: E402 — needs the two path entries above
 import run as benchmark  # noqa: E402
 import workloads  # noqa: E402
 from repro.tensor import PlanExecutor  # noqa: E402
+from repro.tensor.plan import blas_threads  # noqa: E402
 from repro.workflow import ForecastEngine  # noqa: E402
 
 CONFIGS = {"serving": workloads.SERVING_CFG,
@@ -88,7 +93,8 @@ def main(argv=None) -> int:
     engine = ForecastEngine(
         workloads.build_model(CONFIGS[args.config], seed=0),
         workloads.unit_normalizer())
-    plan = engine.compile(args.batch).plan
+    compiled = engine.compile(args.batch)
+    plan = compiled.plan
     rng = np.random.default_rng(0)
     inputs = [rng.normal(size=plan.slots[sid].shape).astype(np.float32)
               for sid in plan.inputs]
@@ -102,7 +108,14 @@ def main(argv=None) -> int:
         calls, acc = by_kernel.get(name, (0, 0.0))
         by_kernel[name] = (calls + 1, acc + sec)
 
-    print(f"{args.config} b{args.batch}: {plan.n_steps} steps, "
+    if compiled.shards > 1:
+        print(f"b{args.batch} = {compiled.shards} × b{compiled.rows} "
+              "shards, replayed in parallel: the rows below are one "
+              "shard's")
+    print("BLAS: " + ("NumPy's OpenBLAS pinned to one thread, as in run()"
+                      if blas_threads() is not None else
+                      "unpinned (no openblas_set_num_threads_local)"))
+    print(f"{args.config} b{compiled.rows}: {plan.n_steps} steps, "
           f"{1e3 * total:.2f} ms profiled (median of {args.repeats})")
     print(f"\n{'kernel':<28}{'calls':>6}{'ms':>10}{'share %':>9}"
           f"{'us/call':>10}")
