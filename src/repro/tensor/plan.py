@@ -694,6 +694,10 @@ class PlanExecutor:
         self.plan = plan
         self._blob = np.empty(plan.arena_total, np.uint8)
         self._env: List[Optional[np.ndarray]] = [None] * plan.n_slots
+        #: one zeroed buffer per input slot, owned for life: a caller may
+        #: write its inputs in place and replay ``run(executor.inputs)``
+        self.inputs = tuple(np.zeros(plan.slots[s].shape, plan.slots[s].dtype)
+                            for s in plan.inputs)
 
         # precompile the program: resolve constants, bind output views
         # into the arena blob

@@ -4,9 +4,11 @@ Every consumer of the surrogate — single-episode forecasts, ensemble
 uncertainty quantification, dual-model rollouts, multi-scenario hybrid
 serving — ultimately needs the same five steps: normalisation, mesh
 padding, episode assembly, the model forward, and denormalisation +
-cropping.  :class:`ForecastEngine` runs all five vectorised over a
-leading batch axis in a single pass, so N episodes cost one model
-forward instead of N.  The paper motivates exactly this regime: "an
+cropping.  :class:`ForecastEngine` runs N episodes through one batched
+model forward instead of N; the other four steps run row by row, each
+episode staged as one row of the model's inputs and finished from one
+row of its outputs — on a compiled batch inside the row shard that
+replays that row.  The paper motivates exactly this regime: "an
 ensemble of tens of thousands of models for uncertainty
 quantification" (§I) is only affordable when members share a forward.
 
@@ -21,18 +23,20 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.dataset import _rim_mask, assemble_episode_input_batch
-from ..data.preprocess import Normalizer, pad_mesh
+from ..data.dataset import _rim_mask
+from ..data.preprocess import Normalizer
 from ..swin.model import CoastalSurrogate
 from ..tensor import PlanExecutor, Tensor, enable_grad, no_grad
 from ..tensor import plan as _plan
 
 __all__ = ["FieldWindow", "ForecastResult", "CompiledForward",
            "ForecastEngine"]
+
+_VARS = ("u3", "v3", "w3", "zeta")
 
 
 @dataclass
@@ -87,8 +91,10 @@ class FieldWindow:
 class ForecastResult:
     """Forecast plus bookkeeping.
 
-    ``inference_seconds`` of episodes that shared a batched forward is
-    the batch wall-clock split evenly, so sums over results remain the
+    ``inference_seconds`` is the wall clock of the forward the episode
+    shared — the model call on the eager path, the longest row shard's
+    replay on the compiled path; staging and finishing are outside it
+    — split evenly over the batch, so sums over results remain the
     total time actually spent in the model.
     """
 
@@ -139,6 +145,10 @@ SHARD_ROW_BYTES = 1 << 20
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
 
+#: ``stage(inputs, lo, hi)`` / ``finish(outputs, lo, hi)``: batch rows
+#: ``lo:hi`` into / out of the leading rows of one shard's arrays
+RowCallback = Callable[[Sequence[np.ndarray], int, int], None]
+
 
 def _cpus() -> int:
     """CPUs this process may run on: the shard count of a large batch."""
@@ -166,18 +176,20 @@ class CompiledForward:
     one **shard**: ``rows`` batch rows, and a batch replays as
     ``shards`` contiguous row shards of it (``shards == 1`` unless the
     engine's rows are large, see :data:`SHARD_ROW_BYTES`).  :meth:`run`
-    replays the first shard on the calling thread and the others on the
-    shard pool, each on its own executor, all writing into one float64
-    output.  The forward is row-independent, so the bits are the
-    unsharded replay's.
+    runs the first shard on the calling thread and the others on the
+    shard pool.  A shard is the whole batch pipeline for its rows: it
+    stages them into its executor's input buffers, replays, and
+    finishes them from the executor's arena.  The forward is
+    row-independent, so the bits are the unsharded replay's.
 
     Executors come from a free-list of
     :class:`~repro.tensor.plan.PlanExecutor` instances: executors are
-    single-threaded by design (each owns an arena blob), so every shard
-    of every concurrent call :meth:`acquire`\\ s its own and
-    :meth:`release`\\ s it once its outputs have been copied out.  The
-    free-list is bounded by the actual concurrency, and released
-    executors are reused, so steady state allocates nothing.
+    single-threaded by design (each owns an arena blob and its input
+    buffers), so every shard of every concurrent call
+    :meth:`acquire`\\ s its own and :meth:`release`\\ s it once its rows
+    are finished.  The free-list is bounded by the actual concurrency,
+    and released executors are reused, so steady state allocates no
+    arena and no input buffer.
     """
 
     def __init__(self, plan, shards: int):
@@ -201,46 +213,44 @@ class CompiledForward:
         with self._lock:
             self._free.append(executor)
 
-    def run(self, x3d: np.ndarray, x2d: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray]:
-        """Replay ``n <= rows * shards`` staged rows; returns the model
-        outputs as float64 ``(n, 3, T, H', W', D)`` / ``(n, T, H', W')``.
+    def run(self, n: int, stage: RowCallback, finish: RowCallback
+            ) -> float:
+        """Run batch rows ``0 .. n − 1`` (``n <= rows * shards``);
+        returns the forward's seconds: the longest shard's replay.
 
-        Only shards holding a real row run; the last of them pads with
-        zero rows up to ``rows`` (the pad rows' outputs are dropped).
+        Only shards holding a real row run.  Each calls
+        ``stage(executor.inputs, lo, hi)`` to write its batch rows
+        ``lo:hi`` into the leading rows of its executor's input
+        buffers, zeroes the pad rows after them (their outputs are
+        never read), replays, and calls ``finish(outputs, lo, hi)`` on
+        the output arena views, which are valid only until the executor
+        is released.
         """
-        n, _, ph, pw, D, T = x3d.shape
-        vol = np.empty((n, 3, T, ph, pw, D))
-        zet = np.empty((n, T, ph, pw))
         spans = [(lo, min(lo + self.rows, n))
                  for lo in range(0, n, self.rows)]
         pool = _shard_pool() if len(spans) > 1 else None
-        others = [pool.submit(self._run_shard, x3d, x2d, vol, zet, *span)
+        others = [pool.submit(self._run_shard, stage, finish, *span)
                   for span in spans[1:]]
         try:
-            self._run_shard(x3d, x2d, vol, zet, *spans[0])
+            seconds = self._run_shard(stage, finish, *spans[0])
         finally:
-            for future in others:    # the outputs are written in place:
-                future.result()      # no return before every shard ends
-        return vol, zet
+            for future in others:    # rows are finished in place: no
+                future.result()      # return before every shard ends
+        return max([seconds] + [future.result() for future in others])
 
-    def _run_shard(self, x3d, x2d, vol, zet, lo: int, hi: int) -> None:
-        a3, a2 = x3d[lo:hi], x2d[lo:hi]
-        pad = self.rows - (hi - lo)
-        if pad:
-            a3 = np.concatenate([a3, np.zeros((pad,) + a3.shape[1:],
-                                              a3.dtype)])
-            a2 = np.concatenate([a2, np.zeros((pad,) + a2.shape[1:],
-                                              a2.dtype)])
+    def _run_shard(self, stage: RowCallback, finish: RowCallback,
+                   lo: int, hi: int) -> float:
         executor = self.acquire()
         try:
-            p3, p2 = executor.run((a3, a2))
-            # arena views: copy out (dropping pad rows) before the
-            # executor goes back on the free-list.  (m, 3, H', W', D, T)
-            # → (m, 3, T, H', W', D); ζ → (m, T, H', W'), in float64 so
-            # _finalize can restore the exact initial condition
-            vol[lo:hi] = np.moveaxis(p3[:hi - lo], -1, 2)
-            zet[lo:hi] = np.moveaxis(p2[:hi - lo, 0], -1, 1)
+            inputs = executor.inputs
+            stage(inputs, lo, hi)
+            for buf in inputs:       # pad rows hold zeros, never the
+                buf[hi - lo:] = 0    # rows of an earlier call
+            t0 = time.perf_counter()
+            outputs = executor.run(inputs)
+            seconds = time.perf_counter() - t0
+            finish(outputs, lo, hi)  # arena views: read before release
+            return seconds
         finally:
             self.release(executor)
 
@@ -268,6 +278,14 @@ class ForecastEngine:
     one per CPU, on the caller and a persistent pool of threads; eager
     never shards.  Every replay pins NumPy's OpenBLAS to one thread
     (:func:`~repro.tensor.plan.single_thread_blas`).
+
+    Staging (normalise → pad → rim-mask assembly, :meth:`_stage_rows`)
+    and finishing (denormalise → crop → initial-condition restore,
+    :meth:`_finish_rows`) run one row at a time.  On the compiled path
+    each shard runs them for its own rows, straight into its
+    executor's input buffers and straight out of its arena, so no
+    batch-wide staged, output or denormalised array exists; the eager
+    and adjoint paths stage the same rows into fresh buffers.
 
     A compiled plan is the traced forward as recorded — the kernels
     eager runs, in eager's order — so every path a request can take
@@ -429,7 +447,8 @@ class ForecastEngine:
 
     # ------------------------------------------------------------------
     def _check_batch(self, references: Sequence[FieldWindow]) -> None:
-        """Every window is one model episode long, all on one mesh."""
+        """Every window is one model episode long, all on one mesh that
+        fits inside the model's."""
         T = self.time_steps
         base = references[0]
         for i, r in enumerate(references):
@@ -442,44 +461,74 @@ class ForecastEngine:
                     raise ValueError(
                         "all windows of a batch must share one mesh; "
                         f"window {i} has {var} {got} != {want}")
+        (H, W), (ph, pw) = base.zeta.shape[1:3], self.pad_hw
+        if H > ph or W > pw:
+            raise ValueError(
+                f"request mesh ({H}, {W}) exceeds the model mesh "
+                f"({ph}, {pw})")
 
-    def _normalize_batch(self, references: Sequence[FieldWindow]
-                         ) -> Dict[str, np.ndarray]:
-        """Stack, normalise and pad N windows: (N, T, H', W'[, D])."""
+    def _stage_rows(self, references: Sequence[FieldWindow],
+                    x3d: np.ndarray, x2d: np.ndarray) -> None:
+        """Stage validated windows as the leading rows of the model
+        inputs ``x3d`` (·, 3, H', W', D, T) / ``x2d`` (·, 1, H', W', T).
+
+        Per window and variable: normalise in float32, keep only the
+        boundary rim in slots 1..T−1, and copy once into the T-last
+        row; the mesh pad (rows H.., columns W..) is written with
+        zeros, so whatever a row held before never matters.  The bits
+        are those of :meth:`Normalizer.normalize` →
+        :func:`~repro.data.preprocess.pad_mesh` →
+        :func:`~repro.data.dataset.assemble_episode_input_batch`.
+        """
         ph, pw = self.pad_hw
-        stacks = {
-            "u3": np.stack([r.u3 for r in references]),
-            "v3": np.stack([r.v3 for r in references]),
-            "w3": np.stack([r.w3 for r in references]),
-            "zeta": np.stack([r.zeta for r in references]),
-        }
-        out = {}
-        for var, arr in stacks.items():
-            a = self.normalizer.normalize(var, arr.astype(np.float32))
-            out[var] = pad_mesh(a, ph, pw, axes=(2, 3))
-        return out
-
-    # ------------------------------------------------------------------
-    def _prepare_inputs(self, references: Sequence[FieldWindow]
-                        ) -> Tuple[np.ndarray, np.ndarray,
-                                   Tuple[int, int]]:
-        """Validate N windows, then :meth:`_stage` them."""
-        self._check_batch(references)
-        return self._stage(references)
+        H, W = references[0].zeta.shape[1:3]
+        rim = _rim_mask(ph, pw, self.boundary_width, np.float32)[:H, :W]
+        mean, std = self.normalizer.mean, self.normalizer.std
+        for r, row3, row2 in zip(references, x3d, x2d):
+            for var, dst in zip(_VARS, (*row3, row2[0])):
+                a = np.subtract(getattr(r, var), mean[var],
+                                dtype=np.float32)
+                a /= std[var] + Normalizer.EPS
+                a[1:] *= rim if var == "zeta" else rim[:, :, None]
+                dst[:H, :W] = np.moveaxis(a, 0, -1)
+                dst[H:] = 0
+                dst[:H, W:] = 0
 
     def _stage(self, references: Sequence[FieldWindow]
                ) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
-        """Normalise and assemble N validated windows into the model's
-        (x3d, x2d) inputs; returns them with the (H, W) crop of the
-        request mesh."""
-        norm = self._normalize_batch(references)
-        x3d, x2d = assemble_episode_input_batch(
-            norm["u3"], norm["v3"], norm["w3"], norm["zeta"],
-            self.boundary_width)
-        x3d = np.ascontiguousarray(x3d, dtype=np.float32)
-        x2d = np.ascontiguousarray(x2d, dtype=np.float32)
+        """Stage N validated windows into fresh (x3d, x2d) model inputs
+        (the eager and adjoint paths); returns them with the (H, W)
+        crop of the request mesh."""
+        x3d, x2d = (np.empty(s, np.float32)
+                    for s in self._input_shapes(len(references)))
+        self._stage_rows(references, x3d, x2d)
+        return x3d, x2d, references[0].zeta.shape[1:3]
+
+    def _finish_rows(self, references: Sequence[FieldWindow],
+                     p3: np.ndarray, p2: np.ndarray) -> List[FieldWindow]:
+        """Fields of validated windows from the leading rows of the
+        model outputs ``p3`` (·, 3, H', W', D, T) / ``p2`` (·, 1, H',
+        W', T): per window and variable one float64 multiply by
+        (std + EPS), ``+= mean``, cropped to the request mesh, then the
+        exact initial condition restored — the bits of
+        :meth:`Normalizer.denormalize` on the outputs cast to float64.
+        """
         H, W = references[0].zeta.shape[1:3]
-        return x3d, x2d, (H, W)
+        mean, std = self.normalizer.mean, self.normalizer.std
+        out = []
+        for r, row3, row2 in zip(references, p3, p2):
+            fields = []
+            for var, src in zip(_VARS, (*row3, row2[0])):
+                src = np.moveaxis(src[:H, :W], -1, 0)    # (T, H, W[, D])
+                a = np.empty(src.shape)
+                np.multiply(src, std[var] + Normalizer.EPS, out=a,
+                            dtype=np.float64)
+                a += mean[var]
+                # the initial condition is known exactly — keep it
+                a[0] = getattr(r, var)[0]
+                fields.append(a)
+            out.append(FieldWindow(*fields))
+        return out
 
     def _lookup_plan(self, shape: Tuple[int, ...]
                      ) -> Tuple[Optional[CompiledForward], Optional[int]]:
@@ -509,33 +558,6 @@ class ForecastEngine:
             self.padded_rows += plan_batch - n
             self.total_rows += plan_batch
             return self._plans[(plan_batch,) + tail], plan_batch
-
-    def _finalize(self, references: Sequence[FieldWindow],
-                  vol: np.ndarray, zet: np.ndarray, seconds: float, *,
-                  compiled: bool, plan_batch: Optional[int]
-                  ) -> List[ForecastResult]:
-        """Denormalise, crop to the request mesh, restore the exact
-        initial condition and wrap per-episode results."""
-        H, W = references[0].zeta.shape[1:3]
-        u3 = self.normalizer.denormalize("u3", vol[:, 0])[:, :, :H, :W]
-        v3 = self.normalizer.denormalize("v3", vol[:, 1])[:, :, :H, :W]
-        w3 = self.normalizer.denormalize("w3", vol[:, 2])[:, :, :H, :W]
-        zeta = self.normalizer.denormalize("zeta", zet)[:, :, :H, :W]
-
-        per_episode = seconds / len(references)
-        results: List[ForecastResult] = []
-        for i, r in enumerate(references):
-            fields = FieldWindow(
-                np.ascontiguousarray(u3[i]), np.ascontiguousarray(v3[i]),
-                np.ascontiguousarray(w3[i]), np.ascontiguousarray(zeta[i]))
-            # the initial condition is known exactly — keep it
-            fields.u3[0], fields.v3[0], fields.w3[0] = \
-                r.u3[0], r.v3[0], r.w3[0]
-            fields.zeta[0] = r.zeta[0]
-            results.append(ForecastResult(fields, per_episode,
-                                          compiled=compiled,
-                                          plan_batch=plan_batch))
-        return results
 
     def forecast_batch(self, references: Sequence[FieldWindow]
                        ) -> List[ForecastResult]:
@@ -568,34 +590,43 @@ class ForecastEngine:
         sharing one model (an
         :class:`~repro.serve.pool.EngineWorkerPool` of replicas), are
         safe without locking.  The compiled path keeps the guarantee:
-        plan *executors* own mutable arena buffers, so every shard of
-        every call acquires a private executor from the plan's free-list
-        (:class:`CompiledForward`) and returns it only after its
-        outputs have been copied out.
+        plan *executors* own mutable arena and input buffers, so every
+        shard of every call acquires a private executor from the plan's
+        free-list (:class:`CompiledForward`), stages its rows into that
+        executor's buffers, and returns it only after its rows are
+        finished.
         """
         references = list(references)
         if not references:
             return []
         n = len(references)
-        x3d, x2d, _ = self._prepare_inputs(references)
-        compiled_fwd, plan_batch = self._lookup_plan(x3d.shape)
+        self._check_batch(references)
+        compiled_fwd, plan_batch = self._lookup_plan(
+            self._input_shapes(n)[0])
 
         self.model.eval()
         if compiled_fwd is not None:
-            t0 = time.perf_counter()
-            vol, zet = compiled_fwd.run(x3d, x2d)
-            seconds = time.perf_counter() - t0
+            fields: List[Optional[FieldWindow]] = [None] * n
+
+            def stage(inputs, lo, hi):
+                self._stage_rows(references[lo:hi], *inputs)
+
+            def finish(outputs, lo, hi):
+                fields[lo:hi] = self._finish_rows(references[lo:hi],
+                                                  *outputs)
+
+            seconds = compiled_fwd.run(n, stage, finish)
         else:
+            x3d, x2d, _ = self._stage(references)
             t0 = time.perf_counter()
             with no_grad():
                 p3d, p2d = self.model(Tensor(x3d), Tensor(x2d))
             seconds = time.perf_counter() - t0
-            vol = np.moveaxis(p3d.data, -1, 2).astype(np.float64)
-            zet = np.moveaxis(p2d.data[:, 0], -1, 1).astype(np.float64)
+            fields = self._finish_rows(references, p3d.data, p2d.data)
 
-        return self._finalize(references, vol, zet, seconds,
-                              compiled=compiled_fwd is not None,
-                              plan_batch=plan_batch)
+        return [ForecastResult(f, seconds / n,
+                               compiled=compiled_fwd is not None,
+                               plan_batch=plan_batch) for f in fields]
 
     # ------------------------------------------------------------------
     # adjoint / sensitivity path
@@ -743,7 +774,7 @@ class ForecastEngine:
                     t2 = Tensor(x2d, requires_grad=True)
                     _, p2d = self.model(t3, t2)
                     # ζ head → (N, T, H', W') → denormalise → crop:
-                    # the in-graph mirror of _finalize's numpy epilogue
+                    # the in-graph mirror of _finish_rows' epilogue
                     z = p2d[:, 0].transpose(0, 3, 1, 2) \
                         .astype(np.float64) * std_z + mean_z
                     z = z[:, :, :H, :W]

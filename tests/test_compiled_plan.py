@@ -13,7 +13,9 @@ process serving backends alike.
 import ctypes
 import dataclasses
 import os
+import sys
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -25,7 +27,7 @@ from conftest import (  # noqa: F401 — shared serving fixtures
     make_window,
 )
 
-from repro.data import Normalizer
+from repro.data import Normalizer, assemble_episode_input_batch, pad_mesh
 from repro.physics import Verifier
 from repro.serve import EngineWorkerPool, ForecastServer, MicroBatchScheduler
 from repro.tensor import (
@@ -556,6 +558,214 @@ class TestRowShards:
         stub = ForecastEngine(SimpleNamespace(config=estuary), None)
         monkeypatch.setattr(engine_mod, "_cpus", lambda: 2)
         assert stub._shard_rows(8) == 4 and stub._shard_rows(1) == 1
+
+
+def composite_stage(engine, windows):
+    """The batch-wide staging the row stager replaced, through the
+    public data functions — stack, cast, ``Normalizer.normalize``,
+    ``pad_mesh``, ``assemble_episode_input_batch`` — kept as its
+    oracle."""
+    ph, pw = engine.pad_hw
+    norm = {}
+    for var in VARS:
+        stack = np.stack([getattr(w, var) for w in windows])
+        a = engine.normalizer.normalize(var, stack.astype(np.float32))
+        norm[var] = pad_mesh(a, ph, pw, axes=(2, 3))
+    x3d, x2d = assemble_episode_input_batch(
+        norm["u3"], norm["v3"], norm["w3"], norm["zeta"],
+        engine.boundary_width)
+    return np.ascontiguousarray(x3d), np.ascontiguousarray(x2d)
+
+
+def shard_inputs(engine, windows, rows, bucket):
+    """Bytes of each shard's staged inputs for ``windows`` padded into
+    ``bucket`` rows: the composite's rows, then zero pad rows."""
+    x3d, x2d = composite_stage(engine, windows)
+    pad = bucket - len(windows)
+    x3d = np.concatenate([x3d, np.zeros((pad,) + x3d.shape[1:], x3d.dtype)])
+    x2d = np.concatenate([x2d, np.zeros((pad,) + x2d.shape[1:], x2d.dtype)])
+    return [x3d[lo:lo + rows].tobytes() + x2d[lo:lo + rows].tobytes()
+            for lo in range(0, len(windows), rows)]
+
+
+def spy_staged(monkeypatch):
+    """Record the bytes every ``PlanExecutor.run`` replays, on any
+    thread, and require them to be the executor's own input buffers."""
+    staged, lock = [], threading.Lock()
+    run = PlanExecutor.run
+
+    def spy(self, inputs):
+        assert all(a is b for a, b in zip(inputs, self.inputs))
+        blob = b"".join(a.tobytes() for a in inputs)
+        with lock:
+            staged.append(blob)
+        return run(self, inputs)
+
+    monkeypatch.setattr(PlanExecutor, "run", spy)
+    return staged
+
+
+def offset_norm():
+    """Statistics under which normalise and denormalise both round."""
+    return Normalizer({v: 0.1 for v in VARS}, {v: 1.5 for v in VARS})
+
+
+class TestRowStaging:
+    """Staging and finishing run per row — inside each shard on the
+    compiled path — held bitwise to the batch-wide composites they
+    replaced."""
+
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stager_is_the_composite_bitwise(self, tiny_surrogate, n,
+                                             width, dtype):
+        engine = ForecastEngine(tiny_surrogate, offset_norm(),
+                                boundary_width=width)
+        wins = [engine_mod.FieldWindow(*(getattr(make_window(s), v)
+                                         .astype(dtype) for v in VARS))
+                for s in range(n)]
+        want3, want2 = composite_stage(engine, wins)
+        x3d, x2d, crop = engine._stage(wins)
+        assert crop == wins[0].zeta.shape[1:] != engine.pad_hw
+        # a reused buffer still holds an earlier call's rows
+        old3, old2 = np.full_like(want3, np.nan), np.full_like(want2, 7.0)
+        engine._stage_rows(wins, old3, old2)
+        for got3, got2 in ((x3d, x2d), (old3, old2)):
+            assert got3.dtype == got2.dtype == np.float32
+            assert got3.tobytes() == want3.tobytes()
+            assert got2.tobytes() == want2.tobytes()
+        # tobytes sees signed zeros: the masked interior holds -0.0
+        assert np.signbit(want3[want3 == 0]).any()
+
+    def test_finisher_is_the_old_epilogue_bitwise(self, tiny_surrogate,
+                                                  windows):
+        engine = ForecastEngine(tiny_surrogate, offset_norm())
+        refs = windows[:3]
+        r = np.random.default_rng(4)
+        p3, p2 = (r.normal(size=s).astype(np.float32)
+                  for s in engine._input_shapes(3))
+        got = engine._finish_rows(refs, p3, p2)
+        # the batch-wide epilogue it replaced, written out
+        H, W = refs[0].zeta.shape[1:]
+        norm = engine.normalizer
+        vol = np.moveaxis(p3, -1, 2).astype(np.float64)
+        zet = np.moveaxis(p2[:, 0], -1, 1).astype(np.float64)
+        want = {var: norm.denormalize(var, vol[:, c])[:, :, :H, :W]
+                for c, var in enumerate(VARS[:3])}
+        want["zeta"] = norm.denormalize("zeta", zet)[:, :, :H, :W]
+        for i, (g, ref) in enumerate(zip(got, refs)):
+            for var in VARS:
+                w = np.ascontiguousarray(want[var][i])
+                w[0] = getattr(ref, var)[0]       # exact initial condition
+                a = getattr(g, var)
+                assert a.dtype == np.float64 and a.flags.c_contiguous
+                assert a.tobytes() == w.tobytes(), var
+
+    def test_reused_buffers_hold_no_earlier_rows(
+            self, shard_over, monkeypatch, tiny_surrogate):
+        """b8, then b5 (bucket 8: the second shard holds one row and
+        three pad rows), then b8, different windows each time — the
+        first on the full model mesh, so a stale row or a stale
+        mesh-pad cell would show.  Every replay's inputs are the
+        composite's rows with zero pad rows, and every result is a
+        fresh engine's."""
+        shard_over(2)
+        engine = ForecastEngine(tiny_surrogate, offset_norm())
+        engine.compile(8)
+        ph, pw = engine.pad_hw
+        staged = spy_staged(monkeypatch)
+        calls = [[make_window(100 + s, h=ph, w=pw) for s in range(8)],
+                 [make_window(200 + s) for s in range(5)],
+                 [make_window(300 + s) for s in range(8)]]
+        for batch in calls:
+            fresh = ForecastEngine(tiny_surrogate, offset_norm())
+            fresh.compile(8)
+            want = fresh.forecast_batch(batch)
+            staged.clear()
+            got = engine.forecast_batch(batch)
+            assert sorted(staged) == sorted(
+                shard_inputs(engine, batch, rows=4, bucket=8))
+            for g, w in zip(got, want):
+                assert g.compiled and g.plan_batch == 8
+                assert_windows_bitwise(g.fields, w.fields)
+        assert engine.plan_stats()["executors"] == 2
+
+    def test_concurrent_shards_stage_into_their_own_executors(
+            self, shard_over, monkeypatch, tiny_surrogate, identity_norm):
+        """Two callers on one sharded engine, a short switch interval:
+        every replay runs on its own executor's input buffers, and
+        what it replays is exactly one shard of one caller's batch."""
+        shard_over(2)
+        engine = ForecastEngine(tiny_surrogate, identity_norm)
+        engine.compile(8)
+        batches = [[make_window(400 + 8 * i + s) for s in range(8)]
+                   for i in range(2)]
+        shards = set()
+        for b in batches:
+            shards.update(shard_inputs(engine, b, rows=4, bucket=8))
+        serial = [engine.forecast_batch(b) for b in batches]
+        staged = spy_staged(monkeypatch)
+        results, errors = [None, None], []
+        barrier = threading.Barrier(2)
+
+        def caller(i):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(3):
+                    results[i] = engine.forecast_batch(batches[i])
+            except Exception as exc:    # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(staged) == 12 and set(staged) <= shards
+        for ser, par in zip(serial, results):
+            for s, p in zip(ser, par):
+                assert_windows_bitwise(s.fields, p.fields)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_inference_seconds_is_the_forward_alone(
+            self, shard_over, monkeypatch, tiny_surrogate, identity_norm,
+            windows, compiled):
+        """Staging and finishing run inside a shard's span, but
+        ``inference_seconds`` stays the forward: the longest shard's
+        replay, or eager's model call."""
+        shard_over(2)
+        engine = ForecastEngine(tiny_surrogate, identity_norm)
+        if compiled:
+            engine.compile(8)
+        delay = 0.25
+
+        def slowed(fn):
+            def slow(*args, **kwargs):
+                time.sleep(delay)
+                return fn(*args, **kwargs)
+            return slow
+
+        for name in ("_stage_rows", "_finish_rows"):
+            monkeypatch.setattr(ForecastEngine, name,
+                                slowed(getattr(ForecastEngine, name)))
+        t0 = time.perf_counter()
+        got = engine.forecast_batch(windows[:8])
+        assert time.perf_counter() - t0 >= 2 * delay
+        assert all(r.compiled is compiled for r in got)
+        assert sum(r.inference_seconds for r in got) < delay
+
+    def test_request_mesh_larger_than_the_model_raises(self, engine):
+        ph, pw = engine.pad_hw
+        with pytest.raises(ValueError, match="exceeds the model mesh"):
+            engine.forecast_batch([make_window(0, h=ph + 1, w=pw)])
 
 
 needs_numpy_openblas = pytest.mark.skipif(

@@ -337,7 +337,8 @@ def test_tape_forward_and_leaf_gradients_are_float32(grad_engine,
     """The grad-mode model forward sensitivity_batch runs stays in the
     inputs' float32 (a float64 Python-scalar constant used to promote
     every GELU / LayerNorm of the tape), and so do the leaf gradients."""
-    x3d, x2d, _ = grad_engine._prepare_inputs([ref_window])
+    grad_engine._check_batch([ref_window])
+    x3d, x2d, _ = grad_engine._stage([ref_window])
     assert x3d.dtype == x2d.dtype == np.float32
     model = grad_engine.model
     model.eval()

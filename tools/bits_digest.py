@@ -11,7 +11,8 @@ parent and against the change gives two texts to ``diff``:
   ``SERVING_CFG`` b1 / b8 and ``ESTUARY_CFG`` b1, with the compiled
   plan's step list (names, kinds, slots, const keys), arena bytes and
   constant count, plus ``forecast_batch`` alone on ``ESTUARY_CFG`` b8
-  (the batch that replays as row shards);
+  (the batch that replays as row shards) and then b5 (bucketed into
+  b8: a partial last shard on reused executor buffers);
 * ``sensitivity_batch`` values, storm and field gradients for every
   diagnostic (``wrt=("fields", "storm")``, b4);
 * the losses and every parameter / buffer after three Adam steps in
@@ -66,9 +67,12 @@ def forward_lines():
                    f"consts {len(plan.const_arrays)}")
             yield forecast_line(engine, tag, b, window)
     # the estuary b8 batch replays as row shards where the host has
-    # several CPUs: only what forecast_batch returns is comparable
+    # several CPUs: only what forecast_batch returns is comparable.  b5
+    # then pads into the b8 bucket on the executors b8 left behind: a
+    # partial last shard staged into reused input buffers
     engine.compile(8)
     yield forecast_line(engine, "estuary", 8, wl.ESTUARY_WINDOW)
+    yield forecast_line(engine, "estuary", 5, wl.ESTUARY_WINDOW)
 
 
 def forecast_line(engine, tag, b, window):
