@@ -96,6 +96,14 @@ def main():
         assert all(np.array_equal(wave_results[0].fields.zeta,
                                   r.fields.zeta) for r in wave_results)
 
+        # the engines' own plan counters, read before the hot-swap
+        # retires version 1's engine
+        plans = list(server.pool.plan_stats().values())
+        replays = sum(p["hits"] for p in plans)
+        forwards = replays + sum(p["misses"] for p in plans)
+        computed = sum(p["total_rows"] for p in plans)
+        pad = sum(p["padded_rows"] for p in plans) / max(computed, 1)
+
         # a new checkpoint lands: hot-swap it through the live pool.
         # The roll surges a warmed version-2 replica before draining
         # each version-1 replica, so capacity never drops; the result
@@ -127,11 +135,9 @@ def main():
     print(f"  engine forwards        : {metrics['batches']:.0f} "
           f"(mean occupancy {metrics['mean_occupancy']:.2f}, "
           f"max {metrics['max_occupancy']:.0f})")
-    print(f"  compiled plan replays  : {metrics['plan_batches']:.0f} "
-          f"of {metrics['batches']:.0f} forwards "
-          f"(bucket set warmed, partial batches padded in; "
-          f"pad fraction {metrics['bucket_pad_fraction']:.2f}; "
-          f"bitwise ≡ eager)")
+    print(f"  compiled plan replays  : {replays} of {forwards} version-1 "
+          f"forwards (bucket set warmed, partial batches padded in; "
+          f"pad fraction {pad:.2f}; bitwise ≡ eager)")
     print(f"  latency p50 / p95      : {metrics['latency_p50_ms']:.1f} / "
           f"{metrics['latency_p95_ms']:.1f} ms")
     print(f"  cache hits / misses    : {metrics['cache_hits']:.0f} / "

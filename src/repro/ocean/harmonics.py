@@ -30,9 +30,6 @@ class HarmonicFit:
     phases: Dict[str, float]         # per constituent [rad]
     residual_rms: float              # RMS of the unfitted remainder [m]
 
-    def amplitude_vector(self, names: Sequence[str]) -> np.ndarray:
-        return np.array([self.amplitudes[n] for n in names])
-
 
 def fit_constituents(times: np.ndarray, series: np.ndarray,
                      constituents: Sequence[TidalConstituent]

@@ -61,10 +61,6 @@ class BasinReport:
     latencies: List[float] = field(default_factory=list)
 
     @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.offered if self.offered else 0.0
-
-    @property
     def hit_rate(self) -> float:
         done = self.served + self.cached
         return self.cached / done if done else 0.0

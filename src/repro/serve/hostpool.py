@@ -156,17 +156,15 @@ class HostWorker(RemoteWorker):
     Parameters
     ----------
     engine: the :class:`~repro.workflow.engine.ForecastEngine` to
-        replicate to the remote rank (model, normalizer, plans are
-        pickled across **once**, at spawn).
+        replicate to the remote rank (model, normalizer and every plan
+        it holds are pickled across **once**, at spawn).
     fabric: ``"socket"`` (spawned child over TCP loopback — real wire)
         or ``"sim"`` (in-process deterministic fabric).
-    warm_batches: batch sizes whose compiled plans ship with the
-        payload.
     heartbeat_s: remote heartbeat period; the worker is declared dead
         after ``4 × heartbeat_s`` of radio silence.  ``0`` disables
         heartbeats (and deadline-based death detection with them).
     request_timeout: optional per-request ceiling [s] for
-        ``forecast_batch``/``compile``/``plan_stats``.  Expiry condemns
+        ``forecast_batch``/``plan_stats``.  Expiry condemns
         the worker (:class:`HostWorkerDied`), as on the process tier.
     """
 
@@ -175,14 +173,13 @@ class HostWorker(RemoteWorker):
     Died = HostWorkerDied
 
     def __init__(self, engine, fabric: str = "socket",
-                 warm_batches: Sequence[int] = (),
                  on_death: Optional[Callable[["HostWorker"], None]] = None,
                  request_timeout: Optional[float] = None,
                  heartbeat_s: float = 2.0):
         if fabric not in ("socket", "sim"):
             raise ValueError(
                 f"unknown fabric {fabric!r}: expected 'socket' or 'sim'")
-        super().__init__(engine, warm_batches, on_death, request_timeout)
+        super().__init__(engine, on_death, request_timeout)
         self.fabric = fabric
         self.heartbeat_s = float(heartbeat_s)
         self._silence_limit = 4.0 * self.heartbeat_s
@@ -228,8 +225,9 @@ class HostWorker(RemoteWorker):
                 "net_wait_s": self.transport_wait_s,
                 "frame_bytes": self.transport_bytes,
                 # the client never has two requests in flight, so this is
-                # a constant; ROADMAP item 1(c)'s benchmark-only change
-                # deletes the key with its benchmark metric
+                # a constant; the benchmark-only change of the ROADMAP
+                # item "Re-baseline the record" deletes the key with its
+                # benchmark metric
                 "inflight_depth": min(self.batches, 1)}
 
     # -- transport --------------------------------------------------------

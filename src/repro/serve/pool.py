@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hpc.serving import ServingCapacityModel
-from ..tensor import plan_buckets
 from ..workflow.engine import FieldWindow, ForecastResult
 from .hostpool import HostWorker
 from .procpool import ProcessWorker
@@ -429,11 +428,6 @@ class EngineWorkerPool:
         ``False`` gives the deterministic manual mode — the caller
         drives the queues with :meth:`flush` (or per-worker
         ``pool.workers[i].scheduler.step()``).
-    warm_plans: compile each engine's inference plan for ``max_batch``
-        at startup (replicas sharing one
-        :class:`~repro.workflow.engine.ForecastEngine` share its plan
-        cache, so the trace happens once per distinct engine); see
-        :class:`~repro.serve.scheduler.MicroBatchScheduler`.
     backend: where replicas execute.  ``"thread"`` (default) runs every
         replica in-process — cheap replicas, but on the pure-NumPy
         backend they all serialise on the GIL.  ``"process"`` wraps
@@ -468,8 +462,7 @@ class EngineWorkerPool:
     def __init__(self, engines, replicas: Optional[int] = None,
                  max_batch: int = 8, max_queue: int = 32,
                  router: str = "least-outstanding",
-                 autostart: bool = True, warm_plans: bool = False,
-                 backend: str = "thread", fabric: str = "socket"):
+                 autostart: bool = True, backend: str = "thread", fabric: str = "socket"):
         if hasattr(engines, "forecast_batch"):
             engines = [engines]
         engines = list(engines)
@@ -499,7 +492,6 @@ class EngineWorkerPool:
         self._manual = not autostart
         self._closed = False
         self._max_batch = int(max_batch)
-        self._warm_plans = bool(warm_plans)
         if backend != "thread" and backend not in _REMOTE_WORKERS:
             raise ValueError(
                 f"unknown backend {backend!r}; use 'thread', 'process' "
@@ -758,32 +750,39 @@ class EngineWorkerPool:
         return ServingCapacityModel.from_batch_log(self.metrics.batches)
 
     # -- control plane: topology ----------------------------------------
+    def _warm(self, engine, sizes: Sequence[int] = ()) -> None:
+        """Trace the plans a replica of ``engine`` is born with: the
+        engine's bucket set for ``max_batch`` plus ``sizes``, so every
+        micro-batch — full or partial — replays a compiled plan from
+        the first flush.  An engine without ``compile_buckets`` serves
+        eager.  Replicas sharing one engine share its plan cache, so
+        the trace happens once per distinct engine."""
+        if hasattr(engine, "compile_buckets"):
+            engine.compile_buckets(self._max_batch)
+            for b in sizes:
+                engine.compile(b)
+
     def _make_worker(self, engine, version: int) -> _Worker:
         """Construct one fully-warmed replica (not yet routable).
 
-        Process/host backends: the engine is wrapped in the backend's
-        :class:`~repro.serve.remote.RemoteWorker` whose remote is
-        spawned, warmed (every plan already compiled on the engine
-        ships with the payload, plus the whole ``max_batch`` bucket set
-        when the pool warms plans — so partial batches hit compiled
-        buckets from the first flush) and handshaken *here* — before
-        the replica can become routable — so traffic never reaches a
-        cold or half-born child.
+        The engine is warmed first (:meth:`_warm`).  Process/host
+        backends then wrap it in the backend's
+        :class:`~repro.serve.remote.RemoteWorker`, whose remote is
+        spawned with every plan the engine holds and handshaken *here*
+        — before the replica can become routable — so traffic never
+        reaches a cold or half-born child.
         """
-        warm = self._warm_plans and hasattr(engine, "compile")
+        self._warm(engine)
         executor = engine
         if self.backend in _REMOTE_WORKERS:
             executor = _REMOTE_WORKERS[self.backend](
-                engine,
-                warm_batches=plan_buckets(self._max_batch)
-                if warm else (),
-                **self._remote_kwargs)
+                engine, **self._remote_kwargs)
             with self._route_lock:
                 self._spawn_log.append(executor.spawn_seconds)
         try:
             scheduler = MicroBatchScheduler(
                 executor, max_batch=self._max_batch,
-                autostart=not self._manual, warm_plans=warm)
+                autostart=not self._manual)
         except BaseException:
             # the remote is already spawned: without this its child and
             # shm segments would outlive the failed construction
@@ -859,10 +858,10 @@ class EngineWorkerPool:
                    kind: str = "scale-up", detail: str = "") -> _Worker:
         """Spawn one replica and admit it to routing; returns it.
 
-        The replica is fully constructed — scheduler, worker thread,
-        compiled-plan warmup when the pool warms plans — *before* it
-        becomes routable, so scaling up never exposes a cold replica to
-        traffic.  With no ``engine`` the current version's engine is
+        The replica is fully constructed — compiled-plan warmup,
+        scheduler, worker thread — *before* it becomes routable, so
+        scaling up never exposes a cold replica to traffic.  With no
+        ``engine`` the current version's engine is
         shared (the standard scale-up; replicas sharing one
         :class:`~repro.workflow.engine.ForecastEngine` also share its
         plan cache, so the warmup is a cache hit).
@@ -923,11 +922,11 @@ class EngineWorkerPool:
         and retired.  Capacity therefore never drops below the
         pre-deploy width and nothing is shed on the deploy's account.
 
-        An engine that can ``compile`` is warmed *before* the pool is
-        touched: the sizes the outgoing engines had compiled plus the
-        whole ``max_batch`` bucket set, so partial batches keep hitting
-        compiled plans across the version roll.  A warmup failure
-        raises :class:`DeploymentError` with the pool untouched.
+        An engine that can ``compile_buckets`` is warmed *before* the
+        pool is touched: the whole ``max_batch`` bucket set plus the
+        sizes the outgoing engines had compiled, so partial batches keep
+        hitting compiled plans across the version roll.  A warmup
+        failure raises :class:`DeploymentError` with the pool untouched.
 
         Parameters
         ----------
@@ -960,18 +959,14 @@ class EngineWorkerPool:
                 old_version = self.current_version
             # 1. warm the new engine before touching the pool: a failed
             # warmup must leave serving exactly as it was
-            if hasattr(engine, "compile"):
-                sizes = set(plan_buckets(self._max_batch))
-                for w in old_workers:
-                    sizes.update(
-                        getattr(w.engine, "compiled_batches", None) or [])
-                try:
-                    for b in sorted(sizes):
-                        engine.compile(b)
-                except BaseException as exc:
-                    raise DeploymentError(
-                        f"warmup of {source!r} failed; pool unchanged "
-                        f"(still serving version {old_version})") from exc
+            held = sorted({b for w in old_workers for b in
+                           getattr(w.engine, "compiled_batches", None) or ()})
+            try:
+                self._warm(engine, held)
+            except BaseException as exc:
+                raise DeploymentError(
+                    f"warmup of {source!r} failed; pool unchanged "
+                    f"(still serving version {old_version})") from exc
             # 2. register the version and roll replica by replica
             with self._route_lock:
                 version = max(self.versions) + 1

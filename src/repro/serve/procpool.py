@@ -246,12 +246,10 @@ class ProcessWorker(RemoteWorker):
     Parameters
     ----------
     engine: the :class:`~repro.workflow.engine.ForecastEngine` to
-        replicate into the child (its model, normalizer and boundary
-        configuration are pickled across **once**, at spawn).
-    warm_batches: batch sizes whose compiled plans ship with the
-        payload — compiled on the parent engine first (replicas sharing
-        one engine share the trace), so the child starts warm without
-        ever tracing.
+        replicate into the child (its model, normalizer, boundary
+        configuration and every plan it holds are pickled across
+        **once**, at spawn, so the child starts warm without ever
+        tracing).
     on_death: callback invoked exactly once, with this worker, when the
         child process is found dead — by a request, or by the watchdog
         while idle.  It runs with no lock held, so it may close the
@@ -271,10 +269,10 @@ class ProcessWorker(RemoteWorker):
     Error = ProcessWorkerError
     Died = ProcessWorkerDied
 
-    def __init__(self, engine, warm_batches: Sequence[int] = (),
+    def __init__(self, engine,
                  on_death: Optional[Callable[["ProcessWorker"], None]] = None,
                  request_timeout: Optional[float] = None):
-        super().__init__(engine, warm_batches, on_death, request_timeout)
+        super().__init__(engine, on_death, request_timeout)
         self._token = f"repro-{secrets.token_hex(4)}"
         ctx = get_context(SPAWN_METHOD)
         conn, child_conn = ctx.Pipe(duplex=True)

@@ -6,19 +6,20 @@ descriptor fabric (:mod:`repro.serve.hostpool`) — is the same three
 things on every tier, and this module owns each of them exactly once:
 
 * the **payload** (:func:`engine_payload` / :func:`build_engine`): the
-  model weights plus every compiled
-  :class:`~repro.tensor.plan.ExecutionPlan`, pickled across **once** at
-  spawn (steps travel by kernel name and rebind from the registry,
-  constants by value — bit-exact), so the remote engine starts warm
-  without ever tracing;
+  model weights plus every :class:`~repro.tensor.plan.ExecutionPlan`
+  the parent engine holds, pickled across **once** at spawn (steps
+  travel by kernel name and rebind from the registry, constants by
+  value — bit-exact), so the remote engine starts warm without ever
+  tracing — which plans those are is the pool's call, made on the
+  parent engine before the spawn;
 * the **service** (:class:`EngineService`): the op table (``batch``,
-  ``compile``, ``compile_buckets``, ``plan_stats``, ``stop``) and the
-  one serve loop with the one error policy — a failing request is
-  reported to its caller and the loop keeps serving;
+  ``plan_stats``, ``stop``) and the one serve loop with the one error
+  policy — a failing request is reported to its caller and the loop
+  keeps serving;
 * the **client** (:class:`RemoteWorker`): the batch-executor surface the
-  scheduler drives (``forecast_batch`` / ``time_steps`` / ``compile`` /
-  ``compile_buckets`` / ``plan_stats``) over the one exchange — send a
-  request, await the reply that echoes its ``seq``, copy it out — plus
+  scheduler drives (``forecast_batch`` / ``time_steps`` /
+  ``plan_stats``) over the one exchange — send a request, await the
+  reply that echoes its ``seq``, copy it out — plus
   the watchdog that condemns a remote dying while idle, death
   bookkeeping and child shutdown.
 
@@ -58,7 +59,6 @@ from typing import (Callable, Dict, List, NoReturn, Optional, Sequence,
 
 import numpy as np
 
-from ..tensor import plan_buckets
 from ..workflow.engine import (CompiledForward, FieldWindow, ForecastEngine,
                                ForecastResult)
 
@@ -86,19 +86,13 @@ class ChannelClosed(Exception):
 # ----------------------------------------------------------------------
 # payload: the engine, shipped once
 # ----------------------------------------------------------------------
-def engine_payload(engine, warm_batches: Sequence[int] = ()) -> bytes:
-    """Pickle everything a remote rank needs to rebuild ``engine``.
-
-    Ships every plan the engine already holds (a ``deploy()`` warms the
-    new engine before surging replicas — those sizes must reach the
-    remotes) plus ``warm_batches``, compiled on this engine first so
-    replicas sharing one engine share the trace.  Each batch ships as
-    its shard plan and shard count: a b8 forward of two b4 shards must
-    come back as a b8 forward, not as a b4 one.
+def engine_payload(engine) -> bytes:
+    """Pickle everything a remote rank needs to rebuild ``engine``:
+    its weights and staging configuration, and every plan it holds.
+    Each batch ships as its shard plan and shard count: a b8 forward of
+    two b4 shards must come back as a b8 forward, not as a b4 one.
     """
-    warm = sorted({int(b) for b in warm_batches}
-                  | set(getattr(engine, "compiled_batches", None) or []))
-    compiled = {b: engine.compile(b) for b in warm}
+    compiled = {b: engine.compile(b) for b in engine.compiled_batches}
     return pickle.dumps({
         "model": engine.model,
         "normalizer": engine.normalizer,
@@ -136,17 +130,14 @@ class EngineService:
         self.stopped = False
         self._ops: Dict[str, Callable[[dict, Sequence], _Reply]] = {
             "batch": self._batch,
-            "compile": self._compile,
-            "compile_buckets": self._compile_buckets,
             "plan_stats": self._plan_stats,
             "stop": self._stop,
         }
 
     def hello(self) -> dict:
-        """The ``ready`` handshake: who serves, and what is warm."""
-        return {"pid": os.getpid(),
-                "time_steps": self.engine.time_steps,
-                "compiled": sorted(self.engine.compiled_batches)}
+        """The ``ready`` handshake: who serves, and for how long an
+        episode."""
+        return {"pid": os.getpid(), "time_steps": self.engine.time_steps}
 
     def handle(self, op: str, meta: dict,
                arrays: Sequence[np.ndarray] = ()) -> _Reply:
@@ -167,14 +158,6 @@ class EngineService:
                  "results": [(r.inference_seconds, r.compiled, r.plan_batch)
                              for r in results]},
                 [getattr(r.fields, var) for r in results for var in _VARS])
-
-    def _compile(self, meta, arrays) -> _Reply:
-        self.engine.compile(meta["batch"])
-        return {"compiled": self.engine.compiled_batches}, ()
-
-    def _compile_buckets(self, meta, arrays) -> _Reply:
-        self.engine.compile_buckets(meta["max_batch"])
-        return {"compiled": self.engine.compiled_batches}, ()
 
     def _plan_stats(self, meta, arrays) -> _Reply:
         return {"stats": self.engine.plan_stats()}, ()
@@ -297,8 +280,7 @@ class RemoteWorker:
     #: the remote (or the link to it) is gone
     Died = RuntimeError
 
-    def __init__(self, engine, warm_batches: Sequence[int],
-                 on_death: Optional[Callable],
+    def __init__(self, engine, on_death: Optional[Callable],
                  request_timeout: Optional[float]):
         for attr in ("model", "normalizer", "boundary_width"):
             if not hasattr(engine, attr):
@@ -324,12 +306,11 @@ class RemoteWorker:
         self._watchdog: Optional[threading.Thread] = None
         self._watch_stop = threading.Event()
         self._state_lock = threading.Lock()     # counters + flags below
-        self._compiled: set = set()
         self._closed = False
         self._dead = False
         self._notified = False
         self._death_reason = ""
-        self._payload = engine_payload(engine, warm_batches)
+        self._payload = engine_payload(engine)
         self.payload_bytes = len(self._payload)
         self._spawn_t0 = time.perf_counter()
 
@@ -344,7 +325,6 @@ class RemoteWorker:
             raise self.Error(f"bad handshake: {op!r}")
         self.pid = meta["pid"]
         self._time_steps = meta["time_steps"]
-        self._compiled = set(meta["compiled"])
         self.spawn_seconds = time.perf_counter() - self._spawn_t0
         self._watchdog = threading.Thread(
             target=self._watch, daemon=True,
@@ -366,12 +346,6 @@ class RemoteWorker:
         """Why the worker was condemned; ``""`` while it lives."""
         return self._death_reason
 
-    @property
-    def compiled_batches(self) -> List[int]:
-        """Batch sizes the remote engine holds a compiled plan for."""
-        with self._state_lock:
-            return sorted(self._compiled)
-
     def forecast_batch(self, references: Sequence[FieldWindow]
                        ) -> List[ForecastResult]:
         """Marshal one micro-batch to the remote engine and wait.
@@ -386,27 +360,6 @@ class RemoteWorker:
             return []
         return batch_results(
             *self._call("batch", *batch_request(references)))
-
-    def compile(self, batch: int) -> None:
-        """Have the remote engine compile (or confirm) a plan for
-        ``batch`` episodes; plans shipped at spawn are installed."""
-        if int(batch) not in self.compiled_batches:
-            self._compiled_reply(
-                self._call("compile", {"batch": int(batch)}, ()))
-
-    def compile_buckets(self, max_batch: int) -> None:
-        """Have the remote engine compile the canonical
-        :func:`~repro.tensor.plan.plan_buckets` set for
-        ``max_batch``, so its partial micro-batches pad into compiled
-        buckets instead of running eager."""
-        max_batch = int(max_batch)
-        if not set(plan_buckets(max_batch)) <= set(self.compiled_batches):
-            self._compiled_reply(self._call(
-                "compile_buckets", {"max_batch": max_batch}, ()))
-
-    def _compiled_reply(self, reply: _Reply) -> None:
-        with self._state_lock:
-            self._compiled.update(reply[0]["compiled"])
 
     def plan_stats(self) -> Dict[str, object]:
         """The remote engine's plan counters plus this side's

@@ -229,12 +229,6 @@ class ServeMetrics:
         return sum(b.failed for b in self.batches)
 
     @property
-    def plan_batches(self) -> int:
-        """Micro-batches served by a compiled inference plan (plan-cache
-        hits at the granularity metrics are kept at)."""
-        return sum(b.compiled for b in self.batches)
-
-    @property
     def engine_seconds(self) -> float:
         """Cumulative wall-clock inside engine calls, all batches."""
         return sum(b.seconds for b in self.batches)
@@ -251,32 +245,6 @@ class ServeMetrics:
         (forward + backward; the adjoint analogue of
         ``engine_seconds``)."""
         return sum(b.seconds for b in self.batches if b.kind == "gradient")
-
-    @property
-    def padded_rows(self) -> int:
-        """Pad rows added by batch-shape bucketing (a partial batch
-        replaying a larger plan computes ``plan_batch - size`` wasted
-        rows)."""
-        return sum(b.plan_batch - b.size for b in self.batches
-                   if b.plan_batch is not None and b.plan_batch > b.size)
-
-    @property
-    def bucket_pad_fraction(self) -> float:
-        """Padded rows / rows actually computed — how much forward
-        compute the bucket choice wastes.  0.0 means every micro-batch
-        hit a plan of exactly its size (or ran eager)."""
-        computed = sum(b.plan_batch if b.plan_batch is not None else b.size
-                       for b in self.batches)
-        return self.padded_rows / computed if computed else 0.0
-
-    def bucket_hits(self) -> Dict[int, int]:
-        """Micro-batches served per plan bucket (plan batch size →
-        count); eager batches are not counted."""
-        hist: Dict[int, int] = {}
-        for b in self.batches:
-            if b.plan_batch is not None:
-                hist[b.plan_batch] = hist.get(b.plan_batch, 0) + 1
-        return dict(sorted(hist.items()))
 
     @property
     def mean_occupancy(self) -> float:
@@ -311,8 +279,6 @@ class ServeMetrics:
             "requests": self.n_requests,
             "batches": self.n_batches,
             "failed_batches": self.n_failed_batches,
-            "plan_batches": self.plan_batches,
-            "bucket_pad_fraction": self.bucket_pad_fraction,
             "mean_occupancy": self.mean_occupancy,
             "max_occupancy": self.max_occupancy,
             "latency_p50_ms": 1e3 * self.latency_percentile(50),
@@ -338,37 +304,17 @@ class MicroBatchScheduler:
     autostart: start the worker thread (threaded mode).  With
         ``False`` the caller drives the queue via :meth:`step` /
         :meth:`flush` (manual mode — deterministic, thread-free).
-    warm_plans: compile the engine's inference plans for the whole
-        **bucket set** of ``max_batch`` at startup (requires an engine
-        exposing ``compile``, i.e. a
-        :class:`~repro.workflow.engine.ForecastEngine` or a
-        :class:`~repro.serve.procpool.ProcessWorker` proxying one) —
-        every power of two up to ``max_batch`` plus ``max_batch``
-        itself, per :func:`~repro.tensor.plan.plan_buckets`.
-        After warmup **every** micro-batch replays a compiled plan: a
-        full batch hits its exact plan, a partial batch
-        zero-pads into the nearest larger bucket and its outputs slice
-        back (bitwise-identical to the unpadded eager run, at the cost
-        of up to just-under-2× padded rows — watch
-        ``ServeMetrics.bucket_pad_fraction``).  Engines without
-        ``compile_buckets`` warm ``max_batch`` only.
+
+    The scheduler runs whatever plans its engine holds; which those
+    are is decided where replicas are made
+    (:class:`~repro.serve.pool.EngineWorkerPool`).
     """
 
-    def __init__(self, engine, max_batch: int = 8, autostart: bool = True,
-                 warm_plans: bool = False):
+    def __init__(self, engine, max_batch: int = 8, autostart: bool = True):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.engine = engine
         self.max_batch = int(max_batch)
-        if warm_plans:
-            if not hasattr(engine, "compile"):
-                raise ValueError(
-                    "warm_plans=True needs an engine with compile(); "
-                    f"{type(engine).__name__} has none")
-            if hasattr(engine, "compile_buckets"):
-                engine.compile_buckets(self.max_batch)
-            else:
-                engine.compile(self.max_batch)
         self.metrics = ServeMetrics()
         self._queue: Deque[_Request] = deque()
         self._lock = threading.Lock()

@@ -94,12 +94,6 @@ class ForecastServer:
     cache_bytes: result-cache budget; 0 disables caching.
     ocean, verifier: hybrid-run dependencies; required only when
         :meth:`submit_hybrid` is used.
-    warm_plans: compile each engine's inference plan for ``max_batch``
-        at startup so saturated micro-batches replay a captured plan
-        (bitwise-identical to eager, just faster and allocation-free).
-        The default (``None``) warms exactly when every engine supports
-        ``compile`` — i.e. real
-        :class:`~repro.workflow.engine.ForecastEngine` replicas.
     backend, fabric: replica execution tier —
         ``backend="process"`` runs each replica's engine in a child
         process behind shared-memory transport, escaping the GIL;
@@ -124,19 +118,13 @@ class ForecastServer:
                  workers: Optional[int] = None,
                  router: str = "least-outstanding",
                  max_queue: int = 32,
-                 warm_plans: Optional[bool] = None,
                  backend: str = "thread", fabric: str = "socket",
                  autostart: bool = True):
-        if warm_plans is None:
-            candidates = engine if isinstance(engine, (list, tuple)) \
-                else [engine]
-            warm_plans = all(hasattr(e, "compile") for e in candidates)
         if max_wait < 0:
             raise ValueError("max_wait must be >= 0")
         self.pool = EngineWorkerPool(engine, replicas=workers,
                                      max_batch=max_batch,
                                      max_queue=max_queue, router=router,
-                                     warm_plans=warm_plans,
                                      backend=backend, fabric=fabric,
                                      autostart=autostart)
         self.cache = ForecastCache(cache_bytes) if cache_bytes > 0 else None
@@ -408,10 +396,10 @@ class ForecastServer:
 
     # -- observability --------------------------------------------------
     def metrics(self) -> Dict[str, float]:
-        """Pool-wide occupancy/latency/shed (incl. ``plan_batches``,
-        the micro-batches that replayed a compiled plan,
+        """Pool-wide occupancy/latency/shed (incl.
         ``engine_version``/``deploys``/``scale_events`` from the
-        control plane) plus cache effectiveness."""
+        control plane) plus cache effectiveness; the plan counters are
+        the engines' own (``pool.plan_stats()``)."""
         out = self.pool.metrics.summary()
         out["deduped_requests"] = self.deduped_requests
         if self.cache is not None:

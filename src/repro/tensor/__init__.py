@@ -13,15 +13,13 @@ Public surface:
 * :mod:`~repro.tensor.plan` — compiled inference plans: :func:`trace`
   captures a forward as an :class:`ExecutionPlan` (one step per traced
   op, liveness-packed into one arena blob); a :class:`PlanExecutor`
-  replays it allocation-free on raw arrays; :func:`plan_buckets` is
-  the batch-shape bucketing policy.
+  replays it allocation-free on raw arrays.
 """
 
 from .plan import (
     ExecutionPlan,
     PlanExecutor,
     TraceError,
-    plan_buckets,
     trace,
     tracing,
 )
@@ -67,5 +65,4 @@ __all__ = [
     "TraceError",
     "trace",
     "tracing",
-    "plan_buckets",
 ]

@@ -55,13 +55,6 @@ kernels, :mod:`repro.nn.layers` / :mod:`repro.nn.attention` /
 :mod:`repro.swin.patch` the fused inference kernels) via
 :func:`register_kernel`.
 
-Batch-shape **bucketing** (:func:`plan_buckets`) is the policy side of
-the same layer: compile plans at a few canonical batch sizes, pad
-undersized micro-batches up to the nearest bucket and slice outputs
-back (row-independence of the forward makes the sliced result
-bitwise-identical to the unpadded run), so the plan cache hits at any
-arrival pattern instead of falling back to eager.
-
 This module imports nothing from :mod:`repro.tensor.tensor` at module
 scope (which imports it for the registry and the trace state):
 :func:`trace_apply` works on plain arrays, and :func:`trace` imports
@@ -92,7 +85,6 @@ __all__ = [
     "tracing",
     "trace_apply",
     "register_kernel",
-    "plan_buckets",
     "single_thread_blas",
     "blas_threads",
 ]
@@ -227,11 +219,6 @@ class ExecutionPlan:
     @property
     def n_slots(self) -> int:
         return len(self.slots)
-
-    @property
-    def n_buffers(self) -> int:
-        """Storage-owning (arena-backed) slots."""
-        return sum(1 for s in self.slots if s.phys is not None)
 
     def kernel_counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -579,29 +566,6 @@ def _flatten(x) -> List[Any]:
             out.extend(_flatten(item))
         return out
     return [x]
-
-
-# ----------------------------------------------------------------------
-# batch-shape bucketing policy
-# ----------------------------------------------------------------------
-def plan_buckets(max_batch: int) -> Tuple[int, ...]:
-    """Canonical batch sizes to compile for a ``max_batch`` scheduler.
-
-    Powers of two up to ``max_batch``, plus ``max_batch`` itself
-    (e.g. ``8 → (1, 2, 4, 8)``, ``6 → (1, 2, 4, 6)``).  An undersized
-    micro-batch pads to the nearest bucket above it, so the worst-case
-    padding overhead is bounded at just under 2× rows while the plan
-    cache stays small.
-    """
-    max_batch = int(max_batch)
-    if max_batch < 1:
-        raise ValueError("plan_buckets() needs max_batch >= 1")
-    sizes = {max_batch}
-    b = 1
-    while b < max_batch:
-        sizes.add(b)
-        b *= 2
-    return tuple(sorted(sizes))
 
 
 # ----------------------------------------------------------------------

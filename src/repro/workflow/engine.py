@@ -169,6 +169,20 @@ def _shard_pool() -> ThreadPoolExecutor:
         return _pool
 
 
+def _plan_buckets(max_batch: int) -> List[int]:
+    """The batch sizes :meth:`ForecastEngine.compile_buckets` compiles
+    for ``max_batch``: powers of two below it, plus ``max_batch``."""
+    max_batch = int(max_batch)
+    if max_batch < 1:
+        raise ValueError("compile_buckets() needs max_batch >= 1")
+    sizes = {max_batch}
+    b = 1
+    while b < max_batch:
+        sizes.add(b)
+        b *= 2
+    return sorted(sizes)
+
+
 class CompiledForward:
     """A captured model forward for one batch size.
 
@@ -391,18 +405,21 @@ class ForecastEngine:
                 key, CompiledForward(plan, -(-batch // rows)))
 
     def compile_buckets(self, max_batch: int) -> List[int]:
-        """Compile the canonical
-        :func:`~repro.tensor.plan.plan_buckets` set (powers of
-        two up to and including ``max_batch``), so
-        :meth:`forecast_batch` hits the plan cache at any batch size up
-        to ``max_batch``: a partial batch pads into the nearest bucket
-        instead of falling back to eager.  Returns the bucket sizes,
-        ascending.
+        """Compile the bucket set of ``max_batch`` — every power of two
+        below it plus ``max_batch`` itself (``8 → 1, 2, 4, 8``;
+        ``6 → 1, 2, 4, 6``) — so :meth:`forecast_batch` hits the plan
+        cache at any batch size up to ``max_batch``: a partial batch
+        pads into the nearest bucket above it (under 2× rows) instead
+        of falling back to eager.  Returns the bucket sizes, ascending.
+
+        This is the one place that knows the bucket set: a serving pool
+        calls it for every replica it makes, and a remote replica
+        inherits whatever plans its parent engine holds.
         """
-        buckets = _plan.plan_buckets(max_batch)
+        buckets = _plan_buckets(max_batch)
         for b in buckets:
             self.compile(b)
-        return list(buckets)
+        return buckets
 
     def clear_plans(self) -> None:
         """Drop every cached plan (required after retraining: folded

@@ -36,7 +36,6 @@ from repro.tensor import (
     TraceError,
     concatenate,
     no_grad,
-    plan_buckets,
     trace,
 )
 from repro.tensor import plan as plan_mod
@@ -46,6 +45,7 @@ from repro.workflow import (
     EnsembleForecaster,
     ForecastEngine,
     HybridWorkflow,
+    SurrogateForecaster,
 )
 
 POLICIES = ("round-robin", "least-outstanding", "key-affinity")
@@ -840,27 +840,30 @@ class TestSingleThreadBlas:
 
 
 class TestBucketPolicy:
+    """The bucket set ``ForecastEngine.compile_buckets`` compiles."""
+
     def test_powers_of_two_capped_at_max(self):
-        assert plan_buckets(1) == (1,)
-        assert plan_buckets(2) == (1, 2)
-        assert plan_buckets(4) == (1, 2, 4)
-        assert plan_buckets(8) == (1, 2, 4, 8)
+        assert engine_mod._plan_buckets(1) == [1]
+        assert engine_mod._plan_buckets(2) == [1, 2]
+        assert engine_mod._plan_buckets(4) == [1, 2, 4]
+        assert engine_mod._plan_buckets(8) == [1, 2, 4, 8]
 
     def test_non_power_max_batch_is_kept_as_top_bucket(self):
-        assert plan_buckets(6) == (1, 2, 4, 6)
-        assert plan_buckets(3) == (1, 2, 3)
+        assert engine_mod._plan_buckets(6) == [1, 2, 4, 6]
+        assert engine_mod._plan_buckets(3) == [1, 2, 3]
 
-    def test_invalid_max_batch(self):
-        with pytest.raises(ValueError):
-            plan_buckets(0)
+    def test_invalid_max_batch(self, engine):
+        with pytest.raises(ValueError, match="max_batch"):
+            engine.compile_buckets(0)
+        assert engine.compiled_batches == []
 
 
 class TestBucketedServing:
     def test_scheduler_mixed_sizes_zero_misses(self, engine, tiny_surrogate,
                                                identity_norm, windows):
         eager = ForecastEngine(tiny_surrogate, identity_norm)
-        sched = MicroBatchScheduler(engine, max_batch=4, autostart=False,
-                                    warm_plans=True)
+        engine.compile_buckets(4)
+        sched = MicroBatchScheduler(engine, max_batch=4, autostart=False)
         want = {}
         sizes = (1, 3, 2, 4, 1, 2)
         start = 0
@@ -876,10 +879,8 @@ class TestBucketedServing:
         stats = engine.plan_stats()
         assert stats["misses"] == 0
         assert stats["hits"] == len(sizes)
-        assert set(stats["bucket_hits"]) <= set(plan_buckets(4))
-        m = sched.metrics
-        assert m.plan_batches == len(sizes)
-        assert all(b.compiled for b in m.batches)
+        assert set(stats["bucket_hits"]) <= {1, 2, 4}
+        assert all(b.compiled for b in sched.metrics.batches)
         got = iter(futs)
         for n in sizes:
             direct = want[n].pop(0)
@@ -898,33 +899,28 @@ class TestBucketedServing:
                  for n in range(1, 5)}
         pool = EngineWorkerPool(
             engine, replicas=1, backend=backend, max_batch=4,
-            warm_plans=True, autostart=False)
+            autostart=False)
         try:
             for n in (1, 3, 2, 4):
                 res = pool.forecast_batch(windows[:n])
                 assert all(r.compiled for r in res), (backend, n)
-                assert all(r.plan_batch in plan_buckets(4) for r in res)
+                assert all(r.plan_batch in (1, 2, 4) for r in res)
                 for g, w in zip(res, truth[n]):
                     assert_windows_bitwise(g.fields, w.fields,
                                            f"{backend} n={n}")
             stats = next(iter(pool.plan_stats().values()))
-            assert stats["misses"] == 0
-            assert stats["bucket_pad_fraction"] > 0
-            m = pool.metrics
-            assert m.plan_batches == 4
-            assert m.bucket_hits()
-            assert 0 < m.bucket_pad_fraction < 1
-            assert "bucket_pad_fraction" in m.summary()
+            assert (stats["hits"], stats["misses"]) == (4, 0)
+            assert stats["bucket_hits"] == {1: 1, 2: 1, 4: 2}
+            assert 0 < stats["bucket_pad_fraction"] < 1
         finally:
             pool.close()
 
 
 class TestServedPlans:
-    def test_scheduler_warm_plans_and_metrics(self, engine, windows):
-        sched = MicroBatchScheduler(engine, max_batch=4, autostart=False,
-                                    warm_plans=True)
-        # warmup now compiles the whole bucket set, not just max_batch
-        assert engine.compiled_batches == [1, 2, 4]
+    def test_scheduler_records_the_plan_each_batch_replayed(self, engine,
+                                                             windows):
+        assert engine.compile_buckets(4) == [1, 2, 4]
+        sched = MicroBatchScheduler(engine, max_batch=4, autostart=False)
         for w in windows[:4]:
             sched.submit(w)
         assert sched.step() == 4
@@ -933,26 +929,15 @@ class TestServedPlans:
         sched.flush()
         sched.close()
         m = sched.metrics
-        assert m.n_batches == 2 and m.plan_batches == 2
+        assert m.n_batches == 2
         assert m.batches[0].compiled and m.batches[1].compiled
         assert m.batches[0].plan_batch == 4
         assert m.batches[1].plan_batch == 1
-        assert m.summary()["plan_batches"] == 2
-        assert m.bucket_hits() == {4: 1, 1: 1}
-        assert m.padded_rows == 0
-        assert m.summary()["bucket_pad_fraction"] == 0.0
-        assert engine.plan_stats()["misses"] == 0
-
-    def test_scheduler_warm_plans_needs_compile(self, windows):
-        class Executorish:
-            time_steps = 4
-
-            def forecast_batch(self, refs):
-                raise AssertionError("never called")
-
-        with pytest.raises(ValueError, match="compile"):
-            MicroBatchScheduler(Executorish(), autostart=False,
-                                warm_plans=True)
+        stats = engine.plan_stats()
+        assert (stats["hits"], stats["misses"]) == (2, 0)
+        assert stats["bucket_hits"] == {4: 1, 1: 1}
+        assert stats["padded_rows"] == 0
+        assert stats["bucket_pad_fraction"] == 0.0
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_pool_compiled_bitwise_any_policy(self, tiny_surrogate,
@@ -961,8 +946,7 @@ class TestServedPlans:
         eager = ForecastEngine(tiny_surrogate, norm)
         engine = ForecastEngine(tiny_surrogate, norm)
         pool = EngineWorkerPool(engine, replicas=3, max_batch=2,
-                                autostart=False,
-                                router=policy, warm_plans=True)
+                                autostart=False, router=policy)
         futures = [(w, pool.submit(w, key=f"k{i % 4}"))
                    for i, w in enumerate(windows[:8])]
         pool.flush()
@@ -979,17 +963,15 @@ class TestServedPlans:
                 for rid, d in zip(batch.request_ids, direct):
                     assert_windows_bitwise(
                         by_id[(worker.worker_id, rid)][1].fields, d.fields)
-        m = pool.metrics
-        # warmup compiles the full bucket set (1, 2), so every
+        # the pool warms the full bucket set (1, 2), so every
         # micro-batch — full or partial — replays a compiled plan
-        n_batches = sum(len(w.scheduler.metrics.batches)
-                        for w in pool.workers)
-        assert m.plan_batches == n_batches > 0
-        assert m.summary()["plan_batches"] == m.plan_batches
+        batches = pool.metrics.batches
+        assert batches and all(b.compiled for b in batches)
         # replicas share one engine, hence one plan cache holding the
         # warm bucket set (1, 2)
         stats = pool.plan_stats()
         assert list(stats) == [0] and stats[0]["plans"] == 2
+        assert (stats[0]["hits"], stats[0]["misses"]) == (len(batches), 0)
         pool.close()
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -1004,20 +986,22 @@ class TestServedPlans:
         hybrid_window = make_window(77, t=8)
         outputs = []
         for warm in (False, True):
-            engine = ForecastEngine(tiny_surrogate, norm)
             if warm:
+                executor = ForecastEngine(tiny_surrogate, norm)
                 for n in range(1, 5):
-                    engine.compile(n)
-            with EngineWorkerPool(engine, replicas=2, max_batch=4,
+                    executor.compile(n)
+            else:
+                # no compile_buckets: the pool leaves it eager
+                executor = SurrogateForecaster(tiny_surrogate, norm)
+            with EngineWorkerPool(executor, replicas=2, max_batch=4,
                                   autostart=False,
-                                  router=policy,
-                                  warm_plans=warm) as pool:
+                                  router=policy) as pool:
                 plain = pool.forecast_batch(windows[:3])
                 ens = EnsembleForecaster(pool, n_members=4,
                                          seed=3).forecast(windows[0])
                 hyb = HybridWorkflow(pool, tiny_ocean, verifier).run(
                     hybrid_window, [object()] * 2, threshold=1e30)
-                plan_batches = pool.metrics.plan_batches
+                plan_batches = sum(b.compiled for b in pool.metrics.batches)
             outputs.append((plain, ens, hyb, plan_batches))
         (e_plain, e_ens, e_hyb, e_pb), (c_plain, c_ens, c_hyb, c_pb) = \
             outputs
@@ -1050,8 +1034,7 @@ class TestServedPlans:
             hybrid_window, [object()] * 2, threshold=1e30)
 
         with ForecastServer(engine, workers=2, max_batch=4,
-                            ocean=tiny_ocean, verifier=verifier,
-                            warm_plans=True) as server:
+                            ocean=tiny_ocean, verifier=verifier) as server:
             assert engine.compiled_batches == [1, 2, 4]
             # partial micro-batches are timing-dependent under the
             # threaded scheduler: compile the smaller sizes too so
@@ -1071,7 +1054,7 @@ class TestServedPlans:
         assert_windows_equal(ens.spread, direct_ens.spread)
         assert report.pass_rate == direct_hyb[1].pass_rate == 1.0
         assert_windows_equal(fields, direct_hyb[0])
-        assert "plan_batches" in served_metrics
+        assert served_metrics["requests"] >= 1
         assert engine.plan_stats()["hits"] >= 1
 
 

@@ -17,33 +17,31 @@ import repro.tensor.tensor
 from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
                          HostWorker, MicroBatchScheduler, ProcessWorker)
 from repro.serve import hostpool
-from repro.serve.remote import RemoteWorker, build_engine, serve_payload
+from repro.serve.remote import (EngineService, RemoteWorker, build_engine,
+                                engine_payload, serve_payload)
 from repro.tensor import PlanExecutor
 from repro.workflow import ForecastEngine
 
 SIGNATURES = [
     (ForecastServer,
      ["engine", "max_batch", "max_wait", "cache_bytes", "ocean", "verifier",
-      "workers", "router", "max_queue", "warm_plans", "backend", "fabric",
-      "autostart"]),
+      "workers", "router", "max_queue", "backend", "fabric", "autostart"]),
     (ForecastServer.deploy, ["self", "model_or_checkpoint", "source"]),
     (EngineWorkerPool,
      ["engines", "replicas", "max_batch", "max_queue", "router",
-      "autostart", "warm_plans", "backend", "fabric"]),
+      "autostart", "backend", "fabric"]),
     (EngineWorkerPool.deploy, ["self", "engine", "source"]),
-    (MicroBatchScheduler,
-     ["engine", "max_batch", "autostart", "warm_plans"]),
-    (ProcessWorker,
-     ["engine", "warm_batches", "on_death", "request_timeout"]),
+    (MicroBatchScheduler, ["engine", "max_batch", "autostart"]),
+    (ProcessWorker, ["engine", "on_death", "request_timeout"]),
     (HostWorker,
-     ["engine", "fabric", "warm_batches", "on_death", "request_timeout",
-      "heartbeat_s"]),
+     ["engine", "fabric", "on_death", "request_timeout", "heartbeat_s"]),
     (AutoScaler,
      ["pool", "min_workers", "max_workers", "high_water", "low_water",
       "scale_down_patience", "target_utilization", "capacity_model",
       "interval"]),
     (PlanExecutor, ["plan"]),
     (build_engine, ["payload"]),
+    (engine_payload, ["engine"]),
     (serve_payload, ["channel", "payload"]),
     (PlanExecutor.profile, ["self", "inputs", "repeats"]),
     (repro.tensor.plan.register_kernel, ["name", "kind", "nonview"]),
@@ -80,6 +78,24 @@ def test_server_max_wait_is_accepted_and_unused(engine, windows):
 def test_histogram_buckets_are_gone():
     assert not hasattr(repro.tensor, "plan_buckets_from_histogram")
     assert "plan_buckets_from_histogram" not in repro.tensor.__all__
+
+
+def test_plans_warm_by_one_rule_in_the_pool():
+    """The engine picks the bucket set, the pool warms every replica it
+    makes: no warm-up knob anywhere in the serving stack, no compile
+    call across a remote tier, no batching policy in ``repro.tensor``."""
+    for target in (ForecastServer, EngineWorkerPool, MicroBatchScheduler,
+                   ProcessWorker, HostWorker, RemoteWorker, engine_payload):
+        params = inspect.signature(target).parameters
+        for knob in ("warm_plans", "warm_batches"):
+            assert knob not in params, (target, knob)
+    for name in ("compile", "compile_buckets", "compiled_batches"):
+        assert not hasattr(RemoteWorker, name), name
+    ops = EngineService(engine=None)._ops
+    assert sorted(ops) == ["batch", "plan_stats", "stop"]
+    assert not hasattr(repro.tensor, "plan_buckets")
+    assert "plan_buckets" not in repro.tensor.__all__
+    assert not hasattr(repro.tensor.plan, "plan_buckets")
 
 
 def test_post_trace_passes_and_arena_pools_are_gone():

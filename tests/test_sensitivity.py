@@ -434,7 +434,7 @@ def test_served_gradient_bitwise_equals_direct(engine, windows):
     bitwise, because the scheduler literally calls sensitivity_batch
     on the micro-batch the requests coalesced into."""
     batch = windows[:3]
-    with ForecastServer(engine, autostart=False, warm_plans=False) as srv:
+    with ForecastServer(engine, autostart=False) as srv:
         futures = [srv.submit_sensitivity(
             GradientRequest(w, diagnostic="mean_surge",
                             wrt=("fields", "storm"), storm=STORM))
@@ -457,8 +457,8 @@ def test_served_gradient_bitwise_equals_direct(engine, windows):
 
 def test_gradient_cache_and_dedup(engine, windows):
     req = GradientRequest(windows[0], diagnostic="mean_surge")
-    with ForecastServer(engine, cache_bytes=1 << 22, autostart=False,
-                        warm_plans=False) as srv:
+    with ForecastServer(engine, cache_bytes=1 << 22,
+                        autostart=False) as srv:
         # two identical submissions before any flush: one leader, one
         # dedup follower, a single gradient micro-batch
         fa = srv.submit_sensitivity(req)
@@ -582,7 +582,7 @@ def test_process_and_host_backends_reject_gradients(engine, windows):
 def test_served_gradient_threaded_mode(engine, windows):
     """Autostarted (threaded) server: the default deployment serves
     gradients concurrently with forecasts."""
-    with ForecastServer(engine, cache_bytes=1 << 22, warm_plans=False) as srv:
+    with ForecastServer(engine, cache_bytes=1 << 22) as srv:
         gf = srv.submit_sensitivity(GradientRequest(windows[5]))
         ff = srv.submit(windows[6])
         grad = gf.result(timeout=30.0)

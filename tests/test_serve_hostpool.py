@@ -23,7 +23,6 @@ from repro.serve import (
     HostWorkerError,
     ProcessWorkerDied,
 )
-from repro.tensor import plan_buckets
 
 from conftest import assert_windows_equal     # noqa: F401 — shared helper
 from test_serve_procpool import (             # noqa: F401 — shared idiom
@@ -59,12 +58,10 @@ class TestHostWorker:
         # the "no plan for batch 5" leg needs it bare
         engine.clear_plans()
         direct_eager = engine.forecast_batch(windows[:5])
-        with HostWorker(engine, fabric=fabric,
-                        warm_batches=(2,)) as worker:
+        engine.compile(2)
+        direct_plan = engine.forecast_batch(windows[:2])
+        with HostWorker(engine, fabric=fabric) as worker:
             assert worker.time_steps == engine.time_steps
-            assert 2 in worker.compiled_batches
-            # warm-up compiled batch 2 locally too: same plan both sides
-            direct_plan = engine.forecast_batch(windows[:2])
             # eager fallback on the remote: same numbers
             served = worker.forecast_batch(windows[:5])
             assert_results_equal(direct_eager, served)
@@ -96,18 +93,6 @@ class TestHostWorker:
             # both directions of the rank 0 ↔ 1 pair moved frames
             assert worker.comm.per_pair[(0, 1)] > 0
             assert worker.comm.per_pair[(1, 0)] > 0
-
-    def test_remote_compile_rpc(self, engine, windows):
-        with HostWorker(engine, fabric="sim") as worker:
-            worker.compile(3)
-            assert 3 in worker.compiled_batches
-            served = worker.forecast_batch(windows[:3])
-            assert served[0].compiled
-            assert_results_equal(engine.forecast_batch(windows[:3]),
-                                 served)
-            stats = worker.plan_stats()
-            assert 3 in stats["batches"]
-            assert stats["transport"]["backend"] == "host"
 
     def test_needs_a_real_engine(self):
         class NotAnEngine:
@@ -296,18 +281,6 @@ def test_pool_host_death_fails_batch_and_retires_worker(
         assert_pool_batches_bitwise(pool, placed, {1: engine})
     finally:
         pool.close()
-
-
-def test_pool_host_warm_plans_ship_at_spawn(engine, windows):
-    with EngineWorkerPool(engine, replicas=1, max_batch=4, autostart=False,
-                          backend="host", fabric="sim",
-                          warm_plans=True) as pool:
-        worker = pool.workers[0].executor
-        assert set(plan_buckets(4)) <= set(worker.compiled_batches)
-        futs = [pool.submit(w) for w in windows[:3]]
-        pool.flush()
-        results = [f.result(timeout=30) for f in futs]
-        assert all(r.compiled for r in results)
 
 
 def test_pool_rejects_unknown_fabric(engine):

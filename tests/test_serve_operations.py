@@ -129,7 +129,7 @@ class TestHotSwap:
             def forecast_batch(self, refs):
                 raise AssertionError("must never serve")
 
-            def compile(self, batch):
+            def compile_buckets(self, max_batch):
                 raise RuntimeError("bad weights: warmup exploded")
 
         with manual_pool(e1) as pool:
@@ -146,42 +146,23 @@ class TestHotSwap:
 
     def test_deploy_always_warms_outgoing_sizes_plus_bucket_set(
             self, engine_pair):
-        """No switch decides whether a deploy warms: any engine that
-        can ``compile`` gets the sizes the outgoing engines held plus
-        the whole ``max_batch`` bucket set, before it takes traffic —
-        on a pool that never asked for ``warm_plans`` too."""
-        e1, _ = engine_pair
-        e1.compile(3)
+        """No switch decides whether a deploy warms: an engine that can
+        ``compile_buckets`` gets the whole ``max_batch`` bucket set plus
+        the sizes the outgoing engines held, before it takes traffic."""
+        e1, e2 = engine_pair
+        with manual_pool(e1, max_batch=4) as pool:
+            e1.compile(3)
+            surged_with = []
+            real_add = pool.add_worker
 
-        class Recording:
-            time_steps = e1.time_steps
+            def add_worker(*args, **kwargs):
+                surged_with.append(e2.compiled_batches)
+                return real_add(*args, **kwargs)
 
-            def __init__(self):
-                self.compiled = []
-
-            def forecast_batch(self, refs):
-                return e1.forecast_batch(refs)
-
-            def compile(self, batch):
-                self.compiled.append(batch)
-
-        try:
-            with manual_pool(e1, max_batch=4, warm_plans=False) as pool:
-                new = Recording()
-                surged_cold = []
-                real_add = pool.add_worker
-
-                def add_worker(*args, **kwargs):
-                    surged_cold.append(not new.compiled)
-                    return real_add(*args, **kwargs)
-
-                pool.add_worker = add_worker
-                pool.deploy(new)
-                # plan_buckets(4) ∪ {3}, all before the first surge
-                assert new.compiled == [1, 2, 3, 4]
-                assert surged_cold == [False, False]
-        finally:
-            e1.clear_plans()
+            pool.add_worker = add_worker
+            pool.deploy(e2)
+        # the bucket set of 4 ∪ {3}, all before the first surge
+        assert surged_with == [[1, 2, 3, 4]] * 2
 
     def test_midroll_failure_rolls_back_to_old_version(self, engine_pair,
                                                        monkeypatch):

@@ -29,7 +29,7 @@ from repro.serve import (
 )
 from repro.serve.pool import stable_key_hash
 from repro.serve.scheduler import ServeMetrics
-from repro.workflow import EnsembleForecaster
+from repro.workflow import EnsembleForecaster, SurrogateForecaster
 
 POLICIES = ("round-robin", "least-outstanding", "key-affinity")
 
@@ -124,6 +124,46 @@ class TestPoolEquivalence:
                                         seed=3).forecast(windows[0])
         assert_windows_equal(served.mean, direct.mean)
         assert_windows_equal(served.spread, direct.spread)
+
+
+class TestReplicasAreBornWarm:
+    """One rule: the pool warms every engine that can compile its
+    bucket set before the replica is routable, and a remote replica
+    starts with exactly the plans its parent engine holds."""
+
+    @pytest.mark.parametrize("backend", ["process", "host"])
+    def test_remote_replica_is_born_warm(self, engine_factory, windows,
+                                         backend):
+        engine = engine_factory()       # private: the pool compiles plans
+        with EngineWorkerPool(engine, max_batch=4, autostart=False,
+                              backend=backend, fabric="sim") as pool:
+            child = pool.workers[0].executor
+            born = child.plan_stats()
+            futures = [pool.submit(w) for w in windows[:3]]
+            pool.flush()
+            served = [f.result(timeout=60) for f in futures]
+            after = child.plan_stats()
+        assert born["batches"] == engine.compiled_batches == [1, 2, 4]
+        assert set(born) == set(engine.plan_stats()) | {"transport"}
+        assert born["transport"]["backend"] == backend
+        # the first partial batch pads into the b4 plan the child was
+        # born with: a hit, never an eager fallback
+        assert (after["hits"], after["misses"]) == (1, 0)
+        assert all(r.compiled and r.plan_batch == 4 for r in served)
+        for s, d in zip(served, engine.forecast_batch(windows[:3])):
+            assert_windows_equal(s.fields, d.fields)
+
+    def test_engine_without_compile_buckets_serves_eager(
+            self, tiny_surrogate, identity_norm, windows):
+        forecaster = SurrogateForecaster(tiny_surrogate, identity_norm)
+        with EngineWorkerPool(forecaster, max_batch=4,
+                              autostart=False) as pool:
+            served = pool.forecast_batch(windows[:3])
+        assert forecaster.engine.compiled_batches == []
+        assert not any(r.compiled for r in served)
+        assert forecaster.engine.plan_stats()["misses"] == 1
+        for s, d in zip(served, forecaster.forecast_batch(windows[:3])):
+            assert_windows_equal(s.fields, d.fields)
 
 
 class TestRouting:
@@ -369,7 +409,7 @@ class TestPoolMetricsMirrorServeMetrics:
                 frame_bytes=60, inflight_depth=3)
 
     def test_discovery_sees_the_surface(self):
-        assert {"n_requests", "plan_batches", "occupancy_histogram",
+        assert {"n_requests", "n_batches", "occupancy_histogram",
                 "summary"} <= set(serve_metrics_members())
 
     @pytest.mark.parametrize("member", serve_metrics_members())

@@ -171,9 +171,9 @@ class TestProcessWorker:
         engine.clear_plans()
         direct_eager = engine.forecast_batch(windows[:5])
         direct_plan = engine.forecast_batch(windows[:2])
-        with ProcessWorker(engine, warm_batches=(2,)) as worker:
+        engine.compile(2)
+        with ProcessWorker(engine) as worker:
             assert worker.time_steps == engine.time_steps
-            assert 2 in worker.compiled_batches
             # eager fallback (batch size without a plan): same numbers
             served = worker.forecast_batch(windows[:5])
             assert_results_equal(direct_eager, served)
@@ -196,23 +196,6 @@ class TestProcessWorker:
                 == [f"{token}-q0", f"{token}-r0"]
         # graceful close unlinks every segment of the pair
         assert leftover_segments(worker) == []
-
-    def test_child_compile_rpc(self, engine, windows):
-        with ProcessWorker(engine) as worker:
-            assert worker.compiled_batches == engine.compiled_batches
-            worker.compile(3)
-            assert 3 in worker.compiled_batches
-            served = worker.forecast_batch(windows[:3])
-            assert served[0].compiled
-            assert_results_equal(engine.forecast_batch(windows[:3]),
-                                 served)
-            stats = worker.plan_stats()
-            assert 3 in stats["batches"]
-            assert stats["transport"]["backend"] == "process"
-            # the child replays out of ordinary heap: its stats are an
-            # engine's (no arena block of shm_* / heap_allocations
-            # counters) plus this side's transport
-            assert set(stats) == set(engine.plan_stats()) | {"transport"}
 
     def test_needs_a_real_engine(self):
         class NotAnEngine:

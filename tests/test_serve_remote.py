@@ -52,12 +52,6 @@ class StubEngine:
             compiled=hit, plan_batch=len(refs) if hit else None)
             for r in refs]
 
-    def compile(self, batch):
-        self.compiled.add(int(batch))
-
-    def compile_buckets(self, max_batch):
-        self.compiled.add(max_batch)
-
     def plan_stats(self):
         return {"batches": self.compiled_batches}
 
@@ -101,13 +95,6 @@ class TestHandle:
         np.testing.assert_array_equal(arrays[0], windows[0].u3 + 1)
         np.testing.assert_array_equal(arrays[7], windows[1].zeta + 4)
 
-    def test_compile_ops_report_the_compiled_set(self):
-        service = EngineService(StubEngine())
-        assert service.handle("compile", {"batch": 3}) == \
-            ({"compiled": [2, 3]}, ())
-        assert service.handle("compile_buckets", {"max_batch": 8}) == \
-            ({"compiled": [2, 3, 8]}, ())
-
     def test_plan_stats_and_stop(self):
         service = EngineService(StubEngine())
         assert service.handle("plan_stats", {}) == \
@@ -125,14 +112,15 @@ class TestServe:
     def test_handshake_replies_echo_seq_then_eof_cleans_up(self):
         engine = StubEngine()
         channel = ScriptChannel([
-            ("compile", 7, {"batch": 3}, []),
+            ("plan_stats", 7, {}, []),
             batch_request(8, [make_window(0)]),
         ])
         EngineService(engine).serve(channel)
-        ready, compiled, batch = channel.sent
+        ready, stats, batch = channel.sent
         assert ready[:2] == ("ready", -1)
-        assert ready[2]["time_steps"] == 4 and ready[2]["compiled"] == [2]
-        assert compiled[:3] == ("ok", 7, {"compiled": [2, 3]})
+        assert set(ready[2]) == {"pid", "time_steps"}
+        assert ready[2]["time_steps"] == 4
+        assert stats[:3] == ("ok", 7, {"stats": {"batches": [2]}})
         assert batch[:2] == ("ok", 8) and len(batch[3]) == 4
         # EOF ended the loop; cleanup ran
         assert channel.closed
@@ -200,12 +188,13 @@ def test_rebuild_failure_is_an_err_handshake():
 def test_payload_round_trip_is_bitwise(engine_factory, windows):
     engine = engine_factory()       # private: the test compiles plans
     engine.compile(2)
-    payload = engine_payload(engine, warm_batches=(3,))
+    engine.compile(3)
+    payload = engine_payload(engine)
     # weights, staging config and plans: the engine has no other state
     assert set(pickle.loads(payload)) == {
         "model", "normalizer", "boundary_width", "plans"}
     rebuilt = build_engine(payload)
-    assert {2, 3} <= set(rebuilt.compiled_batches)
+    assert rebuilt.compiled_batches == engine.compiled_batches == [2, 3]
     for n in (2, 3, 5):                 # two plan hits and an eager batch
         for direct, served in zip(engine.forecast_batch(windows[:n]),
                                   rebuilt.forecast_batch(windows[:n])):
@@ -230,7 +219,8 @@ def test_payload_keeps_a_sharded_forward(monkeypatch, engine_factory,
     monkeypatch.setattr(engine_mod, "SHARD_ROW_BYTES", 0)
     monkeypatch.setattr(engine_mod, "_cpus", lambda: 2)
     engine = engine_factory()
-    rebuilt = build_engine(engine_payload(engine, [8]))
+    engine.compile(8)
+    rebuilt = build_engine(engine_payload(engine))
     assert rebuilt.compiled_batches == [8]
     assert rebuilt.plan_stats()["shards"] == {8: 2}
     assert rebuilt.compile(8).rows == 4
