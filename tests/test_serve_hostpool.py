@@ -283,6 +283,24 @@ def test_pool_host_death_fails_batch_and_retires_worker(
         pool.close()
 
 
+def test_pool_host_warm_plans_ship_at_spawn(engine_factory, windows):
+    """The parent's plans cross the real wire in the spawn payload: the
+    socket child holds them before any traffic, and its first partial
+    batch replays one of them."""
+    engine = engine_factory()       # private: the pool compiles plans
+    with EngineWorkerPool(engine, replicas=1, max_batch=4, autostart=False,
+                          backend="host", fabric="socket") as pool:
+        worker = pool.workers[0].executor
+        assert worker.plan_stats()["batches"] == engine.compiled_batches
+        futs = [pool.submit(w) for w in windows[:3]]
+        pool.flush()
+        results = [f.result(timeout=30) for f in futs]
+        assert all(r.compiled for r in results)
+        assert worker.plan_stats()["misses"] == 0
+        for r, d in zip(results, engine.forecast_batch(windows[:3])):
+            assert_windows_equal(r.fields, d.fields)
+
+
 def test_pool_rejects_unknown_fabric(engine):
     with pytest.raises(ValueError, match="fabric"):
         EngineWorkerPool(engine, replicas=1, backend="host",
