@@ -70,29 +70,18 @@ class MultiHeadSelfAttention(Module):
         q, k, v = qkv[0], qkv[1], qkv[2]
 
         attn = q.matmul(k.swapaxes(-1, -2))  # (B, h, N, N)
-        # an untaped attn is a fresh buffer: scale and mask it in place
-        taped = attn.requires_grad
-        if taped:
-            attn = attn * self.scale
-        else:
-            attn = apply("imul_scalar", (attn,), {"scale": self.scale})
+        # attn is a fresh matmul buffer, and the matmul's VJP reads only
+        # its inputs: scale and mask it in place, taped or not
+        attn = apply("imul_scalar", (attn,), {"scale": self.scale})
         if mask is not None:
             m = np.asarray(mask, dtype=attn.dtype)
             if m.ndim == 4 and m.shape[0] != B and B % m.shape[0] == 0:
                 # (nW, 1, N, N) per-window mask broadcast over the batch
-                # groups (tokens are laid out batch-slowest)
-                nW = m.shape[0]
-                if taped:
-                    attn = (attn.reshape(B // nW, nW, self.num_heads, N, N)
-                            + Tensor(m[None])).reshape(B, self.num_heads,
-                                                       N, N)
-                else:
-                    # the mask is shape-dependent only: a plan constant
-                    attn = apply("add_window_mask", (attn,),
-                                 {"mask": m, "nW": nW,
-                                  "heads": self.num_heads})
-            elif taped:
-                attn = attn + Tensor(m)
+                # groups (tokens are laid out batch-slowest); the mask
+                # is shape-dependent only: a plan constant
+                attn = apply("add_window_mask", (attn,),
+                             {"mask": m, "nW": m.shape[0],
+                              "heads": self.num_heads})
             else:
                 attn = apply("iadd", (attn, Tensor(m)))
         attn = attn.softmax(axis=-1)
@@ -111,3 +100,8 @@ def _k_add_window_mask(out, ins, consts):
     B, N = t.shape[0], t.shape[-1]
     t.reshape(B // nW, nW, heads, N, N)[...] += m[None]
     return t
+
+
+@_plan.register_vjp("add_window_mask")
+def _vjp_add_window_mask(g, ins, out, consts, needs):
+    return (g,)

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import special as _sp_special
 
-from ..tensor import Tensor, astensor, is_grad_enabled
+from ..tensor import Tensor, astensor
 from ..tensor import plan as _plan
 from ..tensor.tensor import apply
 from . import init
@@ -45,13 +45,7 @@ def gelu(x: Tensor) -> Tensor:
     ``g·(Phi(x) + x·phi(x))``, makes the same choice between the blocked
     sweep and the ``erf`` chain.
     """
-    x = astensor(x)
-    out = apply("gelu", (x,))
-    if out.requires_grad:
-        def _bw(g):
-            x._accum(_gelu_grad(x.data, g))
-        out._backward = _bw
-    return out
+    return apply("gelu", (astensor(x),))
 
 
 class GELU(Module):
@@ -84,14 +78,10 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        x = astensor(x)
-        out = x.matmul(self.weight)
+        out = astensor(x).matmul(self.weight)
         if self.bias is not None:
-            if out.requires_grad:
-                out = out + self.bias
-            else:
-                # untaped matmul result, a fresh buffer: add in place
-                out = apply("iadd", (out, self.bias))
+            # the matmul result is a fresh buffer: add in place
+            out = apply("iadd", (out, self.bias))
         return out
 
 
@@ -106,34 +96,9 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        x = astensor(x)
-        w, b, eps = self.weight, self.bias, self.eps
         # one working buffer, in-place updates — and one tape node
-        out = apply("layernorm", (x, w, b), {"eps": eps})
-        if out.requires_grad:
-            a = x.data
-            def _bw(g):
-                xhat = a - a.mean(axis=-1, keepdims=True)
-                sigma = np.mean(np.square(xhat), axis=-1, keepdims=True)
-                sigma += eps
-                np.sqrt(sigma, out=sigma)
-                xhat /= sigma
-                lead = tuple(range(g.ndim - 1))
-                if b.requires_grad:
-                    b._accum(g.sum(axis=lead))
-                if w.requires_grad:
-                    w._accum((g * xhat).sum(axis=lead))
-                if x.requires_grad:
-                    # dx = (ĝ − mean ĝ − x̂·mean(ĝ·x̂)) / σ,  ĝ = g·w
-                    gh = g * w.data
-                    dx = gh - gh.mean(axis=-1, keepdims=True)
-                    gh *= xhat
-                    xhat *= gh.mean(axis=-1, keepdims=True)
-                    dx -= xhat
-                    dx /= sigma
-                    x._accum(dx)
-            out._backward = _bw
-        return out
+        return apply("layernorm", (astensor(x), self.weight, self.bias),
+                     {"eps": self.eps})
 
 
 class BatchNorm(Module):
@@ -155,46 +120,38 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features, np.float32))
         self.register_buffer("running_var", np.ones(num_features, np.float32))
 
-    def folded(self) -> Tuple[np.ndarray, np.ndarray]:
+    def folded(self) -> Tuple[Tensor, Tensor]:
         """Eval-mode ``(scale, shift)`` per channel: the running statistics
         and the affine folded into ``y = x·scale + shift`` (one multiply
         and one add over x instead of four passes; the decoder heads
-        apply the same pair inside their fused kernel)."""
+        apply the same pair inside their fused kernel).  Tensors of
+        ``weight`` and ``bias``: under the tape the gradient reaches
+        them, under a trace they fold to plan constants (recompile after
+        loading new weights)."""
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        scale = self.weight.data * inv
-        return scale, self.bias.data - self.running_mean * scale
+        scale = self.weight * Tensor(inv)
+        return scale, self.bias - Tensor(self.running_mean) * scale
 
     def forward(self, x: Tensor) -> Tensor:
         x = astensor(x)
         axes = (0,) + tuple(range(2, x.ndim))
         bshape = (1, self.num_features) + (1,) * (x.ndim - 2)
-        if self.training:
-            if _plan.tracing():
-                raise _plan.TraceError(
-                    "BatchNorm in training mode mutates running stats; "
-                    "call model.eval() before tracing")
-            mu = x.mean(axis=axes, keepdims=True)
-            var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
-            n = x.size // self.num_features
-            unbiased = var.data.reshape(-1) * n / max(n - 1, 1)
-            self.running_mean *= 1.0 - self.momentum
-            self.running_mean += self.momentum * mu.data.reshape(-1)
-            self.running_var *= 1.0 - self.momentum
-            self.running_var += self.momentum * unbiased
-        else:
-            if is_grad_enabled() and (x.requires_grad or
-                                      self.weight.requires_grad):
-                inv = 1.0 / np.sqrt(self.running_var + self.eps)
-                scale = self.weight.reshape(bshape) \
-                    * Tensor(inv.reshape(bshape))
-                shift = self.bias.reshape(bshape) \
-                    - Tensor(self.running_mean.reshape(bshape)) * scale
-                return x * scale + shift
-            # running stats fold into per-channel scale/shift: constants
-            # of a traced plan (recompile after loading new weights)
+        if not self.training:
             scale, shift = self.folded()
-            return apply("bn_affine", (x,), {"scale": scale.reshape(bshape),
-                                             "shift": shift.reshape(bshape)})
+            return apply("bn_affine", (x, scale.reshape(bshape),
+                                       shift.reshape(bshape)))
+        if _plan.tracing():
+            raise _plan.TraceError(
+                "BatchNorm in training mode mutates running stats; "
+                "call model.eval() before tracing")
+        mu = x.mean(axis=axes, keepdims=True)
+        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
+        n = x.size // self.num_features
+        unbiased = var.data.reshape(-1) * n / max(n - 1, 1)
+        self.running_mean *= 1.0 - self.momentum
+        self.running_mean += self.momentum * mu.data.reshape(-1)
+        self.running_var *= 1.0 - self.momentum
+        self.running_var += self.momentum * unbiased
         norm = (x - mu) / (var + self.eps).sqrt()
         return norm * self.weight.reshape(bshape) + self.bias.reshape(bshape)
 
@@ -362,6 +319,11 @@ def _gelu_grad(a, g):
     return d
 
 
+@_plan.register_vjp("gelu")
+def _vjp_gelu(g, ins, out, consts, needs):
+    return (_gelu_grad(ins[0], g),)
+
+
 @_plan.register_kernel("layernorm", "compute")
 def _k_layernorm(out, ins, consts):
     a, w, b = ins
@@ -375,8 +337,38 @@ def _k_layernorm(out, ins, consts):
     return y
 
 
+@_plan.register_vjp("layernorm")
+def _vjp_layernorm(g, ins, out, consts, needs):
+    a, w, _ = ins
+    xhat = a - a.mean(axis=-1, keepdims=True)
+    sigma = np.mean(np.square(xhat), axis=-1, keepdims=True)
+    sigma += consts["eps"]
+    np.sqrt(sigma, out=sigma)
+    xhat /= sigma
+    lead = tuple(range(g.ndim - 1))
+    gb = g.sum(axis=lead) if needs[2] else None
+    gw = (g * xhat).sum(axis=lead) if needs[1] else None
+    dx = None
+    if needs[0]:
+        # dx = (ĝ − mean ĝ − x̂·mean(ĝ·x̂)) / σ,  ĝ = g·w
+        gh = g * w
+        dx = gh - gh.mean(axis=-1, keepdims=True)
+        gh *= xhat
+        xhat *= gh.mean(axis=-1, keepdims=True)
+        dx -= xhat
+        dx /= sigma
+    return dx, gw, gb
+
+
 @_plan.register_kernel("bn_affine", "compute")
 def _k_bn_affine(out, ins, consts):
-    y = np.multiply(ins[0], consts["scale"], out=out)
-    y += consts["shift"]
+    y = np.multiply(ins[0], ins[1], out=out)
+    y += ins[2]
     return y
+
+
+@_plan.register_vjp("bn_affine")
+def _vjp_bn_affine(g, ins, out, consts, needs):
+    x, scale, _ = ins
+    return (g * scale if needs[0] else None,
+            g * x if needs[1] else None, g if needs[2] else None)

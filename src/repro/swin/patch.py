@@ -9,9 +9,9 @@
   the temporal axis is untouched (paper Fig. 4).
 * :class:`PatchRecover3d` / :class:`PatchRecover2d` — decoder heads that
   upsample patches back to the original mesh via transposed convolutions
-  followed by 1×1 refinement convolutions; for inference the four layers
-  of a head are one ``patch_recover`` kernel that never materialises the
-  ``C``-channel full-resolution activation.
+  followed by 1×1 refinement convolutions; in eval mode the four layers
+  of a head are one ``patch_recover`` kernel, forward and backward, that
+  never keeps the ``C``-channel full-resolution activation.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor, is_grad_enabled
+from ..tensor import Tensor
 from ..tensor import plan as _plan
 from ..tensor.ops_conv import _wide
 from ..tensor.tensor import apply
-from ..nn.layers import _k_gelu
+from ..nn.layers import _gelu_grad, _k_gelu
 from ..nn import (
     BatchNorm,
     Conv2d,
@@ -143,29 +143,26 @@ class _PatchRecover(Module):
     """ConvTranspose (kernel = stride = patch) + BatchNorm + GELU, then a
     1×1 convolution to the physical channel count (paper §III-C).
 
-    Eval-mode and untaped, the four layers run as one ``patch_recover``
-    kernel in token space (see :func:`_k_patch_recover`), so the
-    ``C``-channel full-resolution activation is never made; training
-    (BatchNorm batch statistics) and the tape (the adjoint's nodes) run
-    the four modules.  Both read the same parameters and ``state_dict``
-    keys, and give the same bits.
+    In eval mode the four layers run as one ``patch_recover`` kernel in
+    token space (see :func:`_k_patch_recover`), taped or not: one tape
+    node whose VJP recomputes what it needs block by block, so the
+    ``C``-channel full-resolution activation is never kept.  Training
+    (BatchNorm batch statistics) runs the four modules.  Both read the
+    same parameters and ``state_dict`` keys, and give the same bits.
     """
 
     def forward(self, x: Tensor) -> Tensor:
         folded, B, T = _fold_time(x)
-        # training updates the running statistics, and the adjoint walks
-        # the four layers' tape nodes: both take the modules
-        if self.training or is_grad_enabled() and (
-                folded.requires_grad
-                or any(p.requires_grad for p in self.parameters())):
+        if self.training:
+            # batch statistics, and the running ones move
             y = self.head(self.act(self.norm(self.up(folded))))
         else:
-            # the folded BatchNorm is a plan constant, as bn_affine's is
+            # the folded BatchNorm: plan constants, tape nodes of the
+            # norm's weight and bias
             scale, shift = self.norm.folded()
             y = apply("patch_recover",
                       (folded, self.up.weight, self.up.bias,
-                       self.head.weight, self.head.bias),
-                      {"scale": scale, "shift": shift})
+                       self.head.weight, self.head.bias, scale, shift))
         return _unfold_time(y, B, T)
 
 
@@ -234,7 +231,8 @@ def _k_patch_recover(out, ins, consts):
 
     ``x`` is ``(N, C, *S)`` tokens, ``w_up`` the ``(C, C, *P)``
     transposed-conv weight with kernel = stride = ``P``, ``w_head`` the
-    ``(out, C, 1, …)`` head.  Per block of whole samples:
+    ``(out, C, 1, …)`` head, ``scale`` / ``shift`` the folded BatchNorm
+    (:meth:`~repro.nn.BatchNorm.folded`).  Per block of whole samples:
 
     1. GEMM1 maps each token from ``C`` to ``C·P`` channels (``(O', C)
        @ (C, C·P)``) and adds the transposed-conv bias;
@@ -251,7 +249,7 @@ def _k_patch_recover(out, ins, consts):
     composite's — a GEMM over several samples' rows would change the
     shape BLAS sees, and with it the bits of an ``out = 1`` gemv.
     """
-    x, w_up, b_up, w_head, b_head = ins
+    x, w_up, b_up, w_head, b_head, scale, shift = ins
     N, C = x.shape[:2]
     Co = w_head.shape[0]
     coarse, kshape = x.shape[2:], w_up.shape[2:]
@@ -266,8 +264,7 @@ def _k_patch_recover(out, ins, consts):
     w2 = w_head.reshape(Co, -1).T               # (C, Co)
     # per-channel constants repeated over a token's K kernel offsets, so
     # each affine pass is a contiguous row operation
-    bias, scale, shift = (np.repeat(v, K)
-                          for v in (b_up, consts["scale"], consts["shift"]))
+    bias, scale, shift = (np.repeat(v, K) for v in (b_up, scale, shift))
     per = max(1, min(N, _RECOVER_BLOCK // (O * C)))
     act, res_bytes = (per * O * c * dtype.itemsize for c in (C, Co))
     step = -(-act // 64) * 64                   # 64-byte aligned starts
@@ -299,3 +296,76 @@ def _k_patch_recover(out, ins, consts):
         # row per channel instead of O rows of ``out`` elements
         result += b_head[:, None]
     return out
+
+
+@_plan.register_vjp("patch_recover")
+def _vjp_patch_recover(g, ins, out, consts, needs):
+    """The head's backward, block by block as its forward runs.
+
+    Nothing was saved: each block's pre-BatchNorm activation is
+    recomputed from ``x`` with the forward's GEMM, so the only
+    full-resolution arrays are ``g`` and block-sized temporaries.  The
+    ``x`` cotangent is bitwise the four-layer composite's tape: the 1×1
+    head's adjoint runs ``conv_nd``'s GEMM (mesh-ordered rows of ``g``,
+    ``(O, out) @ (out, C)`` per sample), GELU's derivative and the
+    BatchNorm scale are its element for element, and the transposed
+    conv's adjoint is ``_fwd_patch``'s ``(O', C·P) @ (C·P, C)`` on
+    patch-packed rows.  Parameter cotangents sum over blocks, so they
+    match the composite's to rounding.
+    """
+    x, w_up, b_up, w_head, b_head, scale, shift = ins
+    N, C = x.shape[:2]
+    Co = w_head.shape[0]
+    coarse, kshape = x.shape[2:], w_up.shape[2:]
+    nd = len(kshape)
+    O1, K = math.prod(coarse), math.prod(kshape)
+    O = O1 * K
+    w1 = w_up.reshape(C, -1)                    # (C, C·K)
+    w2 = w_head.reshape(Co, -1)                 # (out, C)
+    bias, sc, sh = (np.repeat(v, K) for v in (b_up, scale, shift))
+    # the 1×1 head's rows: every full-resolution site, in mesh order
+    gmat = np.moveaxis(g, 1, -1).reshape(N, O, Co)
+    # (n, o1, k1, …, od, kd, C) → (n, o1, …, od, C, k1, …, kd) and back
+    mesh = tuple(v for ok in zip(coarse, kshape) for v in ok) + (C,)
+    to_tokens = (0,) + tuple(range(1, 2 * nd, 2)) + (2 * nd + 1,) \
+        + tuple(range(2, 2 * nd + 1, 2))
+    dx = np.empty(x.shape, np.result_type(g, w_up)) if needs[0] else None
+    # parameter cotangents, summed over blocks: (C, C·K), per C·K
+    # column or (out, C)
+    d_w1 = d_b1 = d_w2 = d_scale = d_shift = 0.0
+    per = max(1, min(N, _RECOVER_BLOCK // (O * C)))
+    for lo in range(0, N, per):
+        n = min(per, N - lo)
+        xt = np.moveaxis(x[lo:lo + n], 1, -1).reshape(n, O1, C)
+        pre = np.matmul(xt, w1)                 # the transposed conv
+        pre += bias
+        a = pre * sc                            # eval BatchNorm
+        a += sh
+        gm = gmat[lo:lo + n]
+        ga = (gm @ w2).reshape((n,) + mesh).transpose(to_tokens)
+        d = _gelu_grad(a, ga.reshape(a.shape))  # cotangent of ``a``
+        if needs[3]:
+            act = _k_gelu(None, (a,), None).reshape(
+                (n,) + coarse + (C,) + kshape).transpose(np.argsort(to_tokens))
+            d_w2 = d_w2 + np.einsum("nso,nsc->oc", gm, act.reshape(n, O, C))
+        if needs[5]:
+            d_scale = d_scale + (d * pre).sum(axis=(0, 1))
+        if needs[6]:
+            d_shift = d_shift + d.sum(axis=(0, 1))
+        d *= sc                                 # cotangent of ``pre``
+        if needs[2]:
+            d_b1 = d_b1 + d.sum(axis=(0, 1))
+        if needs[1]:
+            d_w1 = d_w1 + xt.reshape(-1, C).T @ d.reshape(-1, C * K)
+        if needs[0]:
+            np.copyto(dx[lo:lo + n].reshape(n, C, O1),
+                      np.moveaxis(d @ w1.T, -1, 1))
+
+    def per_channel(v, need):
+        return v.reshape(C, K).sum(axis=1) if need else None
+
+    return (dx, d_w1.reshape(w_up.shape) if needs[1] else None,
+            per_channel(d_b1, needs[2]),
+            d_w2.reshape(w_head.shape) if needs[3] else None,
+            g.sum(axis=(0,) + tuple(range(2, g.ndim))) if needs[4] else None,
+            per_channel(d_scale, needs[5]), per_channel(d_shift, needs[6]))

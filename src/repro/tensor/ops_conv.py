@@ -80,8 +80,8 @@ def _fwd_patch(x: np.ndarray, w: np.ndarray, out_sp: Tuple[int, ...],
     offset.  This is the forward of patch embedding and of every 1×1
     convolution, and the input adjoint of a patch-recovery transposed
     convolution (whose own forward is :func:`_grad_input_patch`; an
-    inference head runs neither, but the fused ``patch_recover`` kernel
-    of :mod:`repro.swin.patch`).  With ``out`` (the compiled plan's arena
+    eval-mode head runs neither, but the fused ``patch_recover`` kernel
+    of :mod:`repro.swin.patch`, whose VJP repeats this GEMM).  With ``out`` (the compiled plan's arena
     buffer) the final interleaving copy lands there instead of a fresh
     allocation — a copy of the same GEMM values either way, so eager
     and replay stay bitwise identical.
@@ -218,32 +218,8 @@ def conv_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     stride = _as_tuple(stride, nd)
     padding = _as_tuple(padding, nd)
     b = None if b is None else astensor(b)
-    out = apply("conv_nd", (x, w) if b is None else (x, w, b),
-                {"stride": stride, "padding": padding})
-    if out.requires_grad:
-        xd_saved, wd_saved = x.data, w.data
-        if any(padding):
-            pw = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
-            xd_saved = np.pad(xd_saved, pw)
-        kshape = wd_saved.shape[2:]
-
-        def _bw(g):
-            g = np.asarray(g)
-            if x.requires_grad:
-                gx = _grad_input(g, wd_saved, xd_saved.shape[2:], stride)
-                if any(padding):
-                    sl = (slice(None), slice(None)) + tuple(
-                        slice(p, s - p) for p, s in zip(padding, gx.shape[2:])
-                    )
-                    gx = gx[sl]
-                x._accum(gx)
-            if w.requires_grad:
-                w._accum(_grad_weight(g, xd_saved, kshape, stride))
-            if b is not None and b.requires_grad:
-                b._accum(g.sum(axis=(0,) + tuple(range(2, g.ndim))))
-
-        out._backward = _bw
-    return out
+    return apply("conv_nd", (x, w) if b is None else (x, w, b),
+                 {"stride": stride, "padding": padding})
 
 
 def conv_transpose_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -263,39 +239,16 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     stride = _as_tuple(stride, nd)
     output_padding = _as_tuple(output_padding, nd)
     b = None if b is None else astensor(b)
-    out = apply("conv_transpose_nd", (x, w) if b is None else (x, w, b),
-                {"stride": stride, "output_padding": output_padding})
-    if out.requires_grad:
-        xd_saved, wd_saved = x.data, w.data
-        kshape = wd_saved.shape[2:]
-
-        def _bw(g):
-            g = np.asarray(g)
-            if any(output_padding):
-                sl = (slice(None), slice(None)) + tuple(
-                    slice(0, s - p) for s, p in zip(g.shape[2:], output_padding)
-                )
-                g_core = g[sl]
-            else:
-                g_core = g
-            if x.requires_grad:
-                # adjoint of _grad_input w.r.t. gout is the forward conv
-                x._accum(_fwd(g_core, wd_saved, stride))
-            if w.requires_grad:
-                # gw[ci, co, k] = sum_{n,o} x[n,ci,o] * g[n,co,o*s+k]
-                w._accum(_grad_weight(xd_saved, g_core, kshape, stride))
-            if b is not None and b.requires_grad:
-                b._accum(g.sum(axis=(0,) + tuple(range(2, g.ndim))))
-
-        out._backward = _bw
-    return out
+    return apply("conv_transpose_nd", (x, w) if b is None else (x, w, b),
+                 {"stride": stride, "output_padding": output_padding})
 
 
 # ----------------------------------------------------------------------
-# plan kernels — the forwards of the two public functions above.  With
-# ``out=None`` (eager, tape, trace) they allocate; with a preallocated
-# ``out`` (replay) the final interleaving copy of the patch GEMM lands
-# directly in the arena buffer — a copy of the same GEMM values either way.
+# plan kernels — the forwards of the two public functions above, each
+# with its VJP.  With ``out=None`` (eager, tape, trace) they allocate;
+# with a preallocated ``out`` (replay) the final interleaving copy of
+# the patch GEMM lands directly in the arena buffer — a copy of the same
+# GEMM values either way.
 # ----------------------------------------------------------------------
 @_plan.register_kernel("conv_nd", "compute")
 def _k_conv_nd(out, ins, consts):
@@ -352,3 +305,42 @@ def _k_conv_transpose_nd(out, ins, consts):
     if len(ins) > 2:
         out += ins[2].reshape((1, -1) + (1,) * nd)
     return out
+
+
+def _bias_grad(g, ins, needs):
+    """The bias cotangent of a conv, when the conv has a bias that asks."""
+    if len(ins) > 2 and needs[2]:
+        return g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+    return None
+
+
+@_plan.register_vjp("conv_nd")
+def _vjp_conv_nd(g, ins, out, consts, needs):
+    x, w = ins[0], ins[1]
+    stride, padding = consts["stride"], consts["padding"]
+    gx = gw = None
+    if needs[0]:
+        padded = tuple(s + 2 * p for s, p in zip(x.shape[2:], padding))
+        gx = _grad_input(g, w, padded, stride)
+        gx = gx[(slice(None), slice(None)) + tuple(
+            slice(p, p + s) for p, s in zip(padding, x.shape[2:]))]
+    if needs[1]:
+        if any(padding):
+            x = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+        gw = _grad_weight(g, x, w.shape[2:], stride)
+    return (gx, gw, _bias_grad(g, ins, needs))[:len(ins)]
+
+
+@_plan.register_vjp("conv_transpose_nd")
+def _vjp_conv_transpose_nd(g, ins, out, consts, needs):
+    x, w = ins[0], ins[1]
+    stride = consts["stride"]
+    # the output padding's trailing zeros take no part in the product
+    core = g[(slice(None), slice(None)) + tuple(
+        slice(0, s - p) for s, p in zip(g.shape[2:],
+                                        consts["output_padding"]))]
+    # the adjoint of _grad_input w.r.t. gout is the forward conv, and
+    # gw[ci, co, k] = sum_{n,o} x[n,ci,o] * g[n,co,o*s+k]
+    gx = _fwd(core, w, stride) if needs[0] else None
+    gw = _grad_weight(x, core, w.shape[2:], stride) if needs[1] else None
+    return (gx, gw, _bias_grad(g, ins, needs))[:len(ins)]

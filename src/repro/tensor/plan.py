@@ -52,8 +52,9 @@ kernel (``gelu``, ``layernorm``, ``bn_affine``, ``patch_recover``).
 Kernels register here for the generic tensor ops and from the modules
 that own them (:mod:`repro.tensor.ops_conv` registers the conv-GEMM
 kernels, :mod:`repro.nn.layers` / :mod:`repro.nn.attention` /
-:mod:`repro.swin.patch` the fused inference kernels) via
-:func:`register_kernel`.
+:mod:`repro.swin.patch` the fused kernels) via :func:`register_kernel`,
+each with its backward beside it via :func:`register_vjp` — the one
+the autograd tape runs; a plan never calls it.
 
 This module imports nothing from :mod:`repro.tensor.tensor` at module
 scope (which imports it for the registry and the trace state):
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import importlib
 import itertools
 import pickle
@@ -85,6 +87,7 @@ __all__ = [
     "tracing",
     "trace_apply",
     "register_kernel",
+    "register_vjp",
     "single_thread_blas",
     "blas_threads",
 ]
@@ -114,6 +117,7 @@ class Kernel:
     fn: Callable
     kind: str
     nonview: str = "fresh"    # movement kernels: kind when not a view
+    vjp: Optional[Callable] = None   # the backward, see register_vjp
 
 
 #: name -> Kernel; fn(out, ins, consts) -> np.ndarray
@@ -126,7 +130,11 @@ def register_kernel(name: str, kind: str, nonview: str = "fresh"):
     ``out`` is the preallocated output buffer for ``compute`` kernels
     (``None`` at trace time, when the kernel must allocate); ``ins`` is
     the tuple of input arrays; ``consts`` the static argument dict
-    captured at trace time.
+    captured at trace time.  An ``inplace`` kernel writes into
+    ``ins[0]``, which must be a fresh buffer whose producer's VJP does
+    not read its own output (a ``matmul``'s reads only its inputs).
+    The kernel's backward is registered beside it with
+    :func:`register_vjp`.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
@@ -136,6 +144,24 @@ def register_kernel(name: str, kind: str, nonview: str = "fresh"):
             raise ValueError(f"kernel {name!r} already registered")
         KERNELS[name] = Kernel(fn, kind, nonview)
         return fn
+    return deco
+
+
+def register_vjp(name: str):
+    """Register ``vjp(g, ins, out, consts, needs)`` as kernel ``name``'s
+    backward, the one :func:`repro.tensor.tensor.apply` puts on the tape.
+
+    ``g`` is the cotangent of the output ``out``; ``ins`` and ``consts``
+    are what the forward was called with; ``needs[i]`` says whether
+    input ``i`` asks for a gradient.  It returns one cotangent per
+    input, ``None`` wherever ``needs`` is false, so nothing computes a
+    gradient no one reads.  A cotangent may keep broadcast axes: the
+    tape sums them away (:func:`repro.tensor.tensor.unbroadcast`).  It
+    reads ``g``, ``ins`` and ``out`` and writes none of them.
+    """
+    def deco(vjp):
+        KERNELS[name] = dataclasses.replace(KERNELS[name], vjp=vjp)
+        return vjp
     return deco
 
 
@@ -739,39 +765,64 @@ class PlanExecutor:
 
 
 # ----------------------------------------------------------------------
-# generic tensor kernels (conv / fused-NN kernels register from their
-# owning modules); a kernel is its primitive's only forward, so its
-# ``out=buffer`` branch must write the bits its ``out=None`` branch returns
+# generic tensor kernels and their VJPs (conv / fused-NN kernels
+# register from their owning modules); a kernel is its primitive's only
+# forward, so its ``out=buffer`` branch must write the bits its
+# ``out=None`` branch returns
 # ----------------------------------------------------------------------
-def _binary(name, ufunc):
+def _restore_axes(reduced, axis, keepdims: bool, ndim: int) -> np.ndarray:
+    """``reduced`` with the axes a reduction dropped put back as size 1,
+    so it broadcasts against the ``ndim``-d array that was reduced."""
+    reduced = np.asarray(reduced)
+    if axis is not None and not keepdims:
+        ax = axis if isinstance(axis, tuple) else (axis,)
+        for a in sorted(a % ndim for a in ax):
+            reduced = np.expand_dims(reduced, a)
+    return reduced
+
+
+def _binary(name, ufunc, d_left, d_right):
+    """``d_left`` / ``d_right``: ``(g, a, b) -> cotangent`` of each side."""
     @register_kernel(name, "compute")
     def _k(out, ins, consts):
         return ufunc(ins[0], ins[1], out=out)
-    return _k
+
+    @register_vjp(name)
+    def _vjp(g, ins, out, consts, needs):
+        a, b = ins
+        return (d_left(g, a, b) if needs[0] else None,
+                d_right(g, a, b) if needs[1] else None)
 
 
-_binary("add", np.add)
-_binary("sub", np.subtract)
-_binary("mul", np.multiply)
-_binary("div", np.true_divide)
-_binary("maximum", np.maximum)
+_binary("add", np.add, lambda g, a, b: g, lambda g, a, b: g)
+_binary("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+_binary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+_binary("div", np.true_divide, lambda g, a, b: g / b,
+        lambda g, a, b: -g * a / (b * b))
+# ties send the whole gradient to the left operand
+_binary("maximum", np.maximum, lambda g, a, b: g * (a >= b),
+        lambda g, a, b: g * ~(a >= b))
 
 
-def _unary(name, ufunc):
+def _unary(name, ufunc, d):
+    """``d``: ``(g, a, y) -> cotangent`` for input ``a``, output ``y``."""
     @register_kernel(name, "compute")
     def _k(out, ins, consts):
         return ufunc(ins[0], out=out)
-    return _k
+
+    @register_vjp(name)
+    def _vjp(g, ins, out, consts, needs):
+        return (d(g, ins[0], out),)
 
 
-_unary("neg", np.negative)
-_unary("sin", np.sin)
-_unary("cos", np.cos)
-_unary("exp", np.exp)
-_unary("log", np.log)
-_unary("sqrt", np.sqrt)
-_unary("tanh", np.tanh)
-_unary("abs", np.abs)
+_unary("neg", np.negative, lambda g, a, y: -g)
+_unary("sin", np.sin, lambda g, a, y: g * np.cos(a))
+_unary("cos", np.cos, lambda g, a, y: g * -np.sin(a))
+_unary("exp", np.exp, lambda g, a, y: g * y)
+_unary("log", np.log, lambda g, a, y: g / a)
+_unary("sqrt", np.sqrt, lambda g, a, y: g * 0.5 / y)
+_unary("tanh", np.tanh, lambda g, a, y: g * (1.0 - y * y))
+_unary("abs", np.abs, lambda g, a, y: g * np.sign(a))
 
 
 @register_kernel("pow", "compute")
@@ -779,9 +830,29 @@ def _k_pow(out, ins, consts):
     return np.power(ins[0], consts["exponent"], out=out)
 
 
+@register_vjp("pow")
+def _vjp_pow(g, ins, out, consts, needs):
+    e = consts["exponent"]
+    return (g * e * ins[0] ** (e - 1),)
+
+
 @register_kernel("matmul", "compute")
 def _k_matmul(out, ins, consts):
     return np.matmul(ins[0], ins[1], out=out)
+
+
+@register_vjp("matmul")
+def _vjp_matmul(g, ins, out, consts, needs):
+    # reads its inputs only: an in-place kernel may take over its output
+    a, b = ins
+    ga = gb = None
+    if a.ndim == 1 and b.ndim == 1:
+        return (g * b if needs[0] else None, g * a if needs[1] else None)
+    if needs[0]:
+        ga = g @ np.swapaxes(b, -1, -2) if b.ndim > 1 else np.outer(g, b)
+    if needs[1]:
+        gb = np.swapaxes(a, -1, -2) @ g if a.ndim > 1 else np.outer(a, g)
+    return ga, gb
 
 
 @register_kernel("relu", "compute")
@@ -789,15 +860,34 @@ def _k_relu(out, ins, consts):
     return np.multiply(ins[0], ins[0] > 0, out=out)
 
 
+@register_vjp("relu")
+def _vjp_relu(g, ins, out, consts, needs):
+    return (g * (ins[0] > 0),)
+
+
 @register_kernel("clip", "compute")
 def _k_clip(out, ins, consts):
     return np.clip(ins[0], consts["lo"], consts["hi"], out=out)
+
+
+@register_vjp("clip")
+def _vjp_clip(g, ins, out, consts, needs):
+    a = ins[0]
+    return (g * ((a >= consts["lo"]) & (a <= consts["hi"])),)
 
 
 @register_kernel("sum", "compute")
 def _k_sum(out, ins, consts):
     return np.sum(ins[0], axis=consts["axis"],
                   keepdims=consts["keepdims"], out=out)
+
+
+@register_vjp("sum")
+def _vjp_sum(g, ins, out, consts, needs):
+    a = ins[0]
+    return (np.broadcast_to(_restore_axes(g, consts["axis"],
+                                          consts["keepdims"], a.ndim),
+                            a.shape),)
 
 
 @register_kernel("max", "fresh")
@@ -812,6 +902,15 @@ def _k_max(out, ins, consts):
     return r.squeeze(axis=ax)
 
 
+@register_vjp("max")
+def _vjp_max(g, ins, out, consts, needs):
+    # ties share the gradient equally
+    a, axis, keepdims = ins[0], consts["axis"], consts["keepdims"]
+    mask = a == _restore_axes(out, axis, keepdims, a.ndim)
+    return (mask * _restore_axes(g, axis, keepdims, a.ndim)
+            / mask.sum(axis=axis, keepdims=True),)
+
+
 @register_kernel("softmax", "compute")
 def _k_softmax(out, ins, consts):
     a = ins[0]
@@ -819,6 +918,12 @@ def _k_softmax(out, ins, consts):
     np.exp(p, out=p)
     p /= p.sum(axis=consts["axis"], keepdims=True)
     return p
+
+
+@register_vjp("softmax")
+def _vjp_softmax(g, ins, out, consts, needs):
+    gp = g * out
+    return (gp - out * gp.sum(axis=consts["axis"], keepdims=True),)
 
 
 @register_kernel("reshape", "movement", nonview="compute")
@@ -830,9 +935,19 @@ def _k_reshape(out, ins, consts):
     return out
 
 
+@register_vjp("reshape")
+def _vjp_reshape(g, ins, out, consts, needs):
+    return (g.reshape(ins[0].shape),)
+
+
 @register_kernel("transpose", "view")
 def _k_transpose(out, ins, consts):
     return ins[0].transpose(consts["axes"])
+
+
+@register_vjp("transpose")
+def _vjp_transpose(g, ins, out, consts, needs):
+    return (g.transpose(np.argsort(consts["axes"])),)
 
 
 @register_kernel("getitem", "movement")
@@ -840,10 +955,31 @@ def _k_getitem(out, ins, consts):
     return ins[0][consts["idx"]]
 
 
+@register_vjp("getitem")
+def _vjp_getitem(g, ins, out, consts, needs):
+    idx = consts["idx"]
+    full = np.zeros(ins[0].shape, dtype=ins[0].dtype)
+    # a basic index (ints, slices, None, Ellipsis) selects every element
+    # at most once, so its adjoint is a plain store; only a fancy index
+    # can repeat one and has to accumulate
+    if all(isinstance(i, (int, slice, type(None), type(...)))
+           for i in (idx if isinstance(idx, tuple) else (idx,))):
+        full[idx] = g
+    else:
+        np.add.at(full, idx, g)
+    return (full,)
+
+
 @register_kernel("pad", "fresh")
 def _k_pad(out, ins, consts):
     return np.pad(ins[0], consts["pad_width"], mode="constant",
                   constant_values=consts["value"])
+
+
+@register_vjp("pad")
+def _vjp_pad(g, ins, out, consts, needs):
+    return (g[tuple(slice(lo, lo + s) for (lo, _), s
+                    in zip(consts["pad_width"], ins[0].shape))],)
 
 
 @register_kernel("roll", "compute")
@@ -875,9 +1011,25 @@ def _k_roll(out, ins, consts):
     return out
 
 
+@register_vjp("roll")
+def _vjp_roll(g, ins, out, consts, needs):
+    shift = consts["shift"]
+    back = tuple(-s for s in shift) if isinstance(shift, (tuple, list)) \
+        else -shift
+    return (np.roll(g, back, axis=consts["axis"]),)
+
+
 @register_kernel("concatenate", "compute")
 def _k_concatenate(out, ins, consts):
     return np.concatenate(ins, axis=consts["axis"], out=out)
+
+
+@register_vjp("concatenate")
+def _vjp_concatenate(g, ins, out, consts, needs):
+    axis = consts["axis"] % g.ndim
+    ends = np.cumsum([a.shape[axis] for a in ins])
+    return tuple(g[(slice(None),) * axis + (slice(hi - a.shape[axis], hi),)]
+                 if need else None for a, hi, need in zip(ins, ends, needs))
 
 
 @register_kernel("stack", "compute")
@@ -885,14 +1037,33 @@ def _k_stack(out, ins, consts):
     return np.stack(ins, axis=consts["axis"], out=out)
 
 
+@register_vjp("stack")
+def _vjp_stack(g, ins, out, consts, needs):
+    axis = consts["axis"] % g.ndim
+    return tuple(g[(slice(None),) * axis + (i,)] if need else None
+                 for i, need in enumerate(needs))
+
+
 @register_kernel("where", "fresh")
 def _k_where(out, ins, consts):
     return np.where(ins[0], ins[1], ins[2])
 
 
+@register_vjp("where")
+def _vjp_where(g, ins, out, consts, needs):
+    cond = ins[0]          # a plain mask, never a gradient target
+    return (None, np.where(cond, g, 0.0) if needs[1] else None,
+            np.where(cond, 0.0, g) if needs[2] else None)
+
+
 @register_kernel("astype", "fresh")
 def _k_astype(out, ins, consts):
     return ins[0].astype(consts["dtype"])
+
+
+@register_vjp("astype")
+def _vjp_astype(g, ins, out, consts, needs):
+    return (g.astype(ins[0].dtype),)
 
 
 @register_kernel("iadd", "inplace")
@@ -902,8 +1073,18 @@ def _k_iadd(out, ins, consts):
     return t
 
 
+register_vjp("iadd")(KERNELS["add"].vjp)
+
+
 @register_kernel("imul_scalar", "inplace")
 def _k_imul_scalar(out, ins, consts):
     t = ins[0]
     t *= consts["scale"]
     return t
+
+
+@register_vjp("imul_scalar")
+def _vjp_imul_scalar(g, ins, out, consts, needs):
+    # the forward's rounding: the product in the scale's precision,
+    # rounded once into the gradient's dtype
+    return (np.multiply(g, consts["scale"], out=np.empty_like(g)),)

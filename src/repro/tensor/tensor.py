@@ -9,11 +9,12 @@ mixed-precision casts) runs on CPU-only machines.
 
 Design notes
 ------------
-* Each :class:`Tensor` wraps an ``np.ndarray`` and records the operation
-  that produced it as a backward closure plus parent references.
-* Every primitive's forward is its kernel in
-  :data:`repro.tensor.plan.KERNELS`, run through :func:`apply` — eager,
-  taped and traced alike; an op method adds only its backward closure.
+* Each :class:`Tensor` wraps an ``np.ndarray``; a taped one records the
+  operation that produced it (its ``_backward``) plus parent references.
+* Every primitive is one entry of :data:`repro.tensor.plan.KERNELS`: a
+  forward kernel and, beside it, its VJP.  :func:`apply` runs the
+  forward — eager, taped and traced alike — and is the one place a
+  backward is attached, so an op method is a single ``apply`` call.
 * ``backward()`` topologically sorts the graph and accumulates gradients.
 * Broadcasting is handled by :func:`unbroadcast`, which sums gradients
   over broadcast dimensions — the single most bug-prone part of any
@@ -84,8 +85,7 @@ def enable_grad():
     (:meth:`~repro.workflow.engine.ForecastEngine.sensitivity_batch`)
     execute on scheduler worker threads that otherwise serve pure
     inference.  The switch is thread-local, so enabling gradients here
-    never flips a concurrent inference thread out of its fused no-grad
-    fast paths.
+    never makes a concurrent inference thread build a tape.
     """
     prev = is_grad_enabled()
     set_grad_enabled(True)
@@ -126,6 +126,30 @@ _KERNELS = _plan.KERNELS
 _trace_state = _plan._state
 
 
+class _Backward:
+    """A tape node's backward, made by :func:`apply` and nowhere else.
+
+    Runs kernel ``op``'s registered VJP on the arrays its forward saw
+    and accumulates each cotangent into the parent that asks for one.
+    It holds the output *array*, not its Tensor, so a tape has no
+    reference cycles and frees as soon as its root is dropped.
+    """
+
+    __slots__ = ("op", "parents", "arrays", "out", "consts")
+
+    def __init__(self, op, parents, arrays, out, consts):
+        self.op, self.parents, self.arrays = op, parents, arrays
+        self.out, self.consts = out, consts
+
+    def __call__(self, g: np.ndarray) -> None:
+        needs = tuple([t.requires_grad for t in self.parents])
+        cotangents = _KERNELS[self.op].vjp(g, self.arrays, self.out,
+                                           self.consts, needs)
+        for t, need, ct in zip(self.parents, needs, cotangents):
+            if need:
+                t._accum(ct)
+
+
 def apply(name: str, inputs: Sequence["Tensor"],
           consts: Optional[Dict[str, Any]] = None) -> "Tensor":
     """Run primitive ``name`` on ``inputs`` — the one way an op executes.
@@ -134,11 +158,13 @@ def apply(name: str, inputs: Sequence["Tensor"],
     :func:`repro.tensor.plan.trace_apply` (which runs the same kernel).
     Otherwise the registered kernel runs with ``out=None`` and its
     result is wrapped without going through ``Tensor.__init__``; the
-    grad mode is read once, and the result is wired to ``inputs`` as
-    ``_parents`` when it is on and one of them requires grad.  The
-    caller attaches the backward closure under ``if out.requires_grad``.
-    An ``inplace`` kernel mutates ``inputs[0].data`` and the result
-    aliases it, so layers call one only on a fresh, untaped buffer.
+    grad mode is read once, and when it is on and one of ``inputs``
+    requires grad the result is taped: ``inputs`` become its
+    ``_parents`` and the kernel's registered VJP its ``_backward``.
+    The forward is the same expression either way, so a taped result
+    has the bits of an untaped one.  An ``inplace`` kernel mutates
+    ``inputs[0].data`` and the result aliases it: layers call one only
+    on a fresh buffer whose producer's VJP does not read its output.
     """
     if _trace_state.builder is not None:
         value, slot = _plan.trace_apply(
@@ -169,7 +195,9 @@ def apply(name: str, inputs: Sequence["Tensor"],
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                out._parents = tuple(inputs)
+                out._parents = parents = tuple(inputs)
+                out._backward = _Backward(name, parents, arrays, out.data,
+                                          consts)
                 break
     return out
 
@@ -272,22 +300,11 @@ class Tensor:
 
     def clone(self) -> "Tensor":
         """Differentiable copy; under a trace it records a ``"copy"`` step."""
-        out = apply("copy", (self,))
-        if out.requires_grad:
-            def _bw(g):
-                self._accum(g)
-            out._backward = _bw
-        return out
+        return apply("copy", (self,))
 
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast (used for fp16 mixed-precision paths)."""
-        out = apply("astype", (self,), {"dtype": dtype})
-        if out.requires_grad:
-            src_dtype = self.data.dtype
-            def _bw(g):
-                self._accum(g.astype(src_dtype))
-            out._backward = _bw
-        return out
+        return apply("astype", (self,), {"dtype": dtype})
 
     def half(self) -> "Tensor":
         return self.astype(np.float16)
@@ -373,69 +390,26 @@ class Tensor:
     # arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = self._operand(other)
-        out = apply("add", (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g)
-                if other.requires_grad:
-                    other._accum(g)
-            out._backward = _bw
-        return out
+        return apply("add", (self, self._operand(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = apply("neg", (self,))
-        if out.requires_grad:
-            def _bw(g):
-                self._accum(-g)
-            out._backward = _bw
-        return out
+        return apply("neg", (self,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = self._operand(other)
-        out = apply("sub", (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g)
-                if other.requires_grad:
-                    other._accum(-g)
-            out._backward = _bw
-        return out
+        return apply("sub", (self, self._operand(other)))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return self._operand(other) - self
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = self._operand(other)
-        out = apply("mul", (self, other))
-        if out.requires_grad:
-            a, b = self.data, other.data
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g * b)
-                if other.requires_grad:
-                    other._accum(g * a)
-            out._backward = _bw
-        return out
+        return apply("mul", (self, self._operand(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._operand(other)
-        out = apply("div", (self, other))
-        if out.requires_grad:
-            a, b = self.data, other.data
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g / b)
-                if other.requires_grad:
-                    other._accum(-g * a / (b * b))
-            out._backward = _bw
-        return out
+        return apply("div", (self, self._operand(other)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._operand(other) / self
@@ -443,174 +417,61 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ supports scalar exponents only")
-        out = apply("pow", (self,), {"exponent": exponent})
-        if out.requires_grad:
-            a = self.data
-            def _bw(g):
-                self._accum(g * exponent * a ** (exponent - 1))
-            out._backward = _bw
-        return out
+        return apply("pow", (self,), {"exponent": exponent})
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
 
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Batched matrix product with full broadcasting on batch dims."""
-        other = astensor(other)
-        out = apply("matmul", (self, other))
-        if out.requires_grad:
-            a, b = self.data, other.data
-            vectors = a.ndim == 1 and b.ndim == 1
-            def _bw(g):
-                if self.requires_grad:
-                    if vectors:
-                        ga = g * b
-                    elif b.ndim > 1:
-                        ga = g @ np.swapaxes(b, -1, -2)
-                    else:
-                        ga = np.outer(g, b)
-                    self._accum(unbroadcast(ga, a.shape))
-                if other.requires_grad:
-                    if vectors:
-                        gb = g * a
-                    elif a.ndim > 1:
-                        gb = np.swapaxes(a, -1, -2) @ g
-                    else:
-                        gb = np.outer(a, g)
-                    other._accum(unbroadcast(gb, b.shape))
-            out._backward = _bw
-        return out
+        return apply("matmul", (self, astensor(other)))
 
     # ------------------------------------------------------------------
     # elementwise transcendental
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out = apply("exp", (self,))
-        if out.requires_grad:
-            out_data = out.data
-            def _bw(g):
-                self._accum(g * out_data)
-            out._backward = _bw
-        return out
+        return apply("exp", (self,))
 
     def sin(self) -> "Tensor":
-        out = apply("sin", (self,))
-        if out.requires_grad:
-            cos_a = np.cos(self.data)
-            def _bw(g):
-                self._accum(g * cos_a)
-            out._backward = _bw
-        return out
+        return apply("sin", (self,))
 
     def cos(self) -> "Tensor":
-        out = apply("cos", (self,))
-        if out.requires_grad:
-            neg_sin_a = -np.sin(self.data)
-            def _bw(g):
-                self._accum(g * neg_sin_a)
-            out._backward = _bw
-        return out
+        return apply("cos", (self,))
 
     def log(self) -> "Tensor":
-        out = apply("log", (self,))
-        if out.requires_grad:
-            a = self.data
-            def _bw(g):
-                self._accum(g / a)
-            out._backward = _bw
-        return out
+        return apply("log", (self,))
 
     def sqrt(self) -> "Tensor":
-        out = apply("sqrt", (self,))
-        if out.requires_grad:
-            out_data = out.data
-            def _bw(g):
-                self._accum(g * 0.5 / out_data)
-            out._backward = _bw
-        return out
+        return apply("sqrt", (self,))
 
     def tanh(self) -> "Tensor":
-        out = apply("tanh", (self,))
-        if out.requires_grad:
-            out_data = out.data
-            def _bw(g):
-                self._accum(g * (1.0 - out_data * out_data))
-            out._backward = _bw
-        return out
+        return apply("tanh", (self,))
 
     def sigmoid(self) -> "Tensor":
-        out = apply("sigmoid", (self,))
-        if out.requires_grad:
-            out_data = out.data
-            def _bw(g):
-                self._accum(g * out_data * (1.0 - out_data))
-            out._backward = _bw
-        return out
+        return apply("sigmoid", (self,))
 
     def erf(self) -> "Tensor":
         """Gauss error function — the exact GELU building block."""
-        out = apply("erf", (self,))
-        if out.requires_grad:
-            a = self.data
-            two_over_sqrt_pi = 2.0 / np.sqrt(np.pi)
-            def _bw(g):
-                self._accum(g * two_over_sqrt_pi * np.exp(-a * a))
-            out._backward = _bw
-        return out
+        return apply("erf", (self,))
 
     def abs(self) -> "Tensor":
-        out = apply("abs", (self,))
-        if out.requires_grad:
-            sign = np.sign(self.data)
-            def _bw(g):
-                self._accum(g * sign)
-            out._backward = _bw
-        return out
+        return apply("abs", (self,))
 
     def relu(self) -> "Tensor":
-        out = apply("relu", (self,))
-        if out.requires_grad:
-            mask = self.data > 0
-            def _bw(g):
-                self._accum(g * mask)
-            out._backward = _bw
-        return out
+        return apply("relu", (self,))
 
     def maximum(self, other: ArrayLike) -> "Tensor":
         """Elementwise max; ties send the full gradient to ``self``."""
-        other = self._operand(other)
-        out = apply("maximum", (self, other))
-        if out.requires_grad:
-            mask = self.data >= other.data
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g * mask)
-                if other.requires_grad:
-                    other._accum(g * ~mask)
-            out._backward = _bw
-        return out
+        return apply("maximum", (self, self._operand(other)))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        out = apply("clip", (self,), {"lo": lo, "hi": hi})
-        if out.requires_grad:
-            mask = (self.data >= lo) & (self.data <= hi)
-            def _bw(g):
-                self._accum(g * mask)
-            out._backward = _bw
-        return out
+        return apply("clip", (self,), {"lo": lo, "hi": hi})
 
     # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = apply("sum", (self,), {"axis": axis, "keepdims": keepdims})
-        if out.requires_grad:
-            shape = self.data.shape
-            def _bw(g):
-                gg = _restore_axes(g, axis, keepdims, len(shape))
-                self._accum(np.broadcast_to(gg, shape))
-            out._backward = _bw
-        return out
+        return apply("sum", (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         n = self.data.size if axis is None else _axis_size(self.data.shape, axis)
@@ -625,16 +486,7 @@ class Tensor:
         return sq.mean(axis=axis, keepdims=keepdims) * scale
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = apply("max", (self,), {"axis": axis, "keepdims": keepdims})
-        if out.requires_grad:
-            ndim = self.data.ndim
-            mask = self.data == _restore_axes(out.data, axis, keepdims, ndim)
-            counts = mask.sum(axis=axis, keepdims=True)
-            def _bw(g):
-                gg = _restore_axes(g, axis, keepdims, ndim)
-                self._accum(mask * gg / counts)
-            out._backward = _bw
-        return out
+        return apply("max", (self,), {"axis": axis, "keepdims": keepdims})
 
     # ------------------------------------------------------------------
     # shape ops
@@ -642,26 +494,14 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = apply("reshape", (self,), {"shape": shape})
-        if out.requires_grad:
-            orig = self.data.shape
-            def _bw(g):
-                self._accum(np.asarray(g).reshape(orig))
-            out._backward = _bw
-        return out
+        return apply("reshape", (self,), {"shape": shape})
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        out = apply("transpose", (self,), {"axes": axes})
-        if out.requires_grad:
-            inv = np.argsort(axes)
-            def _bw(g):
-                self._accum(np.asarray(g).transpose(inv))
-            out._backward = _bw
-        return out
+        return apply("transpose", (self,), {"axes": axes})
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.data.ndim))
@@ -669,50 +509,16 @@ class Tensor:
         return self.transpose(*axes)
 
     def __getitem__(self, idx) -> "Tensor":
-        out = apply("getitem", (self,), {"idx": idx})
-        if out.requires_grad:
-            shape = self.data.shape
-            dtype = self.data.dtype
-            # a basic index (ints, slices, None, Ellipsis) selects every
-            # element at most once, so its adjoint is a plain store;
-            # only a fancy index can repeat one and has to accumulate
-            basic = all(isinstance(i, (int, slice, type(None), type(...)))
-                        for i in (idx if isinstance(idx, tuple) else (idx,)))
-            def _bw(g):
-                full = np.zeros(shape, dtype=dtype)
-                if basic:
-                    full[idx] = g
-                else:
-                    np.add.at(full, idx, g)
-                self._accum(full)
-            out._backward = _bw
-        return out
+        return apply("getitem", (self,), {"idx": idx})
 
     def pad(self, pad_width: Sequence[Tuple[int, int]], value: float = 0.0) -> "Tensor":
         """Constant-pad; ``pad_width`` follows ``np.pad`` convention."""
         pw = tuple(tuple(p) for p in pad_width)
-        out = apply("pad", (self,), {"pad_width": pw, "value": value})
-        if out.requires_grad:
-            slices = tuple(
-                slice(lo, lo + s) for (lo, _), s in zip(pw, self.data.shape)
-            )
-            def _bw(g):
-                self._accum(np.asarray(g)[slices])
-            out._backward = _bw
-        return out
+        return apply("pad", (self,), {"pad_width": pw, "value": value})
 
     def roll(self, shift, axis) -> "Tensor":
         """Cyclic shift — the core of shifted-window attention (SW-MSA)."""
-        out = apply("roll", (self,), {"shift": shift, "axis": axis})
-        if out.requires_grad:
-            if isinstance(shift, (tuple, list)):
-                inv_shift = tuple(-s for s in shift)
-            else:
-                inv_shift = -shift
-            def _bw(g):
-                self._accum(np.roll(np.asarray(g), inv_shift, axis=axis))
-            out._backward = _bw
-        return out
+        return apply("roll", (self,), {"shift": shift, "axis": axis})
 
     # ------------------------------------------------------------------
     # composite ops
@@ -723,23 +529,10 @@ class Tensor:
         Computed with one temporary (shift, exp and normalise reuse the
         same buffer) — the backward only needs the final probabilities.
         """
-        out = apply("softmax", (self,), {"axis": axis})
-        if out.requires_grad:
-            p = out.data
-            def _bw(g):
-                gp = g * p
-                self._accum(gp - p * gp.sum(axis=axis, keepdims=True))
-            out._backward = _bw
-        return out
+        return apply("softmax", (self,), {"axis": axis})
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        out = apply("log_softmax", (self,), {"axis": axis})
-        if out.requires_grad:
-            p = np.exp(out.data)
-            def _bw(g):
-                self._accum(g - p * g.sum(axis=axis, keepdims=True))
-            out._backward = _bw
-        return out
+        return apply("log_softmax", (self,), {"axis": axis})
 
     # comparison helpers (non-differentiable, return ndarray masks)
     def __gt__(self, other):
@@ -764,68 +557,26 @@ def _axis_size(shape: Tuple[int, ...], axis) -> int:
     return shape[axis % len(shape)]
 
 
-def _restore_axes(reduced, axis, keepdims: bool, ndim: int) -> np.ndarray:
-    """``reduced`` with the axes a reduction dropped put back as size 1,
-    so it broadcasts against the ``ndim``-d array that was reduced."""
-    reduced = np.asarray(reduced)
-    if axis is not None and not keepdims:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        for a in sorted(a % ndim for a in ax):
-            reduced = np.expand_dims(reduced, a)
-    return reduced
-
-
 # ----------------------------------------------------------------------
 # free functions
 # ----------------------------------------------------------------------
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
-    ts = [astensor(t) for t in tensors]
-    out = apply("concatenate", ts, {"axis": axis})
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in ts]
-        offsets = np.cumsum([0] + sizes)
-        def _bw(g):
-            g = np.asarray(g)
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(lo, hi)
-                    t._accum(g[tuple(idx)])
-        out._backward = _bw
-    return out
+    return apply("concatenate", [astensor(t) for t in tensors],
+                 {"axis": axis})
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new ``axis``."""
-    ts = [astensor(t) for t in tensors]
-    out = apply("stack", ts, {"axis": axis})
-    if out.requires_grad:
-        def _bw(g):
-            g = np.asarray(g)
-            for i, t in enumerate(ts):
-                if t.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = i
-                    t._accum(g[tuple(idx)])
-        out._backward = _bw
-    return out
+    return apply("stack", [astensor(t) for t in tensors],
+                 {"axis": axis})
 
 
 def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Differentiable select: ``cond ? a : b`` (cond is a plain mask)."""
-    a, b = astensor(a), astensor(b)
-    cond = np.asarray(cond, dtype=bool)
     # the mask is the kernel's first input, never a gradient target
-    out = apply("where", (Tensor(cond), a, b))
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a._accum(np.where(cond, g, 0.0))
-            if b.requires_grad:
-                b._accum(np.where(cond, 0.0, g))
-        out._backward = _bw
-    return out
+    return apply("where", (Tensor(np.asarray(cond, dtype=bool)),
+                           astensor(a), astensor(b)))
 
 
 # ----------------------------------------------------------------------
@@ -837,9 +588,20 @@ def _k_sigmoid(out, ins, consts):
     return _sp_special.expit(ins[0], out=out)
 
 
+@_plan.register_vjp("sigmoid")
+def _vjp_sigmoid(g, ins, out, consts, needs):
+    return (g * out * (1.0 - out),)
+
+
 @_plan.register_kernel("erf", "compute")
 def _k_erf(out, ins, consts):
     return _sp_special.erf(ins[0], out=out)
+
+
+@_plan.register_vjp("erf")
+def _vjp_erf(g, ins, out, consts, needs):
+    a = ins[0]
+    return (g * (2.0 / np.sqrt(np.pi)) * np.exp(-a * a),)
 
 
 @_plan.register_kernel("copy", "compute")
@@ -850,9 +612,20 @@ def _k_copy(out, ins, consts):
     return out
 
 
+@_plan.register_vjp("copy")
+def _vjp_copy(g, ins, out, consts, needs):
+    return (g,)
+
+
 @_plan.register_kernel("log_softmax", "fresh")
 def _k_log_softmax(out, ins, consts):
     a, axis = ins[0], consts["axis"]
     shifted = a - a.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     return shifted - lse
+
+
+@_plan.register_vjp("log_softmax")
+def _vjp_log_softmax(g, ins, out, consts, needs):
+    axis = consts["axis"]
+    return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)

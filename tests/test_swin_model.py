@@ -217,3 +217,39 @@ class TestCoastalSurrogate:
             patch2d=(8, 8), embed_dim=8, num_heads=(2, 4, 8),
             window_first=(2, 2, 2, 2), window_rest=(2, 2, 2, 2)))
         assert small.num_parameters() != big.num_parameters()
+
+
+#: the serving and estuary meshes of benchmarks/e2e/workloads.py
+#: (SERVING_CFG, ESTUARY_CFG): head_dim 4 everywhere on the first, 6 on
+#: the second, where 1/sqrt(head_dim) is inexact in any precision
+_MESHES = {
+    "serving": SurrogateConfig(
+        mesh=(16, 16, 6), time_steps=4, patch3d=(4, 4, 2), patch2d=(4, 4),
+        embed_dim=8, num_heads=(2, 4, 8), depths=(2, 2, 2),
+        window_first=(2, 2, 2, 2), window_rest=(2, 2, 2, 2)),
+    "estuary": SurrogateConfig(
+        mesh=(64, 64, 6), time_steps=8, patch3d=(4, 4, 2), patch2d=(4, 4),
+        embed_dim=12, num_heads=(2, 4, 8), depths=(2, 2, 2),
+        window_first=(4, 4, 2, 2), window_rest=(2, 2, 2, 2)),
+}
+
+
+class TestOneForward:
+    @pytest.mark.parametrize("mesh", sorted(_MESHES))
+    def test_taped_forward_is_the_untaped_forward_bitwise(self, mesh):
+        """One network, one forward: with the tape on, every layer runs
+        the expression it runs without grad, so a gradient is taken
+        through exactly the forecast that was served."""
+        cfg = _MESHES[mesh]
+        model = CoastalSurrogate(cfg).eval()
+        (H, W, D), T = cfg.mesh, cfg.time_steps
+        rng = np.random.default_rng(31)
+        x3 = rng.normal(size=(1, 3, H, W, D, T)).astype(np.float32)
+        x2 = rng.normal(size=(1, 1, H, W, T)).astype(np.float32)
+        with no_grad():
+            untaped = model(Tensor(x3), Tensor(x2))
+        taped = model(Tensor(x3, requires_grad=True),
+                      Tensor(x2, requires_grad=True))
+        for got, want in zip(taped, untaped):
+            assert got.requires_grad
+            assert got.data.tobytes() == want.data.tobytes()

@@ -130,12 +130,17 @@ def _seeded(head, seed=5):
     return head.eval()
 
 
-def _composite(head, x):
-    """The four modules, untaped: ConvTranspose → BatchNorm → GELU → 1×1."""
+def _four_modules(head, x):
+    """ConvTranspose → BatchNorm → GELU → 1×1, one module at a time."""
     folded, B, T = _fold_time(x)
+    return _unfold_time(head.head(head.act(head.norm(head.up(folded)))),
+                        B, T)
+
+
+def _composite(head, x):
+    """The four modules' output, untaped."""
     with no_grad():
-        y = head.head(head.act(head.norm(head.up(folded))))
-    return _unfold_time(y, B, T).data
+        return _four_modules(head, x).data
 
 
 def _case(shape, layout, seed=6):
@@ -250,22 +255,58 @@ class TestFusedHead:
         assert not np.array_equal(head.norm.running_mean, before[0])
         assert not np.array_equal(head.norm.running_var, before[1])
 
-    def test_taped_forward_builds_the_composite_nodes(self):
-        """With the tape on, the adjoint walks the four layers' nodes —
-        and their forward is the kernel's, bit for bit."""
+    def test_taped_forward_builds_one_patch_recover_node(self):
+        """With the tape on, eval mode runs the one kernel — its forward
+        bits are the untaped ones — and its VJP reaches every parameter,
+        BatchNorm's weight and bias through the folded scale and shift."""
         make, shape = _HEADS["serving-2d"]
         head = _seeded(make())
         array, _ = _case(shape, "contiguous")
         x = Tensor(array, requires_grad=True)
         out = head(x)
-        closures = {n._backward.__qualname__.split(".")[0]
-                    for n in tape_nodes(out) if n._backward is not None}
-        assert {"conv_transpose_nd", "gelu", "conv_nd"} <= closures
+        ops = [n._backward.op for n in tape_nodes(out)
+               if n._backward is not None]
+        assert ops.count("patch_recover") == 1
+        assert not {"conv_transpose_nd", "bn_affine", "gelu",
+                    "conv_nd"} & set(ops)
         with no_grad():
             assert _same_bits(out.data, head(Tensor(array)).data)
         out.sum().backward()
         assert x.grad is not None
         assert all(p.grad is not None for p in head.parameters())
+        assert head.norm.weight.grad is not None \
+            and head.norm.bias.grad is not None
+
+    @pytest.mark.parametrize("name", sorted(_HEADS))
+    def test_fused_vjp_is_the_composites_tape(self, name):
+        """The fast operator against the slow one, value and gradient
+        (the ``test_autodiff`` pattern): taped, the kernel's output is
+        the four modules' bit for bit, and so is the input gradient;
+        the six parameter gradients — the two convolutions' weights and
+        biases, BatchNorm's weight and bias — sum over blocks in another
+        order and agree within 2e-5 of their largest entry (the worst
+        of the four heads reads 4.5e-6)."""
+        make, shape = _HEADS[name]
+        head = _seeded(make())
+        array, select = _case(shape, "depth-slot")
+        grads, outs = [], []
+        for forward in (head, lambda t: _four_modules(head, t)):
+            head.zero_grad()
+            x = Tensor(array, requires_grad=True)
+            out = forward(select(x))
+            if not outs:
+                cotangent = np.random.default_rng(4).normal(
+                    size=out.shape).astype(np.float32)
+            out.backward(cotangent)
+            outs.append(out.data)
+            grads.append([x.grad] + [p.grad for p in head.parameters()])
+        assert _same_bits(*outs)
+        (dx, *fused), (want_dx, *composite) = grads
+        assert _same_bits(dx, want_dx)
+        assert len(fused) == 6
+        for got, want in zip(fused, composite):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 2e-5 * np.abs(want).max()
 
     def test_surrogate_plan_runs_one_kernel_per_head(
             self, tiny_surrogate_config):

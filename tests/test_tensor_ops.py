@@ -1,6 +1,9 @@
 """Autograd engine: every adjoint verified against finite differences."""
 
+import ast
+import collections
 import math
+from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -25,7 +28,7 @@ from repro.tensor import (
     where,
 )
 from repro.tensor import plan as plan_mod
-from repro.tensor.gradcheck import tape_nodes
+from repro.tensor.gradcheck import numerical_grad, tape_nodes
 
 
 def _arr(rng, *shape):
@@ -491,10 +494,9 @@ def _positive(rng, *shape):
 def _seeded_layers():
     rng = np.random.default_rng(7)
     lin, ln, bn = Linear(5, 3, rng=rng), LayerNorm(5), BatchNorm(4)
-    # head_dim 4, so the scale 1/sqrt(4) is exact.  An inexact one
-    # splits tape from no-grad by an ulp: the tape multiplies by the
-    # scale rounded to float32 (a weak scalar), the in-place kernel by
-    # the float64 scalar and rounds the product.
+    # head_dim 4, so the scale 1/sqrt(4) is exact: the float32 reference
+    # below and a composite that multiplies by a weak Python scalar
+    # round it as the kernel's float64 scalar does
     msa = MultiHeadSelfAttention(8, 2, rng=rng)
     for p in (*lin.parameters(), *ln.parameters(), *bn.parameters(),
               *msa.parameters()):
@@ -666,9 +668,8 @@ OP_TABLE = {
     "conv_transpose_nd": Row(
         lambda x: conv_transpose_nd(x, _CONV_T_W, _CONV_B, stride=2),
         [(2, 3, 2, 3)], None),
-    # the tape runs the head's four-layer composite, so the eager ≡ tape
-    # column is the fused kernel against it; test_swin_patch's
-    # TestFusedHead holds it on the model's shapes and layouts
+    # held to the head's four-layer composite by test_swin_patch's
+    # TestFusedHead, forward and gradient, on the model's shapes
     "patch_recover": Row(lambda x: _RECOVER(x), [(2, 4, 2, 3, 2, 3)], None),
 }
 
@@ -700,9 +701,56 @@ _layouts = pytest.mark.parametrize("strided", [False, True],
 _rows = pytest.mark.parametrize("name", sorted(OP_TABLE))
 
 
+#: the gradient column's central-difference step per input, where the
+#: default 1e-6 does not fit: a float16 cast is piecewise constant, so
+#: its step must stride over many rounding intervals
+_FD_EPS = {"astype": (0.25,)}
+#: the gates on ``|analytic − numeric| / |numeric|``, (max, median): the
+#: worst row reads about 4e-7 / 6e-9 (``patch_recover``, ``gelu``); the
+#: float16 cast rounds the incoming gradient to 11 bits on its way back
+_FD_GATES = {"astype": (1e-2, 1e-3)}
+_FD_DEFAULT_GATES = (1e-5, 1e-7)
+
+
 class TestOpTable:
     def test_every_registered_kernel_has_a_row(self):
         assert set(OP_TABLE) == set(plan_mod.KERNELS)
+
+    def test_every_registered_kernel_has_a_vjp(self):
+        assert not [name for name, kernel in plan_mod.KERNELS.items()
+                    if kernel.vjp is None]
+
+    @_layouts
+    @_rows
+    def test_vjp_matches_float64_central_differences(self, name, strided):
+        """The row's VJP — through its public op, in float64 — against
+        central differences of ``sum(op · w)`` for a random ``w``, one
+        step per input, with max and median gates on the relative
+        deviation (the ``compare_grad_with_fd`` pattern).  A deviation
+        is measured against ``|numeric|`` but never against less than
+        a thousandth of its largest entry, so an exact zero (a masked or
+        unselected element) is held to the same absolute bar."""
+        call, arrays, _ = _row_case(name, strided)
+        arrays = [a.astype(np.float64) for a in arrays]
+        with no_grad():
+            shape = call(*map(Tensor, arrays)).shape
+        w = Tensor(np.random.default_rng(99).normal(size=shape))
+
+        def weighted(*tensors):
+            return call(*tensors) * w
+
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        weighted(*tensors).sum().backward()
+        for layer in (_LIN, _LN, _BN, _MSA, _RECOVER):
+            layer.zero_grad()
+        eps = _FD_EPS.get(name, (1e-6,) * len(arrays))
+        max_gate, median_gate = _FD_GATES.get(name, _FD_DEFAULT_GATES)
+        for i, t in enumerate(tensors):
+            numeric = numerical_grad(weighted, arrays, i, eps=eps[i])
+            dev = np.abs(t.grad - numeric) / np.maximum(
+                np.abs(numeric), 1e-3 * np.abs(numeric).max())
+            assert dev.max() < max_gate, (i, dev.max())
+            assert np.median(dev) < median_gate, (i, np.median(dev))
 
     @_layouts
     @_rows
@@ -771,26 +819,87 @@ class TestOneForwardPerPrimitive:
         taped = Tensor(a, requires_grad=True) + Tensor(b)
         assert taped.requires_grad and np.array_equal(taped.data, a - b)
 
-    @pytest.mark.parametrize("layer, shape, mask", [
-        (_LIN, (3, 4, 5), None), (_MSA, (4, 6, 8), None),
-        (_MSA, (4, 6, 8), _WINDOW_MASK),
-        (_MSA, (4, 6, 8), np.tile(_WINDOW_MASK, (2, 1, 1, 1)))],
+    @pytest.mark.parametrize("layer, shape, mask, in_place", [
+        (_LIN, (3, 4, 5), None, {"iadd": 1}),
+        (_MSA, (4, 6, 8), None, {"iadd": 2, "imul_scalar": 1}),
+        (_MSA, (4, 6, 8), _WINDOW_MASK,
+         {"iadd": 2, "imul_scalar": 1, "add_window_mask": 1}),
+        (_MSA, (4, 6, 8), np.tile(_WINDOW_MASK, (2, 1, 1, 1)),
+         {"iadd": 3, "imul_scalar": 1})],
         ids=["linear", "attention", "window-mask", "plain-mask"])
-    def test_in_place_kernels_never_run_under_a_tape(
-            self, rng, monkeypatch, layer, shape, mask):
-        """With a requires-grad input the layers take the composite
-        branch: no in-place kernel is called, and every matmul node
-        still holds the product of its parents."""
-        for name in ("iadd", "imul_scalar", "add_window_mask"):
-            def refuse(out, ins, consts, name=name):
-                raise AssertionError(f"{name} ran under a tape")
-            monkeypatch.setitem(plan_mod.KERNELS, name,
-                                plan_mod.Kernel(refuse, "inplace"))
-        x = Tensor(_f32(rng, *shape), requires_grad=True)
-        out = layer(x) if mask is None else layer(x, mask=mask)
-        products = [n for n in tape_nodes(out) if n._backward is not None
-                    and "matmul" in n._backward.__qualname__]
-        assert len(products) == (1 if layer is _LIN else 4)
-        for node in products:
-            left, right = node._parents
-            assert _same_bits(node.data, left.data @ right.data)
+    def test_taped_in_place_is_the_composite(
+            self, rng, layer, shape, mask, in_place):
+        """Under the tape the layers run their in-place kernels — the
+        expression they run untaped — and every gradient, the input's
+        and each parameter's, is bitwise what the out-of-place
+        composite's tape gives."""
+        array = _f32(rng, *shape)
+        cotangent = _f32(rng, *shape[:-1], 3 if layer is _LIN else 8)
+        grads, ops = [], []
+        for fn in (layer, _composite_layer):
+            layer.zero_grad()
+            x = Tensor(array, requires_grad=True)
+            out = fn(x) if mask is None else fn(x, mask=mask)
+            ops.append(collections.Counter(
+                n._backward.op for n in tape_nodes(out)
+                if n._backward is not None))
+            out.backward(cotangent)
+            grads.append([x.grad] + [p.grad for p in layer.parameters()])
+        layer.zero_grad()
+        fused, composite = ops
+        assert fused["matmul"] == composite["matmul"] \
+            == (1 if layer is _LIN else 4)
+        kinds = ("iadd", "imul_scalar", "add_window_mask")
+        assert {k: fused[k] for k in kinds if fused[k]} == in_place
+        assert not set(kinds) & set(composite)
+        assert all(_same_bits(a, b) for a, b in zip(*grads))
+
+    def test_only_apply_and_checkpoint_build_the_tape(self):
+        """Scanned from source: a ``_backward`` is set to anything but
+        ``None`` only in ``tensor.apply`` and in ``checkpoint``'s
+        recompute node, and no ``nn`` / ``swin`` code reads
+        ``is_grad_enabled()`` or ``.requires_grad`` — what a layer would
+        fork on — except ``checkpoint``, which is not a primitive."""
+        src = Path(plan_mod.__file__).resolve().parents[1]
+        setters, forks = set(), set()
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Assign) and any(
+                                isinstance(t, ast.Attribute)
+                                and t.attr == "_backward"
+                                for t in node.targets) and not (
+                                isinstance(node.value, ast.Constant)
+                                and node.value.value is None):
+                            setters.add(f"{rel}:{fn.name}")
+            if rel.startswith(("nn/", "swin/")):
+                forks |= {f"{rel}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Name)
+                          and node.id == "is_grad_enabled"
+                          or isinstance(node, ast.Attribute) and node.attr
+                          in ("requires_grad", "is_grad_enabled")}
+        assert sorted(setters) == ["swin/checkpoint.py:checkpoint",
+                                   "tensor/tensor.py:apply"]
+        assert forks and all(f.startswith("swin/checkpoint.py:")
+                             for f in forks)
+
+
+def _composite_layer(x, mask=None):
+    """Linear or MSA as out-of-place Tensor ops: bias by ``+``, scale by
+    ``*``, mask by ``+`` through the batch-grouped view."""
+    if x.shape[-1] == _LIN.in_features:
+        return x.matmul(_LIN.weight) + _LIN.bias
+    m, (B, N, C) = _MSA, x.shape
+    qkv = (x.matmul(m.qkv.weight) + m.qkv.bias) \
+        .reshape(B, N, 3, m.num_heads, m.head_dim).transpose(2, 0, 3, 1, 4)
+    attn = qkv[0].matmul(qkv[1].swapaxes(-1, -2)) * m.scale
+    if mask is not None:
+        nW = mask.shape[0]
+        attn = (attn.reshape(B // nW, nW, m.num_heads, N, N)
+                + Tensor(mask[None])).reshape(B, m.num_heads, N, N)
+    out = attn.softmax(axis=-1).matmul(qkv[2])
+    return out.transpose(0, 2, 1, 3).reshape(B, N, C).matmul(m.proj.weight) \
+        + m.proj.bias

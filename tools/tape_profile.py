@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Where a gradient's time goes: phases, tape size and backward closures.
+"""Where a gradient's time goes: phases, tape size and backward by op.
 
 Runs ``ForecastEngine.sensitivity_batch`` on the ``adjoint_batch``
 inputs of the benchmark (model config, windows and storm are imported
@@ -14,9 +14,10 @@ prints
   ``apply`` calls, which build their result without ``__init__`` — and
   the tape nodes reachable from the loss, for the model graph and the
   overlay graph;
-* backward milliseconds by closure name: every reachable node's
-  ``_backward`` is wrapped from outside, then the real
-  ``Tensor.backward`` runs (it carries no clock of its own).
+* backward milliseconds by registered op name: every reachable node's
+  ``_backward`` (its kernel's VJP, as ``tensor.apply`` put it on the
+  tape) is wrapped from outside, then the real ``Tensor.backward`` runs
+  (it carries no clock of its own).
 
 ::
 
@@ -66,7 +67,7 @@ class Probe:
         self.spent = collections.defaultdict(float)   # phase -> seconds
         self.backwards = []        # wall of each Tensor.backward, in order
         self.graphs = []           # reachable tensors, first two backwards
-        self.closures = None       # name -> [calls, seconds] when set
+        self.ops = None       # op -> [calls, seconds] when set
         self.constructions = 0
         self._undo = []
         self._wrap(sensitivity, "compose_batch", "overlay apply")
@@ -109,18 +110,19 @@ class Probe:
         def backward(root, grad=None):
             if len(self.graphs) < 2:         # model graph, overlay graph
                 self.graphs.append(len(tape_nodes(root)))
-            if self.closures is not None:
+            if self.ops is not None:
                 for node in tape_nodes(root):
                     if node._backward is not None:
-                        node._backward = self._timed_closure(node._backward)
+                        node._backward = self._timed_vjp(node._backward)
             t0 = time.perf_counter()
             original(root, grad)
             self.backwards.append(time.perf_counter() - t0)
         return backward
 
-    def _timed_closure(self, fn):
-        entry = self.closures[len(self.backwards) % 2].setdefault(
-            fn.__qualname__.replace(".<locals>._bw", ""), [0, 0.0])
+    def _timed_vjp(self, fn):
+        # a checkpoint's recompute node is the one backward with no op
+        entry = self.ops[len(self.backwards) % 2].setdefault(
+            getattr(fn, "op", None) or fn.__qualname__, [0, 0.0])
 
         def timed(g):
             t0 = time.perf_counter()
@@ -137,13 +139,13 @@ class Probe:
                 setattr(owner, name, original)
 
 
-def closure_table(title, closures, backward_s):
-    total = sum(sec for _, sec in closures.values())
+def op_table(title, ops, backward_s):
+    total = sum(sec for _, sec in ops.values())
     print(f"\n{title}: {1e3 * backward_s / REPEATS:.2f} ms per backward, "
           f"{1e3 * (backward_s - total) / REPEATS:.2f} of it outside the "
-          f"closures (topological sort, the loop, freeing gradients)")
-    print(f"{'closure':<28}{'calls':>6}{'ms':>10}{'share %':>9}{'us/call':>10}")
-    for name, (calls, sec) in sorted(closures.items(),
+          f"VJPs (topological sort, the loop, freeing gradients)")
+    print(f"{'op':<28}{'calls':>6}{'ms':>10}{'share %':>9}{'us/call':>10}")
+    for name, (calls, sec) in sorted(ops.items(),
                                      key=lambda kv: -kv[1][1]):
         print(f"{name:<28}{calls // REPEATS:>6}{1e3 * sec / REPEATS:>10.3f}"
               f"{100 * sec / backward_s:>9.1f}{1e6 * sec / calls:>10.1f}")
@@ -191,7 +193,7 @@ def main(argv=None) -> int:
         constructions = probe.constructions // REPEATS
         model_nodes, overlay_nodes = probe.graphs[:2]
 
-        probe.closures = collections.defaultdict(dict)
+        probe.ops = collections.defaultdict(dict)
         probe.backwards.clear()
         for _ in range(REPEATS):
             call()
@@ -216,7 +218,7 @@ def main(argv=None) -> int:
     print(f"tape nodes reachable from the loss: model graph {model_nodes}, "
           f"overlay graph {overlay_nodes}")
     for title, which in (("model backward", 0), ("overlay backward", 1)):
-        closure_table(title, probe.closures[which],
+        op_table(title, probe.ops[which],
                       sum(probe.backwards[which::2]))
     print(f"\nphases sum to {shares:.1f} % of the call")
     if constructions < model_nodes + overlay_nodes:
