@@ -22,7 +22,7 @@ from .dataset import (
 )
 from .loader import Batch, DataLoader
 from .builder import ArchiveBundle, build_archives, resample_store
-from .cache import CachedStore, CacheStats, LruBytes
+from .cache import LruBytes
 
 __all__ = [
     "SnapshotStore",
@@ -43,7 +43,5 @@ __all__ = [
     "ArchiveBundle",
     "build_archives",
     "resample_store",
-    "CachedStore",
-    "CacheStats",
     "LruBytes",
 ]

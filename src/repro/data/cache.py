@@ -1,59 +1,35 @@
-"""OS page-cache simulation for snapshot archives (paper §III-D).
-
-The paper's first I/O optimisation "leverag[es] OS-level caching":
-after a first epoch of SSD reads, re-read snapshots are served from the
-page cache at RAM speed, and prefetch workers hide the remainder.
-:class:`CachedStore` reproduces that behaviour measurably: an LRU cache
-with a byte capacity fronts a :class:`~repro.data.store.SnapshotStore`,
-counting hits/misses and modelling effective staging time — the numbers
-behind the ``cache_hit_fraction`` parameter of the Fig. 9 pipeline
-model.
+"""Byte-capacity LRU mapping: the eviction core of the serving result
+cache (:class:`repro.serve.cache.ForecastCache`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
-import numpy as np
-
-from .store import SnapshotStore, VARIABLES
-
-__all__ = ["CacheStats", "CachedStore", "LruBytes"]
+__all__ = ["LruBytes"]
 
 
 class LruBytes:
-    """Byte-capacity LRU mapping: the eviction core of every cache here.
+    """Byte-capacity LRU mapping.
 
-    Both the page-cache simulation (:class:`CachedStore`) and the
-    serving result cache (:class:`repro.serve.cache.ForecastCache`)
-    need the same mechanics — recency refresh on hit, eviction of the
-    least-recently-used entries until a new value fits, bypass of
-    values larger than the whole cache.  This class owns exactly that;
-    hit/miss accounting stays with the callers, whose stats mean
-    different things (bytes from disk vs recomputed forecasts).
+    Recency refresh on hit, eviction of the least-recently-used entries
+    until a new value fits, bypass of values larger than the whole
+    cache.  Hit/miss accounting stays with the caller.
 
     Parameters
     ----------
     capacity_bytes: total byte budget.
-    size_of: value → size in bytes (defaults to ``value.nbytes``).
+    size_of: value → size in bytes.
     """
 
-    def __init__(self, capacity_bytes: int,
-                 size_of: Optional[Callable[[Any], int]] = None):
+    def __init__(self, capacity_bytes: int, size_of: Callable[[Any], int]):
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity_bytes)
-        self._size_of = size_of or (lambda v: v.nbytes)
+        self._size_of = size_of
         self._items: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._used = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._items
 
     @property
     def used_bytes(self) -> int:
@@ -90,85 +66,3 @@ class LruBytes:
     def clear(self) -> None:
         self._items.clear()
         self._used = 0
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss accounting of one cache."""
-
-    hits: int = 0
-    misses: int = 0
-    bytes_from_cache: int = 0
-    bytes_from_disk: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def effective_load_seconds(self, disk_bandwidth: float,
-                               ram_bandwidth: float) -> float:
-        """Modelled staging time for the recorded traffic mix."""
-        return (self.bytes_from_disk / disk_bandwidth
-                + self.bytes_from_cache / ram_bandwidth)
-
-
-class CachedStore:
-    """LRU page-cache wrapper over a snapshot store.
-
-    Parameters
-    ----------
-    store: backing archive.
-    capacity_bytes: cache size.  The paper's inference node has 250 GB
-        of RAM against a 2.6 TB archive (≈10% residency); at bench scale
-        the ratio is configurable.
-    """
-
-    def __init__(self, store: SnapshotStore, capacity_bytes: int):
-        self.store = store
-        self._cache = LruBytes(capacity_bytes)
-        self.capacity = self._cache.capacity
-        self.stats = CacheStats()
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.store)
-
-    @property
-    def meta(self):
-        return self.store.meta
-
-    def read_var(self, var: str, idx: int) -> np.ndarray:
-        key = (var, idx)
-        arr = self._cache.get(key)
-        if arr is not None:
-            self.stats.hits += 1
-            self.stats.bytes_from_cache += arr.nbytes
-            return arr
-        arr = self.store.read_var(var, idx)
-        self.stats.misses += 1
-        self.stats.bytes_from_disk += arr.nbytes
-        self.stats.evictions += self._cache.put(key, arr)
-        return arr
-
-    def read_snapshot(self, idx: int) -> Dict[str, np.ndarray]:
-        return {var: self.read_var(var, idx) for var in VARIABLES}
-
-    def read_window(self, start: int, length: int) -> Dict[str, np.ndarray]:
-        if start < 0 or start + length > len(self):
-            raise IndexError(
-                f"window [{start}, {start + length}) out of range")
-        return {
-            var: np.stack([self.read_var(var, start + k)
-                           for k in range(length)], axis=0)
-            for var in VARIABLES
-        }
-
-    # ------------------------------------------------------------------
-    def clear(self) -> None:
-        self._cache.clear()
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._cache.used_bytes

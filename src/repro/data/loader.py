@@ -36,10 +36,6 @@ class Batch:
     def batch_size(self) -> int:
         return self.x3d.shape[0]
 
-    def nbytes(self) -> int:
-        return (self.x3d.nbytes + self.x2d.nbytes
-                + self.y3d.nbytes + self.y2d.nbytes)
-
 
 def _collate(samples: Sequence[EpisodeSample]) -> Batch:
     return Batch(

@@ -4,7 +4,6 @@ from .metrics import (
     VariableErrors,
     aggregate_errors,
     compute_errors,
-    compute_errors_many,
 )
 from .timeseries import (
     PAPER_LOCATIONS,
@@ -15,12 +14,10 @@ from .timeseries import (
     series_skill,
 )
 from .reporting import format_sci, format_series, format_table
-from .errorgrowth import ErrorGrowth, error_growth
 
 __all__ = [
     "VariableErrors",
     "compute_errors",
-    "compute_errors_many",
     "aggregate_errors",
     "LocationSeries",
     "extract_series",
@@ -31,6 +28,4 @@ __all__ = [
     "format_table",
     "format_series",
     "format_sci",
-    "ErrorGrowth",
-    "error_growth",
 ]

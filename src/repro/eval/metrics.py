@@ -15,8 +15,7 @@ import numpy as np
 
 from ..workflow.forecast import FieldWindow
 
-__all__ = ["VariableErrors", "compute_errors", "compute_errors_many",
-           "aggregate_errors"]
+__all__ = ["VariableErrors", "compute_errors", "aggregate_errors"]
 
 VAR_UNITS = {"u": "m/s", "v": "m/s", "w": "m/s", "zeta": "m"}
 
@@ -72,25 +71,6 @@ def compute_errors(pred: FieldWindow, truth: FieldWindow,
         mae[var] = e["mae"]
         rmse[var] = e["rmse"]
     return VariableErrors(mae, rmse)
-
-
-def compute_errors_many(preds: Sequence[FieldWindow],
-                        truths: Sequence[FieldWindow],
-                        wet: Optional[np.ndarray] = None,
-                        skip_initial: bool = True) -> VariableErrors:
-    """Aggregate errors of many forecast windows at once.
-
-    The natural companion of the batched forecast path: score the N
-    results of :meth:`~repro.workflow.forecast.SurrogateForecaster.forecast_batch`
-    against their references in one call.
-    """
-    if len(preds) != len(truths):
-        raise ValueError(
-            f"{len(preds)} predictions but {len(truths)} references")
-    return aggregate_errors([
-        compute_errors(p, t, wet, skip_initial)
-        for p, t in zip(preds, truths)
-    ])
 
 
 def aggregate_errors(errors: Sequence[VariableErrors]) -> VariableErrors:

@@ -26,8 +26,6 @@ from .fabric import (
 )
 from .memory import (
     MemoryFootprint,
-    Tier,
-    TransferModel,
     activation_nbytes,
     model_state_nbytes,
     pipeline_memory_table,
@@ -53,15 +51,12 @@ from .roms_perf import (
 )
 from .scaling import PAPER_GPU_COUNTS, ScalingModel, ring_allreduce_seconds
 from .serving import PoolCapacityModel, ServingCapacityModel
-from .trace import PipelineTrace, StageEvent
 
 __all__ = [
     "GpuSpec",
     "NodeSpec",
     "ClusterSpec",
     "DGX_A100_CLUSTER",
-    "Tier",
-    "TransferModel",
     "sample_nbytes",
     "activation_nbytes",
     "model_state_nbytes",
@@ -94,6 +89,4 @@ __all__ = [
     "PAPER_GPU_COUNTS",
     "ServingCapacityModel",
     "PoolCapacityModel",
-    "PipelineTrace",
-    "StageEvent",
 ]

@@ -266,10 +266,6 @@ class SimEndpoint:
         self.bytes_received = 0
         self._peer: Optional["SimEndpoint"] = None
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def send_frame(self, data: bytes) -> None:
         with self._cond:
             if self._closed:
@@ -356,10 +352,6 @@ class SocketEndpoint:
         self.frames_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def send_frame(self, data: bytes) -> None:
         with self._send_lock:

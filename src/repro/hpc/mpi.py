@@ -55,12 +55,6 @@ class SimComm:
         self.per_pair[key] = self.per_pair.get(key, 0) + payload.nbytes
         return payload.copy()
 
-    def allreduce_sum(self, values: List[float]) -> float:
-        """Tree allreduce; accounts 2·(P−1) scalar messages."""
-        self.n_messages += 2 * (self.n_ranks - 1)
-        self.bytes_sent += 2 * (self.n_ranks - 1) * FLOAT_BYTES
-        return float(np.sum(values))
-
 
 @dataclass(frozen=True)
 class BlockRange:
@@ -257,10 +251,3 @@ class DecomposedShallowWater:
         self.comm.n_messages += 4 * self.decomp.n_ranks  # ≤4 neighbours each
 
         return ShallowWaterState(state.t + self.dt, zeta_new, u_new, v_new)
-
-    def run(self, state: ShallowWaterState, duration: float
-            ) -> ShallowWaterState:
-        n = max(1, int(round(duration / self.dt)))
-        for _ in range(n):
-            state = self.step(state)
-        return state

@@ -5,16 +5,14 @@ needs: linear/MLP, LayerNorm/BatchNorm, GELU, dropout, multi-head
 self-attention, and 2-D/3-D (transposed) convolutions.
 """
 
-from .module import Module, ModuleList, Parameter, Sequential
+from .module import Module, ModuleList, Parameter
 from .layers import (
     BatchNorm,
     Dropout,
     GELU,
-    Identity,
     LayerNorm,
     Linear,
     MLP,
-    ReLU,
     gelu,
 )
 from .conv import Conv2d, Conv3d, ConvTranspose2d, ConvTranspose3d
@@ -25,13 +23,10 @@ __all__ = [
     "Module",
     "ModuleList",
     "Parameter",
-    "Sequential",
     "Linear",
     "LayerNorm",
     "BatchNorm",
     "GELU",
-    "ReLU",
-    "Identity",
     "Dropout",
     "MLP",
     "gelu",

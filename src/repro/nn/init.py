@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "trunc_normal",
-    "xavier_uniform",
     "kaiming_uniform",
     "zeros",
     "ones",
@@ -48,13 +47,6 @@ def _fans(shape: Sequence[int]) -> Tuple[int, int]:
         return shape[1], shape[0]
     receptive = int(np.prod(shape[2:]))
     return shape[1] * receptive, shape[0] * receptive
-
-
-def xavier_uniform(shape: Sequence[int], rng: np.random.Generator,
-                   gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    a = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=tuple(shape)).astype(np.float32)
 
 
 def kaiming_uniform(shape: Sequence[int], rng: np.random.Generator,

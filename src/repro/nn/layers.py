@@ -25,9 +25,7 @@ __all__ = [
     "LayerNorm",
     "BatchNorm",
     "GELU",
-    "ReLU",
     "Dropout",
-    "Identity",
     "MLP",
     "gelu",
 ]
@@ -53,16 +51,6 @@ class GELU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return gelu(x)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Linear(Module):

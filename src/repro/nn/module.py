@@ -17,7 +17,7 @@ import numpy as np
 
 from ..tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Sequential", "ModuleList"]
+__all__ = ["Parameter", "Module", "ModuleList"]
 
 
 class Parameter(Tensor):
@@ -69,11 +69,6 @@ class Module:
             yield (f"{prefix}{name}", self._buffers[name])
         for name, mod in self._modules.items():
             yield from mod.named_buffers(prefix=f"{prefix}{name}.")
-
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for mod in self._modules.values():
-            yield from mod.modules()
 
     def num_parameters(self) -> int:
         """Total trainable scalar count (paper reports this in Table IV)."""
@@ -134,25 +129,6 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = ModuleList(list(layers))
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __getitem__(self, i: int) -> Module:
-        return self.layers[i]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-
 class ModuleList(Module):
     """List container whose entries are registered submodules."""
 
@@ -170,11 +146,5 @@ class ModuleList(Module):
     def __iter__(self) -> Iterator[Module]:
         return iter(self._list)
 
-    def __getitem__(self, i: int) -> Module:
-        return self._list[i]
-
     def __len__(self) -> int:
         return len(self._list)
-
-    def forward(self, *args, **kwargs):
-        raise RuntimeError("ModuleList is a container; call its entries")

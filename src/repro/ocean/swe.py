@@ -12,8 +12,7 @@ Discretisation
 * forward-backward scheme: ζ is advanced first from the flux divergence,
   then momentum uses the *new* ζ — neutrally stable for gravity waves at
   CFL < 1 and the standard choice for split-explicit barotropic modes.
-* quadratic bottom friction, Coriolis, lateral viscosity, optional
-  first-order upwind momentum advection.
+* quadratic bottom friction, Coriolis, lateral viscosity.
 * open west boundary with a nudging (sponge) zone clamped to the tidal
   elevation; solid walls elsewhere; optional river inflow at the
   northern river mouth.
@@ -60,7 +59,6 @@ class SWEConfig:
     min_total_depth: float = 0.05         # wetting floor [m]
     sponge_cells: int = 4                 # nudging-zone width at the open bdry
     sponge_strength: float = 0.5          # max nudging weight per step
-    advection: bool = False               # upwind momentum advection
     river_discharge: float = 120.0        # [m³/s] into the northern river arm
 
     @property
@@ -288,10 +286,6 @@ class ShallowWaterSolver:
               - cfg.drag_coefficient * speed_v * state.v / Hv
               + cfg.viscosity * self._laplacian_v(state.v))
 
-        if cfg.advection:
-            du -= self._upwind_advect_u(state.u, v_at_u)
-            dv -= self._upwind_advect_v(state.v, u_at_v)
-
         u_new = state.u + dt * du
         v_new = state.v + dt * dv
         np.copyto(u_new, 0.0, where=self._u_closed)
@@ -339,39 +333,6 @@ class ShallowWaterSolver:
                               + v[..., :-2, :]) / self._lap_v_dy2
         np.copyto(out, 0.0, where=self._v_closed)
         return out
-
-    def _upwind_advect_u(self, u: np.ndarray, v_at_u: np.ndarray) -> np.ndarray:
-        """First-order upwind u·∇u at u faces."""
-        adv = np.zeros_like(u)
-        dudx_m = np.zeros_like(u)
-        dudx_p = np.zeros_like(u)
-        dudx_m[..., 1:] = (u[..., 1:] - u[..., :-1]) / self.grid.dxu[:, 1:]
-        dudx_p[..., :-1] = dudx_m[..., 1:]
-        adv += np.where(u > 0, u * dudx_m, u * dudx_p)
-        dudy_m = np.zeros_like(u)
-        dudy_p = np.zeros_like(u)
-        dudy_m[..., 1:, :] = (u[..., 1:, :] - u[..., :-1, :]) \
-            / self._dyc_u[1:, :]
-        dudy_p[..., :-1, :] = dudy_m[..., 1:, :]
-        adv += np.where(v_at_u > 0, v_at_u * dudy_m, v_at_u * dudy_p)
-        np.copyto(adv, 0.0, where=self._u_closed)
-        return adv
-
-    def _upwind_advect_v(self, v: np.ndarray, u_at_v: np.ndarray) -> np.ndarray:
-        adv = np.zeros_like(v)
-        dvdy_m = np.zeros_like(v)
-        dvdy_p = np.zeros_like(v)
-        dvdy_m[..., 1:, :] = (v[..., 1:, :] - v[..., :-1, :]) \
-            / self.grid.dyv[1:, :]
-        dvdy_p[..., :-1, :] = dvdy_m[..., 1:, :]
-        adv += np.where(v > 0, v * dvdy_m, v * dvdy_p)
-        dvdx_m = np.zeros_like(v)
-        dvdx_p = np.zeros_like(v)
-        dvdx_m[..., 1:] = (v[..., 1:] - v[..., :-1]) / self._dxc_v[:, 1:]
-        dvdx_p[..., :-1] = dvdx_m[..., 1:]
-        adv += np.where(u_at_v > 0, u_at_v * dvdx_m, u_at_v * dvdx_p)
-        np.copyto(adv, 0.0, where=self._v_closed)
-        return adv
 
     # ------------------------------------------------------------------
     # integration helpers

@@ -72,10 +72,3 @@ class TidalForcing:
             out = out + c.elevation(tt)
         return out
 
-    def series(self, times: np.ndarray, y: float = 0.0) -> np.ndarray:
-        """Elevation time series at a fixed alongshore position."""
-        return self.elevation(np.asarray(times), y)
-
-    @property
-    def max_amplitude(self) -> float:
-        return sum(c.amplitude_m for c in self.constituents)

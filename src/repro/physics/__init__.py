@@ -2,7 +2,6 @@
 
 from .residual import (
     depth_average,
-    residual_series,
     residual_series_batch,
     water_mass_residual,
 )
@@ -15,7 +14,6 @@ from .verifier import (
 
 __all__ = [
     "water_mass_residual",
-    "residual_series",
     "residual_series_batch",
     "depth_average",
     "Verifier",

@@ -23,8 +23,7 @@ import numpy as np
 
 from ..ocean.grid import CurvilinearGrid
 
-__all__ = ["water_mass_residual", "depth_average", "residual_series",
-           "residual_series_batch"]
+__all__ = ["water_mass_residual", "depth_average", "residual_series_batch"]
 
 
 def depth_average(field3d: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -82,26 +81,6 @@ def water_mass_residual(grid: CurvilinearGrid, depth: np.ndarray,
 
     dzdt = (zeta_next - zeta_prev) / dt
     return np.where(wet, np.abs(dzdt + div), 0.0)
-
-
-def residual_series(grid: CurvilinearGrid, depth: np.ndarray,
-                    zeta_seq: np.ndarray, u3_seq: np.ndarray,
-                    v3_seq: np.ndarray, dt: float,
-                    wet: Optional[np.ndarray] = None
-                    ) -> np.ndarray:
-    """Residual fields for a forecast sequence.
-
-    Parameters
-    ----------
-    zeta_seq: (T, H, W); u3_seq, v3_seq: (T, H, W, D).
-    dt: snapshot interval.
-
-    Returns
-    -------
-    (T−1, H, W) residuals for each transition t → t+1.
-    """
-    return residual_series_batch(grid, depth, zeta_seq[None], u3_seq[None],
-                                 v3_seq[None], dt, wet)[0]
 
 
 def residual_series_batch(grid: CurvilinearGrid, depth: np.ndarray,

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..ocean.grid import CurvilinearGrid
-from .residual import residual_series, residual_series_batch
+from .residual import residual_series_batch
 
 __all__ = ["VerificationResult", "Verifier", "OCEANOGRAPHY_ACCEPTED_THRESHOLD",
            "PAPER_THRESHOLDS"]
@@ -63,12 +63,6 @@ class Verifier:
         self.wet = self.depth > 0.0
         self.threshold = float(threshold)
         self.dt = float(dt)
-
-    def residuals(self, zeta_seq: np.ndarray, u3_seq: np.ndarray,
-                  v3_seq: np.ndarray) -> np.ndarray:
-        """(T−1, H, W) residual fields for a forecast."""
-        return residual_series(self.grid, self.depth, zeta_seq,
-                               u3_seq, v3_seq, self.dt, self.wet)
 
     def verify(self, zeta_seq: np.ndarray, u3_seq: np.ndarray,
                v3_seq: np.ndarray,

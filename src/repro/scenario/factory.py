@@ -145,10 +145,6 @@ class Basin:
         self._depth_floor = np.maximum(self.h, 0.5)
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def native_mesh(self) -> Tuple[int, int, int]:
         """(ny, nx, nz) — the basin's own resolution."""
         return (self.spec.ny, self.spec.nx, self.spec.nz)

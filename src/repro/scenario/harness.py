@@ -66,10 +66,6 @@ class BasinReport:
         return self.cached / done if done else 0.0
 
     @property
-    def latency_p50_ms(self) -> float:
-        return 1e3 * _percentile(self.latencies, 50.0)
-
-    @property
     def latency_p95_ms(self) -> float:
         return 1e3 * _percentile(self.latencies, 95.0)
 

@@ -5,9 +5,8 @@ analysis window, a trending storm track), so the most effective
 optimisation is to never re-run the engine at all.  The cache is keyed
 by a content digest of the request window — identical fields hash to
 the same key regardless of which client or thread submitted them — and
-bounded in bytes with the same LRU eviction core
-(:class:`~repro.data.cache.LruBytes`) that backs the data layer's OS
-page-cache simulation.
+bounded in bytes by the LRU eviction core
+(:class:`~repro.data.cache.LruBytes`).
 
 Hits hand out *copies* of the cached fields: forecast consumers
 routinely write into their result windows (episode chaining overwrites
@@ -103,9 +102,6 @@ class ForecastCache:
                              size_of=lambda result: result.nbytes())
         self.stats = ForecastCacheStats()
         self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._lru)
 
     @property
     def resident_bytes(self) -> int:

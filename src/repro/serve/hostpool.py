@@ -272,12 +272,3 @@ class HostWorker(RemoteWorker):
     def _release(self) -> None:
         if self._remote_ep is not None:
             self._remote_ep.close()
-
-    def kill(self) -> None:
-        """Kill the remote rank abruptly (test hook): ``SIGKILL`` to
-        the socket child, endpoint teardown for the sim fabric — the
-        fault the client must then detect and surface."""
-        if self._proc is not None:
-            self._proc.kill()
-        else:
-            self._remote_ep.close()

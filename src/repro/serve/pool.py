@@ -560,10 +560,6 @@ class EngineWorkerPool:
             log = list(self._spawn_log)
         return sum(log) / len(log) if log else 0.0
 
-    @property
-    def n_workers(self) -> int:
-        return len(self.workers)
-
     # -- batch-executor protocol ---------------------------------------
     @property
     def time_steps(self) -> int:
@@ -594,14 +590,6 @@ class EngineWorkerPool:
         if self._manual:
             self.flush()
         return [f.result() for f in futures]
-
-    def forecast(self, reference: FieldWindow,
-                 key=None) -> ForecastResult:
-        """Synchronous single-request convenience wrapper."""
-        future = self.submit(reference, key=key)
-        if self._manual:
-            self.flush()
-        return future.result()
 
     # -- client side ----------------------------------------------------
     def submit(self, reference: FieldWindow, key=None) -> ServedFuture:
@@ -1045,9 +1033,3 @@ class EngineWorkerPool:
             w.scheduler.close()
         for w in self.workers:
             self._close_executor(w)
-
-    def __enter__(self) -> "EngineWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

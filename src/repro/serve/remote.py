@@ -545,9 +545,3 @@ class RemoteWorker:
             except ValueError:
                 pass    # child stuck past every kill deadline: leak the
                         # handle rather than raise out of close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -1,4 +1,4 @@
-"""Serving front door: a replica pool behind four request kinds.
+"""Serving front door: a replica pool behind three request kinds.
 
 :class:`ForecastServer` routes
 
@@ -12,14 +12,9 @@
   only; see ``docs/differentiation.md``);
 * **ensemble requests** — the N perturbed members are sharded across
   the pool's batch slots (they interleave with unrelated traffic
-  instead of monopolising a forward);
-* **hybrid runs** — executed by the verifier-gated
-  :class:`~repro.workflow.hybrid.HybridWorkflow` with the pool
-  injected as its engine, so surrogate passes coalesce while the run
-  itself — verification and any solver fallback — executes on a
-  worker pool and never blocks the batch loop.
+  instead of monopolising a forward).
 
-All four reuse the exact direct-call code paths — the pool is just
+All three reuse the exact direct-call code paths — the pool is just
 another batch executor — so served numbers equal direct numbers.  The
 single-engine deployment is not a separate code path either: it is the
 pool of 1 (``workers=1``, the default).
@@ -43,16 +38,12 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from ..ocean.model import RomsLikeModel
-from ..ocean.swe import ShallowWaterState
-from ..physics.verifier import Verifier
 from ..train.checkpoint import load_model_like
 from ..workflow.engine import FieldWindow, ForecastResult
 from ..workflow.ensemble import EnsembleForecast, EnsembleForecaster
-from ..workflow.hybrid import HybridWorkflow, WorkflowReport
-from ..workflow.sensitivity import GradientRequest, SensitivityResult
+from ..workflow.sensitivity import GradientRequest
 from .autoscale import AutoScaler
 from .cache import ForecastCache, gradient_key, window_key
 from .pool import EngineVersion, EngineWorkerPool
@@ -60,8 +51,7 @@ from .scheduler import MicroBatchScheduler, ServedFuture
 
 __all__ = ["ForecastServer"]
 
-#: width of the ``serve-run`` pool that ensemble and hybrid runs execute
-#: on (a hybrid run's solver fallbacks run inline on its thread)
+#: width of the ``serve-run`` pool that ensemble runs execute on
 _RUN_WORKERS = 2
 
 
@@ -92,8 +82,6 @@ class ForecastServer:
         :meth:`submit` raises
         :class:`~repro.serve.pool.PoolSaturated`.
     cache_bytes: result-cache budget; 0 disables caching.
-    ocean, verifier: hybrid-run dependencies; required only when
-        :meth:`submit_hybrid` is used.
     backend, fabric: replica execution tier —
         ``backend="process"`` runs each replica's engine in a child
         process behind shared-memory transport, escaping the GIL;
@@ -113,8 +101,6 @@ class ForecastServer:
 
     def __init__(self, engine, max_batch: int = 8, max_wait: float = 0.005,
                  cache_bytes: int = 0,
-                 ocean: Optional[RomsLikeModel] = None,
-                 verifier: Optional[Verifier] = None,
                  workers: Optional[int] = None,
                  router: str = "least-outstanding",
                  max_queue: int = 32,
@@ -128,9 +114,7 @@ class ForecastServer:
                                      backend=backend, fabric=fabric,
                                      autostart=autostart)
         self.cache = ForecastCache(cache_bytes) if cache_bytes > 0 else None
-        self.ocean = ocean
-        self.verifier = verifier
-        # ensemble and hybrid runs execute here, off the caller's thread
+        # ensemble runs execute here, off the caller's thread
         # and off every replica's batch loop
         self._pool = ThreadPoolExecutor(
             max_workers=_RUN_WORKERS, thread_name_prefix="serve-run")
@@ -278,13 +262,6 @@ class ForecastServer:
             lambda key: self.pool.submit_gradient(request, key=key),
             request, route_key)
 
-    def sensitivity(self, request: GradientRequest) -> SensitivityResult:
-        """Synchronous sensitivity query (see :meth:`submit_sensitivity`)."""
-        future = self.submit_sensitivity(request)
-        if self.pool._manual:
-            self.flush()
-        return future.result()
-
     def flush(self) -> int:
         """Drain every replica's backlog inline (manual servers —
         ``autostart=False``); returns the number of requests served.
@@ -304,26 +281,6 @@ class ForecastServer:
         ens = EnsembleForecaster(self.pool, n_members=n_members,
                                  **kwargs)
         return self._pool.submit(ens.forecast, reference, wet)
-
-    # -- hybrid runs ----------------------------------------------------
-    def submit_hybrid(self, reference: FieldWindow,
-                      fallback_states: Sequence[ShallowWaterState],
-                      threshold: Optional[float] = None
-                      ) -> "Future[Tuple[FieldWindow, WorkflowReport]]":
-        """Run a verifier-gated hybrid scenario out-of-band.
-
-        The scenario's surrogate passes go through the replica pool
-        (they coalesce with every other pending request); verification
-        and any solver fallback run inline on the worker-pool thread
-        that executes the run, away from the batch loop.
-        """
-        if self.ocean is None or self.verifier is None:
-            raise ValueError(
-                "hybrid serving needs the server constructed with "
-                "ocean= and verifier=")
-        workflow = HybridWorkflow(self.pool, self.ocean, self.verifier)
-        return self._pool.submit(workflow.run, reference, fallback_states,
-                                 threshold)
 
     # -- operations -----------------------------------------------------
     def deploy(self, model_or_checkpoint,

@@ -20,15 +20,10 @@ __all__ = ["checkpoint", "CheckpointStats"]
 
 
 class CheckpointStats:
-    """Counters used by tests/benchmarks to prove recomputation happens."""
+    """Counters the tests read to prove recomputation happens."""
 
     forward_calls: int = 0
     recompute_calls: int = 0
-
-    @classmethod
-    def reset(cls) -> None:
-        cls.forward_calls = 0
-        cls.recompute_calls = 0
 
 
 def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
@@ -47,9 +42,8 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     trains with dropout 0, matching the paper's configuration.
     """
     CheckpointStats.forward_calls += 1
-    if not (is_grad_enabled() and
-            (x.requires_grad or _any_param_requires_grad(fn))):
-        return fn(x)
+    if not (is_grad_enabled() and x.requires_grad):
+        return fn(x)        # nothing to recompute for: tape as usual
 
     with no_grad():
         out_data = fn(x).data
@@ -68,11 +62,3 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
 
     out._backward = _bw
     return out
-
-
-def _any_param_requires_grad(fn: Callable) -> bool:
-    """Best-effort check whether ``fn`` closes over trainable parameters."""
-    owner = getattr(fn, "__self__", None)
-    if owner is not None and hasattr(owner, "parameters"):
-        return any(p.requires_grad for p in owner.parameters())
-    return True  # conservative: assume trainable closure

@@ -14,14 +14,12 @@ at 2 FLOPs/element (negligible but kept for completeness).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
 from .model import SurrogateConfig
 
-__all__ = ["FlopBreakdown", "surrogate_flops", "attention_flops",
-           "scale_compute_time"]
+__all__ = ["FlopBreakdown", "surrogate_flops", "attention_flops"]
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,6 @@ class FlopBreakdown:
     @property
     def total(self) -> int:
         return self.encoder + self.decoder
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "patch_embed": self.patch_embed,
-            "encoder_attention": self.encoder_attention,
-            "encoder_mlp": self.encoder_mlp,
-            "patch_merging": self.patch_merging,
-            "decoder_convs": self.decoder_convs,
-            "patch_recover": self.patch_recover,
-            "total": self.total,
-        }
 
 
 def attention_flops(tokens: int, window_volume: int, dim: int) -> int:
@@ -137,17 +124,3 @@ def surrogate_flops(cfg: SurrogateConfig) -> FlopBreakdown:
         decoder_convs=dec,
         patch_recover=rec,
     )
-
-
-def scale_compute_time(measured_seconds: float,
-                       measured_cfg: SurrogateConfig,
-                       target_cfg: SurrogateConfig,
-                       efficiency_ratio: float = 1.0) -> float:
-    """Scale a measured per-instance compute time to another config.
-
-    ``efficiency_ratio`` corrects for differing hardware efficiency at
-    the two sizes (≤1 when the target runs closer to peak).
-    """
-    f_meas = surrogate_flops(measured_cfg).total
-    f_targ = surrogate_flops(target_cfg).total
-    return measured_seconds * (f_targ / f_meas) * efficiency_ratio

@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`Tensor` — array + gradient tape node.
-* :func:`concatenate`, :func:`stack`, :func:`where` — multi-input ops.
+* :func:`concatenate` — the multi-input op.
 * :func:`conv_nd`, :func:`conv_transpose_nd` — N-d convolution kernels.
 * :func:`no_grad` / :func:`enable_grad` — thread-local gradient switch
   (inference mode, and its inverse for backward passes on serving
@@ -31,9 +31,7 @@ from .tensor import (
     is_grad_enabled,
     no_grad,
     set_grad_enabled,
-    stack,
     unbroadcast,
-    where,
 )
 from .ops_conv import (
     conv_nd,
@@ -47,8 +45,6 @@ __all__ = [
     "Tensor",
     "astensor",
     "concatenate",
-    "stack",
-    "where",
     "no_grad",
     "enable_grad",
     "is_grad_enabled",

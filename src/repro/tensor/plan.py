@@ -69,7 +69,6 @@ import ctypes
 import dataclasses
 import importlib
 import itertools
-import pickle
 import statistics
 import threading
 import time
@@ -246,19 +245,10 @@ class ExecutionPlan:
     def n_slots(self) -> int:
         return len(self.slots)
 
-    def kernel_counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for s in self.steps:
-            out[s.name] = out.get(s.name, 0) + 1
-        return dict(sorted(out.items()))
-
     def arena_bytes(self) -> int:
         """Bytes of the preallocated arena blob (all compute slots,
         liveness-packed by offset)."""
         return self.arena_total
-
-    def const_bytes(self) -> int:
-        return sum(a.nbytes for a in self.const_arrays)
 
     def _last_uses(self) -> List[int]:
         """Per-slot index of the last step whose alias group needs it."""
@@ -336,21 +326,6 @@ class ExecutionPlan:
         self.const_arrays = state["const_arrays"]
         self.arena_total = state["arena_total"]
         self.step_releases = state["step_releases"]
-
-    def to_bytes(self) -> bytes:
-        """Serialize the plan (steps by kernel name, constants by
-        value, no live arena blobs) for a worker process or disk."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def from_bytes(blob: bytes) -> "ExecutionPlan":
-        """Inverse of :meth:`to_bytes`; replays bitwise-identical."""
-        plan = pickle.loads(blob)
-        if not isinstance(plan, ExecutionPlan):
-            raise TraceError(
-                f"from_bytes: expected an ExecutionPlan, got "
-                f"{type(plan).__name__}")
-        return plan
 
 
 def _ensure_kernels_registered() -> None:
@@ -799,9 +774,6 @@ _binary("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 _binary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 _binary("div", np.true_divide, lambda g, a, b: g / b,
         lambda g, a, b: -g * a / (b * b))
-# ties send the whole gradient to the left operand
-_binary("maximum", np.maximum, lambda g, a, b: g * (a >= b),
-        lambda g, a, b: g * ~(a >= b))
 
 
 def _unary(name, ufunc, d):
@@ -819,9 +791,7 @@ _unary("neg", np.negative, lambda g, a, y: -g)
 _unary("sin", np.sin, lambda g, a, y: g * np.cos(a))
 _unary("cos", np.cos, lambda g, a, y: g * -np.sin(a))
 _unary("exp", np.exp, lambda g, a, y: g * y)
-_unary("log", np.log, lambda g, a, y: g / a)
 _unary("sqrt", np.sqrt, lambda g, a, y: g * 0.5 / y)
-_unary("tanh", np.tanh, lambda g, a, y: g * (1.0 - y * y))
 _unary("abs", np.abs, lambda g, a, y: g * np.sign(a))
 
 
@@ -853,27 +823,6 @@ def _vjp_matmul(g, ins, out, consts, needs):
     if needs[1]:
         gb = np.swapaxes(a, -1, -2) @ g if a.ndim > 1 else np.outer(a, g)
     return ga, gb
-
-
-@register_kernel("relu", "compute")
-def _k_relu(out, ins, consts):
-    return np.multiply(ins[0], ins[0] > 0, out=out)
-
-
-@register_vjp("relu")
-def _vjp_relu(g, ins, out, consts, needs):
-    return (g * (ins[0] > 0),)
-
-
-@register_kernel("clip", "compute")
-def _k_clip(out, ins, consts):
-    return np.clip(ins[0], consts["lo"], consts["hi"], out=out)
-
-
-@register_vjp("clip")
-def _vjp_clip(g, ins, out, consts, needs):
-    a = ins[0]
-    return (g * ((a >= consts["lo"]) & (a <= consts["hi"])),)
 
 
 @register_kernel("sum", "compute")
@@ -970,18 +919,6 @@ def _vjp_getitem(g, ins, out, consts, needs):
     return (full,)
 
 
-@register_kernel("pad", "fresh")
-def _k_pad(out, ins, consts):
-    return np.pad(ins[0], consts["pad_width"], mode="constant",
-                  constant_values=consts["value"])
-
-
-@register_vjp("pad")
-def _vjp_pad(g, ins, out, consts, needs):
-    return (g[tuple(slice(lo, lo + s) for (lo, _), s
-                    in zip(consts["pad_width"], ins[0].shape))],)
-
-
 @register_kernel("roll", "compute")
 def _k_roll(out, ins, consts):
     x, shift, axis = ins[0], consts["shift"], consts["axis"]
@@ -1030,30 +967,6 @@ def _vjp_concatenate(g, ins, out, consts, needs):
     ends = np.cumsum([a.shape[axis] for a in ins])
     return tuple(g[(slice(None),) * axis + (slice(hi - a.shape[axis], hi),)]
                  if need else None for a, hi, need in zip(ins, ends, needs))
-
-
-@register_kernel("stack", "compute")
-def _k_stack(out, ins, consts):
-    return np.stack(ins, axis=consts["axis"], out=out)
-
-
-@register_vjp("stack")
-def _vjp_stack(g, ins, out, consts, needs):
-    axis = consts["axis"] % g.ndim
-    return tuple(g[(slice(None),) * axis + (i,)] if need else None
-                 for i, need in enumerate(needs))
-
-
-@register_kernel("where", "fresh")
-def _k_where(out, ins, consts):
-    return np.where(ins[0], ins[1], ins[2])
-
-
-@register_vjp("where")
-def _vjp_where(g, ins, out, consts, needs):
-    cond = ins[0]          # a plain mask, never a gradient target
-    return (None, np.where(cond, g, 0.0) if needs[1] else None,
-            np.where(cond, 0.0, g) if needs[2] else None)
 
 
 @register_kernel("astype", "fresh")

@@ -248,69 +248,12 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared memory, not a copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.item())
-
-    def detach(self) -> "Tensor":
-        """Return a graph-free tensor that **aliases** this storage.
-
-        The result shares memory with ``self.data`` (the
-        ``torch.Tensor.detach`` contract): in-place writes through
-        either tensor are visible through both, so callers that go on
-        to mutate a detached tensor must take :meth:`copy` instead.
-        Eval-path audit (PR 4): no in-repo caller mutates a detached
-        tensor in place — the engine denormalises into fresh float64
-        buffers before patching fields.
-
-        Under a trace it records no step: detach is the identity on
-        values, so the result keeps the source's buffer slot — a
-        detached intermediate must not silently constant-fold the rest
-        of the forward.
-        """
-        out = Tensor(self.data, requires_grad=False)
-        if _plan.tracing():
-            slot = getattr(self, "_slot", None)
-            if slot is not None:
-                out._slot = slot
-        return out
-
-    def copy(self) -> "Tensor":
-        """Deep, graph-free copy with its own storage.
-
-        Unlike :meth:`detach` (which aliases) and :meth:`clone` (which
-        copies but stays differentiable), the result is safe to mutate
-        freely.  Under a trace it records a ``"copy"`` step.
-        """
-        return apply("copy", (self.detach(),))
-
-    def clone(self) -> "Tensor":
-        """Differentiable copy; under a trace it records a ``"copy"`` step."""
-        return apply("copy", (self,))
 
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast (used for fp16 mixed-precision paths)."""
         return apply("astype", (self,), {"dtype": dtype})
-
-    def half(self) -> "Tensor":
-        return self.astype(np.float16)
-
-    def float(self) -> "Tensor":
-        return self.astype(np.float32)
 
     # ------------------------------------------------------------------
     # graph plumbing
@@ -411,16 +354,10 @@ class Tensor:
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         return apply("div", (self, self._operand(other)))
 
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._operand(other) / self
-
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ supports scalar exponents only")
         return apply("pow", (self,), {"exponent": exponent})
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        return self.matmul(other)
 
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Batched matrix product with full broadcasting on batch dims."""
@@ -438,17 +375,8 @@ class Tensor:
     def cos(self) -> "Tensor":
         return apply("cos", (self,))
 
-    def log(self) -> "Tensor":
-        return apply("log", (self,))
-
     def sqrt(self) -> "Tensor":
         return apply("sqrt", (self,))
-
-    def tanh(self) -> "Tensor":
-        return apply("tanh", (self,))
-
-    def sigmoid(self) -> "Tensor":
-        return apply("sigmoid", (self,))
 
     def erf(self) -> "Tensor":
         """Gauss error function — the exact GELU building block."""
@@ -456,16 +384,6 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         return apply("abs", (self,))
-
-    def relu(self) -> "Tensor":
-        return apply("relu", (self,))
-
-    def maximum(self, other: ArrayLike) -> "Tensor":
-        """Elementwise max; ties send the full gradient to ``self``."""
-        return apply("maximum", (self, self._operand(other)))
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        return apply("clip", (self,), {"lo": lo, "hi": hi})
 
     # ------------------------------------------------------------------
     # reductions
@@ -476,14 +394,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         n = self.data.size if axis is None else _axis_size(self.data.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def var(self, axis=None, keepdims: bool = False, ddof: int = 0) -> "Tensor":
-        """Differentiable variance built from mean()."""
-        mu = self.mean(axis=axis, keepdims=True)
-        sq = (self - mu) * (self - mu)
-        n = self.data.size if axis is None else _axis_size(self.data.shape, axis)
-        scale = n / max(n - ddof, 1) if ddof else 1.0
-        return sq.mean(axis=axis, keepdims=keepdims) * scale
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         return apply("max", (self,), {"axis": axis, "keepdims": keepdims})
@@ -511,11 +421,6 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         return apply("getitem", (self,), {"idx": idx})
 
-    def pad(self, pad_width: Sequence[Tuple[int, int]], value: float = 0.0) -> "Tensor":
-        """Constant-pad; ``pad_width`` follows ``np.pad`` convention."""
-        pw = tuple(tuple(p) for p in pad_width)
-        return apply("pad", (self,), {"pad_width": pw, "value": value})
-
     def roll(self, shift, axis) -> "Tensor":
         """Cyclic shift — the core of shifted-window attention (SW-MSA)."""
         return apply("roll", (self,), {"shift": shift, "axis": axis})
@@ -530,22 +435,6 @@ class Tensor:
         same buffer) — the backward only needs the final probabilities.
         """
         return apply("softmax", (self,), {"axis": axis})
-
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        return apply("log_softmax", (self,), {"axis": axis})
-
-    # comparison helpers (non-differentiable, return ndarray masks)
-    def __gt__(self, other):
-        return self.data > (other.data if isinstance(other, Tensor) else other)
-
-    def __lt__(self, other):
-        return self.data < (other.data if isinstance(other, Tensor) else other)
-
-    def __ge__(self, other):
-        return self.data >= (other.data if isinstance(other, Tensor) else other)
-
-    def __le__(self, other):
-        return self.data <= (other.data if isinstance(other, Tensor) else other)
 
 
 def _axis_size(shape: Tuple[int, ...], axis) -> int:
@@ -566,33 +455,10 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                  {"axis": axis})
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stack along a new ``axis``."""
-    return apply("stack", [astensor(t) for t in tensors],
-                 {"axis": axis})
-
-
-def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Differentiable select: ``cond ? a : b`` (cond is a plain mask)."""
-    # the mask is the kernel's first input, never a gradient target
-    return apply("where", (Tensor(np.asarray(cond, dtype=bool)),
-                           astensor(a), astensor(b)))
-
-
 # ----------------------------------------------------------------------
-# plan kernels owned by this module (scipy ufuncs and composites the
-# generic registry in repro.tensor.plan cannot host)
+# plan kernels owned by this module (the scipy ufunc the generic
+# registry in repro.tensor.plan cannot host)
 # ----------------------------------------------------------------------
-@_plan.register_kernel("sigmoid", "compute")
-def _k_sigmoid(out, ins, consts):
-    return _sp_special.expit(ins[0], out=out)
-
-
-@_plan.register_vjp("sigmoid")
-def _vjp_sigmoid(g, ins, out, consts, needs):
-    return (g * out * (1.0 - out),)
-
-
 @_plan.register_kernel("erf", "compute")
 def _k_erf(out, ins, consts):
     return _sp_special.erf(ins[0], out=out)
@@ -603,29 +469,3 @@ def _vjp_erf(g, ins, out, consts, needs):
     a = ins[0]
     return (g * (2.0 / np.sqrt(np.pi)) * np.exp(-a * a),)
 
-
-@_plan.register_kernel("copy", "compute")
-def _k_copy(out, ins, consts):
-    if out is None:
-        return ins[0].copy()
-    np.copyto(out, ins[0])
-    return out
-
-
-@_plan.register_vjp("copy")
-def _vjp_copy(g, ins, out, consts, needs):
-    return (g,)
-
-
-@_plan.register_kernel("log_softmax", "fresh")
-def _k_log_softmax(out, ins, consts):
-    a, axis = ins[0], consts["axis"]
-    shifted = a - a.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return shifted - lse
-
-
-@_plan.register_vjp("log_softmax")
-def _vjp_log_softmax(g, ins, out, consts, needs):
-    axis = consts["axis"]
-    return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)

@@ -1,24 +1,18 @@
 """Training: optimisers, schedules, losses, trainer, checkpointing."""
 
-from .optim import Adam, AdamW, Optimizer, SGD, clip_grad_norm
-from .schedule import ConstantLR, CosineWarmup, LRSchedule, StepLR
-from .loss import episode_loss, mae, mse
+from .optim import Adam, Optimizer, clip_grad_norm
+from .schedule import CosineWarmup, LRSchedule
+from .loss import episode_loss, mse
 from .checkpoint import load_checkpoint, load_model_like, save_checkpoint
 from .trainer import EpochStats, Trainer, TrainerConfig
-from .parallel import DataParallelTrainer, shard_batch
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
-    "AdamW",
     "clip_grad_norm",
     "LRSchedule",
-    "ConstantLR",
-    "StepLR",
     "CosineWarmup",
     "mse",
-    "mae",
     "episode_loss",
     "save_checkpoint",
     "load_checkpoint",
@@ -26,6 +20,4 @@ __all__ = [
     "Trainer",
     "TrainerConfig",
     "EpochStats",
-    "DataParallelTrainer",
-    "shard_batch",
 ]

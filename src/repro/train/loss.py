@@ -10,18 +10,13 @@ from __future__ import annotations
 
 from ..tensor import Tensor
 
-__all__ = ["mse", "mae", "episode_loss"]
+__all__ = ["mse", "episode_loss"]
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
     """Mean squared error."""
     d = pred - target
     return (d * d).mean()
-
-
-def mae(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error (used for reporting, Table III)."""
-    return (pred - target).abs().mean()
 
 
 def episode_loss(pred3d: Tensor, pred2d: Tensor,

@@ -1,7 +1,7 @@
-"""Optimisers: SGD (momentum), Adam, AdamW, and gradient clipping.
+"""Optimisers: Adam and gradient clipping.
 
-The surrogate trains with Adam-family optimisers (standard for Swin
-Transformers); SGD is kept for ablations and tests.  All state lives in
+The surrogate trains with Adam (standard for Swin Transformers).  All
+state lives in
 plain NumPy arrays keyed by parameter identity, so optimisers can be
 checkpointed alongside model weights.
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from ..nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
@@ -55,35 +55,6 @@ class Optimizer:
     def state_dict(self) -> Dict:
         return {"lr": self.lr, "t": self.t}
 
-    def load_state_dict(self, state: Dict) -> None:
-        self.lr = float(state["lr"])
-        self.t = int(state["t"])
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        self.t += 1
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
-
 
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
@@ -109,27 +80,6 @@ class Adam(Optimizer):
             g = p.grad
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter)."""
-
-    def step(self) -> None:
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
             m *= b1
             m += (1 - b1) * g
             v *= b2

@@ -1,4 +1,4 @@
-"""Learning-rate schedules: constant, step decay, cosine with warmup."""
+"""Learning-rate schedules: cosine with warmup."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Optional
 
 from .optim import Optimizer
 
-__all__ = ["LRSchedule", "ConstantLR", "StepLR", "CosineWarmup"]
+__all__ = ["LRSchedule", "CosineWarmup"]
 
 
 class LRSchedule:
@@ -26,26 +26,6 @@ class LRSchedule:
         lr = self.lr_at(self.updates)
         self.optimizer.lr = lr
         return lr
-
-
-class ConstantLR(LRSchedule):
-    def lr_at(self, step: int) -> float:
-        return self.base_lr
-
-
-class StepLR(LRSchedule):
-    """Multiply the LR by ``gamma`` every ``step_size`` updates."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int,
-                 gamma: float = 0.5, base_lr: Optional[float] = None):
-        super().__init__(optimizer, base_lr)
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def lr_at(self, step: int) -> float:
-        return self.base_lr * self.gamma ** (step // self.step_size)
 
 
 class CosineWarmup(LRSchedule):

@@ -55,11 +55,6 @@ class FieldWindow:
     def T(self) -> int:
         return self.zeta.shape[0]
 
-    def snapshot(self, t: int) -> "FieldWindow":
-        """Single-snapshot view (T = 1)."""
-        return FieldWindow(self.u3[t:t + 1], self.v3[t:t + 1],
-                           self.w3[t:t + 1], self.zeta[t:t + 1])
-
     def copy(self) -> "FieldWindow":
         return FieldWindow(self.u3.copy(), self.v3.copy(),
                            self.w3.copy(), self.zeta.copy())
@@ -323,7 +318,7 @@ class ForecastEngine:
         # counters below are written only under _plan_lock, at plan
         # lookup time, so hit/miss attribution is decided in the same
         # critical section as the lookup itself (no mid-forward race
-        # with clear_plans()/compile())
+        # with compile())
         self.plan_hits = 0       # forwards served by a compiled plan
         self.plan_misses = 0     # forwards that ran the eager path
         self.padded_rows = 0     # pad rows added by bucketing
@@ -383,8 +378,8 @@ class ForecastEngine:
         statistics fold into per-channel scale/shift constants, the
         positional tables into one summed table), exactly like engine
         builds in production inference runtimes — after
-        ``load_state_dict`` or further training call
-        :meth:`clear_plans` and recompile.
+        ``load_state_dict`` or further training build a fresh engine
+        with :meth:`with_model` and recompile.
         """
         batch = int(batch)
         if batch < 1:
@@ -420,14 +415,6 @@ class ForecastEngine:
         for b in buckets:
             self.compile(b)
         return buckets
-
-    def clear_plans(self) -> None:
-        """Drop every cached plan (required after retraining: folded
-        BatchNorm statistics are baked into plans as constants).
-        Executors, and their arena blobs, go to the collector with the
-        plans — those still in flight when their calls finish."""
-        with self._plan_lock:
-            self._plans = {}
 
     @property
     def compiled_batches(self) -> List[int]:
@@ -557,7 +544,7 @@ class ForecastEngine:
         and padding counters are all updated here, inside the same
         ``_plan_lock`` section as the lookup — the counters describe
         the decision actually taken even if a concurrent
-        :meth:`clear_plans`/:meth:`compile` lands while the forward
+        :meth:`compile` lands while the forward
         itself runs outside the lock.
         """
         n, tail = shape[0], shape[1:]

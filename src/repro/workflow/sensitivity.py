@@ -187,10 +187,6 @@ class StormOverlay:
     HOLLAND_B = 1.4
     RHO_WATER = 1025.0  # kg/m³ — matches repro.ocean.storm.RHO_WATER
 
-    def params(self) -> Dict[str, float]:
-        """The differentiable parameters as a plain name -> float dict."""
-        return {name: float(getattr(self, name)) for name in STORM_PARAMS}
-
     def replace(self, **updates: float) -> "StormOverlay":
         """Return a copy with the given parameters replaced."""
         return dataclasses.replace(self, **updates)

@@ -119,12 +119,9 @@ class TestStore:
     def test_io_accounting(self, tiny_bundle):
         store = tiny_bundle.open_train()
         before = store.bytes_read
-        store.read_snapshot(0)
-        assert store.bytes_read - before == store.snapshot_nbytes()
-
-    def test_times_monotone(self, tiny_bundle):
-        t = tiny_bundle.open_train().times()
-        assert np.all(np.diff(t) > 0)
+        snap = store.read_snapshot(0)
+        assert store.bytes_read - before == sum(a.nbytes
+                                                for a in snap.values())
 
     def test_resample_store(self, tiny_bundle, tmp_path):
         src = tiny_bundle.open_train()
@@ -213,7 +210,6 @@ class TestLoader:
         b = next(iter(loader))
         assert b.x3d.shape[0] == 2
         assert b.batch_size == 2
-        assert b.nbytes() > 0
 
     def test_drop_last(self, tiny_dataset):
         n = len(tiny_dataset)
@@ -263,6 +259,7 @@ class TestBuilder:
         assert len(again.open_train()) == len(tiny_bundle.open_train())
 
     def test_test_follows_train_in_time(self, tiny_bundle):
-        t_train = tiny_bundle.open_train().times()
-        t_test = tiny_bundle.open_test().times()
-        assert t_test[0] > t_train[-1]
+        train = tiny_bundle.open_train().meta
+        test = tiny_bundle.open_test().meta
+        t_train_last = train.t0 + train.interval_s * train.n_snapshots
+        assert test.t0 + test.interval_s > t_train_last

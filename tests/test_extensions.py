@@ -1,139 +1,9 @@
-"""Extensions: data-parallel training and ensemble UQ forecasting."""
+"""Extensions: ensemble UQ forecasting."""
 
 import numpy as np
 import pytest
 
-from repro.data import DataLoader
-from repro.swin import CoastalSurrogate
-from repro.train import (
-    DataParallelTrainer,
-    SGD,
-    Trainer,
-    TrainerConfig,
-    shard_batch,
-)
 from repro.workflow import EnsembleForecaster, FieldWindow, SurrogateForecaster
-
-
-@pytest.fixture()
-def loader2(tiny_dataset):
-    return DataLoader(tiny_dataset, batch_size=2, shuffle=False,
-                      drop_last=True)
-
-
-class TestShardBatch:
-    def test_shards_partition_batch(self, loader2):
-        batch = next(iter(loader2))
-        shards = shard_batch(batch, 2)
-        assert len(shards) == 2
-        assert all(s.batch_size == 1 for s in shards)
-        np.testing.assert_array_equal(
-            np.concatenate([s.x3d for s in shards]), batch.x3d)
-
-    def test_indivisible_raises(self, loader2):
-        batch = next(iter(loader2))
-        with pytest.raises(ValueError, match="divisible"):
-            shard_batch(batch, 3)
-
-
-class _LinearToy:
-    """BatchNorm-free stand-in with the surrogate's call signature.
-
-    Data-parallel gradient averaging is *exactly* equivalent to
-    large-batch training only for models whose forward is independent
-    across batch entries; BatchNorm couples them (true of real DDP as
-    well), so the exactness test uses this toy.
-    """
-
-    def __init__(self, seed=0):
-        from repro.nn import Module, Parameter
-
-        class M(Module):
-            def __init__(self):
-                super().__init__()
-                rng = np.random.default_rng(seed)
-                self.w3 = Parameter(rng.normal(size=(1,)).astype(np.float32))
-                self.w2 = Parameter(rng.normal(size=(1,)).astype(np.float32))
-
-            def forward(self, x3d, x2d):
-                return x3d * self.w3, x2d * self.w2
-
-        self.module = M()
-
-
-class TestDataParallelTrainer:
-    def test_exact_equivalence_without_batchnorm(self, loader2):
-        """W-worker allreduced step == single step on the full batch,
-        exactly, for a batch-independent model with SGD."""
-        batch = next(iter(loader2))
-
-        ref_m = _LinearToy(seed=3).module
-        ref = Trainer(ref_m, TrainerConfig(lr=1e-2, grad_clip=0.0),
-                      optimizer=SGD(ref_m.parameters(), lr=1e-2))
-        ref.train_step(batch)
-
-        dp_m = _LinearToy(seed=3).module
-        dp = DataParallelTrainer(dp_m, TrainerConfig(lr=1e-2, grad_clip=0.0),
-                                 n_workers=2,
-                                 optimizer=SGD(dp_m.parameters(), lr=1e-2))
-        dp.train_step(batch)
-
-        for (na, pa), (nb, pb) in zip(ref_m.named_parameters(),
-                                      dp_m.named_parameters()):
-            np.testing.assert_allclose(pa.data, pb.data, rtol=1e-6,
-                                       err_msg=na)
-
-    def test_close_to_single_worker_on_surrogate(self, tiny_surrogate_config,
-                                                 loader2):
-        """On the real surrogate the only divergence source is BatchNorm
-        statistics, so the updates stay close."""
-        batch = next(iter(loader2))
-
-        ref_model = CoastalSurrogate(tiny_surrogate_config)
-        ref = Trainer(ref_model, TrainerConfig(lr=1e-3, grad_clip=0.0),
-                      optimizer=SGD(ref_model.parameters(), lr=1e-3))
-        ref.train_step(batch)
-
-        dp_model = CoastalSurrogate(tiny_surrogate_config)
-        dp = DataParallelTrainer(dp_model,
-                                 TrainerConfig(lr=1e-3, grad_clip=0.0),
-                                 n_workers=2,
-                                 optimizer=SGD(dp_model.parameters(),
-                                               lr=1e-3))
-        dp.train_step(batch)
-
-        diffs = [np.abs(pa.data - pb.data).max()
-                 for (_, pa), (_, pb) in zip(ref_model.named_parameters(),
-                                             dp_model.named_parameters())]
-        assert max(diffs) < 5e-3
-
-    def test_communication_accounted(self, tiny_surrogate_config, loader2):
-        model = CoastalSurrogate(tiny_surrogate_config)
-        dp = DataParallelTrainer(model, TrainerConfig(lr=1e-3), n_workers=2)
-        dp.train_step(next(iter(loader2)))
-        assert dp.grad_bytes_reduced > 0
-        assert dp.comm.n_messages > 0
-
-    def test_single_worker_no_communication(self, tiny_surrogate_config,
-                                            loader2):
-        model = CoastalSurrogate(tiny_surrogate_config)
-        dp = DataParallelTrainer(model, TrainerConfig(lr=1e-3), n_workers=1)
-        dp.train_step(next(iter(loader2)))
-        assert dp.grad_bytes_reduced == 0
-
-    def test_rejects_zero_workers(self, tiny_surrogate_config):
-        with pytest.raises(ValueError):
-            DataParallelTrainer(CoastalSurrogate(tiny_surrogate_config),
-                                TrainerConfig(), n_workers=0)
-
-    def test_loss_decreases(self, tiny_surrogate_config, loader2):
-        model = CoastalSurrogate(tiny_surrogate_config)
-        dp = DataParallelTrainer(model, TrainerConfig(lr=2e-3), n_workers=2)
-        batch = next(iter(loader2))
-        first = dp.train_step(batch)
-        for _ in range(4):
-            last = dp.train_step(batch)
-        assert last < first
 
 
 class TestEnsembleForecaster:

@@ -1,15 +1,10 @@
-"""FLOPs counter, page-cache simulation, and pipeline trace."""
+"""FLOPs counter."""
 
-import numpy as np
-import pytest
+import dataclasses
 
-from repro.data import CachedStore, SnapshotStore
-from repro.hpc import PipelineTrace
-from repro.hpc.pipeline import FIG9_CONFIGS, PipelineConfig, PipelineParams
 from repro.swin import (
     SurrogateConfig,
     attention_flops,
-    scale_compute_time,
     surrogate_flops,
 )
 
@@ -18,12 +13,11 @@ class TestFlops:
     def test_breakdown_sums(self):
         fb = surrogate_flops(SurrogateConfig())
         assert fb.encoder + fb.decoder == fb.total
-        assert fb.total == sum(v for k, v in fb.as_dict().items()
-                               if k != "total")
+        assert fb.total == sum(dataclasses.asdict(fb).values())
 
     def test_all_components_positive(self):
         fb = surrogate_flops(SurrogateConfig.paper())
-        for name, v in fb.as_dict().items():
+        for name, v in dataclasses.asdict(fb).items():
             assert v > 0, name
 
     def test_paper_config_decoder_dominates(self):
@@ -42,123 +36,3 @@ class TestFlops:
         b = attention_flops(tokens=1024, window_volume=64, dim=32)
         assert b > a
 
-    def test_scale_compute_time_ratio(self):
-        small = SurrogateConfig()
-        big = SurrogateConfig.paper()
-        scaled = scale_compute_time(1.0, small, big)
-        assert scaled == pytest.approx(
-            surrogate_flops(big).total / surrogate_flops(small).total)
-
-    def test_scale_identity(self):
-        cfg = SurrogateConfig()
-        assert scale_compute_time(2.5, cfg, cfg) == pytest.approx(2.5)
-
-
-class TestCachedStore:
-    @pytest.fixture()
-    def cached(self, tiny_bundle):
-        store = SnapshotStore(tiny_bundle.train)
-        # capacity for roughly three snapshots
-        return CachedStore(store, capacity_bytes=3 * store.snapshot_nbytes())
-
-    def test_first_read_misses_second_hits(self, cached):
-        cached.read_var("zeta", 0)
-        assert cached.stats.misses == 1 and cached.stats.hits == 0
-        cached.read_var("zeta", 0)
-        assert cached.stats.hits == 1
-
-    def test_data_identical_to_store(self, cached, tiny_bundle):
-        direct = SnapshotStore(tiny_bundle.train).read_var("u3", 2)
-        np.testing.assert_array_equal(cached.read_var("u3", 2), direct)
-        np.testing.assert_array_equal(cached.read_var("u3", 2), direct)
-
-    def test_lru_eviction(self, tiny_bundle):
-        store = SnapshotStore(tiny_bundle.train)
-        one = store.read_var("zeta", 0).nbytes
-        cached = CachedStore(store, capacity_bytes=2 * one + 1)
-        cached.read_var("zeta", 0)
-        cached.read_var("zeta", 1)
-        cached.read_var("zeta", 2)   # evicts snapshot 0
-        assert cached.stats.evictions >= 1
-        cached.read_var("zeta", 0)   # must be a miss again
-        assert cached.stats.misses == 4
-
-    def test_hit_rate_over_epochs(self, tiny_bundle):
-        """Second 'epoch' of reads is mostly cache hits — the paper's
-        OS-cache effect."""
-        store = SnapshotStore(tiny_bundle.train)
-        cached = CachedStore(store, capacity_bytes=1 << 30)
-        for _ in range(2):
-            for i in range(len(cached)):
-                cached.read_snapshot(i)
-        assert cached.stats.hit_rate == pytest.approx(0.5)
-
-    def test_effective_load_time_improves_with_hits(self, cached):
-        cached.read_snapshot(0)
-        t_cold = cached.stats.effective_load_seconds(750e6, 200e9)
-        cached.read_snapshot(0)
-        t_both = cached.stats.effective_load_seconds(750e6, 200e9)
-        # the second (cached) read adds almost nothing
-        assert t_both < 1.01 * 2 * t_cold
-
-    def test_window_read(self, cached):
-        w = cached.read_window(0, 3)
-        assert w["u3"].shape[0] == 3
-        with pytest.raises(IndexError):
-            cached.read_window(len(cached) - 1, 3)
-
-    def test_invalid_capacity(self, tiny_bundle):
-        with pytest.raises(ValueError):
-            CachedStore(SnapshotStore(tiny_bundle.train), 0)
-
-    def test_clear(self, cached):
-        cached.read_snapshot(0)
-        cached.clear()
-        assert cached.resident_bytes == 0
-
-
-class TestPipelineTrace:
-    @pytest.fixture()
-    def trace(self):
-        return PipelineTrace(PipelineParams())
-
-    def test_events_cover_all_stages(self, trace):
-        events = trace.run(FIG9_CONFIGS[0], iterations=2)
-        stages = {e.stage for e in events}
-        assert stages == {"load", "h2d", "compute", "update"}
-
-    def test_events_nonnegative_durations(self, trace):
-        for cfg in FIG9_CONFIGS:
-            for e in trace.run(cfg, iterations=3):
-                assert e.duration >= 0
-
-    def test_pageable_h2d_on_gpu_lane(self, trace):
-        events = trace.run(PipelineConfig("np", pin_memory=False), 2)
-        h2d = [e for e in events if e.stage == "h2d"]
-        assert all(e.lane == "gpu" for e in h2d)
-
-    def test_pinned_h2d_on_copy_lane(self, trace):
-        events = trace.run(FIG9_CONFIGS[0], 2)
-        h2d = [e for e in events if e.stage == "h2d"]
-        assert all(e.lane == "copy" for e in h2d)
-
-    def test_no_prefetch_slower_steady_state(self, trace):
-        fast = trace.steady_state_iteration(FIG9_CONFIGS[0])
-        slow = trace.steady_state_iteration(
-            PipelineConfig("nop", prefetch=False))
-        assert slow > fast
-
-    def test_render_contains_lanes(self, trace):
-        out = trace.render(FIG9_CONFIGS[0])
-        for lane in ("io", "copy", "gpu"):
-            assert lane in out
-
-    def test_compute_never_precedes_its_data(self, trace):
-        for cfg in FIG9_CONFIGS:
-            events = trace.run(cfg, iterations=4)
-            by_iter = {}
-            for e in events:
-                by_iter.setdefault(e.iteration, {})[e.stage] = e
-            for k, stages in by_iter.items():
-                assert stages["compute"].start >= stages["h2d"].end - 1e-9
-                assert stages["h2d"].start >= stages["load"].end - 1e-9

@@ -32,7 +32,7 @@ class TestFitConstituents:
 
     def test_recovers_full_gulf_set(self, month_times):
         forcing = TidalForcing(alongshore_delay_s_per_m=0.0)
-        series = forcing.series(month_times)
+        series = forcing.elevation(month_times)
         fit = fit_constituents(month_times, series)
         for c in GULF_CONSTITUENTS:
             assert fit.amplitudes[c.name] == pytest.approx(

@@ -40,21 +40,16 @@ class TestTides:
         e1 = f.elevation(6 * HOUR, 50_000.0)
         assert abs(float(e0) - float(e1)) > 1e-4
 
-    def test_max_amplitude(self):
-        f = TidalForcing()
-        assert f.max_amplitude == pytest.approx(
-            sum(c.amplitude_m for c in GULF_CONSTITUENTS))
-
     def test_series_shape(self):
         f = TidalForcing()
         times = np.arange(0, 86400, 1800.0)
-        assert f.series(times).shape == times.shape
+        assert f.elevation(times).shape == times.shape
 
     def test_mixed_tide_character(self):
         """Gulf-coast tide: diurnal and semidiurnal energy both present."""
         f = TidalForcing()
         t = np.arange(0, 30 * 86400, 600.0)
-        e = f.series(t)
+        e = f.elevation(t)
         spec = np.abs(np.fft.rfft(e))
         freqs = np.fft.rfftfreq(len(t), 600.0) * 86400  # cycles/day
         semi = spec[(freqs > 1.8) & (freqs < 2.1)].max()
@@ -160,13 +155,6 @@ class TestRomsLikeModel:
         dry = ~tiny_ocean.solver.wet
         assert np.all(snaps[0].zeta[dry] == 0.0)
         assert np.all(snaps[0].u3[dry, :] == 0.0)
-
-    def test_boundary_rim_zeroes_interior(self):
-        f = np.arange(36, dtype=float).reshape(6, 6)
-        rim = RomsLikeModel.boundary_rim(f, width=1)
-        assert np.all(rim[1:-1, 1:-1] == 0.0)
-        np.testing.assert_array_equal(rim[0], f[0])
-        np.testing.assert_array_equal(rim[:, -1], f[:, -1])
 
     def test_stack_fields_layout(self, tiny_ocean):
         st = tiny_ocean.solver.initial_state()

@@ -156,17 +156,6 @@ class TestDynamics:
         assert np.abs(s.zeta).max() < 2.0    # m — tidal range bound
         assert np.isfinite(s.zeta).all()
 
-    def test_advection_option_stable(self, rng):
-        g = make_charlotte_grid(14, 16, 14_000.0, 16_000.0)
-        h = synth_estuary_bathymetry(g)
-        solver = ShallowWaterSolver(g, h, TidalForcing(),
-                                    SWEConfig(advection=True))
-        s = solver.initial_state()
-        for _ in range(500):
-            s = solver.step(s)
-        assert np.isfinite(s.zeta).all()
-        assert np.abs(s.u).max() < 5.0
-
     def test_run_advances_time(self, forced_solver):
         s = forced_solver.initial_state()
         out = forced_solver.run(s, 600.0)
@@ -214,7 +203,6 @@ class TestEnsembleAxis:
     SETUPS = {
         "forced_river": (TidalForcing(), SWEConfig()),
         "closed": (None, SWEConfig(river_discharge=0.0, sponge_strength=0.0)),
-        "advection": (TidalForcing(), SWEConfig(advection=True)),
     }
 
     @staticmethod

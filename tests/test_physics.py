@@ -10,9 +10,15 @@ from repro.physics import (
     VerificationResult,
     Verifier,
     depth_average,
-    residual_series,
+    residual_series_batch,
     water_mass_residual,
 )
+
+
+def _residuals(ocean, zeta, u3, v3, dt):
+    """One episode's residual fields, through the batch path."""
+    return residual_series_batch(ocean.grid, ocean.depth, zeta[None],
+                                 u3[None], v3[None], dt)[0]
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +56,12 @@ class TestResidual:
 
     def test_nonnegative(self, tiny_ocean, solver_window):
         zeta, u3, v3 = solver_window
-        r = residual_series(tiny_ocean.grid, tiny_ocean.depth,
-                            zeta, u3, v3, 1800.0)
+        r = _residuals(tiny_ocean, zeta, u3, v3, 1800.0)
         assert np.all(r >= 0)
 
     def test_land_cells_zero(self, tiny_ocean, solver_window):
         zeta, u3, v3 = solver_window
-        r = residual_series(tiny_ocean.grid, tiny_ocean.depth,
-                            zeta, u3, v3, 1800.0)
+        r = _residuals(tiny_ocean, zeta, u3, v3, 1800.0)
         dry = ~tiny_ocean.solver.wet
         assert np.all(r[:, dry] == 0.0)
 
@@ -66,8 +70,7 @@ class TestResidual:
         """Genuine solver output is nearly mass-conserving — its mean
         residual sits well below the oceanography-accepted 5e-4 m/s."""
         zeta, u3, v3 = solver_window
-        r = residual_series(tiny_ocean.grid, tiny_ocean.depth,
-                            zeta, u3, v3, 1800.0)
+        r = _residuals(tiny_ocean, zeta, u3, v3, 1800.0)
         wet = tiny_ocean.solver.wet
         assert r[:, wet].mean() < OCEANOGRAPHY_ACCEPTED_THRESHOLD
 
@@ -77,19 +80,16 @@ class TestResidual:
         rng = np.random.default_rng(0)
         bad_zeta = zeta + 2.0 * rng.normal(size=zeta.shape)
         wet = tiny_ocean.solver.wet
-        good = residual_series(tiny_ocean.grid, tiny_ocean.depth,
-                               zeta, u3, v3, 1800.0)[:, wet].mean()
-        bad = residual_series(tiny_ocean.grid, tiny_ocean.depth,
-                              bad_zeta, u3, v3, 1800.0)[:, wet].mean()
+        good = _residuals(tiny_ocean, zeta, u3, v3, 1800.0)[:, wet].mean()
+        bad = _residuals(tiny_ocean, bad_zeta, u3, v3, 1800.0)[:, wet].mean()
         assert bad > 10 * good
         assert bad > OCEANOGRAPHY_ACCEPTED_THRESHOLD
 
     def test_requires_two_snapshots(self, tiny_ocean):
         with pytest.raises(ValueError):
-            residual_series(tiny_ocean.grid, tiny_ocean.depth,
-                            np.zeros((1, 15, 14)),
-                            np.zeros((1, 15, 14, 6)),
-                            np.zeros((1, 15, 14, 6)), 1800.0)
+            _residuals(tiny_ocean, np.zeros((1, 15, 14)),
+                       np.zeros((1, 15, 14, 6)),
+                       np.zeros((1, 15, 14, 6)), 1800.0)
 
 
 class TestVerifier:

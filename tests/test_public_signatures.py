@@ -8,24 +8,36 @@ back is a deliberate act: it shows up here.
 """
 
 import ast
+import dataclasses
+import importlib.util
 import inspect
 
 import pytest
 
+import repro.data
+import repro.eval
+import repro.hpc
+import repro.nn
 import repro.tensor
 import repro.tensor.tensor
+import repro.train
+from repro.hpc import DecomposedShallowWater
+from repro.ocean import ShallowWaterSolver, SWEConfig
+from repro.physics import Verifier
+from repro.scenario import BasinReport
 from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
                          HostWorker, MicroBatchScheduler, ProcessWorker)
 from repro.serve import hostpool
 from repro.serve.remote import (EngineService, RemoteWorker, build_engine,
                                 engine_payload, serve_payload)
-from repro.tensor import PlanExecutor
+from repro.tensor import ExecutionPlan, PlanExecutor, Tensor
 from repro.workflow import ForecastEngine
+from repro.workflow.sensitivity import StormOverlay
 
 SIGNATURES = [
     (ForecastServer,
-     ["engine", "max_batch", "max_wait", "cache_bytes", "ocean", "verifier",
-      "workers", "router", "max_queue", "backend", "fabric", "autostart"]),
+     ["engine", "max_batch", "max_wait", "cache_bytes", "workers", "router",
+      "max_queue", "backend", "fabric", "autostart"]),
     (ForecastServer.deploy, ["self", "model_or_checkpoint", "source"]),
     (EngineWorkerPool,
      ["engines", "replicas", "max_batch", "max_queue", "router",
@@ -136,3 +148,49 @@ def test_one_dispatcher_and_no_runtime_binding():
         or isinstance(node, ast.Import)
         and any("repro" in alias.name for alias in node.names)]
     assert package_imports == []
+
+
+def test_what_only_its_own_tests_reached_is_gone():
+    """The reach audit (``tools/reach.py``) deleted what no system path
+    runs, with the tests that existed only for it; nothing of it comes
+    back unnoticed.  ``erf`` stays: it is the GELU oracle."""
+    gone = {
+        repro.train: ("DataParallelTrainer", "shard_batch", "SGD", "AdamW",
+                      "ConstantLR", "StepLR", "mae"),
+        repro.hpc: ("PipelineTrace", "StageEvent"),
+        repro.eval: ("ErrorGrowth", "error_growth", "compute_errors_many"),
+        repro.data: ("CachedStore", "CacheStats"),
+        repro.nn: ("ReLU", "Identity", "Sequential"),
+        repro.tensor: ("stack", "where"),
+    }
+    for package, names in gone.items():
+        for name in names:
+            assert not hasattr(package, name), (package.__name__, name)
+            assert name not in package.__all__, (package.__name__, name)
+    for module in ("repro.train.parallel", "repro.hpc.trace",
+                   "repro.eval.errorgrowth"):
+        assert importlib.util.find_spec(module) is None, module
+    assert not hasattr(repro.nn.init, "xavier_uniform")
+
+    plan = repro.tensor.plan
+    plan._ensure_kernels_registered()
+    ops = ("relu", "clip", "pad", "stack", "where", "sigmoid", "copy",
+           "log_softmax", "log", "tanh", "maximum")
+    assert not set(ops) & set(plan.KERNELS)
+    assert "erf" in plan.KERNELS
+    for name in ops + ("clone", "var", "half", "float", "__rtruediv__",
+                       "__matmul__", "T", "__len__", "numpy", "__gt__",
+                       "__lt__", "__ge__", "__le__"):
+        assert name not in vars(Tensor), name
+
+    for target, name in ((ExecutionPlan, "to_bytes"),
+                         (ExecutionPlan, "from_bytes"),
+                         (DecomposedShallowWater, "run"),
+                         (Verifier, "residuals"),
+                         (ForecastServer, "sensitivity"),
+                         (StormOverlay, "params"),
+                         (BasinReport, "latency_p50_ms"),
+                         (ShallowWaterSolver, "_upwind_advect_u"),
+                         (ShallowWaterSolver, "_upwind_advect_v")):
+        assert name not in vars(target), (target.__qualname__, name)
+    assert "advection" not in {f.name for f in dataclasses.fields(SWEConfig)}

@@ -14,6 +14,8 @@ Three layers of validation, mirroring ``docs/differentiation.md``:
    cache/dedup keying, and clear rejection on process/host backends.
 """
 
+from contextlib import closing
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from repro.serve import (
     gradient_key,
     window_key,
 )
-from repro.tensor import Tensor, astensor, stack
+from repro.tensor import Tensor, astensor, concatenate
 from repro.tensor.gradcheck import gradcheck, numerical_grad, tape_nodes
 from repro.workflow import (
     STORM_PARAMS,
@@ -115,7 +117,7 @@ def test_overlay_apply_matches_increments():
 def _per_slot_increments(ov, params, time_steps, mesh, depth):
     """The overlay graph as it was built before the slot axis was a
     broadcast axis — one Python iteration and ~40 tape nodes per slot,
-    three stacks — kept as the slow single-storm reference."""
+    three concatenations — kept as the slow single-storm reference."""
     h, w = mesh
     dy, dx = ov.spacing
     yg = astensor(np.arange(h, dtype=np.float64)[:, None] * dy)
@@ -143,9 +145,12 @@ def _per_slot_increments(ov, params, time_steps, mesh, depth):
         dz_t.append(dz)
     decay = astensor(np.exp(-np.arange(depth, dtype=np.float64)
                             / ov.depth_efold))
-    du3 = stack(du_t, axis=0).reshape((time_steps, h, w, 1)) * decay
-    dv3 = stack(dv_t, axis=0).reshape((time_steps, h, w, 1)) * decay
-    return du3, dv3, stack(dz_t, axis=0)
+    def slots(ts):
+        return concatenate([t.reshape((1,) + t.shape) for t in ts], axis=0)
+
+    du3 = slots(du_t).reshape((time_steps, h, w, 1)) * decay
+    dv3 = slots(dv_t).reshape((time_steps, h, w, 1)) * decay
+    return du3, dv3, slots(dz_t)
 
 
 #: four storms that differ in every differentiable parameter *and* in
@@ -566,12 +571,12 @@ def test_process_and_host_backends_reject_gradients(engine, windows):
             raise AssertionError("must not be reached")
 
     req = GradientRequest(windows[0])
-    with EngineWorkerPool(ForwardOnly(), autostart=False) as pool:
+    with closing(EngineWorkerPool(ForwardOnly(), autostart=False)) as pool:
         with pytest.raises(NotImplementedError, match="backend='thread'"):
             pool.submit_gradient(req)
         worker = pool.workers[0]
         assert (worker.outstanding, worker.submitted) == (0, 0)
-        assert worker.scheduler.pending == 0
+        assert worker.scheduler.flush() == 0
 
     sched = MicroBatchScheduler(ForwardOnly(), autostart=False)
     with pytest.raises(NotImplementedError, match="sensitivity_batch"):

@@ -13,6 +13,7 @@ import os
 import signal
 import sys
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -31,8 +32,11 @@ TIERS = {
 
 
 def kill(worker):
-    if isinstance(worker, HostWorker):
-        worker.kill()
+    """Kill the remote abruptly: ``SIGKILL`` to a child process,
+    endpoint teardown for the sim fabric's in-process rank — the fault
+    the client must then detect and surface."""
+    if isinstance(worker, HostWorker) and worker.fabric == "sim":
+        worker._remote_ep.close()
     else:
         os.kill(worker.pid, signal.SIGKILL)
 
@@ -90,7 +94,7 @@ def test_concurrent_callers_and_the_watchdog_share_one_exchange(
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with TIERS[tier](engine) as worker:
+        with closing(TIERS[tier](engine)) as worker:
             def caller(i):
                 try:
                     for _ in range(8):
@@ -116,7 +120,7 @@ def test_concurrent_callers_and_the_watchdog_share_one_exchange(
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_no_watchdog_outlives_close(engine, windows, tier):
-    with TIERS[tier](engine) as worker:
+    with closing(TIERS[tier](engine)) as worker:
         watchdog = worker._watchdog
         assert watchdog.is_alive()
         for got, want in zip(worker.forecast_batch(windows[:2]),

@@ -12,6 +12,7 @@ heartbeat deadline mark the worker dead rather than hanging it.
 
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.serve import (
 )
 
 from conftest import assert_windows_equal     # noqa: F401 — shared helper
+from test_serve_exchange import kill
 from test_serve_procpool import (             # noqa: F401 — shared idiom
     assert_pool_batches_bitwise,
     assert_results_equal,
@@ -56,11 +58,11 @@ class TestHostWorker:
         # the remote payload ships every plan on the engine, and the
         # session engine may carry buckets warmed by an earlier module:
         # the "no plan for batch 5" leg needs it bare
-        engine.clear_plans()
+        engine = engine.with_model(engine.model)
         direct_eager = engine.forecast_batch(windows[:5])
         engine.compile(2)
         direct_plan = engine.forecast_batch(windows[:2])
-        with HostWorker(engine, fabric=fabric) as worker:
+        with closing(HostWorker(engine, fabric=fabric)) as worker:
             assert worker.time_steps == engine.time_steps
             # eager fallback on the remote: same numbers
             served = worker.forecast_batch(windows[:5])
@@ -87,7 +89,7 @@ class TestHostWorker:
     def test_sim_fabric_accounts_wire_bytes(self, engine, windows):
         """Sim-fabric wire totals flow through the shared SimComm —
         the same accounting the halo-exchange tests rely on."""
-        with HostWorker(engine, fabric="sim") as worker:
+        with closing(HostWorker(engine, fabric="sim")) as worker:
             worker.forecast_batch(windows[:2])
             assert worker.comm.bytes_sent > 0
             # both directions of the rank 0 ↔ 1 pair moved frames
@@ -128,7 +130,7 @@ class TestHostWorker:
         try:
             caller.start()
             time.sleep(0.2)
-            worker.kill()
+            kill(worker)
             caller.join(30)
             assert not caller.is_alive(), "the blocked call hung"
             assert isinstance(failure[0], ProcessWorkerDied)
@@ -156,11 +158,31 @@ class TestHostWorker:
         finally:
             worker.close()
 
+    def test_remote_fatal_error_condemns_idle_worker(self, engine, windows):
+        """Garbage injected into the remote's receive stream (the
+        client's send side) is rejected there: the remote reports a
+        fatal ``err`` that answers no request and hangs up.  The
+        watchdog reads it between exchanges and condemns the worker by
+        the remote's own reason."""
+        deaths = []
+        worker = HostWorker(engine, fabric="sim", heartbeat_s=0.0,
+                            on_death=deaths.append)
+        try:
+            worker._channel.ep.send_frame(b"GARBAGE-NOT-A-FRAME")
+            assert wait_until(lambda: not worker.alive, timeout=10.0)
+            assert "frame rejected" in worker.death_reason
+            assert wait_until(lambda: bool(deaths))
+            assert deaths == [worker]
+            with pytest.raises(HostWorkerDied, match="frame rejected"):
+                worker.forecast_batch(windows[:1])
+        finally:
+            worker.close()
+
     def test_remote_request_error_keeps_worker_alive(self, engine):
         """A bad request fails its own handle with the remote
         traceback; the worker keeps serving."""
         from conftest import make_window
-        with HostWorker(engine, fabric="sim") as worker:
+        with closing(HostWorker(engine, fabric="sim")) as worker:
             bad = [make_window(0, t=2)]   # wrong T: remote raises
             with pytest.raises(HostWorkerError):
                 worker.forecast_batch(bad)
@@ -189,9 +211,9 @@ class TestHostWorker:
 @pytest.mark.parametrize("router", ["round-robin", "least-outstanding",
                                     "key-affinity"])
 def test_pool_host_backend_bitwise(engine, windows, router, fabric):
-    with EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                          backend="host", fabric=fabric,
-                          router=router) as pool:
+    with closing(EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
+                                  backend="host", fabric=fabric,
+                                  router=router)) as pool:
         keys = [f"scenario-{i % 3}" for i in range(len(windows))]
         placed = map_submissions(pool, windows, keys)
         pool.flush()
@@ -267,7 +289,7 @@ def test_pool_host_death_fails_batch_and_retires_worker(
         victim_futs = [f for f in futures
                        if f.worker_id == victim.worker_id]
         assert victim_futs, "round-robin should hit worker 0"
-        victim.executor.kill()
+        kill(victim.executor)
         pool.flush()
         for fut in victim_futs:
             with pytest.raises(ProcessWorkerDied):
@@ -288,8 +310,8 @@ def test_pool_host_warm_plans_ship_at_spawn(engine_factory, windows):
     socket child holds them before any traffic, and its first partial
     batch replays one of them."""
     engine = engine_factory()       # private: the pool compiles plans
-    with EngineWorkerPool(engine, replicas=1, max_batch=4, autostart=False,
-                          backend="host", fabric="socket") as pool:
+    with closing(EngineWorkerPool(engine, replicas=1, max_batch=4, autostart=False,
+                                  backend="host", fabric="socket")) as pool:
         worker = pool.workers[0].executor
         assert worker.plan_stats()["batches"] == engine.compiled_batches
         futs = [pool.submit(w) for w in windows[:3]]

@@ -11,6 +11,7 @@ autoscaler ``tick()``) make every scenario deterministic.
 """
 
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestHotSwap:
     def test_deploy_events_and_metrics_survive_worker_turnover(
             self, engine_pair):
         e1, e2 = engine_pair
-        with manual_pool(e1) as pool:
+        with closing(manual_pool(e1)) as pool:
             pool.forecast_batch([make_window(s) for s in range(4)])
             served_before = pool.metrics.n_requests
             pool.deploy(e2)
@@ -114,7 +115,7 @@ class TestHotSwap:
 
     def test_zero_shed_during_manual_deploy(self, engine_pair):
         e1, e2 = engine_pair
-        with manual_pool(e1, max_queue=2) as pool:
+        with closing(manual_pool(e1, max_queue=2)) as pool:
             for s in range(4):              # both replicas at their bound
                 pool.submit(make_window(s))
             pool.deploy(e2)
@@ -132,7 +133,7 @@ class TestHotSwap:
             def compile_buckets(self, max_batch):
                 raise RuntimeError("bad weights: warmup exploded")
 
-        with manual_pool(e1) as pool:
+        with closing(manual_pool(e1)) as pool:
             before_ids = [w.worker_id for w in pool.workers]
             with pytest.raises(DeploymentError, match="warmup"):
                 pool.deploy(BrokenEngine())
@@ -140,7 +141,7 @@ class TestHotSwap:
             assert [w.worker_id for w in pool.workers] == before_ids
             assert pool.current_version == 1
             assert sorted(pool.versions) == [1]
-            res = pool.forecast(make_window(0))
+            res = pool.forecast_batch([make_window(0)])[0]
             direct = e1.forecast_batch([make_window(0)])[0]
             assert_windows_equal(res.fields, direct.fields)
 
@@ -150,7 +151,7 @@ class TestHotSwap:
         ``compile_buckets`` gets the whole ``max_batch`` bucket set plus
         the sizes the outgoing engines held, before it takes traffic."""
         e1, e2 = engine_pair
-        with manual_pool(e1, max_batch=4) as pool:
+        with closing(manual_pool(e1, max_batch=4)) as pool:
             e1.compile(3)
             surged_with = []
             real_add = pool.add_worker
@@ -167,7 +168,7 @@ class TestHotSwap:
     def test_midroll_failure_rolls_back_to_old_version(self, engine_pair,
                                                        monkeypatch):
         e1, e2 = engine_pair
-        with manual_pool(e1) as pool:
+        with closing(manual_pool(e1)) as pool:
             pool.forecast_batch([make_window(s) for s in range(3)])
             real_add = pool.add_worker
             calls = {"n": 0}
@@ -189,7 +190,7 @@ class TestHotSwap:
             assert {w.version for w in live} == {1}
             assert any(e.kind == "deploy-rollback" for e in pool.events)
             # and the pool still serves version-1 numbers
-            res = pool.forecast(make_window(11))
+            res = pool.forecast_batch([make_window(11)])[0]
             direct = e1.forecast_batch([make_window(11)])[0]
             assert_windows_equal(res.fields, direct.fields)
 
@@ -202,7 +203,7 @@ class TestHotSwap:
             def forecast_batch(self, refs):
                 return []
 
-        with manual_pool(e1) as pool:
+        with closing(manual_pool(e1)) as pool:
             with pytest.raises(ValueError, match="time_steps"):
                 pool.deploy(WrongT())
             assert pool.current_version == 1
@@ -335,11 +336,11 @@ class TestAutoScaler:
         demonstrably grows and then shrinks, with every transition
         recorded."""
         e1, _ = engine_pair
-        with manual_pool(e1, replicas=1, max_queue=4) as pool:
+        with closing(manual_pool(e1, replicas=1, max_queue=4)) as pool:
             scaler = AutoScaler(pool, min_workers=1, max_workers=3,
                                 high_water=0.5, low_water=0.25,
                                 scale_down_patience=2)
-            history = [pool.n_workers]
+            history = [len(pool.workers)]
 
             def spike(n):
                 futures = []
@@ -377,7 +378,7 @@ class TestAutoScaler:
     def test_scale_up_sheds_trigger_and_served_by_new_worker(
             self, engine_pair):
         e1, _ = engine_pair
-        with manual_pool(e1, replicas=1, max_queue=2) as pool:
+        with closing(manual_pool(e1, replicas=1, max_queue=2)) as pool:
             scaler = AutoScaler(pool, min_workers=1, max_workers=2,
                                 high_water=0.9, low_water=0.1)
             pool.submit(make_window(0))
@@ -394,7 +395,7 @@ class TestAutoScaler:
 
     def test_decide_is_pure_and_scriptable(self, engine_pair):
         e1, _ = engine_pair
-        with manual_pool(e1, replicas=1) as pool:
+        with closing(manual_pool(e1, replicas=1)) as pool:
             scaler = AutoScaler(pool, min_workers=1, max_workers=4,
                                 high_water=0.5, low_water=0.1)
 
@@ -428,7 +429,7 @@ class TestAutoScaler:
         replica = ServingCapacityModel(dispatch_seconds=0.0,
                                        per_request_seconds=0.01)
         model = PoolCapacityModel(replica, contention=0.0)   # X1 = 100
-        with manual_pool(e1, replicas=1) as pool:
+        with closing(manual_pool(e1, replicas=1)) as pool:
             scaler = AutoScaler(pool, min_workers=1, max_workers=8,
                                 high_water=0.5, low_water=0.1,
                                 target_utilization=0.5,
@@ -449,7 +450,7 @@ class TestAutoScaler:
 
     def test_patience_gates_scale_down(self, engine_pair):
         e1, _ = engine_pair
-        with manual_pool(e1, replicas=2) as pool:
+        with closing(manual_pool(e1, replicas=2)) as pool:
             scaler = AutoScaler(pool, min_workers=1, max_workers=2,
                                 high_water=0.5, low_water=0.2,
                                 scale_down_patience=3)
@@ -483,7 +484,7 @@ class TestAutoScaler:
 
     def test_validates_knobs(self, engine_pair):
         e1, _ = engine_pair
-        with manual_pool(e1, replicas=1) as pool:
+        with closing(manual_pool(e1, replicas=1)) as pool:
             for bad in (dict(min_workers=0),
                         dict(min_workers=3, max_workers=2),
                         dict(low_water=0.5, high_water=0.5),
@@ -496,19 +497,19 @@ class TestAutoScaler:
 class TestPoolTopology:
     def test_add_and_remove_worker_keep_history(self, engine_pair):
         e1, _ = engine_pair
-        with manual_pool(e1, replicas=1) as pool:
+        with closing(manual_pool(e1, replicas=1)) as pool:
             pool.forecast_batch([make_window(s) for s in range(3)])
             w = pool.add_worker()
-            assert pool.n_workers == 2 and w.version == 1
+            assert len(pool.workers) == 2 and w.version == 1
             pool.forecast_batch([make_window(s) for s in range(3, 6)])
             pool.remove_worker(w.worker_id)
-            assert pool.n_workers == 1
+            assert len(pool.workers) == 1
             assert pool.metrics.n_requests == 6     # nothing forgotten
             assert w.worker_id in pool.metrics.requests_by_worker()
 
     def test_remove_worker_drains_backlog_on_old_worker(self, engine_pair):
         e1, _ = engine_pair
-        with manual_pool(e1, replicas=2, max_queue=8) as pool:
+        with closing(manual_pool(e1, replicas=2, max_queue=8)) as pool:
             target = pool.workers[0]
             futures = [pool.submit(make_window(s)) for s in range(6)]
             victims = [f for f in futures
@@ -521,7 +522,7 @@ class TestPoolTopology:
 
     def test_cannot_remove_last_replica(self, engine_pair):
         e1, _ = engine_pair
-        with manual_pool(e1, replicas=1) as pool:
+        with closing(manual_pool(e1, replicas=1)) as pool:
             with pytest.raises(ValueError, match="last"):
                 pool.remove_worker(pool.workers[0].worker_id)
             with pytest.raises(ValueError, match="no live worker"):

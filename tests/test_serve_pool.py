@@ -10,6 +10,7 @@ pool-level metrics are the sums of the per-worker logs.
 
 import inspect
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestPoolEquivalence:
 
     def test_executor_protocol_matches_direct(self, engine, windows):
         """pool.forecast_batch is drop-in for engine.forecast_batch."""
-        with manual_pool(engine) as pool:
+        with closing(manual_pool(engine)) as pool:
             served = pool.forecast_batch(windows[:6])
         direct = engine.forecast_batch(windows[:6])
         for s, d in zip(served, direct):
@@ -77,8 +78,8 @@ class TestPoolEquivalence:
                                                  backend):
         """One clock read per batch: on every tier a request's latency
         is exactly its queue wait plus its batch's engine call."""
-        with EngineWorkerPool(engine, max_batch=4, backend=backend,
-                              fabric="sim") as pool:
+        with closing(EngineWorkerPool(engine, max_batch=4, backend=backend,
+                                      fabric="sim")) as pool:
             futures = [pool.submit(w) for w in windows[:6]]
             for fut in futures:
                 fut.result(timeout=120)
@@ -119,7 +120,7 @@ class TestPoolEquivalence:
     def test_ensemble_through_pool_equals_direct(self, engine, windows):
         direct = EnsembleForecaster(engine, n_members=4,
                                     seed=3).forecast(windows[0])
-        with manual_pool(engine, max_batch=4) as pool:
+        with closing(manual_pool(engine, max_batch=4)) as pool:
             served = EnsembleForecaster(pool, n_members=4,
                                         seed=3).forecast(windows[0])
         assert_windows_equal(served.mean, direct.mean)
@@ -135,8 +136,8 @@ class TestReplicasAreBornWarm:
     def test_remote_replica_is_born_warm(self, engine_factory, windows,
                                          backend):
         engine = engine_factory()       # private: the pool compiles plans
-        with EngineWorkerPool(engine, max_batch=4, autostart=False,
-                              backend=backend, fabric="sim") as pool:
+        with closing(EngineWorkerPool(engine, max_batch=4, autostart=False,
+                                      backend=backend, fabric="sim")) as pool:
             child = pool.workers[0].executor
             born = child.plan_stats()
             futures = [pool.submit(w) for w in windows[:3]]
@@ -156,8 +157,8 @@ class TestReplicasAreBornWarm:
     def test_engine_without_compile_buckets_serves_eager(
             self, tiny_surrogate, identity_norm, windows):
         forecaster = SurrogateForecaster(tiny_surrogate, identity_norm)
-        with EngineWorkerPool(forecaster, max_batch=4,
-                              autostart=False) as pool:
+        with closing(EngineWorkerPool(forecaster, max_batch=4,
+                                      autostart=False)) as pool:
             served = pool.forecast_batch(windows[:3])
         assert forecaster.engine.compiled_batches == []
         assert not any(r.compiled for r in served)
@@ -168,14 +169,14 @@ class TestReplicasAreBornWarm:
 
 class TestRouting:
     def test_round_robin_spreads_evenly(self, engine, windows):
-        with manual_pool(engine, router="round-robin") as pool:
+        with closing(manual_pool(engine, router="round-robin")) as pool:
             for w in windows[:6]:
                 pool.submit(w)
             assert [wk.submitted for wk in pool.workers] == [2, 2, 2]
             pool.flush()
 
     def test_least_outstanding_balances(self, engine, windows):
-        with manual_pool(engine, router="least-outstanding") as pool:
+        with closing(manual_pool(engine, router="least-outstanding")) as pool:
             for w in windows[:5]:
                 pool.submit(w)
             assert sorted(wk.outstanding for wk in pool.workers) == [1, 2, 2]
@@ -187,8 +188,8 @@ class TestRouting:
             pool.flush()
 
     def test_key_affinity_pins_duplicate_keys(self, engine, windows):
-        with manual_pool(engine, router="key-affinity",
-                         max_queue=64) as pool:
+        with closing(manual_pool(engine, router="key-affinity",
+                                 max_queue=64)) as pool:
             homes = {}
             for trial in range(3):            # same keys, many submissions
                 for k in range(4):
@@ -202,7 +203,7 @@ class TestRouting:
                 assert workers == {stable_key_hash(key) % 3}
 
     def test_key_affinity_keyless_falls_back(self, engine, windows):
-        with manual_pool(engine, router="key-affinity") as pool:
+        with closing(manual_pool(engine, router="key-affinity")) as pool:
             for w in windows[:3]:
                 pool.submit(w)               # no key: round-robin fallback
             assert [wk.submitted for wk in pool.workers] == [1, 1, 1]
@@ -229,7 +230,7 @@ class TestRouting:
 
 class TestBackpressure:
     def test_shed_at_configured_bound(self, engine, windows):
-        with manual_pool(engine, replicas=2, max_queue=2) as pool:
+        with closing(manual_pool(engine, replicas=2, max_queue=2)) as pool:
             for w in windows[:4]:            # fills 2 workers × 2 slots
                 pool.submit(w)
             with pytest.raises(PoolSaturated) as exc:
@@ -245,8 +246,8 @@ class TestBackpressure:
     def test_affinity_sheds_strictly(self, engine, windows):
         """A full home replica sheds even while others are idle —
         spilling would silently break co-location."""
-        with manual_pool(engine, router="key-affinity",
-                         max_queue=1) as pool:
+        with closing(manual_pool(engine, router="key-affinity",
+                                 max_queue=1)) as pool:
             key = "hot-scenario"
             home = stable_key_hash(key) % 3
             pool.submit(windows[0], key=key)
@@ -264,8 +265,8 @@ class TestBackpressure:
             pool.flush()
 
     def test_retry_after_uses_fitted_cost_model(self, engine, windows):
-        with manual_pool(engine, replicas=1, max_batch=2,
-                         max_queue=2) as pool:
+        with closing(manual_pool(engine, replicas=1, max_batch=2,
+                                 max_queue=2)) as pool:
             pool.forecast_batch(windows[:3])  # observe batches of 2 and 1
             fitted = pool.capacity_model()
             for w in windows[:2]:
@@ -279,8 +280,8 @@ class TestBackpressure:
     def test_retry_after_bounded_by_one_batch(self, engine, windows):
         """A slot frees after ONE micro-batch — a deep queue must not
         inflate the advertised back-off past a + b·max_batch."""
-        with manual_pool(engine, replicas=1, max_batch=2,
-                         max_queue=6) as pool:
+        with closing(manual_pool(engine, replicas=1, max_batch=2,
+                                 max_queue=6)) as pool:
             pool.forecast_batch(windows[:3])  # fit gets 2 batch sizes
             fitted = pool.capacity_model()
             for w in windows[:6]:
@@ -294,8 +295,8 @@ class TestBackpressure:
     def test_forecast_batch_survives_tiny_queue(self, engine, windows):
         """The executor protocol retries shed members instead of
         dropping them — an ensemble cannot lose members."""
-        with EngineWorkerPool(engine, replicas=2, max_batch=2,
-                              max_queue=1) as pool:
+        with closing(EngineWorkerPool(engine, replicas=2, max_batch=2,
+                                      max_queue=1)) as pool:
             served = pool.forecast_batch(windows[:6])
         direct = engine.forecast_batch(windows[:6])
         for s, d in zip(served, direct):
@@ -314,7 +315,7 @@ class TestBackpressure:
 
 class TestMetricsAggregation:
     def test_pool_metrics_sum_per_worker_logs(self, engine, windows):
-        with manual_pool(engine, router="round-robin") as pool:
+        with closing(manual_pool(engine, router="round-robin")) as pool:
             futures = [pool.submit(w) for w in windows[:7]]
             pool.flush()
             [f.result(timeout=1) for f in futures]
@@ -334,7 +335,7 @@ class TestMetricsAggregation:
             assert s["engine_seconds"] == pytest.approx(m.engine_seconds)
 
     def test_worker_id_matches_serving_scheduler(self, engine, windows):
-        with manual_pool(engine, router="round-robin") as pool:
+        with closing(manual_pool(engine, router="round-robin")) as pool:
             futures = [pool.submit(w) for w in windows[:6]]
             pool.flush()
             for fut in futures:
@@ -355,9 +356,9 @@ class TestMetricsAggregation:
                     raise RuntimeError("transient backend failure")
                 return self.inner.forecast_batch(refs)
 
-        with EngineWorkerPool([Flaky(engine), engine], max_batch=1,
-                              autostart=False,
-                              router="round-robin") as pool:
+        with closing(EngineWorkerPool([Flaky(engine), engine], max_batch=1,
+                                      autostart=False,
+                                      router="round-robin")) as pool:
             futures = [pool.submit(w) for w in windows[:2]]
             pool.flush()
             assert pool.metrics.n_failed_batches == 1
@@ -387,7 +388,7 @@ class TestPoolMetricsMirrorServeMetrics:
 
     @pytest.fixture(scope="class")
     def pool_and_merged(self, engine, windows):
-        with manual_pool(engine, router="round-robin") as pool:
+        with closing(manual_pool(engine, router="round-robin")) as pool:
             for w in windows[:7]:
                 pool.submit(w)
             pool.flush()
@@ -395,7 +396,7 @@ class TestPoolMetricsMirrorServeMetrics:
             pool.submit(windows[7])     # a lone partial batch
             pool.flush()
             per = pool.metrics.per_worker
-            assert len(per) == 3 and pool.n_workers == 2
+            assert len(per) == 3 and len(pool.workers) == 2
             assert sum(m.n_requests for m in per) == 8
             for i, m in enumerate(per, start=1):
                 # a thread pool reports no transport: fake some
@@ -409,8 +410,8 @@ class TestPoolMetricsMirrorServeMetrics:
                 frame_bytes=60, inflight_depth=3)
 
     def test_discovery_sees_the_surface(self):
-        assert {"n_requests", "n_batches", "occupancy_histogram",
-                "summary"} <= set(serve_metrics_members())
+        assert {"n_requests", "n_batches", "summary"} \
+            <= set(serve_metrics_members())
 
     @pytest.mark.parametrize("member", serve_metrics_members())
     def test_member_equals_serve_metrics_over_merged_logs(
@@ -430,14 +431,14 @@ class TestServerWithPool:
         """The documented sequence form needs no redundant workers=."""
         with ForecastServer([engine, engine], max_batch=4) as server:
             res = server.forecast(windows[3])
-            assert server.pool.n_workers == 2
+            assert len(server.pool.workers) == 2
         direct = engine.forecast_batch([windows[3]])[0]
         assert_windows_equal(res.fields, direct.fields)
 
     def test_pool_of_one_is_default(self, engine, windows):
         with ForecastServer(engine, max_batch=4) as server:
             res = server.forecast(windows[0])
-            assert server.pool.n_workers == 1
+            assert len(server.pool.workers) == 1
             assert server.scheduler is server.pool.workers[0].scheduler
         direct = engine.forecast_batch([windows[0]])[0]
         assert_windows_equal(res.fields, direct.fields)

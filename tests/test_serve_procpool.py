@@ -10,9 +10,11 @@ spawn on this host, so tests share engines and keep pools narrow.
 
 import functools
 import os
+import pickle
 import signal
 import time
 from dataclasses import replace
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ def test_shm_channel_hangs_up_on_a_descriptor_that_overruns_its_segment():
 class TestPlanPickle:
     def test_roundtrip_replays_bitwise(self, engine):
         plan = engine.compile(2).plan
-        clone = ExecutionPlan.from_bytes(plan.to_bytes())
+        clone = pickle.loads(pickle.dumps(plan))
         assert clone.n_steps == plan.n_steps
         assert clone.arena_total == plan.arena_total
         assert [s.name for s in clone.steps] == [s.name for s in plan.steps]
@@ -115,7 +117,8 @@ class TestPlanPickle:
         # the blob ships the description and baked constants, never the
         # arena: its size is bounded by constants + step metadata, well
         # under what including the buffers would cost
-        assert len(plan.to_bytes()) < plan.const_bytes() \
+        const_bytes = sum(a.nbytes for a in plan.const_arrays)
+        assert len(pickle.dumps(plan)) < const_bytes \
             + plan.arena_bytes() // 2
 
     def test_unknown_kernel_rejected(self):
@@ -144,7 +147,7 @@ class TestPlanPickle:
         """A child whose kernel-registering import fails must report
         that error, not a misleading "kernel ... is not registered"."""
         plan, _ = trace(lambda a: a + a, (np.ones((2, 2), np.float32),))
-        blob = plan.to_bytes()
+        blob = pickle.dumps(plan)
         boom = ImportError("libopenblas.so.0: cannot open shared object")
         real = plan_mod.importlib.import_module
 
@@ -155,7 +158,7 @@ class TestPlanPickle:
 
         monkeypatch.setattr(plan_mod.importlib, "import_module", failing)
         with pytest.raises(TraceError, match="libopenblas") as err:
-            ExecutionPlan.from_bytes(blob)
+            pickle.loads(blob)
         assert err.value.__cause__ is boom
         assert "repro.nn.attention" in str(err.value)
 
@@ -168,11 +171,11 @@ class TestProcessWorker:
         # the remote payload ships every plan on the engine, and the
         # session engine may carry buckets warmed by an earlier module:
         # the "no plan for batch 5" leg needs it bare
-        engine.clear_plans()
+        engine = engine.with_model(engine.model)
         direct_eager = engine.forecast_batch(windows[:5])
         direct_plan = engine.forecast_batch(windows[:2])
         engine.compile(2)
-        with ProcessWorker(engine) as worker:
+        with closing(ProcessWorker(engine)) as worker:
             assert worker.time_steps == engine.time_steps
             # eager fallback (batch size without a plan): same numbers
             served = worker.forecast_batch(windows[:5])
@@ -358,8 +361,8 @@ def pool_owned_segments(pool):
 @pytest.mark.parametrize("router", ["round-robin", "least-outstanding",
                                     "key-affinity"])
 def test_pool_process_backend_bitwise(engine, windows, router):
-    with EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                          backend="process", router=router) as pool:
+    with closing(EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
+                                  backend="process", router=router)) as pool:
         keys = [f"scenario-{i % 3}" for i in range(len(windows))]
         placed = map_submissions(pool, windows, keys)
         pool.flush()
@@ -488,8 +491,8 @@ def test_pool_retires_a_child_that_dies_idle(engine, windows):
 
 
 def test_pool_plan_stats_per_process_worker(engine, windows):
-    with EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                          backend="process") as pool:
+    with closing(EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
+                                  backend="process")) as pool:
         pool.forecast_batch(windows[:4])
         stats = pool.plan_stats()
         # one entry per worker: process replicas don't share a cache
@@ -500,8 +503,8 @@ def test_pool_plan_stats_per_process_worker(engine, windows):
 
 
 def test_autoscaler_spawn_cost_stretches_patience(engine):
-    with EngineWorkerPool(engine, replicas=1, max_batch=2,
-                          autostart=False) as pool:
+    with closing(EngineWorkerPool(engine, replicas=1, max_batch=2,
+                                  autostart=False)) as pool:
         scaler = AutoScaler(pool, scale_down_patience=2, interval=0.25)
         # thread replicas are free to respawn: patience unchanged
         assert pool.mean_spawn_seconds == 0.0

@@ -14,6 +14,7 @@ import gc
 import math
 import threading
 import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -120,9 +121,9 @@ class TestEquivalence:
                                                       windows):
         # forward-count tests need the eager path: the session engine
         # may arrive with plans compiled by earlier modules
-        engine.clear_plans()
+        engine = engine.with_model(engine.model)
         gate = Gate(engine)
-        with MicroBatchScheduler(gate, max_batch=4) as s:
+        with closing(MicroBatchScheduler(gate, max_batch=4)) as s:
             with count_forwards(engine.model) as calls:
                 hold_first_batch(gate, s, windows[4])
                 futures = [s.submit(w) for w in windows[:4]]
@@ -133,28 +134,6 @@ class TestEquivalence:
         for r, d in zip(results, direct):
             assert_windows_equal(r.fields, d.fields)
         assert s.metrics.batches[1].trigger == "full"
-
-    def test_executor_protocol_matches_direct(self, engine, windows):
-        """scheduler.forecast_batch is drop-in for engine.forecast_batch:
-        the burst is queued as one unit, so an idle scheduler runs it as
-        one batch — every time."""
-        with MicroBatchScheduler(engine, max_batch=8) as s:
-            bursts = [s.forecast_batch(windows[:5]) for _ in range(50)]
-        direct = engine.forecast_batch(windows[:5])
-        for served in (bursts[0], bursts[-1]):
-            for r, d in zip(served, direct):
-                assert_windows_equal(r.fields, d.fields)
-        assert [(b.size, b.trigger) for b in s.metrics.batches] \
-            == [(5, "idle")] * 50
-
-    def test_executor_protocol_is_all_or_nothing(self, engine, windows):
-        s = MicroBatchScheduler(engine, max_batch=8, autostart=False)
-        for bad, match in [(make_window(0, h=H - 1), "share one mesh"),
-                           (make_window(0, t=T + 1), "time_steps")]:
-            with pytest.raises(ValueError, match=match):
-                s.forecast_batch(windows[:2] + [bad] + windows[3:4])
-            assert s.pending == 0 and s.flush() == 0
-        s.close()
 
 
 class TestOrderingProperties:
@@ -280,7 +259,7 @@ class TestFlushPolicy:
     @pytest.mark.parametrize("n,max_batch", [(10, 4), (8, 8), (5, 1)])
     def test_forward_count_is_ceil_n_over_max_batch(self, engine, n,
                                                     max_batch):
-        engine.clear_plans()        # count forwards ⇒ force eager path
+        engine = engine.with_model(engine.model)  # no plans ⇒ eager path
         s = MicroBatchScheduler(engine, max_batch=max_batch, autostart=False)
         futures = [s.submit(make_window(k)) for k in range(n)]
         with count_forwards(engine.model) as calls:
@@ -293,7 +272,7 @@ class TestFlushPolicy:
 
     def test_idle_scheduler_serves_a_lone_request_now(self, engine,
                                                       windows):
-        with MicroBatchScheduler(engine, max_batch=8) as s:
+        with closing(MicroBatchScheduler(engine, max_batch=8)) as s:
             futures = []
             for w in windows[:5]:
                 futures.append(s.submit(w))
@@ -306,7 +285,7 @@ class TestFlushPolicy:
     def test_batches_form_while_the_executor_is_busy(self, engine,
                                                      windows):
         gate = Gate(engine)
-        with MicroBatchScheduler(gate, max_batch=4) as s:
+        with closing(MicroBatchScheduler(gate, max_batch=4)) as s:
             tagged = [hold_first_batch(gate, s, windows[0])]
             tagged += [submit_tagged(s, w) for w in windows[1:7]]
             gate.release.set()
@@ -319,7 +298,7 @@ class TestFlushPolicy:
 
     def test_signature_change_still_ends_a_batch(self, engine, windows):
         gate = Gate(engine)
-        with MicroBatchScheduler(gate, max_batch=4) as s:
+        with closing(MicroBatchScheduler(gate, max_batch=4)) as s:
             hold_first_batch(gate, s, windows[0])
             futures = [s.submit(windows[1]), s.submit(windows[2]),
                        s.submit_gradient(GradientRequest(windows[3])),
@@ -371,7 +350,7 @@ class TestFlushPolicy:
                     raise RuntimeError("transient backend failure")
                 return self.inner.forecast_batch(refs)
 
-        with MicroBatchScheduler(Flaky(engine), max_batch=1) as s:
+        with closing(MicroBatchScheduler(Flaky(engine), max_batch=1)) as s:
             bad = s.submit(windows[0])
             with pytest.raises(RuntimeError, match="transient"):
                 bad.result(timeout=60)
@@ -404,23 +383,16 @@ class TestCallbacksOnTheWorkerThread:
             except Exception as exc:    # noqa: BLE001 — handed to the test
                 outcome.append(exc)
 
-        with MicroBatchScheduler(gate, max_batch=2) as s:
+        with closing(MicroBatchScheduler(gate, max_batch=2)) as s:
             first = hold_first_batch(gate, s, windows[0]).future
             first.add_done_callback(callback)   # still pending: runs there
             gate.release.set()
             first.result(timeout=60)
             # the worker survived whatever the callback did
-            after = s.forecast(windows[1])
+            after = s.submit(windows[1]).result(timeout=60)
         assert_windows_equal(
             after.fields, engine.forecast_batch([windows[1]])[0].fields)
         return outcome[0]
-
-    def test_blocking_on_the_scheduler_fails_fast(self, engine, windows):
-        for blocking in (lambda s: s.forecast(windows[2]),
-                         lambda s: s.forecast_batch(windows[2:4])):
-            raised = self.run_in_callback(engine, windows, blocking)
-            assert isinstance(raised, RuntimeError)
-            assert "worker thread" in str(raised)
 
     def test_plain_submit_stays_legal(self, engine, windows):
         chained = self.run_in_callback(
@@ -460,7 +432,7 @@ class TestForecastCache:
         lru = LruBytes(300, size_of=lambda v: 100)
         lru.put("k", "a")
         lru.put("k", "b")
-        assert lru.used_bytes == 100 and len(lru) == 1
+        assert lru.used_bytes == 100
         assert lru.get("k") == "b"
         assert lru.put("x", "c") == 0       # still fits without eviction
         assert lru.used_bytes == 200
@@ -471,7 +443,7 @@ class TestForecastCache:
         cache.put(key, result)
         before = cache.resident_bytes
         cache.put(key, result)
-        assert cache.resident_bytes == before and len(cache) == 1
+        assert cache.resident_bytes == before
 
     def test_lru_eviction_under_byte_budget(self, engine, windows):
         one = engine.forecast_batch([windows[0]])[0]
@@ -481,7 +453,7 @@ class TestForecastCache:
         results = engine.forecast_batch(windows[:3])
         for w, r in zip(windows[:3], results):
             cache.put(window_key(w), r)
-        assert len(cache) == 2
+        assert cache.resident_bytes == 2 * nbytes
         assert cache.stats.evictions == 1
         assert cache.get(window_key(windows[0])) is None   # LRU victim
         assert cache.get(window_key(windows[2])) is not None
@@ -494,7 +466,7 @@ class TestForecastCache:
             deadline = 60.0
             import time
             t0 = time.perf_counter()
-            while len(server.cache) == 0:
+            while server.cache.resident_bytes == 0:
                 assert time.perf_counter() - t0 < deadline
                 time.sleep(0.005)
             with count_forwards(engine.model) as calls:
@@ -560,10 +532,10 @@ class TestServerRouting:
         states = [object()] * 2     # never touched when every episode passes
         direct = HybridWorkflow(engine, tiny_ocean, verifier).run(
             window, states, threshold=1e30)
-        with ForecastServer(engine, max_batch=8,
-                            ocean=tiny_ocean, verifier=verifier) as server:
-            fields, report = server.submit_hybrid(
-                window, states, threshold=1e30).result(timeout=120)
+        with ForecastServer(engine, max_batch=8) as server:
+            fields, report = HybridWorkflow(
+                server.pool, tiny_ocean, verifier).run(
+                    window, states, threshold=1e30)
         assert report.n_episodes == direct[1].n_episodes == 2
         assert report.pass_rate == 1.0
         assert_windows_equal(fields, direct[0])
@@ -573,11 +545,6 @@ class TestServerRouting:
         assert [(b.size, b.trigger) for b in metrics.batches] \
             == [(1, "idle")] * 2
         assert metrics.queue_percentile(50) < 1e-3
-
-    def test_hybrid_without_deps_raises(self, engine, windows):
-        with ForecastServer(engine, max_batch=2) as server:
-            with pytest.raises(ValueError, match="ocean"):
-                server.submit_hybrid(windows[0], [object()])
 
 
 class TestCapacityModel:

@@ -10,6 +10,7 @@ so each tier walks all three paths in one test.
 """
 
 import os
+from contextlib import closing
 
 import pytest
 
@@ -74,7 +75,7 @@ def test_failed_scheduler_construction_leaks_no_child_and_no_segment(
     assert_last_spawn_is_gone()
 
     FlakyScheduler.broken = False
-    with build() as pool:
+    with closing(build()) as pool:
         healthy = spawned[-1][0]
         FlakyScheduler.broken = True
         # 2. scale-up

@@ -1,9 +1,8 @@
-"""Storm forcing (surge extension) and error-growth diagnostics."""
+"""Storm forcing (surge extension)."""
 
 import numpy as np
 import pytest
 
-from repro.eval import error_growth
 from repro.ocean import (
     ParametricCyclone,
     SteadyWind,
@@ -15,7 +14,6 @@ from repro.ocean import (
     synth_estuary_bathymetry,
 )
 from repro.ocean.storm import P_AMBIENT, _wind_drag_coefficient
-from repro.workflow import FieldWindow
 
 
 @pytest.fixture(scope="module")
@@ -118,60 +116,3 @@ class TestParametricCyclone:
             s_storm = forced.step(s_storm)
         wet = base_solver.wet
         assert np.abs(s_storm.zeta - s_tide.zeta)[wet].max() > 0.01
-
-
-class TestErrorGrowth:
-    def _windows(self, rng, T=9, H=6, W=5, D=2):
-        truth = FieldWindow(
-            rng.normal(size=(T, H, W, D)), rng.normal(size=(T, H, W, D)),
-            1e-4 * rng.normal(size=(T, H, W, D)),
-            rng.normal(size=(T, H, W)))
-        return truth
-
-    def test_perfect_forecast_zero_growth(self, rng):
-        truth = self._windows(rng)
-        eg = error_growth(truth, truth)
-        for var, g in eg.items():
-            np.testing.assert_allclose(g.rmse_by_step, 0.0)
-            assert not g.saturated
-
-    def test_growing_noise_detected(self, rng):
-        truth = self._windows(rng)
-        T = truth.zeta.shape[0]
-        grow = np.linspace(0.01, 0.6, T)[:, None, None]
-        pred = FieldWindow(
-            truth.u3 + grow[..., None] * rng.normal(size=truth.u3.shape),
-            truth.v3.copy(), truth.w3.copy(),
-            truth.zeta + grow * rng.normal(size=truth.zeta.shape))
-        eg = error_growth(pred, truth)
-        assert eg["zeta"].growth_rate_per_step > 0
-        assert eg["u"].growth_rate_per_step > 0
-        assert eg["v"].rmse_by_step.max() == 0.0
-
-    def test_random_forecast_saturates(self, rng):
-        truth = self._windows(rng)
-        pred = FieldWindow(
-            rng.normal(size=truth.u3.shape) * 2.0,
-            rng.normal(size=truth.v3.shape) * 2.0,
-            rng.normal(size=truth.w3.shape),
-            rng.normal(size=truth.zeta.shape) * 2.0)
-        eg = error_growth(pred, truth)
-        assert eg["zeta"].saturated
-
-    def test_wet_mask_applied(self, rng):
-        truth = self._windows(rng)
-        pred = FieldWindow(truth.u3.copy(), truth.v3.copy(),
-                           truth.w3.copy(), truth.zeta.copy())
-        wet = np.zeros(truth.zeta.shape[1:], dtype=bool)
-        wet[0, 0] = True
-        pred.zeta[:, 1, 1] += 100.0   # error only on a dry cell
-        eg = error_growth(pred, truth, wet=wet)
-        np.testing.assert_allclose(eg["zeta"].rmse_by_step, 0.0)
-
-    def test_normalized_fraction(self, rng):
-        truth = self._windows(rng)
-        pred = FieldWindow(truth.u3 + 0.1, truth.v3.copy(),
-                           truth.w3.copy(), truth.zeta + 0.1)
-        eg = error_growth(pred, truth)
-        assert np.all(eg["zeta"].normalized >= 0)
-        assert np.all(eg["zeta"].normalized < 1.0)

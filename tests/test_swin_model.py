@@ -92,18 +92,18 @@ class TestCheckpoint:
                                        err_msg=na)
 
     def test_recompute_happens_on_backward(self, rng):
-        CheckpointStats.reset()
+        forwards = CheckpointStats.forward_calls
+        recomputes = CheckpointStats.recompute_calls
         blk = SwinBlock4d(8, 2, (2, 2, 2, 2), use_checkpoint=True)
         x = Tensor(rng.normal(size=(1, 2, 2, 2, 2, 8)).astype(np.float32),
                    requires_grad=True)
         out = blk(x)
-        assert CheckpointStats.forward_calls == 1
-        assert CheckpointStats.recompute_calls == 0
+        assert CheckpointStats.forward_calls - forwards == 1
+        assert CheckpointStats.recompute_calls - recomputes == 0
         out.sum().backward()
-        assert CheckpointStats.recompute_calls == 1
+        assert CheckpointStats.recompute_calls - recomputes == 1
 
     def test_checkpoint_passthrough_in_no_grad(self, rng):
-        CheckpointStats.reset()
         blk = SwinBlock4d(8, 2, (2, 2, 2, 2), use_checkpoint=True)
         x = Tensor(rng.normal(size=(1, 2, 2, 2, 2, 8)).astype(np.float32))
         with no_grad():
@@ -112,12 +112,12 @@ class TestCheckpoint:
 
     def test_checkpoint_of_plain_function(self, rng):
         x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        out = checkpoint(lambda t: (t * t).tanh(), x)
+        out = checkpoint(lambda t: (t * t).sin(), x)
         out.sum().backward()
         expected = Tensor(x.data.copy(), requires_grad=True)
         (expected.data, )  # silence lint
         ref = Tensor(x.data.copy(), requires_grad=True)
-        ((ref * ref).tanh()).sum().backward()
+        ((ref * ref).sin()).sum().backward()
         np.testing.assert_allclose(x.grad, ref.grad, atol=1e-7)
 
 

@@ -188,9 +188,10 @@ class TestFusedHead:
         with no_grad():
             assert _same_bits(head(select(Tensor(array))).data, want)
         plan, _ = trace(lambda t: head(select(t)), [array])
-        assert plan.kernel_counts()["patch_recover"] == 1
+        names = [s.name for s in plan.steps]
+        assert names.count("patch_recover") == 1
         assert not {"conv_transpose_nd", "bn_affine", "gelu",
-                    "conv_nd"} & set(plan.kernel_counts())
+                    "conv_nd"} & set(names)
         (replayed,) = PlanExecutor(plan).run([array])
         assert _same_bits(replayed, want)
 
@@ -318,7 +319,7 @@ class TestFusedHead:
         (H, W, D), T = cfg.mesh, cfg.time_steps
         shapes = [(2, cfg.n_vars_3d, H, W, D, T), (2, cfg.n_vars_2d, H, W, T)]
         plan, _ = trace(model, [np.zeros(s, np.float32) for s in shapes])
-        assert plan.kernel_counts()["patch_recover"] == 2
+        assert [s.name for s in plan.steps].count("patch_recover") == 2
         full = [plan.slots[step.out].shape for step in plan.steps
                 if step.kind == "compute"
                 and plan.slots[step.out].shape[2:] in ((H, W, D), (H, W))]

@@ -22,10 +22,8 @@ from repro.tensor import (
     conv_transpose_nd,
     gradcheck,
     no_grad,
-    stack,
     trace,
     unbroadcast,
-    where,
 )
 from repro.tensor import plan as plan_mod
 from repro.tensor.gradcheck import numerical_grad, tape_nodes
@@ -70,10 +68,6 @@ class TestArithmetic:
         b = np.abs(_arr(rng, 3, 4)) + 1.0
         gradcheck(lambda a, b: a / b, [_arr(rng, 3, 4), b])
 
-    def test_rdiv(self, rng):
-        a = np.abs(_arr(rng, 4)) + 1.0
-        gradcheck(lambda a: 2.0 / a, [a])
-
     def test_pow(self, rng):
         a = np.abs(_arr(rng, 3)) + 0.5
         gradcheck(lambda a: a ** 3, [a])
@@ -93,12 +87,9 @@ SCALAR_EXPRESSIONS = {
     "x - 1.0": lambda x: x - 1.0,
     "x / 2.0": lambda x: x / 2.0,
     "1.0 - x": lambda x: 1.0 - x,
-    "1.0 / x": lambda x: 1.0 / x,
     "x ** 2.0": lambda x: x ** 2.0,
-    "x.maximum(0.0)": lambda x: x.maximum(0.0),
     "x * np.sqrt(2.0)": lambda x: x * np.sqrt(2.0),   # a float subclass
     "x.mean()": lambda x: x.mean(),
-    "x.var()": lambda x: x.var(axis=-1, ddof=1),
 }
 
 
@@ -129,20 +120,20 @@ class TestWeakPythonScalars:
 # ----------------------------------------------------------------------
 class TestMatmul:
     def test_2d(self, rng):
-        gradcheck(lambda a, b: a @ b, [_arr(rng, 3, 4), _arr(rng, 4, 5)])
+        gradcheck(lambda a, b: a.matmul(b), [_arr(rng, 3, 4), _arr(rng, 4, 5)])
 
     def test_batched(self, rng):
-        gradcheck(lambda a, b: a @ b, [_arr(rng, 2, 3, 4), _arr(rng, 2, 4, 5)])
+        gradcheck(lambda a, b: a.matmul(b), [_arr(rng, 2, 3, 4), _arr(rng, 2, 4, 5)])
 
     def test_broadcast_batch(self, rng):
-        gradcheck(lambda a, b: a @ b, [_arr(rng, 2, 3, 4), _arr(rng, 4, 5)])
+        gradcheck(lambda a, b: a.matmul(b), [_arr(rng, 2, 3, 4), _arr(rng, 4, 5)])
 
     def test_vector_vector(self, rng):
-        gradcheck(lambda a, b: a @ b, [_arr(rng, 4), _arr(rng, 4)])
+        gradcheck(lambda a, b: a.matmul(b), [_arr(rng, 4), _arr(rng, 4)])
 
     def test_value_matches_numpy(self, rng):
         a, b = _arr(rng, 3, 4), _arr(rng, 4, 2)
-        out = Tensor(a) @ Tensor(b)
+        out = Tensor(a).matmul(Tensor(b))
         np.testing.assert_allclose(out.data, a @ b)
 
 
@@ -153,17 +144,8 @@ class TestTranscendental:
     def test_exp(self, rng):
         gradcheck(lambda a: a.exp(), [_arr(rng, 3, 4)])
 
-    def test_log(self, rng):
-        gradcheck(lambda a: a.log(), [np.abs(_arr(rng, 3)) + 0.5])
-
     def test_sqrt(self, rng):
         gradcheck(lambda a: a.sqrt(), [np.abs(_arr(rng, 3)) + 0.5])
-
-    def test_tanh(self, rng):
-        gradcheck(lambda a: a.tanh(), [_arr(rng, 4)])
-
-    def test_sigmoid(self, rng):
-        gradcheck(lambda a: a.sigmoid(), [_arr(rng, 4)])
 
     def test_erf(self, rng):
         gradcheck(lambda a: a.erf(), [_arr(rng, 4)])
@@ -172,21 +154,6 @@ class TestTranscendental:
         a = _arr(rng, 5)
         a[np.abs(a) < 0.2] += 0.5  # keep away from the kink
         gradcheck(lambda a: a.abs(), [a])
-
-    def test_relu(self, rng):
-        a = _arr(rng, 5)
-        a[np.abs(a) < 0.2] += 0.5
-        gradcheck(lambda a: a.relu(), [a])
-
-    def test_maximum(self, rng):
-        a, b = _arr(rng, 4), _arr(rng, 4)
-        b += np.where(np.abs(a - b) < 0.2, 0.5, 0.0)
-        gradcheck(lambda a, b: a.maximum(b), [a, b])
-
-    def test_clip(self, rng):
-        a = _arr(rng, 20) * 3
-        a = a[np.abs(np.abs(a) - 1.0) > 0.1]  # avoid the clip boundary
-        gradcheck(lambda t: t.clip(-1.0, 1.0), [a])
 
 
 # ----------------------------------------------------------------------
@@ -214,14 +181,6 @@ class TestReductions:
     def test_mean_value(self, rng):
         a = _arr(rng, 6, 7)
         np.testing.assert_allclose(Tensor(a).mean().item(), a.mean())
-
-    def test_var(self, rng):
-        gradcheck(lambda a: a.var(axis=-1), [_arr(rng, 3, 5)])
-
-    def test_var_value_matches_numpy(self, rng):
-        a = _arr(rng, 4, 5)
-        np.testing.assert_allclose(
-            Tensor(a).var(axis=1).data, a.var(axis=1), rtol=1e-6)
 
     def test_max(self, rng):
         a = _arr(rng, 3, 5) * 10  # well-separated values
@@ -292,15 +251,6 @@ class TestShapes:
         np.testing.assert_array_equal(a.grad, want)
         assert a.grad.sum() == pytest.approx(g.sum())
 
-    def test_pad(self, rng):
-        gradcheck(lambda a: a.pad([(1, 2), (0, 3)]) * 2.0, [_arr(rng, 3, 4)])
-
-    def test_pad_value_forward(self, rng):
-        a = _arr(rng, 2, 2)
-        out = Tensor(a).pad([(1, 1), (1, 1)], value=7.0)
-        assert out.data[0, 0] == 7.0
-        np.testing.assert_allclose(out.data[1:-1, 1:-1], a)
-
     def test_roll_single(self, rng):
         gradcheck(lambda a: a.roll(2, 0) * 2.0, [_arr(rng, 5, 3)])
 
@@ -310,15 +260,6 @@ class TestShapes:
     def test_concatenate(self, rng):
         gradcheck(lambda a, b: concatenate([a, b], axis=1) * 2.0,
                   [_arr(rng, 2, 3), _arr(rng, 2, 4)])
-
-    def test_stack(self, rng):
-        gradcheck(lambda a, b: stack([a, b], axis=0) * 2.0,
-                  [_arr(rng, 3), _arr(rng, 3)])
-
-    def test_where(self, rng):
-        cond = rng.random((3, 4)) > 0.5
-        gradcheck(lambda a, b: where(cond, a, b),
-                  [_arr(rng, 3, 4), _arr(rng, 3, 4)])
 
 
 # ----------------------------------------------------------------------
@@ -336,15 +277,6 @@ class TestComposite:
         # huge logits must not overflow
         p = Tensor(np.array([[1e4, 1e4 + 1.0]])).softmax(-1).data
         assert np.isfinite(p).all()
-
-    def test_log_softmax(self, rng):
-        gradcheck(lambda a: a.log_softmax(-1), [_arr(rng, 3, 5)])
-
-    def test_log_softmax_consistent(self, rng):
-        a = _arr(rng, 2, 6)
-        np.testing.assert_allclose(
-            Tensor(a).log_softmax(-1).data,
-            np.log(Tensor(a).softmax(-1).data), rtol=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -375,12 +307,6 @@ class TestGraph:
         assert not out.requires_grad
         assert out._backward is None
 
-    def test_detach(self, rng):
-        t = Tensor(_arr(rng, 3), requires_grad=True)
-        d = t.detach()
-        assert not d.requires_grad
-        assert d.data is t.data  # shared memory view
-
     def test_zero_grad(self, rng):
         t = Tensor(_arr(rng, 3), requires_grad=True)
         (t * 2).sum().backward()
@@ -396,19 +322,10 @@ class TestGraph:
 
     def test_astype_roundtrip_grad(self, rng):
         t = Tensor(_arr(rng, 3).astype(np.float32), requires_grad=True)
-        t.half().float().sum().backward()
+        t.astype(np.float16).astype(np.float32).sum().backward()
         assert t.grad.dtype == np.float32
         np.testing.assert_allclose(t.grad, np.ones(3))
 
-    def test_clone_backward(self, rng):
-        t = Tensor(_arr(rng, 3), requires_grad=True)
-        c = t.clone()
-        assert c.data is not t.data
-        (c * 3).sum().backward()
-        np.testing.assert_allclose(t.grad, np.full(3, 3.0))
-
-    def test_repr_mentions_grad(self):
-        assert "requires_grad" in repr(Tensor(np.ones(2), requires_grad=True))
 
 
 # ----------------------------------------------------------------------
@@ -448,14 +365,6 @@ class TestUnbroadcast:
 # hypothesis: algebraic identities must hold through the engine
 # ----------------------------------------------------------------------
 class TestAlgebraicProperties:
-    @given(hnp.arrays(np.float64,
-                      hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
-                      elements=st.floats(-5, 5)))
-    @settings(max_examples=50, deadline=None)
-    def test_exp_log_inverse(self, a):
-        t = Tensor(a)
-        np.testing.assert_allclose(t.exp().log().data, a, atol=1e-8)
-
     @given(hnp.arrays(np.float64,
                       hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
                       elements=st.floats(-5, 5)))
@@ -519,7 +428,6 @@ def _seeded_recover():
 
 _LIN, _LN, _BN, _MSA = _seeded_layers()
 _RECOVER = _seeded_recover()
-_MASK = np.random.default_rng(8).random((3, 4, 5)) < 0.5
 _WINDOW_MASK = np.where(np.random.default_rng(9).random((2, 1, 6, 6)) < 0.3,
                         np.float32(-100.0), np.float32(0.0))
 _CONV_W = Tensor(_f32(np.random.default_rng(10), 4, 3, 2, 2))
@@ -532,21 +440,9 @@ def _softmax_ref(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pad_ref(x):
-    out = np.full((x.shape[0] + 3, x.shape[1], x.shape[2] + 1), 0.5, x.dtype)
-    out[1:-2, :, :-1] = x
-    return out
-
-
 def _roll_ref(x):
     down = np.concatenate((x[-1:], x[:-1]), axis=0)           # +1 on axis 0
     return np.concatenate((down[..., 2:], down[..., :2]), axis=2)  # -2 on 2
-
-
-def _where_ref(a, b):
-    out = b.copy()
-    out[_MASK] = a[_MASK]
-    return out
 
 
 def _cat_ref(a, b):
@@ -599,28 +495,17 @@ OP_TABLE = {
     "div": Row(lambda a, b: a / b,
                lambda rng: [_f32(rng, 3, 4, 5), _positive(rng, 3, 4, 5)],
                lambda a, b: a / b),
-    "maximum": Row(lambda a, b: a.maximum(b), 2 * _A,
-                   lambda a, b: np.where(a >= b, a, b)),
     "neg": Row(lambda a: -a, _A, lambda a: 0 - a),
     "sin": Row(lambda a: a.sin(), _A, np.sin),
     "cos": Row(lambda a: a.cos(), _A, np.cos),
     "exp": Row(lambda a: a.exp(), _A, np.exp),
-    "log": Row(lambda a: a.log(), lambda rng: [_positive(rng, 3, 4, 5)],
-               np.log),
     "sqrt": Row(lambda a: a.sqrt(), lambda rng: [_positive(rng, 3, 4, 5)],
                 np.sqrt),
-    "tanh": Row(lambda a: a.tanh(), _A, np.tanh),
     "abs": Row(lambda a: a.abs(), _A, lambda a: np.where(a < 0, -a, a)),
     "pow": Row(lambda a: a ** 3, lambda rng: [_positive(rng, 3, 4, 5)],
                lambda a: a.astype(np.float64) ** 3, ulps=1),
-    "matmul": Row(lambda a, b: a @ b, [(3, 4, 5), (3, 5, 2)],
+    "matmul": Row(lambda a, b: a.matmul(b), [(3, 4, 5), (3, 5, 2)],
                   lambda a, b: a @ b),
-    "relu": Row(lambda a: a.relu(), _A, lambda a: np.where(a > 0, a, 0)),
-    "clip": Row(lambda a: a.clip(-0.5, 0.75), _A,
-                lambda a: np.minimum(np.maximum(a, -0.5), 0.75)),
-    "sigmoid": Row(lambda a: a.sigmoid(), _A,
-                   lambda a: 1.0 / (1.0 + np.exp(-a.astype(np.float64))),
-                   ulps=2),
     "erf": Row(lambda a: a.erf(), _A, np.vectorize(math.erf), ulps=1),
     "sum": Row(lambda a: a.sum(axis=(0, 2)), _A,
                lambda a: a.astype(np.float64).sum(axis=2).sum(axis=0),
@@ -628,28 +513,19 @@ OP_TABLE = {
     "max": Row(lambda a: a.max(axis=1), _A,
                lambda a: np.maximum.reduce(a, axis=1)),
     "softmax": Row(lambda a: a.softmax(axis=-1), _A, _softmax_ref),
-    "log_softmax": Row(lambda a: a.log_softmax(axis=-1), _A,
-                       lambda a: np.log(_softmax_ref(a.astype(np.float64))),
-                       ulps=2),
     "reshape": Row(lambda a: a.reshape(6, 10), _A,
                    lambda a: np.array(list(a.flat), a.dtype).reshape(6, 10)),
     "transpose": Row(lambda a: a.transpose(1, 0, 2), _A,
                      lambda a: np.moveaxis(a, 0, 1)),
     "getitem": Row(lambda a: a[1:, ::2], _A,
                    lambda a: np.take(a[1:], [0, 2], axis=1)),
-    "pad": Row(lambda a: a.pad(((1, 2), (0, 0), (0, 1)), value=0.5), _A,
-               _pad_ref),
     # a repeated axis: test_compiled_plan's
     # test_roll_repeated_axis_matches_numpy
     "roll": Row(lambda a: a.roll((1, -2), (0, 2)), _A, _roll_ref),
     "concatenate": Row(lambda a, b: concatenate([a, b], axis=1),
                        [(3, 4, 5), (3, 2, 5)], _cat_ref),
-    "stack": Row(lambda a, b: stack([a, b], axis=1), 2 * _A,
-                 lambda a, b: _cat_ref(a[:, None], b[:, None])),
-    "where": Row(lambda a, b: where(_MASK, a, b), 2 * _A, _where_ref),
     "astype": Row(lambda a: a.astype(np.float16), _A,
                   lambda a: np.array(a, dtype=np.float16)),
-    "copy": Row(lambda a: a.clone(), _A, np.array),
     # the three in-place kernels, through the layers that call them
     "iadd": Row(lambda x: _LIN(x), _A,
                 lambda x: x @ _LIN.weight.data + _LIN.bias.data),
@@ -761,7 +637,7 @@ class TestOpTable:
         taped = call(*[Tensor(a, requires_grad=True) for a in arrays])
         assert taped.requires_grad and _same_bits(taped.data, eager)
         plan, _ = trace(call, arrays)
-        assert name in plan.kernel_counts()
+        assert name in {s.name for s in plan.steps}
         (replayed,) = PlanExecutor(plan).run(arrays)
         assert _same_bits(replayed, eager)
 

@@ -7,17 +7,12 @@ from repro.nn import Linear, Parameter
 from repro.tensor import Tensor
 from repro.train import (
     Adam,
-    AdamW,
-    ConstantLR,
     CosineWarmup,
-    SGD,
-    StepLR,
     Trainer,
     TrainerConfig,
     clip_grad_norm,
     episode_loss,
     load_checkpoint,
-    mae,
     mse,
     save_checkpoint,
 )
@@ -37,25 +32,13 @@ def _quadratic_step(opt_cls, steps=200, **kw):
 
 
 class TestOptimizers:
-    def test_sgd_converges(self):
-        got, target = _quadratic_step(SGD, lr=0.1)
-        np.testing.assert_allclose(got, target, atol=1e-3)
-
-    def test_sgd_momentum_converges(self):
-        got, target = _quadratic_step(SGD, lr=0.05, momentum=0.9)
-        np.testing.assert_allclose(got, target, atol=1e-3)
-
     def test_adam_converges(self):
         got, target = _quadratic_step(Adam, lr=0.1, steps=400)
         np.testing.assert_allclose(got, target, atol=1e-2)
 
-    def test_adamw_converges(self):
-        got, target = _quadratic_step(AdamW, lr=0.1, steps=400)
-        np.testing.assert_allclose(got, target, atol=1e-2)
-
     def test_weight_decay_shrinks_params(self):
         p = Parameter(np.array([10.0], dtype=np.float32))
-        opt = AdamW([p], lr=0.01, weight_decay=0.1)
+        opt = Adam([p], lr=0.01, weight_decay=0.1)
         for _ in range(100):
             opt.zero_grad()
             p.grad = np.zeros_like(p.data)  # zero task gradient
@@ -64,22 +47,13 @@ class TestOptimizers:
 
     def test_requires_parameters(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_skips_params_without_grad(self):
         p = Parameter(np.ones(2, dtype=np.float32))
         opt = Adam([p], lr=0.1)
         opt.step()  # no grad — must not crash nor move
         np.testing.assert_array_equal(p.data, np.ones(2))
-
-    def test_state_dict_roundtrip(self):
-        p = Parameter(np.ones(2, dtype=np.float32))
-        opt = Adam([p], lr=0.3)
-        opt.t = 7
-        state = opt.state_dict()
-        opt2 = Adam([p], lr=0.1)
-        opt2.load_state_dict(state)
-        assert opt2.lr == 0.3 and opt2.t == 7
 
 
 class TestClipGradNorm:
@@ -102,17 +76,7 @@ class TestClipGradNorm:
 
 class TestSchedules:
     def _opt(self):
-        return SGD([Parameter(np.zeros(1, dtype=np.float32))], lr=1.0)
-
-    def test_constant(self):
-        s = ConstantLR(self._opt())
-        assert s.step() == 1.0
-        assert s.step() == 1.0
-
-    def test_step_decay(self):
-        s = StepLR(self._opt(), step_size=2, gamma=0.5)
-        lrs = [s.step() for _ in range(5)]
-        assert lrs == [1.0, 0.5, 0.5, 0.25, 0.25]
+        return Adam([Parameter(np.zeros(1, dtype=np.float32))], lr=1.0)
 
     def test_cosine_warmup_ramps_then_decays(self):
         s = CosineWarmup(self._opt(), warmup_steps=5, total_steps=20,
@@ -137,11 +101,6 @@ class TestLosses:
         b = Tensor(np.full(4, 2.0, np.float32))
         assert mse(a, b).item() == pytest.approx(4.0)
 
-    def test_mae_value(self):
-        a = Tensor(np.zeros(4, np.float32))
-        b = Tensor(np.array([1.0, -1.0, 3.0, -3.0], np.float32))
-        assert mae(a, b).item() == pytest.approx(2.0)
-
     def test_episode_loss_weights_2d(self, rng):
         p3 = Tensor(rng.normal(size=(1, 3, 4, 4, 2, 2)).astype(np.float32))
         t3 = Tensor(np.zeros_like(p3.data))
@@ -158,11 +117,11 @@ class TestCheckpoint:
         a, b = Linear(3, 4), Linear(3, 4)
         b.weight.data[:] = 0.0
         opt = Adam(a.parameters(), lr=0.123)
+        opt.t = 7
         save_checkpoint(tmp_path / "ck.npz", a, opt, extra={"note": "hi"})
-        opt2 = Adam(b.parameters(), lr=0.9)
-        meta = load_checkpoint(tmp_path / "ck.npz", b, opt2)
+        meta = load_checkpoint(tmp_path / "ck.npz", b)
         np.testing.assert_array_equal(a.weight.data, b.weight.data)
-        assert opt2.lr == pytest.approx(0.123)
+        assert meta["optimizer"] == {"lr": pytest.approx(0.123), "t": 7}
         assert meta["extra"]["note"] == "hi"
 
     def test_load_without_optimizer(self, tmp_path):
@@ -204,20 +163,3 @@ class TestTrainer:
         stats = trainer.fit(train, epochs=1)[0]
         assert stats.throughput > 0
         assert stats.instances == len(train.dataset)
-
-    def test_checkpoint_resume(self, tiny_surrogate_config, loaders,
-                               tmp_path):
-        from repro.swin import CoastalSurrogate
-        model = CoastalSurrogate(tiny_surrogate_config)
-        trainer = Trainer(model, TrainerConfig(lr=1e-3))
-        train, _ = loaders
-        trainer.fit(train, epochs=1)
-        trainer.save(tmp_path / "state.npz")
-
-        model2 = CoastalSurrogate(tiny_surrogate_config)
-        trainer2 = Trainer(model2, TrainerConfig(lr=1e-3))
-        meta = trainer2.load(tmp_path / "state.npz")
-        assert meta["extra"]["epochs_done"] == 1
-        for (na, pa), (nb, pb) in zip(model.named_parameters(),
-                                      model2.named_parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
