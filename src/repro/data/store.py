@@ -97,6 +97,23 @@ class SnapshotStore:
         self._meta = meta
         return meta
 
+    def append(self, snapshots: Sequence[Snapshot]) -> StoreMeta:
+        """Extend an existing archive (interval must match)."""
+        meta = self.meta
+        np_dtype = np.dtype(meta.dtype)
+        base = meta.n_snapshots
+        for k, snap in enumerate(snapshots):
+            idx = base + k
+            for var in VARIABLES:
+                arr = getattr(snap, var).astype(np_dtype)
+                np.save(self.root / f"{var}_{idx:06d}.npy", arr)
+                self.bytes_written += arr.nbytes
+        new_meta = StoreMeta(meta.n_snapshots + len(snapshots),
+                             meta.interval_s, meta.mesh, meta.dtype, meta.t0)
+        (self.root / "manifest.json").write_text(json.dumps(new_meta.to_json()))
+        self._meta = new_meta
+        return new_meta
+
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
@@ -135,3 +152,7 @@ class SnapshotStore:
             out[var] = np.stack(
                 [self.read_var(var, start + k) for k in range(length)], axis=0)
         return out
+
+    def times(self) -> np.ndarray:
+        meta = self.meta
+        return meta.t0 + meta.interval_s * (np.arange(meta.n_snapshots) + 1)

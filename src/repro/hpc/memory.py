@@ -1,4 +1,4 @@
-"""Memory-hierarchy model: footprint accounting per tier.
+"""Memory-hierarchy model: tiers, transfers, and footprint accounting.
 
 Reproduces the paper's Table II analysis: each training-pipeline stage
 stores its working set in a tier (SSD → CPU RAM → GPU HBM) and moves
@@ -10,6 +10,7 @@ the table regenerates for any mesh/patch configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import List
 
 import numpy as np
@@ -17,10 +18,39 @@ import numpy as np
 from ..swin.model import SurrogateConfig
 from .cluster import NodeSpec
 
-__all__ = ["sample_nbytes", "activation_nbytes", "model_state_nbytes",
-           "MemoryFootprint", "pipeline_memory_table"]
+__all__ = ["Tier", "TransferModel", "sample_nbytes", "activation_nbytes",
+           "model_state_nbytes", "MemoryFootprint", "pipeline_memory_table"]
 
 GB = 1024 ** 3
+
+
+class Tier(Enum):
+    """Storage tiers of the training platform."""
+
+    SSD = "ssd"
+    CPU = "cpu_ram"
+    GPU = "gpu_hbm"
+
+
+@dataclass(frozen=True)
+class TransferModel:
+    """Transfer times between adjacent tiers."""
+
+    node: NodeSpec
+    pinned: bool = True
+
+    def bandwidth(self, src: Tier, dst: Tier) -> float:
+        if (src, dst) == (Tier.SSD, Tier.CPU):
+            return self.node.ssd_read_bandwidth
+        if (src, dst) == (Tier.CPU, Tier.GPU):
+            return (self.node.pcie_h2d_pinned if self.pinned
+                    else self.node.pcie_h2d_pageable)
+        if (src, dst) == (Tier.GPU, Tier.GPU):
+            return self.node.gpu.hbm_bandwidth
+        raise ValueError(f"no modelled path {src} → {dst}")
+
+    def seconds(self, nbytes: int, src: Tier, dst: Tier) -> float:
+        return nbytes / self.bandwidth(src, dst)
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,12 @@ class SimComm:
         self.per_pair[key] = self.per_pair.get(key, 0) + payload.nbytes
         return payload.copy()
 
+    def allreduce_sum(self, values: List[float]) -> float:
+        """Tree allreduce; accounts 2·(P−1) scalar messages."""
+        self.n_messages += 2 * (self.n_ranks - 1)
+        self.bytes_sent += 2 * (self.n_ranks - 1) * FLOAT_BYTES
+        return float(np.sum(values))
+
 
 @dataclass(frozen=True)
 class BlockRange:

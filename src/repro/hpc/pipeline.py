@@ -22,10 +22,12 @@ of the model* rather than being fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional
 
+from ..swin.model import SurrogateConfig
 from .cluster import NodeSpec
+from .memory import sample_nbytes
 
 __all__ = ["PipelineParams", "PipelineConfig", "TrainingPipelineModel",
            "FIG9_CONFIGS"]
@@ -57,6 +59,21 @@ class PipelineParams:
         ram = nbytes / self.node.ram_bandwidth
         return (1.0 - self.cache_hit_fraction) * ssd \
             + self.cache_hit_fraction * ram
+
+    @staticmethod
+    def from_surrogate(cfg: SurrogateConfig,
+                       measured_compute: Optional[float] = None,
+                       **kw) -> "PipelineParams":
+        """Derive sample size from an actual surrogate configuration.
+
+        ``measured_compute`` (seconds per instance, e.g. from
+        :class:`repro.train.Trainer` statistics) replaces the calibrated
+        paper-scale constant for self-measured ablations.
+        """
+        base = PipelineParams(sample_bytes=sample_nbytes(cfg), **kw)
+        if measured_compute is not None:
+            base = replace(base, compute_per_instance=measured_compute)
+        return base
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from ..swin.model import CoastalSurrogate, SurrogateConfig
 from .cluster import ClusterSpec, DGX_A100_CLUSTER
 from .pipeline import PipelineConfig, PipelineParams, TrainingPipelineModel
 
@@ -48,6 +49,11 @@ class ScalingModel:
         default_factory=lambda: TrainingPipelineModel(PipelineParams()))
     cluster: ClusterSpec = field(default_factory=lambda: DGX_A100_CLUSTER)
     grad_bytes: int = 3_390_000 * 4       # paper: 3.39 M parameters
+
+    @staticmethod
+    def for_surrogate(cfg: SurrogateConfig, **kw) -> "ScalingModel":
+        model = CoastalSurrogate(cfg)
+        return ScalingModel(grad_bytes=model.num_parameters() * 4, **kw)
 
     # ------------------------------------------------------------------
     def allreduce_seconds(self, n_gpus: int) -> float:

@@ -72,3 +72,6 @@ class TidalForcing:
             out = out + c.elevation(tt)
         return out
 
+    @property
+    def max_amplitude(self) -> float:
+        return sum(c.amplitude_m for c in self.constituents)

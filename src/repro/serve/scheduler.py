@@ -34,12 +34,10 @@ the same queue and flush policy: requests sharing a
 ``engine.sensitivity_batch`` call, and never mix with forward
 micro-batches (see ``docs/differentiation.md``).
 
-The replica pool built on these queues
-(:class:`~repro.serve.pool.EngineWorkerPool`) is a batch executor
-(``forecast_batch`` / ``time_steps``), so
-:class:`~repro.workflow.ensemble.EnsembleForecaster` and
-:class:`~repro.workflow.hybrid.HybridWorkflow` accept it anywhere they
-accept a :class:`~repro.workflow.forecast.SurrogateForecaster` —
+The scheduler also *is* a batch executor (``forecast_batch`` /
+``time_steps``), so :class:`~repro.workflow.ensemble.EnsembleForecaster`
+and :class:`~repro.workflow.hybrid.HybridWorkflow` accept it anywhere
+they accept a :class:`~repro.workflow.forecast.SurrogateForecaster` —
 served and direct calls share one code path.
 """
 
@@ -51,7 +49,7 @@ from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -331,6 +329,40 @@ class MicroBatchScheduler:
     def time_steps(self) -> int:
         return self.engine.time_steps
 
+    @property
+    def pending(self) -> int:
+        """Requests queued but not yet flushed into a micro-batch —
+        the instantaneous backlog the control plane watches."""
+        with self._lock:
+            return len(self._queue)
+
+    def forecast_batch(self, references: Sequence[FieldWindow]
+                       ) -> List[ForecastResult]:
+        """Submit N windows and wait for all results (executor protocol).
+
+        The N windows are validated and queued as one unit (all or
+        nothing, like a direct ``engine.forecast_batch``), so a burst
+        of at most ``max_batch`` reaching an idle scheduler is one
+        micro-batch; behind other pending traffic it coalesces with
+        it.  In manual mode the queue is flushed inline so the call
+        cannot deadlock.  Raises ``RuntimeError`` on the worker thread
+        (i.e. from a done-callback): it would wait on a batch only that
+        thread can run.
+        """
+        if threading.current_thread() is self._worker:
+            raise RuntimeError(
+                "forecast_batch() called from the scheduler's worker "
+                "thread (a done-callback?): it would block on a batch "
+                "only this thread can run — use submit()")
+        futures = self._enqueue(references)
+        if self._worker is None:
+            self.flush()
+        return [f.result() for f in futures]
+
+    def forecast(self, reference: FieldWindow) -> ForecastResult:
+        """Synchronous single-request convenience wrapper."""
+        return self.forecast_batch([reference])[0]
+
     # -- client side ----------------------------------------------------
     def submit(self, reference: FieldWindow) -> ServedFuture:
         """Enqueue one forecast request; returns immediately.
@@ -339,7 +371,7 @@ class MicroBatchScheduler:
         malformed request fails alone instead of poisoning the
         micro-batch it would have joined.
         """
-        return self._enqueue(reference)
+        return self._enqueue([reference])[0]
 
     def submit_gradient(self, request: GradientRequest) -> ServedFuture:
         """Enqueue one sensitivity request; returns immediately.
@@ -364,35 +396,46 @@ class MicroBatchScheduler:
                 "from a thread-backend pool (EngineWorkerPool(..., "
                 "backend='thread')) or call "
                 "ForecastEngine.sensitivity_batch directly")
-        return self._enqueue(request.window, request)
+        return self._enqueue([request.window], request)[0]
 
-    def _enqueue(self, reference: FieldWindow,
-                 grad: Optional[GradientRequest] = None) -> ServedFuture:
-        """Validate one window, then queue it and wake the worker."""
+    def _enqueue(self, references: Sequence[FieldWindow],
+                 grad: Optional[GradientRequest] = None
+                 ) -> List[ServedFuture]:
+        """Validate N windows, then queue them under one lock hold with
+        one notify — all or nothing, and the worker can never pop a
+        burst half-queued."""
+        references = list(references)
         T = self.time_steps
-        if reference.T != T:
-            raise ValueError(
-                f"window length {reference.T} != model time_steps {T}")
-        shapes = {var: getattr(reference, var).shape
-                  for var in ("u3", "v3", "w3", "zeta")}
+        meshes = []
+        for reference in references:
+            if reference.T != T:
+                raise ValueError(
+                    f"window length {reference.T} != model time_steps {T}")
+            meshes.append({var: getattr(reference, var).shape
+                           for var in ("u3", "v3", "w3", "zeta")})
         kind = "forecast" if grad is None else "gradient"
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
-            if self._mesh is None:
-                self._mesh = shapes
-            elif shapes != self._mesh:
-                bad = next(v for v in shapes if shapes[v] != self._mesh[v])
-                raise ValueError(
-                    "all requests of one scheduler must share one "
-                    f"mesh; got {bad} {shapes[bad]} != {self._mesh[bad]}")
-            future = ServedFuture(self._next_id)
-            self._next_id += 1
-            self._queue.append(_Request(reference, future,
-                                        time.perf_counter(), kind=kind,
-                                        grad=grad))
+            mesh = self._mesh
+            for shapes in meshes:
+                if mesh is None:
+                    mesh = shapes
+                elif shapes != mesh:
+                    bad = next(v for v in shapes if shapes[v] != mesh[v])
+                    raise ValueError(
+                        "all requests of one scheduler must share one "
+                        f"mesh; got {bad} {shapes[bad]} != {mesh[bad]}")
+            self._mesh = mesh
+            now = time.perf_counter()
+            futures = [ServedFuture(self._next_id + k)
+                       for k in range(len(references))]
+            self._next_id += len(futures)
+            self._queue.extend(
+                _Request(reference, future, now, kind=kind, grad=grad)
+                for reference, future in zip(references, futures))
             self._pending.notify_all()
-        return future
+        return futures
 
     # -- manual drive ---------------------------------------------------
     def step(self, trigger: str = "flush") -> int:

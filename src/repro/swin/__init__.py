@@ -4,6 +4,7 @@ from .window import (
     compute_attention_mask,
     compute_shift_sizes,
     effective_window,
+    num_windows,
     window_partition,
     window_reverse,
 )
@@ -17,7 +18,7 @@ from .patch import (
 )
 from .blocks import SwinBlock4d, SwinStage4d
 from .model import CoastalSurrogate, SurrogateConfig
-from .flops import FlopBreakdown, attention_flops, surrogate_flops
+from .flops import FlopBreakdown, attention_flops, scale_compute_time, surrogate_flops
 
 __all__ = [
     "window_partition",
@@ -25,6 +26,7 @@ __all__ = [
     "effective_window",
     "compute_shift_sizes",
     "compute_attention_mask",
+    "num_windows",
     "checkpoint",
     "CheckpointStats",
     "PatchEmbed2d",
@@ -39,4 +41,5 @@ __all__ = [
     "FlopBreakdown",
     "surrogate_flops",
     "attention_flops",
+    "scale_compute_time",
 ]

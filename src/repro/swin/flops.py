@@ -19,7 +19,8 @@ import numpy as np
 
 from .model import SurrogateConfig
 
-__all__ = ["FlopBreakdown", "surrogate_flops", "attention_flops"]
+__all__ = ["FlopBreakdown", "surrogate_flops", "attention_flops",
+           "scale_compute_time"]
 
 
 @dataclass(frozen=True)
@@ -124,3 +125,17 @@ def surrogate_flops(cfg: SurrogateConfig) -> FlopBreakdown:
         decoder_convs=dec,
         patch_recover=rec,
     )
+
+
+def scale_compute_time(measured_seconds: float,
+                       measured_cfg: SurrogateConfig,
+                       target_cfg: SurrogateConfig,
+                       efficiency_ratio: float = 1.0) -> float:
+    """Scale a measured per-instance compute time to another config.
+
+    ``efficiency_ratio`` corrects for differing hardware efficiency at
+    the two sizes (≤1 when the target runs closer to peak).
+    """
+    f_meas = surrogate_flops(measured_cfg).total
+    f_targ = surrogate_flops(target_cfg).total
+    return measured_seconds * (f_targ / f_meas) * efficiency_ratio

@@ -23,6 +23,7 @@ __all__ = [
     "effective_window",
     "compute_shift_sizes",
     "compute_attention_mask",
+    "num_windows",
 ]
 
 NEG_INF = -1e4  # large-negative mask value (fp16-safe, cf. paper's FP16 path)
@@ -38,6 +39,15 @@ def compute_shift_sizes(dims: Sequence[int], window: Sequence[int]) -> Tuple[int
     eff = effective_window(dims, window)
     return tuple(0 if w >= d else w // 2 for w, d in zip(eff, dims))
 
+
+def num_windows(dims: Sequence[int], window: Sequence[int]) -> int:
+    eff = effective_window(dims, window)
+    n = 1
+    for d, w in zip(dims, eff):
+        if d % w != 0:
+            raise ValueError(f"dim {d} not divisible by window {w}")
+        n *= d // w
+    return n
 
 def window_partition(x: Tensor, window: Sequence[int]) -> Tensor:
     """Group a token lattice into windows.

@@ -248,8 +248,45 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    def __repr__(self) -> str:
+        grad_flag = ", requires_grad=True" if self.requires_grad else ""
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_flag})"
+
     def item(self) -> float:
         return float(self.data.item())
+
+    def detach(self) -> "Tensor":
+        """Return a graph-free tensor that **aliases** this storage.
+
+        The result shares memory with ``self.data`` (the
+        ``torch.Tensor.detach`` contract): in-place writes through
+        either tensor are visible through both, so callers that go on
+        to mutate a detached tensor must take :meth:`copy` instead.
+
+        Under a trace it records no step: detach is the identity on
+        values, so the result keeps the source's buffer slot — a
+        detached intermediate must not silently constant-fold the rest
+        of the forward.
+        """
+        out = Tensor(self.data, requires_grad=False)
+        if _plan.tracing():
+            slot = getattr(self, "_slot", None)
+            if slot is not None:
+                out._slot = slot
+        return out
+
+    def copy(self) -> "Tensor":
+        """Deep, graph-free copy with its own storage.
+
+        Unlike :meth:`detach` (which aliases) and :meth:`clone` (which
+        copies but stays differentiable), the result is safe to mutate
+        freely.  Under a trace it records a ``"copy"`` step.
+        """
+        return apply("copy", (self.detach(),))
+
+    def clone(self) -> "Tensor":
+        """Differentiable copy; under a trace it records a ``"copy"`` step."""
+        return apply("copy", (self,))
 
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast (used for fp16 mixed-precision paths)."""
@@ -375,8 +412,14 @@ class Tensor:
     def cos(self) -> "Tensor":
         return apply("cos", (self,))
 
+    def log(self) -> "Tensor":
+        return apply("log", (self,))
+
     def sqrt(self) -> "Tensor":
         return apply("sqrt", (self,))
+
+    def tanh(self) -> "Tensor":
+        return apply("tanh", (self,))
 
     def erf(self) -> "Tensor":
         """Gauss error function — the exact GELU building block."""
@@ -456,8 +499,8 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# plan kernels owned by this module (the scipy ufunc the generic
-# registry in repro.tensor.plan cannot host)
+# plan kernels owned by this module (a scipy ufunc and a copy the
+# generic registry in repro.tensor.plan cannot host)
 # ----------------------------------------------------------------------
 @_plan.register_kernel("erf", "compute")
 def _k_erf(out, ins, consts):
@@ -469,3 +512,15 @@ def _vjp_erf(g, ins, out, consts, needs):
     a = ins[0]
     return (g * (2.0 / np.sqrt(np.pi)) * np.exp(-a * a),)
 
+
+@_plan.register_kernel("copy", "compute")
+def _k_copy(out, ins, consts):
+    if out is None:
+        return ins[0].copy()
+    np.copyto(out, ins[0])
+    return out
+
+
+@_plan.register_vjp("copy")
+def _vjp_copy(g, ins, out, consts, needs):
+    return (g,)

@@ -55,6 +55,10 @@ class Optimizer:
     def state_dict(self) -> Dict:
         return {"lr": self.lr, "t": self.t}
 
+    def load_state_dict(self, state: Dict) -> None:
+        self.lr = float(state["lr"])
+        self.t = int(state["t"])
+
 
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from pathlib import Path
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..data.loader import Batch, DataLoader
 from ..swin.model import CoastalSurrogate
 from ..tensor import Tensor, no_grad
+from .checkpoint import load_checkpoint, save_checkpoint
 from .loss import episode_loss
 from .optim import Adam, Optimizer, clip_grad_norm
 from .schedule import LRSchedule
@@ -125,3 +127,11 @@ class Trainer:
             if on_epoch is not None:
                 on_epoch(stats)
         return self.history
+
+    # ------------------------------------------------------------------
+    def save(self, path: str | Path) -> None:
+        save_checkpoint(path, self.model, self.optimizer,
+                        extra={"epochs_done": len(self.history)})
+
+    def load(self, path: str | Path) -> Dict:
+        return load_checkpoint(path, self.model, self.optimizer)

@@ -55,6 +55,11 @@ class FieldWindow:
     def T(self) -> int:
         return self.zeta.shape[0]
 
+    def snapshot(self, t: int) -> "FieldWindow":
+        """Single-snapshot view (T = 1)."""
+        return FieldWindow(self.u3[t:t + 1], self.v3[t:t + 1],
+                           self.w3[t:t + 1], self.zeta[t:t + 1])
+
     def copy(self) -> "FieldWindow":
         return FieldWindow(self.u3.copy(), self.v3.copy(),
                            self.w3.copy(), self.zeta.copy())

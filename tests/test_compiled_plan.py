@@ -198,6 +198,19 @@ class TestTraceReplay:
         want = np.roll(x, (1, 1, 3), axis=(0, 0, 1)) * 1.0
         assert np.array_equal(got, want)
 
+    def test_detach_and_copy_keep_the_trace(self):
+        """detach()/copy() of a traced intermediate must not silently
+        constant-fold the rest of the forward."""
+        def fn(a):
+            return a.detach() * 2.0 + a.copy()
+
+        x = np.ones((2, 3), np.float32)
+        plan, _ = trace(fn, (x,))
+        ex = PlanExecutor(plan)
+        y = np.full((2, 3), 5.0, np.float32)
+        (got,) = ex.run((y,))
+        assert np.array_equal(got, y * 2.0 + y)
+
     def test_inplace_into_constant_refused(self):
         """An in-place kernel whose target is a plan constant but whose
         operand is traced cannot be captured (each replay would need to
@@ -1044,3 +1057,18 @@ class TestServedPlans:
         assert_windows_equal(fields, direct_hyb[0])
         assert served_metrics["requests"] >= 1
         assert engine.plan_stats()["hits"] >= 1
+
+
+class TestDetachContract:
+    def test_detach_aliases_copy_does_not(self):
+        t = Tensor(np.arange(6.0, dtype=np.float32).reshape(2, 3),
+                   requires_grad=True)
+        d = t.detach()
+        c = t.copy()
+        assert not d.requires_grad and not c.requires_grad
+        assert np.shares_memory(d.data, t.data)
+        assert not np.shares_memory(c.data, t.data)
+        d.data[0, 0] = 42.0
+        assert t.data[0, 0] == 42.0      # documented aliasing
+        c.data[0, 1] = -1.0
+        assert t.data[0, 1] == 1.0       # copy is independent

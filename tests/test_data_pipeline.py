@@ -123,6 +123,10 @@ class TestStore:
         assert store.bytes_read - before == sum(a.nbytes
                                                 for a in snap.values())
 
+    def test_times_monotone(self, tiny_bundle):
+        t = tiny_bundle.open_train().times()
+        assert np.all(np.diff(t) > 0)
+
     def test_resample_store(self, tiny_bundle, tmp_path):
         src = tiny_bundle.open_train()
         dst = resample_store(src, tmp_path / "coarse", every=4)

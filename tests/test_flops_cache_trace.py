@@ -2,9 +2,12 @@
 
 import dataclasses
 
+import pytest
+
 from repro.swin import (
     SurrogateConfig,
     attention_flops,
+    scale_compute_time,
     surrogate_flops,
 )
 
@@ -35,4 +38,15 @@ class TestFlops:
         a = attention_flops(tokens=1024, window_volume=16, dim=32)
         b = attention_flops(tokens=1024, window_volume=64, dim=32)
         assert b > a
+
+    def test_scale_compute_time_ratio(self):
+        small = SurrogateConfig()
+        big = SurrogateConfig.paper()
+        scaled = scale_compute_time(1.0, small, big)
+        assert scaled == pytest.approx(
+            surrogate_flops(big).total / surrogate_flops(small).total)
+
+    def test_scale_identity(self):
+        cfg = SurrogateConfig()
+        assert scale_compute_time(2.5, cfg, cfg) == pytest.approx(2.5)
 

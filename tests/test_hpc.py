@@ -17,6 +17,8 @@ from repro.hpc import (
     ScalingModel,
     SimComm,
     TABLE1_ROWS,
+    Tier,
+    TransferModel,
     TrainingPipelineModel,
     activation_nbytes,
     best_process_grid,
@@ -52,6 +54,11 @@ class TestSimComm:
         comm = SimComm(2)
         with pytest.raises(ValueError):
             comm.sendrecv(0, 5, np.zeros(1))
+
+    def test_allreduce_sum(self):
+        comm = SimComm(3)
+        assert comm.allreduce_sum([1.0, 2.0, 3.0]) == 6.0
+        assert comm.n_messages == 4  # 2·(P−1)
 
 
 class TestBlockDecomposition:
@@ -139,6 +146,19 @@ class TestDecomposedSolver:
 # memory model (Table II)
 # ----------------------------------------------------------------------
 class TestMemoryModel:
+    def test_transfer_bandwidth_paths(self):
+        tm = TransferModel(NodeSpec(), pinned=True)
+        assert tm.bandwidth(Tier.SSD, Tier.CPU) == NodeSpec().ssd_read_bandwidth
+        assert tm.bandwidth(Tier.CPU, Tier.GPU) == NodeSpec().pcie_h2d_pinned
+        tm2 = TransferModel(NodeSpec(), pinned=False)
+        assert tm2.bandwidth(Tier.CPU, Tier.GPU) < \
+            tm.bandwidth(Tier.CPU, Tier.GPU)
+
+    def test_unmodelled_path_raises(self):
+        tm = TransferModel(NodeSpec())
+        with pytest.raises(ValueError):
+            tm.bandwidth(Tier.GPU, Tier.SSD)
+
     def test_sample_bytes_scale_with_mesh(self):
         small = sample_nbytes(SurrogateConfig())
         big = sample_nbytes(SurrogateConfig.paper())
@@ -201,6 +221,12 @@ class TestPipelineModel:
         on = model.iteration_seconds(PipelineConfig("x"))
         off = model.iteration_seconds(PipelineConfig("x", prefetch=False))
         assert off > on
+
+    def test_from_surrogate_uses_measured_compute(self):
+        p = PipelineParams.from_surrogate(SurrogateConfig(),
+                                          measured_compute=0.5)
+        assert p.compute_per_instance == 0.5
+        assert p.sample_bytes == sample_nbytes(SurrogateConfig())
 
     def test_all_fig9_configs_present(self):
         names = {c.name for c in FIG9_CONFIGS}
@@ -290,6 +316,16 @@ class TestScalingModel:
     def test_internode_allreduce_slower(self):
         m = ScalingModel()
         assert m.allreduce_seconds(16) > m.allreduce_seconds(8)
+
+    def test_for_surrogate_derives_grad_bytes(self):
+        cfg = SurrogateConfig(mesh=(16, 16, 6), time_steps=4,
+                              patch3d=(4, 4, 2), patch2d=(4, 4),
+                              embed_dim=8, num_heads=(2, 4, 8),
+                              window_first=(2, 2, 2, 2),
+                              window_rest=(2, 2, 2, 2))
+        m = ScalingModel.for_surrogate(cfg)
+        from repro.swin import CoastalSurrogate
+        assert m.grad_bytes == CoastalSurrogate(cfg).num_parameters() * 4
 
     def test_gpu_packing(self):
         assert DGX_A100_CLUSTER.gpus(8) == (1, 8)

@@ -1,10 +1,11 @@
-"""Additional coverage: diagnostics, store manifest, edge behaviours."""
+"""Additional coverage: diagnostics, store append, edge behaviours."""
 
 import numpy as np
 import pytest
 
 from repro.data import SnapshotStore
 from repro.ocean import (
+    OceanConfig,
     RomsLikeModel,
     SWEConfig,
     ShallowWaterSolver,
@@ -48,6 +49,20 @@ class TestEnergyDiagnostics:
 
 
 class TestStoreAppend:
+    def test_append_extends_archive(self, tmp_path, tiny_ocean_config):
+        ocean = RomsLikeModel(tiny_ocean_config)
+        st = ocean.solver.initial_state()
+        first, st = ocean.simulate(st, 2)
+        second, _ = ocean.simulate(st, 3)
+
+        store = SnapshotStore(tmp_path / "arch")
+        store.write(first, 1800.0)
+        store.append(second)
+        assert len(store) == 5
+        np.testing.assert_allclose(
+            store.read_var("zeta", 3).astype(np.float64),
+            second[1].zeta, atol=1e-3)
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             SnapshotStore(tmp_path / "nothing").meta
@@ -92,6 +107,10 @@ class TestSnapshotDataclass:
 
 
 class TestPaperScaleConfigs:
+    def test_paper_ocean_mesh(self):
+        cfg = OceanConfig.paper_mesh()
+        assert (cfg.ny, cfg.nx, cfg.nz) == (898, 598, 12)
+
     def test_paper_surrogate_latents_merge_cleanly(self):
         from repro.swin import SurrogateConfig
         cfg = SurrogateConfig.paper()

@@ -40,6 +40,11 @@ class TestTides:
         e1 = f.elevation(6 * HOUR, 50_000.0)
         assert abs(float(e0) - float(e1)) > 1e-4
 
+    def test_max_amplitude(self):
+        f = TidalForcing()
+        assert f.max_amplitude == pytest.approx(
+            sum(c.amplitude_m for c in GULF_CONSTITUENTS))
+
     def test_series_shape(self):
         f = TidalForcing()
         times = np.arange(0, 86400, 1800.0)
@@ -155,6 +160,13 @@ class TestRomsLikeModel:
         dry = ~tiny_ocean.solver.wet
         assert np.all(snaps[0].zeta[dry] == 0.0)
         assert np.all(snaps[0].u3[dry, :] == 0.0)
+
+    def test_boundary_rim_zeroes_interior(self):
+        f = np.arange(36, dtype=float).reshape(6, 6)
+        rim = RomsLikeModel.boundary_rim(f, width=1)
+        assert np.all(rim[1:-1, 1:-1] == 0.0)
+        np.testing.assert_array_equal(rim[0], f[0])
+        np.testing.assert_array_equal(rim[:, -1], f[:, -1])
 
     def test_stack_fields_layout(self, tiny_ocean):
         st = tiny_ocean.solver.initial_state()

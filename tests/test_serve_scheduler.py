@@ -135,6 +135,28 @@ class TestEquivalence:
             assert_windows_equal(r.fields, d.fields)
         assert s.metrics.batches[1].trigger == "full"
 
+    def test_executor_protocol_matches_direct(self, engine, windows):
+        """scheduler.forecast_batch is drop-in for engine.forecast_batch:
+        the burst is queued as one unit, so an idle scheduler runs it as
+        one batch — every time."""
+        with closing(MicroBatchScheduler(engine, max_batch=8)) as s:
+            bursts = [s.forecast_batch(windows[:5]) for _ in range(50)]
+        direct = engine.forecast_batch(windows[:5])
+        for served in (bursts[0], bursts[-1]):
+            for r, d in zip(served, direct):
+                assert_windows_equal(r.fields, d.fields)
+        assert [(b.size, b.trigger) for b in s.metrics.batches] \
+            == [(5, "idle")] * 50
+
+    def test_executor_protocol_is_all_or_nothing(self, engine, windows):
+        s = MicroBatchScheduler(engine, max_batch=8, autostart=False)
+        for bad, match in [(make_window(0, h=H - 1), "share one mesh"),
+                           (make_window(0, t=T + 1), "time_steps")]:
+            with pytest.raises(ValueError, match=match):
+                s.forecast_batch(windows[:2] + [bad] + windows[3:4])
+            assert s.pending == 0 and s.flush() == 0
+        s.close()
+
 
 class TestOrderingProperties:
     def test_arbitrary_manual_interleavings(self, engine, windows):
@@ -394,6 +416,13 @@ class TestCallbacksOnTheWorkerThread:
             after.fields, engine.forecast_batch([windows[1]])[0].fields)
         return outcome[0]
 
+    def test_blocking_on_the_scheduler_fails_fast(self, engine, windows):
+        for blocking in (lambda s: s.forecast(windows[2]),
+                         lambda s: s.forecast_batch(windows[2:4])):
+            raised = self.run_in_callback(engine, windows, blocking)
+            assert isinstance(raised, RuntimeError)
+            assert "worker thread" in str(raised)
+
     def test_plain_submit_stays_legal(self, engine, windows):
         chained = self.run_in_callback(
             engine, windows, lambda s: s.submit(windows[2]))
@@ -479,13 +508,17 @@ class TestForecastCache:
         """A burst of identical requests arriving before the first
         result lands follows one leader instead of each taking an
         engine batch slot."""
-        with ForecastServer(engine, max_batch=8,
+        # the leader's batch is held until all six are in, so no result
+        # can land (and turn a follower into a cache hit) mid-burst
+        gate = Gate(engine)
+        with ForecastServer(gate, max_batch=8,
                             cache_bytes=1 << 24) as server:
             futures = [server.submit(windows[1]) for _ in range(6)]
+            gate.release.set()
             results = [f.result(timeout=60) for f in futures]
         for r in results[1:]:
             assert_windows_equal(r.fields, results[0].fields)
-        # the engine saw (almost always exactly) one of the six
+        # the engine saw one of the six
         assert server.deduped_requests >= 4
         assert sum(b.size for b in server.scheduler.metrics.batches) <= 2
 

@@ -144,8 +144,14 @@ class TestTranscendental:
     def test_exp(self, rng):
         gradcheck(lambda a: a.exp(), [_arr(rng, 3, 4)])
 
+    def test_log(self, rng):
+        gradcheck(lambda a: a.log(), [np.abs(_arr(rng, 3)) + 0.5])
+
     def test_sqrt(self, rng):
         gradcheck(lambda a: a.sqrt(), [np.abs(_arr(rng, 3)) + 0.5])
+
+    def test_tanh(self, rng):
+        gradcheck(lambda a: a.tanh(), [_arr(rng, 4)])
 
     def test_erf(self, rng):
         gradcheck(lambda a: a.erf(), [_arr(rng, 4)])
@@ -307,6 +313,12 @@ class TestGraph:
         assert not out.requires_grad
         assert out._backward is None
 
+    def test_detach(self, rng):
+        t = Tensor(_arr(rng, 3), requires_grad=True)
+        d = t.detach()
+        assert not d.requires_grad
+        assert d.data is t.data  # shared memory view
+
     def test_zero_grad(self, rng):
         t = Tensor(_arr(rng, 3), requires_grad=True)
         (t * 2).sum().backward()
@@ -325,6 +337,16 @@ class TestGraph:
         t.astype(np.float16).astype(np.float32).sum().backward()
         assert t.grad.dtype == np.float32
         np.testing.assert_allclose(t.grad, np.ones(3))
+
+    def test_clone_backward(self, rng):
+        t = Tensor(_arr(rng, 3), requires_grad=True)
+        c = t.clone()
+        assert c.data is not t.data
+        (c * 3).sum().backward()
+        np.testing.assert_allclose(t.grad, np.full(3, 3.0))
+
+    def test_repr_mentions_grad(self):
+        assert "requires_grad" in repr(Tensor(np.ones(2), requires_grad=True))
 
 
 
@@ -365,6 +387,14 @@ class TestUnbroadcast:
 # hypothesis: algebraic identities must hold through the engine
 # ----------------------------------------------------------------------
 class TestAlgebraicProperties:
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+                      elements=st.floats(-5, 5)))
+    @settings(max_examples=50, deadline=None)
+    def test_exp_log_inverse(self, a):
+        t = Tensor(a)
+        np.testing.assert_allclose(t.exp().log().data, a, atol=1e-8)
+
     @given(hnp.arrays(np.float64,
                       hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
                       elements=st.floats(-5, 5)))
@@ -499,8 +529,11 @@ OP_TABLE = {
     "sin": Row(lambda a: a.sin(), _A, np.sin),
     "cos": Row(lambda a: a.cos(), _A, np.cos),
     "exp": Row(lambda a: a.exp(), _A, np.exp),
+    "log": Row(lambda a: a.log(), lambda rng: [_positive(rng, 3, 4, 5)],
+               np.log),
     "sqrt": Row(lambda a: a.sqrt(), lambda rng: [_positive(rng, 3, 4, 5)],
                 np.sqrt),
+    "tanh": Row(lambda a: a.tanh(), _A, np.tanh),
     "abs": Row(lambda a: a.abs(), _A, lambda a: np.where(a < 0, -a, a)),
     "pow": Row(lambda a: a ** 3, lambda rng: [_positive(rng, 3, 4, 5)],
                lambda a: a.astype(np.float64) ** 3, ulps=1),
@@ -526,6 +559,7 @@ OP_TABLE = {
                        [(3, 4, 5), (3, 2, 5)], _cat_ref),
     "astype": Row(lambda a: a.astype(np.float16), _A,
                   lambda a: np.array(a, dtype=np.float16)),
+    "copy": Row(lambda a: a.clone(), _A, np.array),
     # the three in-place kernels, through the layers that call them
     "iadd": Row(lambda x: _LIN(x), _A,
                 lambda x: x @ _LIN.weight.data + _LIN.bias.data),

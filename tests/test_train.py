@@ -55,6 +55,15 @@ class TestOptimizers:
         opt.step()  # no grad — must not crash nor move
         np.testing.assert_array_equal(p.data, np.ones(2))
 
+    def test_state_dict_roundtrip(self):
+        p = Parameter(np.ones(2, dtype=np.float32))
+        opt = Adam([p], lr=0.3)
+        opt.t = 7
+        state = opt.state_dict()
+        opt2 = Adam([p], lr=0.1)
+        opt2.load_state_dict(state)
+        assert opt2.lr == 0.3 and opt2.t == 7
+
 
 class TestClipGradNorm:
     def test_clips_large_gradients(self):
@@ -163,3 +172,20 @@ class TestTrainer:
         stats = trainer.fit(train, epochs=1)[0]
         assert stats.throughput > 0
         assert stats.instances == len(train.dataset)
+
+    def test_checkpoint_resume(self, tiny_surrogate_config, loaders,
+                               tmp_path):
+        from repro.swin import CoastalSurrogate
+        model = CoastalSurrogate(tiny_surrogate_config)
+        trainer = Trainer(model, TrainerConfig(lr=1e-3))
+        train, _ = loaders
+        trainer.fit(train, epochs=1)
+        trainer.save(tmp_path / "state.npz")
+
+        model2 = CoastalSurrogate(tiny_surrogate_config)
+        trainer2 = Trainer(model2, TrainerConfig(lr=1e-3))
+        meta = trainer2.load(tmp_path / "state.npz")
+        assert meta["extra"]["epochs_done"] == 1
+        for (na, pa), (nb, pb) in zip(model.named_parameters(),
+                                      model2.named_parameters()):
+            np.testing.assert_array_equal(pa.data, pb.data)

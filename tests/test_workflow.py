@@ -51,6 +51,12 @@ def trained_forecaster(tiny_surrogate_config, tiny_bundle):
 
 
 class TestFieldWindow:
+    def test_snapshot_view(self, reference):
+        window, _ = reference
+        s = window.snapshot(3)
+        assert s.T == 1
+        np.testing.assert_array_equal(s.zeta[0], window.zeta[3])
+
     def test_concat(self, reference):
         window, _ = reference
         a, b = (FieldWindow(window.u3[t:t + 1], window.v3[t:t + 1],
