@@ -181,6 +181,7 @@ class RomsLikeModel:
         out[:, :w, ...] = field2d[:, :w, ...]
         out[:, -w:, ...] = field2d[:, -w:, ...]
         return out
+
     def stack_fields(self, snaps: List[Snapshot]
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Stack snapshots into ``(3, H, W, D, T)`` and ``(1, H, W, T)``."""

@@ -49,6 +49,7 @@ def num_windows(dims: Sequence[int], window: Sequence[int]) -> int:
         n *= d // w
     return n
 
+
 def window_partition(x: Tensor, window: Sequence[int]) -> Tensor:
     """Group a token lattice into windows.
 

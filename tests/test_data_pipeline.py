@@ -263,7 +263,6 @@ class TestBuilder:
         assert len(again.open_train()) == len(tiny_bundle.open_train())
 
     def test_test_follows_train_in_time(self, tiny_bundle):
-        train = tiny_bundle.open_train().meta
-        test = tiny_bundle.open_test().meta
-        t_train_last = train.t0 + train.interval_s * train.n_snapshots
-        assert test.t0 + test.interval_s > t_train_last
+        t_train = tiny_bundle.open_train().times()
+        t_test = tiny_bundle.open_test().times()
+        assert t_test[0] > t_train[-1]

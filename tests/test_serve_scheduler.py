@@ -465,6 +465,8 @@ class TestForecastCache:
         assert lru.get("k") == "b"
         assert lru.put("x", "c") == 0       # still fits without eviction
         assert lru.used_bytes == 200
+        with pytest.raises(ValueError):
+            LruBytes(0, size_of=len)
 
         result = engine.forecast_batch([windows[0]])[0]
         cache = ForecastCache(1 << 24)

@@ -349,7 +349,6 @@ class TestGraph:
         assert "requires_grad" in repr(Tensor(np.ones(2), requires_grad=True))
 
 
-
 # ----------------------------------------------------------------------
 # unbroadcast (the most bug-prone helper) — property tests
 # ----------------------------------------------------------------------

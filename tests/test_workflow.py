@@ -59,9 +59,7 @@ class TestFieldWindow:
 
     def test_concat(self, reference):
         window, _ = reference
-        a, b = (FieldWindow(window.u3[t:t + 1], window.v3[t:t + 1],
-                            window.w3[t:t + 1], window.zeta[t:t + 1])
-                for t in (0, 1))
+        a, b = window.snapshot(0), window.snapshot(1)
         c = FieldWindow.concat([a, b])
         assert c.T == 2
 
@@ -69,6 +67,7 @@ class TestFieldWindow:
 class TestSurrogateForecaster:
     def test_forecast_shapes(self, trained_forecaster, reference):
         window, _ = reference
+        ref = window.snapshot(0)
         ep = FieldWindow(window.u3[:4], window.v3[:4],
                          window.w3[:4], window.zeta[:4])
         out = trained_forecaster.forecast_episode(ep)

@@ -26,7 +26,10 @@ reason from a closed set:
 * ``double`` — a test substitutes it for a real dependency;
 * ``fault`` — it handles a failure a call can return, or outside input;
 * ``abstract`` — a base method that subclasses override;
-* ``pending: <title>`` — an open ROADMAP item, by its title, decides it.
+* ``pending: <title>`` — an open ROADMAP item decides it.  The title is
+  an item heading's text up to its first colon (``- **6. Overlap or
+  stay serial: ...**`` → ``Overlap or stay serial``); an item whose
+  status line reads done decides nothing.
 
 ::
 
@@ -208,10 +211,26 @@ def all_keys() -> set:
     return keys
 
 
+def open_items(roadmap: str) -> set:
+    """Titles of the numbered ROADMAP items not marked done."""
+    heads = list(re.finditer(r"^- \*\*\d+\. (?:\(new\) )?(.+?)\*\*",
+                             roadmap, re.M | re.S))
+    titles = set()
+    for head, nxt in zip(heads, heads[1:] + [None]):
+        end = nxt.start() if nxt else len(roadmap)
+        section = roadmap.find("\n## ", head.end(), end)
+        body = roadmap[head.end():end if section < 0 else section]
+        if re.search(r"\*\*Status \([^)]*\): done\.", body):
+            continue
+        heading = " ".join(head[1].split())
+        titles.add(heading.split(":", 1)[0].rstrip("."))
+    return titles
+
+
 def read_keep(errors: list) -> dict:
     """``{key: reason}`` from ``tools/reach.txt``; bad lines go to
     ``errors``."""
-    roadmap = ROADMAP.read_text(encoding="utf-8")
+    titles = open_items(ROADMAP.read_text(encoding="utf-8"))
     keep = {}
     for n, line in enumerate(KEEP.read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -220,10 +239,10 @@ def read_keep(errors: list) -> dict:
         key, _, reason = line.partition(" ")
         reason = reason.strip()
         title = re.fullmatch(r"pending: (.+)", reason)
-        if reason not in REASONS and not (title and title[1] in roadmap):
+        if reason not in REASONS and not (title and title[1] in titles):
             errors.append(f"reach.txt:{n}: {key}: reason {reason!r} is "
                           f"none of {', '.join(REASONS)}, 'pending: "
-                          f"<ROADMAP item title>'")
+                          f"<open ROADMAP item title>'")
         if key in keep:
             errors.append(f"reach.txt:{n}: {key} listed twice")
         keep[key] = reason
