@@ -26,8 +26,6 @@ from .fabric import (
 )
 from .memory import (
     MemoryFootprint,
-    Tier,
-    TransferModel,
     activation_nbytes,
     model_state_nbytes,
     pipeline_memory_table,
@@ -59,8 +57,6 @@ __all__ = [
     "NodeSpec",
     "ClusterSpec",
     "DGX_A100_CLUSTER",
-    "Tier",
-    "TransferModel",
     "sample_nbytes",
     "activation_nbytes",
     "model_state_nbytes",

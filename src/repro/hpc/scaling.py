@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from ..swin.model import CoastalSurrogate, SurrogateConfig
 from .cluster import ClusterSpec, DGX_A100_CLUSTER
 from .pipeline import PipelineConfig, PipelineParams, TrainingPipelineModel
 
@@ -42,18 +41,13 @@ class ScalingModel:
     pipeline: single-GPU pipeline model (compute + staging terms).
     cluster: interconnect topology.
     grad_bytes: gradient payload per allreduce (fp32 parameter count ×4;
-        derived from the surrogate configuration by default).
+        the paper's 3.39 M parameters by default).
     """
 
     pipeline: TrainingPipelineModel = field(
         default_factory=lambda: TrainingPipelineModel(PipelineParams()))
     cluster: ClusterSpec = field(default_factory=lambda: DGX_A100_CLUSTER)
     grad_bytes: int = 3_390_000 * 4       # paper: 3.39 M parameters
-
-    @staticmethod
-    def for_surrogate(cfg: SurrogateConfig, **kw) -> "ScalingModel":
-        model = CoastalSurrogate(cfg)
-        return ScalingModel(grad_bytes=model.num_parameters() * 4, **kw)
 
     # ------------------------------------------------------------------
     def allreduce_seconds(self, n_gpus: int) -> float:

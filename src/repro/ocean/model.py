@@ -46,12 +46,6 @@ class OceanConfig:
     swe: SWEConfig = field(default_factory=SWEConfig)
     snapshot_interval: float = 1800.0      # 30 minutes, as in the paper
 
-    @staticmethod
-    def paper_mesh() -> "OceanConfig":
-        """Full 898×598×12 mesh (for perf modelling, not CPU training)."""
-        return OceanConfig(nx=598, ny=898, nz=12,
-                           length_x=80_000.0, length_y=110_000.0)
-
 
 @dataclass
 class Snapshot:
@@ -167,21 +161,6 @@ class RomsLikeModel:
     # ------------------------------------------------------------------
     # helpers for surrogate input assembly
     # ------------------------------------------------------------------
-    @staticmethod
-    def boundary_rim(field2d: np.ndarray, width: int = 1) -> np.ndarray:
-        """Zero the interior, keep a rim of ``width`` cells (per 2-D slice).
-
-        Works for ``(H, W)`` and ``(H, W, D)`` arrays (rim applies to the
-        horizontal plane).
-        """
-        out = np.zeros_like(field2d)
-        w = width
-        out[:w, ...] = field2d[:w, ...]
-        out[-w:, ...] = field2d[-w:, ...]
-        out[:, :w, ...] = field2d[:, :w, ...]
-        out[:, -w:, ...] = field2d[:, -w:, ...]
-        return out
-
     def stack_fields(self, snaps: List[Snapshot]
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Stack snapshots into ``(3, H, W, D, T)`` and ``(1, H, W, T)``."""

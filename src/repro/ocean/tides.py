@@ -71,7 +71,3 @@ class TidalForcing:
         for c in self.constituents:
             out = out + c.elevation(tt)
         return out
-
-    @property
-    def max_amplitude(self) -> float:
-        return sum(c.amplitude_m for c in self.constituents)

@@ -24,8 +24,8 @@ bitwise-identical to calling ``engine.forecast_batch`` directly on the
 micro-batch it landed in, whatever policy placed it there
 (``tests/test_serve_pool.py`` asserts this for every policy).
 
-The pool *is* a batch executor (``forecast_batch`` / ``time_steps``),
-so everything that accepts an engine or a scheduler —
+The pool *is* a batch executor (``forecast_batch`` / ``time_steps``);
+its schedulers are not.  So everything that accepts an engine —
 :class:`~repro.workflow.ensemble.EnsembleForecaster`,
 :class:`~repro.workflow.hybrid.HybridWorkflow`,
 :class:`~repro.serve.server.ForecastServer` — accepts a pool
@@ -573,9 +573,17 @@ class EngineWorkerPool:
         admission control is retried after the advertised
         ``retry_after`` (after an inline :meth:`flush` in manual mode),
         because batch consumers — an ensemble mid-forecast, a hybrid
-        episode — cannot meaningfully drop individual members.  Must
-        not be called from a scheduler worker thread.
+        episode — cannot meaningfully drop individual members.  Raises
+        ``RuntimeError`` on a replica's worker thread (i.e. from a
+        done-callback): it would wait on a batch only that thread can
+        run.
         """
+        if any(threading.current_thread() is w.scheduler._worker
+               for w in self.workers):
+            raise RuntimeError(
+                "forecast_batch() called from a replica's worker thread "
+                "(a done-callback?): it would block on a batch only this "
+                "thread can run — use submit()")
         futures: List[ServedFuture] = []
         for reference in references:
             while True:

@@ -34,11 +34,12 @@ the same queue and flush policy: requests sharing a
 ``engine.sensitivity_batch`` call, and never mix with forward
 micro-batches (see ``docs/differentiation.md``).
 
-The scheduler also *is* a batch executor (``forecast_batch`` /
-``time_steps``), so :class:`~repro.workflow.ensemble.EnsembleForecaster`
-and :class:`~repro.workflow.hybrid.HybridWorkflow` accept it anywhere
-they accept a :class:`~repro.workflow.forecast.SurrogateForecaster` —
-served and direct calls share one code path.
+The scheduler is not itself a batch executor: clients reach it one
+request at a time through :meth:`~MicroBatchScheduler.submit` /
+:meth:`~MicroBatchScheduler.submit_gradient`.  The executor a batch
+consumer (:class:`~repro.workflow.ensemble.EnsembleForecaster`,
+:class:`~repro.workflow.hybrid.HybridWorkflow`) takes in serving is
+the :class:`~repro.serve.pool.EngineWorkerPool` the schedulers sit in.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,7 +146,8 @@ class BatchRecord:
     request_ids: Tuple[int, ...]
     seconds: float               # engine.forecast_batch wall-clock
     trigger: str                 # "full" | "idle" | "flush" | "close"
-    failed: bool = False         # engine raised; its futures carry the error
+    failed: bool = False         # engine raised or replied short; its
+                                 # futures carry the error
     compiled: bool = False       # served by a compiled inference plan
     #: batch size of the plan bucket that served it (= ``size`` on an
     #: exact hit, larger when the batch padded up); ``None`` when eager
@@ -324,44 +326,9 @@ class MicroBatchScheduler:
                 daemon=True)
             self._worker.start()
 
-    # -- batch-executor protocol ---------------------------------------
     @property
     def time_steps(self) -> int:
         return self.engine.time_steps
-
-    @property
-    def pending(self) -> int:
-        """Requests queued but not yet flushed into a micro-batch —
-        the instantaneous backlog the control plane watches."""
-        with self._lock:
-            return len(self._queue)
-
-    def forecast_batch(self, references: Sequence[FieldWindow]
-                       ) -> List[ForecastResult]:
-        """Submit N windows and wait for all results (executor protocol).
-
-        The N windows are validated and queued as one unit (all or
-        nothing, like a direct ``engine.forecast_batch``), so a burst
-        of at most ``max_batch`` reaching an idle scheduler is one
-        micro-batch; behind other pending traffic it coalesces with
-        it.  In manual mode the queue is flushed inline so the call
-        cannot deadlock.  Raises ``RuntimeError`` on the worker thread
-        (i.e. from a done-callback): it would wait on a batch only that
-        thread can run.
-        """
-        if threading.current_thread() is self._worker:
-            raise RuntimeError(
-                "forecast_batch() called from the scheduler's worker "
-                "thread (a done-callback?): it would block on a batch "
-                "only this thread can run — use submit()")
-        futures = self._enqueue(references)
-        if self._worker is None:
-            self.flush()
-        return [f.result() for f in futures]
-
-    def forecast(self, reference: FieldWindow) -> ForecastResult:
-        """Synchronous single-request convenience wrapper."""
-        return self.forecast_batch([reference])[0]
 
     # -- client side ----------------------------------------------------
     def submit(self, reference: FieldWindow) -> ServedFuture:
@@ -371,7 +338,7 @@ class MicroBatchScheduler:
         malformed request fails alone instead of poisoning the
         micro-batch it would have joined.
         """
-        return self._enqueue([reference])[0]
+        return self._enqueue(reference)
 
     def submit_gradient(self, request: GradientRequest) -> ServedFuture:
         """Enqueue one sensitivity request; returns immediately.
@@ -396,46 +363,35 @@ class MicroBatchScheduler:
                 "from a thread-backend pool (EngineWorkerPool(..., "
                 "backend='thread')) or call "
                 "ForecastEngine.sensitivity_batch directly")
-        return self._enqueue([request.window], request)[0]
+        return self._enqueue(request.window, request)
 
-    def _enqueue(self, references: Sequence[FieldWindow],
-                 grad: Optional[GradientRequest] = None
-                 ) -> List[ServedFuture]:
-        """Validate N windows, then queue them under one lock hold with
-        one notify — all or nothing, and the worker can never pop a
-        burst half-queued."""
-        references = list(references)
+    def _enqueue(self, reference: FieldWindow,
+                 grad: Optional[GradientRequest] = None) -> ServedFuture:
+        """Validate one window, then queue it and wake the worker."""
         T = self.time_steps
-        meshes = []
-        for reference in references:
-            if reference.T != T:
-                raise ValueError(
-                    f"window length {reference.T} != model time_steps {T}")
-            meshes.append({var: getattr(reference, var).shape
-                           for var in ("u3", "v3", "w3", "zeta")})
-        kind = "forecast" if grad is None else "gradient"
+        if reference.T != T:
+            raise ValueError(
+                f"window length {reference.T} != model time_steps {T}")
+        shapes = {var: getattr(reference, var).shape
+                  for var in ("u3", "v3", "w3", "zeta")}
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
             mesh = self._mesh
-            for shapes in meshes:
-                if mesh is None:
-                    mesh = shapes
-                elif shapes != mesh:
-                    bad = next(v for v in shapes if shapes[v] != mesh[v])
-                    raise ValueError(
-                        "all requests of one scheduler must share one "
-                        f"mesh; got {bad} {shapes[bad]} != {mesh[bad]}")
-            self._mesh = mesh
-            now = time.perf_counter()
-            futures = [ServedFuture(self._next_id + k)
-                       for k in range(len(references))]
-            self._next_id += len(futures)
-            self._queue.extend(
-                _Request(reference, future, now, kind=kind, grad=grad)
-                for reference, future in zip(references, futures))
+            if mesh is None:
+                self._mesh = shapes
+            elif shapes != mesh:
+                bad = next(v for v in shapes if shapes[v] != mesh[v])
+                raise ValueError(
+                    "all requests of one scheduler must share one "
+                    f"mesh; got {bad} {shapes[bad]} != {mesh[bad]}")
+            future = ServedFuture(self._next_id)
+            self._next_id += 1
+            self._queue.append(_Request(
+                reference, future, time.perf_counter(),
+                kind="forecast" if grad is None else "gradient", grad=grad))
             self._pending.notify_all()
-        return futures
+        return future
 
     # -- manual drive ---------------------------------------------------
     def step(self, trigger: str = "flush") -> int:
@@ -513,9 +469,9 @@ class MicroBatchScheduler:
                     self._pending.wait()
                 if not self._queue:
                     return          # closed and drained
-                # this thread is the executor, so being here means it is
-                # free: run what is queued now — the next batch forms
-                # while this one runs
+                # this thread is the executor's one caller, so being
+                # here means the executor is free: run what is queued
+                # now — the next batch forms while this one runs
                 batch = self._pop_batch_locked()
                 trigger = "full" if len(batch) == self.max_batch else \
                     "close" if self._closed else "idle"
@@ -536,6 +492,13 @@ class MicroBatchScheduler:
             else:
                 results = self.engine.forecast_batch(
                     [r.window for r in batch])
+            if len(results) != len(batch):
+                # a short reply (a remote's outside input) would leave
+                # the unmatched futures, and their admission slots,
+                # pending for good
+                raise ValueError(
+                    f"executor returned {len(results)} results for a "
+                    f"batch of {len(batch)} requests")
         except BaseException as exc:     # noqa: BLE001 — worker must survive
             failure = exc
         # one reading: latency − queue is exactly BatchRecord.seconds

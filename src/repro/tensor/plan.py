@@ -791,9 +791,7 @@ _unary("neg", np.negative, lambda g, a, y: -g)
 _unary("sin", np.sin, lambda g, a, y: g * np.cos(a))
 _unary("cos", np.cos, lambda g, a, y: g * -np.sin(a))
 _unary("exp", np.exp, lambda g, a, y: g * y)
-_unary("log", np.log, lambda g, a, y: g / a)
 _unary("sqrt", np.sqrt, lambda g, a, y: g * 0.5 / y)
-_unary("tanh", np.tanh, lambda g, a, y: g * (1.0 - y * y))
 _unary("abs", np.abs, lambda g, a, y: g * np.sign(a))
 
 

@@ -47,8 +47,7 @@ def load_model_like(path: str | Path, like: Module) -> Module:
     return model
 
 
-def load_checkpoint(path: str | Path, model: Module,
-                    optimizer: Optional[Optimizer] = None) -> Dict:
+def load_checkpoint(path: str | Path, model: Module) -> Dict:
     """Restore weights in place; returns the stored metadata dict."""
     path = Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
@@ -60,6 +59,4 @@ def load_checkpoint(path: str | Path, model: Module,
         meta = json.loads(bytes(z[_META_KEY]).decode("utf-8")) \
             if _META_KEY in z.files else {}
     model.load_state_dict(state)
-    if optimizer is not None and "optimizer" in meta:
-        optimizer.load_state_dict(meta["optimizer"])
     return meta

@@ -5,7 +5,6 @@ class here composes it behind the *batch-executor protocol*
 (``forecast_batch(windows) -> list[ForecastResult]`` plus a
 ``time_steps`` property).  Anything implementing that protocol — the
 engine itself, a :class:`SurrogateForecaster`, a serving-side
-:class:`~repro.serve.scheduler.MicroBatchScheduler` or
 :class:`~repro.serve.pool.EngineWorkerPool` — slots into
 :class:`EnsembleForecaster` and :class:`HybridWorkflow` unchanged, so
 direct and served calls run one code path.

@@ -49,9 +49,9 @@ class EnsembleForecaster:
     forecaster: any batch executor — an object with
         ``forecast_batch(windows) -> list[ForecastResult]``.  Direct
         callers pass a :class:`SurrogateForecaster` (or the engine
-        itself); a serving deployment injects a
-        :class:`~repro.serve.scheduler.MicroBatchScheduler`, which
-        shards the members across its micro-batches.  Both routes run
+        itself); a serving deployment injects its
+        :class:`~repro.serve.pool.EngineWorkerPool`, which shards the
+        members across its replicas' micro-batches.  Both routes run
         the same code.
     n_members: ensemble size (member 0 is always unperturbed).
     zeta_sigma, velocity_sigma: IC perturbation scales [m], [m/s] —

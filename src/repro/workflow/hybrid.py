@@ -94,8 +94,8 @@ class HybridWorkflow:
     forecaster: any batch executor — an object with
         ``forecast_batch(windows) -> list[ForecastResult]`` and a
         ``time_steps`` property.  Direct callers pass a
-        :class:`SurrogateForecaster`; a serving deployment injects a
-        :class:`~repro.serve.scheduler.MicroBatchScheduler` so hybrid
+        :class:`SurrogateForecaster`; a serving deployment injects its
+        :class:`~repro.serve.pool.EngineWorkerPool` so hybrid
         surrogate passes coalesce with unrelated traffic.  Both routes
         run the same code.
     ocean: the ROMS-like model used both for fallback simulation and

@@ -124,8 +124,8 @@ class TestStore:
                                                 for a in snap.values())
 
     def test_times_monotone(self, tiny_bundle):
-        t = tiny_bundle.open_train().times()
-        assert np.all(np.diff(t) > 0)
+        meta = tiny_bundle.open_train().meta
+        assert meta.interval_s > 0 and meta.n_snapshots > 1
 
     def test_resample_store(self, tiny_bundle, tmp_path):
         src = tiny_bundle.open_train()
@@ -263,6 +263,8 @@ class TestBuilder:
         assert len(again.open_train()) == len(tiny_bundle.open_train())
 
     def test_test_follows_train_in_time(self, tiny_bundle):
-        t_train = tiny_bundle.open_train().times()
-        t_test = tiny_bundle.open_test().times()
-        assert t_test[0] > t_train[-1]
+        train = tiny_bundle.open_train().meta
+        test = tiny_bundle.open_test().meta
+        # the manifest's t0 is the first snapshot's time
+        last_train = train.t0 + train.interval_s * (train.n_snapshots - 1)
+        assert test.t0 > last_train

@@ -18,11 +18,15 @@ import repro.data
 import repro.eval
 import repro.hpc
 import repro.nn
+import repro.swin
 import repro.tensor
 import repro.tensor.tensor
 import repro.train
-from repro.hpc import DecomposedShallowWater
-from repro.ocean import ShallowWaterSolver, SWEConfig
+from repro.data import SnapshotStore
+from repro.hpc import (DecomposedShallowWater, PipelineParams, ScalingModel,
+                       SimComm)
+from repro.ocean import (OceanConfig, RomsLikeModel, ShallowWaterSolver,
+                         SWEConfig, TidalForcing)
 from repro.physics import Verifier
 from repro.scenario import BasinReport
 from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
@@ -31,7 +35,8 @@ from repro.serve import hostpool
 from repro.serve.remote import (EngineService, RemoteWorker, build_engine,
                                 engine_payload, serve_payload)
 from repro.tensor import ExecutionPlan, PlanExecutor, Tensor
-from repro.workflow import ForecastEngine
+from repro.train import Optimizer, Trainer
+from repro.workflow import FieldWindow, ForecastEngine
 from repro.workflow.sensitivity import StormOverlay
 
 SIGNATURES = [
@@ -153,12 +158,13 @@ def test_one_dispatcher_and_no_runtime_binding():
 def test_what_only_its_own_tests_reached_is_gone():
     """The reach audit (``tools/reach.py``) deleted what no system path
     runs, with the tests that existed only for it; nothing of it comes
-    back unnoticed.  ``erf`` stays: it is the GELU oracle.  ``copy``,
-    ``log`` and ``tanh`` are kept for now (``tools/reach.txt``: pending)."""
+    back unnoticed.  ``erf`` stays: it is the GELU oracle.  The scheduler
+    is not a batch executor; in serving, the pool is."""
     gone = {
         repro.train: ("DataParallelTrainer", "shard_batch", "SGD", "AdamW",
                       "ConstantLR", "StepLR", "mae"),
-        repro.hpc: ("PipelineTrace", "StageEvent"),
+        repro.hpc: ("PipelineTrace", "StageEvent", "Tier", "TransferModel"),
+        repro.swin: ("num_windows", "scale_compute_time"),
         repro.eval: ("ErrorGrowth", "error_growth", "compute_errors_many"),
         repro.data: ("CachedStore", "CacheStats"),
         repro.nn: ("ReLU", "Identity", "Sequential"),
@@ -176,12 +182,13 @@ def test_what_only_its_own_tests_reached_is_gone():
     plan = repro.tensor.plan
     plan._ensure_kernels_registered()
     ops = ("relu", "clip", "pad", "stack", "where", "sigmoid",
-           "log_softmax", "maximum")
+           "log_softmax", "maximum", "copy", "log", "tanh")
     assert not set(ops) & set(plan.KERNELS)
     assert "erf" in plan.KERNELS
     for name in ops + ("var", "half", "float", "__rtruediv__",
                        "__matmul__", "T", "__len__", "numpy", "__gt__",
-                       "__lt__", "__ge__", "__le__"):
+                       "__lt__", "__ge__", "__le__", "clone", "detach",
+                       "__repr__"):
         assert name not in vars(Tensor), name
 
     for target, name in ((ExecutionPlan, "to_bytes"),
@@ -192,6 +199,23 @@ def test_what_only_its_own_tests_reached_is_gone():
                          (StormOverlay, "params"),
                          (BasinReport, "latency_p50_ms"),
                          (ShallowWaterSolver, "_upwind_advect_u"),
-                         (ShallowWaterSolver, "_upwind_advect_v")):
+                         (ShallowWaterSolver, "_upwind_advect_v"),
+                         (MicroBatchScheduler, "forecast_batch"),
+                         (MicroBatchScheduler, "forecast"),
+                         (MicroBatchScheduler, "pending"),
+                         (SimComm, "allreduce_sum"),
+                         (PipelineParams, "from_surrogate"),
+                         (ScalingModel, "for_surrogate"),
+                         (OceanConfig, "paper_mesh"),
+                         (RomsLikeModel, "boundary_rim"),
+                         (TidalForcing, "max_amplitude"),
+                         (Trainer, "save"),
+                         (Trainer, "load"),
+                         (Optimizer, "load_state_dict"),
+                         (SnapshotStore, "append"),
+                         (SnapshotStore, "times"),
+                         (FieldWindow, "snapshot")):
         assert name not in vars(target), (target.__qualname__, name)
     assert "advection" not in {f.name for f in dataclasses.fields(SWEConfig)}
+    assert "optimizer" not in \
+        inspect.signature(repro.train.load_checkpoint).parameters

@@ -29,6 +29,7 @@ from conftest import (  # noqa: F401 — shared serving fixtures
 
 from repro.hpc import ServingCapacityModel
 from repro.serve import (
+    EngineWorkerPool,
     ForecastCache,
     ForecastServer,
     MicroBatchScheduler,
@@ -134,28 +135,6 @@ class TestEquivalence:
         for r, d in zip(results, direct):
             assert_windows_equal(r.fields, d.fields)
         assert s.metrics.batches[1].trigger == "full"
-
-    def test_executor_protocol_matches_direct(self, engine, windows):
-        """scheduler.forecast_batch is drop-in for engine.forecast_batch:
-        the burst is queued as one unit, so an idle scheduler runs it as
-        one batch — every time."""
-        with closing(MicroBatchScheduler(engine, max_batch=8)) as s:
-            bursts = [s.forecast_batch(windows[:5]) for _ in range(50)]
-        direct = engine.forecast_batch(windows[:5])
-        for served in (bursts[0], bursts[-1]):
-            for r, d in zip(served, direct):
-                assert_windows_equal(r.fields, d.fields)
-        assert [(b.size, b.trigger) for b in s.metrics.batches] \
-            == [(5, "idle")] * 50
-
-    def test_executor_protocol_is_all_or_nothing(self, engine, windows):
-        s = MicroBatchScheduler(engine, max_batch=8, autostart=False)
-        for bad, match in [(make_window(0, h=H - 1), "share one mesh"),
-                           (make_window(0, t=T + 1), "time_steps")]:
-            with pytest.raises(ValueError, match=match):
-                s.forecast_batch(windows[:2] + [bad] + windows[3:4])
-            assert s.pending == 0 and s.flush() == 0
-        s.close()
 
 
 class TestOrderingProperties:
@@ -389,39 +368,84 @@ class TestFlushPolicy:
         assert s.metrics.summary()["failed_batches"] == 1
 
 
+class DropsLast:
+    """Executor whose every reply is one result short — what a remote
+    sends when its ``meta["results"]`` is truncated."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.time_steps = inner.time_steps
+
+    def forecast_batch(self, references):
+        return self.inner.forecast_batch(references)[:-1]
+
+
+class TestShortReply:
+    """A reply with fewer results than the batch fails the whole batch:
+    no future is left pending, and no admission slot leaks."""
+
+    def test_manual_scheduler_fails_every_future(self, engine, windows):
+        s = MicroBatchScheduler(DropsLast(engine), max_batch=4,
+                                autostart=False)
+        futures = [s.submit(w) for w in windows[:3]]
+        assert s.step() == 3
+        for f in futures:
+            with pytest.raises(ValueError, match="2 results for a batch "
+                                                 "of 3 requests"):
+                f.result(timeout=10)
+        assert [(b.size, b.failed) for b in s.metrics.batches] == [(3, True)]
+        assert s.metrics.n_requests == 3
+        s.close()
+
+    def test_pool_replica_frees_its_slots(self, engine, windows):
+        pool = EngineWorkerPool(DropsLast(engine), max_batch=4)
+        futures = [pool.submit(w) for w in windows[:3]]
+        for f in futures:
+            with pytest.raises(ValueError, match=r"\d+ results for a batch "
+                                                 r"of \d+ requests"):
+                f.result(timeout=10)
+        pool.close()                # joins the worker: callbacks have run
+        assert pool.workers[0].outstanding == 0
+        assert pool.metrics.outstanding == 0
+        assert all(b.failed for b in pool.metrics.batches)
+
+
 class TestCallbacksOnTheWorkerThread:
-    """Done-callbacks of a threaded scheduler run on its worker thread —
-    the only thread that can run a batch."""
+    """Done-callbacks of a threaded replica run on its scheduler's
+    worker thread — the only thread that can run that replica's batch."""
 
     @staticmethod
     def run_in_callback(engine, windows, action):
-        """Complete one request, run ``action(scheduler)`` in its
-        done-callback, return what it returned or raised."""
+        """On a one-replica pool, complete one request, run
+        ``action(pool)`` in its done-callback, return what it returned
+        or raised."""
         gate, outcome = Gate(engine), []
 
         def callback(fut):
             try:
-                outcome.append(action(s))
+                outcome.append(action(pool))
             except Exception as exc:    # noqa: BLE001 — handed to the test
                 outcome.append(exc)
 
-        with closing(MicroBatchScheduler(gate, max_batch=2)) as s:
-            first = hold_first_batch(gate, s, windows[0]).future
+        with closing(EngineWorkerPool(gate, max_batch=2)) as pool:
+            first = hold_first_batch(gate, pool, windows[0]).future
             first.add_done_callback(callback)   # still pending: runs there
             gate.release.set()
             first.result(timeout=60)
             # the worker survived whatever the callback did
-            after = s.submit(windows[1]).result(timeout=60)
+            after = pool.submit(windows[1]).result(timeout=60)
         assert_windows_equal(
             after.fields, engine.forecast_batch([windows[1]])[0].fields)
         return outcome[0]
 
     def test_blocking_on_the_scheduler_fails_fast(self, engine, windows):
-        for blocking in (lambda s: s.forecast(windows[2]),
-                         lambda s: s.forecast_batch(windows[2:4])):
-            raised = self.run_in_callback(engine, windows, blocking)
-            assert isinstance(raised, RuntimeError)
-            assert "worker thread" in str(raised)
+        """The executor call the system makes (``HybridWorkflow(
+        server.pool, ...)``) would wait on a batch only the calling
+        thread can run: it raises instead of deadlocking."""
+        raised = self.run_in_callback(
+            engine, windows, lambda pool: pool.forecast_batch(windows[2:4]))
+        assert isinstance(raised, RuntimeError)
+        assert "worker thread" in str(raised)
 
     def test_plain_submit_stays_legal(self, engine, windows):
         chained = self.run_in_callback(

@@ -1,14 +1,12 @@
 """4-D window machinery: partition/reverse roundtrip, shifts, masks."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.swin import (
     compute_attention_mask,
     compute_shift_sizes,
     effective_window,
-    num_windows,
     window_partition,
     window_reverse,
 )
@@ -30,15 +28,6 @@ class TestShiftSizes:
 
     def test_zero_when_window_spans_dim(self):
         assert compute_shift_sizes((4, 8, 2, 8), (4, 4, 2, 2)) == (0, 2, 0, 1)
-
-
-class TestNumWindows:
-    def test_count(self):
-        assert num_windows((8, 8, 4, 4), (4, 4, 2, 2)) == 2 * 2 * 2 * 2
-
-    def test_rejects_indivisible(self):
-        with pytest.raises(ValueError):
-            num_windows((7, 8, 4, 4), (4, 4, 2, 2))
 
 
 class TestPartitionReverse:

@@ -51,23 +51,19 @@ def trained_forecaster(tiny_surrogate_config, tiny_bundle):
 
 
 class TestFieldWindow:
-    def test_snapshot_view(self, reference):
-        window, _ = reference
-        s = window.snapshot(3)
-        assert s.T == 1
-        np.testing.assert_array_equal(s.zeta[0], window.zeta[3])
-
     def test_concat(self, reference):
         window, _ = reference
-        a, b = window.snapshot(0), window.snapshot(1)
+        a, b = (FieldWindow(window.u3[t:t + 1], window.v3[t:t + 1],
+                            window.w3[t:t + 1], window.zeta[t:t + 1])
+                for t in (0, 1))
         c = FieldWindow.concat([a, b])
         assert c.T == 2
+        np.testing.assert_array_equal(c.zeta, window.zeta[:2])
 
 
 class TestSurrogateForecaster:
     def test_forecast_shapes(self, trained_forecaster, reference):
         window, _ = reference
-        ref = window.snapshot(0)
         ep = FieldWindow(window.u3[:4], window.v3[:4],
                          window.w3[:4], window.zeta[:4])
         out = trained_forecaster.forecast_episode(ep)
