@@ -50,10 +50,11 @@ section).
 
 from .autoscale import AutoScaler, LoadSample
 from .cache import ForecastCache, gradient_key, window_key
-from .hostpool import HostWorker, HostWorkerDied, HostWorkerError
+from .hostpool import HostWorker
 from .pool import (DeploymentError, EngineWorkerPool, KeyAffinityRouter,
                    PoolSaturated, Router)
-from .procpool import ProcessWorker, ProcessWorkerDied, ProcessWorkerError
+from .procpool import ProcessWorker
+from .remote import RemoteWorkerDied, RemoteWorkerError
 from .scheduler import MicroBatchScheduler
 from .server import ForecastServer
 
@@ -68,11 +69,9 @@ __all__ = [
     "PoolSaturated",
     "DeploymentError",
     "ProcessWorker",
-    "ProcessWorkerError",
-    "ProcessWorkerDied",
     "HostWorker",
-    "HostWorkerError",
-    "HostWorkerDied",
+    "RemoteWorkerError",
+    "RemoteWorkerDied",
     "AutoScaler",
     "LoadSample",
     "ForecastServer",

@@ -33,10 +33,9 @@ Failure model: the remote sends heartbeat frames between batches, and
 :meth:`HostWorker._poll` reads the endpoint in heartbeat ticks.  The
 connection dropping, a frame that fails to parse, the child process
 exiting or the heartbeat deadline lapsing raises
-:class:`HostWorkerDied` (a :class:`~repro.serve.procpool.ProcessWorkerDied`
-subclass, so the pool's retire path and every existing ``except``
-clause work unchanged) — on the request in flight, or through the
-watchdog while idle — and ``on_death`` fires exactly once.
+:class:`~repro.serve.remote.RemoteWorkerDied`, the one death of every
+remote tier — on the request in flight, or through the watchdog while
+idle — and ``on_death`` fires exactly once.
 """
 
 from __future__ import annotations
@@ -52,23 +51,10 @@ import numpy as np
 from ..hpc.fabric import (FabricError, FabricTimeout, FrameError,
                           accept_loopback, connect_loopback,
                           listen_loopback, pack_frame, sim_pair, unpack_frame)
-from .procpool import ProcessWorkerDied, ProcessWorkerError
 from .remote import (SPAWN_METHOD, SPAWN_TIMEOUT_S, ChannelClosed,
                      RemoteWorker, serve_payload)
 
-__all__ = ["HostWorker", "HostWorkerError", "HostWorkerDied"]
-
-
-class HostWorkerError(ProcessWorkerError):
-    """A request failed on the remote host; the remote traceback is in
-    the message.  The host worker is still alive."""
-
-
-class HostWorkerDied(ProcessWorkerDied):
-    """The remote host (or the link to it) died: connection dropped,
-    frame corruption, child exit, heartbeat deadline lapsed, or no
-    reply within ``request_timeout``.  Raised on the request in flight
-    and every request after it."""
+__all__ = ["HostWorker"]
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +151,11 @@ class HostWorker(RemoteWorker):
         heartbeats (and deadline-based death detection with them).
     request_timeout: optional per-request ceiling [s] for
         ``forecast_batch``/``plan_stats``.  Expiry condemns
-        the worker (:class:`HostWorkerDied`), as on the process tier.
+        the worker (:class:`~repro.serve.remote.RemoteWorkerDied`), as
+        on the process tier.
     """
 
     backend = "host"
-    Error = HostWorkerError
-    Died = HostWorkerDied
 
     def __init__(self, engine, fabric: str = "socket",
                  on_death: Optional[Callable[["HostWorker"], None]] = None,

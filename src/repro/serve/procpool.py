@@ -21,10 +21,10 @@ shared with the host tier.  This module is the process tier's
   pickled field array (one copy in, one copy out per side);
 * :meth:`ProcessWorker._poll` waits on the pipe and the child's process
   **sentinel** together — a child that dies mid-flush surfaces as a
-  :class:`ProcessWorkerDied` on the in-flight batch (failing its
-  futures, never hanging them), one that dies while idle is found by
-  the watchdog, and either way an ``on_death`` notification lets the
-  pool retire the worker.
+  :class:`~repro.serve.remote.RemoteWorkerDied` on the in-flight batch
+  (failing its futures, never hanging them), one that dies while idle
+  is found by the watchdog, and either way an ``on_death`` notification
+  lets the pool retire the worker.
 
 Each side reuses **one** segment for everything it sends, so a reply
 is only meaningful for the request it answers: replies carry their
@@ -51,27 +51,7 @@ import numpy as np
 from ..hpc.fabric import FrameError, layout, view
 from .remote import SPAWN_METHOD, ChannelClosed, RemoteWorker, serve_payload
 
-__all__ = [
-    "ProcessWorker",
-    "ProcessWorkerError",
-    "ProcessWorkerDied",
-]
-
-
-class ProcessWorkerError(RuntimeError):
-    """A request failed inside the worker process; the remote traceback
-    is carried in the message.  The child is still alive — subsequent
-    batches proceed normally."""
-
-
-class ProcessWorkerDied(ProcessWorkerError):
-    """The worker's child process died (crash, OOM-kill, ``kill -9``)
-    or stopped answering within ``request_timeout``.
-
-    Raised for the in-flight batch and every batch after it; the
-    worker's ``on_death`` hook fires once so the pool can retire the
-    replica instead of routing more traffic at a corpse.
-    """
+__all__ = ["ProcessWorker"]
 
 
 def _unlink_close(shm: shared_memory.SharedMemory) -> None:
@@ -257,8 +237,9 @@ class ProcessWorker(RemoteWorker):
     request_timeout: optional per-request ceiling [s]; ``None`` trusts
         the sentinel (a hung-but-alive child is not detectable without
         a timeout, a dead one always is).  Expiry condemns the worker
-        (:class:`ProcessWorkerDied`): the child may still be reading
-        the one reused request segment, so no later request is safe.
+        (:class:`~repro.serve.remote.RemoteWorkerDied`): the child may
+        still be reading the one reused request segment, so no later
+        request is safe.
 
     Thread safety: requests serialise on the one exchange's lock (the
     transport is a single request/response channel); the scheduler
@@ -266,8 +247,6 @@ class ProcessWorker(RemoteWorker):
     """
 
     backend = "process"
-    Error = ProcessWorkerError
-    Died = ProcessWorkerDied
 
     def __init__(self, engine,
                  on_death: Optional[Callable[["ProcessWorker"], None]] = None,

@@ -66,6 +66,8 @@ __all__ = [
     "ChannelClosed",
     "EngineService",
     "RemoteWorker",
+    "RemoteWorkerError",
+    "RemoteWorkerDied",
     "engine_payload",
     "build_engine",
     "serve_payload",
@@ -81,6 +83,24 @@ _Reply = Tuple[dict, Sequence[np.ndarray]]
 
 class ChannelClosed(Exception):
     """The peer of a service channel is gone; the serve loop ends."""
+
+
+class RemoteWorkerError(RuntimeError):
+    """A request failed on the remote, on any tier; the remote
+    traceback is carried in the message.  The worker is still alive —
+    later requests proceed normally."""
+
+
+class RemoteWorkerDied(RemoteWorkerError):
+    """The remote (or the link to it) is gone: the child process died
+    (crash, OOM-kill, ``kill -9``), the connection dropped, a frame was
+    corrupt, the heartbeat deadline lapsed, or no reply came within
+    ``request_timeout``.
+
+    Raised for the request in flight and every request after it; the
+    worker's ``on_death`` hook fires once so the pool can retire the
+    replica instead of routing more traffic at a corpse.
+    """
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +276,12 @@ class RemoteWorker:
     again.  ``on_death`` runs once, with no lock held, so it may close
     the worker.
 
-    A tier subclass sets :attr:`backend`, :attr:`Error` and
-    :attr:`Died`, spawns its remote, sets ``_channel`` and finishes
-    construction with :meth:`_adopt`, and implements:
+    A request that failed remotely raises :class:`RemoteWorkerError`;
+    a dead remote raises :class:`RemoteWorkerDied`, on every tier.
+
+    A tier subclass sets :attr:`backend`, spawns its remote, sets
+    ``_channel`` and finishes construction with :meth:`_adopt`, and
+    implements:
 
     ``_poll(timeout) -> (op, seq, meta, arrays, nbytes) | None``
         the next message within ``timeout`` (``None``: no limit), with
@@ -274,11 +297,6 @@ class RemoteWorker:
 
     #: tier name, echoed in messages and ``transport_stats()``
     backend = "remote"
-    #: raised when a request failed remotely but the worker lives on
-    Error = RuntimeError
-    #: raised for the in-flight request and every one after it once
-    #: the remote (or the link to it) is gone
-    Died = RuntimeError
 
     def __init__(self, engine, on_death: Optional[Callable],
                  request_timeout: Optional[float]):
@@ -319,10 +337,10 @@ class RemoteWorker:
         what it reports, start the watchdog."""
         op, _, meta, _, _ = self._await(-1, SPAWN_TIMEOUT_S)
         if op == "err":
-            raise self.Error(
+            raise RemoteWorkerError(
                 f"remote engine failed to start:\n{meta.get('trace', '')}")
         if op != "ready":
-            raise self.Error(f"bad handshake: {op!r}")
+            raise RemoteWorkerError(f"bad handshake: {op!r}")
         self.pid = meta["pid"]
         self._time_steps = meta["time_steps"]
         self.spawn_seconds = time.perf_counter() - self._spawn_t0
@@ -351,9 +369,9 @@ class RemoteWorker:
         """Marshal one micro-batch to the remote engine and wait.
 
         Bitwise-identical to ``self.engine.forecast_batch`` (the remote
-        runs the same code on bit-equal weights).  Raises :attr:`Died`
-        if the remote dies under the batch — the caller's futures fail
-        instead of hanging.
+        runs the same code on bit-equal weights).  Raises
+        :class:`RemoteWorkerDied` if the remote dies under the batch —
+        the caller's futures fail instead of hanging.
         """
         references = list(references)
         if not references:
@@ -368,7 +386,7 @@ class RemoteWorker:
         if self.alive:
             try:
                 stats = dict(self._call("plan_stats", {}, ())[0]["stats"])
-            except (self.Error, self.Died):
+            except RemoteWorkerError:
                 pass
         stats["transport"] = self.transport_stats()
         return stats
@@ -394,7 +412,8 @@ class RemoteWorker:
               ) -> _Reply:
         """One round trip; the returned arrays are the caller's own.
         An ``err`` reply raises :meth:`_remote_error`, a dead remote
-        :attr:`Died` — after ``on_death`` ran outside the lock."""
+        :class:`RemoteWorkerDied` — after ``on_death`` ran outside the
+        lock."""
         try:
             with self._call_lock:
                 self._ensure_alive()
@@ -417,7 +436,7 @@ class RemoteWorker:
                         self.batches += 1
                         self.transport_wait_s += max(
                             elapsed - reply["batch_seconds"], 0.0)
-        except self.Died:
+        except RemoteWorkerDied:
             self._notify_death()
             raise
         if status == "err":
@@ -461,7 +480,7 @@ class RemoteWorker:
                     return
                 while (msg := self._poll(0.0)) is not None:
                     self._unsolicited(msg)
-            except self.Died:
+            except RemoteWorkerDied:
                 pass
             finally:
                 self._call_lock.release()
@@ -474,19 +493,20 @@ class RemoteWorker:
         if self._closed:
             raise RuntimeError(f"{self.backend} worker is closed")
         if self._dead:
-            raise self.Died(
+            raise RemoteWorkerDied(
                 f"{self.backend} worker pid {self.pid} is dead"
                 + (f": {self._death_reason}" if self._death_reason else ""))
 
     def _remote_error(self, op: str, meta: dict) -> Exception:
-        return self.Error(f"{self.backend} worker pid {self.pid} failed "
-                          f"{op}:\n{meta.get('trace', '')}")
+        return RemoteWorkerError(
+            f"{self.backend} worker pid {self.pid} failed "
+            f"{op}:\n{meta.get('trace', '')}")
 
     def _die(self, reason: str) -> NoReturn:
-        """Condemn the worker and raise :attr:`Died`: every later
-        request fails fast, the tier's ``_on_dead`` reclaims what the
-        remote can no longer release, the child (if still running) is
-        terminated.  Runs with the call lock held (or before the
+        """Condemn the worker and raise :class:`RemoteWorkerDied`: every
+        later request fails fast, the tier's ``_on_dead`` reclaims what
+        the remote can no longer release, the child (if still running)
+        is terminated.  Runs with the call lock held (or before the
         watchdog exists), so it runs once; ``on_death`` is left to
         :meth:`_notify_death`."""
         self._death_reason = reason
@@ -494,7 +514,7 @@ class RemoteWorker:
         self._on_dead()
         if self._proc is not None and self._proc.is_alive():
             self._proc.terminate()
-        raise self.Died(
+        raise RemoteWorkerDied(
             f"{self.backend} worker pid {self.pid} died: {reason}")
 
     def _notify_death(self) -> None:

@@ -879,30 +879,39 @@ class TestBucketedServing:
                 assert res.compiled and size == n
                 assert_windows_bitwise(res.fields, d.fields, f"n={n}")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pool_bucketed_bitwise_on_threads(self, engine, tiny_surrogate,
+                                              identity_norm, windows):
+        with closing(EngineWorkerPool(engine, replicas=1, max_batch=4,
+                                      autostart=False)) as pool:
+            assert_pool_replays_buckets_bitwise(
+                pool, ForecastEngine(tiny_surrogate, identity_norm),
+                windows, "thread")
+
     def test_pool_bucketed_bitwise_both_backends(self, engine, tiny_surrogate,
                                                  identity_norm, windows,
-                                                 backend):
-        eager = ForecastEngine(tiny_surrogate, identity_norm)
-        truth = {n: eager.forecast_batch(windows[:n])
-                 for n in range(1, 5)}
-        pool = EngineWorkerPool(
-            engine, replicas=1, backend=backend, max_batch=4,
-            autostart=False)
-        try:
-            for n in (1, 3, 2, 4):
-                res = pool.forecast_batch(windows[:n])
-                assert all(r.compiled for r in res), (backend, n)
-                assert all(r.plan_batch in (1, 2, 4) for r in res)
-                for g, w in zip(res, truth[n]):
-                    assert_windows_bitwise(g.fields, w.fields,
-                                           f"{backend} n={n}")
-            stats = next(iter(pool.plan_stats().values()))
-            assert (stats["hits"], stats["misses"]) == (4, 0)
-            assert stats["bucket_hits"] == {1: 1, 2: 1, 4: 2}
-            assert 0 < stats["bucket_pad_fraction"] < 1
-        finally:
-            pool.close()
+                                                 remote_tier):
+        with closing(EngineWorkerPool(engine, replicas=1, max_batch=4,
+                                      autostart=False,
+                                      **remote_tier.pool_kwargs)) as pool:
+            assert_pool_replays_buckets_bitwise(
+                pool, ForecastEngine(tiny_surrogate, identity_norm),
+                windows, remote_tier.name)
+
+
+def assert_pool_replays_buckets_bitwise(pool, eager, windows, tier):
+    """Every batch size 1–4 replays a bucket plan (1, 2 or 4) on the
+    pool's one replica, bitwise-equal to an eager engine."""
+    truth = {n: eager.forecast_batch(windows[:n]) for n in range(1, 5)}
+    for n in (1, 3, 2, 4):
+        res = pool.forecast_batch(windows[:n])
+        assert all(r.compiled for r in res), (tier, n)
+        assert all(r.plan_batch in (1, 2, 4) for r in res)
+        for g, w in zip(res, truth[n]):
+            assert_windows_bitwise(g.fields, w.fields, f"{tier} n={n}")
+    stats = next(iter(pool.plan_stats().values()))
+    assert (stats["hits"], stats["misses"]) == (4, 0)
+    assert stats["bucket_hits"] == {1: 1, 2: 1, 4: 2}
+    assert 0 < stats["bucket_pad_fraction"] < 1
 
 
 class TestServedPlans:

@@ -29,9 +29,11 @@ from repro.ocean import (OceanConfig, RomsLikeModel, ShallowWaterSolver,
                          SWEConfig, TidalForcing)
 from repro.physics import Verifier
 from repro.scenario import BasinReport
+import repro.serve
 from repro.serve import (AutoScaler, EngineWorkerPool, ForecastServer,
-                         HostWorker, MicroBatchScheduler, ProcessWorker)
-from repro.serve import hostpool
+                         HostWorker, MicroBatchScheduler, ProcessWorker,
+                         RemoteWorkerDied, RemoteWorkerError)
+from repro.serve import hostpool, procpool
 from repro.serve.remote import (EngineService, RemoteWorker, build_engine,
                                 engine_payload, serve_payload)
 from repro.tensor import ExecutionPlan, PlanExecutor, Tensor
@@ -135,6 +137,21 @@ def test_one_client_exchange_for_both_remote_tiers():
             assert name not in tier.__dict__, (tier, name)
     for tier in (ProcessWorker, HostWorker):
         assert "_poll" in tier.__dict__, tier
+
+
+def test_one_exception_pair_for_both_remote_tiers():
+    """``RemoteWorker`` raises ``RemoteWorkerError`` / ``RemoteWorkerDied``
+    on every tier: no per-tier exception class, no per-tier attribute
+    naming one."""
+    assert issubclass(RemoteWorkerDied, RemoteWorkerError)
+    for name in ("ProcessWorkerError", "ProcessWorkerDied",
+                 "HostWorkerError", "HostWorkerDied"):
+        assert name not in repro.serve.__all__, name
+        for module in (repro.serve, procpool, hostpool):
+            assert not hasattr(module, name), (module.__name__, name)
+    for tier in (RemoteWorker, ProcessWorker, HostWorker):
+        for attr in ("Error", "Died"):
+            assert not hasattr(tier, attr), (tier, attr)
 
 
 def test_one_dispatcher_and_no_runtime_binding():

@@ -28,6 +28,8 @@ from repro.serve import EngineWorkerPool, ForecastServer
 from repro.serve.autoscale import AutoScaler
 from repro.workflow.engine import FieldWindow
 
+from conftest import REMOTE_TIERS
+
 VARS = ("u3", "v3", "w3", "zeta")
 
 
@@ -393,7 +395,7 @@ class TestReplayAccounting:
         trace = small_trace(factory, base_rate=2.0, duration=3.0,
                             unique_fraction=0.5, advance_every_s=0.0)
         pool = EngineWorkerPool(engine, replicas=2, max_batch=4,
-                                backend="process")
+                                **REMOTE_TIERS["process"].pool_kwargs)
         try:
             # time_scale=0: the degenerate submit-as-fast-as-possible
             # (step-function) load shape

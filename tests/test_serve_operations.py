@@ -482,6 +482,20 @@ class TestAutoScaler:
             assert server.pool.metrics.n_requests == 48   # none lost
         assert scaler._thread is None    # closed with the server
 
+    def test_spawn_cost_stretches_patience(self, engine):
+        with closing(manual_pool(engine, replicas=1)) as pool:
+            scaler = AutoScaler(pool, scale_down_patience=2, interval=0.25)
+            # thread replicas are free to respawn: patience unchanged
+            assert pool.mean_spawn_seconds == 0.0
+            assert scaler.effective_patience() == 2
+            # the pool's measured spawn cost stretches it: a 1s respawn
+            # spans 4 ticks of 0.25s, patience 2 → 6
+            pool._spawn_log.extend([0.8, 1.2])
+            assert pool.mean_spawn_seconds == 1.0
+            assert scaler.effective_patience() == 6
+            pool._spawn_log[:] = [0.4, 0.6]
+            assert scaler.effective_patience() == 2 + 2
+
     def test_validates_knobs(self, engine_pair):
         e1, _ = engine_pair
         with closing(manual_pool(e1, replicas=1)) as pool:

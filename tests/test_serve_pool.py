@@ -41,6 +41,21 @@ def manual_pool(engine, **kwargs):
     return EngineWorkerPool(engine, autostart=False, **kwargs)
 
 
+def assert_latency_is_queue_plus_batch(pool, wins):
+    futures = [pool.submit(w) for w in wins]
+    for fut in futures:
+        fut.result(timeout=120)
+    metrics = pool.workers[0].scheduler.metrics
+    assert metrics.n_requests == len(wins)
+    for fut, rec in zip(futures, metrics.requests):
+        batch = metrics.batches[rec.batch_index]
+        assert rec.queue_seconds >= 0
+        assert rec.latency_seconds == pytest.approx(
+            rec.queue_seconds + batch.seconds, abs=1e-6)
+        assert (fut.queue_seconds, fut.latency_seconds) \
+            == (rec.queue_seconds, rec.latency_seconds)
+
+
 class TestPoolEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_pooled_bitwise_equal_direct_any_policy(self, engine, windows,
@@ -73,25 +88,20 @@ class TestPoolEquivalence:
         for s, d in zip(served, direct):
             assert_windows_equal(s.fields, d.fields)
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "host"])
+    def test_latency_is_queue_plus_batch_seconds_on_threads(
+            self, engine, windows):
+        """One clock read per batch: a request's latency is exactly its
+        queue wait plus its batch's engine call."""
+        with closing(EngineWorkerPool(engine, max_batch=4)) as pool:
+            assert_latency_is_queue_plus_batch(pool, windows[:6])
+
     def test_latency_is_queue_plus_batch_seconds(self, engine, windows,
-                                                 backend):
-        """One clock read per batch: on every tier a request's latency
-        is exactly its queue wait plus its batch's engine call."""
-        with closing(EngineWorkerPool(engine, max_batch=4, backend=backend,
-                                      fabric="sim")) as pool:
-            futures = [pool.submit(w) for w in windows[:6]]
-            for fut in futures:
-                fut.result(timeout=120)
-            metrics = pool.workers[0].scheduler.metrics
-        assert metrics.n_requests == 6
-        for fut, rec in zip(futures, metrics.requests):
-            batch = metrics.batches[rec.batch_index]
-            assert rec.queue_seconds >= 0
-            assert rec.latency_seconds == pytest.approx(
-                rec.queue_seconds + batch.seconds, abs=1e-6)
-            assert (fut.queue_seconds, fut.latency_seconds) \
-                == (rec.queue_seconds, rec.latency_seconds)
+                                                 remote_tier):
+        """The same on a remote tier, whose batch time includes the
+        transport."""
+        with closing(EngineWorkerPool(engine, max_batch=4,
+                                      **remote_tier.pool_kwargs)) as pool:
+            assert_latency_is_queue_plus_batch(pool, windows[:6])
 
     def test_threaded_pool_serves_concurrent_clients(self, engine):
         pool = EngineWorkerPool(engine, replicas=2, max_batch=3, max_queue=64)
@@ -132,12 +142,14 @@ class TestReplicasAreBornWarm:
     bucket set before the replica is routable, and a remote replica
     starts with exactly the plans its parent engine holds."""
 
-    @pytest.mark.parametrize("backend", ["process", "host"])
     def test_remote_replica_is_born_warm(self, engine_factory, windows,
-                                         backend):
+                                         remote_tier):
+        """The parent's plans cross the wire in the spawn payload: the
+        remote holds them before any traffic, and its first partial
+        batch replays one of them."""
         engine = engine_factory()       # private: the pool compiles plans
         with closing(EngineWorkerPool(engine, max_batch=4, autostart=False,
-                                      backend=backend, fabric="sim")) as pool:
+                                      **remote_tier.pool_kwargs)) as pool:
             child = pool.workers[0].executor
             born = child.plan_stats()
             futures = [pool.submit(w) for w in windows[:3]]
@@ -146,7 +158,7 @@ class TestReplicasAreBornWarm:
             after = child.plan_stats()
         assert born["batches"] == engine.compiled_batches == [1, 2, 4]
         assert set(born) == set(engine.plan_stats()) | {"transport"}
-        assert born["transport"]["backend"] == backend
+        assert born["transport"]["backend"] == remote_tier.backend
         # the first partial batch pads into the b4 plan the child was
         # born with: a hit, never an eager fallback
         assert (after["hits"], after["misses"]) == (1, 0)

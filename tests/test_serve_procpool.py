@@ -1,33 +1,28 @@
-"""Process execution tier: equivalence, failure model, shm lifecycle.
+"""Process execution tier: the shm codec and sentinel liveness.
 
-The process backend must be invisible from above: results bitwise-equal
-to the direct engine call for every routing policy (including across a
-live deploy), child death surfacing as failed futures plus worker
-retirement (never a hang), and every shared-memory segment unlinked on
-retirement, rollback, and abnormal death.  Children cost ~1s each to
-spawn on this host, so tests share engines and keep pools narrow.
+What the process tier shares with the host tier — bitwise equality,
+the failure model, the pool over it — is tested once over the
+``remote_tier`` fixture in ``test_serve_exchange.py``.  This module
+holds what only this tier has: the shm descriptor codec and its
+segment names and reclaim, the child's sentinel as liveness source, a
+child that cannot rebuild its engine, and the plan pickling the spawn
+payload is built on.
 """
 
-import functools
 import os
 import pickle
 import signal
 import time
-from dataclasses import replace
-from contextlib import closing
 
 import numpy as np
 import pytest
 
 from repro.serve import (
-    DeploymentError,
     EngineWorkerPool,
-    HostWorker,
     ProcessWorker,
-    ProcessWorkerDied,
-    ProcessWorkerError,
+    RemoteWorkerDied,
+    RemoteWorkerError,
 )
-from repro.serve.autoscale import AutoScaler
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.tensor import plan as plan_mod
 from repro.tensor.plan import (
@@ -37,29 +32,16 @@ from repro.tensor.plan import (
     trace,
 )
 
-from conftest import assert_windows_equal, segments_alive
+from conftest import (
+    assert_pool_batches_bitwise,
+    leftover_segments,
+    map_submissions,
+    segments_alive,
+)
 
 # the satellite leak requirement: any resource_tracker or cleanup
 # UserWarning raised during these tests is a failure, not noise
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
-
-
-def assert_results_equal(a, b):
-    for ra, rb in zip(a, b):
-        assert_windows_equal(ra.fields, rb.fields)
-
-
-def leftover_segments(worker):
-    """Everything of this worker pair still in /dev/shm, by its token
-    prefix — so a segment the pair no longer names (the ``-arena`` one
-    a child used to create for its plan intermediates) is still seen."""
-    return [n for n in os.listdir("/dev/shm")
-            if n.startswith(worker._token)]
-
-
-def second_model(engine):
-    """A same-shape model with different weights (fresh init seed)."""
-    return type(engine.model)(replace(engine.model.config, seed=99))
 
 
 # ----------------------------------------------------------------------
@@ -164,99 +146,27 @@ class TestPlanPickle:
 
 
 # ----------------------------------------------------------------------
-# single worker: transport equivalence
+# single worker: segments, sentinel, handshake
 # ----------------------------------------------------------------------
 class TestProcessWorker:
-    def test_bitwise_equal_and_lifecycle(self, engine, windows):
-        # the remote payload ships every plan on the engine, and the
-        # session engine may carry buckets warmed by an earlier module:
-        # the "no plan for batch 5" leg needs it bare
-        engine = engine.with_model(engine.model)
-        direct_eager = engine.forecast_batch(windows[:5])
-        direct_plan = engine.forecast_batch(windows[:2])
-        engine.compile(2)
-        with closing(ProcessWorker(engine)) as worker:
-            assert worker.time_steps == engine.time_steps
-            # eager fallback (batch size without a plan): same numbers
-            served = worker.forecast_batch(windows[:5])
-            assert_results_equal(direct_eager, served)
-            assert not served[0].compiled
-            # compiled path: same numbers, flagged compiled
-            served = worker.forecast_batch(windows[:2])
-            assert_results_equal(direct_plan, served)
-            assert served[0].compiled
-            # the transport is observable: bytes moved, overhead timed
-            stats = worker.transport_stats()
-            assert stats["batches"] == 2
-            assert stats["marshal_bytes"] > 0
-            assert stats["ipc_wait_s"] > 0
-            assert stats["spawn_seconds"] > 0
-            # the pair's segments are the two that carry data: request
-            # and response generations, and segment_names() lists both
+    def test_segment_names_and_reclaim(self, engine, windows):
+        """A pair holds two segments — request and response generation
+        0, no arena — and ``segment_names()`` lists both; after the
+        child is killed, the parent unlinks the response segment the
+        dead child could not."""
+        worker = ProcessWorker(engine)
+        try:
+            worker.forecast_batch(windows[:2])  # both segments now exist
             token = worker._token
             names = worker.segment_names()
             assert sorted(names) == sorted(leftover_segments(worker)) \
                 == [f"{token}-q0", f"{token}-r0"]
-        # graceful close unlinks every segment of the pair
+            os.kill(worker.pid, signal.SIGKILL)
+            with pytest.raises(RemoteWorkerDied):
+                worker.forecast_batch(windows[:2])
+        finally:
+            worker.close()
         assert leftover_segments(worker) == []
-
-    def test_needs_a_real_engine(self):
-        class NotAnEngine:
-            time_steps = 4
-
-        with pytest.raises(TypeError, match="ForecastEngine-like"):
-            ProcessWorker(NotAnEngine())
-
-    def test_killed_child_raises_not_hangs(self, engine, windows):
-        worker = ProcessWorker(engine)
-        worker.forecast_batch(windows[:2])      # both segments now exist
-        names = worker.segment_names()
-        assert len(segments_alive(names)) == 2
-        os.kill(worker.pid, signal.SIGKILL)
-        with pytest.raises(ProcessWorkerDied):
-            worker.forecast_batch(windows[:2])
-        assert not worker.alive
-        # every subsequent batch fails fast, no transport attempt
-        with pytest.raises(ProcessWorkerDied):
-            worker.forecast_batch(windows[:2])
-        worker.close()
-        # the dead child could not unlink its response segment; the
-        # parent, which can enumerate its generations, did
-        assert leftover_segments(worker) == []
-
-    def test_death_callback_fires_once(self, engine, windows):
-        deaths = []
-        worker = ProcessWorker(engine, on_death=deaths.append)
-        os.kill(worker.pid, signal.SIGKILL)
-        for _ in range(2):
-            with pytest.raises(ProcessWorkerDied):
-                worker.forecast_batch(windows[:1])
-        assert deaths == [worker]
-        worker.close()
-
-    def test_request_timeout_never_returns_stale_fields(self, engine,
-                                                        windows):
-        """Regression: the child's late reply to a timed-out batch A
-        used to be taken for the answer to the next batch B (no
-        sequence numbers, one reused request segment) — silently wrong
-        fields.  On both remote tiers an expiry condemns the worker, so
-        batch B fails fast instead of returning stale/mixed results."""
-        for make in (ProcessWorker,
-                     functools.partial(HostWorker, fabric="sim")):
-            deaths = []
-            worker = make(engine, request_timeout=1e-5,
-                          on_death=deaths.append)
-            try:
-                with pytest.raises(ProcessWorkerDied, match="no response"):
-                    worker.forecast_batch(windows[:2])
-                assert deaths == [worker] and not worker.alive
-                with pytest.raises(ProcessWorkerDied):
-                    worker.forecast_batch(windows[2:4])
-                assert deaths == [worker]
-                names = worker.segment_names()
-            finally:
-                worker.close()
-            assert segments_alive(names) == []
 
     def test_idle_child_death_is_found_without_a_request(self, engine):
         """The watchdog polls an idle worker's sentinel: a child killed
@@ -285,7 +195,7 @@ class TestProcessWorker:
 
         monkeypatch.setattr(remote, "engine_payload",
                             lambda *a, **k: b"not a pickle")
-        with pytest.raises(ProcessWorkerError, match="UnpicklingError"):
+        with pytest.raises(RemoteWorkerError, match="UnpicklingError"):
             ProcessWorker(engine)
 
 
@@ -307,170 +217,21 @@ class TestSchedulerShutdown:
         assert time.perf_counter() - t0 < 30
         for fut in futures:
             assert fut.done()
-            with pytest.raises(ProcessWorkerDied):
+            with pytest.raises(RemoteWorkerDied):
                 fut.result(timeout=0)
         assert scheduler.metrics.n_failed_batches == 2
         worker.close()
 
 
 # ----------------------------------------------------------------------
-# pool integration: every policy, hot swap, death, autoscaling
+# pool integration: the sentinel finds an idle death
 # ----------------------------------------------------------------------
-def map_submissions(pool, wins, keys=None):
-    """Submit windows; returns [(future, window)] for later audit."""
-    out = []
-    for i, w in enumerate(wins):
-        fut = pool.submit(w, key=None if keys is None else keys[i])
-        out.append((fut, w))
-    return out
-
-
-def assert_pool_batches_bitwise(pool, placed, engines_by_version):
-    """Every realised micro-batch holding audited requests equals the
-    direct forecast_batch of its admitting version's engine on its
-    exact composition (batch composition matters: only the same
-    composition is bitwise-comparable)."""
-    by_placement = {(f.worker_id, f.request_id): (f, w)
-                    for f, w in placed}
-    checked = 0
-    for worker in pool._all_workers():
-        # a rolled-back version's worker served nothing auditable
-        direct_engine = engines_by_version.get(worker.version)
-        if direct_engine is None:
-            continue
-        for batch in worker.scheduler.metrics.batches:
-            keys = [(worker.worker_id, rid) for rid in batch.request_ids]
-            if batch.failed or any(k not in by_placement for k in keys):
-                continue
-            wins = [by_placement[k][1] for k in keys]
-            direct = direct_engine.forecast_batch(wins)
-            for k, d in zip(keys, direct):
-                fut = by_placement[k][0]
-                assert_windows_equal(fut.result(timeout=0).fields,
-                                     d.fields)
-                checked += 1
-    assert checked == len(placed)
-
-
-def pool_owned_segments(pool):
-    return [n for w in pool._all_workers()
-            if w.executor is not None and w.executor is not w.engine
-            for n in w.executor.segment_names()]
-
-
-@pytest.mark.parametrize("router", ["round-robin", "least-outstanding",
-                                    "key-affinity"])
-def test_pool_process_backend_bitwise(engine, windows, router):
-    with closing(EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                                  backend="process", router=router)) as pool:
-        keys = [f"scenario-{i % 3}" for i in range(len(windows))]
-        placed = map_submissions(pool, windows, keys)
-        pool.flush()
-        assert_pool_batches_bitwise(pool, placed, {1: engine})
-        summary = pool.metrics.summary()
-        assert summary["requests"] == len(windows)
-        assert summary["marshal_bytes"] > 0
-        assert summary["ipc_wait_s"] > 0
-        assert summary["spawn_seconds_mean"] > 0
-
-
-def test_pool_process_deploy_hot_swap_bitwise(engine, windows):
-    engine_v2 = engine.with_model(second_model(engine))
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                            backend="process", router="round-robin")
-    try:
-        old_segments = [n for w in pool.workers
-                        for n in w.executor.segment_names()]
-        placed = map_submissions(pool, windows[:4])
-        # the deploy drains these four admitted-but-unserved requests
-        # on the version that admitted them, while surged v2 children
-        # take over the routable set
-        pool.deploy(engine_v2, source="hot-swap")
-        placed += map_submissions(pool, windows[4:8])
-        pool.flush()
-        assert_pool_batches_bitwise(pool, placed,
-                                    {1: engine, 2: engine_v2})
-        assert {f.engine_version for f, _ in placed} == {1, 2}
-        # the drained v1 replicas' children and segments are gone
-        assert segments_alive(old_segments) == []
-    finally:
-        pool.close()
-    assert segments_alive(pool_owned_segments(pool)) == []
-
-
-def test_pool_deploy_rollback_unlinks_segments(engine, windows,
-                                               monkeypatch):
-    engine_v2 = engine.with_model(second_model(engine))
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                            backend="process", router="round-robin")
-    try:
-        make_worker = pool._make_worker
-        calls = {"n": 0}
-
-        def flaky(engine_, version):
-            # the roll's second surge blows up → deploy must roll back
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("surge failed")
-            return make_worker(engine_, version)
-
-        monkeypatch.setattr(pool, "_make_worker", flaky)
-        with pytest.raises(DeploymentError):
-            pool.deploy(engine_v2, source="doomed")
-        monkeypatch.setattr(pool, "_make_worker", make_worker)
-        # rolled back: version 1, two admissible replicas, still serving
-        assert pool.current_version == 1
-        assert sum(not w.draining for w in pool.workers) == 2
-        placed = map_submissions(pool, windows[:4])
-        pool.flush()
-        assert_pool_batches_bitwise(pool, placed, {1: engine})
-    finally:
-        pool.close()
-    # nothing leaked: not the surged-then-retired v2 child, not the
-    # drained v1 child, not the rollback replacement
-    assert segments_alive(pool_owned_segments(pool)) == []
-
-
-def test_pool_child_death_fails_batch_and_retires_worker(engine, windows):
-    pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                            backend="process", router="round-robin")
-    try:
-        victim = pool.workers[0]
-        victim_segments = victim.executor.segment_names()
-        futures = [pool.submit(w) for w in windows[:2]]
-        victim_futs = [f for f in futures
-                       if f.worker_id == victim.worker_id]
-        assert victim_futs, "round-robin should hit worker 0"
-        os.kill(victim.executor.pid, signal.SIGKILL)
-        pool.flush()
-        # the in-flight batch failed — explicitly, not by hanging
-        for fut in victim_futs:
-            with pytest.raises(ProcessWorkerDied):
-                fut.result(timeout=30)
-        # the pool retires the dead replica (async helper thread)
-        deadline = time.perf_counter() + 30
-        while time.perf_counter() < deadline:
-            if len(pool.workers) == 1:
-                break
-            time.sleep(0.05)
-        assert len(pool.workers) == 1
-        kinds = [e.kind for e in pool.events]
-        assert "worker-death" in kinds and "worker-retired" in kinds
-        assert segments_alive(victim_segments) == []
-        # the survivor keeps serving, bitwise
-        placed = map_submissions(pool, windows[4:8])
-        pool.flush()
-        assert_pool_batches_bitwise(pool, placed, {1: engine})
-    finally:
-        pool.close()
-
-
 def test_pool_retires_a_child_that_dies_idle(engine, windows):
     """A replica whose child dies between batches is retired before any
     request reaches it: everything submitted afterwards is served,
     bitwise, by the survivor, and no future fails."""
     pool = EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                            backend="process", router="round-robin")
+                            backend="process")
     try:
         victim = pool.workers[0]
         victim_segments = victim.executor.segment_names()
@@ -488,31 +249,3 @@ def test_pool_retires_a_child_that_dies_idle(engine, windows):
         assert_pool_batches_bitwise(pool, placed, {1: engine})
     finally:
         pool.close()
-
-
-def test_pool_plan_stats_per_process_worker(engine, windows):
-    with closing(EngineWorkerPool(engine, replicas=2, max_batch=2, autostart=False,
-                                  backend="process")) as pool:
-        pool.forecast_batch(windows[:4])
-        stats = pool.plan_stats()
-        # one entry per worker: process replicas don't share a cache
-        assert len(stats) == 2
-        for per_worker in stats.values():
-            assert per_worker["transport"]["backend"] == "process"
-            assert per_worker["transport"]["marshal_bytes"] > 0
-
-
-def test_autoscaler_spawn_cost_stretches_patience(engine):
-    with closing(EngineWorkerPool(engine, replicas=1, max_batch=2,
-                                  autostart=False)) as pool:
-        scaler = AutoScaler(pool, scale_down_patience=2, interval=0.25)
-        # thread replicas are free to respawn: patience unchanged
-        assert pool.mean_spawn_seconds == 0.0
-        assert scaler.effective_patience() == 2
-        # the pool's measured spawn cost stretches it: a 1s respawn
-        # spans 4 ticks of 0.25s, patience 2 → 6
-        pool._spawn_log.extend([0.8, 1.2])
-        assert pool.mean_spawn_seconds == 1.0
-        assert scaler.effective_patience() == 6
-        pool._spawn_log[:] = [0.4, 0.6]
-        assert scaler.effective_patience() == 2 + 2

@@ -1,12 +1,13 @@
 """Failures on the spawn path leave nothing behind.
 
-A remote replica is a child process plus (process tier) shared-memory
-segments, spawned *before* the scheduler that will drive it exists.
+A remote replica is a remote (a child process, or the sim fabric's
+thread) plus (process tier) shared-memory segments, spawned *before*
+the scheduler that will drive it exists.
 Whatever fails after the spawn — the scheduler's constructor, the
 loopback accept — must take the child and its segments down with it,
 on every path that builds a replica: pool construction, ``add_worker``
-and a ``deploy`` surge.  Children cost ~1s each to spawn on this host,
-so each tier walks all three paths in one test.
+and a ``deploy`` surge.  A child costs ~1s to spawn, so each tier
+walks all three paths in one test.
 """
 
 import os
@@ -33,11 +34,11 @@ def pid_alive(pid):
     return True
 
 
-@pytest.mark.parametrize("backend", ["process", "host"])
 def test_failed_scheduler_construction_leaks_no_child_and_no_segment(
-        engine_factory, windows, monkeypatch, backend):
+        engine_factory, windows, monkeypatch, remote_tier):
     engine = engine_factory()   # the deploy below compiles plans on it
     spawned = []            # (executor, its segment names at birth)
+    backend = remote_tier.backend
     real_worker = pool_mod._REMOTE_WORKERS[backend]
 
     def recording_worker(*args, **kwargs):
@@ -56,23 +57,22 @@ def test_failed_scheduler_construction_leaks_no_child_and_no_segment(
     monkeypatch.setitem(pool_mod._REMOTE_WORKERS, backend, recording_worker)
     monkeypatch.setattr(pool_mod, "MicroBatchScheduler", FlakyScheduler)
 
-    def assert_last_spawn_is_gone():
-        executor, names = spawned[-1]
+    def assert_gone(executor, names):
         assert not executor.alive
-        assert not pid_alive(executor.pid)
+        # a sim rank reports this process's pid: it has no child
+        assert not (remote_tier.child and pid_alive(executor.pid))
         assert segments_alive(names + executor.segment_names()) == []
 
     def build():
         return EngineWorkerPool(engine, replicas=1, max_batch=2,
-                                autostart=False,
-                                backend=backend)
+                                autostart=False, **remote_tier.pool_kwargs)
 
     # 1. pool construction
     FlakyScheduler.broken = True
     with pytest.raises(RuntimeError, match="scheduler construction"):
         build()
     assert len(spawned) == 1
-    assert_last_spawn_is_gone()
+    assert_gone(*spawned[-1])
 
     FlakyScheduler.broken = False
     with closing(build()) as pool:
@@ -82,12 +82,12 @@ def test_failed_scheduler_construction_leaks_no_child_and_no_segment(
         with pytest.raises(RuntimeError, match="scheduler construction"):
             pool.add_worker()
         assert len(spawned) == 3
-        assert_last_spawn_is_gone()
+        assert_gone(*spawned[-1])
         # 3. the surge of a deploy (rolled back: nothing was drained)
         with pytest.raises(DeploymentError):
             pool.deploy(engine)
         assert len(spawned) == 4
-        assert_last_spawn_is_gone()
+        assert_gone(*spawned[-1])
         # the replica that was serving all along still is
         assert healthy.alive and pool.current_version == 1
         assert [w.executor for w in pool.workers] == [healthy]
@@ -95,8 +95,7 @@ def test_failed_scheduler_construction_leaks_no_child_and_no_segment(
         for got, want in zip(served, engine.forecast_batch(windows[:2])):
             assert_windows_equal(got.fields, want.fields)
     for executor, names in spawned:
-        assert not pid_alive(executor.pid)
-        assert segments_alive(names + executor.segment_names()) == []
+        assert_gone(executor, names)
 
 
 def test_host_worker_failed_accept_joins_and_closes_the_child(
