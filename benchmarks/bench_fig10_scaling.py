@@ -51,7 +51,7 @@ def test_fig10_solver_halo_scaling_report(env, capsys):
     ny, nx = OCEAN.ny, OCEAN.nx
     rows = []
     for pr, pc in [(1, 1), (2, 1), (2, 2), (4, 2), (4, 4)]:
-        nb = halo_exchange_bytes(ny, nx, pr, pc, halo=2, fields=3)
+        nb = halo_exchange_bytes(ny, nx, pr, pc, fields=3)
         rows.append([f"{pr}x{pc}", pr * pc, f"{nb/1024:.1f} KiB"])
     with capsys.disabled():
         print()

@@ -57,7 +57,7 @@ def main() -> None:
     forecaster = SurrogateForecaster(model, norm)
     ensemble = EnsembleForecaster(
         forecaster,
-        n_members=N_MEMBERS, zeta_sigma=0.03, velocity_sigma=0.02)
+        n_members=N_MEMBERS, zeta_sigma=0.03)
     print(f"running {N_MEMBERS}-member ensemble (one batched forward)...")
     t0 = time.perf_counter()
     out = ensemble.forecast(reference, wet=ocean.solver.wet)

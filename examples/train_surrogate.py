@@ -77,7 +77,7 @@ def main() -> None:
     train_ds, val_ds = dataset.split(0.9, seed=0)   # the paper's 9:1
     train_loader = DataLoader(train_ds, batch_size=args.batch_size,
                               shuffle=True, num_workers=args.workers,
-                              prefetch_factor=2, pin_memory=True, seed=0)
+                              pin_memory=True, seed=0)
     val_loader = DataLoader(val_ds, batch_size=1, shuffle=False) \
         if len(val_ds) else None
 
@@ -85,7 +85,7 @@ def main() -> None:
     total_steps = max(2, args.epochs * len(train_loader))
     schedule = CosineWarmup(optimizer, warmup_steps=total_steps // 10 + 1,
                             total_steps=total_steps)
-    trainer = Trainer(model, TrainerConfig(lr=args.lr, grad_clip=1.0),
+    trainer = Trainer(model, TrainerConfig(lr=args.lr),
                       optimizer=optimizer, schedule=schedule)
 
     best = np.inf

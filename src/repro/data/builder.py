@@ -51,9 +51,7 @@ def build_archives(out_dir: Path | str,
                    ocean_config: Optional[OceanConfig] = None,
                    train_days: float = 8.0,
                    test_days: float = 4.0,
-                   spinup_days: float = 1.0,
-                   dtype: str = "float16",
-                   force: bool = False) -> ArchiveBundle:
+                   spinup_days: float = 1.0) -> ArchiveBundle:
     """Generate (or reuse) the train/test snapshot archives.
 
     The solver runs continuously — spin-up, then the training segment,
@@ -66,7 +64,8 @@ def build_archives(out_dir: Path | str,
     train_days, test_days: segment lengths (paper: one year each; the
         default 8+4 days keeps CPU runtime modest while spanning many
         tidal cycles).
-    force: regenerate even if archives already exist.
+
+    Archives already under ``out_dir`` are reused as they are.
     """
     out = Path(out_dir)
     bundle = ArchiveBundle(
@@ -77,7 +76,7 @@ def build_archives(out_dir: Path | str,
         ocean_config=ocean_config or OceanConfig(),
     )
     marker = out / "archives.json"
-    if marker.exists() and not force:
+    if marker.exists():
         return bundle
 
     cfg = bundle.ocean_config
@@ -89,7 +88,7 @@ def build_archives(out_dir: Path | str,
     n_train = int(round(train_days * DAY / interval))
     snaps, state = model.simulate(state, n_train)
     train_store = SnapshotStore(bundle.train)
-    train_store.write(snaps, interval, dtype=dtype)
+    train_store.write(snaps, interval)
 
     normalizer = Normalizer.fit_from_store(train_store)
     normalizer.save(bundle.normalizer)
@@ -97,7 +96,7 @@ def build_archives(out_dir: Path | str,
     n_test = int(round(test_days * DAY / interval))
     snaps, state = model.simulate(state, n_test)
     test_store = SnapshotStore(bundle.test)
-    test_store.write(snaps, interval, dtype=dtype)
+    test_store.write(snaps, interval)
 
     marker.write_text(json.dumps({
         "train_days": train_days,

@@ -47,6 +47,10 @@ class EpisodeSample:
     start: int
 
 
+#: rim width, in cells, of the boundary-condition slots 1..T−1
+BOUNDARY_WIDTH = 1
+
+
 def _rim_mask(h: int, w: int, width: int, dtype) -> np.ndarray:
     """(H, W) mask that is 1 on a boundary rim of ``width`` cells."""
     mask = np.zeros((h, w), dtype=dtype)
@@ -59,7 +63,7 @@ def _rim_mask(h: int, w: int, width: int, dtype) -> np.ndarray:
 
 def assemble_episode_input_batch(u3: np.ndarray, v3: np.ndarray,
                                  w3: np.ndarray, zeta: np.ndarray,
-                                 boundary_width: int = 1
+                                 boundary_width: int = BOUNDARY_WIDTH
                                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Build batched (x3d, x2d) surrogate inputs, vectorised over N.
 
@@ -85,8 +89,7 @@ def assemble_episode_input_batch(u3: np.ndarray, v3: np.ndarray,
 
 
 def assemble_episode_input(u3: np.ndarray, v3: np.ndarray, w3: np.ndarray,
-                           zeta: np.ndarray, boundary_width: int = 1
-                           ) -> Tuple[np.ndarray, np.ndarray]:
+                           zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Build (x3d, x2d) surrogate inputs from full-field windows.
 
     Batch-1 special case of :func:`assemble_episode_input_batch`.
@@ -94,7 +97,6 @@ def assemble_episode_input(u3: np.ndarray, v3: np.ndarray, w3: np.ndarray,
     Parameters
     ----------
     u3, v3, w3: (T, H, W, D) full fields; zeta: (T, H, W).
-    boundary_width: rim width preserved in slots 1..T−1.
 
     Returns
     -------
@@ -102,7 +104,7 @@ def assemble_episode_input(u3: np.ndarray, v3: np.ndarray, w3: np.ndarray,
     """
     x3d, x2d = assemble_episode_input_batch(
         np.asarray(u3)[None], np.asarray(v3)[None], np.asarray(w3)[None],
-        np.asarray(zeta)[None], boundary_width)
+        np.asarray(zeta)[None])
     return x3d[0], x2d[0]
 
 
@@ -116,33 +118,28 @@ class SlidingWindowDataset:
     window: episode length T.
     stride: window start spacing (6 for training augmentation, use
         ``window`` for non-overlapping test windows).
-    pad_multiple: (mh, mw) horizontal patch multiples; snapshots are
-        zero-padded so H, W divide evenly (paper's 900×600 trick).
-    pad_to: explicit padded (H', W') target overriding ``pad_multiple``
-        — use the surrogate's ``config.mesh`` when the mesh must also
-        satisfy patch-merging divisibility, not just the patch size.
-    boundary_width: rim width of the boundary-condition slots.
-    dtype: on-sample dtype — ``float16`` mirrors the paper's storage.
+    pad_to: explicit padded (H', W') target — use the surrogate's
+        ``config.mesh`` when the mesh must also satisfy patch-merging
+        divisibility, not just the patch size.  Without it snapshots
+        are zero-padded so H, W divide by 4 (paper's 900×600 trick).
+
+    Samples are float16, mirroring the paper's storage.
     """
 
     VAR3D = ("u3", "v3", "w3")
 
     def __init__(self, store: SnapshotStore, normalizer: Normalizer,
                  window: int = 24, stride: int = 6,
-                 pad_multiple: Tuple[int, int] = (4, 4),
-                 pad_to: Optional[Tuple[int, int]] = None,
-                 boundary_width: int = 1,
-                 dtype: str = "float16"):
+                 pad_to: Optional[Tuple[int, int]] = None):
         self.store = store
         self.normalizer = normalizer
         self.window = int(window)
         self.stride = int(stride)
-        self.boundary_width = int(boundary_width)
-        self.dtype = np.dtype(dtype)
+        self.dtype = np.dtype(np.float16)
         H, W, _ = store.meta.mesh
         self.orig_hw = (H, W)
         self.padded_hw = tuple(pad_to) if pad_to is not None \
-            else padded_shape(H, W, *pad_multiple)
+            else padded_shape(H, W, 4, 4)
         n = len(store)
         if n < self.window:
             raise ValueError(
@@ -172,7 +169,7 @@ class SlidingWindowDataset:
         start = self.starts[i]
         w = self._load_window(start)
         x3d, x2d = assemble_episode_input(
-            w["u3"], w["v3"], w["w3"], w["zeta"], self.boundary_width)
+            w["u3"], w["v3"], w["w3"], w["zeta"])
         y3d = np.moveaxis(
             np.stack([w[v] for v in self.VAR3D], axis=0), 1, -1)
         y2d = np.moveaxis(w["zeta"][None], 1, -1)
@@ -202,7 +199,6 @@ class _SubsetDataset(SlidingWindowDataset):
         self.normalizer = parent.normalizer
         self.window = parent.window
         self.stride = parent.stride
-        self.boundary_width = parent.boundary_width
         self.dtype = parent.dtype
         self.orig_hw = parent.orig_hw
         self.padded_hw = parent.padded_hw

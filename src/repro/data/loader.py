@@ -56,47 +56,39 @@ class DataLoader:
     batch_size: episodes per batch (the paper trains at 2/GPU with
         activation checkpointing).
     shuffle: reshuffle each epoch (seeded, reproducible).
-    num_workers: prefetch worker threads; 0 = synchronous.
-    prefetch_factor: batches staged ahead per worker.
+    num_workers: prefetch worker threads; 0 = synchronous.  Each
+        stages ``PREFETCH_FACTOR`` batches ahead.
     pin_memory: recorded for the performance model; host staging
         semantics are identical either way in this NumPy engine.
-    drop_last: drop the final ragged batch.
+
+    The final batch may be ragged.
     """
+
+    PREFETCH_FACTOR = 2
 
     def __init__(self, dataset: SlidingWindowDataset, batch_size: int = 1,
                  shuffle: bool = True, num_workers: int = 0,
-                 prefetch_factor: int = 2, pin_memory: bool = False,
-                 drop_last: bool = False, seed: int = 0):
+                 pin_memory: bool = False, seed: int = 0):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.num_workers = num_workers
-        self.prefetch_factor = prefetch_factor
         self.pin_memory = pin_memory
-        self.drop_last = drop_last
         self.seed = seed
         self._epoch = 0
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def _index_batches(self) -> List[List[int]]:
         idx = np.arange(len(self.dataset))
         if self.shuffle:
             rng = np.random.default_rng(self.seed + self._epoch)
             rng.shuffle(idx)
-        batches = [
-            idx[i:i + self.batch_size].tolist()
-            for i in range(0, len(idx), self.batch_size)
-        ]
-        if self.drop_last and batches and len(batches[-1]) < self.batch_size:
-            batches.pop()
-        return batches
+        return [idx[i:i + self.batch_size].tolist()
+                for i in range(0, len(idx), self.batch_size)]
 
     def __iter__(self) -> Iterator[Batch]:
         batches = self._index_batches()
@@ -110,7 +102,7 @@ class DataLoader:
     # ------------------------------------------------------------------
     def _prefetch_iter(self, batches: List[List[int]]) -> Iterator[Batch]:
         """Thread-backed producer/consumer with bounded lookahead."""
-        depth = max(1, self.num_workers * self.prefetch_factor)
+        depth = max(1, self.num_workers * self.PREFETCH_FACTOR)
         q: "queue.Queue" = queue.Queue(maxsize=depth)
         stop = threading.Event()
 

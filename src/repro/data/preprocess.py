@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -94,17 +94,15 @@ class Normalizer:
         return Normalizer(mean, std)
 
     @staticmethod
-    def fit_from_store(store, indices: Optional[Sequence[int]] = None
-                       ) -> "Normalizer":
+    def fit_from_store(store) -> "Normalizer":
         """Streaming fit over store snapshots (two-pass Welford-free).
 
         Uses the sum/sum-of-squares accumulation; adequate because the
         fields are O(1) in magnitude.
         """
         from .store import VARIABLES
-        idxs = list(indices) if indices is not None else list(range(len(store)))
         acc = {v: [0.0, 0.0, 0] for v in VARIABLES}  # sum, sumsq, count
-        for i in idxs:
+        for i in range(len(store)):
             snap = store.read_snapshot(i)
             for v, arr in snap.items():
                 a = arr.astype(np.float64)

@@ -74,11 +74,12 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def write(self, snapshots: Sequence[Snapshot], interval_s: float,
-              dtype: str = "float16") -> StoreMeta:
-        """Persist a snapshot sequence (converted to ``dtype``)."""
+    def write(self, snapshots: Sequence[Snapshot],
+              interval_s: float) -> StoreMeta:
+        """Persist a snapshot sequence in float16, the paper's storage
+        precision."""
         self.root.mkdir(parents=True, exist_ok=True)
-        np_dtype = np.dtype(dtype)
+        np_dtype = np.dtype(np.float16)
         for idx, snap in enumerate(snapshots):
             for var in VARIABLES:
                 arr = getattr(snap, var).astype(np_dtype)
@@ -90,7 +91,7 @@ class SnapshotStore:
             n_snapshots=len(snapshots),
             interval_s=float(interval_s),
             mesh=first.u3.shape,
-            dtype=dtype,
+            dtype=np_dtype.name,
             t0=float(first.t),
         )
         (self.root / "manifest.json").write_text(json.dumps(meta.to_json()))

@@ -49,16 +49,13 @@ def _masked_errors(pred: np.ndarray, truth: np.ndarray,
 
 
 def compute_errors(pred: FieldWindow, truth: FieldWindow,
-                   wet: Optional[np.ndarray] = None,
-                   skip_initial: bool = True) -> VariableErrors:
+                   wet: Optional[np.ndarray] = None) -> VariableErrors:
     """Errors of one forecast window against the reference.
 
-    Parameters
-    ----------
-    skip_initial: exclude slot 0, which is the known initial condition
-        (not a prediction).
+    Slot 0 is excluded: it is the known initial condition, not a
+    prediction.
     """
-    s = slice(1, None) if skip_initial else slice(None)
+    s = slice(1, None)
     pairs = {
         "u": (pred.u3[s], truth.u3[s]),
         "v": (pred.v3[s], truth.v3[s]),

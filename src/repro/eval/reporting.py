@@ -12,9 +12,9 @@ from typing import Iterable, List, Optional, Sequence
 __all__ = ["format_table", "format_sci", "format_series"]
 
 
-def format_sci(x: float, digits: int = 2) -> str:
+def format_sci(x: float) -> str:
     """Scientific notation like the paper's tables (1.80E-02)."""
-    return f"{x:.{digits}E}"
+    return f"{x:.2E}"
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence],

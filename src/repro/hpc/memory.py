@@ -26,7 +26,7 @@ GB = 1024 ** 3
 # ----------------------------------------------------------------------
 # footprint calculators (shapes from the surrogate configuration)
 # ----------------------------------------------------------------------
-def sample_nbytes(cfg: SurrogateConfig, dtype_bytes: int = 2) -> int:
+def sample_nbytes(cfg: SurrogateConfig) -> int:
     """One training sample: inputs + targets at fp16.
 
     (3, H, W, D, T) + (1, H, W, T), twice (input and target).
@@ -35,7 +35,7 @@ def sample_nbytes(cfg: SurrogateConfig, dtype_bytes: int = 2) -> int:
     T = cfg.time_steps
     vol = 3 * H * W * D * T
     surf = H * W * T
-    return 2 * (vol + surf) * dtype_bytes
+    return 2 * (vol + surf) * 2
 
 
 def activation_nbytes(cfg: SurrogateConfig, batch: int = 1,
@@ -88,13 +88,12 @@ def activation_nbytes(cfg: SurrogateConfig, batch: int = 1,
     return int(total * batch * dtype_bytes)
 
 
-def model_state_nbytes(cfg: SurrogateConfig, dtype_bytes: int = 4,
-                       optimizer_multiplier: int = 3) -> int:
-    """Weights + gradients + Adam moments (≈ params × (1 + 1 + 2))."""
+def model_state_nbytes(cfg: SurrogateConfig) -> int:
+    """Weights + gradients + Adam moments: fp32 params × (1 + 1 + 2)."""
     from ..swin.model import CoastalSurrogate
     model = CoastalSurrogate(cfg)
     n = model.num_parameters()
-    return n * dtype_bytes * (1 + optimizer_multiplier)
+    return n * 4 * (1 + 3)
 
 
 @dataclass(frozen=True)

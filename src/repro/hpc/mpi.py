@@ -74,10 +74,14 @@ class BlockDecomposition:
     ----------
     ny, nx: global cell counts.
     pr, pc: process-grid rows × columns (pr·pc ranks).
-    halo: halo width in cells (2 covers every stencil in the solver).
+
+    The halo is ``HALO`` cells wide (2 covers every stencil in the
+    solver).
     """
 
-    def __init__(self, ny: int, nx: int, pr: int, pc: int, halo: int = 2):
+    HALO = 2
+
+    def __init__(self, ny: int, nx: int, pr: int, pc: int):
         if pr < 1 or pc < 1:
             raise ValueError("process grid must be at least 1×1")
         if pr > ny or pc > nx:
@@ -85,7 +89,6 @@ class BlockDecomposition:
                 f"process grid ({pr}×{pc}) exceeds domain ({ny}×{nx})")
         self.ny, self.nx = ny, nx
         self.pr, self.pc = pr, pc
-        self.halo = halo
         self.rows = self._split(ny, pr)
         self.cols = self._split(nx, pc)
 
@@ -112,7 +115,7 @@ class BlockDecomposition:
         """Global (row, col) slices of the rank's slab including halo,
         clipped at domain edges."""
         rb, cb = self.rank_block(rank)
-        h = self.halo
+        h = self.HALO
         return (slice(max(rb.start - h, 0), min(rb.stop + h, self.ny)),
                 slice(max(cb.start - h, 0), min(cb.stop + h, self.nx)))
 
@@ -124,12 +127,11 @@ class BlockDecomposition:
                 slice(cb.start - cs.start, cb.stop - cs.start))
 
     # ------------------------------------------------------------------
-    def halo_bytes_per_exchange(self, fields: int = 3,
-                                dtype_bytes: int = FLOAT_BYTES) -> int:
+    def halo_bytes_per_exchange(self, fields: int = 3) -> int:
         """Total bytes moved in one full halo exchange of ``fields``
-        cell-centred fields (EW then NS, corners carried by NS)."""
+        cell-centred float64 fields (EW then NS, corners carried by NS)."""
         total = 0
-        h = self.halo
+        h = self.HALO
         for rank in range(self.n_ranks):
             rb, cb = self.rank_block(rank)
             r, c = divmod(rank, self.pc)
@@ -144,15 +146,13 @@ class BlockDecomposition:
                 total += width * h
             if r < self.pr - 1:
                 total += width * h
-        return total * fields * dtype_bytes
+        return total * fields * FLOAT_BYTES
 
 
 def halo_exchange_bytes(ny: int, nx: int, pr: int, pc: int,
-                        halo: int = 2, fields: int = 3,
-                        dtype_bytes: int = FLOAT_BYTES) -> int:
+                        fields: int = 3) -> int:
     """Convenience wrapper used by the ROMS performance model."""
-    return BlockDecomposition(ny, nx, pr, pc, halo).halo_bytes_per_exchange(
-        fields, dtype_bytes)
+    return BlockDecomposition(ny, nx, pr, pc).halo_bytes_per_exchange(fields)
 
 
 class _SubdomainSolver(ShallowWaterSolver):
@@ -171,7 +171,6 @@ class _SubdomainSolver(ShallowWaterSolver):
                                        origin=grid.x_axis.faces[cols.start]),
             StretchedAxis.from_spacing(grid.y_axis.spacing[rows],
                                        origin=grid.y_axis.faces[rows.start]),
-            lat0=grid.lat0, lon0=grid.lon0,
         )
         super().__init__(sub_grid, parent.depth[rows, cols],
                          parent.forcing, parent.cfg)
@@ -202,11 +201,10 @@ class DecomposedShallowWater:
     result is bit-identical to the global solver.
     """
 
-    def __init__(self, solver: ShallowWaterSolver, pr: int, pc: int,
-                 halo: int = 2):
+    def __init__(self, solver: ShallowWaterSolver, pr: int, pc: int):
         self.parent = solver
         self.decomp = BlockDecomposition(solver.grid.ny, solver.grid.nx,
-                                         pr, pc, halo)
+                                         pr, pc)
         self.comm = SimComm(self.decomp.n_ranks)
         self.subsolvers: List[_SubdomainSolver] = []
         for rank in range(self.decomp.n_ranks):

@@ -119,8 +119,8 @@ class RomsPerfModel:
         ≈ per-rank time; ranks exchange concurrently)."""
         ny, nx, nz = workload.mesh
         pr, pc = best_process_grid(workload.cores, ny, nx)
-        total_bytes = halo_exchange_bytes(ny, nx, pr, pc, halo=2,
-                                          fields=self.fields_per_exchange) * nz
+        total_bytes = halo_exchange_bytes(
+            ny, nx, pr, pc, fields=self.fields_per_exchange) * nz
         per_rank = total_bytes / workload.cores
         bw = self.cluster.ib_bandwidth
         latency = 4 * self.cluster.ib_latency        # ≤4 neighbour messages

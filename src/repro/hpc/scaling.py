@@ -12,7 +12,7 @@ paper's 1/2/4/8 vs 16/32 GPU experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from .cluster import ClusterSpec, DGX_A100_CLUSTER
 from .pipeline import PipelineConfig, PipelineParams, TrainingPipelineModel
@@ -78,9 +78,8 @@ class ScalingModel:
         batch = 2 if checkpointing else 1
         return n_gpus * batch / self.iteration_seconds(n_gpus, checkpointing)
 
-    def figure10(self, gpu_counts: Sequence[int] = PAPER_GPU_COUNTS
-                 ) -> List[Dict[str, float]]:
-        """Both Fig. 10 curves."""
+    def figure10(self) -> List[Dict[str, float]]:
+        """Both Fig. 10 curves at the paper's GPU counts."""
         return [
             {
                 "gpus": n,
@@ -88,5 +87,5 @@ class ScalingModel:
                 "without_ckpt": self.throughput(n, False),
                 "allreduce_ms": self.allreduce_seconds(n) * 1e3,
             }
-            for n in gpu_counts
+            for n in PAPER_GPU_COUNTS
         ]

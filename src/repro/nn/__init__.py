@@ -1,14 +1,13 @@
 """Neural-network layer library on top of :mod:`repro.tensor`.
 
 Provides the module system plus every layer the 4-D Swin surrogate
-needs: linear/MLP, LayerNorm/BatchNorm, GELU, dropout, multi-head
+needs: linear/MLP, LayerNorm/BatchNorm, GELU, multi-head
 self-attention, and 2-D/3-D (transposed) convolutions.
 """
 
 from .module import Module, ModuleList, Parameter
 from .layers import (
     BatchNorm,
-    Dropout,
     GELU,
     LayerNorm,
     Linear,
@@ -27,7 +26,6 @@ __all__ = [
     "LayerNorm",
     "BatchNorm",
     "GELU",
-    "Dropout",
     "MLP",
     "gelu",
     "Conv2d",

@@ -17,7 +17,7 @@ from ..tensor import Tensor, astensor
 from ..tensor import plan as _plan
 from ..tensor.tensor import apply
 from . import init
-from .layers import Dropout, Linear
+from .layers import Linear
 from .module import Module
 
 __all__ = ["MultiHeadSelfAttention"]
@@ -30,12 +30,11 @@ class MultiHeadSelfAttention(Module):
     ----------
     dim: embedding dimension ``C``.
     num_heads: number of attention heads ``h``; must divide ``dim``.
-    qkv_bias: add bias to the QKV projection (Swin default True).
-    attn_drop, proj_drop: dropout rates on attention weights / output.
+
+    The QKV projection carries a bias, as in Swin.
     """
 
-    def __init__(self, dim: int, num_heads: int, qkv_bias: bool = True,
-                 attn_drop: float = 0.0, proj_drop: float = 0.0,
+    def __init__(self, dim: int, num_heads: int,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         if dim % num_heads != 0:
@@ -45,10 +44,8 @@ class MultiHeadSelfAttention(Module):
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
         self.scale = 1.0 / np.sqrt(self.head_dim)
-        self.qkv = Linear(dim, 3 * dim, bias=qkv_bias, rng=rng)
+        self.qkv = Linear(dim, 3 * dim, rng=rng)
         self.proj = Linear(dim, dim, rng=rng)
-        self.attn_drop = Dropout(attn_drop, rng=rng)
-        self.proj_drop = Dropout(proj_drop, rng=rng)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         """Apply self-attention.
@@ -84,12 +81,11 @@ class MultiHeadSelfAttention(Module):
                               "heads": self.num_heads})
             else:
                 attn = apply("iadd", (attn, Tensor(m)))
-        attn = attn.softmax(axis=-1)
-        attn = self.attn_drop(attn)
+        attn = attn.softmax()
 
         out = attn.matmul(v)  # (B, h, N, hd)
         out = out.transpose(0, 2, 1, 3).reshape(B, N, C)
-        return self.proj_drop(self.proj(out))
+        return self.proj(out)
 
 
 @_plan.register_kernel("add_window_mask", "inplace")

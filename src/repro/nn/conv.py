@@ -3,7 +3,7 @@
 The decoder of the surrogate (paper Fig. 2) is a stack of 2-D/3-D
 transposed convolutions with BatchNorm + GELU; patch recovery finishes
 with 1×1 convolutions.  All four layer classes below share the generic
-N-d implementations.
+N-d implementations; each is unpadded and carries a bias.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class _ConvNd(Module):
 
     def __init__(self, in_channels: int, out_channels: int,
                  kernel_size: IntOrTuple, stride: IntOrTuple = 1,
-                 padding: IntOrTuple = 0, bias: bool = True,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else init.default_rng()
@@ -41,11 +40,10 @@ class _ConvNd(Module):
         self.out_channels = out_channels
         self.kernel_size = k
         self.stride = _tup(stride, self.nd)
-        self.padding = _tup(padding, self.nd)
         self.weight = Parameter(
             init.kaiming_uniform((out_channels, in_channels) + k, rng)
         )
-        self.bias = Parameter(init.zeros((out_channels,))) if bias else None
+        self.bias = Parameter(init.zeros((out_channels,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != self.nd + 2:
@@ -53,8 +51,7 @@ class _ConvNd(Module):
                 f"{type(self).__name__} expects {self.nd + 2}-d input, "
                 f"got shape {x.shape}"
             )
-        return conv_nd(x, self.weight, self.bias,
-                       stride=self.stride, padding=self.padding)
+        return conv_nd(x, self.weight, self.bias, stride=self.stride)
 
 
 class Conv2d(_ConvNd):
@@ -74,7 +71,6 @@ class _ConvTransposeNd(Module):
 
     def __init__(self, in_channels: int, out_channels: int,
                  kernel_size: IntOrTuple, stride: IntOrTuple = 1,
-                 output_padding: IntOrTuple = 0, bias: bool = True,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else init.default_rng()
@@ -83,11 +79,10 @@ class _ConvTransposeNd(Module):
         self.out_channels = out_channels
         self.kernel_size = k
         self.stride = _tup(stride, self.nd)
-        self.output_padding = _tup(output_padding, self.nd)
         self.weight = Parameter(
             init.kaiming_uniform((in_channels, out_channels) + k, rng)
         )
-        self.bias = Parameter(init.zeros((out_channels,))) if bias else None
+        self.bias = Parameter(init.zeros((out_channels,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != self.nd + 2:
@@ -96,8 +91,7 @@ class _ConvTransposeNd(Module):
                 f"got shape {x.shape}"
             )
         return conv_transpose_nd(x, self.weight, self.bias,
-                                 stride=self.stride,
-                                 output_padding=self.output_padding)
+                                 stride=self.stride)
 
 
 class ConvTranspose2d(_ConvTransposeNd):

@@ -27,11 +27,12 @@ def default_rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def trunc_normal(shape: Sequence[int], rng: np.random.Generator,
-                 std: float = 0.02, bound: float = 2.0) -> np.ndarray:
-    """Normal(0, std) truncated to ±``bound``·std, via resampling."""
+def trunc_normal(shape: Sequence[int], rng: np.random.Generator
+                 ) -> np.ndarray:
+    """Normal(0, 0.02) truncated to ±2·std, via resampling."""
+    std = 0.02
     out = rng.normal(0.0, std, size=tuple(shape))
-    lim = bound * std
+    lim = 2.0 * std
     bad = np.abs(out) > lim
     # Resample outliers; for std=0.02 this converges in a couple rounds.
     while bad.any():
@@ -49,10 +50,11 @@ def _fans(shape: Sequence[int]) -> Tuple[int, int]:
     return shape[1] * receptive, shape[0] * receptive
 
 
-def kaiming_uniform(shape: Sequence[int], rng: np.random.Generator,
-                    a: float = np.sqrt(5.0)) -> np.ndarray:
-    """PyTorch's default conv/linear init (LeakyReLU gain)."""
+def kaiming_uniform(shape: Sequence[int], rng: np.random.Generator
+                    ) -> np.ndarray:
+    """PyTorch's default conv/linear init (LeakyReLU gain, slope √5)."""
     fan_in, _ = _fans(shape)
+    a = np.sqrt(5.0)
     gain = np.sqrt(2.0 / (1.0 + a * a))
     bound = gain * np.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=tuple(shape)).astype(np.float32)

@@ -1,4 +1,4 @@
-"""Core layers: Linear, LayerNorm, BatchNorm, activations, dropout, MLP.
+"""Core layers: Linear, LayerNorm, BatchNorm, activations, MLP.
 
 These are the building blocks of the Swin encoder (LayerNorm + MLP with
 GELU, Eq. 3 of the paper) and the decoder (BatchNorm + GELU after each
@@ -12,7 +12,6 @@ import threading
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special as _sp_special
 
 from ..tensor import Tensor, astensor
 from ..tensor import plan as _plan
@@ -25,7 +24,6 @@ __all__ = [
     "LayerNorm",
     "BatchNorm",
     "GELU",
-    "Dropout",
     "MLP",
     "gelu",
 ]
@@ -73,13 +71,17 @@ class Linear(Module):
         return out
 
 
+#: the variance floor of LayerNorm and BatchNorm
+NORM_EPS = 1e-5
+
+
 class LayerNorm(Module):
     """Normalise over the trailing feature axis with learned affine."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.eps = eps
+        self.eps = NORM_EPS
         self.weight = Parameter(init.ones((dim,)))
         self.bias = Parameter(init.zeros((dim,)))
 
@@ -94,15 +96,16 @@ class BatchNorm(Module):
 
     Covers BatchNorm2d and BatchNorm3d by normalising over every axis
     except the channel axis; running statistics follow the standard
-    exponential-moving-average update in training mode.
+    exponential-moving-average update in training mode (momentum
+    ``MOMENTUM``).
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5,
-                 momentum: float = 0.1):
+    MOMENTUM = 0.1
+
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
+        self.eps = NORM_EPS
         self.weight = Parameter(init.ones((num_features,)))
         self.bias = Parameter(init.zeros((num_features,)))
         self.register_buffer("running_mean", np.zeros(num_features, np.float32))
@@ -136,52 +139,30 @@ class BatchNorm(Module):
         var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
         n = x.size // self.num_features
         unbiased = var.data.reshape(-1) * n / max(n - 1, 1)
-        self.running_mean *= 1.0 - self.momentum
-        self.running_mean += self.momentum * mu.data.reshape(-1)
-        self.running_var *= 1.0 - self.momentum
-        self.running_var += self.momentum * unbiased
+        self.running_mean *= 1.0 - self.MOMENTUM
+        self.running_mean += self.MOMENTUM * mu.data.reshape(-1)
+        self.running_var *= 1.0 - self.MOMENTUM
+        self.running_var += self.MOMENTUM * unbiased
         norm = (x - mu) / (var + self.eps).sqrt()
         return norm * self.weight.reshape(bshape) + self.bias.reshape(bshape)
 
 
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.0, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng if rng is not None else init.default_rng(1234)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return astensor(x)
-        if _plan.tracing():
-            raise _plan.TraceError(
-                "Dropout in training mode is stochastic; call "
-                "model.eval() before tracing")
-        x = astensor(x)
-        keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * Tensor(mask)
-
-
 class MLP(Module):
-    """Two-layer feed-forward block used inside every Swin block (Eq. 3)."""
+    """Two-layer feed-forward block used inside every Swin block (Eq. 3),
+    ``HIDDEN_RATIO`` times wider inside."""
 
-    def __init__(self, dim: int, hidden_ratio: float = 4.0,
-                 drop: float = 0.0, rng: Optional[np.random.Generator] = None):
+    HIDDEN_RATIO = 4
+
+    def __init__(self, dim: int, rng: Optional[np.random.Generator] = None):
         super().__init__()
-        hidden = int(dim * hidden_ratio)
+        hidden = dim * self.HIDDEN_RATIO
         rng = rng if rng is not None else init.default_rng()
         self.fc1 = Linear(dim, hidden, rng=rng)
         self.act = GELU()
         self.fc2 = Linear(hidden, dim, rng=rng)
-        self.drop = Dropout(drop, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.drop(self.fc2(self.act(self.fc1(x))))
+        return self.fc2(self.act(self.fc1(x)))
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +237,11 @@ def _phi_kernel_applies(a, out=None) -> bool:
 def _k_gelu(out, ins, consts):
     a = ins[0]
     if not _phi_kernel_applies(a, out):
+        # scipy.special loads only on this chain: a float32 forward
+        # never imports it, which halves a remote worker's spawn time
+        from scipy import special
         y = np.multiply(a, np.float32(1.0 / np.sqrt(2.0)), out=out)
-        _sp_special.erf(y, out=y)
+        special.erf(y, out=y)
         y += 1.0
         y *= a
         y *= 0.5
@@ -278,8 +262,9 @@ def _k_gelu(out, ins, consts):
 def _gelu_grad(a, g):
     """``g · dGELU/dx (a)`` with ``dGELU/dx = Φ(x) + x·φ(x)``."""
     if not _phi_kernel_applies(a):
+        from scipy import special
         d = np.multiply(a, math.sqrt(0.5))
-        _sp_special.erf(d, out=d)
+        special.erf(d, out=d)
         d += 1.0
         d *= 0.5                                # Φ(x)
         pdf = np.square(a)

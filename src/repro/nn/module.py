@@ -5,7 +5,7 @@ surrogate model code reads like the paper's reference implementation:
 attribute assignment registers parameters/submodules, ``state_dict`` /
 ``load_state_dict`` round-trip through flat name→array mappings (used by
 :mod:`repro.train.checkpoint`), and ``train()``/``eval()`` toggle
-behavioural flags (dropout, batch-norm statistics).
+behavioural flags (batch-norm statistics).
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ __all__ = ["Parameter", "Module", "ModuleList"]
 class Parameter(Tensor):
     """A Tensor that is registered as a trainable leaf when assigned."""
 
-    def __init__(self, data, name: str = ""):
-        super().__init__(np.asarray(data, dtype=np.float32), requires_grad=True,
-                         name=name)
+    def __init__(self, data):
+        super().__init__(np.asarray(data, dtype=np.float32), requires_grad=True)
 
 
 class Module:
@@ -99,8 +98,9 @@ class Module:
             state[f"{name}"] = buf.copy()
         return state
 
-    def load_state_dict(self, state: Dict[str, np.ndarray],
-                        strict: bool = True) -> None:
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameters and buffers in place; every
+        parameter must be present, at its own shape."""
         own = dict(self.named_parameters())
         missing = []
         for name, p in own.items():
@@ -116,7 +116,7 @@ class Module:
         for name, buf in self.named_buffers():
             if name in state:
                 buf[...] = state[name]
-        if strict and missing:
+        if missing:
             raise KeyError(f"missing parameters in state dict: {missing}")
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ Depths are positive below the reference surface; land cells carry
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -26,21 +25,26 @@ __all__ = ["BathymetryConfig", "synth_estuary_bathymetry", "wet_mask"]
 
 @dataclass(frozen=True)
 class BathymetryConfig:
-    """Morphology parameters (all lengths in metres, depths in metres)."""
+    """Morphology parameters (all lengths in metres, depths in metres).
+
+    A scenario basin draws its own shelf depth and noise seed; the rest
+    of the morphology is one constant shape.
+    """
 
     shelf_depth: float = 18.0        # offshore depth at the west boundary
-    lagoon_depth: float = 4.0        # typical depth inside the estuary
-    channel_depth: float = 9.0       # dredged navigation channel
-    river_depth: float = 6.0
-    barrier_x_frac: float = 0.28     # barrier island position (x fraction)
-    barrier_width_frac: float = 0.045
-    inlet_y_fracs: Tuple[float, ...] = (0.30, 0.62)  # inlet gap centres
-    inlet_half_width_frac: float = 0.045
-    river_x_frac: float = 0.62       # river channel x position
-    river_start_y_frac: float = 0.80
-    land_east_frac: float = 0.88     # mainland shoreline (east side)
-    noise_amp: float = 0.25
     seed: int = 7
+
+    lagoon_depth = 4.0               # typical depth inside the estuary
+    channel_depth = 9.0              # dredged navigation channel
+    river_depth = 6.0
+    barrier_x_frac = 0.28            # barrier island position (x fraction)
+    barrier_width_frac = 0.045
+    inlet_y_fracs = (0.30, 0.62)     # inlet gap centres
+    inlet_half_width_frac = 0.045
+    river_x_frac = 0.62              # river channel x position
+    river_start_y_frac = 0.80
+    land_east_frac = 0.88            # mainland shoreline (east side)
+    noise_amp = 0.25
 
 
 def synth_estuary_bathymetry(grid: CurvilinearGrid,
@@ -97,6 +101,6 @@ def synth_estuary_bathymetry(grid: CurvilinearGrid,
     return h.astype(np.float64)
 
 
-def wet_mask(h: np.ndarray, min_depth: float = 0.0) -> np.ndarray:
-    """Boolean mask of wet (ocean) cells."""
-    return h > min_depth
+def wet_mask(h: np.ndarray) -> np.ndarray:
+    """Boolean mask of wet (ocean) cells: positive depth."""
+    return h > 0.0

@@ -95,20 +95,20 @@ class CurvilinearGrid:
     ----------
     x_axis, y_axis: stretched axes for the east (x / i) and north
         (y / j) directions.
-    lat0, lon0: geographic anchor of the south-west corner, used only
-        to report cell locations in degrees (Fig. 5/6 reproduction).
+
+    ``lat0`` / ``lon0`` anchor the south-west corner geographically,
+    used only to report cell locations in degrees (Fig. 5/6
+    reproduction).
     """
 
     EARTH_M_PER_DEG_LAT = 111_320.0
+    lat0, lon0 = 26.2, -82.6
 
-    def __init__(self, x_axis: StretchedAxis, y_axis: StretchedAxis,
-                 lat0: float = 26.2, lon0: float = -82.6):
+    def __init__(self, x_axis: StretchedAxis, y_axis: StretchedAxis):
         self.x_axis = x_axis
         self.y_axis = y_axis
         self.nx = x_axis.n
         self.ny = y_axis.n
-        self.lat0 = lat0
-        self.lon0 = lon0
         # metric arrays, broadcast to 2-D
         self.dx = np.broadcast_to(x_axis.spacing[None, :], (self.ny, self.nx)).copy()
         self.dy = np.broadcast_to(y_axis.spacing[:, None], (self.ny, self.nx)).copy()

@@ -19,7 +19,7 @@ and ``zeta`` is ``(T, H, W)``, with H = ny (north) and W = nx (east).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -35,16 +35,17 @@ __all__ = ["OceanConfig", "Snapshot", "RomsLikeModel"]
 
 @dataclass(frozen=True)
 class OceanConfig:
-    """Configuration of the full ocean substrate."""
+    """Configuration of the full ocean substrate: the mesh and the
+    domain; the morphology and the solver take their defaults, and a
+    snapshot is written every ``snapshot_interval`` seconds (a
+    constant, not a field)."""
 
     nx: int = 60
     ny: int = 90
     nz: int = 6
     length_x: float = 60_000.0
     length_y: float = 90_000.0
-    bathymetry: BathymetryConfig = field(default_factory=BathymetryConfig)
-    swe: SWEConfig = field(default_factory=SWEConfig)
-    snapshot_interval: float = 1800.0      # 30 minutes, as in the paper
+    snapshot_interval = 1800.0      # 30 minutes, as in the paper
 
 
 @dataclass
@@ -65,16 +66,15 @@ class Snapshot:
 class RomsLikeModel:
     """Tidal circulation model of a Charlotte-Harbor-like estuary."""
 
-    def __init__(self, config: Optional[OceanConfig] = None,
-                 forcing: Optional[TidalForcing] = None):
+    def __init__(self, config: Optional[OceanConfig] = None):
         cfg = config or OceanConfig()
         self.config = cfg
         self.grid = make_charlotte_grid(cfg.nx, cfg.ny,
                                         cfg.length_x, cfg.length_y)
-        self.depth = synth_estuary_bathymetry(self.grid, cfg.bathymetry)
-        self.forcing = forcing if forcing is not None else TidalForcing()
+        self.depth = synth_estuary_bathymetry(self.grid, BathymetryConfig())
+        self.forcing = TidalForcing()
         self.solver = ShallowWaterSolver(self.grid, self.depth,
-                                         self.forcing, cfg.swe)
+                                         self.forcing, SWEConfig())
         self.layers = SigmaLayers(cfg.nz)
         self.vertical = VerticalStructure(self.grid, self.layers)
 
@@ -112,50 +112,45 @@ class RomsLikeModel:
         state = self.solver.initial_state(t0)
         return self.solver.run(state, duration)
 
-    def simulate(self, state: ShallowWaterState, n_snapshots: int,
-                 snapshot_interval: Optional[float] = None
+    def simulate(self, state: ShallowWaterState, n_snapshots: int
                  ) -> Tuple[List[Snapshot], ShallowWaterState]:
         """Collect ``n_snapshots`` snapshots starting *after* ``state.t``.
 
         Returns the snapshots and the final prognostic state (so callers
         can continue the run without re-spinning up).
         """
-        dt_out = snapshot_interval or self.config.snapshot_interval
         snaps: List[Snapshot] = []
         for _ in range(n_snapshots):
-            state = self.solver.run(state, dt_out)
+            state = self.solver.run(state, self.config.snapshot_interval)
             snaps.append(self.diagnose(state))
         return snaps, state
 
     def simulate_with_states(self, state: ShallowWaterState,
-                             n_snapshots: int, every: int,
-                             snapshot_interval: Optional[float] = None
+                             n_snapshots: int, every: int
                              ) -> Tuple[List[Snapshot],
                                         List[ShallowWaterState],
                                         ShallowWaterState]:
         """Like :meth:`simulate`, also recording the prognostic state at
         every ``every``-th snapshot boundary (episode starts) — the
         fallback entry points of the hybrid workflow."""
-        dt_out = snapshot_interval or self.config.snapshot_interval
         snaps: List[Snapshot] = []
         states: List[ShallowWaterState] = []
         for k in range(n_snapshots):
             if k % every == 0:
                 states.append(state.copy())
-            state = self.solver.run(state, dt_out)
+            state = self.solver.run(state, self.config.snapshot_interval)
             snaps.append(self.diagnose(state))
         return snaps, states, state
 
-    def forecast(self, initial: ShallowWaterState, n_snapshots: int,
-                 snapshot_interval: Optional[float] = None) -> List[Snapshot]:
+    def forecast(self, initial: ShallowWaterState, n_snapshots: int
+                 ) -> List[Snapshot]:
         """ROMS-style episode forecast (the hybrid workflow's fallback).
 
         A stacked ``initial`` (:meth:`ShallowWaterState.stack`) advances
         all its members in one integration and returns stacked
         snapshots, each member bit-identical to forecasting it alone.
         """
-        snaps, _ = self.simulate(initial.copy(), n_snapshots,
-                                 snapshot_interval)
+        snaps, _ = self.simulate(initial.copy(), n_snapshots)
         return snaps
 
     # ------------------------------------------------------------------

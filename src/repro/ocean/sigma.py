@@ -61,14 +61,15 @@ class VerticalStructure:
     ----------
     grid: horizontal grid (for divergence metrics).
     layers: sigma discretisation.
-    roughness: bed roughness length z₀ [m] of the log profile.
+
+    The log profile's bed roughness length is ``z0`` = 5 mm.
     """
 
-    def __init__(self, grid: CurvilinearGrid, layers: SigmaLayers,
-                 roughness: float = 0.005):
+    z0 = 0.005
+
+    def __init__(self, grid: CurvilinearGrid, layers: SigmaLayers):
         self.grid = grid
         self.layers = layers
-        self.z0 = roughness
 
     # ------------------------------------------------------------------
     def profile(self, total_depth: np.ndarray) -> np.ndarray:

@@ -50,16 +50,21 @@ OMEGA_EARTH = 7.2921e-5
 
 @dataclass(frozen=True)
 class SWEConfig:
-    """Physical and numerical parameters of the barotropic solver."""
+    """Physical and numerical parameters of the barotropic solver.
 
-    drag_coefficient: float = 2.5e-3      # quadratic bottom drag C_d
-    viscosity: float = 12.0               # lateral eddy viscosity [m²/s]
-    latitude_deg: float = 26.6            # for the Coriolis parameter
-    cfl: float = 0.45                     # fraction of the gravity-wave limit
-    min_total_depth: float = 0.05         # wetting floor [m]
-    sponge_cells: int = 4                 # nudging-zone width at the open bdry
+    The two fields are what a test turns off for an exact budget; the
+    rest are constants of the solver.
+    """
+
     sponge_strength: float = 0.5          # max nudging weight per step
     river_discharge: float = 120.0        # [m³/s] into the northern river arm
+
+    drag_coefficient = 2.5e-3             # quadratic bottom drag C_d
+    viscosity = 12.0                      # lateral eddy viscosity [m²/s]
+    latitude_deg = 26.6                   # for the Coriolis parameter
+    cfl = 0.45                            # fraction of the gravity-wave limit
+    min_total_depth = 0.05                # wetting floor [m]
+    sponge_cells = 4                      # nudging-zone width at the open bdry
 
     @property
     def coriolis_f(self) -> float:

@@ -26,9 +26,9 @@ from ..ocean.grid import CurvilinearGrid
 __all__ = ["water_mass_residual", "depth_average", "residual_series_batch"]
 
 
-def depth_average(field3d: np.ndarray, axis: int = -1) -> np.ndarray:
+def depth_average(field3d: np.ndarray) -> np.ndarray:
     """Depth-average a (…, D) field over uniform sigma layers."""
-    return np.asarray(field3d).mean(axis=axis)
+    return np.asarray(field3d).mean(axis=-1)
 
 
 def water_mass_residual(grid: CurvilinearGrid, depth: np.ndarray,

@@ -51,25 +51,26 @@ class Verifier:
     Parameters
     ----------
     grid, depth: domain geometry (wet mask derived from depth).
-    threshold: pass threshold on the episode-mean residual [m/s].
     dt: snapshot interval of the forecasts to be checked [s].
+
+    An episode passes when its mean residual [m/s] is below
+    ``threshold``, the accepted oceanographic one unless a batch call
+    overrides it.
     """
 
+    threshold = OCEANOGRAPHY_ACCEPTED_THRESHOLD
+
     def __init__(self, grid: CurvilinearGrid, depth: np.ndarray,
-                 threshold: float = OCEANOGRAPHY_ACCEPTED_THRESHOLD,
                  dt: float = 1800.0):
         self.grid = grid
         self.depth = np.asarray(depth)
         self.wet = self.depth > 0.0
-        self.threshold = float(threshold)
         self.dt = float(dt)
 
     def verify(self, zeta_seq: np.ndarray, u3_seq: np.ndarray,
-               v3_seq: np.ndarray,
-               threshold: Optional[float] = None) -> VerificationResult:
+               v3_seq: np.ndarray) -> VerificationResult:
         """Verify one forecast episode against the threshold."""
-        return self.verify_batch([zeta_seq], [u3_seq], [v3_seq],
-                                 threshold)[0]
+        return self.verify_batch([zeta_seq], [u3_seq], [v3_seq])[0]
 
     def verify_batch(self, zeta_seqs: Sequence[np.ndarray],
                      u3_seqs: Sequence[np.ndarray],

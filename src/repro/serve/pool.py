@@ -444,7 +444,7 @@ class EngineWorkerPool:
         everything above the executor — routing, admission, versioned
         deploys, autoscaling — is backend-agnostic.  Process and host
         backends require engines that expose
-        ``model``/``normalizer``/``boundary_width`` (i.e. real
+        ``model``/``normalizer`` (i.e. real
         :class:`~repro.workflow.engine.ForecastEngine` replicas).
     fabric: host-backend transport — ``"socket"`` (real TCP loopback
         wire) or ``"sim"`` (deterministic in-process fabric with

@@ -116,7 +116,6 @@ def engine_payload(engine) -> bytes:
     return pickle.dumps({
         "model": engine.model,
         "normalizer": engine.normalizer,
-        "boundary_width": engine.boundary_width,
         "plans": {b: (c.plan, c.shards) for b, c in compiled.items()},
     }, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -125,8 +124,7 @@ def build_engine(payload: bytes):
     """Rebuild a ForecastEngine from :func:`engine_payload` bytes — the
     exact weights plus every shipped plan, keyed by its batch."""
     spec = pickle.loads(payload)
-    engine = ForecastEngine(
-        spec["model"], spec["normalizer"], spec["boundary_width"])
+    engine = ForecastEngine(spec["model"], spec["normalizer"])
     for batch, (plan, shards) in spec["plans"].items():
         key = engine._input_shapes(batch)[0]
         engine._plans[key] = CompiledForward(plan, shards)
@@ -300,7 +298,7 @@ class RemoteWorker:
 
     def __init__(self, engine, on_death: Optional[Callable],
                  request_timeout: Optional[float]):
-        for attr in ("model", "normalizer", "boundary_width"):
+        for attr in ("model", "normalizer"):
             if not hasattr(engine, attr):
                 raise TypeError(
                     f"backend={self.backend!r} needs a ForecastEngine-like "

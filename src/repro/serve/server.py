@@ -234,8 +234,7 @@ class ForecastServer:
         return future.result()
 
     # -- gradient requests ----------------------------------------------
-    def submit_sensitivity(self, request: GradientRequest,
-                           route_key: Optional[str] = None) -> ServedFuture:
+    def submit_sensitivity(self, request: GradientRequest) -> ServedFuture:
         """Queue one sensitivity request; cache hits complete immediately.
 
         The adjoint analogue of :meth:`submit`: the future resolves to
@@ -260,7 +259,7 @@ class ForecastServer:
         return self._submit_keyed(
             gradient_key,
             lambda key: self.pool.submit_gradient(request, key=key),
-            request, route_key)
+            request, None)
 
     def flush(self) -> int:
         """Drain every replica's backlog inline (manual servers —
@@ -271,7 +270,7 @@ class ForecastServer:
 
     # -- ensembles ------------------------------------------------------
     def submit_ensemble(self, reference: FieldWindow, n_members: int = 8,
-                        wet=None, **kwargs) -> "Future[EnsembleForecast]":
+                        **kwargs) -> "Future[EnsembleForecast]":
         """Run an IC-perturbation ensemble through the replica pool.
 
         The members are sharded across the pool's batch slots;
@@ -280,11 +279,10 @@ class ForecastServer:
         """
         ens = EnsembleForecaster(self.pool, n_members=n_members,
                                  **kwargs)
-        return self._pool.submit(ens.forecast, reference, wet)
+        return self._pool.submit(ens.forecast, reference)
 
     # -- operations -----------------------------------------------------
-    def deploy(self, model_or_checkpoint,
-               source: Optional[str] = None) -> EngineVersion:
+    def deploy(self, model_or_checkpoint) -> EngineVersion:
         """Hot-swap a new model through the pool with zero downtime.
 
         Accepts, in order of preference:
@@ -310,7 +308,7 @@ class ForecastServer:
         if hasattr(model_or_checkpoint, "forecast_batch") \
                 and hasattr(model_or_checkpoint, "time_steps"):
             engine = model_or_checkpoint
-            source = source or f"deploy({type(engine).__name__})"
+            source = f"deploy({type(engine).__name__})"
         else:
             template = next(
                 (w.engine for w in self.pool.workers
@@ -322,10 +320,10 @@ class ForecastServer:
             if isinstance(model_or_checkpoint, (str, Path)):
                 path = model_or_checkpoint
                 model = load_model_like(path, template.model)
-                source = source or f"checkpoint:{path}"
+                source = f"checkpoint:{path}"
             else:
                 model = model_or_checkpoint
-                source = source or f"model:{type(model).__name__}"
+                source = f"model:{type(model).__name__}"
             engine = template.with_model(model)
         version = self.pool.deploy(engine, source=source)
         if self.cache is not None:

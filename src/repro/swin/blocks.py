@@ -39,14 +39,12 @@ class SwinBlock4d(Module):
     window: ``(MH, MW, MD, MT)`` window shape.
     shifted: apply the half-window cyclic shift (SW-MSA) before
         partitioning, enabling cross-window information flow.
-    mlp_ratio: hidden expansion of the feed-forward block.
     use_checkpoint: recompute the attention path on backward instead of
         storing its activations.
     """
 
     def __init__(self, dim: int, num_heads: int, window: Sequence[int],
-                 shifted: bool = False, mlp_ratio: float = 4.0,
-                 drop: float = 0.0, use_checkpoint: bool = False,
+                 shifted: bool = False, use_checkpoint: bool = False,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else init.default_rng()
@@ -55,10 +53,9 @@ class SwinBlock4d(Module):
         self.shifted = shifted
         self.use_checkpoint = use_checkpoint
         self.norm1 = LayerNorm(dim)
-        self.attn = MultiHeadSelfAttention(dim, num_heads, attn_drop=drop,
-                                           proj_drop=drop, rng=rng)
+        self.attn = MultiHeadSelfAttention(dim, num_heads, rng=rng)
         self.norm2 = LayerNorm(dim)
-        self.mlp = MLP(dim, hidden_ratio=mlp_ratio, drop=drop, rng=rng)
+        self.mlp = MLP(dim, rng=rng)
 
     # ------------------------------------------------------------------
     def _attention_path(self, x: Tensor) -> Tensor:
@@ -105,7 +102,6 @@ class SwinStage4d(Module):
 
     def __init__(self, dim: int, num_heads: int, window: Sequence[int],
                  depth: int = 2, downsample: bool = True,
-                 mlp_ratio: float = 4.0, drop: float = 0.0,
                  use_checkpoint: bool = False,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -114,7 +110,6 @@ class SwinStage4d(Module):
         for i in range(depth):
             blocks.append(SwinBlock4d(
                 dim, num_heads, window, shifted=(i % 2 == 1),
-                mlp_ratio=mlp_ratio, drop=drop,
                 use_checkpoint=use_checkpoint, rng=rng,
             ))
         self.blocks = ModuleList(blocks)

@@ -37,9 +37,9 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
 
     Notes
     -----
-    ``fn`` must be deterministic between the two executions — dropout
-    layers must either be disabled or use a replayable RNG.  The surrogate
-    trains with dropout 0, matching the paper's configuration.
+    ``fn`` must be deterministic between the two executions.  The
+    surrogate has no stochastic layer: like the paper's, it trains
+    without dropout.
     """
     CheckpointStats.forward_calls += 1
     if not (is_grad_enabled() and x.requires_grad):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SurrogateConfig
+from ..nn import MLP
+from .model import N_VARS_2D, N_VARS_3D, SurrogateConfig
 
 __all__ = ["FlopBreakdown", "surrogate_flops", "attention_flops"]
 
@@ -74,9 +75,9 @@ def surrogate_flops(cfg: SurrogateConfig) -> FlopBreakdown:
     # --- patch embedding: strided conv = one kernel hit per patch -----
     kvol3 = ph * pw * pd
     embed3 = _conv_flops((H // ph) * (W // pw) * (D // pd) * T,
-                         cfg.n_vars_3d, kvol3, C)
+                         N_VARS_3D, kvol3, C)
     embed2 = _conv_flops((H // ph) * (W // pw) * T,
-                         cfg.n_vars_2d, ph * pw, C)
+                         N_VARS_2D, ph * pw, C)
 
     # --- encoder stages ------------------------------------------------
     attn_total = 0
@@ -93,7 +94,7 @@ def surrogate_flops(cfg: SurrogateConfig) -> FlopBreakdown:
         nwin = int(np.prod([min(a, b) for a, b in
                             zip(win, (h, w, d, T))]))
         attn_total += cfg.depths[i] * attention_flops(tokens, nwin, dim)
-        hidden = int(dim * cfg.mlp_ratio)
+        hidden = dim * MLP.HIDDEN_RATIO
         mlp_total += cfg.depths[i] * 2 * tokens * (2 * dim * hidden)
         if i < n_stage - 1:
             merge_total += 2 * (tokens // 8) * (8 * dim) * (2 * dim)
@@ -112,9 +113,9 @@ def surrogate_flops(cfg: SurrogateConfig) -> FlopBreakdown:
 
     # --- patch recovery ---------------------------------------------------
     rec = _conv_flops(H * W * D * T, C, kvol3, C)            # ConvT3d
-    rec += _conv_flops(H * W * D * T, C, 1, cfg.n_vars_3d)   # 1×1×1 head
+    rec += _conv_flops(H * W * D * T, C, 1, N_VARS_3D)   # 1×1×1 head
     rec += _conv_flops(H * W * T, C, ph * pw, C)             # ConvT2d
-    rec += _conv_flops(H * W * T, C, 1, cfg.n_vars_2d)
+    rec += _conv_flops(H * W * T, C, 1, N_VARS_2D)
 
     return FlopBreakdown(
         patch_embed=embed3 + embed2,

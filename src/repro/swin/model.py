@@ -43,6 +43,9 @@ from .patch import (
 
 __all__ = ["SurrogateConfig", "CoastalSurrogate"]
 
+N_VARS_3D = 3           # u, v, w
+N_VARS_2D = 1           # ζ
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -62,11 +65,7 @@ class SurrogateConfig:
     depths: Tuple[int, ...] = (2, 2, 2)            # blocks per stage
     window_first: Tuple[int, int, int, int] = (4, 4, 2, 2)
     window_rest: Tuple[int, int, int, int] = (2, 2, 2, 2)
-    mlp_ratio: float = 4.0
-    dropout: float = 0.0
     use_checkpoint: bool = False
-    n_vars_3d: int = 3                             # u, v, w
-    n_vars_2d: int = 1                             # ζ
     seed: int = 0
 
     @staticmethod
@@ -121,8 +120,8 @@ class CoastalSurrogate(Module):
         C = cfg.embed_dim
 
         # --- encoder ---------------------------------------------------
-        self.embed3d = PatchEmbed3d(cfg.n_vars_3d, C, cfg.patch3d, rng=rng)
-        self.embed2d = PatchEmbed2d(cfg.n_vars_2d, C, cfg.patch2d, rng=rng)
+        self.embed3d = PatchEmbed3d(N_VARS_3D, C, cfg.patch3d, rng=rng)
+        self.embed2d = PatchEmbed2d(N_VARS_2D, C, cfg.patch2d, rng=rng)
 
         hp, wp, dp, T = cfg.latent_dims
         self.pos_spatial = Parameter(
@@ -137,8 +136,8 @@ class CoastalSurrogate(Module):
             win = cfg.window_first if i == 0 else cfg.window_rest
             stages.append(SwinStage4d(
                 dim, cfg.num_heads[i], win, depth=cfg.depths[i],
-                downsample=(i < n_stage - 1), mlp_ratio=cfg.mlp_ratio,
-                drop=cfg.dropout, use_checkpoint=cfg.use_checkpoint,
+                downsample=(i < n_stage - 1),
+                use_checkpoint=cfg.use_checkpoint,
                 rng=rng,
             ))
             if i < n_stage - 1:
@@ -161,8 +160,8 @@ class CoastalSurrogate(Module):
         self.fuse_norms = ModuleList(fuse_norms)
         self.act = GELU()
 
-        self.recover3d = PatchRecover3d(C, cfg.n_vars_3d, cfg.patch3d, rng=rng)
-        self.recover2d = PatchRecover2d(C, cfg.n_vars_2d, cfg.patch2d, rng=rng)
+        self.recover3d = PatchRecover3d(C, N_VARS_3D, cfg.patch3d, rng=rng)
+        self.recover2d = PatchRecover2d(C, N_VARS_2D, cfg.patch2d, rng=rng)
 
     # ------------------------------------------------------------------
     # parameter accounting (paper Table IV reports encoder + decoder)

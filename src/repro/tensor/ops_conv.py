@@ -40,22 +40,17 @@ def _as_tuple(v, n: int) -> Tuple[int, ...]:
 
 
 def conv_output_shape(spatial: Sequence[int], kernel: Sequence[int],
-                      stride: Sequence[int], padding: Sequence[int]) -> Tuple[int, ...]:
-    """Spatial output shape of a strided, padded correlation."""
+                      stride: Sequence[int]) -> Tuple[int, ...]:
+    """Spatial output shape of a strided correlation."""
     return tuple(
-        (s + 2 * p - k) // st + 1
-        for s, k, st, p in zip(spatial, kernel, stride, padding)
-    )
+        (s - k) // st + 1 for s, k, st in zip(spatial, kernel, stride))
 
 
 def conv_transpose_output_shape(spatial: Sequence[int], kernel: Sequence[int],
-                                stride: Sequence[int],
-                                output_padding: Sequence[int]) -> Tuple[int, ...]:
+                                stride: Sequence[int]) -> Tuple[int, ...]:
     """Spatial output shape of a transposed convolution."""
     return tuple(
-        (s - 1) * st + k + op
-        for s, k, st, op in zip(spatial, kernel, stride, output_padding)
-    )
+        (s - 1) * st + k for s, k, st in zip(spatial, kernel, stride))
 
 
 def _wide(a: np.ndarray) -> np.ndarray:
@@ -114,9 +109,8 @@ def _fwd_patch(x: np.ndarray, w: np.ndarray, out_sp: Tuple[int, ...],
 
 def _fwd(x: np.ndarray, w: np.ndarray, stride: Tuple[int, ...]) -> np.ndarray:
     """Correlation: out[n,co,o] = sum_{ci,k} w[co,ci,k] x[n,ci,o*s+k]."""
-    nd = x.ndim - 2
     kshape = w.shape[2:]
-    out_sp = conv_output_shape(x.shape[2:], kshape, stride, (0,) * nd)
+    out_sp = conv_output_shape(x.shape[2:], kshape, stride)
     if tuple(stride) == tuple(kshape):
         return _fwd_patch(x, w, out_sp)
     out = np.zeros((x.shape[0], w.shape[0]) + out_sp, dtype=np.result_type(x, w))
@@ -203,27 +197,25 @@ def _grad_weight(gout: np.ndarray, x: np.ndarray, kshape: Tuple[int, ...],
 
 
 def conv_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-            stride=1, padding=0) -> Tensor:
-    """N-d strided correlation (a "convolution" in NN parlance).
+            stride=1) -> Tensor:
+    """N-d strided correlation (a "convolution" in NN parlance), unpadded.
 
     Parameters
     ----------
     x: ``(N, C_in, *S)`` input.
     w: ``(C_out, C_in, *K)`` kernel.
     b: optional ``(C_out,)`` bias.
-    stride, padding: ints or per-axis tuples over the spatial dims.
+    stride: int or per-axis tuple over the spatial dims.
     """
     x, w = astensor(x), astensor(w)
-    nd = x.data.ndim - 2
-    stride = _as_tuple(stride, nd)
-    padding = _as_tuple(padding, nd)
+    stride = _as_tuple(stride, x.data.ndim - 2)
     b = None if b is None else astensor(b)
     return apply("conv_nd", (x, w) if b is None else (x, w, b),
-                 {"stride": stride, "padding": padding})
+                 {"stride": stride})
 
 
 def conv_transpose_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-                      stride=1, output_padding=0) -> Tensor:
+                      stride=1) -> Tensor:
     """N-d transposed convolution (fractionally-strided upsampling).
 
     Parameters
@@ -232,15 +224,12 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     w: ``(C_in, C_out, *K)`` kernel (PyTorch ConvTranspose layout).
     b: optional ``(C_out,)`` bias.
     stride: upsampling factor per axis.
-    output_padding: extra trailing zeros per axis, to hit exact sizes.
     """
     x, w = astensor(x), astensor(w)
-    nd = x.data.ndim - 2
-    stride = _as_tuple(stride, nd)
-    output_padding = _as_tuple(output_padding, nd)
+    stride = _as_tuple(stride, x.data.ndim - 2)
     b = None if b is None else astensor(b)
     return apply("conv_transpose_nd", (x, w) if b is None else (x, w, b),
-                 {"stride": stride, "output_padding": output_padding})
+                 {"stride": stride})
 
 
 # ----------------------------------------------------------------------
@@ -253,13 +242,10 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 @_plan.register_kernel("conv_nd", "compute")
 def _k_conv_nd(out, ins, consts):
     x, w = ins[0], ins[1]
-    stride, padding = consts["stride"], consts["padding"]
+    stride = consts["stride"]
     nd = x.ndim - 2
-    if any(padding):
-        pw = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
-        x = np.pad(x, pw)
     kshape = w.shape[2:]
-    out_sp = conv_output_shape(x.shape[2:], kshape, stride, (0,) * nd)
+    out_sp = conv_output_shape(x.shape[2:], kshape, stride)
     if out is None:
         r = _fwd(x, w, stride)
         if len(ins) > 2:
@@ -278,30 +264,20 @@ def _k_conv_nd(out, ins, consts):
 def _k_conv_transpose_nd(out, ins, consts):
     x, w = ins[0], ins[1]
     stride = consts["stride"]
-    output_padding = consts["output_padding"]
     nd = x.ndim - 2
     kshape = w.shape[2:]
-    out_sp = conv_transpose_output_shape(x.shape[2:], kshape, stride,
-                                         output_padding)
+    out_sp = conv_transpose_output_shape(x.shape[2:], kshape, stride)
     # Forward of transposed conv == input-gradient of the forward conv,
     # with x playing the role of the output gradient.
-    core_sp = tuple(o - op for o, op in zip(out_sp, output_padding))
-    if out is None or any(output_padding):
-        r = _grad_input(x, w, core_sp, stride)
-        if any(output_padding):
-            pw = ((0, 0), (0, 0)) + tuple((0, p) for p in output_padding)
-            r = np.pad(r, pw)
+    if out is None:
+        r = _grad_input(x, w, out_sp, stride)
         if len(ins) > 2:
             r = r + ins[2].reshape((1, -1) + (1,) * nd)
-        if out is not None:
-            np.copyto(out, r)
-            return out
         return r
-    if tuple(stride) == tuple(kshape) and tuple(core_sp) == tuple(
-            o * k for o, k in zip(x.shape[2:], kshape)):
-        _grad_input_patch(x, w, core_sp, out)
+    if tuple(stride) == tuple(kshape):
+        _grad_input_patch(x, w, out_sp, out)
     else:
-        np.copyto(out, _grad_input(x, w, core_sp, stride))
+        np.copyto(out, _grad_input(x, w, out_sp, stride))
     if len(ins) > 2:
         out += ins[2].reshape((1, -1) + (1,) * nd)
     return out
@@ -317,17 +293,9 @@ def _bias_grad(g, ins, needs):
 @_plan.register_vjp("conv_nd")
 def _vjp_conv_nd(g, ins, out, consts, needs):
     x, w = ins[0], ins[1]
-    stride, padding = consts["stride"], consts["padding"]
-    gx = gw = None
-    if needs[0]:
-        padded = tuple(s + 2 * p for s, p in zip(x.shape[2:], padding))
-        gx = _grad_input(g, w, padded, stride)
-        gx = gx[(slice(None), slice(None)) + tuple(
-            slice(p, p + s) for p, s in zip(padding, x.shape[2:]))]
-    if needs[1]:
-        if any(padding):
-            x = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-        gw = _grad_weight(g, x, w.shape[2:], stride)
+    stride = consts["stride"]
+    gx = _grad_input(g, w, x.shape[2:], stride) if needs[0] else None
+    gw = _grad_weight(g, x, w.shape[2:], stride) if needs[1] else None
     return (gx, gw, _bias_grad(g, ins, needs))[:len(ins)]
 
 
@@ -335,12 +303,8 @@ def _vjp_conv_nd(g, ins, out, consts, needs):
 def _vjp_conv_transpose_nd(g, ins, out, consts, needs):
     x, w = ins[0], ins[1]
     stride = consts["stride"]
-    # the output padding's trailing zeros take no part in the product
-    core = g[(slice(None), slice(None)) + tuple(
-        slice(0, s - p) for s, p in zip(g.shape[2:],
-                                        consts["output_padding"]))]
     # the adjoint of _grad_input w.r.t. gout is the forward conv, and
     # gw[ci, co, k] = sum_{n,o} x[n,ci,o] * g[n,co,o*s+k]
-    gx = _fwd(core, w, stride) if needs[0] else None
-    gw = _grad_weight(x, core, w.shape[2:], stride) if needs[1] else None
+    gx = _fwd(g, w, stride) if needs[0] else None
+    gw = _grad_weight(x, g, w.shape[2:], stride) if needs[1] else None
     return (gx, gw, _bias_grad(g, ins, needs))[:len(ins)]

@@ -841,10 +841,8 @@ def _vjp_sum(g, ins, out, consts, needs):
 
 @register_kernel("max", "fresh")
 def _k_max(out, ins, consts):
-    axis, keepdims = consts["axis"], consts["keepdims"]
+    axis = consts["axis"]
     r = ins[0].max(axis=axis, keepdims=True)
-    if keepdims:
-        return r
     if axis is None:
         return r.reshape(())
     ax = axis if isinstance(axis, tuple) else (axis,)
@@ -854,25 +852,25 @@ def _k_max(out, ins, consts):
 @register_vjp("max")
 def _vjp_max(g, ins, out, consts, needs):
     # ties share the gradient equally
-    a, axis, keepdims = ins[0], consts["axis"], consts["keepdims"]
-    mask = a == _restore_axes(out, axis, keepdims, a.ndim)
-    return (mask * _restore_axes(g, axis, keepdims, a.ndim)
+    a, axis = ins[0], consts["axis"]
+    mask = a == _restore_axes(out, axis, False, a.ndim)
+    return (mask * _restore_axes(g, axis, False, a.ndim)
             / mask.sum(axis=axis, keepdims=True),)
 
 
 @register_kernel("softmax", "compute")
 def _k_softmax(out, ins, consts):
     a = ins[0]
-    p = np.subtract(a, a.max(axis=consts["axis"], keepdims=True), out=out)
+    p = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
     np.exp(p, out=p)
-    p /= p.sum(axis=consts["axis"], keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True)
     return p
 
 
 @register_vjp("softmax")
 def _vjp_softmax(g, ins, out, consts, needs):
     gp = g * out
-    return (gp - out * gp.sum(axis=consts["axis"], keepdims=True),)
+    return (gp - out * gp.sum(axis=-1, keepdims=True),)
 
 
 @register_kernel("reshape", "movement", nonview="compute")

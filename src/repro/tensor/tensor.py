@@ -29,7 +29,6 @@ import threading
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import special as _sp_special
 
 from . import plan as _plan
 
@@ -188,7 +187,6 @@ def apply(name: str, inputs: Sequence["Tensor"],
     # reductions and 0-d ufunc calls return NumPy scalars
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     out.grad = out._backward = None
-    out.name = ""
     out._parents = ()
     out.requires_grad = False
     if _state.grad_enabled:
@@ -215,11 +213,11 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name", "_slot")
+                 "_slot")
 
     __array_priority__ = 1000  # take precedence over ndarray in mixed ops
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
         self.data: np.ndarray = np.asarray(data)
@@ -227,7 +225,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple[Tensor, ...] = ()
-        self.name = name
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -395,8 +392,8 @@ class Tensor:
         n = self.data.size if axis is None else _axis_size(self.data.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return apply("max", (self,), {"axis": axis, "keepdims": keepdims})
+    def max(self, axis=None) -> "Tensor":
+        return apply("max", (self,), {"axis": axis})
 
     # ------------------------------------------------------------------
     # shape ops
@@ -428,13 +425,14 @@ class Tensor:
     # ------------------------------------------------------------------
     # composite ops
     # ------------------------------------------------------------------
-    def softmax(self, axis: int = -1) -> "Tensor":
-        """Numerically stable softmax with a fused backward.
+    def softmax(self) -> "Tensor":
+        """Numerically stable softmax over the last axis, with a fused
+        backward.
 
         Computed with one temporary (shift, exp and normalise reuse the
         same buffer) — the backward only needs the final probabilities.
         """
-        return apply("softmax", (self,), {"axis": axis})
+        return apply("softmax", (self,))
 
 
 def _axis_size(shape: Tuple[int, ...], axis) -> int:
@@ -461,7 +459,8 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # ----------------------------------------------------------------------
 @_plan.register_kernel("erf", "compute")
 def _k_erf(out, ins, consts):
-    return _sp_special.erf(ins[0], out=out)
+    from scipy import special
+    return special.erf(ins[0], out=out)
 
 
 @_plan.register_vjp("erf")

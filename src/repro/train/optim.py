@@ -57,31 +57,28 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
+    """Adam (Kingma & Ba) with bias correction and the paper's default
+    moments ``BETAS`` and floor ``EPS``; no weight decay."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .optim import Optimizer
 
@@ -11,11 +10,12 @@ __all__ = ["LRSchedule", "CosineWarmup"]
 
 
 class LRSchedule:
-    """Base schedule: call :meth:`step` once per optimiser update."""
+    """Base schedule: call :meth:`step` once per optimiser update; the
+    peak rate is the optimiser's at construction."""
 
-    def __init__(self, optimizer: Optimizer, base_lr: Optional[float] = None):
+    def __init__(self, optimizer: Optimizer):
         self.optimizer = optimizer
-        self.base_lr = base_lr if base_lr is not None else optimizer.lr
+        self.base_lr = optimizer.lr
         self.updates = 0
 
     def lr_at(self, step: int) -> float:
@@ -29,22 +29,19 @@ class LRSchedule:
 
 
 class CosineWarmup(LRSchedule):
-    """Linear warmup to ``base_lr`` then cosine decay to ``min_lr``."""
+    """Linear warmup to ``base_lr`` then cosine decay to zero."""
 
     def __init__(self, optimizer: Optimizer, warmup_steps: int,
-                 total_steps: int, min_lr: float = 0.0,
-                 base_lr: Optional[float] = None):
-        super().__init__(optimizer, base_lr)
+                 total_steps: int):
+        super().__init__(optimizer)
         if total_steps <= warmup_steps:
             raise ValueError("total_steps must exceed warmup_steps")
         self.warmup_steps = warmup_steps
         self.total_steps = total_steps
-        self.min_lr = min_lr
 
     def lr_at(self, step: int) -> float:
         if step < self.warmup_steps:
             return self.base_lr * step / max(1, self.warmup_steps)
         frac = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
         frac = min(max(frac, 0.0), 1.0)
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
-            1.0 + math.cos(math.pi * frac))
+        return 0.5 * self.base_lr * (1.0 + math.cos(math.pi * frac))

@@ -3,7 +3,7 @@
 Drives the :class:`~repro.swin.CoastalSurrogate` over a
 :class:`~repro.data.DataLoader`: forward in fp32 on fp16-staged batches
 (the paper's mixed-precision path), episode MSE loss, gradient
-clipping, Adam-family update, per-epoch validation, and wall-clock /
+clipping to global norm ``GRAD_CLIP``, Adam update, per-epoch validation, and wall-clock /
 throughput accounting that feeds the HPC benchmarks (Fig. 9/10).
 """
 
@@ -24,16 +24,15 @@ from .schedule import LRSchedule
 
 __all__ = ["TrainerConfig", "EpochStats", "Trainer"]
 
+GRAD_CLIP = 1.0         # max global gradient L2 norm per update
+EPOCHS = 30             # the paper trains both models 30 epochs
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
     """Hyperparameters of a training run."""
 
     lr: float = 1e-3
-    epochs: int = 30                 # the paper trains both models 30 epochs
-    grad_clip: float = 1.0
-    weight_2d: float = 1.0
-    log_every: int = 10
 
 
 @dataclass
@@ -73,7 +72,7 @@ class Trainer:
         y3d = Tensor(batch.y3d.astype(np.float32))
         y2d = Tensor(batch.y2d.astype(np.float32))
         p3d, p2d = self.model(x3d, x2d)
-        return episode_loss(p3d, p2d, y3d, y2d, self.cfg.weight_2d)
+        return episode_loss(p3d, p2d, y3d, y2d)
 
     def train_step(self, batch: Batch) -> float:
         """One optimiser update; returns the batch loss."""
@@ -81,8 +80,7 @@ class Trainer:
         self.model.zero_grad()
         loss = self._forward_loss(batch)
         loss.backward()
-        if self.cfg.grad_clip > 0:
-            clip_grad_norm(self.optimizer.params, self.cfg.grad_clip)
+        clip_grad_norm(self.optimizer.params, GRAD_CLIP)
         self.optimizer.step()
         if self.schedule is not None:
             self.schedule.step()
@@ -100,12 +98,11 @@ class Trainer:
     # ------------------------------------------------------------------
     def fit(self, train_loader: DataLoader,
             val_loader: Optional[DataLoader] = None,
-            epochs: Optional[int] = None,
+            epochs: int = EPOCHS,
             on_epoch: Optional[Callable[[EpochStats], None]] = None
             ) -> List[EpochStats]:
         """Run the full training loop; returns per-epoch statistics."""
-        n_epochs = epochs if epochs is not None else self.cfg.epochs
-        for epoch in range(n_epochs):
+        for epoch in range(epochs):
             t0 = time.perf_counter()
             losses = []
             instances = 0

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.dataset import _rim_mask
+from ..data.dataset import BOUNDARY_WIDTH, _rim_mask
 from ..data.preprocess import Normalizer
 from ..swin.model import CoastalSurrogate
 from ..tensor import PlanExecutor, Tensor, enable_grad, no_grad
@@ -272,9 +272,9 @@ class ForecastEngine:
     model: trained surrogate; its ``config.mesh`` fixes the padded
         (H', W') every episode is staged onto.
     normalizer: fitted z-score statistics.
-    boundary_width: rim width of the boundary-condition slots.
 
-    Batches whose shape matches a plan prepared with :meth:`compile`
+    The boundary-condition slots keep a rim of ``boundary_width``
+    (:data:`~repro.data.dataset.BOUNDARY_WIDTH`) cells.  Batches whose shape matches a plan prepared with :meth:`compile`
     replay that plan instead of walking the dynamic eager path.  A
     batch *smaller* than any compiled plan is zero-padded up to the
     nearest compiled batch size (its "bucket"), replayed there, and the
@@ -301,11 +301,11 @@ class ForecastEngine:
     (exact plan, bucket, shards, eager) yields the same bits.
     """
 
-    def __init__(self, model: CoastalSurrogate, normalizer: Normalizer,
-                 boundary_width: int = 1):
+    boundary_width = BOUNDARY_WIDTH
+
+    def __init__(self, model: CoastalSurrogate, normalizer: Normalizer):
         self.model = model
         self.normalizer = normalizer
-        self.boundary_width = boundary_width
         cfg = model.config
         self.pad_hw = (cfg.mesh[0], cfg.mesh[1])
         self._plans: Dict[Tuple[int, ...], CompiledForward] = {}
@@ -341,7 +341,7 @@ class ForecastEngine:
         plans bake weights, so reusing the old engine's plans for new
         weights would be wrong.
         """
-        return ForecastEngine(model, self.normalizer, self.boundary_width)
+        return ForecastEngine(model, self.normalizer)
 
     # ------------------------------------------------------------------
     # compiled plans
@@ -486,7 +486,7 @@ class ForecastEngine:
         """
         ph, pw = self.pad_hw
         H, W = references[0].zeta.shape[1:3]
-        rim = _rim_mask(ph, pw, self.boundary_width, np.float32)[:H, :W]
+        rim = _rim_mask(ph, pw, BOUNDARY_WIDTH, np.float32)[:H, :W]
         mean, std = self.normalizer.mean, self.normalizer.std
         for r, row3, row2 in zip(references, x3d, x2d):
             for var, dst in zip(_VARS, (*row3, row2[0])):
@@ -645,7 +645,7 @@ class ForecastEngine:
         g3 = np.asarray(g3, dtype=np.float64)
         g2 = np.asarray(g2, dtype=np.float64)
         ph, pw = self.pad_hw
-        mask = _rim_mask(ph, pw, self.boundary_width, np.float64)
+        mask = _rim_mask(ph, pw, BOUNDARY_WIDTH, np.float64)
         gvol = np.moveaxis(g3, -1, 2)               # (N,3,T,H',W',D)
         grad_vol = gvol * mask[:, :, None]
         grad_vol[:, :, 0] = gvol[:, :, 0]           # IC slot: full fields

@@ -54,20 +54,22 @@ class EnsembleForecaster:
         members across its replicas' micro-batches.  Both routes run
         the same code.
     n_members: ensemble size (member 0 is always unperturbed).
-    zeta_sigma, velocity_sigma: IC perturbation scales [m], [m/s] —
-        calibrate to the analysis uncertainty of the operational system.
+    zeta_sigma: free-surface IC perturbation scale [m] — calibrate to
+        the analysis uncertainty of the operational system.  Velocities
+        are perturbed by ``VELOCITY_SIGMA`` [m/s].
     seed: RNG seed; the ensemble is fully reproducible.
     """
 
+    VELOCITY_SIGMA = 0.02
+
     def __init__(self, forecaster: "SurrogateForecaster",
                  n_members: int = 8, zeta_sigma: float = 0.02,
-                 velocity_sigma: float = 0.02, seed: int = 0):
+                 seed: int = 0):
         if n_members < 2:
             raise ValueError("an ensemble needs at least 2 members")
         self.forecaster = forecaster
         self.n_members = n_members
         self.zeta_sigma = zeta_sigma
-        self.velocity_sigma = velocity_sigma
         self.seed = seed
 
     # ------------------------------------------------------------------
@@ -78,8 +80,8 @@ class EnsembleForecaster:
         rng = np.random.default_rng(self.seed + member)
         ref = reference.copy()
         zp = rng.normal(0.0, self.zeta_sigma, size=ref.zeta[0].shape)
-        up = rng.normal(0.0, self.velocity_sigma, size=ref.u3[0].shape)
-        vp = rng.normal(0.0, self.velocity_sigma, size=ref.v3[0].shape)
+        up = rng.normal(0.0, self.VELOCITY_SIGMA, size=ref.u3[0].shape)
+        vp = rng.normal(0.0, self.VELOCITY_SIGMA, size=ref.v3[0].shape)
         if wet is not None:
             zp[~wet] = 0.0
             up[~wet] = 0.0

@@ -29,12 +29,10 @@ __all__ = ["FieldWindow", "ForecastResult", "SurrogateForecaster",
 class SurrogateForecaster:
     """Run a trained surrogate on (IC, boundary-condition) episodes."""
 
-    def __init__(self, model: CoastalSurrogate, normalizer: Normalizer,
-                 boundary_width: int = 1):
-        self.engine = ForecastEngine(model, normalizer, boundary_width)
+    def __init__(self, model: CoastalSurrogate, normalizer: Normalizer):
+        self.engine = ForecastEngine(model, normalizer)
         self.model = model
         self.normalizer = normalizer
-        self.boundary_width = boundary_width
         self.pad_hw = self.engine.pad_hw
 
     @property

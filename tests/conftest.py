@@ -91,8 +91,7 @@ def tiny_bundle(tmp_path_factory, tiny_ocean_config):
 def tiny_dataset(tiny_bundle):
     store = tiny_bundle.open_train()
     norm = tiny_bundle.open_normalizer()
-    return SlidingWindowDataset(store, norm, window=4, stride=2,
-                                pad_multiple=(4, 4))
+    return SlidingWindowDataset(store, norm, window=4, stride=2)
 
 
 # ----------------------------------------------------------------------

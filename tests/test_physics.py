@@ -95,16 +95,16 @@ class TestResidual:
 class TestVerifier:
     def test_solver_output_passes(self, tiny_ocean, solver_window):
         zeta, u3, v3 = solver_window
-        v = Verifier(tiny_ocean.grid, tiny_ocean.depth,
-                     threshold=OCEANOGRAPHY_ACCEPTED_THRESHOLD, dt=1800.0)
+        v = Verifier(tiny_ocean.grid, tiny_ocean.depth, dt=1800.0)
         res = v.verify(zeta, u3, v3)
+        assert res.threshold == OCEANOGRAPHY_ACCEPTED_THRESHOLD
         assert res.passed
         assert res.mean_residual < res.threshold
 
     def test_threshold_override(self, tiny_ocean, solver_window):
         zeta, u3, v3 = solver_window
         v = Verifier(tiny_ocean.grid, tiny_ocean.depth, dt=1800.0)
-        strict = v.verify(zeta, u3, v3, threshold=1e-12)
+        strict, = v.verify_batch([zeta], [u3], [v3], threshold=1e-12)
         assert not strict.passed
 
     def test_per_step_means_length(self, tiny_ocean, solver_window):

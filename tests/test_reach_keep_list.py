@@ -3,9 +3,11 @@
 ``tools/reach.py`` runs the whole system under a profile hook, which
 takes minutes; CI runs it nightly.  What it checks of the keep list
 ``tools/reach.txt`` alone is cheap, so it is held here on every push:
-every listed key exists, every reason is in the closed set, and every
-``pending:`` title names an open ROADMAP item — an entry left behind by
-an item marked done fails here, not only at night.
+every listed key exists — a function, an op, or a knob that names a
+defaulted parameter or ``*Config`` field in the source — every reason
+is in the closed set, and every ``pending:`` title names an open
+ROADMAP item — an entry left behind by an item marked done fails here,
+not only at night.
 """
 
 import importlib.util
@@ -38,11 +40,38 @@ def keep(reach):
 
 def test_every_listed_key_exists(reach, keep):
     keep, _ = keep
-    assert sorted(keep.keys() - reach.all_keys()) == []
+    assert sorted(keep.keys() - reach.all_keys() - reach.all_knobs().keys()) \
+        == []
+
+
+def test_every_knob_key_names_a_defaulted_parameter_or_config_field(
+        reach, keep):
+    """Read with ``ast`` alone: a knob entry whose parameter lost its
+    default, or whose function or field is gone, fails here."""
+    keep, _ = keep
+    knobs = reach.all_knobs()
+    listed = {key for key in keep if key.endswith(")")}
+    assert listed, "the keep list holds no knob"
+    assert sorted(listed - knobs.keys()) == []
+
+
+def test_knob_keys_are_module_or_class_level(reach):
+    """Closures and lambdas are not knobs; a ``*Config`` field is keyed
+    by its class, a parameter by its function's qualname."""
+    knobs = reach.all_knobs()
+    assert not [k for k in knobs if "<" in k]
+    assert knobs["swin/model.py::SurrogateConfig(depths)"] \
+        == "swin/model.py::SurrogateConfig"
+    assert knobs["serve/server.py::ForecastServer.__init__(max_wait)"] \
+        == "serve/server.py::ForecastServer.__init__"
+    assert "nn/attention.py::MultiHeadSelfAttention.__init__(dim)" \
+        not in knobs                    # no default: not a knob
 
 
 def test_every_reason_is_in_the_closed_set(reach, keep):
     keep, _ = keep
+    assert reach.REASONS == ("oracle", "double", "fault", "abstract",
+                             "input")
     assert {key: reason for key, reason in keep.items()
             if reason not in reach.REASONS
             and not reason.startswith("pending: ")} == {}

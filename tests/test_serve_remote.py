@@ -9,8 +9,12 @@ payload round trip uses the real engine, because bit-equality of the
 rebuilt weights and plans is the point.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +196,7 @@ def test_payload_round_trip_is_bitwise(engine_factory, windows):
     payload = engine_payload(engine)
     # weights, staging config and plans: the engine has no other state
     assert set(pickle.loads(payload)) == {
-        "model", "normalizer", "boundary_width", "plans"}
+        "model", "normalizer", "plans"}
     rebuilt = build_engine(payload)
     assert rebuilt.compiled_batches == engine.compiled_batches == [2, 3]
     for n in (2, 3, 5):                 # two plan hits and an eager batch
@@ -230,3 +234,30 @@ def test_payload_keeps_a_sharded_forward(monkeypatch, engine_factory,
         assert (served.compiled, served.plan_batch) == (True, 8)
         assert_windows_equal(served.fields, want.fields)
     assert rebuilt.plan_stats()["misses"] == 0
+
+
+SPAWNED_FORWARD = """
+import pickle, sys
+from repro.serve.remote import build_engine
+with open(sys.argv[1], "rb") as f:
+    payload, windows = pickle.load(f)
+build_engine(payload).forecast_batch(windows)
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+"""
+
+
+def test_a_spawned_engine_serves_float32_without_scipy(engine, windows,
+                                                      tmp_path):
+    """A remote rank rebuilds its engine and replays a float32 batch
+    without importing ``scipy.special``: the erf chain that needs it
+    runs only for float64 or strided input, and importing SciPy roughly
+    doubles a worker's spawn time."""
+    spec = tmp_path / "spec.pkl"
+    spec.write_bytes(pickle.dumps((engine_payload(engine), windows[:2])))
+    src = str(Path(remote.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, "-c", SPAWNED_FORWARD, str(spec)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

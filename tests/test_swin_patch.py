@@ -15,6 +15,7 @@ from repro.swin import (
     PatchRecover3d,
 )
 from repro.swin import patch as patch_mod
+from repro.swin.model import N_VARS_2D, N_VARS_3D
 from repro.swin.patch import _fold_time, _unfold_time
 from repro.tensor import PlanExecutor, Tensor, no_grad, trace
 from repro.tensor.gradcheck import tape_nodes
@@ -317,7 +318,7 @@ class TestFusedHead:
         cfg = tiny_surrogate_config
         model = CoastalSurrogate(cfg).eval()
         (H, W, D), T = cfg.mesh, cfg.time_steps
-        shapes = [(2, cfg.n_vars_3d, H, W, D, T), (2, cfg.n_vars_2d, H, W, T)]
+        shapes = [(2, N_VARS_3D, H, W, D, T), (2, N_VARS_2D, H, W, T)]
         plan, _ = trace(model, [np.zeros(s, np.float32) for s in shapes])
         assert [s.name for s in plan.steps].count("patch_recover") == 2
         full = [plan.slots[step.out].shape for step in plan.steps

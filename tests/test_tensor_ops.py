@@ -267,15 +267,15 @@ class TestShapes:
 # ----------------------------------------------------------------------
 class TestComposite:
     def test_softmax_grad(self, rng):
-        gradcheck(lambda a: a.softmax(-1), [_arr(rng, 3, 5)])
+        gradcheck(lambda a: a.softmax(), [_arr(rng, 3, 5)])
 
     def test_softmax_rows_sum_to_one(self, rng):
-        p = Tensor(_arr(rng, 4, 7)).softmax(-1).data
+        p = Tensor(_arr(rng, 4, 7)).softmax().data
         np.testing.assert_allclose(p.sum(axis=-1), np.ones(4), rtol=1e-6)
 
     def test_softmax_stability(self):
         # huge logits must not overflow
-        p = Tensor(np.array([[1e4, 1e4 + 1.0]])).softmax(-1).data
+        p = Tensor(np.array([[1e4, 1e4 + 1.0]])).softmax().data
         assert np.isfinite(p).all()
 
 
@@ -519,7 +519,7 @@ OP_TABLE = {
                ulps=2),
     "max": Row(lambda a: a.max(axis=1), _A,
                lambda a: np.maximum.reduce(a, axis=1)),
-    "softmax": Row(lambda a: a.softmax(axis=-1), _A, _softmax_ref),
+    "softmax": Row(lambda a: a.softmax(), _A, _softmax_ref),
     "reshape": Row(lambda a: a.reshape(6, 10), _A,
                    lambda a: np.array(list(a.flat), a.dtype).reshape(6, 10)),
     "transpose": Row(lambda a: a.transpose(1, 0, 2), _A,
@@ -783,6 +783,6 @@ def _composite_layer(x, mask=None):
         nW = mask.shape[0]
         attn = (attn.reshape(B // nW, nW, m.num_heads, N, N)
                 + Tensor(mask[None])).reshape(B, m.num_heads, N, N)
-    out = attn.softmax(axis=-1).matmul(qkv[2])
+    out = attn.softmax().matmul(qkv[2])
     return out.transpose(0, 2, 1, 3).reshape(B, N, C).matmul(m.proj.weight) \
         + m.proj.bias

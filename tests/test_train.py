@@ -36,15 +36,6 @@ class TestOptimizers:
         got, target = _quadratic_step(Adam, lr=0.1, steps=400)
         np.testing.assert_allclose(got, target, atol=1e-2)
 
-    def test_weight_decay_shrinks_params(self):
-        p = Parameter(np.array([10.0], dtype=np.float32))
-        opt = Adam([p], lr=0.01, weight_decay=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            p.grad = np.zeros_like(p.data)  # zero task gradient
-            opt.step()
-        assert abs(p.data[0]) < 10.0
-
     def test_requires_parameters(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
@@ -79,8 +70,7 @@ class TestSchedules:
         return Adam([Parameter(np.zeros(1, dtype=np.float32))], lr=1.0)
 
     def test_cosine_warmup_ramps_then_decays(self):
-        s = CosineWarmup(self._opt(), warmup_steps=5, total_steps=20,
-                         min_lr=0.0)
+        s = CosineWarmup(self._opt(), warmup_steps=5, total_steps=20)
         lrs = [s.step() for _ in range(20)]
         assert lrs[0] < lrs[4] <= 1.0          # warmup rising
         assert lrs[-1] < lrs[6]                # cosine falling
@@ -102,14 +92,14 @@ class TestLosses:
         assert mse(a, b).item() == pytest.approx(4.0)
 
     def test_episode_loss_weights_2d(self, rng):
+        """The free-surface term weighs as much as the velocity term."""
         p3 = Tensor(rng.normal(size=(1, 3, 4, 4, 2, 2)).astype(np.float32))
         t3 = Tensor(np.zeros_like(p3.data))
         p2 = Tensor(rng.normal(size=(1, 1, 4, 4, 2)).astype(np.float32))
         t2 = Tensor(np.zeros_like(p2.data))
-        l1 = episode_loss(p3, p2, t3, t2, weight_2d=1.0).item()
-        l2 = episode_loss(p3, p2, t3, t2, weight_2d=2.0).item()
-        expected_delta = mse(p2, t2).item()
-        assert l2 - l1 == pytest.approx(expected_delta, rel=1e-5)
+        loss = episode_loss(p3, p2, t3, t2).item()
+        assert loss - mse(p3, t3).item() == pytest.approx(
+            mse(p2, t2).item(), rel=1e-5)
 
 
 class TestCheckpoint:
@@ -142,7 +132,7 @@ class TestTrainer:
     def test_loss_decreases(self, tiny_surrogate_config, loaders):
         from repro.swin import CoastalSurrogate
         model = CoastalSurrogate(tiny_surrogate_config)
-        trainer = Trainer(model, TrainerConfig(lr=2e-3, epochs=2))
+        trainer = Trainer(model, TrainerConfig(lr=2e-3))
         train, _ = loaders
         history = trainer.fit(train, epochs=2)
         assert len(history) == 2

@@ -195,7 +195,7 @@ class ScriptedVerifier(Verifier):
     """
 
     def __init__(self, base: Verifier, script):
-        super().__init__(base.grid, base.depth, base.threshold, base.dt)
+        super().__init__(base.grid, base.depth, base.dt)
         self._script = deque(script)
 
     def verify_batch(self, zeta_seqs, u3_seqs, v3_seqs, threshold=None):

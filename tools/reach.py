@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Reach audit: every ``src/repro`` function the system runs, or a reason.
+"""Reach audit: every ``src/repro`` function the system runs and every
+knob it sets, or a reason.
 
 Runs the system — the seven end-to-end workloads at ``--seconds 1``
 untraced and traced, every script in ``examples/``, the paper benches
@@ -18,14 +19,26 @@ comprehensions and class bodies are not functions.  The op names
 because the ``_unary`` / ``_binary`` factories give many kernels one
 qualname; every registered kernel is checked by its op key.
 
-Each function or op the system does not reach must stand in the keep
-list ``tools/reach.txt`` (``key  reason``, ``#`` comments) with one
-reason from a closed set:
+A *knob* is a defaulted parameter of a function defined at module or
+class level (``path::qualname(param)``; closures and lambdas are out)
+or a defaulted field of a ``*Config`` dataclass (``path::Class(field)``),
+both read from the source with ``ast``.  A call *sets* a knob when it
+binds a value that is not the default object and, for a ``None``,
+``bool``, ``int``, ``float``, ``str``, ``bytes`` or ``tuple`` default,
+also differs from it by type or by ``==``.  The hook watches each knob
+of a function it has seen called until a call sets it.  The knobs
+counted are those of the functions the system reaches, plus every
+``*Config`` field.
+
+Each function or op the system does not reach, and each counted knob
+it never sets, must stand in the keep list ``tools/reach.txt``
+(``key  reason``, ``#`` comments) with one reason from a closed set:
 
 * ``oracle`` — a test holds a fast path to it;
 * ``double`` — a test substitutes it for a real dependency;
 * ``fault`` — it handles a failure a call can return, or outside input;
 * ``abstract`` — a base method that subclasses override;
+* ``input`` — a knob that is a seed, a path or an address;
 * ``pending: <title>`` — an open ROADMAP item decides it.  The title is
   an item heading's text up to its first colon (``- **6. Overlap or
   stay serial: ...**`` → ``Overlap or stay serial``); an item whose
@@ -33,17 +46,18 @@ reason from a closed set:
 
 ::
 
-    python tools/reach.py        # ~10 min on two CPUs
+    python tools/reach.py        # ~5 min on two CPUs
 
-Exits 1 when an unreached key is missing from the keep list, when the
-keep list names a key that does not exist, a reached key (a ``fault``
-path a run happened to hit is only noted), or a reason outside the
-set, or when a system run fails.  CI's nightly job runs it
+Exits 1 when an unreached key or a never-set knob is missing from the
+keep list, when the keep list names a key that does not exist, a
+reached key or a set knob (a ``fault`` one a run happened to hit is
+only noted), or a reason outside the set, or when a system run fails.  CI's nightly job runs it
 (3.11 or later: the keys need ``co_qualname``).
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import shutil
@@ -58,7 +72,7 @@ SRC = ROOT / "src"
 PKG = SRC / "repro"
 KEEP = ROOT / "tools" / "reach.txt"
 ROADMAP = ROOT / "ROADMAP.md"
-REASONS = ("oracle", "double", "fault", "abstract")
+REASONS = ("oracle", "double", "fault", "abstract", "input")
 NOT_FUNCTIONS = {"<module>", "<listcomp>", "<setcomp>", "<dictcomp>",
                  "<genexpr>"}
 CO_OPTIMIZED = 0x1          # set on function code, not on class bodies
@@ -66,15 +80,20 @@ PARALLEL = 2                # system runs at a time
 
 #: the ``sitecustomize`` every hooked interpreter imports at start-up.
 #: It appends each first-seen key to its own log with one ``write``, so
-#: a child that is terminated loses nothing it already ran.
+#: a child that is terminated loses nothing it already ran.  A function
+#: or ``*Config`` ``__init__`` with knobs is watched until each has been
+#: seen set; a set knob is logged by its knob key.
 HOOK = '''\
-import os, sys, threading
+import gc, os, sys, threading, types
 
 _ROOT = {root!r}
 _APPLY = "tensor/tensor.py::apply"
+_KNOBS = {knobs!r}
+_LITERALS = (type(None), bool, int, float, str, bytes, tuple)
 _fd = os.open(os.path.join({out!r}, "%d.keys" % os.getpid()),
               os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
 _seen = {{}}
+_watch = {{}}
 _ops = set()
 _apply = [None]
 
@@ -83,28 +102,107 @@ def _log(key):
     os.write(_fd, (key + "\\n").encode())
 
 
+def _function(frame, code):
+    """The function that owns ``code``: looked up by its qualname, else
+    found by the garbage collector."""
+    obj = frame.f_globals
+    try:
+        for part in code.co_qualname.split("."):
+            obj = obj[part] if isinstance(obj, dict) else vars(obj)[part]
+    except (KeyError, TypeError):
+        obj = None
+    todo = [obj]
+    while todo:
+        obj = todo.pop()
+        if getattr(obj, "__code__", None) is code:
+            return obj
+        todo += [getattr(obj, a) for a in
+                 ("__func__", "__wrapped__", "fget", "fset")
+                 if getattr(obj, a, None) is not None]
+    for obj in gc.get_referrers(code):
+        if isinstance(obj, types.FunctionType) and obj.__code__ is code:
+            return obj
+    return None
+
+
+def _config_key(frame, code):
+    """``path::Class`` when ``code`` is the generated ``__init__`` of a
+    ``*Config`` dataclass, else None."""
+    if code.co_name != "__init__" or "self" not in frame.f_locals:
+        return None
+    for cls in type(frame.f_locals["self"]).__mro__:
+        if getattr(vars(cls).get("__init__"), "__code__", None) is code:
+            path = getattr(sys.modules.get(cls.__module__), "__file__", "")
+            if cls.__name__.endswith("Config") and path.startswith(_ROOT):
+                return (path[len(_ROOT):].replace(os.sep, "/") + "::"
+                        + cls.__qualname__)
+    return None
+
+
+def _knobs(frame, code, key):
+    """``{{parameter: (knob key, default object)}}`` still to be seen set."""
+    fn = _function(frame, code)
+    if fn is None:
+        return {{}}
+    names = code.co_varnames[:code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    bound = dict(zip(names[len(names) - len(defaults):], defaults))
+    bound.update(fn.__kwdefaults__ or {{}})
+    return {{name: (key + "(" + name + ")", bound[name])
+            for name in _KNOBS[key] if name in bound}}
+
+
+def _is_set(value, default):
+    if value is default:
+        return False
+    if type(value) is type(default) and isinstance(default, _LITERALS):
+        try:
+            return not bool(value == default)
+        except Exception:
+            return True
+    return True
+
+
+def _check(frame, i, watch):
+    local = frame.f_locals
+    for name, (knob, default) in list(watch.items()):
+        if name in local and _is_set(local[name], default) \\
+                and watch.pop(name, None) is not None:
+            _log(knob)
+    if not watch:
+        _watch.pop(i, None)
+
+
 def _hook(frame, event, arg):
     if event != "call":
         return
     code = frame.f_code
     i = id(code)
-    if i == _apply[0]:
-        name = frame.f_locals.get("name")
-        if name not in _ops:
-            _ops.add(name)
-            _log("op::" + name)
-        return
     if i in _seen:
+        if i == _apply[0]:
+            name = frame.f_locals.get("name")
+            if name not in _ops:
+                _ops.add(name)
+                _log("op::" + name)
+        watch = _watch.get(i)
+        if watch:
+            _check(frame, i, watch)
         return
     _seen[i] = code         # held, so the id is never reused
     path = code.co_filename
-    if not path.startswith(_ROOT):
+    if path.startswith(_ROOT):
+        key = path[len(_ROOT):].replace(os.sep, "/") + "::" \\
+            + code.co_qualname
+        _log(key)
+    elif path == "<string>":
+        key = _config_key(frame, code)
+    else:
         return
-    key = path[len(_ROOT):].replace(os.sep, "/") + "::" + code.co_qualname
-    _log(key)
+    if key in _KNOBS:
+        _watch[i] = _knobs(frame, code, key)
     if key == _APPLY:
         _apply[0] = i
-        _hook(frame, event, arg)
+    _hook(frame, event, arg)
 
 
 threading.setprofile(_hook)
@@ -152,8 +250,11 @@ def run_system(tmp: Path, out: Path) -> list:
     """Run every system run under the hook; the labels of failed runs."""
     hook = tmp / "hook"
     hook.mkdir()
-    (hook / "sitecustomize.py").write_text(
-        HOOK.format(root=str(PKG) + os.sep, out=str(out)))
+    owners = {}
+    for knob, owner in all_knobs().items():
+        owners.setdefault(owner, []).append(knob[knob.index("(") + 1:-1])
+    (hook / "sitecustomize.py").write_text(HOOK.format(
+        root=str(PKG) + os.sep, out=str(out), knobs=owners))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(hook), str(SRC)] + ([env["PYTHONPATH"]]
@@ -211,6 +312,43 @@ def all_keys() -> set:
     return keys
 
 
+def all_knobs() -> dict:
+    """``{knob key: owner key}`` of every defaulted parameter of a
+    function defined at module or class level under ``src/repro``
+    (``path::qualname(param)``, owner ``path::qualname``) and every
+    defaulted field of a ``*Config`` dataclass (``path::Class(field)``,
+    owner ``path::Class``), read with ``ast``."""
+    knobs = {}
+
+    def visit(body, rel, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = f"{rel}::{prefix}{node.name}"
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs,
+                                            args.kw_defaults) if d]
+                knobs.update((f"{owner}({a.arg})", owner) for a in named)
+            elif isinstance(node, ast.ClassDef):
+                if node.name.endswith("Config") and any(
+                        "dataclass" in ast.unparse(d)
+                        for d in node.decorator_list):
+                    owner = f"{rel}::{prefix}{node.name}"
+                    knobs.update(
+                        (f"{owner}({f.target.id})", owner) for f in node.body
+                        if isinstance(f, ast.AnnAssign) and f.value)
+                visit(node.body, rel, f"{prefix}{node.name}.")
+            else:
+                visit([n for n in ast.iter_child_nodes(node)
+                       if isinstance(n, ast.stmt)], rel, prefix)
+
+    for path in sorted(PKG.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree.body, path.relative_to(PKG).as_posix(), "")
+    return knobs
+
+
 def open_items(roadmap: str) -> set:
     """Titles of the numbered ROADMAP items not marked done."""
     heads = list(re.finditer(r"^- \*\*\d+\. (?:\(new\) )?(.+?)\*\*",
@@ -263,20 +401,26 @@ def main() -> int:
         reached = reached_keys(out)
     errors = [f"system run failed: {label}" for label in failed]
     keys = all_keys()
+    knobs = all_knobs()
     keep = read_keep(errors)
-    unreached = keys - reached
+    # a function's knobs count once the system runs it; a Config's always
+    watched = {k for k, owner in knobs.items()
+               if owner in reached or owner not in keys}
+    unreached = (keys - reached) | (watched - reached)
     errors += [f"unreached and not in reach.txt: {k}"
                for k in sorted(unreached - keep.keys())]
-    errors += [f"in reach.txt but no such function or op: {k}"
-               for k in sorted(keep.keys() - keys)]
+    errors += [f"in reach.txt but no such function, op or knob: {k}"
+               for k in sorted(keep.keys() - keys - knobs.keys())]
     # a fault path may be hit by a run that happens to shed or time out
     stale = sorted(keep.keys() & reached)
-    errors += [f"in reach.txt but the system reaches it: {k}"
+    errors += [f"in reach.txt but the system reaches or sets it: {k}"
                for k in stale if keep[k] != "fault"]
-    for kind, prefix in (("functions", ""), ("ops", "op::")):
-        group = {k for k in keys if k.startswith("op::") == bool(prefix)}
+    ops = {k for k in keys if k.startswith("op::")}
+    for kind, group in (("functions", keys - ops), ("ops", ops)):
         print(f"{kind:<9} {len(group)}: reached {len(group & reached)}, "
               f"kept {len(group - reached)}")
+    print(f"{'knobs':<9} {len(watched)}: set {len(watched & reached)}, "
+          f"kept {len(watched - reached)}")
     print(f"{time.perf_counter() - t0:.0f} s")
     for k in stale:
         if keep[k] == "fault":
