@@ -22,8 +22,6 @@ from ..ocean.model import OceanConfig, RomsLikeModel
 from .preprocess import Normalizer
 from .store import SnapshotStore, VARIABLES
 
-__all__ = ["ArchiveBundle", "build_archives", "resample_store"]
-
 DAY = 86400.0
 
 

@@ -23,9 +23,6 @@ import numpy as np
 from .preprocess import Normalizer, pad_mesh, padded_shape
 from .store import SnapshotStore
 
-__all__ = ["EpisodeSample", "SlidingWindowDataset", "assemble_episode_input",
-           "assemble_episode_input_batch"]
-
 
 @dataclass
 class EpisodeSample:
@@ -173,9 +170,9 @@ class SlidingWindowDataset:
         y3d = np.moveaxis(
             np.stack([w[v] for v in self.VAR3D], axis=0), 1, -1)
         y2d = np.moveaxis(w["zeta"][None], 1, -1)
-        cast = lambda a: np.ascontiguousarray(a, dtype=self.dtype)
-        return EpisodeSample(cast(x3d), cast(x2d), cast(y3d), cast(y2d),
-                             start)
+        x3d, x2d, y3d, y2d = (np.ascontiguousarray(a, dtype=self.dtype)
+                              for a in (x3d, x2d, y3d, y2d))
+        return EpisodeSample(x3d, x2d, y3d, y2d, start)
 
     # ------------------------------------------------------------------
     def split(self, fraction: float, seed: int = 0

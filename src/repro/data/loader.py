@@ -19,8 +19,6 @@ import numpy as np
 
 from .dataset import EpisodeSample, SlidingWindowDataset
 
-__all__ = ["Batch", "DataLoader"]
-
 
 @dataclass
 class Batch:

@@ -19,15 +19,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = [
-    "faces_to_centers_u",
-    "faces_to_centers_v",
-    "pad_mesh",
-    "unpad_mesh",
-    "padded_shape",
-    "Normalizer",
-]
-
 
 def faces_to_centers_u(u_faces: np.ndarray) -> np.ndarray:
     """Linear interpolation of u from (H, W+1) faces to (H, W) centres."""

@@ -19,8 +19,6 @@ import numpy as np
 
 from ..ocean.model import Snapshot
 
-__all__ = ["StoreMeta", "SnapshotStore"]
-
 VARIABLES = ("u3", "v3", "w3", "zeta")
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-__all__ = ["GpuSpec", "NodeSpec", "ClusterSpec", "DGX_A100_CLUSTER"]
-
 GB = 1024 ** 3
 TB = 1024 ** 4
 

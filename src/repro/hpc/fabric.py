@@ -66,24 +66,6 @@ import numpy as np
 
 from .mpi import SimComm
 
-__all__ = [
-    "FabricError",
-    "FrameError",
-    "FabricTimeout",
-    "FabricClosed",
-    "Frame",
-    "layout",
-    "view",
-    "pack_frame",
-    "unpack_frame",
-    "SimEndpoint",
-    "sim_pair",
-    "SocketEndpoint",
-    "listen_loopback",
-    "connect_loopback",
-    "accept_loopback",
-]
-
 #: frame magic — version-bearing, so a format bump is a clean reject
 MAGIC = b"RFB1"
 _PREAMBLE = struct.Struct("<4sIQ")     # magic, header bytes, body bytes

@@ -17,9 +17,6 @@ import numpy as np
 from ..swin.model import SurrogateConfig
 from .cluster import NodeSpec
 
-__all__ = ["sample_nbytes", "activation_nbytes", "model_state_nbytes",
-           "MemoryFootprint", "pipeline_memory_table"]
-
 GB = 1024 ** 3
 
 

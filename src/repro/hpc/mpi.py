@@ -28,9 +28,6 @@ import numpy as np
 from ..ocean.grid import CurvilinearGrid, StretchedAxis
 from ..ocean.swe import ShallowWaterSolver, ShallowWaterState
 
-__all__ = ["SimComm", "BlockDecomposition", "DecomposedShallowWater",
-           "halo_exchange_bytes"]
-
 FLOAT_BYTES = 8
 
 

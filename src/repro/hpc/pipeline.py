@@ -27,9 +27,6 @@ from typing import Dict, List
 
 from .cluster import NodeSpec
 
-__all__ = ["PipelineParams", "PipelineConfig", "TrainingPipelineModel",
-           "FIG9_CONFIGS"]
-
 GB = 1024 ** 3
 
 

@@ -17,8 +17,6 @@ from typing import Dict, List, Tuple
 from .cluster import ClusterSpec, DGX_A100_CLUSTER
 from .mpi import halo_exchange_bytes
 
-__all__ = ["RomsWorkload", "RomsPerfModel", "TABLE1_ROWS", "best_process_grid"]
-
 DAY = 86400.0
 
 #: Published rows of the paper's Table I (solution, mesh, horizon,

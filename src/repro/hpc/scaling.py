@@ -17,8 +17,6 @@ from typing import Dict, List
 from .cluster import ClusterSpec, DGX_A100_CLUSTER
 from .pipeline import PipelineConfig, PipelineParams, TrainingPipelineModel
 
-__all__ = ["ScalingModel", "ring_allreduce_seconds", "PAPER_GPU_COUNTS"]
-
 PAPER_GPU_COUNTS = (1, 2, 4, 8, 16, 32)
 
 

@@ -25,8 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ServingCapacityModel", "PoolCapacityModel"]
-
 
 @dataclass(frozen=True)
 class ServingCapacityModel:

@@ -6,14 +6,7 @@ self-attention, and 2-D/3-D (transposed) convolutions.
 """
 
 from .module import Module, ModuleList, Parameter
-from .layers import (
-    BatchNorm,
-    GELU,
-    LayerNorm,
-    Linear,
-    MLP,
-    gelu,
-)
+from .layers import BatchNorm, GELU, LayerNorm, Linear, MLP
 from .conv import Conv2d, Conv3d, ConvTranspose2d, ConvTranspose3d
 from .attention import MultiHeadSelfAttention
 from . import init
@@ -27,7 +20,6 @@ __all__ = [
     "BatchNorm",
     "GELU",
     "MLP",
-    "gelu",
     "Conv2d",
     "Conv3d",
     "ConvTranspose2d",

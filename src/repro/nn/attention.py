@@ -2,7 +2,7 @@
 
 Operates on token tensors of shape ``(B, N, C)``.  Window and
 shifted-window partitioning (the "Swin" part) live in
-:mod:`repro.swin.window`; this module is the plain MSA applied inside
+:mod:`repro.swin.blocks`; this module is the plain MSA applied inside
 each window, with optional additive attention masks used by SW-MSA to
 block attention across the cyclic-shift seams.
 """
@@ -19,8 +19,6 @@ from ..tensor.tensor import apply
 from . import init
 from .layers import Linear
 from .module import Module
-
-__all__ = ["MultiHeadSelfAttention"]
 
 
 class MultiHeadSelfAttention(Module):

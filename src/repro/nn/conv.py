@@ -16,8 +16,6 @@ from ..tensor import Tensor, conv_nd, conv_transpose_nd
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["Conv2d", "Conv3d", "ConvTranspose2d", "ConvTranspose3d"]
-
 IntOrTuple = Union[int, Tuple[int, ...]]
 
 

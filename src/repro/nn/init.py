@@ -13,14 +13,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "trunc_normal",
-    "kaiming_uniform",
-    "zeros",
-    "ones",
-    "default_rng",
-]
-
 
 def default_rng(seed: int = 0) -> np.random.Generator:
     """Library-wide RNG constructor (PCG64, explicit seed)."""

@@ -19,15 +19,6 @@ from ..tensor.tensor import apply
 from . import init
 from .module import Module, Parameter
 
-__all__ = [
-    "Linear",
-    "LayerNorm",
-    "BatchNorm",
-    "GELU",
-    "MLP",
-    "gelu",
-]
-
 
 def gelu(x: Tensor) -> Tensor:
     """GELU: ``x * Phi(x)``.

@@ -4,7 +4,7 @@ Mirrors the ergonomics of ``torch.nn.Module`` closely enough that the
 surrogate model code reads like the paper's reference implementation:
 attribute assignment registers parameters/submodules, ``state_dict`` /
 ``load_state_dict`` round-trip through flat name→array mappings (used by
-:mod:`repro.train.checkpoint`), and ``train()``/``eval()`` toggle
+:mod:`repro.train.trainer`), and ``train()``/``eval()`` toggle
 behavioural flags (batch-norm statistics).
 """
 
@@ -16,8 +16,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..tensor import Tensor
-
-__all__ = ["Parameter", "Module", "ModuleList"]
 
 
 class Parameter(Tensor):

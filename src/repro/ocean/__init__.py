@@ -14,9 +14,7 @@ from .tides import GULF_CONSTITUENTS, TidalConstituent, TidalForcing
 from .sigma import SigmaLayers, VerticalStructure
 from .swe import GRAVITY, SWEConfig, ShallowWaterSolver, ShallowWaterState
 from .model import OceanConfig, RomsLikeModel, Snapshot
-from .diagnostics import VolumeBudget, cfl_number, energy, volume_budget
-from .harmonics import HarmonicFit, compare_constituents, fit_constituents
-from .storm import ParametricCyclone, SteadyWind, StormForcedSolver
+from .storm import ParametricCyclone, StormForcedSolver
 
 __all__ = [
     "CurvilinearGrid",
@@ -37,14 +35,6 @@ __all__ = [
     "OceanConfig",
     "RomsLikeModel",
     "Snapshot",
-    "VolumeBudget",
-    "volume_budget",
-    "energy",
-    "cfl_number",
-    "HarmonicFit",
-    "fit_constituents",
-    "compare_constituents",
-    "SteadyWind",
     "ParametricCyclone",
     "StormForcedSolver",
 ]

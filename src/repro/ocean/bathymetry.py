@@ -20,8 +20,6 @@ import numpy as np
 
 from .grid import CurvilinearGrid
 
-__all__ = ["BathymetryConfig", "synth_estuary_bathymetry", "wet_mask"]
-
 
 @dataclass(frozen=True)
 class BathymetryConfig:

@@ -14,8 +14,6 @@ import numpy as np
 
 from .swe import GRAVITY, ShallowWaterSolver, ShallowWaterState
 
-__all__ = ["VolumeBudget", "volume_budget", "energy", "cfl_number"]
-
 
 @dataclass(frozen=True)
 class VolumeBudget:

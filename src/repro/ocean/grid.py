@@ -20,8 +20,6 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["StretchedAxis", "CurvilinearGrid", "make_charlotte_grid"]
-
 
 def _stretched_spacing(n: int, length: float, focus: Tuple[float, ...],
                        strength: float, width: float) -> np.ndarray:

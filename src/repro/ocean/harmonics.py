@@ -18,8 +18,6 @@ import numpy as np
 
 from .tides import GULF_CONSTITUENTS, TidalConstituent
 
-__all__ = ["HarmonicFit", "fit_constituents", "compare_constituents"]
-
 
 @dataclass(frozen=True)
 class HarmonicFit:

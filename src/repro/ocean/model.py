@@ -30,8 +30,6 @@ from .sigma import SigmaLayers, VerticalStructure
 from .swe import ShallowWaterSolver, ShallowWaterState, SWEConfig
 from .tides import TidalForcing
 
-__all__ = ["OceanConfig", "Snapshot", "RomsLikeModel"]
-
 
 @dataclass(frozen=True)
 class OceanConfig:
@@ -100,8 +98,9 @@ class RomsLikeModel:
             f3[:, ~wet] = 0.0
         zeta = np.where(wet, state.zeta, 0.0)
         # (nz, ny, nx) → (ny, nx, nz) with surface layer last
-        to_hwd = lambda a: np.ascontiguousarray(np.moveaxis(a, 0, -1))
-        return Snapshot(state.t, to_hwd(u3), to_hwd(v3), to_hwd(w3), zeta)
+        u3, v3, w3 = (np.ascontiguousarray(np.moveaxis(a, 0, -1))
+                      for a in (u3, v3, w3))
+        return Snapshot(state.t, u3, v3, w3, zeta)
 
     # ------------------------------------------------------------------
     # simulation drivers

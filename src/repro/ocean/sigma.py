@@ -24,8 +24,6 @@ import numpy as np
 
 from .grid import CurvilinearGrid
 
-__all__ = ["SigmaLayers", "VerticalStructure"]
-
 
 @dataclass(frozen=True)
 class SigmaLayers:
@@ -112,7 +110,6 @@ class VerticalStructure:
 
         Returns (nz, ny, nx).
         """
-        grid = self.grid
         nz = self.layers.nz
         dzf = self.layers.thickness_fractions
         dz = dzf[:, None, None] * total_depth[None]

@@ -26,8 +26,6 @@ import numpy as np
 from .grid import CurvilinearGrid
 from .swe import ShallowWaterSolver, ShallowWaterState
 
-__all__ = ["SteadyWind", "ParametricCyclone", "StormForcedSolver"]
-
 RHO_AIR = 1.225        # kg/m³
 RHO_WATER = 1025.0     # kg/m³
 P_AMBIENT = 101_325.0  # Pa

@@ -42,8 +42,6 @@ import numpy as np
 from .grid import CurvilinearGrid
 from .tides import TidalForcing
 
-__all__ = ["SWEConfig", "ShallowWaterState", "ShallowWaterSolver"]
-
 GRAVITY = 9.81
 OMEGA_EARTH = 7.2921e-5
 

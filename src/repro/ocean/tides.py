@@ -16,8 +16,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["TidalConstituent", "TidalForcing", "GULF_CONSTITUENTS"]
-
 HOUR = 3600.0
 
 

@@ -5,37 +5,26 @@ Three layers, each usable alone:
 * :mod:`~repro.scenario.factory` — named basins over the ocean layer
   (heterogeneous native meshes, sigma layers, tides, parametric storm
   tracks, all from one seed) staged onto a common serving wire mesh,
-  plus the :class:`RollingForecast` streaming mode;
+  plus the :class:`~repro.scenario.factory.RollingForecast` streaming mode;
 * :mod:`~repro.scenario.traffic` — composable arrival processes
   (Poisson base · diurnal · storm spike, per-basin tenant mix) sampled
-  into a :class:`TrafficTrace` that saves/loads as JSONL and replays
-  bitwise-identically;
+  into a :class:`~repro.scenario.traffic.TrafficTrace` that
+  saves/loads as JSONL and replays bitwise-identically;
 * :mod:`~repro.scenario.harness` — :func:`replay_trace` feeds a trace
   through ``ForecastServer``/``EngineWorkerPool`` (thread or process
   backend, wall or virtual clock) and returns a
-  :class:`ScenarioReport` with exact per-basin request accounting.
+  :class:`~repro.scenario.harness.ScenarioReport` with exact per-basin
+  request accounting.
 """
 
-from .factory import (Basin, BasinSpec, DEFAULT_BASINS, RollingForecast,
-                      ScenarioFactory)
-from .traffic import (BasinLoad, DiurnalCycle, StormSpike, TrafficEvent,
-                      TrafficModel, TrafficTrace, simulate_trace)
-from .harness import BasinReport, ScenarioReport, replay_trace
+from .factory import ScenarioFactory
+from .traffic import StormSpike, TrafficModel, simulate_trace
+from .harness import replay_trace
 
 __all__ = [
-    "BasinSpec",
-    "Basin",
-    "RollingForecast",
     "ScenarioFactory",
-    "DEFAULT_BASINS",
-    "DiurnalCycle",
     "StormSpike",
-    "BasinLoad",
     "TrafficModel",
-    "TrafficEvent",
-    "TrafficTrace",
     "simulate_trace",
-    "BasinReport",
-    "ScenarioReport",
     "replay_trace",
 ]

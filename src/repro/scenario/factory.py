@@ -46,9 +46,6 @@ from ..ocean.swe import GRAVITY
 from ..ocean.tides import GULF_CONSTITUENTS, TidalConstituent, TidalForcing
 from ..workflow.engine import FieldWindow, ForecastResult
 
-__all__ = ["BasinSpec", "Basin", "RollingForecast", "ScenarioFactory",
-           "DEFAULT_BASINS"]
-
 #: fraction of the 10 m wind speed carried by the depth-averaged
 #: current (classic wind-driven-drift rule of thumb)
 WIND_DRIFT_FRACTION = 0.03

@@ -38,8 +38,6 @@ from ..serve.pool import PoolSaturated
 from .factory import ScenarioFactory, RollingForecast
 from .traffic import TrafficTrace
 
-__all__ = ["BasinReport", "ScenarioReport", "replay_trace"]
-
 
 def _percentile(values: List[float], q: float) -> float:
     if not values:

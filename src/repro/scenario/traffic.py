@@ -35,14 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .factory import ScenarioFactory
-
-__all__ = ["DiurnalCycle", "StormSpike", "BasinLoad", "TrafficModel",
-           "TrafficEvent", "TrafficTrace", "simulate_trace"]
 
 TRACE_VERSION = 1
 

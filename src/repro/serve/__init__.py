@@ -48,31 +48,13 @@ See ``docs/architecture.md`` for how the pieces compose and
 section).
 """
 
-from .autoscale import AutoScaler, LoadSample
-from .cache import ForecastCache, gradient_key, window_key
-from .hostpool import HostWorker
-from .pool import (DeploymentError, EngineWorkerPool, KeyAffinityRouter,
-                   PoolSaturated, Router)
-from .procpool import ProcessWorker
-from .remote import RemoteWorkerDied, RemoteWorkerError
-from .scheduler import MicroBatchScheduler
+from .cache import ForecastCache
+from .pool import EngineWorkerPool, PoolSaturated
 from .server import ForecastServer
 
 __all__ = [
-    "MicroBatchScheduler",
     "ForecastCache",
-    "window_key",
-    "gradient_key",
     "EngineWorkerPool",
-    "Router",
-    "KeyAffinityRouter",
     "PoolSaturated",
-    "DeploymentError",
-    "ProcessWorker",
-    "HostWorker",
-    "RemoteWorkerError",
-    "RemoteWorkerDied",
-    "AutoScaler",
-    "LoadSample",
     "ForecastServer",
 ]

@@ -50,8 +50,6 @@ from typing import List, Optional, Tuple
 from ..hpc.serving import PoolCapacityModel
 from .pool import EngineWorkerPool
 
-__all__ = ["LoadSample", "ScaleEvent", "AutoScaler"]
-
 
 @dataclass(frozen=True)
 class LoadSample:

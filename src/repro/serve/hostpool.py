@@ -54,8 +54,6 @@ from ..hpc.fabric import (FabricError, FabricTimeout, FrameError,
 from .remote import (SPAWN_METHOD, SPAWN_TIMEOUT_S, ChannelClosed,
                      RemoteWorker, serve_payload)
 
-__all__ = ["HostWorker"]
-
 
 # ----------------------------------------------------------------------
 # the frame channel (both ends; the remote is a thread for

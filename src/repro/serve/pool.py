@@ -76,19 +76,6 @@ from .procpool import ProcessWorker
 from .scheduler import (TRANSPORT_COUNTERS, MicroBatchScheduler, ServedFuture,
                         ServeMetrics)
 
-__all__ = [
-    "PoolSaturated",
-    "DeploymentError",
-    "EngineVersion",
-    "PoolEvent",
-    "Router",
-    "RoundRobinRouter",
-    "LeastOutstandingRouter",
-    "KeyAffinityRouter",
-    "PoolMetrics",
-    "EngineWorkerPool",
-]
-
 
 #: the out-of-process executor of each backend (``"thread"`` drives the
 #: engine itself); one worker protocol, two codecs — see
@@ -462,7 +449,8 @@ class EngineWorkerPool:
     def __init__(self, engines, replicas: Optional[int] = None,
                  max_batch: int = 8, max_queue: int = 32,
                  router: str = "least-outstanding",
-                 autostart: bool = True, backend: str = "thread", fabric: str = "socket"):
+                 autostart: bool = True, backend: str = "thread",
+                 fabric: str = "socket"):
         if hasattr(engines, "forecast_batch"):
             engines = [engines]
         engines = list(engines)

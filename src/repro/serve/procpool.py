@@ -51,8 +51,6 @@ import numpy as np
 from ..hpc.fabric import FrameError, layout, view
 from .remote import SPAWN_METHOD, ChannelClosed, RemoteWorker, serve_payload
 
-__all__ = ["ProcessWorker"]
-
 
 def _unlink_close(shm: shared_memory.SharedMemory) -> None:
     """Unlink first — it cannot fail on exported views, while close

@@ -62,19 +62,6 @@ import numpy as np
 from ..workflow.engine import (CompiledForward, FieldWindow, ForecastEngine,
                                ForecastResult)
 
-__all__ = [
-    "ChannelClosed",
-    "EngineService",
-    "RemoteWorker",
-    "RemoteWorkerError",
-    "RemoteWorkerDied",
-    "engine_payload",
-    "build_engine",
-    "serve_payload",
-    "SPAWN_METHOD",
-    "SPAWN_TIMEOUT_S",
-]
-
 _VARS = ("u3", "v3", "w3", "zeta")
 
 #: reply payload of an op: (meta, arrays)

@@ -57,9 +57,6 @@ import numpy as np
 from ..workflow.engine import FieldWindow, ForecastResult
 from ..workflow.sensitivity import GradientRequest
 
-__all__ = ["ServedFuture", "BatchRecord", "RequestRecord", "ServeMetrics",
-           "TRANSPORT_COUNTERS", "MicroBatchScheduler"]
-
 
 class ServedFuture(Future):
     """Completion handle for one scheduled forecast request.

@@ -40,7 +40,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..train.checkpoint import load_model_like
+from ..train import load_model_like
 from ..workflow.engine import FieldWindow, ForecastResult
 from ..workflow.ensemble import EnsembleForecast, EnsembleForecaster
 from ..workflow.sensitivity import GradientRequest
@@ -48,8 +48,6 @@ from .autoscale import AutoScaler
 from .cache import ForecastCache, gradient_key, window_key
 from .pool import EngineVersion, EngineWorkerPool
 from .scheduler import MicroBatchScheduler, ServedFuture
-
-__all__ = ["ForecastServer"]
 
 #: width of the ``serve-run`` pool that ensemble runs execute on
 _RUN_WORKERS = 2
@@ -292,7 +290,7 @@ class ForecastServer:
           around the new weights) — used as-is;
         * a checkpoint path (``str`` / ``Path``) — restored into a
           *fresh* model of the live model's class and config
-          (:func:`~repro.train.checkpoint.load_model_like`), then
+          (:func:`~repro.train.load_model_like`), then
           wrapped via :meth:`ForecastEngine.with_model`, so the live
           model is never mutated;
         * a bare model — wrapped via ``with_model`` likewise.

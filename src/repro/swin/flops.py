@@ -20,8 +20,6 @@ import numpy as np
 from ..nn import MLP
 from .model import N_VARS_2D, N_VARS_3D, SurrogateConfig
 
-__all__ = ["FlopBreakdown", "surrogate_flops", "attention_flops"]
-
 
 @dataclass(frozen=True)
 class FlopBreakdown:

@@ -41,8 +41,6 @@ from .patch import (
     _unfold_time,
 )
 
-__all__ = ["SurrogateConfig", "CoastalSurrogate"]
-
 N_VARS_3D = 3           # u, v, w
 N_VARS_2D = 1           # ζ
 

@@ -38,14 +38,6 @@ from ..nn import (
     Module,
 )
 
-__all__ = [
-    "PatchEmbed3d",
-    "PatchEmbed2d",
-    "PatchMerging4d",
-    "PatchRecover3d",
-    "PatchRecover2d",
-]
-
 
 def _fold_time(x: Tensor) -> Tuple[Tensor, int, int]:
     """(B, C, *S, T) → (B*T, C, *S); returns (folded, B, T)."""
@@ -255,7 +247,7 @@ def _k_patch_recover(out, ins, consts):
     coarse, kshape = x.shape[2:], w_up.shape[2:]
     nd = len(kshape)
     O1, K = math.prod(coarse), math.prod(kshape)
-    O = O1 * K
+    fine = O1 * K          # O, the fine-mesh cells of one sample
     dtype = np.result_type(x, w_up)
     if out is None:
         out = np.empty((N, Co) + tuple(o * k for o, k
@@ -265,8 +257,8 @@ def _k_patch_recover(out, ins, consts):
     # per-channel constants repeated over a token's K kernel offsets, so
     # each affine pass is a contiguous row operation
     bias, scale, shift = (np.repeat(v, K) for v in (b_up, scale, shift))
-    per = max(1, min(N, _RECOVER_BLOCK // (O * C)))
-    act, res_bytes = (per * O * c * dtype.itemsize for c in (C, Co))
+    per = max(1, min(N, _RECOVER_BLOCK // (fine * C)))
+    act, res_bytes = (per * fine * c * dtype.itemsize for c in (C, Co))
     step = -(-act // 64) * 64                   # 64-byte aligned starts
     buf = _recover_buffers(2 * step + res_bytes)
     first, second = buf[:act].view(dtype), buf[step:step + act].view(dtype)
@@ -277,20 +269,20 @@ def _k_patch_recover(out, ins, consts):
     mesh_split = (C,) + tuple(v for ok in zip(coarse, kshape) for v in ok)
     for lo in range(0, N, per):
         n = min(per, N - lo)
-        a = first[:n * O * C].reshape(n, O1, C * K)
+        a = first[:n * fine * C].reshape(n, O1, C * K)
         np.matmul(np.moveaxis(x[lo:lo + n], 1, -1).reshape(n, O1, C), w1,
                   out=a)
         a += bias
         a *= scale
         a += shift
-        g = second[:n * O * C].reshape(a.shape)
+        g = second[:n * fine * C].reshape(a.shape)
         _k_gelu(g, (a,), None)
-        mesh = first[:n * O * C].reshape((n,) + mesh_split)
+        mesh = first[:n * fine * C].reshape((n,) + mesh_split)
         tokens = g.reshape((n,) + coarse + (C,) + kshape).transpose(perm)
         np.copyto(_wide(mesh), _wide(tokens))
-        y = res[:n * O * Co].reshape(n, O, Co)
-        np.matmul(mesh.reshape(n, C, O).transpose(0, 2, 1), w2, out=y)
-        result = out[lo:lo + n].reshape(n, Co, O)
+        y = res[:n * fine * Co].reshape(n, fine, Co)
+        np.matmul(mesh.reshape(n, C, fine).transpose(0, 2, 1), w2, out=y)
+        result = out[lo:lo + n].reshape(n, Co, fine)
         np.copyto(result, y.transpose(0, 2, 1))
         # added in the mesh layout, as the 1×1 conv adds it: one long
         # row per channel instead of O rows of ``out`` elements
@@ -319,12 +311,12 @@ def _vjp_patch_recover(g, ins, out, consts, needs):
     coarse, kshape = x.shape[2:], w_up.shape[2:]
     nd = len(kshape)
     O1, K = math.prod(coarse), math.prod(kshape)
-    O = O1 * K
+    fine = O1 * K          # O, the fine-mesh cells of one sample
     w1 = w_up.reshape(C, -1)                    # (C, C·K)
     w2 = w_head.reshape(Co, -1)                 # (out, C)
     bias, sc, sh = (np.repeat(v, K) for v in (b_up, scale, shift))
     # the 1×1 head's rows: every full-resolution site, in mesh order
-    gmat = np.moveaxis(g, 1, -1).reshape(N, O, Co)
+    gmat = np.moveaxis(g, 1, -1).reshape(N, fine, Co)
     # (n, o1, k1, …, od, kd, C) → (n, o1, …, od, C, k1, …, kd) and back
     mesh = tuple(v for ok in zip(coarse, kshape) for v in ok) + (C,)
     to_tokens = (0,) + tuple(range(1, 2 * nd, 2)) + (2 * nd + 1,) \
@@ -333,7 +325,7 @@ def _vjp_patch_recover(g, ins, out, consts, needs):
     # parameter cotangents, summed over blocks: (C, C·K), per C·K
     # column or (out, C)
     d_w1 = d_b1 = d_w2 = d_scale = d_shift = 0.0
-    per = max(1, min(N, _RECOVER_BLOCK // (O * C)))
+    per = max(1, min(N, _RECOVER_BLOCK // (fine * C)))
     for lo in range(0, N, per):
         n = min(per, N - lo)
         xt = np.moveaxis(x[lo:lo + n], 1, -1).reshape(n, O1, C)
@@ -347,7 +339,7 @@ def _vjp_patch_recover(g, ins, out, consts, needs):
         if needs[3]:
             act = _k_gelu(None, (a,), None).reshape(
                 (n,) + coarse + (C,) + kshape).transpose(np.argsort(to_tokens))
-            d_w2 = d_w2 + np.einsum("nso,nsc->oc", gm, act.reshape(n, O, C))
+            d_w2 = d_w2 + np.einsum("nso,nsc->oc", gm, act.reshape(n, fine, C))
         if needs[5]:
             d_scale = d_scale + (d * pre).sum(axis=(0, 1))
         if needs[6]:

@@ -8,38 +8,19 @@ Public surface:
 * :func:`no_grad` / :func:`enable_grad` — thread-local gradient switch
   (inference mode, and its inverse for backward passes on serving
   threads).
-* :func:`gradcheck` / :func:`numerical_grad` — finite-difference
-  verification (see ``docs/differentiation.md``).
+* :func:`gradcheck` — finite-difference verification (see
+  ``docs/differentiation.md``).
 * :mod:`~repro.tensor.plan` — compiled inference plans: :func:`trace`
-  captures a forward as an :class:`ExecutionPlan` (one step per traced
-  op, liveness-packed into one arena blob); a :class:`PlanExecutor`
-  replays it allocation-free on raw arrays.
+  captures a forward as an :class:`~repro.tensor.plan.ExecutionPlan`
+  (one step per traced op, liveness-packed into one arena blob); a
+  :class:`PlanExecutor` replays it allocation-free on raw arrays.
 """
 
-from .plan import (
-    ExecutionPlan,
-    PlanExecutor,
-    TraceError,
-    trace,
-    tracing,
-)
-from .tensor import (
-    Tensor,
-    astensor,
-    concatenate,
-    enable_grad,
-    is_grad_enabled,
-    no_grad,
-    set_grad_enabled,
-    unbroadcast,
-)
-from .ops_conv import (
-    conv_nd,
-    conv_output_shape,
-    conv_transpose_nd,
-    conv_transpose_output_shape,
-)
-from .gradcheck import gradcheck, numerical_grad
+from .plan import PlanExecutor, TraceError, trace, tracing
+from .tensor import (Tensor, astensor, concatenate, enable_grad,
+                     is_grad_enabled, no_grad)
+from .ops_conv import conv_nd, conv_transpose_nd
+from .gradcheck import gradcheck
 
 __all__ = [
     "Tensor",
@@ -48,15 +29,9 @@ __all__ = [
     "no_grad",
     "enable_grad",
     "is_grad_enabled",
-    "set_grad_enabled",
-    "unbroadcast",
     "conv_nd",
     "conv_transpose_nd",
-    "conv_output_shape",
-    "conv_transpose_output_shape",
     "gradcheck",
-    "numerical_grad",
-    "ExecutionPlan",
     "PlanExecutor",
     "TraceError",
     "trace",

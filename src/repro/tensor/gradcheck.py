@@ -37,8 +37,6 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["numerical_grad", "gradcheck", "tape_nodes"]
-
 
 def tape_nodes(root: Tensor) -> List[Tensor]:
     """Tensors a ``backward()`` from ``root`` visits, leaves included —

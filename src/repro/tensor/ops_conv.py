@@ -27,9 +27,6 @@ import numpy as np
 from . import plan as _plan
 from .tensor import Tensor, apply, astensor
 
-__all__ = ["conv_nd", "conv_transpose_nd", "conv_output_shape",
-           "conv_transpose_output_shape"]
-
 
 def _as_tuple(v, n: int) -> Tuple[int, ...]:
     if isinstance(v, (tuple, list)):
@@ -76,10 +73,10 @@ def _fwd_patch(x: np.ndarray, w: np.ndarray, out_sp: Tuple[int, ...],
     convolution, and the input adjoint of a patch-recovery transposed
     convolution (whose own forward is :func:`_grad_input_patch`; an
     eval-mode head runs neither, but the fused ``patch_recover`` kernel
-    of :mod:`repro.swin.patch`, whose VJP repeats this GEMM).  With ``out`` (the compiled plan's arena
-    buffer) the final interleaving copy lands there instead of a fresh
-    allocation — a copy of the same GEMM values either way, so eager
-    and replay stay bitwise identical.
+    of :mod:`repro.swin.patch`, whose VJP repeats this GEMM).  With
+    ``out`` (the compiled plan's arena buffer) the final interleaving
+    copy lands there instead of a fresh allocation — a copy of the same
+    GEMM values either way, so eager and replay stay bitwise identical.
     """
     kshape = w.shape[2:]
     N, Ci = x.shape[:2]

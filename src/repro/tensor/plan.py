@@ -77,20 +77,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "ExecutionPlan",
-    "PlanBuilder",
-    "PlanExecutor",
-    "TraceError",
-    "trace",
-    "tracing",
-    "trace_apply",
-    "register_kernel",
-    "register_vjp",
-    "single_thread_blas",
-    "blas_threads",
-]
-
 
 class TraceError(RuntimeError):
     """Raised when a forward cannot be captured as a static plan."""

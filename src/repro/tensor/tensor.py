@@ -32,17 +32,6 @@ import numpy as np
 
 from . import plan as _plan
 
-__all__ = [
-    "Tensor",
-    "apply",
-    "no_grad",
-    "enable_grad",
-    "is_grad_enabled",
-    "set_grad_enabled",
-    "unbroadcast",
-    "astensor",
-]
-
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 
@@ -467,4 +456,3 @@ def _k_erf(out, ins, consts):
 def _vjp_erf(g, ins, out, consts, needs):
     a = ins[0]
     return (g * (2.0 / np.sqrt(np.pi)) * np.exp(-a * a),)
-

@@ -17,22 +17,11 @@ and ``docs/differentiation.md``).
 """
 
 from .engine import CompiledForward, ForecastEngine
-from .forecast import (
-    DualModelForecaster,
-    FieldWindow,
-    ForecastResult,
-    SurrogateForecaster,
-)
-from .hybrid import EpisodeReport, HybridWorkflow, WorkflowReport
+from .forecast import (DualModelForecaster, FieldWindow, ForecastResult,
+                       SurrogateForecaster)
+from .hybrid import HybridWorkflow
 from .ensemble import EnsembleForecast, EnsembleForecaster
-from .sensitivity import (
-    DIAGNOSTICS,
-    STORM_PARAMS,
-    GradientRequest,
-    SensitivityResult,
-    StormOverlay,
-    evaluate_diagnostic,
-)
+from .sensitivity import GradientRequest, StormOverlay
 
 __all__ = [
     "CompiledForward",
@@ -41,15 +30,9 @@ __all__ = [
     "ForecastResult",
     "SurrogateForecaster",
     "DualModelForecaster",
-    "EpisodeReport",
     "HybridWorkflow",
-    "WorkflowReport",
     "EnsembleForecast",
     "EnsembleForecaster",
-    "DIAGNOSTICS",
-    "STORM_PARAMS",
     "GradientRequest",
-    "SensitivityResult",
     "StormOverlay",
-    "evaluate_diagnostic",
 ]

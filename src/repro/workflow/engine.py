@@ -33,9 +33,6 @@ from ..swin.model import CoastalSurrogate
 from ..tensor import PlanExecutor, Tensor, enable_grad, no_grad
 from ..tensor import plan as _plan
 
-__all__ = ["FieldWindow", "ForecastResult", "CompiledForward",
-           "ForecastEngine"]
-
 _VARS = ("u3", "v3", "w3", "zeta")
 
 
@@ -274,8 +271,9 @@ class ForecastEngine:
     normalizer: fitted z-score statistics.
 
     The boundary-condition slots keep a rim of ``boundary_width``
-    (:data:`~repro.data.dataset.BOUNDARY_WIDTH`) cells.  Batches whose shape matches a plan prepared with :meth:`compile`
-    replay that plan instead of walking the dynamic eager path.  A
+    (:data:`~repro.data.dataset.BOUNDARY_WIDTH`) cells.  Batches whose
+    shape matches a plan prepared with :meth:`compile` replay that plan
+    instead of walking the dynamic eager path.  A
     batch *smaller* than any compiled plan is zero-padded up to the
     nearest compiled batch size (its "bucket"), replayed there, and the
     outputs sliced back — the forward is row-independent, so the sliced

@@ -19,8 +19,6 @@ import numpy as np
 
 from .forecast import FieldWindow, SurrogateForecaster
 
-__all__ = ["EnsembleForecast", "EnsembleForecaster"]
-
 
 @dataclass
 class EnsembleForecast:

@@ -22,9 +22,6 @@ from ..data.preprocess import Normalizer
 from ..swin.model import CoastalSurrogate
 from .engine import FieldWindow, ForecastEngine, ForecastResult
 
-__all__ = ["FieldWindow", "ForecastResult", "SurrogateForecaster",
-           "DualModelForecaster"]
-
 
 class SurrogateForecaster:
     """Run a trained surrogate on (IC, boundary-condition) episodes."""

@@ -35,8 +35,6 @@ from ..ocean.swe import ShallowWaterState
 from ..physics.verifier import VerificationResult, Verifier
 from .forecast import FieldWindow, SurrogateForecaster
 
-__all__ = ["EpisodeReport", "WorkflowReport", "HybridWorkflow"]
-
 
 @dataclass
 class EpisodeReport:

@@ -33,16 +33,6 @@ import numpy as np
 from ..tensor import Tensor, astensor, enable_grad
 from .engine import FieldWindow
 
-__all__ = [
-    "DIAGNOSTICS",
-    "GRAVITY",
-    "STORM_PARAMS",
-    "GradientRequest",
-    "SensitivityResult",
-    "StormOverlay",
-    "evaluate_diagnostic",
-]
-
 GRAVITY = 9.81  # m/s² — matches the SWE solver's gravitational constant.
 
 #: Storm-overlay fields exposed as differentiable parameters, in the

@@ -34,7 +34,8 @@ from repro.ocean import (
     make_charlotte_grid,
     synth_estuary_bathymetry,
 )
-from repro.serve import HostWorker, ProcessWorker
+from repro.serve.hostpool import HostWorker
+from repro.serve.procpool import ProcessWorker
 from repro.swin import CoastalSurrogate, SurrogateConfig
 from repro.workflow import ForecastEngine
 from repro.workflow.engine import FieldWindow

@@ -30,7 +30,8 @@ from conftest import (  # noqa: F401 — shared serving fixtures
 
 from repro.data import Normalizer, assemble_episode_input_batch, pad_mesh
 from repro.physics import Verifier
-from repro.serve import EngineWorkerPool, ForecastServer, MicroBatchScheduler
+from repro.serve import EngineWorkerPool, ForecastServer
+from repro.serve.scheduler import MicroBatchScheduler
 from repro.tensor import (
     PlanExecutor,
     Tensor,
@@ -1056,4 +1057,3 @@ class TestServedPlans:
         assert_windows_equal(fields, direct_hyb[0])
         assert served_metrics["requests"] >= 1
         assert engine.plan_stats()["hits"] >= 1
-

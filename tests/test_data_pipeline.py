@@ -3,21 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    DataLoader,
-    Normalizer,
-    SlidingWindowDataset,
-    VARIABLES,
-    assemble_episode_input,
-    assemble_episode_input_batch,
-    build_archives,
-    faces_to_centers_u,
-    faces_to_centers_v,
-    pad_mesh,
-    padded_shape,
-    resample_store,
-    unpad_mesh,
-)
+from repro.data import (DataLoader, Normalizer, SlidingWindowDataset,
+                        assemble_episode_input_batch, build_archives, pad_mesh,
+                        resample_store)
+from repro.data.store import VARIABLES
+from repro.data.dataset import assemble_episode_input
+from repro.data.preprocess import (faces_to_centers_u, faces_to_centers_v,
+                                   padded_shape, unpad_mesh)
 
 
 class TestPreprocess:

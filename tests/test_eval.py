@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.eval import (
-    PAPER_LOCATIONS,
-    aggregate_errors,
-    compare_surface_fields,
-    compute_errors,
-    extract_series,
-    format_sci,
-    format_series,
-    format_table,
-    series_skill,
-)
+from repro.eval.metrics import PAPER_LOCATIONS
+from repro.eval import (aggregate_errors, compare_surface_fields,
+                        compute_errors, extract_series, format_sci,
+                        format_series, format_table, series_skill)
 from repro.workflow import FieldWindow
 
 

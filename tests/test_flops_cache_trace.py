@@ -3,11 +3,8 @@
 import dataclasses
 
 
-from repro.swin import (
-    SurrogateConfig,
-    attention_flops,
-    surrogate_flops,
-)
+from repro.swin import SurrogateConfig, surrogate_flops
+from repro.swin.flops import attention_flops
 
 
 class TestFlops:
@@ -36,4 +33,3 @@ class TestFlops:
         a = attention_flops(tokens=1024, window_volume=16, dim=32)
         b = attention_flops(tokens=1024, window_volume=64, dim=32)
         assert b > a
-

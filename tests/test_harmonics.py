@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ocean import (
-    GULF_CONSTITUENTS,
-    TidalConstituent,
-    TidalForcing,
-    compare_constituents,
-    fit_constituents,
-)
+from repro.ocean import GULF_CONSTITUENTS, TidalConstituent, TidalForcing
+from repro.ocean.harmonics import compare_constituents, fit_constituents
 
 HOUR = 3600.0
 DAY = 86400.0

@@ -4,27 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hpc import (
-    BlockDecomposition,
-    DGX_A100_CLUSTER,
-    DecomposedShallowWater,
-    FIG9_CONFIGS,
-    NodeSpec,
-    PipelineConfig,
-    PipelineParams,
-    RomsPerfModel,
-    RomsWorkload,
-    ScalingModel,
-    SimComm,
-    TABLE1_ROWS,
-    TrainingPipelineModel,
-    activation_nbytes,
-    best_process_grid,
-    halo_exchange_bytes,
-    pipeline_memory_table,
-    ring_allreduce_seconds,
-    sample_nbytes,
-)
+from repro.hpc.mpi import BlockDecomposition, SimComm
+from repro.hpc.cluster import DGX_A100_CLUSTER
+from repro.hpc import (DecomposedShallowWater, NodeSpec, PipelineParams,
+                       RomsPerfModel, RomsWorkload, ScalingModel,
+                       TrainingPipelineModel, activation_nbytes,
+                       halo_exchange_bytes, pipeline_memory_table,
+                       sample_nbytes)
+from repro.hpc.pipeline import FIG9_CONFIGS, PipelineConfig
+from repro.hpc.roms_perf import TABLE1_ROWS, best_process_grid
+from repro.hpc.scaling import ring_allreduce_seconds
 from repro.ocean import (
     SWEConfig,
     ShallowWaterSolver,

@@ -24,7 +24,6 @@ from repro.hpc.fabric import (
     FabricTimeout,
     FrameError,
     MAGIC,
-    SocketEndpoint,
     accept_loopback,
     connect_loopback,
     listen_loopback,

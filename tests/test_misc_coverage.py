@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data import SnapshotStore
-from repro.ocean import (
-    RomsLikeModel,
-    SWEConfig,
-    ShallowWaterSolver,
-    TidalForcing,
-    energy,
-    make_charlotte_grid,
-    synth_estuary_bathymetry,
-)
+from repro.ocean import (RomsLikeModel, SWEConfig, ShallowWaterSolver,
+                         TidalForcing, make_charlotte_grid,
+                         synth_estuary_bathymetry)
+from repro.ocean.diagnostics import energy
 from repro.tensor import Tensor, no_grad
 
 

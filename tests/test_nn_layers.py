@@ -7,21 +7,10 @@ import numpy as np
 import pytest
 import scipy.special
 
-from repro.nn import (
-    BatchNorm,
-    Conv2d,
-    Conv3d,
-    ConvTranspose2d,
-    ConvTranspose3d,
-    GELU,
-    LayerNorm,
-    Linear,
-    MLP,
-    Module,
-    ModuleList,
-    Parameter,
-    gelu,
-)
+from repro.nn import (BatchNorm, Conv2d, Conv3d, ConvTranspose2d,
+                      ConvTranspose3d, GELU, LayerNorm, Linear, MLP, Module,
+                      ModuleList, Parameter)
+from repro.nn.layers import gelu
 from repro.nn import init
 from repro.nn import layers as layers_mod
 from repro.tensor import Tensor, gradcheck, no_grad

@@ -4,18 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ocean import (
-    SWEConfig,
-    ShallowWaterSolver,
-    ShallowWaterState,
-    TidalForcing,
-    cfl_number,
-    energy,
-    make_charlotte_grid,
-    synth_estuary_bathymetry,
-    volume_budget,
-    wet_mask,
-)
+from repro.ocean import (SWEConfig, ShallowWaterSolver, ShallowWaterState,
+                         TidalForcing, make_charlotte_grid,
+                         synth_estuary_bathymetry, wet_mask)
+from repro.ocean.diagnostics import cfl_number, energy, volume_budget
 
 
 @pytest.fixture(scope="module")

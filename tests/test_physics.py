@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ocean import RomsLikeModel
-from repro.physics import (
-    OCEANOGRAPHY_ACCEPTED_THRESHOLD,
-    PAPER_THRESHOLDS,
-    VerificationResult,
-    Verifier,
-    depth_average,
-    residual_series_batch,
-    water_mass_residual,
-)
+from repro.physics.verifier import (OCEANOGRAPHY_ACCEPTED_THRESHOLD,
+                                    depth_average, residual_series_batch,
+                                    water_mass_residual)
+from repro.physics import PAPER_THRESHOLDS, VerificationResult, Verifier
 
 
 def _residuals(ocean, zeta, u3, v3, dt):

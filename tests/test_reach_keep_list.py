@@ -7,9 +7,12 @@ every listed key exists — a function, an op, or a knob that names a
 defaulted parameter or ``*Config`` field in the source — every reason
 is in the closed set, and every ``pending:`` title names an open
 ROADMAP item — an entry left behind by an item marked done fails here,
-not only at night.
+not only at night.  The export audit is static, so it runs here whole:
+every name in a package's ``__all__`` has a user outside the package,
+and no other module declares an ``__all__``.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -84,3 +87,41 @@ def test_every_pending_title_is_an_open_roadmap_item(reach, keep):
             if reason.startswith("pending: ")
             and reason[len("pending: "):] not in titles} == {}
     assert errors == []
+
+
+def test_every_export_has_a_user_outside_its_package(reach):
+    """The static half of the audit: a name in a package's ``__all__``
+    that nothing outside the package imports or reaches by attribute
+    leaves ``__all__``; tests import it from its module."""
+    exports = reach.all_exports()
+    assert exports["repro.serve"] and "repro" in exports
+    assert {package: names
+            for package, names in reach.unused_exports().items()
+            if names} == {}
+
+
+def test_a_user_is_an_import_or_an_attribute_through_the_package(reach):
+    """Relative imports resolve against the importing package, and an
+    attribute chain through an import alias counts as a use."""
+    refs = reach._references(reach.PKG / "swin" / "blocks.py")
+    assert "repro.nn.init" in refs and "repro.swin.patch.PatchMerging4d" \
+        in refs
+    refs = reach._references(reach.ROOT / "benchmarks" / "e2e"
+                             / "workloads.py")
+    assert "repro.serve.cache.ForecastCache" in refs       # cache_mod.…
+    assert "repro.hpc.fabric.pack_frame" in refs           # fabric.…
+
+
+def test_only_a_package_init_declares_all(reach):
+    """The package ``__all__`` is the one place a public name is
+    declared: no other module under ``src/repro`` defines one."""
+    declaring = []
+    for path in sorted(reach.PKG.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = getattr(node, "targets", [getattr(node, "target",
+                                                        None)])
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                declaring.append(path.relative_to(reach.PKG).as_posix())
+    assert declaring == []

@@ -12,7 +12,6 @@ Three guarantees, checked on the real ``ForecastServer``:
   through two fresh servers produces bitwise-identical responses.
 """
 
-import numpy as np
 import pytest
 
 from conftest import assert_windows_equal
@@ -23,7 +22,8 @@ from repro.scenario import (
     replay_trace,
     simulate_trace,
 )
-from repro.serve import ForecastServer, window_key
+from repro.serve import ForecastServer
+from repro.serve.cache import window_key
 from repro.serve.pool import stable_key_hash
 
 WORKERS = 3
@@ -175,7 +175,7 @@ class TestTraceReplayBitwise:
 
     def test_round_tripped_trace_replays_bitwise(self, factory, engine,
                                                  tmp_path):
-        from repro.scenario import TrafficTrace
+        from repro.scenario.traffic import TrafficTrace
 
         trace = self.make_trace(factory)
         path = tmp_path / "trace.jsonl"

@@ -13,17 +13,10 @@ zero lost, zero double-served.
 import numpy as np
 import pytest
 
-from repro.scenario import (
-    BasinLoad,
-    BasinSpec,
-    DiurnalCycle,
-    ScenarioFactory,
-    StormSpike,
-    TrafficModel,
-    TrafficTrace,
-    replay_trace,
-    simulate_trace,
-)
+from repro.scenario.traffic import BasinLoad, DiurnalCycle, TrafficTrace
+from repro.scenario.factory import BasinSpec
+from repro.scenario import (ScenarioFactory, StormSpike, TrafficModel,
+                            replay_trace, simulate_trace)
 from repro.serve import EngineWorkerPool, ForecastServer
 from repro.serve.autoscale import AutoScaler
 from repro.workflow.engine import FieldWindow

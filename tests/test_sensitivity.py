@@ -22,25 +22,16 @@ import pytest
 from conftest import VARS, make_window
 
 from repro.data.preprocess import Normalizer
-from repro.serve import (
-    EngineWorkerPool,
-    ForecastServer,
-    HostWorker,
-    MicroBatchScheduler,
-    ProcessWorker,
-    gradient_key,
-    window_key,
-)
+from repro.serve import EngineWorkerPool, ForecastServer
+from repro.serve.hostpool import HostWorker
+from repro.serve.scheduler import MicroBatchScheduler
+from repro.serve.procpool import ProcessWorker
+from repro.serve.cache import gradient_key, window_key
 from repro.tensor import Tensor, astensor, concatenate
 from repro.tensor.gradcheck import gradcheck, numerical_grad, tape_nodes
-from repro.workflow import (
-    STORM_PARAMS,
-    ForecastEngine,
-    GradientRequest,
-    SensitivityResult,
-    StormOverlay,
-    evaluate_diagnostic,
-)
+from repro.workflow.sensitivity import (STORM_PARAMS, SensitivityResult,
+                                        evaluate_diagnostic)
+from repro.workflow import ForecastEngine, GradientRequest, StormOverlay
 from repro.workflow.sensitivity import GRAVITY, _stacked, compose_batch
 
 T, H, W, D = 4, 15, 14, 6

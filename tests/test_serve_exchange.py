@@ -30,7 +30,9 @@ from contextlib import closing
 
 import pytest
 
-from repro.serve import DeploymentError, EngineWorkerPool, RemoteWorkerDied
+from repro.serve.pool import DeploymentError
+from repro.serve import EngineWorkerPool
+from repro.serve.remote import RemoteWorkerDied
 
 from conftest import (
     assert_pool_batches_bitwise,

@@ -14,12 +14,9 @@ from contextlib import closing
 
 import pytest
 
-from repro.serve import (
-    EngineWorkerPool,
-    HostWorker,
-    RemoteWorkerDied,
-    RemoteWorkerError,
-)
+from repro.serve import EngineWorkerPool
+from repro.serve.hostpool import HostWorker
+from repro.serve.remote import RemoteWorkerDied, RemoteWorkerError
 
 from conftest import make_window, wait_until
 

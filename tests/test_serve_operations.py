@@ -21,13 +21,9 @@ from conftest import (  # noqa: F401 — shared serving fixtures
 )
 
 from repro.hpc import PoolCapacityModel, ServingCapacityModel
-from repro.serve import (
-    AutoScaler,
-    DeploymentError,
-    EngineWorkerPool,
-    ForecastServer,
-    LoadSample,
-)
+from repro.serve.autoscale import AutoScaler, LoadSample
+from repro.serve.pool import DeploymentError
+from repro.serve import EngineWorkerPool, ForecastServer
 from repro.train import load_model_like, save_checkpoint
 
 
@@ -252,7 +248,7 @@ class TestServerDeploy:
         callback fires *after* deploy() invalidated the cache must not
         reinstate old-weights results as cache hits."""
         e1, e2 = engine_pair
-        from repro.serve import window_key
+        from repro.serve.cache import window_key
         window = make_window(5)
         key = window_key(window)
         with ForecastServer(e1, max_batch=4, cache_bytes=1 << 22) as server:

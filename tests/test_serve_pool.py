@@ -20,14 +20,9 @@ from conftest import (  # noqa: F401 — shared serving fixtures
 )
 
 from repro.hpc import PoolCapacityModel, ServingCapacityModel
-from repro.serve import (
-    EngineWorkerPool,
-    ForecastServer,
-    KeyAffinityRouter,
-    PoolSaturated,
-    Router,
-    window_key,
-)
+from repro.serve import EngineWorkerPool, ForecastServer, PoolSaturated
+from repro.serve.pool import KeyAffinityRouter, Router
+from repro.serve.cache import window_key
 from repro.serve.pool import stable_key_hash
 from repro.serve.scheduler import ServeMetrics
 from repro.workflow import EnsembleForecaster, SurrogateForecaster

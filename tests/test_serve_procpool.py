@@ -17,12 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import (
-    EngineWorkerPool,
-    ProcessWorker,
-    RemoteWorkerDied,
-    RemoteWorkerError,
-)
+from repro.serve import EngineWorkerPool
+from repro.serve.procpool import ProcessWorker
+from repro.serve.remote import RemoteWorkerDied, RemoteWorkerError
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.tensor import plan as plan_mod
 from repro.tensor.plan import (

@@ -28,13 +28,9 @@ from conftest import (  # noqa: F401 — shared serving fixtures
 )
 
 from repro.hpc import ServingCapacityModel
-from repro.serve import (
-    EngineWorkerPool,
-    ForecastCache,
-    ForecastServer,
-    MicroBatchScheduler,
-    window_key,
-)
+from repro.serve import EngineWorkerPool, ForecastCache, ForecastServer
+from repro.serve.scheduler import MicroBatchScheduler
+from repro.serve.cache import window_key
 from repro.serve.scheduler import BatchRecord, ServedFuture
 from repro.workflow import EnsembleForecaster, HybridWorkflow
 from repro.workflow.engine import FieldWindow
@@ -481,7 +477,7 @@ class TestForecastCache:
                                                        windows):
         """Concurrent identical misses both put the same key: the byte
         accounting must reflect one resident copy, not two."""
-        from repro.data import LruBytes
+        from repro.serve.cache import LruBytes
         lru = LruBytes(300, size_of=lambda v: 100)
         lru.put("k", "a")
         lru.put("k", "b")

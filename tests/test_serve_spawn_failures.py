@@ -16,7 +16,9 @@ from contextlib import closing
 import pytest
 
 from repro.hpc.fabric import FabricError
-from repro.serve import DeploymentError, EngineWorkerPool, HostWorker
+from repro.serve.pool import DeploymentError
+from repro.serve import EngineWorkerPool
+from repro.serve.hostpool import HostWorker
 from repro.serve import hostpool as hostpool_mod
 from repro.serve import pool as pool_mod
 from repro.serve.scheduler import MicroBatchScheduler

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ocean import (
-    ParametricCyclone,
-    SteadyWind,
-    StormForcedSolver,
-    SWEConfig,
-    ShallowWaterSolver,
-    TidalForcing,
-    make_charlotte_grid,
-    synth_estuary_bathymetry,
-)
+from repro.ocean import (ParametricCyclone, StormForcedSolver, SWEConfig,
+                         ShallowWaterSolver, TidalForcing, make_charlotte_grid,
+                         synth_estuary_bathymetry)
+from repro.ocean.storm import SteadyWind
 from repro.ocean.storm import P_AMBIENT, _wind_drag_coefficient
 
 

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.swin import (
-    CheckpointStats,
-    CoastalSurrogate,
-    SurrogateConfig,
-    SwinBlock4d,
-    SwinStage4d,
-    checkpoint,
-)
+from repro.swin.blocks import (CheckpointStats, SwinBlock4d, SwinStage4d,
+                               checkpoint)
+from repro.swin import CoastalSurrogate, SurrogateConfig
 from repro.tensor import Tensor, no_grad
 
 

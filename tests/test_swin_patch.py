@@ -6,14 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.swin import (
-    CoastalSurrogate,
-    PatchEmbed2d,
-    PatchEmbed3d,
-    PatchMerging4d,
-    PatchRecover2d,
-    PatchRecover3d,
-)
+from repro.swin import CoastalSurrogate
+from repro.swin.patch import (PatchEmbed2d, PatchEmbed3d, PatchMerging4d,
+                              PatchRecover2d, PatchRecover3d)
 from repro.swin import patch as patch_mod
 from repro.swin.model import N_VARS_2D, N_VARS_3D
 from repro.swin.patch import _fold_time, _unfold_time

@@ -3,14 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.swin import (
-    compute_attention_mask,
-    compute_shift_sizes,
-    effective_window,
-    window_partition,
-    window_reverse,
-)
-from repro.swin.window import NEG_INF
+from repro.swin.blocks import (NEG_INF, compute_attention_mask,
+                               compute_shift_sizes, effective_window,
+                               window_partition, window_reverse)
 from repro.tensor import Tensor
 
 

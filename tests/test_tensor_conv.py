@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tensor import ops_conv
-from repro.tensor import (
-    Tensor,
-    conv_nd,
-    conv_output_shape,
-    conv_transpose_nd,
-    conv_transpose_output_shape,
-    gradcheck,
-)
+from repro.tensor import Tensor, conv_nd, conv_transpose_nd, gradcheck
+from repro.tensor.ops_conv import (conv_output_shape,
+                                   conv_transpose_output_shape)
 
 
 def _arr(rng, *shape):

@@ -5,17 +5,9 @@ import pytest
 
 from repro.nn import Linear, Parameter
 from repro.tensor import Tensor
-from repro.train import (
-    Adam,
-    CosineWarmup,
-    Trainer,
-    TrainerConfig,
-    clip_grad_norm,
-    episode_loss,
-    load_checkpoint,
-    mse,
-    save_checkpoint,
-)
+from repro.train import (Adam, CosineWarmup, Trainer, TrainerConfig,
+                         load_checkpoint, mse, save_checkpoint)
+from repro.train.trainer import clip_grad_norm, episode_loss
 
 
 def _quadratic_step(opt_cls, steps=200, **kw):

@@ -30,8 +30,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
 import workloads as wl  # noqa: E402 — needs the two path entries above
 from repro.tensor import PlanExecutor, Tensor, no_grad  # noqa: E402
-from repro.train.loss import mse  # noqa: E402
-from repro.train.optim import Adam  # noqa: E402
+from repro.train import Adam, mse  # noqa: E402
 from repro.workflow import ForecastEngine  # noqa: E402
 
 

@@ -5,8 +5,9 @@ A *code line* is a physical line carrying at least one token that is
 not a comment, not blank layout and not part of a docstring (the
 leading string expression of a module, class or function body, found
 with ``ast``; everything else is classified with ``tokenize``).  Prints
-one row per package directly under the root plus the root total, so a
-simplification PR quotes numbers anyone can regenerate::
+one row per package directly under the root plus the root total — its
+code lines and its modules (``.py`` files other than ``__init__.py``) —
+so a simplification PR quotes numbers anyone can regenerate::
 
     python tools/code_lines.py            # src/repro
     python tools/code_lines.py src/repro/serve
@@ -58,12 +59,15 @@ def main(argv) -> int:
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
         group = rel.parts[0] if len(rel.parts) > 1 else "."
-        counts[group] = counts.get(group, 0) + code_lines(path)
+        lines, modules = counts.get(group, (0, 0))
+        counts[group] = (lines + code_lines(path),
+                         modules + (path.name != "__init__.py"))
     rows = sorted(counts.items()) if len(counts) > 1 else []
-    rows.append((str(root), sum(counts.values())))
+    rows.append((str(root), tuple(map(sum, zip(*counts.values())))))
     width = max(len(label) for label, _ in rows)
-    for label, n in rows:
-        print(f"{label:<{width}}  {n:>6}")
+    print(f"{'':<{width}}  {'lines':>6}  {'modules':>7}")
+    for label, (lines, modules) in rows:
+        print(f"{label:<{width}}  {lines:>6}  {modules:>7}")
     return 0
 
 

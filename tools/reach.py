@@ -30,6 +30,16 @@ of a function it has seen called until a call sets it.  The knobs
 counted are those of the functions the system reaches, plus every
 ``*Config`` field.
 
+An *export* is a name in a package ``__init__.py``'s ``__all__`` (the
+root's names the subpackages), read with ``ast``; no other module
+declares one.  It is *used* when a file outside its package — in
+``examples/``, ``benchmarks/`` (the e2e harness included), ``tools/``
+or another ``src/repro`` package — imports it from the package or one
+of its modules, absolutely or relatively, or reaches it by attribute
+through them.  Exports take no keep reason: a name nothing outside uses
+leaves ``__all__``, and tests import it from its module.  This half is
+static; ``tests/test_reach_keep_list.py`` runs it on every push.
+
 Each function or op the system does not reach, and each counted knob
 it never sets, must stand in the keep list ``tools/reach.txt``
 (``key  reason``, ``#`` comments) with one reason from a closed set:
@@ -51,8 +61,9 @@ it never sets, must stand in the keep list ``tools/reach.txt``
 Exits 1 when an unreached key or a never-set knob is missing from the
 keep list, when the keep list names a key that does not exist, a
 reached key or a set knob (a ``fault`` one a run happened to hit is
-only noted), or a reason outside the set, or when a system run fails.  CI's nightly job runs it
-(3.11 or later: the keys need ``co_qualname``).
+only noted), or a reason outside the set, when an export has no user
+outside its package, or when a system run fails.  CI's nightly job
+runs it (3.11 or later: the keys need ``co_qualname``).
 """
 
 from __future__ import annotations
@@ -349,6 +360,93 @@ def all_knobs() -> dict:
     return knobs
 
 
+def _module_name(path: Path) -> str:
+    """``repro.serve.cache`` of ``src/repro/serve/cache.py``; a package
+    ``__init__.py`` is its package."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def all_exports() -> dict:
+    """``{package: [names]}``: the ``__all__`` of each package
+    ``__init__.py`` (the root's names the subpackages), read with
+    ``ast``."""
+    exports = {}
+    for init in [PKG / "__init__.py"] + sorted(PKG.glob("*/__init__.py")):
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__"
+                    for t in node.targets):
+                exports[_module_name(init)] = list(
+                    ast.literal_eval(node.value))
+    return exports
+
+
+def _references(path: Path) -> set:
+    """Dotted names one file imports or reaches by attribute access,
+    with relative imports and import aliases resolved."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    package = ""
+    if path.is_relative_to(SRC):
+        package = _module_name(path if path.name == "__init__.py"
+                               else path.parent / "__init__.py")
+    alias, refs, chains = {}, set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chains.append(node)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                base = parts[:len(parts) + 1 - node.level]
+                module = ".".join(base + ([module] if module else []))
+            for a in node.names:
+                refs.add(f"{module}.{a.name}")
+                alias[a.asname or a.name] = f"{module}.{a.name}"
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    alias[a.asname] = a.name
+                else:
+                    root = a.name.split(".")[0]
+                    alias[root] = root
+    for node in chains:
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in alias:
+            refs.add(".".join([alias[node.id]] + chain[::-1]))
+    return refs
+
+
+def unused_exports() -> dict:
+    """``{package: [names]}`` of the exports nothing outside their
+    package imports from the package or one of its modules, or reaches
+    by attribute through them.  The users scanned are ``examples/``,
+    ``benchmarks/`` (the e2e harness included), ``tools/`` and the other
+    packages of ``src/repro``."""
+    exports = all_exports()
+    modules = {_module_name(p) for p in PKG.rglob("*.py")}
+    files = [p for d in ("examples", "benchmarks", "tools")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    files += sorted(PKG.rglob("*.py"))
+    used = {package: set() for package in exports}
+    for path in files:
+        own = _module_name(path) if path.is_relative_to(SRC) else ""
+        for ref in _references(path):
+            for package in used:
+                if not ref.startswith(package + ".") or own == package \
+                        or own.startswith(package + "."):
+                    continue
+                rest = ref[len(package) + 1:].split(".")
+                used[package].add(rest[0])
+                if len(rest) > 1 and f"{package}.{rest[0]}" in modules:
+                    used[package].add(rest[1])
+    return {package: [n for n in names if n not in used[package]]
+            for package, names in exports.items()}
+
+
 def open_items(roadmap: str) -> set:
     """Titles of the numbered ROADMAP items not marked done."""
     heads = list(re.finditer(r"^- \*\*\d+\. (?:\(new\) )?(.+?)\*\*",
@@ -421,6 +519,13 @@ def main() -> int:
               f"kept {len(group - reached)}")
     print(f"{'knobs':<9} {len(watched)}: set {len(watched & reached)}, "
           f"kept {len(watched - reached)}")
+    exports = sum(len(names) for names in all_exports().values())
+    unused = [f"{package}.{name}"
+              for package, names in unused_exports().items()
+              for name in names]
+    errors += [f"exported but nothing outside its package uses it: {e}"
+               for e in unused]
+    print(f"{'exports':<9} {exports}: used {exports - len(unused)}")
     print(f"{time.perf_counter() - t0:.0f} s")
     for k in stale:
         if keep[k] == "fault":
