@@ -29,7 +29,6 @@ import numpy as np
 import _bootstrap  # noqa: F401
 
 from repro.data import Normalizer
-from repro.hpc import ServingCapacityModel
 from repro.scenario import (
     ScenarioFactory,
     StormSpike,
@@ -37,7 +36,7 @@ from repro.scenario import (
     replay_trace,
     simulate_trace,
 )
-from repro.serve import ForecastServer
+from repro.serve import ForecastServer, ServingCapacityModel
 from repro.swin import CoastalSurrogate, SurrogateConfig
 from repro.workflow import ForecastEngine
 

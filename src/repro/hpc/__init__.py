@@ -5,10 +5,12 @@ cluster specifications, the memory-tier model behind Table II, the
 simulated-MPI domain decomposition of the solver (verified bit-exact),
 the training-pipeline ablation model (Fig. 9), the ROMS cost model
 (Table I, Fig. 8), and the multi-GPU weak-scaling model (Fig. 10).
-:mod:`repro.hpc.fabric` carries the serving tier across hosts: a
-length-prefixed descriptor-frame transport with a deterministic
-SimComm-backed fabric and a real TCP-loopback fabric (see
-:mod:`repro.serve.hostpool`).
+The one module here that serving executes is :mod:`repro.hpc.fabric`,
+which carries the serving tier across hosts: a length-prefixed
+descriptor-frame transport with a deterministic SimComm-backed fabric
+and a real TCP-loopback fabric (see :mod:`repro.serve.hostpool`).  The
+serving cost law lives with the pool that fits it
+(:class:`repro.serve.ServingCapacityModel`).
 """
 
 from .cluster import NodeSpec
@@ -19,7 +21,6 @@ from .mpi import DecomposedShallowWater, halo_exchange_bytes
 from .pipeline import PipelineParams, TrainingPipelineModel
 from .roms_perf import RomsPerfModel, RomsWorkload
 from .scaling import PAPER_GPU_COUNTS, ScalingModel
-from .serving import PoolCapacityModel, ServingCapacityModel
 
 __all__ = [
     "NodeSpec",
@@ -40,6 +41,4 @@ __all__ = [
     "RomsPerfModel",
     "ScalingModel",
     "PAPER_GPU_COUNTS",
-    "ServingCapacityModel",
-    "PoolCapacityModel",
 ]

@@ -7,9 +7,9 @@ Three layers, each usable alone:
   tracks, all from one seed) staged onto a common serving wire mesh,
   plus the :class:`~repro.scenario.factory.RollingForecast` streaming mode;
 * :mod:`~repro.scenario.traffic` — composable arrival processes
-  (Poisson base · diurnal · storm spike, per-basin tenant mix) sampled
-  into a :class:`~repro.scenario.traffic.TrafficTrace` that
-  saves/loads as JSONL and replays bitwise-identically;
+  (Poisson base · storm spike, per-basin tenant mix) sampled into a
+  :class:`~repro.scenario.traffic.TrafficTrace`, a pure function of
+  ``(model, duration, seed)`` that a replay regenerates;
 * :mod:`~repro.scenario.harness` — :func:`replay_trace` feeds a trace
   through ``ForecastServer``/``EngineWorkerPool`` (thread or process
   backend, wall or virtual clock) and returns a

@@ -1,23 +1,21 @@
-"""Open-loop traffic simulation with a replayable recorded trace.
+"""Open-loop traffic simulation with a replayable trace.
 
 Arrival model: each basin offers a non-homogeneous Poisson stream with
 intensity
 
-    λ_b(t) = base_rate · weight_b · diurnal_b(t) · spike_b(t)
+    λ_b(t) = base_rate · weight_b · spike_b(t)
 
-— a Poisson base scaled by the basin's tenant weight, a sinusoidal
-diurnal modulation, and a Gaussian storm-spike burst.  Streams are
-sampled by thinning against the per-basin peak intensity, each basin
-from its own counter-based substream ``default_rng((seed, index))``,
-so the trace is a pure function of ``(model, duration, seed)`` and is
-independent of basin iteration order.
+— a Poisson base scaled by the basin's tenant weight and a Gaussian
+storm-spike burst.  Streams are sampled by thinning against the
+per-basin peak intensity, each basin from its own counter-based
+substream ``default_rng((seed, index))``, so the trace is a pure
+function of ``(model, duration, seed)`` and is independent of basin
+iteration order.
 
 The product is a :class:`TrafficTrace`: a header plus a time-sorted
 list of :class:`TrafficEvent`\\ s (arrival time, basin key, request
-kind).  Saved as JSONL it round-trips **bitwise** — Python's ``json``
-emits ``repr(float)`` and every finite double survives
-``float(repr(x))`` exactly — so *same seed ⇒ same trace ⇒ same request
-accounting*, whether the trace is regenerated or reloaded from disk.
+kind).  *Same seed ⇒ same trace ⇒ same request accounting*: a replay
+regenerates its trace rather than storing one.
 
 Event kinds:
 
@@ -32,38 +30,17 @@ Event kinds:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .factory import ScenarioFactory
 
-TRACE_VERSION = 1
-
 #: time offset window (seconds) unique-window requests draw from —
 #: far from the rolling episodes so the windows never collide
 UNIQUE_T_LO = 1.0e5
 UNIQUE_T_HI = 1.0e6
-
-
-@dataclass(frozen=True)
-class DiurnalCycle:
-    """Sinusoidal daily modulation: ``1 + a·sin(2πt/period + phase)``."""
-
-    amplitude: float = 0.4
-    period_s: float = 86_400.0
-    phase_rad: float = 0.0
-
-    def factor(self, t: float) -> float:
-        return 1.0 + self.amplitude * np.sin(
-            2.0 * np.pi * t / self.period_s + self.phase_rad)
-
-    @property
-    def peak(self) -> float:
-        return 1.0 + abs(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -90,21 +67,16 @@ class BasinLoad:
 
     basin: str
     weight: float = 1.0
-    diurnal: Optional[DiurnalCycle] = None
     spike: Optional[StormSpike] = None
 
     def intensity(self, t: float, base_rate: float) -> float:
         lam = base_rate * self.weight
-        if self.diurnal is not None:
-            lam *= self.diurnal.factor(t)
         if self.spike is not None:
             lam *= self.spike.factor(t)
         return float(lam)
 
     def peak_intensity(self, base_rate: float) -> float:
         lam = base_rate * self.weight
-        if self.diurnal is not None:
-            lam *= self.diurnal.peak
         if self.spike is not None:
             lam *= self.spike.peak
         return float(lam)
@@ -130,14 +102,12 @@ class TrafficModel:
                      base_rate: float = 20.0,
                      unique_fraction: float = 0.25,
                      advance_every_s: float = 0.0,
-                     diurnal: Optional[DiurnalCycle] = None,
                      spikes: Optional[Dict[str, StormSpike]] = None
                      ) -> "TrafficModel":
         """Tenant mix straight from the basin specs' weights."""
         spikes = spikes or {}
         loads = tuple(
-            BasinLoad(s.name, weight=s.weight, diurnal=diurnal,
-                      spike=spikes.get(s.name))
+            BasinLoad(s.name, weight=s.weight, spike=spikes.get(s.name))
             for s in factory.specs)
         return cls(loads, base_rate=base_rate,
                    unique_fraction=unique_fraction,
@@ -171,57 +141,6 @@ class TrafficTrace:
     @property
     def n_requests(self) -> int:
         return sum(1 for e in self.events if e.is_request)
-
-    def requests_by_basin(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for e in self.events:
-            if e.is_request:
-                out[e.basin] = out.get(e.basin, 0) + 1
-        return out
-
-    def arrival_times(self, basin: Optional[str] = None) -> np.ndarray:
-        """Request arrival times, optionally for one basin."""
-        return np.array([e.t for e in self.events if e.is_request
-                         and (basin is None or e.basin == basin)])
-
-    # -- persistence ----------------------------------------------------
-    def save(self, path) -> None:
-        """JSONL: one header line, then one line per event (floats as
-        ``repr`` — reloads bitwise-identical)."""
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write(json.dumps({
-                "version": TRACE_VERSION, "seed": self.seed,
-                "duration_s": self.duration_s,
-                "base_rate": self.base_rate,
-                "n_events": len(self.events)}) + "\n")
-            for e in self.events:
-                fh.write(json.dumps(asdict(e)) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "TrafficTrace":
-        path = Path(path)
-        with path.open() as fh:
-            header = json.loads(fh.readline())
-            if header.get("version") != TRACE_VERSION:
-                raise ValueError(
-                    f"unsupported trace version {header.get('version')!r}")
-            events = [TrafficEvent(**json.loads(line))
-                      for line in fh if line.strip()]
-        if len(events) != header["n_events"]:
-            raise ValueError(
-                f"truncated trace: header says {header['n_events']} "
-                f"events, file has {len(events)}")
-        return cls(seed=header["seed"], duration_s=header["duration_s"],
-                   base_rate=header["base_rate"], events=events)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrafficTrace):
-            return NotImplemented
-        return (self.seed == other.seed
-                and self.duration_s == other.duration_s
-                and self.base_rate == other.base_rate
-                and self.events == other.events)
 
 
 def simulate_trace(model: TrafficModel, duration_s: float,

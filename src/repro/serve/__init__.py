@@ -11,7 +11,8 @@ that converts per-call speed into system throughput:
 - :mod:`repro.serve.cache` — keyed LRU cache of completed forecasts;
 - :mod:`repro.serve.pool` — N engine replicas behind a named routing
   policy (round-robin, least-outstanding, key-affinity sharding) with
-  bounded queues, explicit shed-with-retry-after backpressure, and the
+  bounded queues, explicit shed-with-retry-after backpressure (the
+  back-off priced by the fitted ``ServingCapacityModel``), and the
   control plane: a dynamic worker set plus zero-downtime versioned
   deploys (``EngineWorkerPool.deploy``);
 - :mod:`repro.serve.remote` — the one worker protocol of the
@@ -49,12 +50,13 @@ section).
 """
 
 from .cache import ForecastCache
-from .pool import EngineWorkerPool, PoolSaturated
+from .pool import EngineWorkerPool, PoolSaturated, ServingCapacityModel
 from .server import ForecastServer
 
 __all__ = [
     "ForecastCache",
     "EngineWorkerPool",
     "PoolSaturated",
+    "ServingCapacityModel",
     "ForecastServer",
 ]

@@ -1,8 +1,7 @@
 """Load-adaptive autoscaling of the engine replica pool.
 
-The pool's width is the provisioning knob the capacity model
-(:mod:`repro.hpc.serving`) reasons about; this module closes the loop
-at runtime.  An :class:`AutoScaler` periodically samples the pool —
+The pool's width is a provisioning knob; this module sets it at
+runtime.  An :class:`AutoScaler` periodically samples the pool —
 request arrivals, sheds, outstanding backlog — into a
 :class:`LoadSample`, runs a pure decision function
 (:meth:`AutoScaler.decide`) over it, and applies the verdict through
@@ -12,14 +11,10 @@ by ``min_workers``/``max_workers``.
 
 The decision policy:
 
-* **Scale up** when the window shed anything, or the backlog
-  utilisation (outstanding requests over total queue slots) crosses
-  ``high_water``.  With a fitted
-  :class:`~repro.hpc.serving.PoolCapacityModel` the target width comes
-  from the model (:meth:`~repro.hpc.serving.PoolCapacityModel.required_workers`
-  at the observed demand); without one the pool grows one replica per
-  tick — slower but assumption-free.  A scale-up spawns the replica
-  fully warmed *before* it becomes routable.
+* **Scale up** by one replica per tick when the window shed anything,
+  or the backlog utilisation (outstanding requests over total queue
+  slots) crosses ``high_water``.  A scale-up spawns the replica fully
+  warmed *before* it becomes routable.
 * **Scale down** when utilisation stays under ``low_water`` for
   ``scale_down_patience`` consecutive ticks (hysteresis: a single
   quiet window is not a trend).  One replica per tick, drained — its
@@ -34,9 +29,10 @@ Two drive modes, mirroring the scheduler and pool:
 * **threaded**: :meth:`AutoScaler.start` runs ticks every ``interval``
   seconds on a daemon thread until :meth:`AutoScaler.close`.
 
-Every transition is recorded as a :class:`ScaleEvent` (and as a
-:class:`~repro.serve.pool.PoolEvent` on the pool), so the scaling
-trajectory is auditable after the fact.
+Every transition lands in the pool's event log as a ``scale-up`` /
+``scale-down`` :class:`~repro.serve.pool.PoolEvent` whose ``detail``
+is the decision's reason, so the scaling trajectory is auditable after
+the fact.
 """
 
 from __future__ import annotations
@@ -45,9 +41,8 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..hpc.serving import PoolCapacityModel
 from .pool import EngineWorkerPool
 
 
@@ -69,27 +64,10 @@ class LoadSample:
     queue_slots: int            # workers * max_queue
 
     @property
-    def demand_qps(self) -> float:
-        """Offered load over the window [requests/s]."""
-        return self.arrived / self.seconds if self.seconds > 0 else 0.0
-
-    @property
     def utilization(self) -> float:
         """Backlog over capacity: outstanding / queue slots, in [0, ∞)."""
         return self.outstanding / self.queue_slots if self.queue_slots \
             else 0.0
-
-
-@dataclass(frozen=True)
-class ScaleEvent:
-    """One applied scaling transition."""
-
-    when: float                 # time.time()
-    action: str                 # "up" | "down"
-    workers_before: int
-    workers_after: int
-    reason: str
-    sample: LoadSample
 
 
 class AutoScaler:
@@ -106,13 +84,6 @@ class AutoScaler:
         scaling down.
     scale_down_patience: consecutive low-utilisation ticks required
         before one replica is drained — hysteresis against flapping.
-    target_utilization: headroom target handed to the capacity model
-        when sizing a scale-up (serve the observed demand at this
-        fraction of saturation).
-    capacity_model: optional fitted
-        :class:`~repro.hpc.serving.PoolCapacityModel`; with it a
-        scale-up jumps straight to the modelled width for the observed
-        demand instead of stepping one replica per tick.
     interval: tick period of the threaded mode [s].
 
     The scale-down patience is stretched by what a replica costs to
@@ -131,8 +102,6 @@ class AutoScaler:
                  min_workers: int = 1, max_workers: int = 8,
                  high_water: float = 0.5, low_water: float = 0.1,
                  scale_down_patience: int = 3,
-                 target_utilization: float = 0.7,
-                 capacity_model: Optional[PoolCapacityModel] = None,
                  interval: float = 0.25):
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
@@ -142,18 +111,13 @@ class AutoScaler:
             raise ValueError("need 0 <= low_water < high_water")
         if scale_down_patience < 1:
             raise ValueError("scale_down_patience must be >= 1")
-        if not 0.0 < target_utilization <= 1.0:
-            raise ValueError("target_utilization must be in (0, 1]")
         self.pool = pool
         self.min_workers = int(min_workers)
         self.max_workers = int(max_workers)
         self.high_water = float(high_water)
         self.low_water = float(low_water)
         self.scale_down_patience = int(scale_down_patience)
-        self.target_utilization = float(target_utilization)
-        self.capacity_model = capacity_model
         self.interval = float(interval)
-        self.events: List[ScaleEvent] = []
         self._low_ticks = 0
         self._last_time = time.perf_counter()
         self._last_arrived = self._pool_arrived()
@@ -204,21 +168,10 @@ class AutoScaler:
         without a live pool.
         """
         if sample.shed > 0 or sample.utilization >= self.high_water:
-            target = sample.workers + 1
             reason = (f"shed {sample.shed} request(s)" if sample.shed
                       else f"utilization {sample.utilization:.2f} >= "
                            f"{self.high_water:.2f}")
-            if self.capacity_model is not None and sample.demand_qps > 0:
-                modelled = self.capacity_model.required_workers(
-                    sample.demand_qps,
-                    target_utilization=self.target_utilization,
-                    max_workers=self.max_workers)
-                if modelled is None:
-                    modelled = self.max_workers
-                target = max(target, modelled)
-                reason += (f"; model wants {modelled} worker(s) for "
-                           f"{sample.demand_qps:.0f} req/s")
-            return min(max(target, self.min_workers),
+            return min(max(sample.workers + 1, self.min_workers),
                        self.max_workers), reason
         if sample.utilization <= self.low_water:
             return max(sample.workers - 1, self.min_workers), (
@@ -254,7 +207,6 @@ class AutoScaler:
             self._low_ticks = 0
             for _ in range(desired - before):
                 self.pool.add_worker(kind="scale-up", detail=reason)
-            self._record("up", before, desired, reason, sample)
             return desired
         if desired < before:
             self._low_ticks += 1
@@ -273,15 +225,9 @@ class AutoScaler:
                                         kind="scale-down", detail=reason)
             except ValueError:
                 return before
-            self._record("down", before, before - 1, reason, sample)
             return before - 1
         self._low_ticks = 0
         return before
-
-    def _record(self, action: str, before: int, after: int, reason: str,
-                sample: LoadSample) -> None:
-        self.events.append(ScaleEvent(time.time(), action, before, after,
-                                      reason, sample))
 
     # -- threaded drive -------------------------------------------------
     def start(self) -> "AutoScaler":

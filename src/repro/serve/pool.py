@@ -13,7 +13,7 @@ scheduler, and three things decide what happens to an incoming request:
   ``max_queue``; a request that no admissible replica can take is shed
   with an explicit :class:`PoolSaturated` carrying a ``retry_after``
   estimated from the fitted affine batch-cost law
-  (:class:`~repro.hpc.serving.ServingCapacityModel`) — clients back off
+  (:class:`ServingCapacityModel`) — clients back off
   instead of queueing unboundedly;
 * **metrics aggregation** (:class:`PoolMetrics`) folds the per-worker
   :class:`~repro.serve.scheduler.ServeMetrics` into pool-level
@@ -69,7 +69,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..hpc.serving import ServingCapacityModel
+import numpy as np
+
 from ..workflow.engine import FieldWindow, ForecastResult
 from .hostpool import HostWorker
 from .procpool import ProcessWorker
@@ -107,6 +108,64 @@ class PoolSaturated(RuntimeError):
     def __init__(self, message: str, retry_after: float):
         super().__init__(message)
         self.retry_after = float(retry_after)
+
+
+@dataclass(frozen=True)
+class ServingCapacityModel:
+    """Affine micro-batch cost law ``seconds(B) = a + b·B``.
+
+    A fixed dispatch cost ``a`` (kernel launches, Python orchestration)
+    plus a marginal per-request cost ``b``: micro-batching amortises
+    ``a``, so throughput ``B / (a + b·B)`` rises with occupancy and
+    saturates at ``1/b`` requests per second.  The pool fits it over
+    its recent batches to price a shed's ``retry_after``.
+
+    Attributes
+    ----------
+    dispatch_seconds: fixed per-forward cost ``a`` [s].
+    per_request_seconds: marginal cost ``b`` of one more request in
+        the batch [s].
+    """
+
+    dispatch_seconds: float
+    per_request_seconds: float
+
+    @staticmethod
+    def fit(batch_sizes: Sequence[int], batch_seconds: Sequence[float]
+            ) -> "ServingCapacityModel":
+        """Least-squares fit over observed (size, wall-clock) pairs.
+
+        With a single distinct batch size the affine split is not
+        identifiable; the cost is then attributed entirely to the
+        marginal term (``a = 0``), which makes the model conservative
+        (it under-states the batching win instead of inventing one).
+        """
+        sizes = np.asarray(batch_sizes, dtype=np.float64)
+        secs = np.asarray(batch_seconds, dtype=np.float64)
+        if sizes.size == 0 or sizes.size != secs.size:
+            raise ValueError("need equal, non-zero observation counts")
+        if np.unique(sizes).size < 2:
+            return ServingCapacityModel(0.0, float(np.mean(secs / sizes)))
+        b, a = np.polyfit(sizes, secs, 1)
+        return ServingCapacityModel(max(float(a), 0.0),
+                                    max(float(b), 1e-12))
+
+    @staticmethod
+    def from_batch_log(records) -> "ServingCapacityModel":
+        """Fit from a scheduler's ``metrics.batches`` log.
+
+        Failed batches are excluded — an engine call that raised did
+        not observe a service time, and an immediate raise would drag
+        the fit toward zero.
+        """
+        ok = [r for r in records if not getattr(r, "failed", False)]
+        return ServingCapacityModel.fit([r.size for r in ok],
+                                        [r.seconds for r in ok])
+
+    @property
+    def saturation_throughput(self) -> float:
+        """Occupancy → ∞ limit: ``1 / b`` requests per second."""
+        return 1.0 / self.per_request_seconds
 
 
 def stable_key_hash(key) -> int:
@@ -343,14 +402,10 @@ class PoolMetrics:
     def outstanding(self) -> int:
         return sum(w.outstanding for w in self._pool.workers)
 
-    # the autoscaler polls these every tick: O(workers), no log merge
+    # the autoscaler polls this every tick: O(workers), no log merge
     @property
     def n_requests(self) -> int:
         return sum(m.n_requests for m in self.per_worker)
-
-    @property
-    def n_batches(self) -> int:
-        return sum(m.n_batches for m in self.per_worker)
 
     def requests_by_worker(self) -> Dict[int, int]:
         """Completed-request count per worker id — the sharding skew.
@@ -725,13 +780,6 @@ class EngineWorkerPool:
         next_batch = min(max(queue_depth, 1), self._max_batch)
         return model.dispatch_seconds \
             + model.per_request_seconds * next_batch
-
-    # -- capacity -------------------------------------------------------
-    def capacity_model(self) -> ServingCapacityModel:
-        """Fit the per-replica affine batch-cost law from the pool's
-        aggregated batch log (see
-        :meth:`ServingCapacityModel.from_batch_log`)."""
-        return ServingCapacityModel.from_batch_log(self.metrics.batches)
 
     # -- control plane: topology ----------------------------------------
     def _warm(self, engine, sizes: Sequence[int] = ()) -> None:

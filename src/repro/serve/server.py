@@ -20,8 +20,8 @@ single-engine deployment is not a separate code path either: it is the
 pool of 1 (``workers=1``, the default).
 
 The server is also the operations front door (PR 5):
-:meth:`ForecastServer.deploy` hot-swaps a new model, checkpoint, or
-engine through the pool with zero downtime (and invalidates the result
+:meth:`ForecastServer.deploy` hot-swaps a new model or engine
+through the pool with zero downtime (and invalidates the result
 cache, whose entries were computed by the outgoing weights), and
 :meth:`ForecastServer.enable_autoscaling` attaches a load-adaptive
 :class:`~repro.serve.autoscale.AutoScaler` to the pool.  See the
@@ -37,10 +37,8 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from pathlib import Path
 from typing import Dict, Optional
 
-from ..train import load_model_like
 from ..workflow.engine import FieldWindow, ForecastResult
 from ..workflow.ensemble import EnsembleForecast, EnsembleForecaster
 from ..workflow.sensitivity import GradientRequest
@@ -280,32 +278,28 @@ class ForecastServer:
         return self._pool.submit(ens.forecast, reference)
 
     # -- operations -----------------------------------------------------
-    def deploy(self, model_or_checkpoint) -> EngineVersion:
+    def deploy(self, model_or_engine) -> EngineVersion:
         """Hot-swap a new model through the pool with zero downtime.
 
-        Accepts, in order of preference:
+        Accepts either
 
         * a batch executor (``forecast_batch`` + ``time_steps``, e.g. a
           :class:`~repro.workflow.engine.ForecastEngine` already wrapped
-          around the new weights) — used as-is;
-        * a checkpoint path (``str`` / ``Path``) — restored into a
-          *fresh* model of the live model's class and config
-          (:func:`~repro.train.load_model_like`), then
-          wrapped via :meth:`ForecastEngine.with_model`, so the live
-          model is never mutated;
-        * a bare model — wrapped via ``with_model`` likewise.
+          around the new weights) — used as-is; or
+        * a bare model — wrapped via :meth:`ForecastEngine.with_model`
+          around the live engine's normaliser.
 
         The pool rolls the new :class:`~repro.serve.pool.EngineVersion`
         replica-by-replica (surge, drain, retire): capacity never
         drops, in-flight requests finish bitwise-identical on the
-        version that admitted them, and a failed warmup (or a
-        checkpoint that does not load) raises with serving untouched.
+        version that admitted them, and a failed warmup raises with
+        serving untouched.
         On success the result cache is invalidated — its entries were
         computed by the outgoing weights.
         """
-        if hasattr(model_or_checkpoint, "forecast_batch") \
-                and hasattr(model_or_checkpoint, "time_steps"):
-            engine = model_or_checkpoint
+        if hasattr(model_or_engine, "forecast_batch") \
+                and hasattr(model_or_engine, "time_steps"):
+            engine = model_or_engine
             source = f"deploy({type(engine).__name__})"
         else:
             template = next(
@@ -313,16 +307,10 @@ class ForecastServer:
                  if hasattr(w.engine, "with_model")), None)
             if template is None:
                 raise ValueError(
-                    "deploying a bare model or checkpoint needs a "
-                    "ForecastEngine-backed pool; pass an engine instead")
-            if isinstance(model_or_checkpoint, (str, Path)):
-                path = model_or_checkpoint
-                model = load_model_like(path, template.model)
-                source = f"checkpoint:{path}"
-            else:
-                model = model_or_checkpoint
-                source = f"model:{type(model).__name__}"
-            engine = template.with_model(model)
+                    "deploying a bare model needs a ForecastEngine-backed "
+                    "pool; pass an engine instead")
+            engine = template.with_model(model_or_engine)
+            source = f"model:{type(model_or_engine).__name__}"
         version = self.pool.deploy(engine, source=source)
         if self.cache is not None:
             self.cache.clear()

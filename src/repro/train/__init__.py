@@ -1,7 +1,7 @@
 """Training: optimiser, schedule, loss, trainer, checkpointing."""
 
 from .trainer import (Adam, CosineWarmup, Trainer, TrainerConfig,
-                      load_checkpoint, load_model_like, mse, save_checkpoint)
+                      load_checkpoint, mse, save_checkpoint)
 
 __all__ = [
     "Adam",
@@ -9,7 +9,6 @@ __all__ = [
     "mse",
     "save_checkpoint",
     "load_checkpoint",
-    "load_model_like",
     "Trainer",
     "TrainerConfig",
 ]

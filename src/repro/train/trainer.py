@@ -155,22 +155,6 @@ def save_checkpoint(path: str | Path, model: Module,
     np.savez_compressed(path, **arrays)
 
 
-def load_model_like(path: str | Path, like: Module) -> Module:
-    """A fresh model of ``like``'s class/config with weights from ``path``.
-
-    The serving deploy path must never mutate the live model — in-flight
-    requests are pinned to the weights that admitted them — so a new
-    checkpoint is always restored into a *new* instance, built from the
-    running model's class and config (``type(like)(like.config)``), and
-    the live one is left untouched.  Raises whatever
-    :func:`load_checkpoint` raises on a missing or mismatched archive,
-    before anything serving-visible has changed.
-    """
-    model = type(like)(like.config)
-    load_checkpoint(path, model)
-    return model
-
-
 def load_checkpoint(path: str | Path, model: Module) -> Dict:
     """Restore weights in place; returns the stored metadata dict."""
     path = Path(path)

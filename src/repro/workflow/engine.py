@@ -332,7 +332,7 @@ class ForecastEngine:
         """A fresh engine around ``model`` sharing this engine's
         normalizer and boundary configuration.
 
-        This is the hot-swap constructor: a new checkpoint deploys as
+        This is the hot-swap constructor: a new model deploys as
         ``engine.with_model(new_model)`` so the serving-side
         configuration (and the fitted statistics the model was trained
         against) carries over while plans start from a clean cache —

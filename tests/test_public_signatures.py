@@ -47,13 +47,15 @@ from repro.ocean.grid import CurvilinearGrid
 from repro.ocean.sigma import VerticalStructure
 from repro.physics import Verifier
 from repro.scenario.harness import BasinReport
+from repro.scenario.traffic import TrafficTrace
 from repro.serve import EngineWorkerPool, ForecastServer, hostpool, procpool
-from repro.serve.autoscale import AutoScaler
+from repro.serve.autoscale import AutoScaler, LoadSample
 from repro.serve.hostpool import HostWorker
 from repro.serve.procpool import ProcessWorker
 from repro.serve.remote import (EngineService, RemoteWorker,
                                 RemoteWorkerDied, RemoteWorkerError,
                                 build_engine, engine_payload, serve_payload)
+from repro.serve.pool import PoolMetrics
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.swin import SurrogateConfig
 from repro.swin.blocks import SwinBlock4d, SwinStage4d
@@ -70,7 +72,7 @@ SIGNATURES = [
     (ForecastServer,
      ["engine", "max_batch", "max_wait", "cache_bytes", "workers", "router",
       "max_queue", "backend", "fabric", "autostart"]),
-    (ForecastServer.deploy, ["self", "model_or_checkpoint"]),
+    (ForecastServer.deploy, ["self", "model_or_engine"]),
     (EngineWorkerPool,
      ["engines", "replicas", "max_batch", "max_queue", "router",
       "autostart", "backend", "fabric"]),
@@ -81,8 +83,7 @@ SIGNATURES = [
      ["engine", "fabric", "on_death", "request_timeout", "heartbeat_s"]),
     (AutoScaler,
      ["pool", "min_workers", "max_workers", "high_water", "low_water",
-      "scale_down_patience", "target_utilization", "capacity_model",
-      "interval"]),
+      "scale_down_patience", "interval"]),
     (PlanExecutor, ["plan"]),
     (build_engine, ["payload"]),
     (engine_payload, ["engine"]),
@@ -164,8 +165,7 @@ EXPORTS = {
                  "format_series", "format_table", "series_skill"),
     repro.hpc: ("DecomposedShallowWater", "FabricError", "FabricTimeout",
                 "FrameError", "NodeSpec", "PAPER_GPU_COUNTS", "PipelineParams",
-                "PoolCapacityModel", "RomsPerfModel", "RomsWorkload",
-                "ScalingModel", "ServingCapacityModel",
+                "RomsPerfModel", "RomsWorkload", "ScalingModel",
                 "TrainingPipelineModel", "activation_nbytes",
                 "halo_exchange_bytes", "pack_frame", "pipeline_memory_table",
                 "sample_nbytes", "sim_pair", "unpack_frame"),
@@ -184,15 +184,14 @@ EXPORTS = {
     repro.scenario: ("ScenarioFactory", "StormSpike", "TrafficModel",
                      "replay_trace", "simulate_trace"),
     repro.serve: ("EngineWorkerPool", "ForecastCache", "ForecastServer",
-                  "PoolSaturated"),
+                  "PoolSaturated", "ServingCapacityModel"),
     repro.swin: ("CoastalSurrogate", "SurrogateConfig", "surrogate_flops"),
     repro.tensor: ("PlanExecutor", "Tensor", "TraceError", "astensor",
                    "concatenate", "conv_nd", "conv_transpose_nd",
                    "enable_grad", "gradcheck", "is_grad_enabled", "no_grad",
                    "trace", "tracing"),
     repro.train: ("Adam", "CosineWarmup", "Trainer", "TrainerConfig",
-                  "load_checkpoint", "load_model_like", "mse",
-                  "save_checkpoint"),
+                  "load_checkpoint", "mse", "save_checkpoint"),
     repro.workflow: ("CompiledForward", "DualModelForecaster",
                      "EnsembleForecast", "EnsembleForecaster", "FieldWindow",
                      "ForecastEngine", "ForecastResult", "GradientRequest",
@@ -322,7 +321,8 @@ def test_what_only_its_own_tests_reached_is_gone():
         repro.train: ("DataParallelTrainer", "shard_batch", "SGD", "AdamW",
                       "ConstantLR", "StepLR", "mae",
                       "Optimizer", "LRSchedule"),
-        repro.hpc: ("PipelineTrace", "StageEvent", "Tier", "TransferModel"),
+        repro.hpc: ("PipelineTrace", "StageEvent", "Tier", "TransferModel",
+                    "ServingCapacityModel"),
         repro.swin: ("num_windows", "scale_compute_time"),
         repro.eval: ("ErrorGrowth", "error_growth", "compute_errors_many"),
         repro.data: ("CachedStore", "CacheStats"),
@@ -333,7 +333,7 @@ def test_what_only_its_own_tests_reached_is_gone():
         for name in names:
             assert not hasattr(package, name), (package.__name__, name)
     for module in ("repro.train.parallel", "repro.hpc.trace",
-                   "repro.eval.errorgrowth"):
+                   "repro.eval.errorgrowth", "repro.hpc.serving"):
         assert importlib.util.find_spec(module) is None, module
     assert not hasattr(repro.nn.init, "xavier_uniform")
 
@@ -372,7 +372,12 @@ def test_what_only_its_own_tests_reached_is_gone():
                          (Adam, "load_state_dict"),
                          (SnapshotStore, "append"),
                          (SnapshotStore, "times"),
-                         (FieldWindow, "snapshot")):
+                         (FieldWindow, "snapshot"),
+                         (EngineWorkerPool, "capacity_model"),
+                         (PoolMetrics, "n_batches"),
+                         (TrafficTrace, "save"),
+                         (TrafficTrace, "load"),
+                         (LoadSample, "demand_qps")):
         assert name not in vars(target), (target.__qualname__, name)
     assert "advection" not in {f.name for f in dataclasses.fields(SWEConfig)}
     assert "optimizer" not in \

@@ -19,9 +19,6 @@ from pathlib import Path
 
 import pytest
 
-pytestmark = pytest.mark.skipif(
-    sys.version_info < (3, 11), reason="reach keys need co_qualname (3.11+)")
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -41,6 +38,8 @@ def keep(reach):
     return keep, errors
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="function keys need co_qualname (3.11+)")
 def test_every_listed_key_exists(reach, keep):
     keep, _ = keep
     assert sorted(keep.keys() - reach.all_keys() - reach.all_knobs().keys()) \
@@ -87,6 +86,22 @@ def test_every_pending_title_is_an_open_roadmap_item(reach, keep):
             if reason.startswith("pending: ")
             and reason[len("pending: "):] not in titles} == {}
     assert errors == []
+
+
+def test_every_pending_group_names_one_planned_caller(reach):
+    """A ``pending:`` entry waits on a named caller — a planned workload
+    or an item's decision — given once per group by the comment right
+    above it; an entry nothing is planned to reach is deleted instead."""
+    caller, orphans = None, []
+    for line in reach.KEEP.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# caller: "):
+            caller = line[len("# caller: "):]
+        elif not line.strip() or line.startswith("# --"):
+            caller = None
+        elif "pending: " in line and not line.startswith("#"):
+            if caller is None:
+                orphans.append(line.split()[0])
+    assert orphans == []
 
 
 def test_every_export_has_a_user_outside_its_package(reach):

@@ -8,7 +8,7 @@ Three guarantees, checked on the real ``ForecastServer``:
 * **locality** — rolling duplicates actually convert into cache/dedup
   hits at a floor rate, so the scenario exercises the layers it claims;
 * **bitwise** — closed-loop rolling results equal a direct
-  ``ForecastEngine.forecast_batch`` loop, and a recorded trace replayed
+  ``ForecastEngine.forecast_batch`` loop, and one trace replayed
   through two fresh servers produces bitwise-identical responses.
 """
 
@@ -172,23 +172,3 @@ class TestTraceReplayBitwise:
                 direct_cache[key] = engine.forecast_batch([window])[0]
             assert_windows_equal(got.fields, direct_cache[key].fields)
         assert i == len(responses)
-
-    def test_round_tripped_trace_replays_bitwise(self, factory, engine,
-                                                 tmp_path):
-        from repro.scenario.traffic import TrafficTrace
-
-        trace = self.make_trace(factory)
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = TrafficTrace.load(path)
-
-        def run(t):
-            responses = []
-            with manual_server(engine) as server:
-                replay_trace(t, server, ScenarioFactory(seed=11),
-                             mode="virtual", flush_every=4,
-                             responses=responses).check()
-            return responses
-
-        for (_, res_a), (_, res_b) in zip(run(trace), run(loaded)):
-            assert_windows_equal(res_a.fields, res_b.fields)

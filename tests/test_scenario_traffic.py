@@ -1,10 +1,10 @@
-"""Scenario factory + traffic simulator: determinism, statistics,
-trace persistence, and exact request accounting.
+"""Scenario factory + traffic simulator: determinism, statistics, and
+exact request accounting.
 
 The contracts under test: one seed pins the whole scenario set bitwise
 (basins, windows, arrival trace); the arrival process has the Poisson
-statistics it claims (rate, spike shape, tenant mix); a trace survives
-a JSONL round-trip exactly; and a replay through the serving stack —
+statistics it claims (rate, spike shape, tenant mix); and a replay
+through the serving stack —
 thread or process backend, virtual or wall clock — accounts for every
 offered request exactly once: ``offered == served + cached + shed``,
 zero lost, zero double-served.
@@ -13,7 +13,7 @@ zero lost, zero double-served.
 import numpy as np
 import pytest
 
-from repro.scenario.traffic import BasinLoad, DiurnalCycle, TrafficTrace
+from repro.scenario.traffic import BasinLoad
 from repro.scenario.factory import BasinSpec
 from repro.scenario import (ScenarioFactory, StormSpike, TrafficModel,
                             replay_trace, simulate_trace)
@@ -143,34 +143,22 @@ class TestTraffic:
     def test_tenant_weights_shape_the_mix(self, factory):
         model = TrafficModel.from_factory(factory, base_rate=30.0)
         trace = simulate_trace(model, duration_s=20.0, seed=5)
-        counts = trace.requests_by_basin()
         for spec in factory.specs:
             expected = 30.0 * spec.weight * 20.0
-            assert abs(counts[spec.name] - expected) \
-                < 4.5 * np.sqrt(expected)
+            count = sum(1 for e in trace.events
+                        if e.is_request and e.basin == spec.name)
+            assert abs(count - expected) < 4.5 * np.sqrt(expected)
 
     def test_storm_spike_concentrates_arrivals(self):
         spike = StormSpike(center_s=50.0, width_s=5.0, amplitude=4.0)
         model = TrafficModel((BasinLoad("b", spike=spike),),
                              base_rate=10.0, unique_fraction=0.0)
         trace = simulate_trace(model, duration_s=100.0, seed=9)
-        times = trace.arrival_times()
+        times = np.array([e.t for e in trace.events if e.is_request])
         in_spike = np.sum((times >= 40.0) & (times <= 60.0))
         baseline = np.sum(times <= 20.0)
         # expected ≈ 678 vs 200: demand a clear 2× separation
         assert in_spike > 2 * baseline
-
-    def test_diurnal_modulation_moves_peak(self):
-        # quarter-period phase ⇒ maximum demand at t=0, minimum at T/2
-        cyc = DiurnalCycle(amplitude=0.9, period_s=100.0,
-                           phase_rad=np.pi / 2)
-        model = TrafficModel((BasinLoad("b", diurnal=cyc),),
-                             base_rate=20.0, unique_fraction=0.0)
-        times = simulate_trace(model, duration_s=100.0, seed=2) \
-            .arrival_times()
-        near_peak = np.sum(times <= 25.0) + np.sum(times >= 75.0)
-        near_trough = np.sum((times > 25.0) & (times < 75.0))
-        assert near_peak > 1.5 * near_trough
 
     def test_unique_fraction_within_confidence_bounds(self, factory):
         model = TrafficModel.from_factory(factory, base_rate=20.0,
@@ -200,39 +188,6 @@ class TestTraffic:
         trace = simulate_trace(model, duration_s=8.0, seed=4)
         times = [e.t for e in trace.events]
         assert times == sorted(times)
-
-
-# ----------------------------------------------------------------------
-# trace persistence
-# ----------------------------------------------------------------------
-class TestTracePersistence:
-    def test_jsonl_round_trip_is_exact(self, factory, tmp_path):
-        model = TrafficModel.from_factory(factory, base_rate=12.0,
-                                          unique_fraction=0.4,
-                                          advance_every_s=2.0)
-        trace = simulate_trace(model, duration_s=6.0, seed=13)
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = TrafficTrace.load(path)
-        assert loaded == trace                      # bitwise, floats too
-        assert [e.t for e in loaded.events] == [e.t for e in trace.events]
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"version": 99, "seed": 0, "duration_s": 1.0, '
-                        '"base_rate": 1.0, "n_events": 0}\n')
-        with pytest.raises(ValueError, match="version"):
-            TrafficTrace.load(path)
-
-    def test_load_rejects_truncated_file(self, factory, tmp_path):
-        model = TrafficModel.from_factory(factory, base_rate=10.0)
-        trace = simulate_trace(model, duration_s=3.0, seed=6)
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(ValueError, match="truncated"):
-            TrafficTrace.load(path)
 
 
 # ----------------------------------------------------------------------
@@ -280,23 +235,6 @@ class TestReplayAccounting:
             assert (ra.offered, ra.served, ra.cached, ra.shed) \
                 == (rb.offered, rb.served, rb.cached, rb.shed)
             assert ra.workers == rb.workers
-
-    def test_loaded_trace_replays_like_generated(self, factory, engine,
-                                                 tmp_path):
-        trace = small_trace(factory)
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = TrafficTrace.load(path)
-
-        def run(t):
-            with ForecastServer(engine, max_batch=4,
-                                workers=2, cache_bytes=1 << 23,
-                                autostart=False) as server:
-                return replay_trace(t, server, factory,
-                                    mode="virtual", flush_every=4)
-
-        a, b = run(trace), run(loaded)
-        assert a.accounting() == b.accounting()
 
     def test_shedding_still_accounts_exactly(self, factory, engine):
         """Starve admission (tiny queues, rare flushes): requests shed,
@@ -366,8 +304,9 @@ class TestReplayAccounting:
         assert acc["cached"] > 0 and acc["shed"] > 0
         assert max(widths) > 1, widths              # grew through the spike
         assert widths[-1] == scaler.min_workers == 1, widths
-        ups = [e.workers_after for e in scaler.events if e.action == "up"]
-        downs = [e for e in scaler.events if e.action == "down"]
+        events = server.pool.metrics.events
+        ups = [e.n_workers for e in events if e.kind == "scale-up"]
+        downs = [e for e in events if e.kind == "scale-down"]
         assert ups and max(ups) == max(widths)
         assert len(downs) >= len(ups)
 

@@ -3,8 +3,8 @@
 The control plane must move the pool between states without ever
 touching the numbers: a deploy rolls a new engine version through the
 replicas while every in-flight request finishes bitwise-identical on
-the version that admitted it; a failed warmup (or a checkpoint that
-does not load) leaves serving exactly as it was; and the autoscaler
+the version that admitted it; a failed warmup leaves serving exactly
+as it was; and the autoscaler
 grows/shrinks the live worker count from observed load without losing
 a single admitted request.  Manual modes (pool ``autostart=False``,
 autoscaler ``tick()``) make every scenario deterministic.
@@ -20,11 +20,10 @@ from conftest import (  # noqa: F401 — shared serving fixtures
     make_window,
 )
 
-from repro.hpc import PoolCapacityModel, ServingCapacityModel
 from repro.serve.autoscale import AutoScaler, LoadSample
-from repro.serve.pool import DeploymentError
+from repro.serve.pool import DeploymentError, PoolSaturated
 from repro.serve import EngineWorkerPool, ForecastServer
-from repro.train import load_model_like, save_checkpoint
+from repro.train import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -208,17 +207,21 @@ class TestHotSwap:
 class TestServerDeploy:
     def test_checkpoint_deploy_swaps_numbers_and_cache(
             self, engine_pair, tmp_path):
+        """Saved weights deploy as a model restored into a fresh
+        instance: the live model is never touched."""
         e1, e2 = engine_pair
         path = tmp_path / "next.npz"
         save_checkpoint(path, e2.model)
+        restored = type(e1.model)(e1.model.config)
+        load_checkpoint(path, restored)
         window = make_window(1)
         with ForecastServer(e1, max_batch=4, cache_bytes=1 << 22) as server:
             before = server.forecast(window)
             assert_windows_equal(before.fields,
                                  e1.forecast_batch([window])[0].fields)
-            record = server.deploy(path)
+            record = server.deploy(restored)
             assert record.version == 2
-            assert str(path) in record.source
+            assert record.source == f"model:{type(restored).__name__}"
             # the cache was invalidated: same request, new weights
             after = server.forecast(window)
             assert_windows_equal(after.fields,
@@ -227,20 +230,6 @@ class TestServerDeploy:
                                       before.fields.zeta)
             m = server.metrics()
             assert m["engine_version"] == 2 and m["deploys"] == 1
-
-    def test_bad_checkpoint_leaves_server_serving(self, engine_pair,
-                                                  tmp_path):
-        e1, _ = engine_pair
-        path = tmp_path / "corrupt.npz"
-        np.savez_compressed(path, **{"model/garbage": np.zeros(3)})
-        with ForecastServer(e1, max_batch=4) as server:
-            with pytest.raises(KeyError):
-                server.deploy(path)
-            assert server.pool.current_version == 1
-            window = make_window(2)
-            assert_windows_equal(
-                server.forecast(window).fields,
-                e1.forecast_batch([window])[0].fields)
 
     def test_late_settle_of_old_version_cannot_repopulate_cache(
             self, engine_pair):
@@ -265,24 +254,13 @@ class TestServerDeploy:
             assert_windows_equal(after.fields,
                                  e2.forecast_batch([window])[0].fields)
 
-    def test_load_model_like_restores_bitwise(self, engine_pair, tmp_path):
-        e1, e2 = engine_pair
-        path = tmp_path / "weights.npz"
-        save_checkpoint(path, e2.model)
-        clone = load_model_like(path, e1.model)
-        assert clone is not e2.model
-        for k, v in clone.state_dict().items():
-            np.testing.assert_array_equal(v, e2.model.state_dict()[k])
-
     def test_no_request_loss_across_deploy_under_concurrent_load(
-            self, engine_pair, tmp_path):
+            self, engine_pair):
         """Acceptance: a threaded server under sustained load completes
         a deploy with zero shed and zero lost requests, and every
         response is bitwise-equal to its pinned version's direct
         ``forecast_batch`` output."""
         e1, e2 = engine_pair
-        path = tmp_path / "v2.npz"
-        save_checkpoint(path, e2.model)
         server = ForecastServer(e1, workers=2, max_batch=4, max_queue=512)
         tagged, lock = [], threading.Lock()
         deploy_started = threading.Event()
@@ -301,7 +279,7 @@ class TestServerDeploy:
         for t in threads:
             t.start()
         deploy_started.wait(timeout=30)
-        record = server.deploy(path)
+        record = server.deploy(e2.model)
         for t in threads:
             t.join()
         # a guaranteed post-deploy request so version 2 definitely serves
@@ -360,15 +338,13 @@ class TestAutoScaler:
                 history.append(scaler.tick())
             assert history[-1] == scaler.min_workers == 1
             assert max(history) == 3
-            ups = [e for e in scaler.events if e.action == "up"]
-            downs = [e for e in scaler.events if e.action == "down"]
-            assert len(ups) == 2 and len(downs) == 2
-            for e in downs:
-                assert e.workers_after == e.workers_before - 1
-            # the pool-side event log saw the same transitions
-            kinds = [e.kind for e in pool.events]
-            assert kinds.count("scale-up") == 2
-            assert kinds.count("scale-down") == 2
+            # the pool's event log holds every transition, one replica
+            # each: two up, then two down
+            scale = [e for e in pool.metrics.events
+                     if e.kind in ("scale-up", "scale-down")]
+            assert [e.kind for e in scale] == ["scale-up"] * 2 \
+                + ["scale-down"] * 2
+            assert [e.n_workers for e in scale] == [2, 3, 2, 1]
             assert pool.metrics.summary()["scale_events"] == 4
 
     def test_scale_up_sheds_trigger_and_served_by_new_worker(
@@ -382,12 +358,35 @@ class TestAutoScaler:
             with pytest.raises(Exception):
                 pool.submit(make_window(2))
             assert scaler.tick() == 2    # shed in window → grow
-            assert scaler.events[-1].sample.shed == 1
+            event = pool.metrics.events[-1]
+            assert (event.kind, event.detail) \
+                == ("scale-up", "shed 1 request(s)")
             fut = pool.submit(make_window(3))
             pool.flush()
             direct = e1.forecast_batch([make_window(3)])[0]
             assert_windows_equal(fut.result(timeout=5).fields,
                                  direct.fields)
+
+    def test_sustained_shed_grows_one_replica_per_tick_to_max(
+            self, engine_pair):
+        """Shedding is the growth signal: every tick that saw a shed adds
+        exactly one replica, until ``max_workers``, then holds."""
+        e1, _ = engine_pair
+        with closing(manual_pool(e1, replicas=1, max_queue=1)) as pool:
+            scaler = AutoScaler(pool, min_workers=1, max_workers=3,
+                                high_water=0.9, low_water=0.1)
+            widths, s = [], 0
+            for _ in range(4):
+                with pytest.raises(PoolSaturated):
+                    while True:                  # fill every slot, shed one
+                        pool.submit(make_window(s))
+                        s += 1
+                widths.append(scaler.tick())
+            assert widths == [2, 3, 3, 3]
+            ups = [e for e in pool.metrics.events if e.kind == "scale-up"]
+            assert [e.n_workers for e in ups] == [2, 3]
+            assert all(e.detail == "shed 1 request(s)" for e in ups)
+            pool.flush()
 
     def test_decide_is_pure_and_scriptable(self, engine_pair):
         e1, _ = engine_pair
@@ -420,30 +419,6 @@ class TestAutoScaler:
             n, why = scaler.decide(sample(2, 20))
             assert n == 2 and why == "within band"
 
-    def test_decide_uses_capacity_model_for_sizing(self, engine_pair):
-        e1, _ = engine_pair
-        replica = ServingCapacityModel(dispatch_seconds=0.0,
-                                       per_request_seconds=0.01)
-        model = PoolCapacityModel(replica, contention=0.0)   # X1 = 100
-        with closing(manual_pool(e1, replicas=1)) as pool:
-            scaler = AutoScaler(pool, min_workers=1, max_workers=8,
-                                high_water=0.5, low_water=0.1,
-                                target_utilization=0.5,
-                                capacity_model=model)
-            # 200 req/s at 50% target utilisation needs 400 req/s of
-            # capacity → 4 replicas; the model sizes the jump directly
-            s = LoadSample(seconds=1.0, arrived=200, completed=0,
-                           shed=1, outstanding=0, workers=1,
-                           queue_slots=32)
-            n, why = scaler.decide(s)
-            assert n == 4 and "model wants 4" in why
-            # unreachable demand clamps to max_workers
-            s = LoadSample(seconds=1.0, arrived=10_000, completed=0,
-                           shed=1, outstanding=0, workers=1,
-                           queue_slots=32)
-            n, _ = scaler.decide(s)
-            assert n == scaler.max_workers
-
     def test_patience_gates_scale_down(self, engine_pair):
         e1, _ = engine_pair
         with closing(manual_pool(e1, replicas=2)) as pool:
@@ -453,7 +428,7 @@ class TestAutoScaler:
             assert scaler.tick() == 2    # quiet tick 1: hold
             assert scaler.tick() == 2    # quiet tick 2: hold
             assert scaler.tick() == 1    # quiet tick 3: shrink
-            assert scaler.events[-1].action == "down"
+            assert pool.metrics.events[-1].kind == "scale-down"
 
     def test_threaded_autoscaler_on_server(self, engine_pair):
         """enable_autoscaling wires a background scaler that reacts to
@@ -473,7 +448,8 @@ class TestAutoScaler:
                         pass             # saturated: the spike is real
             for f in futures:
                 f.result(timeout=60)
-            assert any(e.action == "up" for e in scaler.events), \
+            assert any(e.kind == "scale-up"
+                       for e in server.pool.metrics.events), \
                 "a sustained saturating spike must trigger a scale-up"
             assert server.pool.metrics.n_requests == 48   # none lost
         assert scaler._thread is None    # closed with the server
@@ -498,8 +474,7 @@ class TestAutoScaler:
             for bad in (dict(min_workers=0),
                         dict(min_workers=3, max_workers=2),
                         dict(low_water=0.5, high_water=0.5),
-                        dict(scale_down_patience=0),
-                        dict(target_utilization=0.0)):
+                        dict(scale_down_patience=0)):
                 with pytest.raises(ValueError):
                     AutoScaler(pool, **bad)
 
@@ -537,14 +512,3 @@ class TestPoolTopology:
                 pool.remove_worker(pool.workers[0].worker_id)
             with pytest.raises(ValueError, match="no live worker"):
                 pool.remove_worker(worker_id=999)
-
-    def test_required_workers_capacity_model(self):
-        replica = ServingCapacityModel(dispatch_seconds=0.004,
-                                       per_request_seconds=0.001)
-        model = PoolCapacityModel(replica, contention=0.0)   # X1 = 1000
-        assert model.required_workers(1000.0, target_utilization=1.0) == 1
-        assert model.required_workers(1000.0, target_utilization=0.5) == 2
-        assert model.required_workers(9000.0, target_utilization=0.9,
-                                      max_workers=4) is None
-        with pytest.raises(ValueError, match="target_utilization"):
-            model.required_workers(100.0, target_utilization=0.0)

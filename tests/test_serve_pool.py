@@ -19,8 +19,8 @@ from conftest import (  # noqa: F401 — shared serving fixtures
     make_window,
 )
 
-from repro.hpc import PoolCapacityModel, ServingCapacityModel
-from repro.serve import EngineWorkerPool, ForecastServer, PoolSaturated
+from repro.serve import (EngineWorkerPool, ForecastServer, PoolSaturated,
+                         ServingCapacityModel)
 from repro.serve.pool import KeyAffinityRouter, Router
 from repro.serve.cache import window_key
 from repro.serve.pool import stable_key_hash
@@ -275,7 +275,8 @@ class TestBackpressure:
         with closing(manual_pool(engine, replicas=1, max_batch=2,
                                  max_queue=2)) as pool:
             pool.forecast_batch(windows[:3])  # observe batches of 2 and 1
-            fitted = pool.capacity_model()
+            fitted = ServingCapacityModel.from_batch_log(
+                pool.metrics.batches)
             for w in windows[:2]:
                 pool.submit(w)
             with pytest.raises(PoolSaturated) as exc:
@@ -290,7 +291,8 @@ class TestBackpressure:
         with closing(manual_pool(engine, replicas=1, max_batch=2,
                                  max_queue=6)) as pool:
             pool.forecast_batch(windows[:3])  # fit gets 2 batch sizes
-            fitted = pool.capacity_model()
+            fitted = ServingCapacityModel.from_batch_log(
+                pool.metrics.batches)
             for w in windows[:6]:
                 pool.submit(w)
             with pytest.raises(PoolSaturated) as exc:
@@ -476,65 +478,3 @@ class TestServerWithPool:
                                             seed=3).result(timeout=120)
         assert_windows_equal(served.mean, direct.mean)
         assert_windows_equal(served.spread, direct.spread)
-
-
-class TestPoolCapacityModel:
-    REPLICA = ServingCapacityModel(dispatch_seconds=0.004,
-                                   per_request_seconds=0.001)
-
-    def test_zero_contention_is_linear(self):
-        model = PoolCapacityModel(self.REPLICA, contention=0.0)
-        assert model.saturation_throughput(1) == pytest.approx(1000.0)
-        assert model.saturation_throughput(4) == pytest.approx(4000.0)
-        assert model.speedup(8) == pytest.approx(8.0)
-        assert model.asymptotic_throughput == float("inf")
-
-    def test_fit_recovers_contention_exactly(self):
-        sigma = 0.15
-        truth = PoolCapacityModel(self.REPLICA, contention=sigma)
-        counts = [1, 2, 4, 8]
-        fitted = PoolCapacityModel.fit(
-            self.REPLICA, counts,
-            [truth.saturation_throughput(n) for n in counts])
-        assert fitted.contention == pytest.approx(sigma, rel=1e-9)
-        assert fitted.speedup(4) == pytest.approx(truth.speedup(4))
-
-    def test_fit_without_multireplica_observation_is_conservative(self):
-        fitted = PoolCapacityModel.fit(self.REPLICA, [1], [990.0])
-        assert fitted.contention == 1.0
-        # σ = 1 pins every pool size to the measured single-replica rate
-        assert fitted.single_replica_qps == pytest.approx(990.0)
-        assert fitted.saturation_throughput(8) == pytest.approx(990.0)
-
-    def test_fit_baseline_is_measured_not_asymptotic(self):
-        """A replica saturating at finite max_batch achieves less than
-        the 1/b asymptote; perfect pool scaling over that *measured*
-        baseline must fit σ = 0, not phantom contention."""
-        measured_x1 = 396.0                 # < 1/b = 1000 (finite batch)
-        fitted = PoolCapacityModel.fit(
-            self.REPLICA, [1, 2], [measured_x1, 2 * measured_x1])
-        assert fitted.contention == 0.0
-        assert fitted.baseline_throughput == pytest.approx(measured_x1)
-        assert fitted.saturation_throughput(4) == pytest.approx(
-            4 * measured_x1)
-
-    def test_fit_clips_noise(self):
-        # measured slightly superlinear → σ clipped to 0, not negative
-        fitted = PoolCapacityModel.fit(self.REPLICA, [4], [4100.0])
-        assert fitted.contention == 0.0
-
-    def test_optimal_workers(self):
-        model = PoolCapacityModel(self.REPLICA, contention=0.1)
-        n = model.optimal_workers(2500.0)
-        assert model.saturation_throughput(n) >= 2500.0
-        assert model.saturation_throughput(n - 1) < 2500.0
-        # asymptote X1/σ = 10000: unreachable targets report None
-        assert model.optimal_workers(20000.0) is None
-        with pytest.raises(ValueError, match="positive"):
-            model.optimal_workers(0.0)
-
-    def test_validates_contention_range(self):
-        with pytest.raises(ValueError, match="contention"):
-            PoolCapacityModel(self.REPLICA, contention=1.5)
-        with pytest.raises(ValueError, match="observation"):
-            PoolCapacityModel.fit(self.REPLICA, [], [])

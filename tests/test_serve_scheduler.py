@@ -27,8 +27,8 @@ from conftest import (  # noqa: F401 — shared serving fixtures
     make_window,
 )
 
-from repro.hpc import ServingCapacityModel
-from repro.serve import EngineWorkerPool, ForecastCache, ForecastServer
+from repro.serve import (EngineWorkerPool, ForecastCache, ForecastServer,
+                         ServingCapacityModel)
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.serve.cache import window_key
 from repro.serve.scheduler import BatchRecord, ServedFuture
@@ -611,20 +611,11 @@ class TestCapacityModel:
         assert model.dispatch_seconds == pytest.approx(a, rel=1e-9)
         assert model.per_request_seconds == pytest.approx(b, rel=1e-9)
         assert model.saturation_throughput == pytest.approx(1 / b)
-        assert model.throughput(8) > model.throughput(1)
-        assert model.batch_seconds(2) == pytest.approx(a + 2 * b)
 
     def test_single_size_is_conservative(self):
         model = ServingCapacityModel.fit([4, 4, 4], [0.02, 0.02, 0.02])
         assert model.dispatch_seconds == 0.0
         assert model.per_request_seconds == pytest.approx(0.005)
-
-    def test_optimal_batch_respects_slo(self):
-        model = ServingCapacityModel(dispatch_seconds=0.004,
-                                     per_request_seconds=0.001)
-        assert model.optimal_batch(0.010) == 6
-        assert model.optimal_batch(0.004) == 1      # never below 1
-        assert model.optimal_batch(10.0, max_batch=16) == 16
 
     def test_fit_from_scheduler_log(self):
         records = [BatchRecord(i, s, tuple(), 0.002 + 0.001 * s, "full")
