@@ -1,9 +1,10 @@
-"""Convolution layer modules wrapping the N-d kernels in repro.tensor.
+"""Convolution layer modules wrapping the N-d patch maps in repro.tensor.
 
 The decoder of the surrogate (paper Fig. 2) is a stack of 2-D/3-D
 transposed convolutions with BatchNorm + GELU; patch recovery finishes
 with 1×1 convolutions.  All four layer classes below share the generic
-N-d implementations; each is unpadded and carries a bias.
+N-d implementations; each is unpadded, moves by its kernel (kernel =
+stride, so every output site reads one whole patch) and carries a bias.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class _ConvNd(Module):
     nd: int = 2
 
     def __init__(self, in_channels: int, out_channels: int,
-                 kernel_size: IntOrTuple, stride: IntOrTuple = 1,
+                 kernel_size: IntOrTuple,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else init.default_rng()
@@ -37,7 +38,6 @@ class _ConvNd(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = k
-        self.stride = _tup(stride, self.nd)
         self.weight = Parameter(
             init.kaiming_uniform((out_channels, in_channels) + k, rng)
         )
@@ -49,7 +49,7 @@ class _ConvNd(Module):
                 f"{type(self).__name__} expects {self.nd + 2}-d input, "
                 f"got shape {x.shape}"
             )
-        return conv_nd(x, self.weight, self.bias, stride=self.stride)
+        return conv_nd(x, self.weight, self.bias)
 
 
 class Conv2d(_ConvNd):
@@ -68,7 +68,7 @@ class _ConvTransposeNd(Module):
     nd: int = 2
 
     def __init__(self, in_channels: int, out_channels: int,
-                 kernel_size: IntOrTuple, stride: IntOrTuple = 1,
+                 kernel_size: IntOrTuple,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else init.default_rng()
@@ -76,7 +76,6 @@ class _ConvTransposeNd(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = k
-        self.stride = _tup(stride, self.nd)
         self.weight = Parameter(
             init.kaiming_uniform((in_channels, out_channels) + k, rng)
         )
@@ -88,8 +87,7 @@ class _ConvTransposeNd(Module):
                 f"{type(self).__name__} expects {self.nd + 2}-d input, "
                 f"got shape {x.shape}"
             )
-        return conv_transpose_nd(x, self.weight, self.bias,
-                                 stride=self.stride)
+        return conv_transpose_nd(x, self.weight, self.bias)
 
 
 class ConvTranspose2d(_ConvTransposeNd):

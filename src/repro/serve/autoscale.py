@@ -2,7 +2,7 @@
 
 The pool's width is a provisioning knob; this module sets it at
 runtime.  An :class:`AutoScaler` periodically samples the pool —
-request arrivals, sheds, outstanding backlog — into a
+sheds and outstanding backlog — into a
 :class:`LoadSample`, runs a pure decision function
 (:meth:`AutoScaler.decide`) over it, and applies the verdict through
 the pool's control plane (:meth:`~repro.serve.pool.EngineWorkerPool.add_worker`
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -50,14 +49,11 @@ from .pool import EngineWorkerPool
 class LoadSample:
     """One observation window of pool load — the decision input.
 
-    ``arrived`` counts admissions *plus* sheds (offered work, not just
-    accepted work: a saturated pool that sheds half its traffic must
-    read as overloaded, not as comfortable).
+    Sheds count offered work the pool turned away: a saturated pool
+    that sheds half its traffic must read as overloaded, not as
+    comfortable, whatever its backlog.
     """
 
-    seconds: float              # window wall-clock
-    arrived: int                # admitted + shed in the window
-    completed: int              # requests finished in the window
     shed: int                   # sheds in the window
     outstanding: int            # instantaneous backlog at sample time
     workers: int                # admissible replicas at sample time
@@ -119,30 +115,17 @@ class AutoScaler:
         self.scale_down_patience = int(scale_down_patience)
         self.interval = float(interval)
         self._low_ticks = 0
-        self._last_time = time.perf_counter()
-        self._last_arrived = self._pool_arrived()
-        self._last_completed = pool.metrics.n_requests
         self._last_shed = pool.shed_requests
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     # -- sampling -------------------------------------------------------
-    def _pool_arrived(self) -> int:
-        return sum(w.submitted for w in self.pool._all_workers()) \
-            + self.pool.shed_requests
-
     def sample(self) -> LoadSample:
         """Snapshot the window since the previous sample/tick."""
-        now = time.perf_counter()
-        arrived = self._pool_arrived()
-        completed = self.pool.metrics.n_requests
         shed = self.pool.shed_requests
         admissible = [w for w in self.pool.workers if not w.draining]
         live = len(admissible)
         sample = LoadSample(
-            seconds=max(now - self._last_time, 1e-9),
-            arrived=arrived - self._last_arrived,
-            completed=completed - self._last_completed,
             shed=shed - self._last_shed,
             # backlog and slots over the SAME population (admissible
             # replicas): charging a draining replica's backlog against
@@ -152,9 +135,6 @@ class AutoScaler:
             outstanding=sum(w.outstanding for w in admissible),
             workers=live,
             queue_slots=live * self.pool.max_queue)
-        self._last_time = now
-        self._last_arrived = arrived
-        self._last_completed = completed
         self._last_shed = shed
         return sample
 

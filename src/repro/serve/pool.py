@@ -333,7 +333,6 @@ class _Worker:
     #                              when it differs from engine)
     draining: bool = False       # no longer admissible; being retired
     outstanding: int = 0         # admitted, not yet completed
-    submitted: int = 0           # admitted ever
     shed: int = 0                # rejected with this worker as first choice
 
 
@@ -401,11 +400,6 @@ class PoolMetrics:
     @property
     def outstanding(self) -> int:
         return sum(w.outstanding for w in self._pool.workers)
-
-    # the autoscaler polls this every tick: O(workers), no log merge
-    @property
-    def n_requests(self) -> int:
-        return sum(m.n_requests for m in self.per_worker)
 
     def requests_by_worker(self) -> Dict[int, int]:
         """Completed-request count per worker id — the sharding skew.
@@ -725,7 +719,6 @@ class EngineWorkerPool:
                     f"{retry:.3f}s", retry)
             worker = chosen
             worker.outstanding += 1
-            worker.submitted += 1
             # enqueue while still holding the routing lock: a
             # concurrent remove_worker/deploy marks draining under this
             # same lock *before* closing the scheduler, so a request
@@ -737,7 +730,6 @@ class EngineWorkerPool:
                 future = enqueue(worker)
             except BaseException:
                 worker.outstanding -= 1
-                worker.submitted -= 1
                 raise
         future.worker_id = worker.worker_id
         future.engine_version = worker.version

@@ -149,7 +149,7 @@ class CoastalSurrogate(Module):
         for i in range(n_stage - 1, 0, -1):
             d_in = C * (2 ** i)
             d_out = C * (2 ** (i - 1))
-            ups.append(ConvTranspose3d(d_in, d_out, 2, stride=2, rng=rng))
+            ups.append(ConvTranspose3d(d_in, d_out, 2, rng=rng))
             fuses.append(Conv3d(2 * d_out, d_out, 1, rng=rng))
             fuse_norms.append(BatchNorm(d_out))
         self.ups = ModuleList(ups)

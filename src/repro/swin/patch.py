@@ -70,8 +70,7 @@ class PatchEmbed3d(Module):
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.patch = tuple(patch)
-        self.proj = Conv3d(in_channels, embed_dim, self.patch,
-                           stride=self.patch, rng=rng)
+        self.proj = Conv3d(in_channels, embed_dim, self.patch, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         for ax, p in zip(x.shape[2:5], self.patch):
@@ -97,8 +96,7 @@ class PatchEmbed2d(Module):
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.patch = tuple(patch)
-        self.proj = Conv2d(in_channels, embed_dim, self.patch,
-                           stride=self.patch, rng=rng)
+        self.proj = Conv2d(in_channels, embed_dim, self.patch, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         folded, B, T = _fold_time(x)
@@ -167,8 +165,7 @@ class PatchRecover3d(_PatchRecover):
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.patch = tuple(patch)
-        self.up = ConvTranspose3d(embed_dim, embed_dim, self.patch,
-                                  stride=self.patch, rng=rng)
+        self.up = ConvTranspose3d(embed_dim, embed_dim, self.patch, rng=rng)
         self.norm = BatchNorm(embed_dim)
         self.act = GELU()
         self.head = Conv3d(embed_dim, out_channels, 1, rng=rng)
@@ -183,8 +180,7 @@ class PatchRecover2d(_PatchRecover):
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.patch = tuple(patch)
-        self.up = ConvTranspose2d(embed_dim, embed_dim, self.patch,
-                                  stride=self.patch, rng=rng)
+        self.up = ConvTranspose2d(embed_dim, embed_dim, self.patch, rng=rng)
         self.norm = BatchNorm(embed_dim)
         self.act = GELU()
         self.head = Conv2d(embed_dim, out_channels, 1, rng=rng)

@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`Tensor` — array + gradient tape node.
 * :func:`concatenate` — the multi-input op.
-* :func:`conv_nd`, :func:`conv_transpose_nd` — N-d convolution kernels.
+* :func:`conv_nd`, :func:`conv_transpose_nd` — the N-d patch maps
+  (kernel = stride convolution and its transpose).
 * :func:`no_grad` / :func:`enable_grad` — thread-local gradient switch
   (inference mode, and its inverse for backward passes on serving
   threads).

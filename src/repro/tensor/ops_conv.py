@@ -1,12 +1,12 @@
-"""N-dimensional convolution primitives with explicit adjoints.
+"""Patch maps: the surrogate's two convolutions, with explicit adjoints.
 
-The surrogate's decoder (paper §III-C) is built from 2-D/3-D transposed
-convolutions plus 1×1 convolutions.  Rather than an im2col matmul (which
-materialises a huge column matrix for 3-D volumes), the kernels here loop
-over the *kernel offsets* — a tiny loop (≤ 5³ iterations) — with every
-other dimension fully vectorised.  This follows the hpc-parallel guide's
-advice: vectorise the big axes, keep the strides contiguous, and avoid
-gratuitous copies.
+The surrogate convolves only to embed patches and to recover them
+(paper §III-C): kernel = stride = patch, plus the 1×1 convolutions of
+the decoder, whose patch is one site.  Every output site of such a
+correlation reads one disjoint input patch, so each map is a single
+GEMM over flattened patches plus one interleaving copy that moves the
+kernel axes between the spatial ones — one pass over the large,
+full-resolution side instead of one strided pass per kernel offset.
 
 Layouts
 -------
@@ -14,40 +14,20 @@ Layouts
 * ``conv_transpose_nd``:  x ``(N, C_in, *S)``,  w ``(C_in, C_out, *K)``
 
 which matches the PyTorch convention so the surrogate's weights keep the
-same shapes as the paper's reference implementation.
+same shapes as the paper's reference implementation.  ``conv_nd`` maps
+``S`` to ``S / K`` and takes only whole patches; ``conv_transpose_nd``
+maps ``S`` to ``S · K``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import plan as _plan
 from .tensor import Tensor, apply, astensor
-
-
-def _as_tuple(v, n: int) -> Tuple[int, ...]:
-    if isinstance(v, (tuple, list)):
-        if len(v) != n:
-            raise ValueError(f"expected length-{n} tuple, got {v}")
-        return tuple(int(x) for x in v)
-    return (int(v),) * n
-
-
-def conv_output_shape(spatial: Sequence[int], kernel: Sequence[int],
-                      stride: Sequence[int]) -> Tuple[int, ...]:
-    """Spatial output shape of a strided correlation."""
-    return tuple(
-        (s - k) // st + 1 for s, k, st in zip(spatial, kernel, stride))
-
-
-def conv_transpose_output_shape(spatial: Sequence[int], kernel: Sequence[int],
-                                stride: Sequence[int]) -> Tuple[int, ...]:
-    """Spatial output shape of a transposed convolution."""
-    return tuple(
-        (s - 1) * st + k for s, k, st in zip(spatial, kernel, stride))
 
 
 def _wide(a: np.ndarray) -> np.ndarray:
@@ -62,30 +42,24 @@ def _wide(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
 
 
-def _fwd_patch(x: np.ndarray, w: np.ndarray, out_sp: Tuple[int, ...],
+def _fwd_patch(x: np.ndarray, w: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """stride == kernel special case: non-overlapping patches.
+    """Correlation over whole patches: one GEMM over flattened patches.
 
-    Every output site reads one disjoint input patch, so the whole
-    correlation collapses to a single GEMM over flattened patches —
-    one pass over the input instead of one strided pass per kernel
-    offset.  This is the forward of patch embedding and of every 1×1
-    convolution, and the input adjoint of a patch-recovery transposed
-    convolution (whose own forward is :func:`_grad_input_patch`; an
-    eval-mode head runs neither, but the fused ``patch_recover`` kernel
-    of :mod:`repro.swin.patch`, whose VJP repeats this GEMM).  With
-    ``out`` (the compiled plan's arena buffer) the final interleaving
-    copy lands there instead of a fresh allocation — a copy of the same
-    GEMM values either way, so eager and replay stay bitwise identical.
+    ``out[n, co, o] = sum_{ci, k} w[co, ci, k] x[n, ci, o·K + k]``.  This
+    is the forward of patch embedding and of every 1×1 convolution, and
+    the input adjoint of a patch-recovery transposed convolution (whose
+    own forward is :func:`_grad_input_patch`).  The final interleaving
+    copy lands in ``out`` — the compiled plan's arena buffer, or a new
+    array when ``None`` — a copy of the same GEMM values either way, so
+    eager and replay stay bitwise identical.
     """
     kshape = w.shape[2:]
     N, Ci = x.shape[:2]
-    Co = w.shape[0]
-    crop = tuple(slice(0, o * k) for o, k in zip(out_sp, kshape))
-    xv = x[(slice(None), slice(None)) + crop]
-    split = (N, Ci) + tuple(v for ok in zip(out_sp, kshape) for v in ok)
-    xv = xv.reshape(split)                      # (N, Ci, o1, k1, …, od, kd)
-    nd = len(kshape)
+    Co, nd = w.shape[0], len(kshape)
+    out_sp = tuple(s // k for s, k in zip(x.shape[2:], kshape))
+    xv = x.reshape((N, Ci) + tuple(v for ok in zip(out_sp, kshape)
+                                   for v in ok))   # (N, Ci, o1, k1, …, od, kd)
     o_axes = tuple(2 + 2 * i for i in range(nd))
     k_axes = tuple(3 + 2 * i for i in range(nd))
     xv = xv.transpose((0,) + o_axes + (1,) + k_axes)   # (N, o…, Ci, k…)
@@ -98,39 +72,20 @@ def _fwd_patch(x: np.ndarray, w: np.ndarray, out_sp: Tuple[int, ...],
     xmat = xv.reshape(N, int(np.prod(out_sp)), Ci * int(np.prod(kshape)))
     gemm = xmat @ w.reshape(Co, -1).T           # (N, O, Co)
     if out is None:
-        return np.ascontiguousarray(np.moveaxis(gemm, -1, 1)).reshape(
-            (N, Co) + tuple(out_sp))
+        out = np.empty((N, Co) + out_sp, gemm.dtype)
     np.copyto(out.reshape(N, Co, -1), np.moveaxis(gemm, -1, 1))
     return out
 
 
-def _fwd(x: np.ndarray, w: np.ndarray, stride: Tuple[int, ...]) -> np.ndarray:
-    """Correlation: out[n,co,o] = sum_{ci,k} w[co,ci,k] x[n,ci,o*s+k]."""
-    kshape = w.shape[2:]
-    out_sp = conv_output_shape(x.shape[2:], kshape, stride)
-    if tuple(stride) == tuple(kshape):
-        return _fwd_patch(x, w, out_sp)
-    out = np.zeros((x.shape[0], w.shape[0]) + out_sp, dtype=np.result_type(x, w))
-    for koff in itertools.product(*[range(k) for k in kshape]):
-        sl = tuple(
-            slice(k0, k0 + st * o, st) for k0, st, o in zip(koff, stride, out_sp)
-        )
-        xs = x[(slice(None), slice(None)) + sl]
-        wk = w[(slice(None), slice(None)) + koff]  # (Co, Ci)
-        out += np.einsum("nc...,oc->no...", xs, wk, optimize=True)
-    return out
-
-
 def _grad_input_patch(gout: np.ndarray, w: np.ndarray,
-                      in_spatial: Tuple[int, ...],
                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """stride == kernel adjoint: one GEMM + one interleaving copy.
+    """Adjoint of :func:`_fwd_patch` w.r.t. its input, which is also the
+    transposed convolution: one GEMM + one interleaving copy.
 
     Each input patch receives gradient from exactly one output site, so
     the scatter collapses to ``gout @ w`` followed by reshaping the
-    kernel axes back between the spatial axes — two passes over the
-    (large, full-resolution) result instead of one per kernel offset.
-    ``out`` as in :func:`_fwd_patch`: same values, arena-placed.
+    kernel axes back between the spatial axes.  ``out`` as in
+    :func:`_fwd_patch`: same values, arena-placed.
     """
     kshape = w.shape[2:]
     out_sp = gout.shape[2:]
@@ -151,32 +106,10 @@ def _grad_input_patch(gout: np.ndarray, w: np.ndarray,
     return out
 
 
-def _grad_input(gout: np.ndarray, w: np.ndarray, in_spatial: Tuple[int, ...],
-                stride: Tuple[int, ...]) -> np.ndarray:
-    """Adjoint of :func:`_fwd` w.r.t. its input (also = transposed conv)."""
-    kshape = w.shape[2:]
-    out_sp = gout.shape[2:]
-    if tuple(stride) == tuple(kshape) and tuple(in_spatial) == tuple(
-            o * k for o, k in zip(out_sp, kshape)):
-        return _grad_input_patch(gout, w, in_spatial)
-    gx = np.zeros(
-        (gout.shape[0], w.shape[1]) + tuple(in_spatial),
-        dtype=np.result_type(gout, w),
-    )
-    for koff in itertools.product(*[range(k) for k in kshape]):
-        sl = tuple(
-            slice(k0, k0 + st * o, st) for k0, st, o in zip(koff, stride, out_sp)
-        )
-        wk = w[(slice(None), slice(None)) + koff]  # (Co, Ci)
-        gx[(slice(None), slice(None)) + sl] += np.einsum(
-            "no...,oc->nc...", gout, wk, optimize=True
-        )
-    return gx
-
-
-def _grad_weight(gout: np.ndarray, x: np.ndarray, kshape: Tuple[int, ...],
-                 stride: Tuple[int, ...]) -> np.ndarray:
-    """Adjoint of :func:`_fwd` w.r.t. the weight."""
+def _grad_weight(gout: np.ndarray, x: np.ndarray,
+                 kshape: Tuple[int, ...]) -> np.ndarray:
+    """Adjoint of :func:`_fwd_patch` w.r.t. the weight: one contraction
+    per kernel offset, over the sites that offset reads."""
     out_sp = gout.shape[2:]
     gw = np.zeros(
         (gout.shape[1], x.shape[1]) + tuple(kshape),
@@ -184,7 +117,7 @@ def _grad_weight(gout: np.ndarray, x: np.ndarray, kshape: Tuple[int, ...],
     )
     for koff in itertools.product(*[range(k) for k in kshape]):
         sl = tuple(
-            slice(k0, k0 + st * o, st) for k0, st, o in zip(koff, stride, out_sp)
+            slice(k0, k0 + k * o, k) for k0, k, o in zip(koff, kshape, out_sp)
         )
         xs = x[(slice(None), slice(None)) + sl]
         gw[(slice(None), slice(None)) + koff] = np.einsum(
@@ -193,91 +126,59 @@ def _grad_weight(gout: np.ndarray, x: np.ndarray, kshape: Tuple[int, ...],
     return gw
 
 
-def conv_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-            stride=1) -> Tensor:
-    """N-d strided correlation (a "convolution" in NN parlance), unpadded.
+def conv_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """N-d patch correlation (a "convolution" in NN parlance):
+    kernel = stride, unpadded.
 
     Parameters
     ----------
-    x: ``(N, C_in, *S)`` input.
+    x: ``(N, C_in, *S)`` input, each of ``S`` a multiple of the kernel.
     w: ``(C_out, C_in, *K)`` kernel.
     b: optional ``(C_out,)`` bias.
-    stride: int or per-axis tuple over the spatial dims.
     """
     x, w = astensor(x), astensor(w)
-    stride = _as_tuple(stride, x.data.ndim - 2)
-    b = None if b is None else astensor(b)
-    return apply("conv_nd", (x, w) if b is None else (x, w, b),
-                 {"stride": stride})
+    if any(s % k for s, k in zip(x.shape[2:], w.shape[2:])):
+        raise ValueError(
+            f"conv_nd maps whole patches: spatial shape {x.shape[2:]} is "
+            f"not a multiple of the kernel {w.shape[2:]}")
+    return apply("conv_nd", (x, w) if b is None else (x, w, astensor(b)))
 
 
-def conv_transpose_nd(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-                      stride=1) -> Tensor:
-    """N-d transposed convolution (fractionally-strided upsampling).
+def conv_transpose_nd(x: Tensor, w: Tensor,
+                      b: Optional[Tensor] = None) -> Tensor:
+    """N-d transposed patch convolution: each input site becomes one
+    ``K``-sized output patch (upsampling by the kernel).
 
     Parameters
     ----------
     x: ``(N, C_in, *S)`` input.
     w: ``(C_in, C_out, *K)`` kernel (PyTorch ConvTranspose layout).
     b: optional ``(C_out,)`` bias.
-    stride: upsampling factor per axis.
     """
     x, w = astensor(x), astensor(w)
-    stride = _as_tuple(stride, x.data.ndim - 2)
-    b = None if b is None else astensor(b)
-    return apply("conv_transpose_nd", (x, w) if b is None else (x, w, b),
-                 {"stride": stride})
+    return apply("conv_transpose_nd",
+                 (x, w) if b is None else (x, w, astensor(b)))
 
 
 # ----------------------------------------------------------------------
 # plan kernels — the forwards of the two public functions above, each
-# with its VJP.  With ``out=None`` (eager, tape, trace) they allocate;
-# with a preallocated ``out`` (replay) the final interleaving copy of
-# the patch GEMM lands directly in the arena buffer — a copy of the same
-# GEMM values either way.
+# with its VJP.  Both write ``out`` (allocated when ``None``), then add
+# the bias there.
 # ----------------------------------------------------------------------
+def _add_bias(out: np.ndarray, ins) -> np.ndarray:
+    if len(ins) > 2:
+        out += ins[2].reshape((1, -1) + (1,) * (out.ndim - 2))
+    return out
+
+
 @_plan.register_kernel("conv_nd", "compute")
 def _k_conv_nd(out, ins, consts):
-    x, w = ins[0], ins[1]
-    stride = consts["stride"]
-    nd = x.ndim - 2
-    kshape = w.shape[2:]
-    out_sp = conv_output_shape(x.shape[2:], kshape, stride)
-    if out is None:
-        r = _fwd(x, w, stride)
-        if len(ins) > 2:
-            r = r + ins[2].reshape((1, -1) + (1,) * nd)
-        return r
-    if tuple(stride) == tuple(kshape):
-        _fwd_patch(x, w, out_sp, out)
-    else:
-        np.copyto(out, _fwd(x, w, stride))
-    if len(ins) > 2:
-        out += ins[2].reshape((1, -1) + (1,) * nd)
-    return out
+    return _add_bias(_fwd_patch(ins[0], ins[1], out), ins)
 
 
 @_plan.register_kernel("conv_transpose_nd", "compute")
 def _k_conv_transpose_nd(out, ins, consts):
-    x, w = ins[0], ins[1]
-    stride = consts["stride"]
-    nd = x.ndim - 2
-    kshape = w.shape[2:]
-    out_sp = conv_transpose_output_shape(x.shape[2:], kshape, stride)
-    # Forward of transposed conv == input-gradient of the forward conv,
-    # with x playing the role of the output gradient.
-    if out is None:
-        r = _grad_input(x, w, out_sp, stride)
-        if len(ins) > 2:
-            r = r + ins[2].reshape((1, -1) + (1,) * nd)
-        return r
-    if tuple(stride) == tuple(kshape):
-        _grad_input_patch(x, w, out_sp, out)
-    else:
-        np.copyto(out, _grad_input(x, w, out_sp, stride))
-    if len(ins) > 2:
-        out += ins[2].reshape((1, -1) + (1,) * nd)
-    return out
+    return _add_bias(_grad_input_patch(ins[0], ins[1], out), ins)
 
 
 def _bias_grad(g, ins, needs):
@@ -290,18 +191,16 @@ def _bias_grad(g, ins, needs):
 @_plan.register_vjp("conv_nd")
 def _vjp_conv_nd(g, ins, out, consts, needs):
     x, w = ins[0], ins[1]
-    stride = consts["stride"]
-    gx = _grad_input(g, w, x.shape[2:], stride) if needs[0] else None
-    gw = _grad_weight(g, x, w.shape[2:], stride) if needs[1] else None
+    gx = _grad_input_patch(g, w) if needs[0] else None
+    gw = _grad_weight(g, x, w.shape[2:]) if needs[1] else None
     return (gx, gw, _bias_grad(g, ins, needs))[:len(ins)]
 
 
 @_plan.register_vjp("conv_transpose_nd")
 def _vjp_conv_transpose_nd(g, ins, out, consts, needs):
     x, w = ins[0], ins[1]
-    stride = consts["stride"]
-    # the adjoint of _grad_input w.r.t. gout is the forward conv, and
-    # gw[ci, co, k] = sum_{n,o} x[n,ci,o] * g[n,co,o*s+k]
-    gx = _fwd(g, w, stride) if needs[0] else None
-    gw = _grad_weight(x, g, w.shape[2:], stride) if needs[1] else None
+    # the adjoint of the transposed conv w.r.t. its input is the forward
+    # conv, and gw[ci, co, k] = sum_{n,o} x[n,ci,o] * g[n,co,o·K+k]
+    gx = _fwd_patch(g, w) if needs[0] else None
+    gw = _grad_weight(x, g, w.shape[2:]) if needs[1] else None
     return (gx, gw, _bias_grad(g, ins, needs))[:len(ins)]

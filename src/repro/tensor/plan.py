@@ -12,7 +12,7 @@ the dynamic machinery:
 
 * **trace** — :func:`trace` runs a function of Tensors with a
   thread-local :class:`PlanBuilder` active.  Every primitive op (ufunc,
-  matmul, conv-GEMM, reshape/transpose, reduction, fused inference
+  matmul, patch map, reshape/transpose, reduction, fused inference
   kernel) already executes through the one dispatcher,
   :func:`repro.tensor.tensor.apply`; while a builder is active it hands
   the op's arrays and slots to :func:`trace_apply`, which runs the op's
@@ -32,13 +32,17 @@ the dynamic machinery:
 * **replay** — a :class:`PlanExecutor` allocates the plan's arena blob
   once, binds every output view into it, then
   :meth:`PlanExecutor.run` replays the steps on raw ``np.ndarray``\\ s:
-  no Tensor objects, no graph bookkeeping, outputs written in place
-  into the reused slots.  Replay is single-threaded: :meth:`run` is
-  a bare loop of kernel calls with NumPy's OpenBLAS pinned to one
-  thread (:func:`single_thread_blas`), and
-  :meth:`PlanExecutor.profile` is the same loop with a clock around
-  each call.  Parallelism is the caller's: an executor per thread, each
-  replaying its own rows (``workflow.engine.CompiledForward``).
+  no Tensor objects, no graph bookkeeping.  Every step keeps one
+  contract (:data:`KERNEL_KINDS`): it returns a view of its first
+  input, mutates that input in place, or writes the arena buffer it is
+  handed, so a replay's slots are the arena blob, the inputs and views
+  of them, and nothing is freed between steps.  Replay is
+  single-threaded: :meth:`run` is a bare loop of kernel calls with
+  NumPy's OpenBLAS pinned to one thread (:func:`single_thread_blas`),
+  and :meth:`PlanExecutor.profile` is the same loop with a clock
+  around each call.  Parallelism is the caller's: an executor per
+  thread, each replaying its own rows
+  (``workflow.engine.CompiledForward``).
 
 Replay is **bitwise identical** to the eager path: a primitive has one
 forward, its registered kernel, which ``apply`` calls with ``out=None``
@@ -50,8 +54,8 @@ several ufuncs in one dispatch fuses them *inside* its one registered
 kernel (``gelu``, ``layernorm``, ``bn_affine``, ``patch_recover``).
 
 Kernels register here for the generic tensor ops and from the modules
-that own them (:mod:`repro.tensor.ops_conv` registers the conv-GEMM
-kernels, :mod:`repro.nn.layers` / :mod:`repro.nn.attention` /
+that own them (:mod:`repro.tensor.ops_conv` registers the two patch
+maps, :mod:`repro.nn.layers` / :mod:`repro.nn.attention` /
 :mod:`repro.swin.patch` the fused kernels) via :func:`register_kernel`,
 each with its backward beside it via :func:`register_vjp` — the one
 the autograd tape runs; a plan never calls it.
@@ -85,23 +89,22 @@ class TraceError(RuntimeError):
 # ----------------------------------------------------------------------
 # kernel registry
 # ----------------------------------------------------------------------
-#: kernel kinds (how replay treats the output buffer):
-#:   compute — writes into a preallocated arena buffer (``out=``)
-#:   fresh   — allocates internally; the returned array becomes the slot
+#: kernel kinds — the one contract: a step returns a view of its first
+#: input, or writes its result into the buffer it is handed:
+#:   compute — writes into ``out`` (an arena buffer at replay; ``None``
+#:             eagerly, when it allocates) and returns ``out``
 #:   view    — returns a view of its first input (no storage)
-#:   movement— view *or* storage, decided per call site at trace time
-#:             (``np.shares_memory`` — deterministic across replays
-#:             because strides replay identically); the non-view kind
-#:             is the kernel's ``nonview`` registration argument
+#:   movement— a view or a ``compute`` step, decided per call site at
+#:             trace time (``np.shares_memory`` — deterministic across
+#:             replays because strides replay identically)
 #:   inplace — mutates its first input's buffer and returns it
-KERNEL_KINDS = ("compute", "fresh", "view", "movement", "inplace")
+KERNEL_KINDS = ("compute", "view", "movement", "inplace")
 
 
 @dataclass(frozen=True)
 class Kernel:
     fn: Callable
     kind: str
-    nonview: str = "fresh"    # movement kernels: kind when not a view
     vjp: Optional[Callable] = None   # the backward, see register_vjp
 
 
@@ -109,11 +112,12 @@ class Kernel:
 KERNELS: Dict[str, Kernel] = {}
 
 
-def register_kernel(name: str, kind: str, nonview: str = "fresh"):
+def register_kernel(name: str, kind: str):
     """Register ``fn(out, ins, consts) -> np.ndarray`` as a kernel.
 
-    ``out`` is the preallocated output buffer for ``compute`` kernels
-    (``None`` at trace time, when the kernel must allocate); ``ins`` is
+    ``out`` is the preallocated output buffer of a ``compute`` kernel,
+    which it writes and returns (``None`` eagerly and at trace time,
+    when the kernel must allocate; always ``None`` for a view); ``ins`` is
     the tuple of input arrays; ``consts`` the static argument dict
     captured at trace time.  An ``inplace`` kernel writes into
     ``ins[0]``, which must be a fresh buffer whose producer's VJP does
@@ -127,7 +131,7 @@ def register_kernel(name: str, kind: str, nonview: str = "fresh"):
     def deco(fn):
         if name in KERNELS:
             raise ValueError(f"kernel {name!r} already registered")
-        KERNELS[name] = Kernel(fn, kind, nonview)
+        KERNELS[name] = Kernel(fn, kind)
         return fn
     return deco
 
@@ -177,7 +181,7 @@ class SlotSpec:
 
     shape: Tuple[int, ...]
     dtype: np.dtype
-    kind: str                    # 'input' | 'compute' | 'fresh' | 'view' | 'inplace'
+    kind: str                    # 'input' | 'compute' | 'view' | 'inplace'
     root: int                    # alias-group representative slot id
     phys: Optional[int] = None   # arena byte offset (compute slots only)
 
@@ -218,9 +222,6 @@ class ExecutionPlan:
         self.outputs = outputs        # slot ids returned by run()
         self.const_arrays = const_arrays
         self.arena_total = 0          # bytes of the single arena blob
-        # slot ids droppable after each step (mirrors eager refcount
-        # freeing, so live fresh buffers never outstay their last use)
-        self.step_releases: List[Tuple[int, ...]] = []
 
     # -- introspection --------------------------------------------------
     @property
@@ -250,20 +251,6 @@ class ExecutionPlan:
         return [group_last.get(self.slots[s].root, -1)
                 for s in range(self.n_slots)]
 
-    def _build_releases(self) -> None:
-        last_use = self._last_uses()
-        group_end: Dict[int, int] = {}
-        for sid, spec in enumerate(self.slots):
-            group_end[spec.root] = max(group_end.get(spec.root, -1),
-                                       last_use[sid])
-        by_step: Dict[int, List[int]] = {}
-        for sid, spec in enumerate(self.slots):
-            end = group_end[spec.root]
-            if end < len(self.steps):
-                by_step.setdefault(end, []).append(sid)
-        self.step_releases = [tuple(by_step.get(i, ()))
-                              for i in range(len(self.steps))]
-
     # -- serialisation --------------------------------------------------
     # A plan is a *description* — flat step list, slot specs, baked
     # constants, the arena offset assignment — plus per-step kernel
@@ -286,7 +273,6 @@ class ExecutionPlan:
             "outputs": self.outputs,
             "const_arrays": self.const_arrays,
             "arena_total": self.arena_total,
-            "step_releases": self.step_releases,
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -311,7 +297,6 @@ class ExecutionPlan:
         self.outputs = state["outputs"]
         self.const_arrays = state["const_arrays"]
         self.arena_total = state["arena_total"]
-        self.step_releases = state["step_releases"]
 
 
 def _ensure_kernels_registered() -> None:
@@ -411,8 +396,7 @@ class PlanBuilder:
 
 def _pack(plan: ExecutionPlan) -> None:
     """Liveness analysis and physical buffer assignment of a fresh
-    trace: sets every compute slot's ``phys``, ``plan.arena_total``
-    and the per-step release lists."""
+    trace: sets every compute slot's ``phys`` and ``plan.arena_total``."""
     last_use = plan._last_uses()
 
     # group slots by alias root; a physical buffer frees only when
@@ -455,7 +439,6 @@ def _pack(plan: ExecutionPlan) -> None:
         spec.phys = offset
         total = max(total, offset + need)
     plan.arena_total = total
-    plan._build_releases()
 
 
 # ----------------------------------------------------------------------
@@ -482,8 +465,7 @@ def trace_apply(name: str, arrays: Sequence[np.ndarray],
         return value, None
     kind = kernel.kind
     if kind == "movement":
-        kind = "view" if np.shares_memory(value, arrays[0]) \
-            else kernel.nonview
+        kind = "view" if np.shares_memory(value, arrays[0]) else "compute"
     if kind == "view" and slots[0] is None:
         # view of a constant: the whole result is constant
         return value, None
@@ -654,7 +636,7 @@ class PlanExecutor:
         # into the arena blob
         consts = plan.const_arrays
         prog = []
-        for i, step in enumerate(plan.steps):
+        for step in plan.steps:
             spec = plan.slots[step.out]
             out_view = None
             if spec.phys is not None:
@@ -663,7 +645,7 @@ class PlanExecutor:
             ins_spec = tuple(ref if tag == "s" else consts[ref]
                              for tag, ref in step.ins)
             prog.append((step.fn, step.out, ins_spec, step.consts,
-                         out_view, plan.step_releases[i]))
+                         out_view))
         self._prog = prog
 
     def _bind(self, inputs: Sequence[np.ndarray]) -> None:
@@ -687,12 +669,10 @@ class PlanExecutor:
         self._bind(inputs)
         env = self._env
         with single_thread_blas():
-            for fn, out_slot, ins_spec, consts, out, rel in self._prog:
+            for fn, out_slot, ins_spec, consts, out in self._prog:
                 ins = tuple(env[r] if type(r) is int else r
                             for r in ins_spec)
                 env[out_slot] = fn(out, ins, consts)
-                for sid in rel:
-                    env[sid] = None  # fresh/view buffers free like eager
         return [env[s] for s in self.plan.outputs]
 
     def profile(self, inputs: Sequence[np.ndarray], repeats: int
@@ -704,21 +684,19 @@ class PlanExecutor:
         a separate loop, so :meth:`run` itself carries no branch for it
         — under the same :func:`single_thread_blas`.
         """
+        self._bind(inputs)
         env = self._env
         clock = time.perf_counter
         samples: List[List[float]] = [[] for _ in self._prog]
         with single_thread_blas():
             for _ in range(repeats):
-                self._bind(inputs)   # a replay releases its input slots
-                for (fn, out_slot, ins_spec, consts, out, rel), seen \
+                for (fn, out_slot, ins_spec, consts, out), seen \
                         in zip(self._prog, samples):
                     ins = tuple(env[r] if type(r) is int else r
                                 for r in ins_spec)
                     t0 = clock()
                     env[out_slot] = fn(out, ins, consts)
                     seen.append(clock() - t0)
-                    for sid in rel:
-                        env[sid] = None
         steps, slots = self.plan.steps, self.plan.slots
         return [(i, steps[i].name, slots[steps[i].out].shape,
                  statistics.median(seen))
@@ -825,14 +803,11 @@ def _vjp_sum(g, ins, out, consts, needs):
                             a.shape),)
 
 
-@register_kernel("max", "fresh")
+@register_kernel("max", "compute")
 def _k_max(out, ins, consts):
-    axis = consts["axis"]
-    r = ins[0].max(axis=axis, keepdims=True)
-    if axis is None:
-        return r.reshape(())
-    ax = axis if isinstance(axis, tuple) else (axis,)
-    return r.squeeze(axis=ax)
+    # a whole-array max returns a NumPy scalar; ``asarray`` gives ``out``
+    # back unchanged
+    return np.asarray(np.max(ins[0], axis=consts["axis"], out=out))
 
 
 @register_vjp("max")
@@ -859,7 +834,7 @@ def _vjp_softmax(g, ins, out, consts, needs):
     return (gp - out * gp.sum(axis=-1, keepdims=True),)
 
 
-@register_kernel("reshape", "movement", nonview="compute")
+@register_kernel("reshape", "movement")
 def _k_reshape(out, ins, consts):
     if out is None:
         return ins[0].reshape(consts["shape"])
@@ -885,7 +860,12 @@ def _vjp_transpose(g, ins, out, consts, needs):
 
 @register_kernel("getitem", "movement")
 def _k_getitem(out, ins, consts):
-    return ins[0][consts["idx"]]
+    selected = ins[0][consts["idx"]]
+    if out is None:
+        return selected
+    # a fancy index: NumPy gathers into a new array, copied to ``out``
+    np.copyto(out, selected)
+    return out
 
 
 @register_vjp("getitem")
@@ -953,9 +933,12 @@ def _vjp_concatenate(g, ins, out, consts, needs):
                  if need else None for a, hi, need in zip(ins, ends, needs))
 
 
-@register_kernel("astype", "fresh")
+@register_kernel("astype", "compute")
 def _k_astype(out, ins, consts):
-    return ins[0].astype(consts["dtype"])
+    if out is None:
+        return ins[0].astype(consts["dtype"])
+    np.copyto(out, ins[0], casting="unsafe")
+    return out
 
 
 @register_vjp("astype")

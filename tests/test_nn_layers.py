@@ -453,22 +453,22 @@ class TestMLP:
 
 class TestConvLayers:
     def test_conv2d_shape(self, rng):
-        c = Conv2d(3, 8, 3, stride=2)
-        x = Tensor(rng.normal(size=(2, 3, 9, 9)).astype(np.float32))
-        assert c(x).shape == (2, 8, 4, 4)
+        c = Conv2d(3, 8, 3)
+        x = Tensor(rng.normal(size=(2, 3, 9, 12)).astype(np.float32))
+        assert c(x).shape == (2, 8, 3, 4)
 
     def test_conv3d_shape(self, rng):
         c = Conv3d(2, 4, (2, 2, 1))
         x = Tensor(rng.normal(size=(1, 2, 6, 6, 3)).astype(np.float32))
-        assert c(x).shape == (1, 4, 5, 5, 3)
+        assert c(x).shape == (1, 4, 3, 3, 3)
 
     def test_convtranspose2d_shape(self, rng):
-        c = ConvTranspose2d(4, 2, 2, stride=2)
+        c = ConvTranspose2d(4, 2, 2)
         x = Tensor(rng.normal(size=(1, 4, 3, 5)).astype(np.float32))
         assert c(x).shape == (1, 2, 6, 10)
 
     def test_convtranspose3d_shape(self, rng):
-        c = ConvTranspose3d(4, 2, (2, 2, 2), stride=(2, 2, 2))
+        c = ConvTranspose3d(4, 2, (2, 2, 2))
         x = Tensor(rng.normal(size=(1, 4, 2, 2, 2)).astype(np.float32))
         assert c(x).shape == (1, 2, 4, 4, 4)
 
@@ -479,8 +479,8 @@ class TestConvLayers:
 
     def test_conv_roundtrip_downsample_upsample(self, rng):
         """Patch embed then recover restores the spatial extent."""
-        down = Conv2d(1, 4, 4, stride=4)
-        up = ConvTranspose2d(4, 1, 4, stride=4)
+        down = Conv2d(1, 4, 4)
+        up = ConvTranspose2d(4, 1, 4)
         x = Tensor(rng.normal(size=(1, 1, 8, 8)).astype(np.float32))
         assert up(down(x)).shape == x.shape
 

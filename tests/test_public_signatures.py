@@ -89,7 +89,7 @@ SIGNATURES = [
     (engine_payload, ["engine"]),
     (serve_payload, ["channel", "payload"]),
     (PlanExecutor.profile, ["self", "inputs", "repeats"]),
-    (repro.tensor.plan.register_kernel, ["name", "kind", "nonview"]),
+    (repro.tensor.plan.register_kernel, ["name", "kind"]),
     (repro.tensor.tensor.apply, ["name", "inputs", "consts"]),
     (repro.tensor.plan.trace_apply,
      ["name", "arrays", "slots", "stable", "consts"]),
@@ -99,11 +99,10 @@ SIGNATURES = [
     (MLP, ["dim", "rng"]),
     (LayerNorm, ["dim"]),
     (BatchNorm, ["num_features"]),
-    (Conv3d, ["in_channels", "out_channels", "kernel_size", "stride", "rng"]),
-    (ConvTranspose3d,
-     ["in_channels", "out_channels", "kernel_size", "stride", "rng"]),
-    (conv_nd, ["x", "w", "b", "stride"]),
-    (conv_transpose_nd, ["x", "w", "b", "stride"]),
+    (Conv3d, ["in_channels", "out_channels", "kernel_size", "rng"]),
+    (ConvTranspose3d, ["in_channels", "out_channels", "kernel_size", "rng"]),
+    (conv_nd, ["x", "w", "b"]),
+    (conv_transpose_nd, ["x", "w", "b"]),
     (Tensor, ["data", "requires_grad"]),
     (Tensor.max, ["self", "axis"]),
     (Tensor.softmax, ["self"]),
@@ -265,6 +264,11 @@ def test_post_trace_passes_and_arena_pools_are_gone():
     for name in ("optimize", "BufferArena", "plan_passes"):
         assert not hasattr(repro.tensor, name), name
     assert not hasattr(PlanExecutor, "release")
+    # one kernel contract: a step is a view or writes its buffer, so no
+    # slot is freed during a replay
+    assert repro.tensor.plan.KERNEL_KINDS == (
+        "compute", "view", "movement", "inplace")
+    assert not hasattr(ExecutionPlan, "_build_releases")
 
 
 def test_one_client_exchange_for_both_remote_tiers():
@@ -375,6 +379,7 @@ def test_what_only_its_own_tests_reached_is_gone():
                          (FieldWindow, "snapshot"),
                          (EngineWorkerPool, "capacity_model"),
                          (PoolMetrics, "n_batches"),
+                         (PoolMetrics, "n_requests"),
                          (TrafficTrace, "save"),
                          (TrafficTrace, "load"),
                          (LoadSample, "demand_qps")):

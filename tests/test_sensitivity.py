@@ -566,7 +566,7 @@ def test_process_and_host_backends_reject_gradients(engine, windows):
         with pytest.raises(NotImplementedError, match="backend='thread'"):
             pool.submit_gradient(req)
         worker = pool.workers[0]
-        assert (worker.outstanding, worker.submitted) == (0, 0)
+        assert worker.outstanding == 0
         assert worker.scheduler.flush() == 0
 
     sched = MicroBatchScheduler(ForwardOnly(), autostart=False)

@@ -394,11 +394,8 @@ class TestAutoScaler:
             scaler = AutoScaler(pool, min_workers=1, max_workers=4,
                                 high_water=0.5, low_water=0.1)
 
-            def sample(workers, outstanding, shed=0, arrived=0,
-                       seconds=1.0):
-                return LoadSample(seconds=seconds, arrived=arrived,
-                                  completed=0, shed=shed,
-                                  outstanding=outstanding,
+            def sample(workers, outstanding, shed=0):
+                return LoadSample(shed=shed, outstanding=outstanding,
                                   workers=workers,
                                   queue_slots=workers * 32)
             # shed always grows, regardless of utilisation

@@ -179,7 +179,7 @@ class TestRouting:
         with closing(manual_pool(engine, router="round-robin")) as pool:
             for w in windows[:6]:
                 pool.submit(w)
-            assert [wk.submitted for wk in pool.workers] == [2, 2, 2]
+            assert [wk.outstanding for wk in pool.workers] == [2, 2, 2]
             pool.flush()
 
     def test_least_outstanding_balances(self, engine, windows):
@@ -213,7 +213,7 @@ class TestRouting:
         with closing(manual_pool(engine, router="key-affinity")) as pool:
             for w in windows[:3]:
                 pool.submit(w)               # no key: round-robin fallback
-            assert [wk.submitted for wk in pool.workers] == [1, 1, 1]
+            assert [wk.outstanding for wk in pool.workers] == [1, 1, 1]
             pool.flush()
 
     def test_router_make_rejects_unknown(self):

@@ -595,11 +595,15 @@ class TestServerRouting:
         assert report.pass_rate == 1.0
         assert_windows_equal(fields, direct[0])
         # chained episodes reach an idle replica one at a time: each is
-        # served at once, none waits for company
+        # served at once, none waits for company — so each waits less
+        # than the forward it then gets (two clocks of one run, so the
+        # host's speed cancels)
         metrics = server.scheduler.metrics
         assert [(b.size, b.trigger) for b in metrics.batches] \
             == [(1, "idle")] * 2
-        assert metrics.queue_percentile(50) < 1e-3
+        forward = {b.index: b.seconds for b in metrics.batches}
+        assert all(r.queue_seconds < forward[r.batch_index]
+                   for r in metrics.requests), metrics.requests
 
 
 class TestCapacityModel:

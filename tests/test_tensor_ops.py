@@ -472,32 +472,30 @@ def _ln_ref(x):
         + _LN.bias.data
 
 
-def _conv_ref(x, w, b, stride):
+def _conv_ref(x, w, b):
     """Dense loop: each output element is its bias plus the sum over
-    its window, in float64."""
+    its patch, in float64."""
     x, w = x.astype(np.float64), w.astype(np.float64)
     kernel = w.shape[2:]
     out = np.empty((x.shape[0], w.shape[0]) + tuple(
-        (n - k) // stride + 1 for n, k in zip(x.shape[2:], kernel)))
+        n // k for n, k in zip(x.shape[2:], kernel)))
     for n, o, *pos in np.ndindex(out.shape):
-        window = tuple(slice(p * stride, p * stride + k)
-                       for p, k in zip(pos, kernel))
+        window = tuple(slice(p * k, p * k + k) for p, k in zip(pos, kernel))
         out[(n, o, *pos)] = b[o] + (x[(n, slice(None)) + window]
                                     * w[o]).sum()
     return out
 
 
-def _conv_transpose_ref(x, w, b, stride):
+def _conv_transpose_ref(x, w, b):
     """Dense loop: each input element scatters its kernel-weighted copy
-    into the output window it owns, onto the bias, in float64."""
+    into the output patch it owns, onto the bias, in float64."""
     x, w = x.astype(np.float64), w.astype(np.float64)
     kernel = w.shape[2:]
     out = np.zeros((x.shape[0], w.shape[1]) + tuple(
-        (n - 1) * stride + k for n, k in zip(x.shape[2:], kernel)))
+        n * k for n, k in zip(x.shape[2:], kernel)))
     out += b.reshape((1, -1) + (1,) * len(kernel))
     for n, *pos in np.ndindex(x.shape[:1] + x.shape[2:]):
-        window = tuple(slice(p * stride, p * stride + k)
-                       for p, k in zip(pos, kernel))
+        window = tuple(slice(p * k, p * k + k) for p, k in zip(pos, kernel))
         out[(n, slice(None)) + window] += np.tensordot(
             x[(n, slice(None), *pos)], w, axes=1)
     return out
@@ -508,14 +506,13 @@ def _recover_ref(x):
     eval BatchNorm, GELU, 1×1 conv, in float64."""
     r, (B, T) = _RECOVER, (x.shape[0], x.shape[-1])
     folded = np.moveaxis(x, -1, 1).reshape((B * T,) + x.shape[1:-1])
-    up = _conv_transpose_ref(folded, r.up.weight.data, r.up.bias.data,
-                             r.patch[0])
+    up = _conv_transpose_ref(folded, r.up.weight.data, r.up.bias.data)
     shape = (1, -1) + (1,) * (up.ndim - 2)
     norm = (up - r.norm.running_mean.reshape(shape)) / np.sqrt(
         r.norm.running_var.reshape(shape).astype(np.float64) + r.norm.eps)
     act = _gelu_ref(norm * r.norm.weight.data.reshape(shape)
                     + r.norm.bias.data.reshape(shape))
-    y = _conv_ref(act, r.head.weight.data, r.head.bias.data, 1)
+    y = _conv_ref(act, r.head.weight.data, r.head.bias.data)
     return np.moveaxis(y.reshape((B, T) + y.shape[1:]), 1, -1)
 
 
@@ -577,8 +574,10 @@ OP_TABLE = {
                    lambda a: np.array(list(a.flat), a.dtype).reshape(6, 10)),
     "transpose": Row(lambda a: a.transpose(1, 0, 2), _A,
                      lambda a: np.moveaxis(a, 0, 1)),
-    "getitem": Row(lambda a: a[1:, ::2], _A,
-                   lambda a: np.take(a[1:], [0, 2], axis=1)),
+    # a basic index (a view), then a fancy one, which gathers into new
+    # storage and repeats an index, so its adjoint must accumulate
+    "getitem": Row(lambda a: a[1:, ::2][:, [1, 0, 1]], _A,
+                   lambda a: np.take(a[1:], [2, 0, 2], axis=1)),
     # a repeated axis: test_compiled_plan's
     # test_roll_repeated_axis_matches_numpy
     "roll": Row(lambda a: a.roll((1, -2), (0, 2)), _A, _roll_ref),
@@ -597,14 +596,12 @@ OP_TABLE = {
     # layout: 0.55, 0.72, 1.20, 0.94, 2.15 ulps, in row order)
     "gelu": Row(gelu, _A, _gelu_ref, ulps=1),
     "layernorm": Row(lambda x: _LN(x), _A, _ln_ref, ulps=2),
-    "conv_nd": Row(lambda x: conv_nd(x, _CONV_W, _CONV_B, stride=2),
-                   [(2, 3, 4, 6)],
-                   lambda x: _conv_ref(x, _CONV_W.data, _CONV_B.data, 2),
+    "conv_nd": Row(lambda x: conv_nd(x, _CONV_W, _CONV_B), [(2, 3, 4, 6)],
+                   lambda x: _conv_ref(x, _CONV_W.data, _CONV_B.data),
                    ulps=2),
     "conv_transpose_nd": Row(
-        lambda x: conv_transpose_nd(x, _CONV_T_W, _CONV_B, stride=2),
-        [(2, 3, 2, 3)],
-        lambda x: _conv_transpose_ref(x, _CONV_T_W.data, _CONV_B.data, 2),
+        lambda x: conv_transpose_nd(x, _CONV_T_W, _CONV_B), [(2, 3, 2, 3)],
+        lambda x: _conv_transpose_ref(x, _CONV_T_W.data, _CONV_B.data),
         ulps=2),
     "patch_recover": Row(lambda x: _RECOVER(x), [(2, 4, 2, 3, 2, 3)],
                          _recover_ref, ulps=3),
@@ -722,23 +719,29 @@ class TestOpTable:
     @_layouts
     @_rows
     def test_out_buffer_branch_matches_allocating_branch(self, name, strided):
-        """The one duplication a kernel keeps: for every ``compute``
-        step of the row's plan, ``fn(buffer, …)`` writes the bits
-        ``fn(None, …)`` returns."""
+        """The one kernel contract: every step of the row's plan is a
+        view of its first input, an in-place update of it, or a
+        ``compute`` step whose ``fn(buffer, …)`` returns ``buffer``
+        itself holding the bits ``fn(None, …)`` returns — the one
+        duplication a kernel keeps."""
         call, arrays, _ = _row_case(name, strided)
         plan, _ = trace(call, arrays)
         env = dict(zip(plan.inputs, arrays))
         for step in plan.steps:
             ins = tuple(env[ref] if tag == "s" else plan.const_arrays[ref]
                         for tag, ref in step.ins)
+            assert step.kind in ("compute", "view", "inplace"), step.name
             if step.kind == "compute":
                 spec = plan.slots[step.out]
                 buffer = np.full(spec.shape, 77, spec.dtype)
                 written = step.fn(buffer, ins, step.consts)
-                assert np.shares_memory(written, buffer), step.name
+                assert written is buffer, step.name
                 assert _same_bits(written,
                                   step.fn(None, ins, step.consts)), step.name
-            env[step.out] = step.fn(None, ins, step.consts)
+            value = step.fn(None, ins, step.consts)
+            if step.kind != "compute":
+                assert np.shares_memory(value, ins[0]), step.name
+            env[step.out] = value
 
 
 class TestOneForwardPerPrimitive:

@@ -15,10 +15,13 @@ thread, as every replay) and prints
 * the 15 most expensive steps with their output shapes;
 * the cost of the bare replay loop: the same plan with every kernel
   replaced by a stub, i.e. what ``PlanExecutor.run`` itself spends on
-  gathering inputs, storing outputs and releasing slots;
+  gathering inputs and storing outputs;
 * the plan's arena next to its live-set peak — the most bytes of
   arena-backed buffers alive at any one step, which no packing can go
-  below.
+  below;
+* the steps whose replayed value is neither in the arena nor a view
+  of their first input — a kernel that allocated its result instead
+  of writing the buffer it was handed (there should be none).
 
 ::
 
@@ -26,9 +29,10 @@ thread, as every replay) and prints
     python tools/plan_profile.py --config estuary --batch 8 --repeats 3
 
 Runs under the benchmark's allocator settings (``run.pin_allocator``).
-Exits 1 if the printed kernel shares do not sum to 100 ± 1 %, or if
-the arena exceeds the live-set peak by more than 5 % (CI's test job
-runs it so the instrument cannot rot).  The numbers are one
+Exits 1 if the printed kernel shares do not sum to 100 ± 1 %, if
+the arena exceeds the live-set peak by more than 5 %, or if any step
+is off the arena (CI's test job runs it so the instrument cannot
+rot).  The numbers are one
 host's; ``docs/architecture.md`` § "Where a replay's time goes" records
 them next to ``benchmarks/e2e/reference/host.json``.
 """
@@ -83,6 +87,21 @@ def live_set_peak(plan) -> int:
     return peak
 
 
+def off_arena_steps(executor) -> list:
+    """``index name`` of each step whose value, after a replay, shares
+    no bytes with the executor's arena blob or with its first input."""
+    plan, env = executor.plan, executor._env
+    off = []
+    for i, step in enumerate(plan.steps):
+        tag, ref = step.ins[0]
+        first = env[ref] if tag == "s" else plan.const_arrays[ref]
+        value = env[step.out]
+        if not (np.may_share_memory(value, executor._blob)
+                or np.may_share_memory(value, first)):
+            off.append(f"{i} {step.name}")
+    return off
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--config", choices=sorted(CONFIGS), required=True)
@@ -101,6 +120,7 @@ def main(argv=None) -> int:
     executor = PlanExecutor(plan)
     executor.run(inputs)                         # warm: pages, BLAS, scratch
     steps = executor.profile(inputs, args.repeats)
+    off_arena = off_arena_steps(executor)
 
     total = sum(sec for *_, sec in steps)
     by_kernel = {}
@@ -137,9 +157,11 @@ def main(argv=None) -> int:
     peak = live_set_peak(plan)
     print(f"arena: {plan.arena_total / 1e6:.2f} MB")
     print(f"live-set peak: {peak / 1e6:.2f} MB")
+    print(f"steps off the arena: {len(off_arena)}"
+          + "".join(f"\n  {step}" for step in off_arena))
     print(f"kernel shares sum to {shares:.1f} %")
     return 0 if abs(shares - 100.0) <= 1.0 \
-        and plan.arena_total <= 1.05 * peak else 1
+        and plan.arena_total <= 1.05 * peak and not off_arena else 1
 
 
 if __name__ == "__main__":
