@@ -24,7 +24,7 @@ Everything is a pure function of ``(seed, basin, time)``:
 :class:`RollingForecast` is the streaming mode: a basin episode whose
 *current* window is content-identical between :meth:`~RollingForecast.advance`
 calls, so consecutive requests for one basin key hit
-:class:`~repro.serve.pool.KeyAffinityRouter` locality *and* the
+the pool's ``"key-affinity"`` locality *and* the
 :class:`~repro.serve.cache.ForecastCache`; ``advance`` slides the
 window one model step, optionally warm-starting from a forecast tail
 (observation nudging), which stays deterministic because the engine is.

@@ -6,9 +6,9 @@ per-replica throughput into *pool* throughput.  An
 :class:`EngineWorkerPool` runs N engine replicas, each behind its own
 scheduler, and three things decide what happens to an incoming request:
 
-* a **router** (:class:`Router` policy — :class:`RoundRobinRouter`,
-  :class:`LeastOutstandingRouter`, or :class:`KeyAffinityRouter`)
-  picks which replica should serve it;
+* a **router** (a policy named in :data:`ROUTERS` — round-robin,
+  least-outstanding or key-affinity) picks which replica should
+  serve it;
 * **admission control** bounds each replica's outstanding work at
   ``max_queue``; a request that no admissible replica can take is shed
   with an explicit :class:`PoolSaturated` carrying a ``retry_after``
@@ -31,7 +31,7 @@ its schedulers are not.  So everything that accepts an engine —
 :class:`~repro.serve.server.ForecastServer` — accepts a pool
 unchanged, and the single-engine deployment is simply the pool of 1.
 
-Replicas may be distinct engines or N views of one engine: inference
+The replicas of one version are N views of one engine: inference
 is read-only over model weights and the autograd switch is
 thread-local, so sharing one :class:`~repro.workflow.engine.ForecastEngine`
 across workers is safe (on multi-core hosts NumPy releases the GIL in
@@ -179,110 +179,17 @@ def stable_key_hash(key) -> int:
     return int.from_bytes(digest, "big")
 
 
-class Router:
-    """Pluggable policy mapping one request to a preference-ordered
-    list of replicas.
-
-    Subclasses implement :meth:`candidates`; the pool admits the
-    request to the first candidate with queue room and sheds it when
-    none has any.  Returning *fewer* than all workers is how a policy
-    expresses a hard placement constraint (key affinity returns exactly
-    one), at the price of shedding while better-placed replicas idle.
-
-    Policies are instantiated per pool and called under the pool's
-    routing lock, so they may keep unguarded mutable state (e.g. the
-    round-robin cursor) but must not block.
-    """
-
-    #: whether the policy reads the routing key — lets callers skip
-    #: computing one (content digests are not free) when it is ignored
-    uses_keys = False
-
-    @staticmethod
-    def make(name: str) -> "Router":
-        """A fresh policy instance by name (``"round-robin"`` |
-        ``"least-outstanding"`` | ``"key-affinity"``)."""
-        try:
-            return _ROUTERS[name]()
-        except KeyError:
-            raise ValueError(
-                f"unknown router {name!r}; use one of "
-                f"{sorted(_ROUTERS)}") from None
-
-    def candidates(self, key, n_workers: int,
-                   outstanding: Sequence[int]) -> Sequence[int]:
-        """Replica indices to try, in preference order.
-
-        Parameters
-        ----------
-        key: the request's routing key (may be ``None``).
-        n_workers: pool width.
-        outstanding: per-replica outstanding request counts, a
-            consistent snapshot taken under the routing lock.
-        """
-        raise NotImplementedError
+#: the routing policies, by name (see :class:`EngineWorkerPool`)
+ROUTERS = ("round-robin", "least-outstanding", "key-affinity")
 
 
-class RoundRobinRouter(Router):
-    """Cycle through the replicas regardless of load or key.
-
-    The classic fair policy: every replica sees the same request rate.
-    When the preferred replica is full the rotation continues, so
-    round-robin only sheds when the whole pool is at bound.
-    """
-
-    def __init__(self):
-        self._cursor = 0
-
-    def candidates(self, key, n_workers, outstanding):
-        start = self._cursor % n_workers
-        self._cursor += 1
-        return [(start + i) % n_workers for i in range(n_workers)]
-
-
-class LeastOutstandingRouter(Router):
-    """Send each request to the replica with the fewest outstanding
-    requests (ties break toward the lowest index).
-
-    Adapts to heterogeneous request costs and stragglers — a replica
-    stuck on a slow batch naturally stops receiving traffic.  Like
-    round-robin it sheds only when the whole pool is at bound.
-    """
-
-    def candidates(self, key, n_workers, outstanding):
-        return sorted(range(n_workers), key=lambda i: (outstanding[i], i))
-
-
-class KeyAffinityRouter(Router):
-    """Shard by key: requests with equal keys always land on the same
-    replica (``stable_key_hash(key) % n_workers``).
-
-    This is the policy that keeps per-replica state effective under
-    sharding — duplicate scenarios meet in one replica's queue, so
-    result caches and in-flight dedup keyed on the request content
-    (:func:`~repro.serve.cache.window_key`) keep their hit rates.
-    Affinity is *strict*: a request whose home replica is full is shed
-    even if other replicas are idle, because spilling would silently
-    break the co-location guarantee.  Keyless requests fall back to
-    round-robin.
-    """
-
-    uses_keys = True
-
-    def __init__(self):
-        self._fallback = RoundRobinRouter()
-
-    def candidates(self, key, n_workers, outstanding):
-        if key is None:
-            return self._fallback.candidates(key, n_workers, outstanding)
-        return [stable_key_hash(key) % n_workers]
-
-
-_ROUTERS = {
-    "round-robin": RoundRobinRouter,
-    "least-outstanding": LeastOutstandingRouter,
-    "key-affinity": KeyAffinityRouter,
-}
+def _check_executor(engine, caller: str) -> None:
+    """Raise ``TypeError`` unless ``engine`` is one batch executor."""
+    if not (hasattr(engine, "forecast_batch")
+            and hasattr(engine, "time_steps")):
+        raise TypeError(
+            f"{caller} needs a batch executor (forecast_batch + "
+            f"time_steps), got {type(engine).__name__}")
 
 
 @dataclass(frozen=True)
@@ -297,7 +204,7 @@ class EngineVersion:
     """
 
     version: int
-    engines: Tuple              # distinct engine objects of this version
+    engine: object              # the batch executor every replica shares
     source: str                 # human-readable provenance of the weights
     deployed_at: float          # time.time() when the version was created
 
@@ -340,8 +247,8 @@ class PoolMetrics:
     """Pool-level view over the per-worker :class:`ServeMetrics`.
 
     A live aggregation (not a snapshot): every read rebuilds one
-    :class:`ServeMetrics` over the workers' concatenated
-    ``batches``/``requests`` logs, with the transport counters combined
+    :class:`ServeMetrics` over the workers' concatenated ``batches``
+    logs, with the transport counters combined
     the way :data:`~repro.serve.scheduler.TRANSPORT_COUNTERS` says
     (waits and bytes add up, ``inflight_depth`` takes the maximum), and
     every :class:`ServeMetrics` member
@@ -369,7 +276,6 @@ class PoolMetrics:
         per = self.per_worker
         return ServeMetrics(
             batches=[b for m in per for b in m.batches],
-            requests=[r for m in per for r in m.requests],
             **{name: combine(getattr(m, name) for m in per)
                for name, combine in TRANSPORT_COUNTERS.items()})
 
@@ -445,21 +351,29 @@ class EngineWorkerPool:
 
     Parameters
     ----------
-    engines: one batch executor (``forecast_batch`` + ``time_steps``)
-        or a sequence of them, one per replica.  A single engine with
-        ``replicas=N`` is shared by all N workers — safe, because
-        inference never writes model state (see the module docstring).
-        All replicas must agree on ``time_steps``.
-    replicas: pool width when ``engines`` is a single executor; must
-        match ``len(engines)`` when a sequence is given.
+    engine: the batch executor (``forecast_batch`` + ``time_steps``)
+        every replica serves — shared, because inference never writes
+        model state (see the module docstring).
+    replicas: pool width.
     max_batch: per-replica micro-batch bound
         (:class:`~repro.serve.scheduler.MicroBatchScheduler`).
     max_queue: per-replica bound on *outstanding* requests (admitted
         but not completed).  The pool's total backlog can never exceed
         ``replicas × max_queue``; beyond it requests shed with
         :class:`PoolSaturated`.
-    router: routing policy name — ``"round-robin"`` |
-        ``"least-outstanding"`` | ``"key-affinity"``.
+    router: routing policy, one of :data:`ROUTERS`.
+        ``"round-robin"`` cycles through the replicas whatever their
+        load or key.  ``"least-outstanding"`` prefers the replica with
+        the fewest outstanding requests (ties toward the lowest index),
+        so a replica stuck on a slow batch stops receiving traffic.
+        Both shed only when the whole pool is at bound.
+        ``"key-affinity"`` shards by key — equal keys always land on
+        replica ``stable_key_hash(key) % n``, so duplicate scenarios
+        meet in one queue and content-keyed caches and dedup
+        (:func:`~repro.serve.cache.window_key`) keep their hit rates.
+        It is strict: a key whose home replica is full is shed even
+        while others idle, since spilling would break the
+        co-location.  Keyless requests rotate as under round-robin.
     autostart: start each replica's worker thread (threaded mode).
         ``False`` gives the deterministic manual mode — the caller
         drives the queues with :meth:`flush` (or per-worker
@@ -479,9 +393,9 @@ class EngineWorkerPool:
         are bitwise-identical on all three;
         everything above the executor — routing, admission, versioned
         deploys, autoscaling — is backend-agnostic.  Process and host
-        backends require engines that expose
-        ``model``/``normalizer`` (i.e. real
-        :class:`~repro.workflow.engine.ForecastEngine` replicas).
+        backends require an engine that exposes
+        ``model``/``normalizer`` (i.e. a real
+        :class:`~repro.workflow.engine.ForecastEngine`).
     fabric: host-backend transport — ``"socket"`` (real TCP loopback
         wire) or ``"sim"`` (deterministic in-process fabric with
         SimComm byte accounting).  Ignored by other backends.
@@ -495,33 +409,22 @@ class EngineWorkerPool:
     serving continues while the control plane works.
     """
 
-    def __init__(self, engines, replicas: Optional[int] = None,
+    def __init__(self, engine, replicas: int = 1,
                  max_batch: int = 8, max_queue: int = 32,
                  router: str = "least-outstanding",
                  autostart: bool = True, backend: str = "thread",
                  fabric: str = "socket"):
-        if hasattr(engines, "forecast_batch"):
-            engines = [engines]
-        engines = list(engines)
-        if not engines:
-            raise ValueError("need at least one engine")
-        if replicas is not None:
-            replicas = int(replicas)
-            if replicas < 1:
-                raise ValueError("replicas must be >= 1")
-            if len(engines) == 1 and replicas > 1:
-                engines = engines * replicas
-            elif len(engines) != replicas:
-                raise ValueError(
-                    f"got {len(engines)} engines but replicas={replicas}")
-        steps = {e.time_steps for e in engines}
-        if len(steps) != 1:
-            raise ValueError(
-                f"all replicas must share one episode length; got {steps}")
+        _check_executor(engine, "EngineWorkerPool()")
+        if replicas < 1:
+            raise ValueError("replicas must be >= 1")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
+        if router not in ROUTERS:
+            raise ValueError(
+                f"unknown router {router!r}; use one of {sorted(ROUTERS)}")
         self.max_queue = int(max_queue)
-        self.router = Router.make(router)
+        self.router = router
+        self._cursor = 0             # round-robin rotation
         self.shed_requests = 0
         self._retry_fit: Optional[Tuple[int, ServingCapacityModel]] = None
         self._route_lock = threading.Lock()
@@ -537,19 +440,15 @@ class EngineWorkerPool:
         # the fabric is the host worker's to validate
         self._remote_kwargs = {"fabric": fabric} if backend == "host" else {}
         self._spawn_log: List[float] = []
-        distinct = []
-        for e in engines:
-            if not any(e is d for d in distinct):
-                distinct.append(e)
         self.versions: Dict[int, EngineVersion] = {
-            1: EngineVersion(1, tuple(distinct), "initial", time.time())}
+            1: EngineVersion(1, engine, "initial", time.time())}
         self.current_version = 1
         self.events: List[PoolEvent] = []
         self._retired: List[_Worker] = []
         self._next_worker_id = 0
         workers = []
         try:
-            for engine in engines:
+            for _ in range(replicas):
                 workers.append(self._make_worker(engine, version=1))
         except BaseException:
             # a failed spawn must not leak the children (and their shm
@@ -644,9 +543,9 @@ class EngineWorkerPool:
         ----------
         reference: the request window (validated by the replica's
             scheduler: episode length, shared mesh).
-        key: optional routing key.  Under :class:`KeyAffinityRouter`
-            equal keys are guaranteed to land on one replica; other
-            policies ignore it.
+        key: optional routing key.  Under ``"key-affinity"`` equal
+            keys are guaranteed to land on one replica; other policies
+            ignore it.
 
         Raises
         ------
@@ -700,10 +599,7 @@ class EngineWorkerPool:
             admissible = [w for w in self.workers if not w.draining]
             if not admissible:
                 raise RuntimeError("pool has no admissible replicas")
-            outstanding = [w.outstanding for w in admissible]
-            order = [admissible[i] for i in
-                     self.router.candidates(key, len(admissible),
-                                            outstanding)]
+            order = self._candidates(key, admissible)
             chosen = next((w for w in order
                            if w.outstanding < self.max_queue), None)
             if chosen is None:
@@ -736,6 +632,20 @@ class EngineWorkerPool:
         future.add_done_callback(
             lambda fut, w=worker: self._request_done(w))
         return future
+
+    def _candidates(self, key, admissible: List[_Worker]
+                    ) -> List[_Worker]:
+        """The replicas to try, in preference order (see ``router`` in
+        the class docstring); key affinity returns exactly one — its
+        hard placement.  Called under the routing lock."""
+        if self.router == "least-outstanding":
+            # a stable sort: ties keep the lowest index first
+            return sorted(admissible, key=lambda w: w.outstanding)
+        if self.router == "key-affinity" and key is not None:
+            return [admissible[stable_key_hash(key) % len(admissible)]]
+        start = self._cursor % len(admissible)
+        self._cursor += 1
+        return admissible[start:] + admissible[:start]
 
     def _request_done(self, worker: _Worker) -> None:
         with self._route_lock:
@@ -897,7 +807,7 @@ class EngineWorkerPool:
                 if version is None:
                     version = self.current_version
                 if engine is None:
-                    engine = self.versions[version].engines[0]
+                    engine = self.versions[version].engine
             if engine.time_steps != self.time_steps:
                 raise ValueError(
                     f"engine time_steps {engine.time_steps} != pool "
@@ -955,7 +865,7 @@ class EngineWorkerPool:
         Parameters
         ----------
         engine: the new version's batch executor; all rolled replicas
-            share it (inference is read-only, like ``replicas=N``).
+            share it (inference is read-only).
         source: human-readable provenance recorded on the
             :class:`EngineVersion` (e.g. a checkpoint path).
 
@@ -966,11 +876,7 @@ class EngineWorkerPool:
             (pool rolled back to the previous version and topology);
             the underlying failure is chained.
         """
-        if not (hasattr(engine, "forecast_batch")
-                and hasattr(engine, "time_steps")):
-            raise TypeError(
-                "deploy() needs a batch executor (forecast_batch + "
-                "time_steps)")
+        _check_executor(engine, "deploy()")
         if engine.time_steps != self.time_steps:
             raise ValueError(
                 f"new engine time_steps {engine.time_steps} != pool "
@@ -994,8 +900,7 @@ class EngineWorkerPool:
             # 2. register the version and roll replica by replica
             with self._route_lock:
                 version = max(self.versions) + 1
-                record = EngineVersion(version, (engine,), source,
-                                       time.time())
+                record = EngineVersion(version, engine, source, time.time())
                 self.versions[version] = record
                 self.events.append(PoolEvent(
                     "deploy-begin", time.time(), len(self.workers),

@@ -136,11 +136,18 @@ class _Request:
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """One executed micro-batch, for occupancy accounting and audits."""
+    """One executed micro-batch, for occupancy, latency and audits.
+
+    A member's latency is its wait plus the batch's engine call,
+    ``queue_seconds[i] + seconds`` — the same sum its future's
+    ``latency_seconds`` holds, so the two stages add up exactly.
+    """
 
     index: int
     size: int
     request_ids: Tuple[int, ...]
+    #: each member's wait, enqueue → batch start, in ``request_ids`` order
+    queue_seconds: Tuple[float, ...]
     seconds: float               # engine.forecast_batch wall-clock
     trigger: str                 # "full" | "idle" | "flush" | "close"
     failed: bool = False         # engine raised or replied short; its
@@ -155,18 +162,12 @@ class BatchRecord:
     kind: str = "forecast"
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Per-request serving latency decomposition."""
-
-    request_id: int
-    batch_index: int
-    queue_seconds: float         # enqueue → batch execution start
-    latency_seconds: float       # enqueue → result available
-
-
 def _deepest(values) -> int:
     return max(values, default=0)
+
+
+def _percentile(values: List[float], q: float) -> float:
+    return float(np.percentile(values, q)) if values else float("nan")
 
 
 #: The transport counters of the out-of-process tiers, in one place:
@@ -194,7 +195,6 @@ class ServeMetrics:
     """
 
     batches: List[BatchRecord] = field(default_factory=list)
-    requests: List[RequestRecord] = field(default_factory=list)
     #: cumulative IPC overhead [s] when the executor runs out of
     #: process (:class:`~repro.serve.procpool.ProcessWorker`): batch
     #: round-trip wall-clock minus the child-reported engine time.
@@ -217,7 +217,7 @@ class ServeMetrics:
 
     @property
     def n_requests(self) -> int:
-        return len(self.requests)
+        return sum(b.size for b in self.batches)
 
     @property
     def n_batches(self) -> int:
@@ -256,16 +256,12 @@ class ServeMetrics:
         return max((b.size for b in self.batches), default=0)
 
     def latency_percentile(self, q: float) -> float:
-        if not self.requests:
-            return float("nan")
-        return float(np.percentile(
-            [r.latency_seconds for r in self.requests], q))
+        return _percentile([w + b.seconds for b in self.batches
+                            for w in b.queue_seconds], q)
 
     def queue_percentile(self, q: float) -> float:
-        if not self.requests:
-            return float("nan")
-        return float(np.percentile(
-            [r.queue_seconds for r in self.requests], q))
+        return _percentile([w for b in self.batches
+                            for w in b.queue_seconds], q)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -314,7 +310,6 @@ class MicroBatchScheduler:
         self._pending = threading.Condition(self._lock)
         self._mesh: Optional[Dict[str, tuple]] = None
         self._next_id = 0
-        self._n_batches = 0
         self._closed = False
         self._worker: Optional[threading.Thread] = None
         if autostart:
@@ -498,9 +493,8 @@ class MicroBatchScheduler:
                     f"batch of {len(batch)} requests")
         except BaseException as exc:     # noqa: BLE001 — worker must survive
             failure = exc
-        # one reading: latency − queue is exactly BatchRecord.seconds
-        done = time.perf_counter()
-        seconds = done - start
+        seconds = time.perf_counter() - start
+        waits = tuple(start - r.enqueued_at for r in batch)
         compiled = failure is None and bool(results) and \
             getattr(results[0], "compiled", False)
         plan_batch = getattr(results[0], "plan_batch", None) \
@@ -517,27 +511,21 @@ class MicroBatchScheduler:
             except Exception:    # noqa: BLE001 — metrics must not fail a batch
                 pass
         with self._lock:
-            index = self._n_batches
-            self._n_batches += 1
+            index = len(self.metrics.batches)
             self.metrics.batches.append(BatchRecord(
                 index=index, size=len(batch),
                 request_ids=tuple(r.future.request_id for r in batch),
-                seconds=seconds, trigger=trigger,
+                queue_seconds=waits, seconds=seconds, trigger=trigger,
                 failed=failure is not None, compiled=compiled,
                 plan_batch=plan_batch, kind=kind))
-            for req in batch:
-                self.metrics.requests.append(RequestRecord(
-                    request_id=req.future.request_id, batch_index=index,
-                    queue_seconds=start - req.enqueued_at,
-                    latency_seconds=done - req.enqueued_at))
         if failure is not None:
             for req in batch:
                 req.future.set_exception(failure)
             return
-        for req, res in zip(batch, results):
+        for req, res, wait in zip(batch, results, waits):
             fut = req.future
             fut.batch_index = index
             fut.batch_size = len(batch)
-            fut.queue_seconds = start - req.enqueued_at
-            fut.latency_seconds = done - req.enqueued_at
+            fut.queue_seconds = wait
+            fut.latency_seconds = wait + seconds
             fut.set_result(res)

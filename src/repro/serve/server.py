@@ -56,19 +56,16 @@ class ForecastServer:
 
     Parameters
     ----------
-    engine: one batch executor (``forecast_batch`` + ``time_steps``)
-        or a sequence of replicas (see
-        :class:`~repro.serve.pool.EngineWorkerPool`; a single engine is
-        shared by all ``workers`` replicas).
-    workers: replica-pool width.  The default (``None``) runs one
-        replica per given engine — a single engine reproduces the
-        single-engine deployment exactly; a single engine with
-        ``workers=N`` is shared by all N replicas.
-    router: pool routing policy name (``"round-robin"`` |
-        ``"least-outstanding"`` | ``"key-affinity"``).  With the result
-        cache enabled the server keys every request by its content
-        digest, so ``"key-affinity"`` keeps duplicate scenarios on one
-        replica.
+    engine: the batch executor (``forecast_batch`` + ``time_steps``)
+        every replica serves (see
+        :class:`~repro.serve.pool.EngineWorkerPool`).
+    workers: replica-pool width; the default 1 is the single-engine
+        deployment.
+    router: pool routing policy, one of
+        :data:`~repro.serve.pool.ROUTERS`.  Under ``"key-affinity"``
+        the server keys every request by its content digest, so
+        duplicate scenarios meet on one replica; under the other two
+        it computes no digest unless the result cache needs one.
     max_batch: per-replica micro-batch bound
         (:class:`MicroBatchScheduler`).
     max_wait: unused — the scheduler is work-conserving and has no
@@ -97,7 +94,7 @@ class ForecastServer:
 
     def __init__(self, engine, max_batch: int = 8, max_wait: float = 0.005,
                  cache_bytes: int = 0,
-                 workers: Optional[int] = None,
+                 workers: int = 1,
                  router: str = "least-outstanding",
                  max_queue: int = 32,
                  backend: str = "thread", fabric: str = "socket",
@@ -155,7 +152,7 @@ class ForecastServer:
         if self.cache is None:
             # content digests are not free: only computed when the
             # routing policy actually reads keys
-            if route_key is None and self.pool.router.uses_keys:
+            if route_key is None and self.pool.router == "key-affinity":
                 route_key = key_of(payload)
             return pool_submit(route_key)
         key = key_of(payload)

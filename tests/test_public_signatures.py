@@ -48,15 +48,16 @@ from repro.ocean.sigma import VerticalStructure
 from repro.physics import Verifier
 from repro.scenario.harness import BasinReport
 from repro.scenario.traffic import TrafficTrace
-from repro.serve import EngineWorkerPool, ForecastServer, hostpool, procpool
+from repro.serve import (EngineWorkerPool, ForecastServer, hostpool, pool,
+                         procpool, scheduler)
 from repro.serve.autoscale import AutoScaler, LoadSample
 from repro.serve.hostpool import HostWorker
 from repro.serve.procpool import ProcessWorker
 from repro.serve.remote import (EngineService, RemoteWorker,
                                 RemoteWorkerDied, RemoteWorkerError,
                                 build_engine, engine_payload, serve_payload)
-from repro.serve.pool import PoolMetrics
-from repro.serve.scheduler import MicroBatchScheduler
+from repro.serve.pool import EngineVersion, PoolMetrics
+from repro.serve.scheduler import MicroBatchScheduler, ServeMetrics
 from repro.swin import SurrogateConfig
 from repro.swin.blocks import SwinBlock4d, SwinStage4d
 from repro.tensor import PlanExecutor, Tensor, conv_nd, conv_transpose_nd
@@ -74,7 +75,7 @@ SIGNATURES = [
       "max_queue", "backend", "fabric", "autostart"]),
     (ForecastServer.deploy, ["self", "model_or_engine"]),
     (EngineWorkerPool,
-     ["engines", "replicas", "max_batch", "max_queue", "router",
+     ["engine", "replicas", "max_batch", "max_queue", "router",
       "autostart", "backend", "fabric"]),
     (EngineWorkerPool.deploy, ["self", "engine", "source"]),
     (MicroBatchScheduler, ["engine", "max_batch", "autostart"]),
@@ -332,6 +333,9 @@ def test_what_only_its_own_tests_reached_is_gone():
         repro.data: ("CachedStore", "CacheStats"),
         repro.nn: ("ReLU", "Identity", "Sequential"),
         repro.tensor: ("stack", "where"),
+        pool: ("Router", "RoundRobinRouter", "LeastOutstandingRouter",
+               "KeyAffinityRouter"),
+        scheduler: ("RequestRecord",),
     }
     for package, names in gone.items():
         for name in names:
@@ -382,8 +386,12 @@ def test_what_only_its_own_tests_reached_is_gone():
                          (PoolMetrics, "n_requests"),
                          (TrafficTrace, "save"),
                          (TrafficTrace, "load"),
-                         (LoadSample, "demand_qps")):
+                         (LoadSample, "demand_qps"),
+                         (EngineVersion, "engines"),
+                         (ServeMetrics, "requests")):
         assert name not in vars(target), (target.__qualname__, name)
+        if dataclasses.is_dataclass(target):     # fields with no default
+            assert name not in {f.name for f in dataclasses.fields(target)}
     assert "advection" not in {f.name for f in dataclasses.fields(SWEConfig)}
     assert "optimizer" not in \
         inspect.signature(repro.train.load_checkpoint).parameters

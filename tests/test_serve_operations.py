@@ -295,7 +295,7 @@ class TestServerDeploy:
         assert len(by_request) == len(tagged)        # nothing lost
         # the deploy's with_model engine serves v2; compare against an
         # equivalent direct engine over the same weights
-        v2_engine = server.pool.versions[2].engines[0]
+        v2_engine = server.pool.versions[2].engine
         checked = assert_batches_match_engine(
             server.pool, {1: e1, 2: v2_engine}, by_request)
         assert checked == len(tagged)

@@ -21,7 +21,7 @@ from conftest import (  # noqa: F401 — shared serving fixtures
 
 from repro.serve import (EngineWorkerPool, ForecastServer, PoolSaturated,
                          ServingCapacityModel)
-from repro.serve.pool import KeyAffinityRouter, Router
+import repro.serve.server as server_mod
 from repro.serve.cache import window_key
 from repro.serve.pool import stable_key_hash
 from repro.serve.scheduler import ServeMetrics
@@ -42,13 +42,11 @@ def assert_latency_is_queue_plus_batch(pool, wins):
         fut.result(timeout=120)
     metrics = pool.workers[0].scheduler.metrics
     assert metrics.n_requests == len(wins)
-    for fut, rec in zip(futures, metrics.requests):
-        batch = metrics.batches[rec.batch_index]
-        assert rec.queue_seconds >= 0
-        assert rec.latency_seconds == pytest.approx(
-            rec.queue_seconds + batch.seconds, abs=1e-6)
-        assert (fut.queue_seconds, fut.latency_seconds) \
-            == (rec.queue_seconds, rec.latency_seconds)
+    for fut in futures:
+        batch = metrics.batches[fut.batch_index]
+        wait = batch.queue_seconds[batch.request_ids.index(fut.request_id)]
+        assert fut.queue_seconds == wait >= 0
+        assert fut.latency_seconds == wait + batch.seconds
 
 
 class TestPoolEquivalence:
@@ -216,19 +214,23 @@ class TestRouting:
             assert [wk.outstanding for wk in pool.workers] == [1, 1, 1]
             pool.flush()
 
-    def test_router_make_rejects_unknown(self):
+    def test_pool_rejects_unknown_router(self, engine):
         with pytest.raises(ValueError, match="unknown router"):
-            Router.make("fastest-first")
-        assert isinstance(Router.make("key-affinity"), KeyAffinityRouter)
+            EngineWorkerPool(engine, router="fastest-first")
 
-    def test_only_affinity_reads_keys(self):
-        from repro.serve.pool import (
-            LeastOutstandingRouter,
-            RoundRobinRouter,
-        )
-        assert KeyAffinityRouter.uses_keys
-        assert not RoundRobinRouter.uses_keys
-        assert not LeastOutstandingRouter.uses_keys
+    def test_only_affinity_computes_digests(self, engine, windows,
+                                            monkeypatch):
+        """Without a cache a digest serves routing alone: only the
+        policy that reads keys pays for one."""
+        digested = []
+        monkeypatch.setattr(server_mod, "window_key",
+                            lambda w: digested.append(w) or window_key(w))
+        for policy in POLICIES:
+            digested.clear()
+            with ForecastServer(engine, workers=2, router=policy,
+                                autostart=False) as server:
+                server.submit(windows[0])       # close() serves it
+            assert len(digested) == (policy == "key-affinity"), policy
 
     def test_stable_hash_is_deterministic(self):
         assert stable_key_hash("abc") == stable_key_hash("abc")
@@ -316,10 +318,10 @@ class TestBackpressure:
             EngineWorkerPool(engine, replicas=2, max_queue=0)
         with pytest.raises(ValueError, match="replicas"):
             EngineWorkerPool(engine, replicas=0)
-        with pytest.raises(ValueError, match="replicas"):
-            EngineWorkerPool([engine, engine], replicas=3)
-        with pytest.raises(ValueError, match="at least one"):
-            EngineWorkerPool([])
+        with pytest.raises(TypeError, match="batch executor"):
+            EngineWorkerPool([engine, engine])
+        with pytest.raises(TypeError, match="batch executor"):
+            ForecastServer([engine, engine])
 
 
 class TestMetricsAggregation:
@@ -365,17 +367,17 @@ class TestMetricsAggregation:
                     raise RuntimeError("transient backend failure")
                 return self.inner.forecast_batch(refs)
 
-        with closing(EngineWorkerPool([Flaky(engine), engine], max_batch=1,
-                                      autostart=False,
+        with closing(EngineWorkerPool(engine, max_batch=1, autostart=False,
                                       router="round-robin")) as pool:
+            pool.add_worker(engine=Flaky(engine))
             futures = [pool.submit(w) for w in windows[:2]]
             pool.flush()
             assert pool.metrics.n_failed_batches == 1
             assert pool.metrics.summary()["failed_batches"] == 1
             outcomes = {f.worker_id: f for f in futures}
+            outcomes[0].result(timeout=1)
             with pytest.raises(RuntimeError, match="transient"):
-                outcomes[0].result(timeout=1)
-            outcomes[1].result(timeout=1)
+                outcomes[1].result(timeout=1)
             # the failure released its admission slot
             assert pool.metrics.outstanding == 0
 
@@ -414,7 +416,6 @@ class TestPoolMetricsMirrorServeMetrics:
                 m.inflight_depth = i
             yield pool, ServeMetrics(
                 batches=[b for m in per for b in m.batches],
-                requests=[r for m in per for r in m.requests],
                 ipc_wait_s=3.0, marshal_bytes=600, net_wait_s=1.5,
                 frame_bytes=60, inflight_depth=3)
 
@@ -436,14 +437,6 @@ class TestPoolMetricsMirrorServeMetrics:
 
 
 class TestServerWithPool:
-    def test_engine_sequence_infers_workers(self, engine, windows):
-        """The documented sequence form needs no redundant workers=."""
-        with ForecastServer([engine, engine], max_batch=4) as server:
-            res = server.forecast(windows[3])
-            assert len(server.pool.workers) == 2
-        direct = engine.forecast_batch([windows[3]])[0]
-        assert_windows_equal(res.fields, direct.fields)
-
     def test_pool_of_one_is_default(self, engine, windows):
         with ForecastServer(engine, max_batch=4) as server:
             res = server.forecast(windows[0])

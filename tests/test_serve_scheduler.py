@@ -601,9 +601,8 @@ class TestServerRouting:
         metrics = server.scheduler.metrics
         assert [(b.size, b.trigger) for b in metrics.batches] \
             == [(1, "idle")] * 2
-        forward = {b.index: b.seconds for b in metrics.batches}
-        assert all(r.queue_seconds < forward[r.batch_index]
-                   for r in metrics.requests), metrics.requests
+        assert all(wait < b.seconds for b in metrics.batches
+                   for wait in b.queue_seconds), metrics.batches
 
 
 class TestCapacityModel:
@@ -622,7 +621,7 @@ class TestCapacityModel:
         assert model.per_request_seconds == pytest.approx(0.005)
 
     def test_fit_from_scheduler_log(self):
-        records = [BatchRecord(i, s, tuple(), 0.002 + 0.001 * s, "full")
+        records = [BatchRecord(i, s, (), (), 0.002 + 0.001 * s, "full")
                    for i, s in enumerate([1, 2, 4, 8])]
         model = ServingCapacityModel.from_batch_log(records)
         assert model.dispatch_seconds == pytest.approx(0.002, rel=1e-6)

@@ -6,8 +6,10 @@ not a comment, not blank layout and not part of a docstring (the
 leading string expression of a module, class or function body, found
 with ``ast``; everything else is classified with ``tokenize``).  Prints
 one row per package directly under the root plus the root total — its
-code lines and its modules (``.py`` files other than ``__init__.py``) —
-so a simplification PR quotes numbers anyone can regenerate::
+code lines, its modules (``.py`` files other than ``__init__.py``) and
+its classes (``class`` statements, nested ones included, a first
+measure of concepts) — so a simplification PR quotes numbers anyone
+can regenerate::
 
     python tools/code_lines.py            # src/repro
     python tools/code_lines.py src/repro/serve
@@ -42,15 +44,18 @@ def docstring_lines(tree: ast.AST) -> set:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    """Non-blank, non-comment, non-docstring lines of one source file."""
+def measure(path: Path) -> tuple:
+    """Code lines (non-blank, non-comment, non-docstring) and class
+    definitions of one source file."""
     source = path.read_text(encoding="utf-8")
-    skip = docstring_lines(ast.parse(source))
+    tree = ast.parse(source)
+    skip = docstring_lines(tree)
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - skip)
+    classes = sum(isinstance(node, ast.ClassDef) for node in ast.walk(tree))
+    return len(lines - skip), classes
 
 
 def main(argv) -> int:
@@ -59,15 +64,17 @@ def main(argv) -> int:
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
         group = rel.parts[0] if len(rel.parts) > 1 else "."
-        lines, modules = counts.get(group, (0, 0))
-        counts[group] = (lines + code_lines(path),
-                         modules + (path.name != "__init__.py"))
+        lines, modules, classes = counts.get(group, (0, 0, 0))
+        n_lines, n_classes = measure(path)
+        counts[group] = (lines + n_lines,
+                         modules + (path.name != "__init__.py"),
+                         classes + n_classes)
     rows = sorted(counts.items()) if len(counts) > 1 else []
     rows.append((str(root), tuple(map(sum, zip(*counts.values())))))
     width = max(len(label) for label, _ in rows)
-    print(f"{'':<{width}}  {'lines':>6}  {'modules':>7}")
-    for label, (lines, modules) in rows:
-        print(f"{label:<{width}}  {lines:>6}  {modules:>7}")
+    print(f"{'':<{width}}  {'lines':>6}  {'modules':>7}  {'classes':>7}")
+    for label, (lines, modules, classes) in rows:
+        print(f"{label:<{width}}  {lines:>6}  {modules:>7}  {classes:>7}")
     return 0
 
 
