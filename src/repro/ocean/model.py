@@ -83,8 +83,12 @@ class RomsLikeModel:
         """Build the (u, v, w, ζ) snapshot from a barotropic state."""
         if state.stacked:
             # member by member: diagnosis runs once per snapshot, not
-            # once per step, so it is not worth a second vectorisation
-            members = [self.diagnose(m) for m in state.unstack()]
+            # once per step, so it is not worth a second vectorisation.
+            # It only reads the fields, so the members are views, not
+            # the copies ``unstack`` makes
+            members = [self.diagnose(ShallowWaterState(t, *fields))
+                       for t, *fields in zip(state.t, state.zeta,
+                                             state.u, state.v)]
             return Snapshot(state.t, *(
                 np.stack([getattr(m, name) for m in members])
                 for name in ("u3", "v3", "w3", "zeta")))

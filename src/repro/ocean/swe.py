@@ -21,15 +21,21 @@ The stepper conserves water volume exactly (up to float64 round-off)
 in a closed basin — the invariant the paper's verification module
 checks on the AI side, and one of our property tests.
 
-Ensemble axis
--------------
+Ensemble axis and layout
+------------------------
 The prognostic state may carry one leading ensemble axis
 (:meth:`ShallowWaterState.stack`): ``zeta/u/v`` are ``(…, ny, nx[+1])``
-and ``t`` a scalar or ``(B,)``.  There is one ``step``; every stencil
-indexes with ``...`` and every mask is applied by broadcasting, so a
-stacked integration is bit-identical, member by member, to stepping
-the members one at a time — at a fraction of the interpreter cost on
-small meshes, where a step is dispatch-bound.
+and ``t`` a scalar or ``(B,)``.  :meth:`ShallowWaterSolver.run` packs
+the state once onto one padded layout: per member, every field sits on
+the same ``(ny+1, nx+1)`` cell grid (ζ in ``[:ny, :nx]``, u in
+``[:ny, :]``, v in ``[:, :nx]``), and the members are stacked and
+flattened between zero guards.  A stencil neighbour is then one
+contiguous view at a fixed offset — ±1 in x, ±(nx+1) in y — so a step
+is a fixed sequence of in-place ufuncs over all members at once.
+Padding counts as dry and closed, so it stays zero.  The expressions
+and their order are the unpadded ones, so a stacked integration is
+bit-identical, member by member, to stepping the members one at a
+time.  :meth:`~ShallowWaterSolver.step` is ``run`` for one step.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ from .tides import TidalForcing
 
 GRAVITY = 9.81
 OMEGA_EARTH = 7.2921e-5
+#: most tidal boundary values a run evaluates in one call: its steps
+#: go in blocks, so a long run never holds its whole boundary series
+_TIDE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -144,30 +153,58 @@ class ShallowWaterSolver:
     # setup
     # ------------------------------------------------------------------
     def _build_step_constants(self) -> None:
-        """Everything :meth:`step` would otherwise recompute per call.
+        """Everything a step would otherwise recompute per call, on one
+        member's padded ``(ny+1, nx+1)`` cell grid, flattened.
 
         Derived from the masks, spacings, river share and ``dt``; a
         subclass that overrides any of those re-runs this afterwards.
-        Values are exactly what the in-step expressions produced.
+        Padding cells count as dry / closed, so every field stays zero
+        there, and the coefficients hold 1.0 there, so no step divides
+        by zero.  Values are exactly what the unpadded expressions use.
+        A mask is a ``uint64`` keep-pattern: ``x & keep`` clears every
+        bit of a closed, dry or padding cell — makes it +0.0, exactly
+        what ``np.copyto(x, 0.0, where=closed)`` writes — at the cost
+        of one contiguous ufunc instead of a masked copy.
         """
         grid = self.grid
         ny, nx = grid.ny, grid.nx
         self._f = self.cfg.coriolis_f
-        self._dry = ~self.wet
         self._u_closed = ~self.u_open
         self._v_closed = ~self.v_open
+
+        def padded(a, fill):
+            out = np.full((ny + 1, nx + 1), fill, dtype=a.dtype)
+            out[:a.shape[0], :a.shape[1]] = a
+            return out.ravel()
+
+        def keep(mask):
+            return np.where(padded(mask, False), ~np.uint64(0),
+                            np.uint64(0))
+
         # cell spacing across the stencil direction, at u and v faces
-        self._dyc_u = np.broadcast_to(
-            grid.y_axis.spacing[:, None], (ny, nx + 1))
-        self._dxc_v = np.broadcast_to(
-            grid.x_axis.spacing[None, :], (ny + 1, nx))
-        self._lap_u_dx2 = grid.dxu[:, 1:-1] ** 2
-        self._lap_u_dy2 = self._dyc_u[1:-1, :] ** 2
-        self._lap_v_dx2 = self._dxc_v[:, 1:-1] ** 2
-        self._lap_v_dy2 = grid.dyv[1:-1, :] ** 2
+        dyc = padded(np.broadcast_to(grid.y_axis.spacing[:, None],
+                                     (ny, nx + 1)), 1.0)
+        dxc = padded(np.broadcast_to(grid.x_axis.spacing[None, :],
+                                     (ny + 1, nx)), 1.0)
+        dxu, dyv = padded(grid.dxu, 1.0), padded(grid.dyv, 1.0)
+        self._padded = {
+            "depth": padded(self.depth, 0.0),
+            "wet": keep(self.wet),
+            "u_open": keep(self.u_open),
+            "v_open": keep(self.v_open),
+            "sponge": padded(self.sponge, 0.0),
+            "area": padded(grid.area, 1.0),
+            "dyc": dyc, "dxc": dxc, "dxu": dxu, "dyv": dyv,
+            "lap_u_dx2": dxu ** 2, "lap_u_dy2": dyc ** 2,
+            "lap_v_dx2": dxc ** 2, "lap_v_dy2": dyv ** 2,
+        }
         # surface rise per step in each river cell
-        self._river_rise = (self.dt * self.river_cell_discharge
-                            / grid.area[self.river_mask])
+        self._river_cells = np.flatnonzero(padded(self.river_mask, False))
+        self._padded["river_rise"] = (self.dt * self.river_cell_discharge
+                                      / grid.area[self.river_mask])
+        # the constants repeated for the ensemble size of the last run:
+        # one (B, constants) pair, read and replaced whole
+        self._tiled = None
 
     def _build_face_masks(self) -> None:
         ny, nx = self.grid.ny, self.grid.nx
@@ -225,128 +262,229 @@ class ShallowWaterSolver:
         H = self.depth + zeta
         return np.maximum(H, self.cfg.min_total_depth)
 
-    def _face_depths(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        H = self.total_depth(zeta)
-        Hu = self.grid.center_to_u(H)
-        Hv = self.grid.center_to_v(H)
-        return Hu, Hv
-
     def volume_fluxes(self, state: ShallowWaterState
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-face transports (H·u, H·v), zeroed at closed faces."""
-        Hu, Hv = self._face_depths(state.zeta)
-        fx = Hu * state.u
-        fy = Hv * state.v
+        H = self.total_depth(state.zeta)
+        fx = self.grid.center_to_u(H) * state.u
+        fy = self.grid.center_to_v(H) * state.v
         np.copyto(fx, 0.0, where=self._u_closed)
         np.copyto(fy, 0.0, where=self._v_closed)
         return fx, fy
 
     def step(self, state: ShallowWaterState) -> ShallowWaterState:
-        """Advance one barotropic time step (forward-backward).
+        """Advance one barotropic time step: :meth:`run` for one step.
 
-        A stacked state advances all its members at once; each member's
-        result is bit-identical to stepping it alone.
+        Returns fresh arrays and a fresh ``t``.  A stacked state
+        advances all its members at once; each member's result is
+        bit-identical to stepping it alone.
         """
-        g = GRAVITY
-        f = self._f
-        dt = self.dt
-        grid = self.grid
-        cfg = self.cfg
-        t_new = state.t + dt
+        return self._advance(state, 1)
 
-        # ---- continuity: ζⁿ⁺¹ = ζⁿ − Δt ∇·(H u) -------------------------
-        fx, fy = self.volume_fluxes(state)
-        div = grid.flux_divergence(fx, fy)
-        zeta_new = state.zeta - dt * div
-        # river discharge enters through the northern edge
-        if self.river_cell_discharge > 0.0:
-            zeta_new[..., self.river_mask] += self._river_rise
-        np.copyto(zeta_new, 0.0, where=self._dry)
-
-        # ---- open-boundary nudging to the tide --------------------------
-        if self.forcing is not None:
-            # (ny, 1), or (B, ny, 1) with one tidal phase per member
-            tide = self.forcing.elevation(
-                np.asarray(t_new)[..., None],
-                self.grid.y_axis.centers)[..., None]
-            zeta_new = zeta_new + self.sponge * (tide - zeta_new)
-
-        # ---- momentum (uses ζⁿ⁺¹: the "backward" part) -------------------
-        Hu, Hv = self._face_depths(zeta_new)
-        dzdx = grid.ddx_at_u(zeta_new)
-        dzdy = grid.ddy_at_v(zeta_new)
-
-        v_at_u = self._v_at_u(state.v)
-        u_at_v = self._u_at_v(state.u)
-
-        speed_u = np.sqrt(state.u ** 2 + v_at_u ** 2)
-        speed_v = np.sqrt(state.v ** 2 + u_at_v ** 2)
-
-        du = (-g * dzdx + f * v_at_u
-              - cfg.drag_coefficient * speed_u * state.u / Hu
-              + cfg.viscosity * self._laplacian_u(state.u))
-        dv = (-g * dzdy - f * u_at_v
-              - cfg.drag_coefficient * speed_v * state.v / Hv
-              + cfg.viscosity * self._laplacian_v(state.v))
-
-        u_new = state.u + dt * du
-        v_new = state.v + dt * dv
-        np.copyto(u_new, 0.0, where=self._u_closed)
-        np.copyto(v_new, 0.0, where=self._v_closed)
-        # zero-gradient outflow at the open west faces keeps the boundary
-        # transparent to the nudged surface signal
-        u_new[..., 0] = np.where(self.west_outflow,
-                                 u_new[..., 1], u_new[..., 0])
-
-        return ShallowWaterState(t_new, zeta_new, u_new, v_new)
-
-    # ------------------------------------------------------------------
-    # stencil helpers
-    # ------------------------------------------------------------------
-    def _v_at_u(self, v: np.ndarray) -> np.ndarray:
-        vc = 0.5 * (v[..., :-1, :] + v[..., 1:, :])         # v at centres
-        out = np.empty(vc.shape[:-1] + (self.grid.nx + 1,))
-        out[..., 1:-1] = 0.5 * (vc[..., :-1] + vc[..., 1:])
-        out[..., 0] = vc[..., 0]
-        out[..., -1] = vc[..., -1]
-        return out
-
-    def _u_at_v(self, u: np.ndarray) -> np.ndarray:
-        uc = 0.5 * (u[..., :-1] + u[..., 1:])               # u at centres
-        out = np.empty(uc.shape[:-2] + (self.grid.ny + 1, self.grid.nx))
-        out[..., 1:-1, :] = 0.5 * (uc[..., :-1, :] + uc[..., 1:, :])
-        out[..., 0, :] = uc[..., 0, :]
-        out[..., -1, :] = uc[..., -1, :]
-        return out
-
-    def _laplacian_u(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        out[..., 1:-1] += (u[..., 2:] - 2 * u[..., 1:-1]
-                           + u[..., :-2]) / self._lap_u_dx2
-        out[..., 1:-1, :] += (u[..., 2:, :] - 2 * u[..., 1:-1, :]
-                              + u[..., :-2, :]) / self._lap_u_dy2
-        np.copyto(out, 0.0, where=self._u_closed)
-        return out
-
-    def _laplacian_v(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[..., 1:-1] += (v[..., 2:] - 2 * v[..., 1:-1]
-                           + v[..., :-2]) / self._lap_v_dx2
-        out[..., 1:-1, :] += (v[..., 2:, :] - 2 * v[..., 1:-1, :]
-                              + v[..., :-2, :]) / self._lap_v_dy2
-        np.copyto(out, 0.0, where=self._v_closed)
-        return out
-
-    # ------------------------------------------------------------------
-    # integration helpers
-    # ------------------------------------------------------------------
     def run(self, state: ShallowWaterState, duration: float
             ) -> ShallowWaterState:
         """Advance ``state`` by ``duration`` seconds (whole steps)."""
-        n = max(1, int(round(duration / self.dt)))
-        for _ in range(n):
-            state = self.step(state)
-        return state
+        return self._advance(state, max(1, int(round(duration / self.dt))))
+
+    def _advance(self, state: ShallowWaterState, n: int
+                 ) -> ShallowWaterState:
+        """``n`` forward-backward steps on the padded, flat layout.
+
+        Each member's fields share one ``(ny+1, nx+1)`` cell grid: ζ in
+        ``[:ny, :nx]``, u in ``[:ny, :]``, v in ``[:, :nx]``.  The
+        members are stacked and flattened between two guards of
+        ``nx+2`` zeros, so each stencil neighbour is one contiguous
+        view at a fixed offset: ±1 in x, ±(nx+1) in y.  The state is
+        packed once, stepped in place on two alternating buffer sets
+        and unpacked once; only the edge fixes of the face stencils
+        (centre→face copies, zeroed edge gradients, the west outflow)
+        touch strided views.  Every buffer belongs to this call, so
+        two threads may integrate on one solver.
+        """
+        g, f, dt, cfg = GRAVITY, self._f, self.dt, self.cfg
+        ny, nx = self.grid.ny, self.grid.nx
+        W = nx + 1                          # padded row length
+        B = len(state.zeta) if state.stacked else 1
+        N = B * (ny + 1) * W
+        G = W + 1                           # guard at each end
+
+        def at(a, d=0):
+            """The cells of a guarded buffer, shifted by ``d``."""
+            return a[G + d:G + d + N]
+
+        def cells(a):
+            return (at(a) if len(a) > N else a).reshape(B, ny + 1, W)
+
+        tiled = self._tiled
+        if tiled is None or tiled[0] != B:
+            c = {k: np.tile(a, B) for k, a in self._padded.items()}
+            c["river_at"] = G + np.add.outer(np.arange(B) * (ny + 1) * W,
+                                             self._river_cells).ravel()
+            tiled = self._tiled = (B, c)
+        c = tiled[1]
+
+        # the state: two buffer sets, stepped cur → new in turn; per
+        # field, its cells at offsets 0, +1, −1, +W, −W, and their bits
+        sets = []
+        for full in np.zeros((2, 3, N + 2 * G)):
+            sets.append([[at(x, d) for d in (0, 1, -1, W, -W)]
+                         + [at(x).view(np.uint64)] for x in full] + [full])
+        z3, u3, v3 = (cells(x) for x in sets[0][3])
+        z3[:, :ny, :nx] = state.zeta.reshape(B, ny, nx)
+        u3[:, :ny, :] = state.u.reshape(B, ny, W)
+        v3[:, :, :nx] = state.v.reshape(B, ny + 1, nx)
+
+        # temporaries; the ones read at an offset carry guards
+        H, fx, fy, vc, uc = np.zeros((5, N + 2 * G))
+        Hc, fxc, fyc, vcc, ucc = (at(x) for x in (H, fx, fy, vc, uc))
+        fx_bits, fy_bits = fxc.view(np.uint64), fyc.view(np.uint64)
+        Hu, Hv, dzdx, dzdy, vau, uav, twice, a, b, d, tide = np.zeros(
+            (11, N))
+        H3, Hu3, Hv3, vc3, uc3, vau3, uav3, dzdx3, dzdy3, a3, d3 = (
+            cells(x) for x in (H, Hu, Hv, vc, uc, vau, uav, dzdx, dzdy,
+                               a, d))
+        # edge faces copy the edge cell / centre value ...
+        depth_edges = ((Hu3[..., 0], H3[..., 0]),
+                       (Hu3[..., nx], H3[..., nx - 1]),
+                       (Hv3[:, 0], H3[:, 0]), (Hv3[:, ny], H3[:, ny - 1]))
+        centre_edges = ((vau3[..., 0], vc3[..., 0]),
+                        (vau3[..., nx], vc3[..., nx - 1]),
+                        (uav3[:, 0], uc3[:, 0]), (uav3[:, ny], uc3[:, ny - 1]))
+        # ... and have no term where the stencil lacks a neighbour
+        grad_edges = (dzdx3[..., 0], dzdx3[..., nx],
+                      dzdy3[:, 0], dzdy3[:, ny])
+        lap_u_edges = (a3[..., 0], a3[..., nx], d3[:, 0], d3[:, ny - 1])
+        lap_v_edges = (a3[..., 0], a3[..., nx - 1], d3[:, 0], d3[:, ny])
+
+        river = self.river_cell_discharge > 0.0
+        tide_rows = cells(tide)[:, :ny, :]
+        block = max(1, _TIDE_BLOCK // (B * ny))
+        t = state.t
+
+        def mean(x, y, out):
+            np.add(x, y, out=out)
+            np.multiply(0.5, out, out=out)
+
+        def face_depths(zeta):
+            """H = max(depth + ζ, floor), averaged onto u and v faces."""
+            np.add(c["depth"], zeta, out=Hc)
+            np.maximum(Hc, cfg.min_total_depth, out=Hc)
+            mean(at(H, -1), Hc, Hu)
+            mean(at(H, -W), Hc, Hv)
+            for dst, src in depth_edges:
+                np.copyto(dst, src)
+
+        def momentum(Q, across, grad, Hq, coriolis, lap_dx2, lap_dy2,
+                     lap_edges, Qn, keep):
+            """q + Δt (−g ∂ζ ± f q⊥ − C_d |q| q / H + ν ∇²q) into ``Qn``,
+            zero on closed faces (which is why ∇²q needs no mask)."""
+            q, qp1, qm1, qpW, qmW, _ = Q
+            np.square(q, out=a)
+            np.square(across, out=b)
+            np.add(a, b, out=a)
+            np.sqrt(a, out=a)
+            np.multiply(cfg.drag_coefficient, a, out=a)
+            np.multiply(a, q, out=a)
+            np.divide(a, Hq, out=a)
+            np.multiply(-g, grad, out=b)
+            np.multiply(f, across, out=d)
+            coriolis(b, d, out=b)
+            np.subtract(b, a, out=b)
+            # ∇²q = (0 + ∂²q/∂x²) + ∂²q/∂y²: the unpadded form adds each
+            # term to zeros, which turns a −0.0 term into +0.0
+            np.multiply(2, q, out=twice)
+            np.subtract(qp1, twice, out=a)
+            np.add(a, qm1, out=a)
+            np.divide(a, lap_dx2, out=a)
+            np.subtract(qpW, twice, out=d)
+            np.add(d, qmW, out=d)
+            np.divide(d, lap_dy2, out=d)
+            for edge in lap_edges:
+                edge.fill(0.0)
+            np.add(a, 0.0, out=a)
+            np.add(a, d, out=a)
+            np.multiply(cfg.viscosity, a, out=a)
+            np.add(b, a, out=b)
+            np.multiply(dt, b, out=b)
+            np.add(q, b, out=Qn[0])
+            np.bitwise_and(Qn[5], keep, out=Qn[5])
+
+        # a step's face depths of ζⁿ⁺¹ are the next step's of ζⁿ
+        face_depths(sets[0][0][0])
+        for s in range(n):
+            Z, U, V, _ = sets[s % 2]
+            Zn, Un, Vn, (zn_full, un_full, _) = sets[1 - s % 2]
+            z, u, v, zn = Z[0], U[0], V[0], Zn[0]
+            if s % block == 0:
+                # the next block's times, by the t ← t + dt chain of
+                # single steps, and their tidal boundary in one call
+                ts = []
+                for _ in range(min(block, n - s)):
+                    t = t + dt
+                    ts.append(t)
+                if self.forcing is not None:
+                    tides = self.forcing.elevation(
+                        np.asarray(ts)[..., None],
+                        self.grid.y_axis.centers).reshape(-1, B, ny)
+
+            # ---- continuity: ζⁿ⁺¹ = ζⁿ − Δt ∇·(H u) ---------------------
+            np.multiply(Hu, u, out=fxc)
+            np.bitwise_and(fx_bits, c["u_open"], out=fx_bits)
+            np.multiply(Hv, v, out=fyc)
+            np.bitwise_and(fy_bits, c["v_open"], out=fy_bits)
+            np.multiply(at(fx, 1), c["dyc"], out=a)
+            np.multiply(fxc, c["dyc"], out=b)
+            np.subtract(a, b, out=a)
+            np.multiply(at(fy, W), c["dxc"], out=b)
+            np.multiply(fyc, c["dxc"], out=d)
+            np.subtract(b, d, out=b)
+            np.add(a, b, out=a)
+            np.divide(a, c["area"], out=a)
+            np.multiply(dt, a, out=a)
+            np.subtract(z, a, out=zn)
+            # river discharge enters through the northern edge
+            if river:
+                zn_full[c["river_at"]] += c["river_rise"]
+            np.bitwise_and(Zn[5], c["wet"], out=Zn[5])
+
+            # ---- open-boundary nudging to the tide ----------------------
+            if self.forcing is not None:
+                np.copyto(tide_rows, tides[s % block][..., None])
+                np.subtract(tide, zn, out=a)
+                np.multiply(c["sponge"], a, out=a)
+                np.add(zn, a, out=zn)
+
+            # ---- momentum (uses ζⁿ⁺¹: the "backward" part) ---------------
+            face_depths(zn)
+            np.subtract(zn, Zn[2], out=dzdx)
+            np.divide(dzdx, c["dxu"], out=dzdx)
+            np.subtract(zn, Zn[4], out=dzdy)
+            np.divide(dzdy, c["dyv"], out=dzdy)
+            for edge in grad_edges:
+                edge.fill(0.0)
+            mean(v, V[3], vcc)                       # v at centres
+            mean(at(vc, -1), vcc, vau)
+            mean(u, U[1], ucc)                       # u at centres
+            mean(at(uc, -W), ucc, uav)
+            for dst, src in centre_edges:
+                np.copyto(dst, src)
+
+            momentum(U, vau, dzdx, Hu, np.add, c["lap_u_dx2"],
+                     c["lap_u_dy2"], lap_u_edges, Un, c["u_open"])
+            # zero-gradient outflow at the open west faces keeps the
+            # boundary transparent to the nudged surface signal
+            un3 = cells(un_full)
+            np.copyto(un3[:, :ny, 0], un3[:, :ny, 1],
+                      where=self.west_outflow)
+            momentum(V, uav, dzdy, Hv, np.subtract, c["lap_v_dx2"],
+                     c["lap_v_dy2"], lap_v_edges, Vn, c["v_open"])
+
+        z3, u3, v3 = (cells(x) for x in sets[n % 2][3])
+        fields = (z3[:, :ny, :nx].copy(), u3[:, :ny, :].copy(),
+                  v3[:, :, :nx].copy())
+        if not state.stacked:
+            fields = tuple(x[0] for x in fields)
+        return ShallowWaterState(t, *fields)
 
     def total_volume(self, state: ShallowWaterState
                      ) -> Union[float, np.ndarray]:

@@ -1,5 +1,8 @@
 """Shallow-water solver: conservation, stability, boundary behaviour."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,17 @@ def forced_solver():
     g = make_charlotte_grid(20, 24, 20_000.0, 24_000.0)
     h = synth_estuary_bathymetry(g)
     return ShallowWaterSolver(g, h, TidalForcing(), SWEConfig())
+
+
+def assert_same_bits(got, want):
+    """Every float of two states has the same bit pattern: unlike
+    ``assert_array_equal``, this tells ``-0.0`` from ``+0.0``."""
+    for name in ("t", "zeta", "u", "v"):
+        a = np.asarray(getattr(got, name), dtype=np.float64)
+        b = np.asarray(getattr(want, name), dtype=np.float64)
+        assert a.shape == b.shape, name
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64),
+                                      err_msg=name)
 
 
 def _perturbed_state(solver, rng, amp=0.05):
@@ -209,13 +223,6 @@ class TestEnsembleAxis:
             members.append(solver.run(s, 40 * solver.dt))
         return members
 
-    @staticmethod
-    def _assert_same_state(got, want):
-        assert got.t == want.t
-        np.testing.assert_array_equal(got.zeta, want.zeta)
-        np.testing.assert_array_equal(got.u, want.u)
-        np.testing.assert_array_equal(got.v, want.v)
-
     @pytest.fixture(scope="class", params=sorted(SETUPS))
     def solver(self, request):
         g = make_charlotte_grid(14, 15, 14_000.0, 15_000.0)
@@ -232,7 +239,7 @@ class TestEnsembleAxis:
             members = [solver.step(m) for m in members]
         assert stacked.t.shape == (B,)
         for got, want in zip(stacked.unstack(), members):
-            self._assert_same_state(got, want)
+            assert_same_bits(got, want)
 
     def test_stack_unstack_round_trip(self, forced_solver):
         members = self._members(forced_solver, 3)
@@ -242,7 +249,7 @@ class TestEnsembleAxis:
         back = stacked.unstack()
         for got, want in zip(back, members):
             assert isinstance(got.t, float)
-            self._assert_same_state(got, want)
+            assert_same_bits(got, want)
         # members are copies, and so is a stacked copy()
         back[0].zeta += 1.0
         twin = stacked.copy()
@@ -285,3 +292,187 @@ class TestEnsembleAxis:
             np.testing.assert_array_equal(fy[k], fy_k)
             np.testing.assert_array_equal(
                 H[k], forced_solver.total_depth(m.zeta))
+
+
+# ----------------------------------------------------------------------
+# slow reference: the step on (…, ny, nx[+1]) fields, expression by
+# expression through the grid operators — the oracle of the solver's
+# padded, flat fast path
+# ----------------------------------------------------------------------
+def _ref_v_at_u(v, nx):
+    vc = 0.5 * (v[..., :-1, :] + v[..., 1:, :])         # v at centres
+    out = np.empty(vc.shape[:-1] + (nx + 1,))
+    out[..., 1:-1] = 0.5 * (vc[..., :-1] + vc[..., 1:])
+    out[..., 0] = vc[..., 0]
+    out[..., -1] = vc[..., -1]
+    return out
+
+
+def _ref_u_at_v(u, ny, nx):
+    uc = 0.5 * (u[..., :-1] + u[..., 1:])               # u at centres
+    out = np.empty(uc.shape[:-2] + (ny + 1, nx))
+    out[..., 1:-1, :] = 0.5 * (uc[..., :-1, :] + uc[..., 1:, :])
+    out[..., 0, :] = uc[..., 0, :]
+    out[..., -1, :] = uc[..., -1, :]
+    return out
+
+
+def _ref_laplacian(a, dx2, dy2, closed):
+    out = np.zeros_like(a)
+    out[..., 1:-1] += (a[..., 2:] - 2 * a[..., 1:-1] + a[..., :-2]) / dx2
+    out[..., 1:-1, :] += (a[..., 2:, :] - 2 * a[..., 1:-1, :]
+                          + a[..., :-2, :]) / dy2
+    np.copyto(out, 0.0, where=closed)
+    return out
+
+
+def _ref_face_depths(solver, zeta):
+    H = solver.total_depth(zeta)
+    return solver.grid.center_to_u(H), solver.grid.center_to_v(H)
+
+
+def reference_step(solver, state):
+    """One forward-backward step, as the solver computed it before its
+    fields moved onto the padded layout."""
+    g, dt, grid, cfg = 9.81, solver.dt, solver.grid, solver.cfg
+    f = cfg.coriolis_f
+    ny, nx = grid.ny, grid.nx
+    u_closed, v_closed = ~solver.u_open, ~solver.v_open
+    t_new = state.t + dt
+
+    Hu, Hv = _ref_face_depths(solver, state.zeta)
+    fx, fy = Hu * state.u, Hv * state.v
+    np.copyto(fx, 0.0, where=u_closed)
+    np.copyto(fy, 0.0, where=v_closed)
+    zeta_new = state.zeta - dt * grid.flux_divergence(fx, fy)
+    if solver.river_cell_discharge > 0.0:
+        zeta_new[..., solver.river_mask] += (
+            dt * solver.river_cell_discharge / grid.area[solver.river_mask])
+    np.copyto(zeta_new, 0.0, where=~solver.wet)
+    if solver.forcing is not None:
+        tide = solver.forcing.elevation(
+            np.asarray(t_new)[..., None], grid.y_axis.centers)[..., None]
+        zeta_new = zeta_new + solver.sponge * (tide - zeta_new)
+
+    Hu, Hv = _ref_face_depths(solver, zeta_new)
+    dzdx = grid.ddx_at_u(zeta_new)
+    dzdy = grid.ddy_at_v(zeta_new)
+    v_at_u = _ref_v_at_u(state.v, nx)
+    u_at_v = _ref_u_at_v(state.u, ny, nx)
+    speed_u = np.sqrt(state.u ** 2 + v_at_u ** 2)
+    speed_v = np.sqrt(state.v ** 2 + u_at_v ** 2)
+    dyc_u = np.broadcast_to(grid.y_axis.spacing[:, None], (ny, nx + 1))
+    dxc_v = np.broadcast_to(grid.x_axis.spacing[None, :], (ny + 1, nx))
+    lap_u = _ref_laplacian(state.u, grid.dxu[:, 1:-1] ** 2,
+                           dyc_u[1:-1, :] ** 2, u_closed)
+    lap_v = _ref_laplacian(state.v, dxc_v[:, 1:-1] ** 2,
+                           grid.dyv[1:-1, :] ** 2, v_closed)
+    du = (-g * dzdx + f * v_at_u
+          - cfg.drag_coefficient * speed_u * state.u / Hu
+          + cfg.viscosity * lap_u)
+    dv = (-g * dzdy - f * u_at_v
+          - cfg.drag_coefficient * speed_v * state.v / Hv
+          + cfg.viscosity * lap_v)
+    u_new = state.u + dt * du
+    v_new = state.v + dt * dv
+    np.copyto(u_new, 0.0, where=u_closed)
+    np.copyto(v_new, 0.0, where=v_closed)
+    u_new[..., 0] = np.where(solver.west_outflow,
+                             u_new[..., 1], u_new[..., 0])
+    return ShallowWaterState(t_new, zeta_new, u_new, v_new)
+
+
+class TestFastPathOracle:
+    """``run`` and ``step`` hold every bit of :func:`reference_step` on
+    the hybrid workflow's mesh: forced with a river, closed, and forced
+    without a river; one state and stacks of 3 and 8, over two chained
+    30-minute snapshots."""
+
+    SETUPS = {
+        "forced_river": (TidalForcing(), SWEConfig()),
+        "closed": (None, SWEConfig(river_discharge=0.0, sponge_strength=0.0)),
+        "river_off": (TidalForcing(), SWEConfig(river_discharge=0.0)),
+    }
+    SNAPSHOT = 1800.0
+
+    @pytest.fixture(scope="class", params=sorted(SETUPS))
+    def solver(self, request):
+        g = make_charlotte_grid(14, 15, 14_000.0, 15_000.0)
+        forcing, config = self.SETUPS[request.param]
+        return ShallowWaterSolver(g, synth_estuary_bathymetry(g),
+                                  forcing, config)
+
+    @staticmethod
+    def _initial(solver, B):
+        """A state with flow in it: B members (unstacked for B = 0),
+        each at its own time, spun up by the reference step."""
+        rng = np.random.default_rng([B, 3])
+        members = []
+        for k in range(max(B, 1)):
+            s = solver.initial_state(t0=900.0 + 3917.0 * k)
+            s.zeta[solver.wet] += 0.05 * rng.normal(
+                size=int(solver.wet.sum()))
+            for _ in range(30):
+                s = reference_step(solver, s)
+            members.append(s)
+        return ShallowWaterState.stack(members) if B else members[0]
+
+    @pytest.mark.parametrize("B", [0, 3, 8])
+    def test_run_equals_reference_bitwise(self, solver, B):
+        state = want = self._initial(solver, B)
+        n = int(round(self.SNAPSHOT / solver.dt))
+        for _ in range(2):
+            state = solver.run(state, self.SNAPSHOT)
+            for _ in range(n):
+                want = reference_step(solver, want)
+            assert_same_bits(state, want)
+
+    @pytest.mark.parametrize("B", [0, 3])
+    def test_step_equals_reference_bitwise(self, solver, B):
+        state = want = self._initial(solver, B)
+        for _ in range(25):
+            state = solver.step(state)
+            want = reference_step(solver, want)
+        assert_same_bits(state, want)
+
+    def test_step_returns_fresh_arrays(self, solver):
+        state = self._initial(solver, 3)
+        out = solver.step(state)
+        for name in ("t", "zeta", "u", "v"):
+            got = getattr(out, name)
+            assert not np.shares_memory(got, getattr(state, name)), name
+            assert got.flags.c_contiguous and got.flags.writeable, name
+        twice = solver.step(state)
+        assert not np.shares_memory(out.zeta, twice.zeta)
+
+    def test_threads_integrate_on_one_solver(self, solver):
+        """Every buffer belongs to one call: concurrent runs on one
+        solver give the bits of the same runs one after another."""
+        states = [self._initial(solver, B) for B in (0, 3, 8, 3)]
+        want = [solver.run(s, self.SNAPSHOT) for s in states]
+        got = [None] * len(states)
+
+        def work(i):
+            got[i] = solver.run(states[i], self.SNAPSHOT)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(states))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+
+    def test_padding_raises_no_floating_point_error(self, solver):
+        """Padding cells never divide by zero or make inf / NaN."""
+        state = self._initial(solver, 8)
+        with np.errstate(all="raise"):
+            out = solver.run(state, self.SNAPSHOT)
+        assert all(np.isfinite(a).all() for a in (out.zeta, out.u, out.v))

@@ -16,7 +16,12 @@ parent and against the change gives two texts to ``diff``:
 * ``sensitivity_batch`` values, storm and field gradients for every
   diagnostic (``wrt=("fields", "storm")``, b4);
 * the losses and every parameter / buffer after three Adam steps in
-  training mode (BatchNorm batch statistics, ``**``, ``abs``).
+  training mode (BatchNorm batch statistics, ``**``, ``abs``);
+* the barotropic solver on ``hybrid_fallback``'s mesh: three chained
+  30-minute ``run`` snapshots of one state and of an 8-member stack,
+  20 ``StormForcedSolver`` and 20 ``DecomposedShallowWater`` (2 × 2)
+  steps, and one ``HybridWorkflow.run_many`` call (fallback pattern,
+  residuals and fields).
 """
 
 import hashlib
@@ -29,6 +34,9 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else __file__ + "/../..").resolve()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
 import workloads as wl  # noqa: E402 — needs the two path entries above
+from repro.hpc import DecomposedShallowWater  # noqa: E402
+from repro.ocean import (ParametricCyclone, RomsLikeModel,  # noqa: E402
+                         ShallowWaterState, StormForcedSolver)
 from repro.tensor import PlanExecutor, Tensor, no_grad  # noqa: E402
 from repro.train import Adam, mse  # noqa: E402
 from repro.workflow import ForecastEngine  # noqa: E402
@@ -120,6 +128,50 @@ def training_line():
     return f"train 3 adam steps {sha(losses + state)}"
 
 
+def state_arrays(states):
+    return [a for s in states for a in (np.asarray(s.t), s.zeta, s.u, s.v)]
+
+
+def solver_lines():
+    ocean = RomsLikeModel(wl.HybridWorkload.ocean_cfg)
+    solver, interval = ocean.solver, ocean.config.snapshot_interval
+    state = ocean.spinup(duration=3 * 3600.0, t0=5000.0)
+    members = [solver.run(state, k * 700.0) for k in range(8)]
+    for tag, s in (("unstacked", state),
+                   ("stacked-8", ShallowWaterState.stack(members))):
+        snaps = []
+        for _ in range(3):
+            s = solver.run(s, interval)
+            snaps.append(s)
+        yield f"solver {tag} 3 snapshots {sha(state_arrays(snaps))}"
+    grid = solver.grid
+    storm = StormForcedSolver(solver, ParametricCyclone(
+        x0=0.2 * grid.x_axis.length, y0=0.5 * grid.y_axis.length,
+        vx=3.0, radius_max_wind=4_000.0))
+    for tag, stepper in (("storm", storm),
+                         ("decomposed 2x2", DecomposedShallowWater(
+                             solver, 2, 2))):
+        s, steps = state, []
+        for _ in range(20):
+            s = stepper.step(s)
+            steps.append(s)
+        yield f"solver {tag} 20 steps {sha(state_arrays(steps))}"
+
+
+def hybrid_line():
+    workload = wl.HybridWorkload()
+    workload.inputs(seed=4)
+    live = workload.build()
+    out = live["workflow"].run_many(
+        workload.references, workload.fallback_states, live["threshold"])
+    episodes = [e for _, report in out for e in report.episodes]
+    return "hybrid run_many " + sha(
+        [np.array([e.used_fallback for e in episodes]),
+         np.array([e.verification.mean_residual for e in episodes])]
+        + [getattr(f, v) for f, _ in out for v in wl.VARS])
+
+
 if __name__ == "__main__":
-    for line in (*forward_lines(), *adjoint_lines(), training_line()):
+    for line in (*forward_lines(), *adjoint_lines(), training_line(),
+                 *solver_lines(), hybrid_line()):
         print(line)
