@@ -77,7 +77,7 @@ def main() -> None:
     train_ds, val_ds = dataset.split(0.9, seed=0)   # the paper's 9:1
     train_loader = DataLoader(train_ds, batch_size=args.batch_size,
                               shuffle=True, num_workers=args.workers,
-                              pin_memory=True, seed=0)
+                              seed=0)
     val_loader = DataLoader(val_ds, batch_size=1, shuffle=False) \
         if len(val_ds) else None
 

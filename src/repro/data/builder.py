@@ -121,7 +121,6 @@ def resample_store(src: SnapshotStore, dst_root: Path | str,
         for var in VARIABLES:
             arr = src.read_var(var, old_idx)
             np.save(dst.root / f"{var}_{new_idx:06d}.npy", arr)
-            dst.bytes_written += arr.nbytes
     new_meta = {
         "n_snapshots": len(indices),
         "interval_s": meta.interval_s * every,

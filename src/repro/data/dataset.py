@@ -134,7 +134,6 @@ class SlidingWindowDataset:
         self.stride = int(stride)
         self.dtype = np.dtype(np.float16)
         H, W, _ = store.meta.mesh
-        self.orig_hw = (H, W)
         self.padded_hw = tuple(pad_to) if pad_to is not None \
             else padded_shape(H, W, 4, 4)
         n = len(store)
@@ -197,6 +196,5 @@ class _SubsetDataset(SlidingWindowDataset):
         self.window = parent.window
         self.stride = parent.stride
         self.dtype = parent.dtype
-        self.orig_hw = parent.orig_hw
         self.padded_hw = parent.padded_hw
         self.starts = list(starts)

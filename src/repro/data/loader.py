@@ -2,10 +2,10 @@
 
 The paper hides SSD→RAM latency behind computation using PyTorch
 DataLoader workers with a prefetch factor, pinned host memory and
-non-blocking device copies.  This loader reproduces the *mechanism*
-(thread workers prefetching batches ahead of consumption) and records
-the staging metadata (pin_memory, prefetch depth) that the HPC pipeline
-model uses to reproduce Fig. 9's ablation.
+non-blocking device copies.  This loader reproduces the *mechanism*:
+thread workers prefetching batches ahead of consumption.  Pinned memory
+has no meaning in this NumPy engine; its effect on Fig. 9's ablation is
+modelled by :class:`repro.hpc.pipeline.PipelineConfig`.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ class DataLoader:
     shuffle: reshuffle each epoch (seeded, reproducible).
     num_workers: prefetch worker threads; 0 = synchronous.  Each
         stages ``PREFETCH_FACTOR`` batches ahead.
-    pin_memory: recorded for the performance model; host staging
-        semantics are identical either way in this NumPy engine.
 
     The final batch may be ragged.
     """
@@ -66,14 +64,13 @@ class DataLoader:
 
     def __init__(self, dataset: SlidingWindowDataset, batch_size: int = 1,
                  shuffle: bool = True, num_workers: int = 0,
-                 pin_memory: bool = False, seed: int = 0):
+                 seed: int = 0):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.num_workers = num_workers
-        self.pin_memory = pin_memory
         self.seed = seed
         self._epoch = 0
 

@@ -3,7 +3,9 @@
 Reproduces the paper's §III-B pipeline step by step:
 
 1. *linear interpolation to cell centres* — ROMS stores u/v on cell
-   faces; neural nets want co-located variables;
+   faces; neural nets want co-located variables (done when a solver
+   state is diagnosed, by ``CurvilinearGrid.u_to_center`` /
+   ``v_to_center``);
 2. *zero-padding* — 898×598 → 900×600 so patches tile evenly;
 3. *FP64 → FP16 conversion* — halves storage and bandwidth;
 4. *z-score normalisation* — per-variable statistics from the training
@@ -18,16 +20,6 @@ from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
-
-
-def faces_to_centers_u(u_faces: np.ndarray) -> np.ndarray:
-    """Linear interpolation of u from (H, W+1) faces to (H, W) centres."""
-    return 0.5 * (u_faces[..., :-1] + u_faces[..., 1:])
-
-
-def faces_to_centers_v(v_faces: np.ndarray) -> np.ndarray:
-    """Linear interpolation of v from (H+1, W) faces to (H, W) centres."""
-    return 0.5 * (v_faces[..., :-1, :] + v_faces[..., 1:, :])
 
 
 def padded_shape(h: int, w: int, multiple_h: int, multiple_w: int
@@ -56,11 +48,6 @@ def pad_mesh(field: np.ndarray, target_h: int, target_w: int,
     pad[ah] = (0, target_h - h)
     pad[aw] = (0, target_w - w)
     return np.pad(field, pad)
-
-
-def unpad_mesh(field: np.ndarray, orig_h: int, orig_w: int) -> np.ndarray:
-    """Crop a padded field back to the original (H, W)."""
-    return field[:orig_h, :orig_w, ...]
 
 
 @dataclass

@@ -65,8 +65,6 @@ class SnapshotStore:
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
-        self.bytes_read = 0          # I/O accounting for the perf model
-        self.bytes_written = 0
         self._meta: Optional[StoreMeta] = None
 
     # ------------------------------------------------------------------
@@ -83,7 +81,6 @@ class SnapshotStore:
                 arr = getattr(snap, var).astype(np_dtype)
                 path = self.root / f"{var}_{idx:06d}.npy"
                 np.save(path, arr)
-                self.bytes_written += arr.nbytes
         first = snapshots[0]
         meta = StoreMeta(
             n_snapshots=len(snapshots),
@@ -114,9 +111,7 @@ class SnapshotStore:
     def read_var(self, var: str, idx: int) -> np.ndarray:
         if var not in VARIABLES:
             raise KeyError(f"unknown variable {var!r}; expected {VARIABLES}")
-        arr = np.load(self.root / f"{var}_{idx:06d}.npy")
-        self.bytes_read += arr.nbytes
-        return arr
+        return np.load(self.root / f"{var}_{idx:06d}.npy")
 
     def read_snapshot(self, idx: int) -> Dict[str, np.ndarray]:
         """All four variables of snapshot ``idx``."""

@@ -7,8 +7,8 @@ the training-pipeline ablation model (Fig. 9), the ROMS cost model
 (Table I, Fig. 8), and the multi-GPU weak-scaling model (Fig. 10).
 The one module here that serving executes is :mod:`repro.hpc.fabric`,
 which carries the serving tier across hosts: a length-prefixed
-descriptor-frame transport with a deterministic SimComm-backed fabric
-and a real TCP-loopback fabric (see :mod:`repro.serve.hostpool`).  The
+descriptor-frame transport with a deterministic in-process fabric and
+a real TCP-loopback fabric (see :mod:`repro.serve.hostpool`).  The
 serving cost law lives with the pool that fits it
 (:class:`repro.serve.ServingCapacityModel`).
 """

@@ -19,10 +19,7 @@ interchangeable transports behind one tiny endpoint interface:
 
 * :class:`SimEndpoint` (pair via :func:`sim_pair`) — an in-process
   deterministic fabric for tests and virtual-clock replay.  Frames
-  travel through queues; byte accounting goes through a
-  :class:`~repro.hpc.mpi.SimComm`, so ``comm.bytes_sent`` /
-  ``comm.per_pair`` report the same wire totals a real deployment
-  would see.
+  travel through queues.
 
 * :class:`SocketEndpoint` — a real TCP-loopback fabric with actual
   wire serialization (``TCP_NODELAY``, so small frames do not sit in
@@ -63,8 +60,6 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .mpi import SimComm
 
 #: frame magic — version-bearing, so a format bump is a clean reject
 MAGIC = b"RFB1"
@@ -226,26 +221,18 @@ def unpack_frame(data: bytes) -> Frame:
 class SimEndpoint:
     """One side of an in-process frame channel.
 
-    Deterministic and allocation-cheap: frames are handed over as-is
-    through a deque guarded by one condition variable per pair.  Byte
-    accounting runs through the shared :class:`~repro.hpc.mpi.SimComm`
-    so tests can assert wire totals (``comm.bytes_sent``,
-    ``comm.per_pair``) exactly as they do for halo exchange.
+    Deterministic and allocation-cheap: frames are immutable ``bytes``,
+    handed over as-is through a deque guarded by one condition variable
+    per pair.
     """
 
-    def __init__(self, rank: int, comm: SimComm, cond: threading.Condition,
+    def __init__(self, cond: threading.Condition,
                  inbox: Deque[bytes], outbox: Deque[bytes]):
-        self.rank = rank
-        self.comm = comm
         self._cond = cond
         self._inbox = inbox
         self._outbox = outbox
         self._closed = False
         self._peer_closed = False
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self._peer: Optional["SimEndpoint"] = None
 
     def send_frame(self, data: bytes) -> None:
@@ -254,13 +241,7 @@ class SimEndpoint:
                 raise FabricClosed("endpoint is closed")
             if self._peer_closed:
                 raise FabricClosed("peer endpoint is closed")
-            # account the transfer through SimComm (copies, like a wire)
-            delivered = self.comm.sendrecv(
-                self.rank, 1 - self.rank,
-                np.frombuffer(data, dtype=np.uint8))
-            self._outbox.append(delivered.tobytes())
-            self.frames_sent += 1
-            self.bytes_sent += len(data)
+            self._outbox.append(data)
             self._cond.notify_all()
 
     def recv_frame(self, timeout: Optional[float] = None) -> bytes:
@@ -271,10 +252,7 @@ class SimEndpoint:
                 raise FabricTimeout(
                     f"no frame within {timeout}s on sim endpoint")
             if self._inbox:
-                data = self._inbox.popleft()
-                self.frames_received += 1
-                self.bytes_received += len(data)
-                return data
+                return self._inbox.popleft()
             raise FabricClosed("sim endpoint closed")
 
     def close(self) -> None:
@@ -287,16 +265,13 @@ class SimEndpoint:
             self._cond.notify_all()
 
 
-def sim_pair(comm: Optional[SimComm] = None
-             ) -> Tuple[SimEndpoint, SimEndpoint]:
-    """A connected pair of :class:`SimEndpoint`\\ s sharing one
-    :class:`~repro.hpc.mpi.SimComm` (rank 0 ↔ rank 1)."""
-    comm = comm if comm is not None else SimComm(2)
+def sim_pair() -> Tuple[SimEndpoint, SimEndpoint]:
+    """A connected pair of :class:`SimEndpoint`\\ s."""
     cond = threading.Condition()
     a_to_b: Deque[bytes] = deque()
     b_to_a: Deque[bytes] = deque()
-    a = SimEndpoint(0, comm, cond, inbox=b_to_a, outbox=a_to_b)
-    b = SimEndpoint(1, comm, cond, inbox=a_to_b, outbox=b_to_a)
+    a = SimEndpoint(cond, inbox=b_to_a, outbox=a_to_b)
+    b = SimEndpoint(cond, inbox=a_to_b, outbox=b_to_a)
     a._peer, b._peer = b, a
     return a, b
 
@@ -330,10 +305,6 @@ class SocketEndpoint:
         self._send_lock = threading.Lock()
         self._buf = bytearray()
         self._closed = False
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     def send_frame(self, data: bytes) -> None:
         with self._send_lock:
@@ -343,8 +314,6 @@ class SocketEndpoint:
                 self._sock.sendall(data)
             except OSError as exc:
                 raise FabricClosed(f"send failed: {exc}") from exc
-            self.frames_sent += 1
-            self.bytes_sent += len(data)
 
     def recv_frame(self, timeout: Optional[float] = None) -> bytes:
         deadline = None if timeout is None else \
@@ -401,8 +370,6 @@ class SocketEndpoint:
             return None
         data = bytes(self._buf[:total])
         del self._buf[:total]
-        self.frames_received += 1
-        self.bytes_received += len(data)
         return data
 
     def close(self) -> None:

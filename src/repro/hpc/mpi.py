@@ -4,10 +4,8 @@ ROMS scales by dividing the horizontal domain into rectangular zones,
 one per MPI rank, and exchanging boundary (halo) cells every step
 (paper §II-B).  This module reproduces that structure in-process:
 
-* :class:`SimComm` — a byte-accounting communicator (messages between
-  ranks are array copies; volumes and counts are what the perf models
-  consume);
-* :class:`BlockDecomposition` — balanced 2-D partition with halo slabs;
+* :class:`BlockDecomposition` — balanced 2-D partition with halo slabs
+  and the bytes one halo exchange moves (what the perf models consume);
 * :class:`DecomposedShallowWater` — the *actual* barotropic solver run
   as P subdomain solvers with per-step halo exchange.  Its results are
   bit-identical to the global solver (verified by the test suite),
@@ -15,13 +13,13 @@ one per MPI rank, and exchanging boundary (halo) cells every step
 
 The sequential execution of ranks makes this a *semantic* simulation of
 MPI: identical data movement and identical results, with communication
-cost tracked analytically rather than incurred.
+cost computed analytically rather than incurred.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,27 +28,6 @@ from ..ocean.swe import ShallowWaterSolver, ShallowWaterState
 
 FLOAT_BYTES = 8
 
-
-class SimComm:
-    """Byte-accounting in-process communicator."""
-
-    def __init__(self, n_ranks: int):
-        if n_ranks < 1:
-            raise ValueError("need at least one rank")
-        self.n_ranks = n_ranks
-        self.bytes_sent = 0
-        self.n_messages = 0
-        self.per_pair: Dict[Tuple[int, int], int] = {}
-
-    def sendrecv(self, src: int, dst: int, payload: np.ndarray) -> np.ndarray:
-        """Move ``payload`` from src to dst (copy), recording volume."""
-        if not (0 <= src < self.n_ranks and 0 <= dst < self.n_ranks):
-            raise ValueError(f"rank out of range: {src} → {dst}")
-        self.bytes_sent += payload.nbytes
-        self.n_messages += 1
-        key = (src, dst)
-        self.per_pair[key] = self.per_pair.get(key, 0) + payload.nbytes
-        return payload.copy()
 
 @dataclass(frozen=True)
 class BlockRange:
@@ -185,7 +162,6 @@ class _SubdomainSolver(ShallowWaterSolver):
             self.west_outflow = parent.west_outflow.copy()[rows]
         else:
             self.west_outflow = np.zeros(self.grid.ny, dtype=bool)
-            self.sponge[:] = parent.sponge[rows, cols]  # interior sponge ≡ 0
         self._build_step_constants()
 
 
@@ -202,7 +178,6 @@ class DecomposedShallowWater:
         self.parent = solver
         self.decomp = BlockDecomposition(solver.grid.ny, solver.grid.nx,
                                          pr, pc)
-        self.comm = SimComm(self.decomp.n_ranks)
         self.subsolvers: List[_SubdomainSolver] = []
         for rank in range(self.decomp.n_ranks):
             rows, cols = self.decomp.halo_slab(rank)
@@ -225,9 +200,9 @@ class DecomposedShallowWater:
             vrange = slice(rows.start, rows.stop + 1)
             local = ShallowWaterState(
                 state.t,
-                state.zeta[rows, cols].copy(),
-                state.u[rows, urange].copy(),
-                state.v[vrange, cols].copy(),
+                state.zeta[rows, cols],
+                state.u[rows, urange],
+                state.v[vrange, cols],
             )
             stepped = sub.step(local)
 
@@ -239,9 +214,5 @@ class DecomposedShallowWater:
                 stepped.u[ir, slice(ic.start, ic.stop + 1)]
             v_new[rb.start:rb.stop + 1, cb.start:cb.stop] = \
                 stepped.v[slice(ir.start, ir.stop + 1), ic]
-
-        # account the halo traffic this step would have required
-        self.comm.bytes_sent += self.decomp.halo_bytes_per_exchange(fields=3)
-        self.comm.n_messages += 4 * self.decomp.n_ranks  # ≤4 neighbours each
 
         return ShallowWaterState(state.t + self.dt, zeta_new, u_new, v_new)

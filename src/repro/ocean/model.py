@@ -153,7 +153,7 @@ class RomsLikeModel:
         all its members in one integration and returns stacked
         snapshots, each member bit-identical to forecasting it alone.
         """
-        snaps, _ = self.simulate(initial.copy(), n_snapshots)
+        snaps, _ = self.simulate(initial, n_snapshots)
         return snaps
 
     # ------------------------------------------------------------------

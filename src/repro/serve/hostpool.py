@@ -15,12 +15,10 @@ contiguously so a batch is one ``sendall``, not a syscall per array).
 Two interchangeable fabrics, selected per worker:
 
 * ``fabric="sim"`` — the remote "rank" is a daemon thread in this
-  process serving a :class:`~repro.hpc.fabric.SimEndpoint` pair, with
-  all wire bytes accounted through a
-  :class:`~repro.hpc.mpi.SimComm`.  Deterministic, no processes, and
-  the engine is still rebuilt from the *pickled* payload — the same
-  serialization path a real remote host would run, so bitwise
-  equivalence is tested honestly.
+  process serving a :class:`~repro.hpc.fabric.SimEndpoint` pair.
+  Deterministic, no processes, and the engine is still rebuilt from
+  the *pickled* payload — the same serialization path a real remote
+  host would run, so bitwise equivalence is tested honestly.
 * ``fabric="socket"`` — a spawned child process connected over TCP
   loopback (token handshake, ``TCP_NODELAY``): actual wire
   serialization with measurable bytes-on-wire, standing in for a
@@ -172,7 +170,6 @@ class HostWorker(RemoteWorker):
         try:
             if fabric == "sim":
                 ep, self._remote_ep = sim_pair()
-                self.comm = ep.comm
                 # the remote rank rebuilds its engine from the *pickled*
                 # payload, exactly as a real remote host would
                 threading.Thread(

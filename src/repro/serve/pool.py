@@ -397,8 +397,8 @@ class EngineWorkerPool:
         ``model``/``normalizer`` (i.e. a real
         :class:`~repro.workflow.engine.ForecastEngine`).
     fabric: host-backend transport — ``"socket"`` (real TCP loopback
-        wire) or ``"sim"`` (deterministic in-process fabric with
-        SimComm byte accounting).  Ignored by other backends.
+        wire) or ``"sim"`` (deterministic in-process fabric).  Ignored
+        by other backends.
 
     Thread safety: :meth:`submit` and :meth:`forecast_batch` may be
     called from any number of client threads; routing state is guarded

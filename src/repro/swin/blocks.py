@@ -122,13 +122,6 @@ def compute_attention_mask(dims: Tuple[int, ...], window: Tuple[int, ...],
     return mask.astype(np.float32)
 
 
-class CheckpointStats:
-    """Counters the tests read to prove recomputation happens."""
-
-    forward_calls: int = 0
-    recompute_calls: int = 0
-
-
 def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     """Apply ``fn`` to ``x`` without storing interior activations.
 
@@ -144,7 +137,6 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     surrogate has no stochastic layer: like the paper's, it trains
     without dropout.
     """
-    CheckpointStats.forward_calls += 1
     if not (is_grad_enabled() and x.requires_grad):
         return fn(x)        # nothing to recompute for: tape as usual
 
@@ -156,7 +148,6 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     out._parents = (x,)
 
     def _bw(g: np.ndarray) -> None:
-        CheckpointStats.recompute_calls += 1
         x_live = Tensor(x.data, requires_grad=True)
         recomputed = fn(x_live)
         recomputed.backward(g)

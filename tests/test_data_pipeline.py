@@ -8,26 +8,10 @@ from repro.data import (DataLoader, Normalizer, SlidingWindowDataset,
                         resample_store)
 from repro.data.store import VARIABLES
 from repro.data.dataset import assemble_episode_input
-from repro.data.preprocess import (faces_to_centers_u, faces_to_centers_v,
-                                   padded_shape, unpad_mesh)
+from repro.data.preprocess import padded_shape
 
 
 class TestPreprocess:
-    def test_faces_to_centers_u_linear(self, rng):
-        u = rng.normal(size=(4, 6))
-        c = faces_to_centers_u(u)
-        assert c.shape == (4, 5)
-        np.testing.assert_allclose(c, 0.5 * (u[:, :-1] + u[:, 1:]))
-
-    def test_faces_to_centers_v_linear(self, rng):
-        v = rng.normal(size=(5, 6))
-        c = faces_to_centers_v(v)
-        assert c.shape == (4, 6)
-
-    def test_faces_to_centers_batched(self, rng):
-        u = rng.normal(size=(7, 4, 6))  # leading time axis
-        assert faces_to_centers_u(u).shape == (7, 4, 5)
-
     def test_padded_shape(self):
         assert padded_shape(898, 598, 5, 5) == (900, 600)  # the paper's case
         assert padded_shape(16, 16, 4, 4) == (16, 16)
@@ -37,7 +21,7 @@ class TestPreprocess:
         f = rng.normal(size=(15, 14, 6))
         p = pad_mesh(f, 16, 16)
         assert p.shape == (16, 16, 6)
-        np.testing.assert_array_equal(unpad_mesh(p, 15, 14), f)
+        np.testing.assert_array_equal(p[:15, :14], f)
 
     def test_pad_appends_zeros_high_side(self, rng):
         f = rng.normal(size=(3, 3))
@@ -108,13 +92,6 @@ class TestStore:
     def test_unknown_variable(self, tiny_bundle):
         with pytest.raises(KeyError):
             tiny_bundle.open_train().read_var("salinity", 0)
-
-    def test_io_accounting(self, tiny_bundle):
-        store = tiny_bundle.open_train()
-        before = store.bytes_read
-        snap = store.read_snapshot(0)
-        assert store.bytes_read - before == sum(a.nbytes
-                                                for a in snap.values())
 
     def test_times_monotone(self, tiny_bundle):
         meta = tiny_bundle.open_train().meta

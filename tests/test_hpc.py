@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hpc.mpi import BlockDecomposition, SimComm
+from repro.hpc.mpi import BlockDecomposition
 from repro.hpc.cluster import DGX_A100_CLUSTER
 from repro.hpc import (DecomposedShallowWater, NodeSpec, PipelineParams,
                        RomsPerfModel, RomsWorkload, ScalingModel,
@@ -27,22 +27,6 @@ from repro.swin import SurrogateConfig
 # ----------------------------------------------------------------------
 # simulated MPI
 # ----------------------------------------------------------------------
-class TestSimComm:
-    def test_counts_bytes_and_messages(self):
-        comm = SimComm(4)
-        payload = np.zeros(100, dtype=np.float64)
-        out = comm.sendrecv(0, 1, payload)
-        assert comm.bytes_sent == payload.nbytes
-        assert comm.n_messages == 1
-        np.testing.assert_array_equal(out, payload)
-        assert out is not payload   # a copy, like a real message
-
-    def test_rank_bounds(self):
-        comm = SimComm(2)
-        with pytest.raises(ValueError):
-            comm.sendrecv(0, 5, np.zeros(1))
-
-
 class TestBlockDecomposition:
     def test_blocks_partition_domain(self):
         d = BlockDecomposition(10, 7, 3, 2)
@@ -111,11 +95,21 @@ class TestDecomposedSolver:
         np.testing.assert_allclose(sd.u, sg.u, atol=1e-13)
         np.testing.assert_allclose(sd.v, sg.v, atol=1e-13)
 
-    def test_comm_accounting_grows(self, global_solver, evolved_state):
-        dec = DecomposedShallowWater(global_solver, 2, 2)
-        before = dec.comm.bytes_sent
-        dec.step(evolved_state.copy())
-        assert dec.comm.bytes_sent > before
+    def test_step_and_forecast_leave_their_input_alone(
+            self, global_solver, evolved_state, tiny_ocean):
+        """Neither copies its input state, so each must only read it."""
+        held = evolved_state.copy()
+        DecomposedShallowWater(global_solver, 2, 2).step(evolved_state)
+        solver = tiny_ocean.solver
+        initial = solver.run(solver.initial_state(), 3600.0)
+        held_initial = initial.copy()
+        tiny_ocean.forecast(initial, 2)
+        for state, before in ((evolved_state, held),
+                              (initial, held_initial)):
+            assert state.t == before.t
+            for name in ("zeta", "u", "v"):
+                assert getattr(state, name).tobytes() == \
+                    getattr(before, name).tobytes(), name
 
     def test_single_rank_no_communication_volume(self, global_solver,
                                                  evolved_state):

@@ -149,12 +149,6 @@ class TestSimFabric:
         assert got == data
         frame = unpack_frame(got)
         np.testing.assert_array_equal(frame.arrays[0], np.ones((3, 3)))
-        # wire totals visible through the shared SimComm
-        assert a.comm is b.comm
-        assert a.comm.bytes_sent == len(data)
-        assert a.comm.per_pair[(0, 1)] == len(data)
-        assert a.bytes_sent == b.bytes_received == len(data)
-        assert a.frames_sent == b.frames_received == 1
 
     def test_timeout_is_recoverable(self):
         a, b = sim_pair()
@@ -209,7 +203,6 @@ class TestSocketFabric:
             assert frame.seq == 9
             for sent, got in zip(arrays, frame.arrays):
                 np.testing.assert_array_equal(got, sent)
-            assert client.bytes_sent == server.bytes_received == len(data)
         finally:
             client.close()
             server.close()

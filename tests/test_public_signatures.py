@@ -16,6 +16,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import textwrap
 
 import pytest
 
@@ -37,7 +38,8 @@ import repro.workflow
 from repro.data import DataLoader, SlidingWindowDataset, SnapshotStore
 from repro.data.dataset import BOUNDARY_WIDTH, assemble_episode_input
 from repro.hpc import DecomposedShallowWater, PipelineParams, ScalingModel
-from repro.hpc.mpi import BlockDecomposition, SimComm
+from repro.hpc.fabric import SimEndpoint, SocketEndpoint
+from repro.hpc.mpi import BlockDecomposition
 from repro.nn import (BatchNorm, Conv3d, ConvTranspose3d, LayerNorm, MLP,
                       Module, MultiHeadSelfAttention, Parameter)
 from repro.ocean import (OceanConfig, RomsLikeModel, ShallowWaterSolver,
@@ -122,8 +124,7 @@ SIGNATURES = [
     (episode_loss, ["pred3d", "pred2d", "target3d", "target2d"]),
     (CosineWarmup, ["optimizer", "warmup_steps", "total_steps"]),
     (DataLoader,
-     ["dataset", "batch_size", "shuffle", "num_workers", "pin_memory",
-      "seed"]),
+     ["dataset", "batch_size", "shuffle", "num_workers", "seed"]),
     (SlidingWindowDataset, ["store", "normalizer", "window", "stride",
                             "pad_to"]),
     (assemble_episode_input, ["u3", "v3", "w3", "zeta"]),
@@ -336,6 +337,10 @@ def test_what_only_its_own_tests_reached_is_gone():
         pool: ("Router", "RoundRobinRouter", "LeastOutstandingRouter",
                "KeyAffinityRouter"),
         scheduler: ("RequestRecord",),
+        repro.hpc.mpi: ("SimComm",),
+        repro.swin.blocks: ("CheckpointStats",),
+        repro.data.preprocess: ("faces_to_centers_u", "faces_to_centers_v",
+                                "unpad_mesh"),
     }
     for package, names in gone.items():
         for name in names:
@@ -369,7 +374,6 @@ def test_what_only_its_own_tests_reached_is_gone():
                          (MicroBatchScheduler, "forecast_batch"),
                          (MicroBatchScheduler, "forecast"),
                          (MicroBatchScheduler, "pending"),
-                         (SimComm, "allreduce_sum"),
                          (PipelineParams, "from_surrogate"),
                          (ScalingModel, "for_surrogate"),
                          (OceanConfig, "paper_mesh"),
@@ -393,5 +397,21 @@ def test_what_only_its_own_tests_reached_is_gone():
         if dataclasses.is_dataclass(target):     # fields with no default
             assert name not in {f.name for f in dataclasses.fields(target)}
     assert "advection" not in {f.name for f in dataclasses.fields(SWEConfig)}
+
+    def stored(cls):            # every attribute its methods assign
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        return {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)}
+    tallies = {"frames_sent", "frames_received", "bytes_sent",
+               "bytes_received"}
+    for cls, names in ((SimEndpoint, tallies | {"rank", "comm"}),
+                       (SocketEndpoint, tallies),
+                       (SnapshotStore, {"bytes_read", "bytes_written"}),
+                       (DecomposedShallowWater, {"comm"}),
+                       (HostWorker, {"comm"}),
+                       (SlidingWindowDataset, {"orig_hw"})):
+        left = names & stored(cls)
+        assert not left, (cls.__qualname__, left)
     assert "optimizer" not in \
         inspect.signature(repro.train.load_checkpoint).parameters
