@@ -13,6 +13,9 @@ Pipeline::
     → SwinStage4d ×3 (W-MSA/SW-MSA pairs, patch merging between stages)
     → decoder: ConvTranspose3d + BatchNorm + GELU ×2 with U-Net skips
     → split depth → PatchRecover3d → u,v,w ;  PatchRecover2d → ζ
+
+``forward`` returns both heads; ``surface`` runs the same trunk and the
+ζ head alone, for callers that read the surge only.
 """
 
 from __future__ import annotations
@@ -160,6 +163,8 @@ class CoastalSurrogate(Module):
 
         self.recover3d = PatchRecover3d(C, N_VARS_3D, cfg.patch3d, rng=rng)
         self.recover2d = PatchRecover2d(C, N_VARS_2D, cfg.patch2d, rng=rng)
+        # the decoder's depth slot ζ's head reads; the volume's precede it
+        self._zeta_slot = cfg.mesh[2] // cfg.patch3d[2]
 
     # ------------------------------------------------------------------
     # parameter accounting (paper Table IV reports encoder + decoder)
@@ -187,7 +192,27 @@ class CoastalSurrogate(Module):
         ``(y3d, y2d)`` with shapes matching the inputs: predicted
         (u, v, w) volumes and ζ planes for t₁..T.
         """
-        cfg = self.config
+        y = self._trunk(x3d, x2d)
+        d3 = self._zeta_slot
+        y3 = y[:, :, :, :, :d3, :]                   # volume part
+        y2 = y[:, :, :, :, d3, :]                    # surface slot
+        out3d = self.recover3d(y3)
+        out2d = self.recover2d(y2)
+        return out3d, out2d
+
+    def surface(self, x3d: Tensor, x2d: Tensor) -> Tensor:
+        """The ζ forecast alone: ``forward(x3d, x2d)[1]``, bitwise.
+
+        Runs the shared trunk and the ζ head only, so a caller that
+        reads the surge (every sensitivity diagnostic does) neither
+        computes nor tapes the 3-D recover head.
+        """
+        y = self._trunk(x3d, x2d)
+        return self.recover2d(y[:, :, :, :, self._zeta_slot, :])
+
+    def _trunk(self, x3d: Tensor, x2d: Tensor) -> Tensor:
+        """Embeddings → Swin stages → decoder: the channels-first latent
+        ``(B, C, H', W', D'', T)`` both heads read."""
         e3 = self.embed3d(x3d)                      # (B, C, H', W', D3, T)
         e2 = self.embed2d(x2d)                      # (B, C, H', W', 1, T)
         x = concatenate([e3, e2], axis=4)           # depth concat
@@ -216,10 +241,4 @@ class CoastalSurrogate(Module):
             y = _unfold_time(yf, B, T)               # (B, C, H, W, D, T)
             y = y.transpose(0, 2, 3, 4, 5, 1)        # channels-last again
 
-        y = y.transpose(0, 5, 1, 2, 3, 4)            # (B, C, H', W', D'', T)
-        d3 = cfg.mesh[2] // cfg.patch3d[2]
-        y3 = y[:, :, :, :, :d3, :]                   # volume part
-        y2 = y[:, :, :, :, d3, :]                    # surface slot
-        out3d = self.recover3d(y3)
-        out2d = self.recover2d(y2)
-        return out3d, out2d
+        return y.transpose(0, 5, 1, 2, 3, 4)         # (B, C, H', W', D'', T)

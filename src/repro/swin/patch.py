@@ -317,6 +317,7 @@ def _vjp_patch_recover(g, ins, out, consts, needs):
     mesh = tuple(v for ok in zip(coarse, kshape) for v in ok) + (C,)
     to_tokens = (0,) + tuple(range(1, 2 * nd, 2)) + (2 * nd + 1,) \
         + tuple(range(2, 2 * nd + 1, 2))
+    from_tokens = _plan.inverse_permutation(to_tokens)
     dx = np.empty(x.shape, np.result_type(g, w_up)) if needs[0] else None
     # parameter cotangents, summed over blocks: (C, C·K), per C·K
     # column or (out, C)
@@ -334,7 +335,7 @@ def _vjp_patch_recover(g, ins, out, consts, needs):
         d = _gelu_grad(a, ga.reshape(a.shape))  # cotangent of ``a``
         if needs[3]:
             act = _k_gelu(None, (a,), None).reshape(
-                (n,) + coarse + (C,) + kshape).transpose(np.argsort(to_tokens))
+                (n,) + coarse + (C,) + kshape).transpose(from_tokens)
             d_w2 = d_w2 + np.einsum("nso,nsc->oc", gm, act.reshape(n, fine, C))
         if needs[5]:
             d_scale = d_scale + (d * pre).sum(axis=(0, 1))

@@ -720,6 +720,15 @@ def _restore_axes(reduced, axis, keepdims: bool, ndim: int) -> np.ndarray:
     return reduced
 
 
+def inverse_permutation(axes: Sequence[int]) -> List[int]:
+    """The axes that undo ``transpose(axes)``, built in one pass
+    (``np.argsort`` sorts and allocates; a VJP runs this per node)."""
+    inverse = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inverse[a] = i
+    return inverse
+
+
 def _binary(name, ufunc, d_left, d_right):
     """``d_left`` / ``d_right``: ``(g, a, b) -> cotangent`` of each side."""
     @register_kernel(name, "compute")
@@ -855,7 +864,7 @@ def _k_transpose(out, ins, consts):
 
 @register_vjp("transpose")
 def _vjp_transpose(g, ins, out, consts, needs):
-    return (g.transpose(np.argsort(consts["axes"])),)
+    return (g.transpose(inverse_permutation(consts["axes"])),)
 
 
 @register_kernel("getitem", "movement")

@@ -257,16 +257,33 @@ class Tensor:
         return astensor(other, self.data.dtype if weak else None)
 
     def _accum(self, grad: np.ndarray) -> None:
-        """Accumulate ``grad`` into ``self.grad`` (dense accumulation)."""
+        """Accumulate ``grad`` into ``self.grad`` (dense accumulation).
+
+        A leaf copies its first gradient and sums later ones in place:
+        its ``.grad`` outlives the backward, and optimisers and callers
+        write to it.  An interior node keeps its first cotangent as
+        given (cast only to its own dtype) and sums a second one into a
+        new array, never in place, since that cotangent may be another
+        node's too — sound because no registered VJP writes the ``g``
+        it receives (``tests/test_tensor_ops.py`` holds every one to
+        that).
+        """
         if not self.requires_grad:
             return
         grad = np.asarray(grad)
         if grad.shape != self.data.shape:
             grad = unbroadcast(grad, self.data.shape)
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+        if not self._parents:
+            if self.grad is None:
+                self.grad = grad.astype(self.data.dtype, copy=True)
+            else:
+                self.grad += grad
+        elif self.grad is None:
+            self.grad = grad.astype(self.data.dtype, copy=False)
         else:
-            self.grad += grad
+            # the sum in-place ``+=`` would give, cast to this dtype
+            self.grad = np.add(self.grad, grad,
+                               out=np.empty_like(self.grad))
 
     def zero_grad(self) -> None:
         self.grad = None

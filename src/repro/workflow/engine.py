@@ -663,13 +663,15 @@ class ForecastEngine:
                           observations=None, storms=None):
         """Differentiate a scalar diagnostic of N episodes' forecasts.
 
-        The adjoint counterpart of :meth:`forecast_batch`: runs one
-        grad-enabled batched forward through the same
-        :meth:`_stage` staging (normalise → pad → rim-mask
-        assembly), reduces the predicted surge to a scalar diagnostic
-        per episode, and pulls the gradient back through the model
-        *and* the staging pipeline, so the returned sensitivities are
-        in physical units on the request mesh.
+        The adjoint counterpart of :meth:`forecast_batch`: stages the
+        batch as it does (normalise → pad → rim-mask assembly), runs
+        one grad-enabled batched forward of the model's ζ forecast
+        alone (:meth:`~repro.swin.model.CoastalSurrogate.surface`:
+        every diagnostic reads ζ only, so the 3-D head is neither
+        computed nor taped), reduces the predicted surge to a scalar
+        diagnostic per episode, and pulls the gradient back through
+        the model *and* the staging pipeline, so the returned
+        sensitivities are in physical units on the request mesh.
 
         Parameters
         ----------
@@ -774,7 +776,7 @@ class ForecastEngine:
                 with enable_grad():
                     t3 = Tensor(x3d, requires_grad=True)
                     t2 = Tensor(x2d, requires_grad=True)
-                    _, p2d = self.model(t3, t2)
+                    p2d = self.model.surface(t3, t2)
                     # ζ head → (N, T, H', W') → denormalise → crop:
                     # the in-graph mirror of _finish_rows' epilogue
                     z = p2d[:, 0].transpose(0, 3, 1, 2) \

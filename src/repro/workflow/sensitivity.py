@@ -87,6 +87,8 @@ def _surge_mse(zeta: Tensor, observation: Optional[Tensor]) -> Tensor:
 #: Registry of scalar diagnostics: name -> fn(zeta, observation) -> (N,)
 #: per-episode values.  All are written in Tensor ops so the same
 #: callable serves the backward pass and the FD reference evaluation.
+#: A diagnostic reads the ζ forecast only, which is why the engine's
+#: tape forward is ``CoastalSurrogate.surface`` and stops at the ζ head.
 DIAGNOSTICS = {
     "peak_surge": _peak_surge,
     "mean_surge": _mean_surge,

@@ -141,7 +141,7 @@ class TestFrameCodec:
 # sim fabric
 # ----------------------------------------------------------------------
 class TestSimFabric:
-    def test_delivery_and_byte_accounting(self):
+    def test_delivery(self):
         a, b = sim_pair()
         data = pack_frame("batch", 0, {"k": 1}, [np.ones((3, 3))])
         a.send_frame(data)

@@ -29,8 +29,10 @@ from repro.serve.procpool import ProcessWorker
 from repro.serve.cache import gradient_key, window_key
 from repro.tensor import Tensor, astensor, concatenate
 from repro.tensor.gradcheck import gradcheck, numerical_grad, tape_nodes
-from repro.workflow.sensitivity import (STORM_PARAMS, SensitivityResult,
-                                        evaluate_diagnostic)
+from repro.swin.patch import PatchRecover3d
+from repro.workflow.sensitivity import (DIAGNOSTICS, STORM_PARAMS,
+                                        SensitivityResult,
+                                        evaluate_diagnostic, overlay_vjp)
 from repro.workflow import ForecastEngine, GradientRequest, StormOverlay
 from repro.workflow.sensitivity import GRAVITY, _stacked, compose_batch
 
@@ -345,6 +347,71 @@ def test_tape_forward_and_leaf_gradients_are_float32(grad_engine,
     (p3d.sum() + p2d.sum()).backward()
     assert t3.grad.dtype == t2.grad.dtype == np.float32
     model.zero_grad()
+
+
+def _full_forward_reference(eng, wins, diagnostic, observations, storms):
+    """``sensitivity_batch`` the slow way: both heads taped (the 3-D
+    one read by nothing), the same ζ epilogue and diagnostic, one
+    backward, then the same assembly adjoint and overlay VJP."""
+    x3d, x2d, (h, w) = eng._stage(compose_batch(wins, storms))
+    model = eng.model
+    params = list(model.parameters())
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    model.eval()
+    try:
+        t3 = Tensor(x3d, requires_grad=True)
+        t2 = Tensor(x2d, requires_grad=True)
+        p3d, p2d = model(t3, t2)
+        assert p3d.requires_grad
+        z = p2d[:, 0].transpose(0, 3, 1, 2).astype(np.float64) \
+            * (eng.normalizer.std["zeta"] + Normalizer.EPS) \
+            + eng.normalizer.mean["zeta"]
+        obs = None if observations is None else astensor(np.stack(
+            [np.asarray(o, dtype=np.float64) for o in observations]))
+        per = DIAGNOSTICS[diagnostic](z[:, :, :h, :w], obs)
+        per.sum().backward()
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
+    d_fields = eng._assembly_adjoint(t3.grad, t2.grad, (h, w))
+    d_u3, d_v3, _, d_zeta = d_fields
+    return per.data, d_fields, overlay_vjp(storms, d_u3, d_v3, d_zeta)
+
+
+@pytest.mark.parametrize("diagnostic", sorted(DIAGNOSTICS))
+def test_gradient_runs_no_volume_head_and_matches_full_forward(
+        grad_engine, diagnostic, monkeypatch):
+    """A diagnostic reads ζ only, so ``sensitivity_batch`` never runs
+    the 3-D recover head, and its value, field and storm gradients are
+    bitwise those of a full two-head forward."""
+    wins = [make_window(63), make_window(64)]
+    storms = [STORM, DISTINCT_STORMS[2]]
+    observations = None
+    if diagnostic == "surge_mse":
+        rng = np.random.default_rng(8)
+        observations = [rng.normal(size=(T, H, W)) * 0.01 for _ in wins]
+    volume_calls = []
+    forward = PatchRecover3d.forward
+
+    def counted(head, x):
+        volume_calls.append(x.shape)
+        return forward(head, x)
+
+    monkeypatch.setattr(PatchRecover3d, "forward", counted)
+    got = grad_engine.sensitivity_batch(
+        wins, wrt=("fields", "storm"), diagnostic=diagnostic,
+        observations=observations, storms=storms)
+    assert volume_calls == []
+    values, d_fields, d_storms = _full_forward_reference(
+        grad_engine, wins, diagnostic, observations, storms)
+    assert len(volume_calls) == 1          # the counter sees the head
+    for i, res in enumerate(got):
+        assert res.value == values[i]
+        for var, want in zip(VARS, d_fields):
+            assert getattr(res.d_fields, var).tobytes() == want[i].tobytes()
+        assert res.d_storm == d_storms[i]
 
 
 def test_dead_cotangent_is_never_formed(grad_engine, monkeypatch):

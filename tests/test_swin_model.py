@@ -161,6 +161,20 @@ class TestCoastalSurrogate:
         assert y3.shape == (1, 3, H, W, D, T)
         assert y2.shape == (1, 1, H, W, T)
 
+    def test_surface_is_the_zeta_head_of_forward_bitwise(
+            self, tiny_surrogate_config, rng):
+        cfg = tiny_surrogate_config
+        H, W, D = cfg.mesh
+        T = cfg.time_steps
+        x3 = rng.normal(size=(2, 3, H, W, D, T)).astype(np.float32)
+        x2 = rng.normal(size=(2, 1, H, W, T)).astype(np.float32)
+        model = CoastalSurrogate(cfg).eval()
+        with no_grad():
+            _, want = model(Tensor(x3), Tensor(x2))
+            got = model.surface(Tensor(x3), Tensor(x2))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.data.tobytes() == want.data.tobytes()
+
     def test_all_parameters_receive_gradients(self, tiny_surrogate_config,
                                               rng):
         model = CoastalSurrogate(tiny_surrogate_config)

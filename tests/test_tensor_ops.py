@@ -16,6 +16,7 @@ from repro.nn.layers import gelu
 from repro.swin.patch import PatchRecover3d
 from repro.tensor import (PlanExecutor, Tensor, concatenate, conv_nd,
                           conv_transpose_nd, gradcheck, no_grad, trace)
+from repro.tensor import tensor as tensor_mod
 from repro.tensor.tensor import unbroadcast
 from repro.tensor import plan as plan_mod
 from repro.tensor.gradcheck import numerical_grad, tape_nodes
@@ -311,6 +312,35 @@ class TestGraph:
         (t * 2).sum().backward()
         (t * 2).sum().backward()
         np.testing.assert_allclose(t.grad, np.full(3, 4.0))
+
+    def test_leaves_fed_by_one_add_get_their_own_writable_grads(self, rng):
+        """``add``'s VJP hands both sides the same cotangent array; each
+        leaf copies it, so writing one ``.grad`` leaves the other alone."""
+        a = Tensor(_arr(rng, 3), requires_grad=True)
+        b = Tensor(_arr(rng, 3), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad *= 5.0
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+
+    def test_interior_grad_keeps_its_dtype_and_is_never_written(self, rng):
+        """An interior float32 node keeps its first cotangent as given
+        and sums a float64 second one into a new float32 array holding
+        the bits the in-place ``+=`` gave; the first array is untouched."""
+        node = Tensor(_arr(rng, 4).astype(np.float32), requires_grad=True) * 2
+        first = _arr(rng, 4).astype(np.float32)
+        second = _arr(rng, 4)
+        kept = first.copy()
+        node._accum(first)
+        assert node.grad is first
+        node._accum(second)
+        want = first.copy()
+        want += second
+        assert node.grad.dtype == np.float32
+        assert node.grad.tobytes() == want.tobytes()
+        assert not np.shares_memory(node.grad, first)
+        np.testing.assert_array_equal(first, kept)
 
     def test_astype_roundtrip_grad(self, rng):
         t = Tensor(_arr(rng, 3).astype(np.float32), requires_grad=True)
@@ -685,6 +715,47 @@ class TestOpTable:
                 np.abs(numeric), 1e-3 * np.abs(numeric).max())
             assert dev.max() < max_gate, (i, dev.max())
             assert np.median(dev) < median_gate, (i, np.median(dev))
+
+    @_layouts
+    @_rows
+    def test_backward_never_writes_its_cotangent(self, name, strided,
+                                                 monkeypatch):
+        """An interior node keeps the cotangent it is handed, which may
+        be another node's too, so no VJP may write its ``g``: from a
+        read-only seed, with every node of the row's tape handed a
+        read-only view, the backward gives the gradient bits of a
+        writable run (a VJP that writes its ``g`` raises instead)."""
+        call, arrays, _ = _row_case(name, strided)
+        layers = (_LIN, _LN, _BN, _MSA, _RECOVER)
+
+        def gradients(writeable):
+            for layer in layers:
+                layer.zero_grad()
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            out = call(*tensors)
+            seed = np.random.default_rng(7).normal(size=out.shape) \
+                .astype(out.dtype)
+            seed.flags.writeable = writeable
+            out.backward(seed)
+            grads = [t.grad for t in tensors] + [
+                p.grad for layer in layers for p in layer.parameters()
+                if p.grad is not None]
+            for layer in layers:
+                layer.zero_grad()
+            return grads
+
+        writable = gradients(True)
+        vjp = tensor_mod._Backward.__call__
+
+        def read_only(node, g):
+            g = g.view()
+            g.flags.writeable = False
+            vjp(node, g)
+
+        monkeypatch.setattr(tensor_mod._Backward, "__call__", read_only)
+        got = gradients(False)
+        assert len(got) == len(writable)
+        assert all(_same_bits(a, b) for a, b in zip(got, writable))
 
     @_layouts
     @_rows

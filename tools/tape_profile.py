@@ -14,6 +14,10 @@ prints
   ``apply`` calls, which build their result without ``__init__`` — and
   the tape nodes reachable from the loss, for the model graph and the
   overlay graph;
+* tape-forward milliseconds by registered op name: every entry of
+  ``repro.tensor.plan.KERNELS`` is wrapped for the probed calls of
+  that table (and restored after), and a kernel's clock runs from
+  staging's return to the model backward's start;
 * backward milliseconds by registered op name: every reachable node's
   ``_backward`` (its kernel's VJP, as ``tensor.apply`` put it on the
   tape) is wrapped from outside, then the real ``Tensor.backward`` runs
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import statistics
 import sys
 import time
@@ -50,6 +55,7 @@ import harness  # noqa: E402 — needs the two path entries above
 import run as benchmark  # noqa: E402
 import workloads  # noqa: E402
 from repro.tensor import Tensor  # noqa: E402
+from repro.tensor.plan import KERNELS  # noqa: E402
 from repro.tensor import tensor as tensor_mod  # noqa: E402
 from repro.tensor.gradcheck import tape_nodes  # noqa: E402
 from repro.workflow import ForecastEngine  # noqa: E402
@@ -68,11 +74,14 @@ class Probe:
         self.backwards = []        # wall of each Tensor.backward, in order
         self.graphs = []           # reachable tensors, first two backwards
         self.ops = None       # op -> [calls, seconds] when set
+        self.forward_ops = None    # the tape forward's, when set
+        self.taping = False        # staging returned, no backward yet
         self.constructions = 0
         self._undo = []
         self._wrap(sensitivity, "compose_batch", "overlay apply")
         self._wrap(sensitivity, "overlay_vjp", "overlay VJP")
         self._wrap(engine, "_stage", "staging")
+        self._patch(engine, "_stage", self._then_tape)
         self._wrap(engine, "_assembly_adjoint", "assembly adjoint")
         self._patch(Tensor, "backward", self._backward)
         self._patch(Tensor, "__init__", self._counted)
@@ -85,9 +94,40 @@ class Probe:
                 self._patch(module, "apply", self._counted)
 
     def _patch(self, owner, name, make):
-        original = getattr(owner, name)
-        self._undo.append((owner, name, owner.__dict__.get(name)))
-        setattr(owner, name, make(original))
+        original = owner.__dict__.get(name)
+        setattr(owner, name, make(getattr(owner, name)))
+        self._undo.append(lambda: delattr(owner, name) if original is None
+                          else setattr(owner, name, original))
+
+    def time_kernels(self):
+        """Clock every registered kernel inside the tape forward from
+        now until :meth:`close`."""
+        self.forward_ops = {}
+        registered = dict(KERNELS)
+        for name, kernel in registered.items():
+            KERNELS[name] = dataclasses.replace(
+                kernel, fn=self._timed_kernel(name, kernel.fn))
+        self._undo.append(lambda: KERNELS.update(registered))
+
+    def _timed_kernel(self, name, fn):
+        def timed(out, ins, consts):
+            if not self.taping:
+                return fn(out, ins, consts)
+            t0 = time.perf_counter()
+            try:
+                return fn(out, ins, consts)
+            finally:
+                entry = self.forward_ops.setdefault(name, [0, 0.0])
+                entry[0] += 1
+                entry[1] += time.perf_counter() - t0
+        return timed
+
+    def _then_tape(self, stage):
+        def staged(*args, **kwargs):
+            staged_rows = stage(*args, **kwargs)
+            self.taping = True
+            return staged_rows
+        return staged
 
     def _wrap(self, owner, name, phase):
         def make(fn):
@@ -108,6 +148,7 @@ class Probe:
 
     def _backward(self, original):
         def backward(root, grad=None):
+            self.taping = False
             if len(self.graphs) < 2:         # model graph, overlay graph
                 self.graphs.append(len(tape_nodes(root)))
             if self.ops is not None:
@@ -132,23 +173,20 @@ class Probe:
         return timed
 
     def close(self):
-        for owner, name, original in reversed(self._undo):
-            if original is None:
-                delattr(owner, name)
-            else:
-                setattr(owner, name, original)
+        for undo in reversed(self._undo):
+            undo()
 
 
-def op_table(title, ops, backward_s):
+def op_table(title, ops, phase_s, outside):
     total = sum(sec for _, sec in ops.values())
-    print(f"\n{title}: {1e3 * backward_s / REPEATS:.2f} ms per backward, "
-          f"{1e3 * (backward_s - total) / REPEATS:.2f} of it outside the "
-          f"VJPs (topological sort, the loop, freeing gradients)")
+    print(f"\n{title}: {1e3 * phase_s / REPEATS:.2f} ms per call, "
+          f"{1e3 * (phase_s - total) / REPEATS:.2f} of it outside the "
+          f"{outside}")
     print(f"{'op':<28}{'calls':>6}{'ms':>10}{'share %':>9}{'us/call':>10}")
     for name, (calls, sec) in sorted(ops.items(),
                                      key=lambda kv: -kv[1][1]):
         print(f"{name:<28}{calls // REPEATS:>6}{1e3 * sec / REPEATS:>10.3f}"
-              f"{100 * sec / backward_s:>9.1f}{1e6 * sec / calls:>10.1f}")
+              f"{100 * sec / phase_s:>9.1f}{1e6 * sec / calls:>10.1f}")
 
 
 def main(argv=None) -> int:
@@ -194,9 +232,13 @@ def main(argv=None) -> int:
         model_nodes, overlay_nodes = probe.graphs[:2]
 
         probe.ops = collections.defaultdict(dict)
+        probe.time_kernels()
         probe.backwards.clear()
+        tape_forward = 0.0
         for _ in range(REPEATS):
-            call()
+            results = call()
+            tape_forward += sum(r.backward_seconds for r in results) \
+                - probe.backwards[-2]
     finally:
         probe.close()
 
@@ -217,9 +259,11 @@ def main(argv=None) -> int:
     print(f"\nTensor constructions per call: {constructions}")
     print(f"tape nodes reachable from the loss: model graph {model_nodes}, "
           f"overlay graph {overlay_nodes}")
+    op_table("tape forward", probe.forward_ops, tape_forward,
+             "kernels (apply, building the tape, the layers' Python)")
     for title, which in (("model backward", 0), ("overlay backward", 1)):
-        op_table(title, probe.ops[which],
-                      sum(probe.backwards[which::2]))
+        op_table(title, probe.ops[which], sum(probe.backwards[which::2]),
+                 "VJPs (topological sort, the loop, freeing gradients)")
     print(f"\nphases sum to {shares:.1f} % of the call")
     if constructions < model_nodes + overlay_nodes:
         print(f"{constructions} constructions counted for "
